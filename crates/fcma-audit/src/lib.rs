@@ -2,8 +2,7 @@
 //!
 //! A zero-dependency (std-only) lint tool that walks the workspace
 //! source tree and enforces project-specific invariants that `clippy`
-//! cannot express: no `unsafe` anywhere, no lossy `as` casts in the
-//! numeric kernel crates, property-test coverage of every public linalg
+//! cannot express: no lossy `as` casts in the numeric kernel crates, property-test coverage of every public linalg
 //! kernel, module-level documentation on every source file, trace-probe
 //! names that match the DESIGN.md §Observability taxonomy, the crate
 //! layering DAG of DESIGN.md §Architecture contracts, call-graph panic

@@ -333,7 +333,6 @@ output:
                   Falls back to the full report when git is unavailable
 
 passes:
-  unsafe       no `unsafe` blocks anywhere (no escape hatch)
   cast         no `as` numeric casts in kernel crates (fcma-linalg, fcma-core)
   proptest     every pub fn kernel in fcma-linalg has a property test
   moddoc       every src/*.rs has module-level //! docs
@@ -346,8 +345,8 @@ passes:
   protocol     ToWorker/FromWorker variants ↔ driver match arms ↔ the
                DESIGN.md §Architecture contracts protocol table
   deadpub      no workspace-pub item without cross-crate references
-  syncfacade   no raw std::sync/std::thread/crossbeam_channel/parking_lot
-               outside the fcma-sync facade (Arc/Weak stay allowed)
+  syncfacade   no raw std::sync/std::thread outside the fcma-sync
+               facade (Arc/Weak stay allowed)
   lockorder    every .lock() receiver declared in DESIGN.md §13 and
                acquired in strictly increasing rank (call-graph transitive)
   blockinlock  no channel recv / file I/O reachable while a facade lock

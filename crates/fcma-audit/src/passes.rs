@@ -3,7 +3,6 @@
 //!
 //! | pass          | scope                               | escape hatch |
 //! |---------------|-------------------------------------|--------------|
-//! | `unsafe`      | every source file                   | none |
 //! | `cast`        | kernel-crate library code           | allow marker |
 //! | `proptest`    | top-level `pub fn`s of fcma-linalg  | allow marker |
 //! | `moddoc`      | every `src/*.rs` file               | none |
@@ -12,7 +11,7 @@
 //! | `panicpath`   | call-graph panic reachability of sweep-crate `pub fn`s | `# Panics` docs or allow marker |
 //! | `protocol`    | ToWorker/FromWorker ↔ driver match arms ↔ DESIGN.md §12 table | none |
 //! | `deadpub`     | sweep-crate `pub` items with no cross-crate references | allow marker |
-//! | `syncfacade`  | no raw `std::sync`/`std::thread`/vendor sync primitives outside fcma-sync | allow marker |
+//! | `syncfacade`  | no raw `std::sync`/`std::thread` primitives outside fcma-sync | allow marker |
 //! | `lockorder`   | `.lock()` receivers declared in DESIGN.md §13, acquired in rank order | allow marker |
 //! | `blockinlock` | no channel recv / file I/O reachable while a facade lock is held | allow marker |
 //! | `allocinloop` | no heap allocation reachable inside a loop of a hot fn (DESIGN.md §14) | allow marker |
@@ -119,7 +118,6 @@ const MUTANT_CLASSES_FOR_MARKERS: &[&str] = crate::mutants::MUTANT_CLASSES;
 
 /// Every pass name an allow marker may reference, in `run_all` order.
 pub const PASS_NAMES: &[&str] = &[
-    "unsafe",
     "cast",
     "proptest",
     "moddoc",
@@ -292,9 +290,6 @@ impl Workspace {
     pub fn run_selected(&self, passes: &[&str]) -> Vec<Violation> {
         let on = |p: &str| passes.contains(&p);
         let mut v = Vec::new();
-        if on("unsafe") {
-            v.extend(check_unsafe(self));
-        }
         if on("cast") {
             v.extend(check_casts(self));
         }
@@ -373,26 +368,6 @@ impl Workspace {
             })
             .collect()
     }
-}
-
-/// Pass: no `unsafe` anywhere, no escape hatch.
-///
-/// The whole point of the Rust port is memory safety under heavy
-/// threading; a single `unsafe` block reopens the class of bugs the
-/// rewrite closed, so this pass has no allow marker.
-pub fn check_unsafe(ws: &Workspace) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for f in &ws.files {
-        for &line in &f.unsafe_lines {
-            out.push(Violation {
-                file: f.rel_path.clone(),
-                line: line + 1,
-                pass: "unsafe",
-                message: "`unsafe` is forbidden workspace-wide (no escape hatch)".to_owned(),
-            });
-        }
-    }
-    out
 }
 
 /// Pass: no `as` numeric casts in kernel-crate library code.
@@ -1023,10 +998,10 @@ pub fn check_deadpub(ws: &Workspace) -> Vec<Violation> {
 /// Pass: no raw synchronization primitive outside the fcma-sync facade.
 ///
 /// The model checker (`fcma-mc`) can only explore interleavings that
-/// route through `fcma_sync`'s choice points; a raw `std::sync::Mutex`,
-/// `std::thread::spawn`, `crossbeam_channel`, or `parking_lot` lock in
-/// scheduler-adjacent code is invisible to it and silently shrinks the
-/// verified state space. `std::sync::Arc`/`Weak` stay allowed (shared
+/// route through `fcma_sync`'s choice points; a raw `std::sync::Mutex`
+/// or `std::thread::spawn` in scheduler-adjacent code is invisible to it
+/// and silently shrinks the verified state space. (No third-party sync
+/// crate is vendored, so naming one is already a compile error.) `std::sync::Arc`/`Weak` stay allowed (shared
 /// ownership, not synchronization). Kernel-local uses with a bounded
 /// critical section can justify themselves with
 /// `// audit: allow(syncfacade) — <reason>`.
@@ -1053,12 +1028,6 @@ pub fn check_syncfacade(ws: &Workspace) -> Vec<Violation> {
             });
         };
         for (lno, code) in f.scan.code_lines.iter().enumerate() {
-            if !site_starts_word(code, "crossbeam_channel").is_empty() {
-                flag(lno, "crossbeam_channel", "`fcma_sync::channel`", &mut out);
-            }
-            if !site_starts_word(code, "parking_lot").is_empty() {
-                flag(lno, "parking_lot", "`fcma_sync::Mutex`", &mut out);
-            }
             if !site_starts_word(code, "std::thread").is_empty() {
                 flag(lno, "std::thread", "`fcma_sync::thread`", &mut out);
             }
@@ -2475,25 +2444,6 @@ mod tests {
     }
 
     #[test]
-    fn unsafe_fires_everywhere_no_escape() {
-        let f = SourceFile::new(
-            "crates/x/tests/t.rs",
-            Some("x"),
-            Role::Test,
-            "//! t\nunsafe fn f() {}\n",
-        );
-        let v = check_unsafe(&ws_of(vec![f]));
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].line, 2);
-    }
-
-    #[test]
-    fn unsafe_quiet_on_clean_file() {
-        let f = lib_file("x", "//! m\nfn f() { let safety = \"unsafe\"; }\n");
-        assert!(check_unsafe(&ws_of(vec![f])).is_empty());
-    }
-
-    #[test]
     fn cast_fires_only_in_kernel_crates() {
         let kernel = lib_file("fcma-linalg", "//! m\nfn f(n: usize) -> f32 {\n    n as f32\n}\n");
         let other = lib_file("fcma-io", "//! m\nfn f(n: usize) -> f32 {\n    n as f32\n}\n");
@@ -2947,14 +2897,12 @@ mod tests {
             "fcma-cluster",
             "//! m\nuse std::sync::Mutex;\n\
              use std::sync::{\n    Arc,\n    mpsc,\n};\n\
-             use crossbeam_channel::unbounded;\n\
              fn f() {\n    std::thread::spawn(|| {});\n}\n",
         );
         let v = check_syncfacade(&ws_of(vec![f]));
-        assert_eq!(v.len(), 4, "{v:?}");
+        assert_eq!(v.len(), 3, "{v:?}");
         assert!(v.iter().any(|x| x.message.contains("std::sync::Mutex")));
         assert!(v.iter().any(|x| x.message.contains("std::sync::mpsc")));
-        assert!(v.iter().any(|x| x.message.contains("crossbeam_channel")));
         assert!(v.iter().any(|x| x.message.contains("std::thread")));
         assert!(v.iter().all(|x| x.pass == "syncfacade"));
     }
@@ -2969,7 +2917,7 @@ mod tests {
         );
         let marked = lib_file(
             "fcma-linalg",
-            "//! m\n// audit: allow(syncfacade) — kernel-local reduction lock\nuse parking_lot::Mutex;\n",
+            "//! m\n// audit: allow(syncfacade) — kernel-local reduction lock\nuse std::sync::Mutex;\n",
         );
         let v = check_syncfacade(&ws_of(vec![arc_only, facade_itself, in_tests, marked]));
         assert!(v.is_empty(), "{v:?}");
@@ -3130,7 +3078,7 @@ mod tests {
 
     #[test]
     fn unusedallow_flags_marker_for_unescapable_pass() {
-        let f = lib_file("fcma-core", "//! m\n// audit: allow(unsafe) — nice try\nfn f() {}\n");
+        let f = lib_file("fcma-core", "//! m\n// audit: allow(moddoc) — nice try\nfn f() {}\n");
         let ws = ws_of(vec![f]);
         let v = check_unused_allow(&ws);
         assert_eq!(v.len(), 1);
@@ -3251,7 +3199,7 @@ mod tests {
         let f =
             lib_file("fcma-core", "//! m\n// audit: allow(frobnicate) — no such pass\nfn f() {}\n");
         let ws = ws_of(vec![f]);
-        assert!(ws.run_selected(&["unsafe", "cast"]).is_empty());
+        assert!(ws.run_selected(&["moddoc", "cast"]).is_empty());
         let v = ws.run_selected(PASS_NAMES);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].pass, "unusedallow");

@@ -82,8 +82,6 @@ pub struct SourceFile {
     pub scan: Scanned,
     /// 0-based inclusive line spans of `#[cfg(test)]` items.
     pub test_spans: Vec<(usize, usize)>,
-    /// Lines containing the `unsafe` keyword.
-    pub unsafe_lines: Vec<usize>,
     /// Numeric `as` casts.
     pub casts: Vec<CastSite>,
 }
@@ -103,7 +101,6 @@ impl SourceFile {
             role,
             scan,
             test_spans: Vec::new(),
-            unsafe_lines: Vec::new(),
             casts: Vec::new(),
         };
         file.analyze();
@@ -254,7 +251,6 @@ impl SourceFile {
                             saw_as = false;
                         }
                         match w.as_str() {
-                            "unsafe" => self.unsafe_lines.push(lineno),
                             "as" => saw_as = true,
                             "fn" | "mod" | "struct" | "enum" | "impl" | "trait" | "union"
                                 if pending_cfg_test =>
@@ -573,12 +569,5 @@ mod tests {
         assert!(lib("\n#![allow(dead_code)]\n//! Docs.\n").has_module_docs());
         assert!(!lib("// plain comment\nfn a() {}\n").has_module_docs());
         assert!(!lib("fn a() {}\n").has_module_docs());
-    }
-
-    #[test]
-    fn unsafe_keyword_found_outside_strings() {
-        let f =
-            lib("fn a() {\n    let s = \"unsafe\"; // unsafe in comment\n}\nunsafe fn b() {}\n");
-        assert_eq!(f.unsafe_lines, vec![3]);
     }
 }

@@ -1,5 +1,5 @@
 //! Tracing overhead: the same pipeline task with the collector off
-//! (every probe is one relaxed atomic load), with it installed, and the
+//! (every probe is one thread-local read), with it installed, and the
 //! bare probe cost in isolation. The acceptance bar for the trace layer
 //! is that `collector_off` is indistinguishable from an uninstrumented
 //! build, and that the always-on flight recorder stays within 3% of the

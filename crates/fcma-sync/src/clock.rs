@@ -34,7 +34,11 @@ struct ClockState {
     now: u64,
     /// Threads participating in the quiescence check.
     registered: usize,
-    /// Registered threads currently parked.
+    /// Registered threads parked since the last wake-up. A wake-up
+    /// zeroes it: every parked thread has been signalled and counts as
+    /// runnable until it parks again, however long the OS takes to
+    /// schedule it — otherwise a busy host lets the clock jump past
+    /// work that was already handed over.
     blocked: usize,
     /// Bumped by every wake-up; parked threads recheck on change.
     wake_gen: u64,
@@ -101,7 +105,14 @@ impl VirtualClock {
     /// Wake every parked thread (they recheck their predicates).
     pub(crate) fn wake_all(&self) {
         let mut st = self.lock_registry();
+        self.wake_parked(&mut st);
+    }
+
+    /// Signal every parked thread; none of them counts as blocked until
+    /// it parks again.
+    fn wake_parked(&self, st: &mut ClockState) {
         st.wake_gen += 1;
+        st.blocked = 0;
         self.cv.notify_all();
     }
 
@@ -148,7 +159,10 @@ impl VirtualClock {
             }
             st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
         };
-        st.blocked -= 1;
+        if st.wake_gen == entry_gen {
+            // No wake-up since parking (the clock died): still counted.
+            st.blocked -= 1;
+        }
         st.deadlines.remove(&token);
         result
     }
@@ -169,8 +183,7 @@ impl VirtualClock {
         if next > st.now {
             st.now = next;
         }
-        st.wake_gen += 1;
-        self.cv.notify_all();
+        self.wake_parked(st);
     }
 
     fn lock_registry(&self) -> std::sync::MutexGuard<'_, ClockState> {
@@ -198,8 +211,7 @@ impl Drop for ClockGuard {
         let mut st = self.clock.lock_registry();
         st.dead = true;
         st.registered = st.registered.saturating_sub(1);
-        st.wake_gen += 1;
-        self.clock.cv.notify_all();
+        self.clock.wake_parked(&mut st);
     }
 }
 

@@ -25,8 +25,7 @@
 //!
 //! The `syncfacade` audit pass keeps this facade *total*: outside this
 //! crate (and the vendor tree) no workspace crate may reach for
-//! `std::sync` primitives, `std::thread::{spawn, sleep}`, or
-//! `crossbeam_channel` directly.
+//! `std::sync` primitives or `std::thread::{spawn, sleep}` directly.
 
 pub mod atomic;
 pub mod channel;

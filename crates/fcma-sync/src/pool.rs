@@ -84,29 +84,6 @@ impl PoolStats {
     }
 }
 
-/// Hooks that carry a caller-side task context onto a region's spawned
-/// worker threads (DESIGN.md §11's causal tracing). The pool stays
-/// trace-free: the hooks are opaque function pointers over two packed
-/// words, registered once by the observability layer. `capture` runs on
-/// the forking thread before workers spawn; `apply` runs on each spawned
-/// worker at entry (with the captured words) and exit (with `None`).
-#[derive(Debug, Clone, Copy)]
-pub struct CtxHooks {
-    /// Snapshot the calling thread's context, if any.
-    pub capture: fn() -> Option<[u64; 2]>,
-    /// Install (`Some`) or clear (`None`) a context on this thread.
-    pub apply: fn(Option<[u64; 2]>),
-}
-
-static CTX_HOOKS: std::sync::OnceLock<CtxHooks> = std::sync::OnceLock::new();
-
-/// Register the context-propagation hooks. First registration wins;
-/// later calls are ignored (the observability layer registers a single
-/// global pair).
-pub fn set_ctx_hooks(hooks: CtxHooks) {
-    let _ = CTX_HOOKS.set(hooks);
-}
-
 /// A work-stealing thread-pool configuration. Cheap to copy; threads
 /// are spawned per [`Pool::run`] region (fork-join), not kept alive
 /// between regions, so a `Pool` can be freely embedded in executors and
@@ -246,19 +223,14 @@ impl Pool {
         let seed = self.seed;
         let run_worker = |wid: usize| worker(&shared, wid, workers, seed, &init, &job);
         let run_worker = &run_worker;
-        // Capture the forking thread's task context once; every spawned
-        // worker installs it for the region's duration so records made
-        // on pool threads keep their causal link to the dispatch.
-        // Worker 0 runs on the caller's own thread and must not touch
-        // its context.
-        let hooked_ctx = CTX_HOOKS.get().map(|h| (*h, (h.capture)()));
-        let run_spawned = |wid: usize| match hooked_ctx {
-            Some((hooks, Some(ctx))) => {
-                (hooks.apply)(Some(ctx));
-                run_worker(wid);
-                (hooks.apply)(None);
-            }
-            _ => run_worker(wid),
+        // Capture the forking thread's context once; every spawned worker
+        // adopts it, so records made on pool threads reach the caller's
+        // collector and keep their causal link to the dispatch. Worker 0
+        // runs on the caller's own thread and already has it.
+        let adopt_ctx = crate::thread::fork_ctx();
+        let run_spawned = |wid: usize| {
+            adopt_ctx();
+            run_worker(wid);
         };
         let run_spawned = &run_spawned;
 
@@ -569,27 +541,6 @@ mod tests {
         assert_eq!(a.per_worker.len(), 2);
         assert_eq!(a.per_worker[0], WorkerLane { tasks: 5, steals: 1, parks: 1 });
         assert_eq!(a.per_worker[1], WorkerLane { tasks: 3, steals: 0, parks: 1 });
-    }
-
-    #[test]
-    fn ctx_hooks_reach_spawned_workers() {
-        use std::cell::Cell;
-        thread_local! {
-            static TEST_CTX: Cell<Option<[u64; 2]>> = const { Cell::new(None) };
-        }
-        fn capture() -> Option<[u64; 2]> {
-            TEST_CTX.with(Cell::get)
-        }
-        fn apply(v: Option<[u64; 2]>) {
-            TEST_CTX.with(|c| c.set(v));
-        }
-        set_ctx_hooks(CtxHooks { capture, apply });
-        apply(Some([41, 7]));
-        let seen = Pool::new(4).run(vec![(); 16], |_i, ()| TEST_CTX.with(Cell::get));
-        apply(None);
-        // Every task — whichever worker thread ran it — saw the context
-        // captured on the forking thread.
-        assert!(seen.iter().all(|&s| s == Some([41, 7])));
     }
 
     #[test]

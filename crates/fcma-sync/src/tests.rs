@@ -113,3 +113,62 @@ fn dead_clock_drains_stragglers() {
     // in real mode (the guard is gone), so give it real slack.
     done_rx.recv_timeout(Duration::from_secs(10)).expect("straggler drains when the clock dies");
 }
+
+#[test]
+fn ctx_hooks_reach_pool_workers_and_spawned_threads() {
+    use std::cell::Cell;
+    use std::sync::Arc;
+
+    use crate::thread::{set_ctx_hooks, CtxHandle, CtxHooks};
+    thread_local! {
+        static TEST_CTX: Cell<Option<u64>> = const { Cell::new(None) };
+    }
+    fn capture() -> Option<CtxHandle> {
+        TEST_CTX.with(Cell::get).map(|v| Arc::new(v) as CtxHandle)
+    }
+    fn adopt(handle: &CtxHandle) {
+        TEST_CTX.with(|c| c.set(handle.downcast_ref::<u64>().copied()));
+    }
+    set_ctx_hooks(CtxHooks { capture, adopt });
+
+    let seen_by_children = || {
+        let mut seen = crate::Pool::new(4).run(vec![(); 16], |_i, ()| TEST_CTX.with(Cell::get));
+        let (tx, rx) = unbounded();
+        thread::spawn(move || {
+            tx.send(TEST_CTX.with(Cell::get)).expect("parent holds the receiver")
+        });
+        seen.push(rx.recv().expect("child reports"));
+        seen
+    };
+    // Nothing to inherit: every child starts clean.
+    assert!(seen_by_children().iter().all(Option::is_none));
+    // Every child — whichever thread ran it, in real and virtual mode —
+    // saw the context captured on the forking thread.
+    TEST_CTX.with(|c| c.set(Some(41)));
+    assert!(seen_by_children().iter().all(|&s| s == Some(41)));
+    let clock = VirtualClock::install();
+    assert!(seen_by_children().iter().all(|&s| s == Some(41)));
+    drop(clock);
+    TEST_CTX.with(|c| c.set(None));
+}
+
+#[test]
+fn virtual_clock_does_not_jump_past_a_wakeup_in_flight() {
+    // The echo thread is signalled by `send` but may not have been
+    // scheduled yet when this thread parks on the reply. It is runnable,
+    // not blocked: the clock must wait for it rather than jump to the
+    // reply timeout, however busy the host is.
+    let _clock = VirtualClock::install();
+    let (tx, rx) = unbounded::<u32>();
+    let (reply_tx, reply_rx) = unbounded();
+    thread::spawn(move || {
+        while let Ok(v) = rx.recv() {
+            reply_tx.send(v).expect("requester holds the receiver");
+        }
+    });
+    for round in 0..2000 {
+        tx.send(round).expect("echo thread alive");
+        assert_eq!(reply_rx.recv_timeout(Duration::from_secs(10)), Ok(round));
+    }
+    assert_eq!(Instant::now().nanos(), 0, "no virtual time passes while work is in flight");
+}

@@ -1,47 +1,46 @@
-//! The runtime collector: a process-global sink for spans, instant
-//! events, counters, and histograms.
+//! The runtime collector: a sink for spans, instant events, counters,
+//! and histograms that is **installed on a thread and travels with the
+//! work** forked from it.
+//!
+//! Scoping contract (DESIGN.md §11): [`Collector::install_scoped`]
+//! makes the collector current on the *calling thread* until its guard
+//! drops; threads created through the two `fcma-sync` fork points (pool
+//! regions and `thread::spawn`) inherit the forking thread's collector;
+//! a thread created any other way has none and its probes are no-ops.
+//! There is no process-wide registry, so concurrent runs in one process
+//! never see each other's records.
 //!
 //! Design constraints, in order:
 //!
 //! 1. **Near-no-op when disabled.** Every entry point first reads one
-//!    relaxed [`AtomicBool`]; the instrumentation macros additionally
-//!    gate attribute construction behind [`is_enabled`], so an
-//!    uninstrumented run pays one atomic load per call site and
-//!    allocates nothing.
+//!    thread-local; the instrumentation macros additionally gate
+//!    attribute construction behind [`is_enabled`], so an uninstrumented
+//!    run pays one thread-local read per call site and allocates
+//!    nothing.
 //! 2. **No cross-thread contention on the hot path.** Span records are
-//!    buffered per thread ([`ThreadBuf`], found through a thread-local
-//!    cache) and merged only at [`Collector::drain`]. The per-thread
-//!    buffer is behind a `Mutex`, but it is only ever contended by the
-//!    drain itself.
+//!    buffered per thread ([`ThreadBuf`]) and merged only at
+//!    [`Collector::drain`]. The per-thread buffer is behind a `Mutex`,
+//!    but it is only ever contended by the drain itself.
 //! 3. **Deterministic structure.** Spans carry an id, their parent's id
 //!    (the innermost open span on the same thread), and a start
 //!    timestamp relative to the collector's epoch, so exporters can
 //!    reconstruct the hierarchy without global ordering guarantees.
-//!
-//! Threads created after installation register lazily on first use; a
-//! generation counter invalidates thread-local caches when a different
-//! collector is installed.
 
+use crate::ctx::TraceCtx;
 use crate::report::{AttrValue, Histogram, SpanRecord, TraceReport};
+use fcma_sync::thread::{set_ctx_hooks, CtxHandle, CtxHooks};
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::marker::PhantomData;
+use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Fast global gate: is any collector installed?
-static ENABLED: AtomicBool = AtomicBool::new(false);
-/// Bumped on every install/uninstall to invalidate thread-local caches.
-static GENERATION: AtomicU64 = AtomicU64::new(0);
 /// Process-wide span id allocator (0 is reserved for "no parent").
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 /// Process-wide trace-thread-id allocator.
 static NEXT_THREAD_ID: AtomicU64 = AtomicU64::new(0);
-/// The installed collector, if any.
-static GLOBAL: Mutex<Option<Arc<Inner>>> = Mutex::new(None);
-/// Serializes scoped installs so concurrent tests cannot interleave
-/// their collectors.
-static SCOPE_LOCK: Mutex<()> = Mutex::new(());
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -71,7 +70,7 @@ struct Inner {
 /// Stamp the thread's causal context (if a [`crate::TraceCtx`] guard is
 /// live) onto a record's attributes, linking it to its dispatch.
 fn stamp_ctx(attrs: &mut Vec<(&'static str, AttrValue)>) {
-    if let Some(ctx) = crate::TraceCtx::current() {
+    if let Some(ctx) = TraceCtx::current() {
         attrs.push(("ctx_task", AttrValue::U64(ctx.task)));
         attrs.push(("ctx_attempt", AttrValue::U64(u64::from(ctx.attempt))));
         attrs.push(("ctx_origin", AttrValue::Str(ctx.origin.as_str().to_owned())));
@@ -87,56 +86,98 @@ struct ThreadBuf {
     events: Mutex<Vec<SpanRecord>>,
 }
 
-/// Thread-local registration cache plus the open-span stack.
+/// The collector current on a thread, with that thread's buffer under
+/// it.
+struct Current {
+    inner: Arc<Inner>,
+    buf: Arc<ThreadBuf>,
+}
+
+impl Current {
+    /// Register a buffer for the calling thread under `inner`.
+    fn register(inner: Arc<Inner>) -> Current {
+        let buf = Arc::new(ThreadBuf {
+            tid: NEXT_THREAD_ID.fetch_add(1, Ordering::Relaxed),
+            epoch: inner.epoch,
+            events: Mutex::new(Vec::new()),
+        });
+        lock(&inner.threads).push(Arc::clone(&buf));
+        Current { inner, buf }
+    }
+}
+
+/// A thread's collector state: its collector (installed or inherited)
+/// and the open-span stack under it.
+#[derive(Default)]
 struct Tls {
-    generation: u64,
-    inner: Option<Arc<Inner>>,
-    buf: Option<Arc<ThreadBuf>>,
+    current: Option<Current>,
     stack: Vec<u64>,
 }
 
 thread_local! {
-    static TLS: RefCell<Tls> =
-        const { RefCell::new(Tls { generation: u64::MAX, inner: None, buf: None, stack: Vec::new() }) };
+    static TLS: RefCell<Tls> = const { RefCell::new(Tls { current: None, stack: Vec::new() }) };
 }
 
-/// Whether a collector is installed. The instrumentation macros check
-/// this before evaluating any attribute expressions.
+/// Whether a collector is current on the calling thread. The
+/// instrumentation macros check this before evaluating any attribute
+/// expressions.
 #[inline]
 pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    // `try_with`: a probe reached from another thread-local's destructor
+    // during thread teardown is simply disabled.
+    TLS.try_with(|cell| cell.borrow().current.is_some()).unwrap_or(false)
 }
 
-/// Run `f` with the calling thread's registration under the current
-/// collector, registering first if needed. The closure receives the
-/// collector, this thread's buffer, and this thread's open-span stack.
-/// Returns `None` if no collector is installed.
-fn with_tls<R>(f: impl FnOnce(&Arc<Inner>, &Arc<ThreadBuf>, &mut Vec<u64>) -> R) -> Option<R> {
-    if !is_enabled() {
+/// Run `f` with the calling thread's collector, buffer, and open-span
+/// stack. Returns `None` if no collector is current on this thread.
+fn with_tls<R>(f: impl FnOnce(&Inner, &Arc<ThreadBuf>, &mut Vec<u64>) -> R) -> Option<R> {
+    TLS.try_with(|cell| {
+        let tls = &mut *cell.borrow_mut();
+        let current = tls.current.as_ref()?;
+        Some(f(&current.inner, &current.buf, &mut tls.stack))
+    })
+    .ok()
+    .flatten()
+}
+
+/// What a thread forked through the `fcma-sync` facade inherits from
+/// its parent: the parent's collector and causal task context.
+struct Inherited {
+    collector: Option<Arc<Inner>>,
+    ctx: Option<TraceCtx>,
+}
+
+/// `capture` half of the fork hooks: snapshot this thread's trace state.
+fn hook_capture() -> Option<CtxHandle> {
+    let collector = TLS
+        .try_with(|cell| cell.borrow().current.as_ref().map(|c| Arc::clone(&c.inner)))
+        .ok()
+        .flatten();
+    let ctx = TraceCtx::current();
+    if collector.is_none() && ctx.is_none() {
         return None;
     }
-    TLS.with(|cell| {
-        let mut tls = cell.borrow_mut();
-        let generation = GENERATION.load(Ordering::Acquire);
-        if tls.generation != generation || tls.buf.is_none() {
-            let inner = lock(&GLOBAL).clone()?;
-            let buf = Arc::new(ThreadBuf {
-                tid: NEXT_THREAD_ID.fetch_add(1, Ordering::Relaxed),
-                epoch: inner.epoch,
-                events: Mutex::new(Vec::new()),
-            });
-            lock(&inner.threads).push(Arc::clone(&buf));
-            tls.generation = generation;
-            tls.inner = Some(inner);
-            tls.buf = Some(buf);
-            tls.stack.clear();
-        }
-        let tls = &mut *tls;
-        match (&tls.inner, &tls.buf) {
-            (Some(inner), Some(buf)) => Some(f(inner, buf, &mut tls.stack)),
-            _ => None,
-        }
-    })
+    Some(Arc::new(Inherited { collector, ctx }))
+}
+
+/// `adopt` half of the fork hooks: make the parent's trace state current
+/// on a freshly forked thread.
+fn hook_adopt(handle: &CtxHandle) {
+    let Some(inherited) = handle.downcast_ref::<Inherited>() else {
+        return;
+    };
+    crate::ctx::set_current(inherited.ctx);
+    if let Some(inner) = &inherited.collector {
+        let current = Current::register(Arc::clone(inner));
+        TLS.with(|cell| cell.borrow_mut().current = Some(current));
+    }
+}
+
+/// Register the fork hooks with the facade (idempotent: the facade keeps
+/// the first registration). Called by everything that makes trace state
+/// current on a thread, so state that exists is always inherited.
+pub(crate) fn register_fork_hooks() {
+    set_ctx_hooks(CtxHooks { capture: hook_capture, adopt: hook_adopt });
 }
 
 fn ns_since(epoch: Instant, t: Instant) -> u64 {
@@ -182,7 +223,7 @@ impl Drop for SpanGuard {
         // Guards are normally dropped on their opening thread in LIFO
         // order; a guard moved across threads simply won't find itself
         // and leaves the foreign stack untouched.
-        TLS.with(|cell| {
+        let _ = TLS.try_with(|cell| {
             let mut tls = cell.borrow_mut();
             if let Some(pos) = tls.stack.iter().rposition(|&id| id == span.id) {
                 tls.stack.remove(pos);
@@ -349,10 +390,11 @@ pub fn record_value(name: &'static str, value: f64) {
     });
 }
 
-/// A trace collector. Install it ([`Collector::install`] or the
-/// test-friendly [`Collector::install_scoped`]) to start recording;
+/// A trace collector. Install it ([`Collector::install_scoped`]) to
+/// start recording on the calling thread and everything forked from it;
 /// [`Collector::drain`] merges everything recorded so far into a
-/// [`TraceReport`].
+/// [`TraceReport`]. Installing the same collector again later keeps
+/// accumulating into the same report.
 pub struct Collector {
     inner: Arc<Inner>,
 }
@@ -378,35 +420,17 @@ impl Collector {
         }
     }
 
-    /// Install this collector as the process-global sink, replacing any
-    /// previous one.
-    pub(crate) fn install(&self) {
-        let mut global = lock(&GLOBAL);
-        *global = Some(Arc::clone(&self.inner));
-        GENERATION.fetch_add(1, Ordering::Release);
-        ENABLED.store(true, Ordering::Release);
-    }
-
-    /// Uninstall this collector if it is the installed one. Returns
-    /// whether it was.
-    pub(crate) fn uninstall(&self) -> bool {
-        let mut global = lock(&GLOBAL);
-        let installed = global.as_ref().is_some_and(|g| Arc::ptr_eq(g, &self.inner));
-        if installed {
-            *global = None;
-            ENABLED.store(false, Ordering::Release);
-            GENERATION.fetch_add(1, Ordering::Release);
-        }
-        installed
-    }
-
-    /// Install under a process-wide scope lock and return a guard that
-    /// uninstalls on drop. Serializes concurrent scoped users (e.g.
-    /// parallel tests), so traces never interleave across collectors.
+    /// Make this collector current on the calling thread and return a
+    /// guard that restores whatever was current before (another
+    /// collector, or none) when it drops. Threads forked through the
+    /// `fcma-sync` facade while the guard is live inherit the collector;
+    /// no other thread is affected.
     pub fn install_scoped(&self) -> ScopedCollector<'_> {
-        let scope = lock(&SCOPE_LOCK);
-        self.install();
-        ScopedCollector { collector: self, _scope: scope }
+        register_fork_hooks();
+        let installed =
+            Tls { current: Some(Current::register(Arc::clone(&self.inner))), stack: Vec::new() };
+        let prev = TLS.with(|cell| cell.replace(installed));
+        ScopedCollector { collector: self, prev, _on_installing_thread: PhantomData }
     }
 
     /// Merge and clear everything recorded so far. Spans are sorted by
@@ -463,11 +487,14 @@ impl Collector {
     }
 }
 
-/// RAII guard from [`Collector::install_scoped`].
+/// RAII guard from [`Collector::install_scoped`]; restores the
+/// thread's previous trace state on drop. Not `Send`: it must drop on
+/// the thread that installed it.
 // audit: allow(deadpub) — part of a referenced public signature; demotion trips private_interfaces
 pub struct ScopedCollector<'a> {
     collector: &'a Collector,
-    _scope: MutexGuard<'static, ()>,
+    prev: Tls,
+    _on_installing_thread: PhantomData<Rc<()>>,
 }
 
 impl ScopedCollector<'_> {
@@ -485,6 +512,7 @@ impl ScopedCollector<'_> {
 
 impl Drop for ScopedCollector<'_> {
     fn drop(&mut self) {
-        self.collector.uninstall();
+        let prev = std::mem::take(&mut self.prev);
+        let _ = TLS.try_with(|cell| cell.replace(prev));
     }
 }

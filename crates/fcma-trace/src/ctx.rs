@@ -6,15 +6,13 @@
 //! call, and the collector copies the current context into every record
 //! made while the guard is live (`ctx_task` / `ctx_attempt` /
 //! `ctx_origin` attributes). When the executor fans work out through
-//! `fcma-sync::pool`, the pool's context hooks (registered here, once)
-//! carry the same context onto the region's worker threads — so a span
-//! recorded three layers down on a stolen pool task still names its
-//! dispatch. `fcma report --check` closes the loop with cross-thread
-//! causality invariants over these attributes.
+//! `fcma-sync::pool`, the facade's fork hooks carry the same context —
+//! together with the collector, see `collector.rs` — onto the region's
+//! worker threads, so a span recorded three layers down on a stolen
+//! pool task still names its dispatch. `fcma report --check` closes the
+//! loop with cross-thread causality invariants over these attributes.
 
 use std::cell::Cell;
-
-use fcma_sync::pool::{set_ctx_hooks, CtxHooks};
 
 /// Where an attempt came from: the first dispatch of a task, a retry
 /// after a failure, or a speculative clone of a straggler. Retries and
@@ -87,27 +85,20 @@ impl TraceCtx {
     }
 
     /// Install this context on the calling thread until the returned
-    /// guard drops (the previous context, if any, is restored). Also
-    /// registers the pool propagation hooks on first use, so any
-    /// `fcma-sync::pool` region forked under the guard carries the
-    /// context onto its worker threads.
+    /// guard drops (the previous context, if any, is restored). Any
+    /// thread forked through the `fcma-sync` facade under the guard
+    /// inherits the context.
     pub fn install(self) -> CtxGuard {
-        register_pool_hooks();
+        crate::collector::register_fork_hooks();
         let prev = CURRENT.with(|c| c.replace(Some(self)));
         CtxGuard { prev }
     }
+}
 
-    pub(crate) fn pack(self) -> [u64; 2] {
-        [self.task, u64::from(self.attempt) << 8 | self.origin.code()]
-    }
-
-    pub(crate) fn unpack(words: [u64; 2]) -> TraceCtx {
-        TraceCtx {
-            task: words[0],
-            attempt: u32::try_from(words[1] >> 8).unwrap_or(u32::MAX),
-            origin: TraceOrigin::from_code(words[1] & 0xff),
-        }
-    }
+/// Set the calling thread's context outright (the fork hooks' adopt
+/// half: a freshly forked thread has nothing to restore).
+pub(crate) fn set_current(ctx: Option<TraceCtx>) {
+    CURRENT.with(|c| c.set(ctx));
 }
 
 /// RAII guard from [`TraceCtx::install`]; restores the previous context
@@ -121,22 +112,6 @@ impl Drop for CtxGuard {
     fn drop(&mut self) {
         CURRENT.with(|c| c.set(self.prev.take()));
     }
-}
-
-/// `capture` half of the pool hooks: snapshot this thread's context.
-fn hook_capture() -> Option<[u64; 2]> {
-    TraceCtx::current().map(TraceCtx::pack)
-}
-
-/// `apply` half of the pool hooks: install/clear on a pool worker.
-fn hook_apply(words: Option<[u64; 2]>) {
-    CURRENT.with(|c| c.set(words.map(TraceCtx::unpack)));
-}
-
-/// Register the pool context hooks exactly once per process.
-fn register_pool_hooks() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| set_ctx_hooks(CtxHooks { capture: hook_capture, apply: hook_apply }));
 }
 
 #[cfg(test)]
@@ -157,14 +132,6 @@ mod tests {
         assert_eq!(TraceCtx::current(), Some(outer));
         drop(g1);
         assert_eq!(TraceCtx::current(), None);
-    }
-
-    #[test]
-    fn pack_unpack_round_trips() {
-        for origin in [TraceOrigin::Dispatch, TraceOrigin::Retry, TraceOrigin::Speculative] {
-            let ctx = TraceCtx::new(u64::MAX - 7, 41, origin);
-            assert_eq!(TraceCtx::unpack(ctx.pack()), ctx);
-        }
     }
 
     #[test]

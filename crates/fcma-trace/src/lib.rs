@@ -14,13 +14,22 @@
 //! ([`export::to_prometheus_text`]), or a `perf report`-style summary
 //! ([`TraceReport::summary_table`]).
 //!
+//! # Scoping
+//!
+//! A collector is installed on a thread ([`Collector::install_scoped`])
+//! and inherited by threads forked from it through the `fcma-sync`
+//! facade (pool regions and `fcma_sync::thread::spawn`). Threads
+//! created any other way are uninstrumented. Nothing is process-global,
+//! so two instrumented runs in one process produce two disjoint reports.
+//!
 //! # Cost model
 //!
-//! With no collector installed every macro reduces to one relaxed atomic
-//! load — attribute expressions are **not evaluated** and nothing
-//! allocates, so instrumentation can live inside hot kernels. With a
-//! collector installed, span records are buffered per thread and merged
-//! only at drain, so recording never contends across worker threads.
+//! With no collector current on the thread every macro reduces to one
+//! thread-local read — attribute expressions are **not evaluated** and
+//! nothing allocates, so instrumentation can stay in the pipeline
+//! permanently. With a collector current, span records are buffered per
+//! thread and merged only at drain, so recording never contends across
+//! worker threads.
 //!
 //! # Span taxonomy
 //!
@@ -168,19 +177,7 @@ mod tests {
 
     #[test]
     fn disabled_macros_do_not_evaluate_attrs() {
-        // No collector installed (and the scope lock is not held, but
-        // is_enabled() may still be false even if another test holds it —
-        // so serialize with the scope lock via an installed collector
-        // that we immediately uninstall).
-        let collector = Collector::new();
-        let scope = collector.install_scoped();
-        drop(scope); // uninstalled; scope lock released
-
-        // Hold the scope lock again through a fresh collector so no
-        // parallel test can install while we probe the disabled path.
-        let sentinel = Collector::new();
-        let scope = sentinel.install_scoped();
-        sentinel.uninstall();
+        // Nothing is installed on this thread, whatever sibling tests do.
         assert!(!is_enabled());
         let mut evaluated = false;
         let _g = span!(
@@ -195,7 +192,6 @@ mod tests {
             1_u64
         });
         assert!(!evaluated, "disabled macros must not evaluate attribute expressions");
-        drop(scope);
     }
 
     #[test]
@@ -231,12 +227,15 @@ mod tests {
             let _first = span!("stage1.corr");
             std::thread::sleep(Duration::from_millis(2));
         }
-        std::thread::scope(|s| {
-            s.spawn(|| {
+        let (tx, rx) = fcma_sync::channel::unbounded();
+        fcma_sync::thread::spawn(move || {
+            {
                 let _worker = span!("stage2.normalize");
                 std::thread::sleep(Duration::from_millis(1));
-            });
+            }
+            tx.send(()).expect("parent holds the receiver");
         });
+        rx.recv().expect("child reports");
         {
             let _last = span!("stage3.score");
         }
@@ -265,13 +264,9 @@ mod tests {
     fn counters_merge_across_threads() {
         let collector = Collector::new();
         let scope = collector.install_scoped();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    counter!("svm.smo.iterations", 10_u64);
-                    histogram!("svm.smo.iterations_per_solve", 10.0);
-                });
-            }
+        fcma_sync::Pool::new(4).run(vec![(); 4], |_i, ()| {
+            counter!("svm.smo.iterations", 10_u64);
+            histogram!("svm.smo.iterations_per_solve", 10.0);
         });
         let report = scope.drain();
         assert_eq!(report.counter("svm.smo.iterations"), 40);
@@ -291,15 +286,50 @@ mod tests {
     }
 
     #[test]
-    fn uninstalled_collector_records_nothing() {
+    fn reinstalling_a_collector_keeps_accumulating() {
         let collector = Collector::new();
-        let scope = collector.install_scoped();
-        collector.uninstall();
-        {
+        for _ in 0..3 {
+            let _scope = collector.install_scoped();
             let _g = span!("stage1.corr");
             counter!("stage1.flops", 5_u64);
         }
-        assert!(collector.drain().spans.is_empty());
-        drop(scope);
+        let report = collector.drain();
+        assert_eq!(report.span_count("stage1.corr"), 3);
+        assert_eq!(report.counter("stage1.flops"), 15);
+    }
+
+    #[test]
+    fn facade_forked_threads_inherit_the_collector_without_a_ctx() {
+        let collector = Collector::new();
+        let scope = collector.install_scoped();
+        assert_eq!(TraceCtx::current(), None);
+        let (tx, rx) = fcma_sync::channel::unbounded();
+        fcma_sync::thread::spawn(move || {
+            drop(span!("task.process"));
+            tx.send(()).expect("parent holds the receiver");
+        });
+        rx.recv().expect("child reports");
+        // A barrier-like rendezvous: no task finishes until all three
+        // have started, so three distinct threads each run one.
+        let started = fcma_sync::Mutex::new(0_usize);
+        let all_started = fcma_sync::Condvar::new();
+        fcma_sync::Pool::new(3).run(vec![(); 3], |_i, ()| {
+            let _g = span!("stage3.score");
+            let mut n = started.lock();
+            *n += 1;
+            all_started.notify_all();
+            while *n < 3 {
+                all_started.wait(&mut n);
+            }
+        });
+        let report = scope.drain();
+        assert_eq!(report.span_count("task.process"), 1);
+        assert_eq!(report.span_count("stage3.score"), 3);
+        let mut tids: Vec<u64> =
+            report.spans.iter().filter(|s| s.name == "stage3.score").map(|s| s.tid).collect();
+        tids.sort_unstable();
+        tids.dedup();
+        assert_eq!(tids.len(), 3, "each pool worker records under its own tid");
+        assert!(report.spans.iter().all(|s| s.attr("ctx_task").is_none()));
     }
 }

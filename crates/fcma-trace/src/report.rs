@@ -226,7 +226,6 @@ pub struct LabeledCounter {
 
 /// Everything one collector recorded, merged and ready for export.
 #[derive(Debug, Clone, Default)]
-// audit: allow(deadpub) — part of a referenced public signature; demotion trips private_interfaces
 pub struct TraceReport {
     /// Completed spans and instant events, sorted by start time.
     pub spans: Vec<SpanRecord>,
