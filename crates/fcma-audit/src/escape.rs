@@ -157,8 +157,10 @@ fn check_task_arg(
     let Some(body) = ws.parsed[fi].fns[fn_idx].body else {
         return;
     };
-    // Nearest `let` declaring the binding, above the call.
-    let decl = (body.0..=call.line.min(body.1))
+    // Nearest `let` declaring the binding, strictly above the call: a
+    // `let (_, stats) = pool.run_init_stats(tasks, ..)` line names the
+    // binding next to a `let` without declaring it.
+    let decl = (body.0..call.line.min(body.1 + 1))
         .rev()
         .find(|&l| {
             let code = &f.scan.code_lines[l];
@@ -652,6 +654,11 @@ mod tests {
         );
         let v = hits(&marked);
         assert!(v.is_empty(), "{v:?}");
+
+        // The call's own `let` is not the buffer's declaration.
+        let bound = src.replace("    pool.run_init(", "    let (_, stats) = pool.run_init(");
+        let v = hits(&bound);
+        assert_eq!(v.len(), 1, "{v:?}");
     }
 
     #[test]

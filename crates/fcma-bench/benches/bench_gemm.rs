@@ -30,7 +30,7 @@ fn epochs() -> (Vec<Mat>, Vec<Mat>) {
 
 fn bench_stage1(c: &mut Criterion) {
     let (assigned, brain) = epochs();
-    let pairs: Vec<EpochPair> =
+    let pairs: Vec<EpochPair<'_>> =
         assigned.iter().zip(&brain).map(|(a, b)| EpochPair { assigned: a, brain: b }).collect();
     let mut out = vec![0.0f32; V * M * N];
 
@@ -86,7 +86,7 @@ fn bench_stage1(c: &mut Criterion) {
 
 fn bench_strip_width(c: &mut Criterion) {
     let (assigned, brain) = epochs();
-    let pairs: Vec<EpochPair> =
+    let pairs: Vec<EpochPair<'_>> =
         assigned.iter().zip(&brain).map(|(a, b)| EpochPair { assigned: a, brain: b }).collect();
     let mut out = vec![0.0f32; V * M * N];
 

@@ -10,6 +10,7 @@ use fcma_core::{
 use fcma_fmri::presets;
 use fcma_linalg::tall_skinny::TallSkinnyOpts;
 use fcma_linalg::{fisher_z, fisher_z_slice};
+use fcma_sync::pool::Pool;
 use std::hint::black_box;
 
 fn context() -> TaskContext {
@@ -49,12 +50,13 @@ fn bench_schedules(c: &mut Criterion) {
     let ctx = context();
     let task = VoxelTask { start: 0, count: 32 };
     let opts = TallSkinnyOpts { tile_cols: 2048 };
+    let pool = Pool::default();
 
     let mut g = c.benchmark_group("stage2_schedules");
     g.sample_size(10);
     g.bench_function("baseline_3pass (incl stage1 baseline)", |b| {
         b.iter(|| {
-            let mut corr = corr_baseline(&ctx, task);
+            let mut corr = corr_baseline(&ctx, task, &pool);
             normalize_baseline(&mut corr, &ctx);
             black_box(&corr);
         })

@@ -94,8 +94,9 @@ fn bench_kernel_precompute(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("kernel_precompute");
     g.sample_size(10);
+    let mut scratch = fcma_linalg::SyrkScratch::new(m, fcma_linalg::PANEL_K);
     g.bench_function("panel_syrk (paper)", |b| {
-        b.iter(|| black_box(KernelMatrix::precompute_raw(m, n, data)))
+        b.iter(|| black_box(KernelMatrix::precompute_raw_with(m, n, data, &mut scratch)))
     });
     g.bench_function("dot_syrk (baseline)", |b| {
         b.iter(|| black_box(KernelMatrix::precompute_baseline_raw(m, n, data)))

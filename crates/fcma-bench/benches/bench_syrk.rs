@@ -1,10 +1,9 @@
 //! Table 5/6 (stage 3a) on real hardware: the SVM kernel-matrix SYRK —
 //! reference vs generic dot-product (library stand-in) vs the paper's
-//! 96-deep panel kernel, sequential and parallel.
+//! 96-deep panel kernel.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fcma_linalg::{syrk_dot, syrk_panel, syrk_panel_parallel, syrk_ref};
-use fcma_sync::pool::Pool;
+use fcma_linalg::{syrk_dot, syrk_panel_scratch, syrk_ref, SyrkScratch, PANEL_K};
 use std::hint::black_box;
 
 /// The paper's sample dimension (204 training epochs, face-scene) against
@@ -41,16 +40,10 @@ fn bench_syrk(c: &mut Criterion) {
             black_box(&out);
         })
     });
+    let mut scratch = SyrkScratch::new(M, PANEL_K);
     g.bench_function("panel_96 (paper)", |b| {
         b.iter(|| {
-            syrk_panel(M, N, &a, N, &mut out, M);
-            black_box(&out);
-        })
-    });
-    let pool = Pool::from_env();
-    g.bench_function("panel_96_parallel", |b| {
-        b.iter(|| {
-            syrk_panel_parallel(&pool, M, N, &a, N, &mut out, M);
+            syrk_panel_scratch(M, N, &a, N, &mut out, M, &mut scratch);
             black_box(&out);
         })
     });
@@ -63,9 +56,10 @@ fn bench_syrk_width_sweep(c: &mut Criterion) {
     for n in [1024usize, 4096, 16384] {
         let a = pseudo(M * n, 2);
         let mut out = vec![0.0f32; M * M];
+        let mut scratch = SyrkScratch::new(M, PANEL_K);
         g.bench_with_input(BenchmarkId::new("panel_96", n), &n, |b, &n| {
             b.iter(|| {
-                syrk_panel(M, n, &a, n, &mut out, M);
+                syrk_panel_scratch(M, n, &a, n, &mut out, M, &mut scratch);
                 black_box(&out);
             })
         });

@@ -393,7 +393,7 @@ fn table5(opts: &Opts) {
     // Host ground truth at scaled size: the same relative ordering must
     // hold in real wall-clock on this machine.
     let st = measure_stage12(kind, opts.scaled_voxels, 64, opts.reps);
-    let (dot_ms, panel_ms) = measure_syrk(kind, opts.scaled_voxels, opts.reps);
+    let (dot_ms, panel_ms) = measure_syrk(kind, opts.reps);
     print_table(
         &format!(
             "Table 5 (host, scaled to {} brain voxels): real wall-clock of our Rust kernels",
@@ -695,7 +695,7 @@ fn ablate_block(opts: &Opts) {
 }
 
 fn ablate_panel(opts: &Opts) {
-    use fcma_linalg::syrk_panel_with;
+    use fcma_linalg::{syrk_panel_scratch, SyrkScratch};
     let m = 204usize; // face-scene training epochs
     let n = 34_470usize; // full brain width (feasible for SYRK)
     let a: Vec<f32> = (0..m * n)
@@ -704,8 +704,9 @@ fn ablate_panel(opts: &Opts) {
     let mut c = vec![0.0f32; m * m];
     let mut times = Vec::new();
     for panel_k in [16usize, 48, 96, 192, 384, 768] {
+        let mut scratch = SyrkScratch::new(m, panel_k);
         let ms = time_ms(opts.reps, || {
-            syrk_panel_with(panel_k, m, n, &a, n, &mut c, m);
+            syrk_panel_scratch(m, n, &a, n, &mut c, m, &mut scratch);
             std::hint::black_box(&c);
         });
         times.push((panel_k, ms));

@@ -5,25 +5,18 @@
 //!
 //! * [`workloads`] — the two datasets' full-scale shapes and scaled
 //!   configs;
-//! * [`autotune`] — seeded deterministic grid search over the kernel
-//!   shape knobs (DESIGN.md §15);
 //! * [`measure`] — real host measurements (SMO iterations per solver,
 //!   kernel wall times);
 //! * [`model`] — composite pipeline models assembling `fcma-sim` counters
 //!   into task- and cluster-level times;
 //! * [`report`] — plain-text table rendering.
 
-pub mod autotune;
 pub mod measure;
 pub mod model;
 pub mod report;
 pub mod workloads;
 
-pub use autotune::{autotune, TuneOutcome, TunedShapes};
-pub use measure::{
-    measure_stage12, measure_stage12_parallel, measure_svm_solvers, measure_syrk,
-    measure_syrk_parallel, ParallelStageTimes, SvmMeasurement,
-};
+pub use measure::{measure_stage12, measure_svm_solvers, measure_syrk, SvmMeasurement};
 pub use model::{
     baseline_task, degraded_offline_table, offline_task_list, online_task_list, optimized_task,
     per_voxel_speedup, StageTimes,

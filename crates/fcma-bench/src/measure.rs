@@ -14,8 +14,8 @@
 
 use crate::workloads::DatasetKind;
 use fcma_core::{
-    corr_baseline, corr_baseline_parallel, corr_normalized_merged, corr_normalized_merged_parallel,
-    corr_optimized, normalize_baseline, normalize_separated, TaskContext, VoxelTask,
+    corr_baseline, corr_normalized_merged, corr_optimized, normalize_baseline, normalize_separated,
+    TaskContext, VoxelTask,
 };
 use fcma_linalg::tall_skinny::TallSkinnyOpts;
 use fcma_svm::{loso_cross_validate, KernelMatrix, LibSvmParams, SmoParams, SolverKind, WssMode};
@@ -120,9 +120,10 @@ pub fn measure_stage12(
     // Phi's 512 KB L2; desktop/server LLCs prefer wider strips (see the
     // `ablate-block` sweep).
     let opts = TallSkinnyOpts { tile_cols: 2048 };
+    let pool = Pool::default();
 
     let corr_baseline_ms = time_ms(reps, || {
-        std::hint::black_box(corr_baseline(&ctx, task));
+        std::hint::black_box(corr_baseline(&ctx, task, &pool));
     });
     let corr_optimized_ms = time_ms(reps, || {
         std::hint::black_box(corr_optimized(&ctx, task, opts));
@@ -136,7 +137,7 @@ pub fn measure_stage12(
         std::hint::black_box(corr_normalized_merged(&ctx, task, opts));
     });
     let baseline_norm_ms = time_ms(reps, || {
-        let mut c = corr_baseline(&ctx, task);
+        let mut c = corr_baseline(&ctx, task, &pool);
         normalize_baseline(&mut c, &ctx);
         std::hint::black_box(&c);
     });
@@ -150,93 +151,12 @@ pub fn measure_stage12(
     }
 }
 
-/// Serial-vs-pooled host times for the two parallel stage-1/2 entry
-/// points (DESIGN.md §15). Speedups are bit-identity-checked elsewhere;
-/// this only records wall clock.
-#[derive(Debug, Clone, Copy)]
-pub struct ParallelStageTimes {
-    /// Worker count of the pool used for the parallel runs.
-    pub threads: usize,
-    /// Merged stage-1+2 on the serial path.
-    pub merged_serial_ms: f64,
-    /// Merged stage-1+2 through the work-stealing pool.
-    pub merged_parallel_ms: f64,
-    /// Baseline stage-1 on the serial path.
-    pub baseline_serial_ms: f64,
-    /// Baseline stage-1 through the pool (per-epoch banded GEMM).
-    pub baseline_parallel_ms: f64,
-}
-
-/// Measure the pooled stage-1/2 kernels against their serial twins on
-/// the same scaled task. On a 1-core host the "parallel" numbers are
-/// pool overhead, not speedup — `BENCH_stage1.json` records the host's
-/// parallelism next to them so gates can tell the difference.
-pub fn measure_stage12_parallel(
-    kind: DatasetKind,
-    scaled_voxels: usize,
-    task_voxels: usize,
-    reps: usize,
-    threads: usize,
-) -> ParallelStageTimes {
-    let cfg = kind.scaled_config(scaled_voxels);
-    let (dataset, _) = cfg.generate();
-    let ctx = TaskContext::full(&dataset);
-    let task = VoxelTask { start: 0, count: task_voxels.min(ctx.n_voxels()) };
-    let opts = TallSkinnyOpts { tile_cols: 2048 };
-    let pool = Pool::new(threads);
-
-    let merged_serial_ms = time_ms(reps, || {
-        std::hint::black_box(corr_normalized_merged(&ctx, task, opts));
-    });
-    let merged_parallel_ms = time_ms(reps, || {
-        std::hint::black_box(corr_normalized_merged_parallel(&ctx, task, opts, &pool));
-    });
-    let baseline_serial_ms = time_ms(reps, || {
-        std::hint::black_box(corr_baseline(&ctx, task));
-    });
-    let baseline_parallel_ms = time_ms(reps, || {
-        std::hint::black_box(corr_baseline_parallel(&ctx, task, &pool));
-    });
-
-    ParallelStageTimes {
-        threads,
-        merged_serial_ms,
-        merged_parallel_ms,
-        baseline_serial_ms,
-        baseline_parallel_ms,
-    }
-}
-
-/// Pooled panel-SYRK wall time at the full-scale kernel-matrix shape,
-/// alongside [`measure_syrk`]'s serial numbers. Returns
-/// `(serial_panel_ms, parallel_panel_ms)`.
-pub fn measure_syrk_parallel(kind: DatasetKind, reps: usize, threads: usize) -> (f64, f64) {
-    use fcma_linalg::{syrk_panel, syrk_panel_parallel};
-    let (n_full, subjects, m_full, _) = kind.table2();
-    let m = (m_full - m_full / subjects) as usize;
-    let n = n_full as usize;
-    let a: Vec<f32> = (0..m * n)
-        .map(|i| ((i as u32).wrapping_mul(2654435761) >> 16) as f32 / 65536.0 - 0.5)
-        .collect();
-    let mut c = vec![0.0f32; m * m];
-    let pool = Pool::new(threads);
-    let serial_ms = time_ms(reps, || {
-        syrk_panel(m, n, &a, n, &mut c, m);
-        std::hint::black_box(&c);
-    });
-    let parallel_ms = time_ms(reps, || {
-        syrk_panel_parallel(&pool, m, n, &a, n, &mut c, m);
-        std::hint::black_box(&c);
-    });
-    (serial_ms, parallel_ms)
-}
-
 /// Host wall-clock of the two SYRK implementations on the **full-scale**
 /// SVM kernel-matrix shape (`m_train × N`, e.g. 204 × 34,470 for
 /// face-scene — this stage is small enough to measure unscaled). Returns
 /// `(dot_ms, panel_ms)` per voxel.
-pub fn measure_syrk(kind: DatasetKind, _scaled_voxels: usize, reps: usize) -> (f64, f64) {
-    use fcma_linalg::{syrk_dot, syrk_panel};
+pub fn measure_syrk(kind: DatasetKind, reps: usize) -> (f64, f64) {
+    use fcma_linalg::{syrk_dot, syrk_panel_scratch, SyrkScratch, PANEL_K};
     let (n_full, subjects, m_full, _) = kind.table2();
     let m = (m_full - m_full / subjects) as usize;
     let n = n_full as usize;
@@ -249,8 +169,9 @@ pub fn measure_syrk(kind: DatasetKind, _scaled_voxels: usize, reps: usize) -> (f
         syrk_dot(m, n, &a, n, &mut c, m);
         std::hint::black_box(&c);
     });
+    let mut scratch = SyrkScratch::new(m, PANEL_K);
     let panel_ms = time_ms(reps, || {
-        syrk_panel(m, n, &a, n, &mut c, m);
+        syrk_panel_scratch(m, n, &a, n, &mut c, m, &mut scratch);
         std::hint::black_box(&c);
     });
     (dot_ms, panel_ms)

@@ -3,7 +3,7 @@
 
 use crate::context::TaskContext;
 use crate::control::TaskControls;
-use crate::stage1::corr_baseline_parallel;
+use crate::stage1::corr_baseline;
 use crate::stage2::{corr_normalized_merged_parallel, normalize_baseline};
 use crate::stage3::{score_task, KernelPrecompute};
 use crate::task::{VoxelScore, VoxelTask};
@@ -75,7 +75,7 @@ impl TaskExecutor for BaselineExecutor {
     ) -> Vec<VoxelScore> {
         let _span =
             span!("task.process", start = task.start, count = task.count, executor = "baseline");
-        let mut corr = corr_baseline_parallel(ctx, task, &self.pool);
+        let mut corr = corr_baseline(ctx, task, &self.pool);
         normalize_baseline(&mut corr, ctx);
         let groups = groups.unwrap_or(&ctx.subjects);
         score_task(

@@ -38,7 +38,7 @@ pub use realtime::{FeedbackModel, SessionError};
 pub use realtime::{OnlineSession, SessionConfig};
 pub use selection::{recovery_rate, select_top_k};
 pub use stage1::CorrData;
-pub use stage1::{corr_baseline, corr_baseline_parallel, corr_optimized};
+pub use stage1::{corr_baseline, corr_optimized};
 pub use stage2::{
     corr_normalized_merged, corr_normalized_merged_parallel, normalize_baseline,
     normalize_separated,

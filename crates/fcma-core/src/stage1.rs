@@ -6,7 +6,8 @@
 //!
 //! * [`corr_baseline`] — the paper's §3.2 baseline: one generic blocked
 //!   GEMM call per epoch, using the output leading dimension to interleave
-//!   (the `cblas_sgemm`+`ldc` trick);
+//!   (the `cblas_sgemm`+`ldc` trick), banded over the task's voxels
+//!   across the pool's workers;
 //! * [`corr_optimized`] — the paper's §4.2 kernel: tall-skinny-specialized
 //!   blocking via [`fcma_linalg::corr_tall_skinny`].
 
@@ -14,8 +15,7 @@ use crate::context::TaskContext;
 use crate::task::VoxelTask;
 use fcma_linalg::tall_skinny::{EpochPair, TallSkinnyOpts};
 use fcma_linalg::{
-    corr_tall_skinny, gemm_blocked_parallel, gemm_blocked_scratch, BlockSizes, CorrLayout,
-    GemmScratch, Mat,
+    corr_tall_skinny, gemm_blocked_scratch, BlockSizes, CorrLayout, GemmScratch, Mat,
 };
 use fcma_sim::analytic::CorrShape;
 use fcma_sync::pool::{Pool, PoolStats, WorkerLane};
@@ -37,6 +37,43 @@ pub(crate) fn bridge_pool_counters(stats: &PoolStats) {
         labeled_counter!("pool.worker.steals", worker = wid, lane.steals);
         labeled_counter!("pool.worker.parks", worker = wid, lane.parks);
     }
+}
+
+/// Run `job(state, band, (v0, v1, rows))` once per band of a task's `v`
+/// voxels: one pool region whose bands are contiguous, start on
+/// multiples of `align`, and each own `rows` — the band's `stride`
+/// floats per voxel of the voxel-interleaved `buf` — outright, so there
+/// is no cross-thread reduction and the output is bit-identical at every
+/// thread count provided `job` is insensitive to `align`-aligned banding
+/// (DESIGN.md §15). At one thread this is one band, `0..v`, run inline
+/// on the caller: the serial path is this path.
+pub(crate) fn run_voxel_bands<S>(
+    pool: &Pool,
+    buf: &mut [f32],
+    v: usize,
+    stride: usize,
+    align: usize,
+    init: impl Fn() -> S + Sync,
+    job: impl Fn(&mut S, usize, (usize, usize, &mut [f32])) + Sync,
+) {
+    let n_groups = v.div_ceil(align);
+    let bands = pool.threads().min(n_groups).max(1);
+    let mut tasks: Vec<(usize, usize, &mut [f32])> = Vec::with_capacity(bands);
+    let mut rest: &mut [f32] = buf;
+    let mut v0 = 0usize;
+    for band in 0..bands {
+        let groups = n_groups / bands + usize::from(band < n_groups % bands);
+        let v1 = (v0 + groups * align).min(v);
+        let (head, tail) = rest.split_at_mut((v1 - v0) * stride);
+        tasks.push((v0, v1, head));
+        rest = tail;
+        v0 = v1;
+    }
+    // The closure literal is what marks this call as a thread boundary
+    // for the `threadescape` audit pass; passing `job` bare would hide it.
+    // audit: disjoint(tasks) — bands are carved by split_at_mut, one non-overlapping chunk of voxel rows per task
+    let (_, stats) = pool.run_init_stats(tasks, init, |state, idx, band| job(state, idx, band));
+    bridge_pool_counters(&stats);
 }
 
 /// Widen a shape dimension for the analytic counter models.
@@ -122,54 +159,17 @@ pub(crate) fn assigned_blocks(ctx: &TaskContext, task: VoxelTask) -> Vec<Mat> {
 /// Baseline stage 1: per-epoch generic blocked GEMM with interleaved
 /// output via the leading dimension.
 ///
-/// # Panics
-/// If `task` is out of range for `ctx`.
-pub fn corr_baseline(ctx: &TaskContext, task: VoxelTask) -> CorrData {
-    let v = task.count;
-    let n = ctx.n_voxels();
-    let m = ctx.n_epochs();
-    let layout = CorrLayout { n_assigned: v, n_epochs: m, n_brain: n };
-    let mut buf = vec![0.0f32; layout.out_len()];
-    let assigned = assigned_blocks(ctx, task);
-    let _span = span!("stage1.corr", voxels = v, brain = n, epochs = m, kernel = "baseline");
-    if fcma_trace::is_enabled() {
-        bridge_stage1_counters(&assigned, v, n, fcma_sim::analytic::corr_mkl);
-    }
-    // One scratch serves every epoch's multiply (DESIGN.md §14: no
-    // per-iteration allocation on the correlation path).
-    let mut scratch = GemmScratch::new(BlockSizes::default());
-    for (e, a) in assigned.iter().enumerate() {
-        let b = ctx.norm.brain(e);
-        let k = a.cols();
-        gemm_blocked_scratch(
-            v,
-            n,
-            k,
-            a.as_slice(),
-            k.max(1),
-            b.as_slice(),
-            n,
-            &mut buf[e * n..],
-            m * n,
-            &mut scratch,
-        );
-    }
-    fcma_linalg::debug_assert_finite!(&buf, "stage1 baseline correlation output");
-    CorrData { buf, layout }
-}
-
-/// Parallel baseline stage 1: the same per-epoch generic blocked GEMM,
-/// with each epoch's multiply banded across `pool` workers along the
-/// (small) assigned-voxel dimension. Bit-identical to [`corr_baseline`]
-/// at every thread count — the bands are `mc`-aligned, so the per-element
-/// FMA sequences match the serial schedule exactly (DESIGN.md §15).
+/// One pool region per task: the task's voxels are split into
+/// `mc`-aligned bands, and each worker multiplies every epoch for its
+/// band's rows through one [`GemmScratch`] (DESIGN.md §14: no
+/// per-iteration allocation on the correlation path). Band boundaries
+/// coincide with the kernel's own `mc` row blocking, so the output is
+/// bit-identical at every thread count (DESIGN.md §15); serial callers
+/// pass `&Pool::default()`.
 ///
 /// # Panics
 /// If `task` is out of range for `ctx`.
-pub fn corr_baseline_parallel(ctx: &TaskContext, task: VoxelTask, pool: &Pool) -> CorrData {
-    if pool.threads() <= 1 {
-        return corr_baseline(ctx, task);
-    }
+pub fn corr_baseline(ctx: &TaskContext, task: VoxelTask, pool: &Pool) -> CorrData {
     let v = task.count;
     let n = ctx.n_voxels();
     let m = ctx.n_epochs();
@@ -180,27 +180,34 @@ pub fn corr_baseline_parallel(ctx: &TaskContext, task: VoxelTask, pool: &Pool) -
     if fcma_trace::is_enabled() {
         bridge_stage1_counters(&assigned, v, n, fcma_sim::analytic::corr_mkl);
     }
-    // Merge the per-epoch parallel regions into one stats record so the
-    // trace sees one bridge per task, not one per epoch.
-    let mut pool_stats = PoolStats::default();
-    for (e, a) in assigned.iter().enumerate() {
-        let b = ctx.norm.brain(e);
-        let k = a.cols();
-        pool_stats.merge(&gemm_blocked_parallel(
-            pool,
-            BlockSizes::default(),
-            v,
-            n,
-            k,
-            a.as_slice(),
-            k.max(1),
-            b.as_slice(),
-            n,
-            &mut buf[e * n..],
-            m * n,
-        ));
-    }
-    bridge_pool_counters(&pool_stats);
+    let bs = BlockSizes::default();
+    run_voxel_bands(
+        pool,
+        &mut buf,
+        v,
+        m * n,
+        bs.mc,
+        || GemmScratch::new(bs),
+        |scratch, _band, (v0, v1, rows)| {
+            for (e, a) in assigned.iter().enumerate() {
+                let b = ctx.norm.brain(e);
+                let k = a.cols();
+                let lda = k.max(1);
+                gemm_blocked_scratch(
+                    v1 - v0,
+                    n,
+                    k,
+                    &a.as_slice()[v0 * lda..],
+                    lda,
+                    b.as_slice(),
+                    n,
+                    &mut rows[e * n..],
+                    m * n,
+                    scratch,
+                );
+            }
+        },
+    );
     fcma_linalg::debug_assert_finite!(&buf, "stage1 baseline correlation output");
     CorrData { buf, layout }
 }
@@ -243,7 +250,7 @@ mod tests {
     fn baseline_and_optimized_agree() {
         let ctx = ctx();
         let task = VoxelTask { start: 8, count: 13 };
-        let a = corr_baseline(&ctx, task);
+        let a = corr_baseline(&ctx, task, &Pool::default());
         let b = corr_optimized(&ctx, task, TallSkinnyOpts::default());
         assert_eq!(a.buf.len(), b.buf.len());
         for (i, (x, y)) in a.buf.iter().zip(&b.buf).enumerate() {
@@ -268,7 +275,7 @@ mod tests {
     fn correlations_match_direct_dot_products() {
         let ctx = ctx();
         let task = VoxelTask { start: 3, count: 2 };
-        let c = corr_baseline(&ctx, task);
+        let c = corr_baseline(&ctx, task, &Pool::default());
         for e in [0usize, 5] {
             let b = ctx.norm.brain(e);
             for vi in 0..2 {
@@ -287,7 +294,7 @@ mod tests {
     fn voxel_matrix_is_contiguous_epoch_rows() {
         let ctx = ctx();
         let task = VoxelTask { start: 0, count: 3 };
-        let c = corr_baseline(&ctx, task);
+        let c = corr_baseline(&ctx, task, &Pool::default());
         let m = ctx.n_epochs();
         let n = ctx.n_voxels();
         let vm = c.voxel_matrix(1);

@@ -25,11 +25,9 @@
 //! keeps the stat loops on the vector units (idea #3).
 
 use crate::context::TaskContext;
-use crate::stage1::{bridge_pool_counters, CorrData};
+use crate::stage1::{run_voxel_bands, CorrData};
 use crate::task::VoxelTask;
-use fcma_linalg::tall_skinny::{
-    corr_tile_block, corr_tile_block_rows, EpochPair, TallSkinnyOpts, MR,
-};
+use fcma_linalg::tall_skinny::{corr_tile_block_rows, EpochPair, TallSkinnyOpts, MR};
 use fcma_linalg::{f32_from_usize, fisher_z_slice, CorrLayout};
 use fcma_sync::pool::Pool;
 use fcma_trace::span;
@@ -104,6 +102,16 @@ pub fn normalize_separated(corr: &mut CorrData, ctx: &TaskContext) {
     fcma_linalg::debug_assert_finite!(&corr.buf, "stage2 normalization output");
 }
 
+/// Merged schedule on the calling thread: [`corr_normalized_merged_parallel`]
+/// with the one-thread pool.
+pub fn corr_normalized_merged(
+    ctx: &TaskContext,
+    task: VoxelTask,
+    opts: TallSkinnyOpts,
+) -> CorrData {
+    corr_normalized_merged_parallel(ctx, task, opts, &Pool::default())
+}
+
 /// Merged schedule: stage 1 and stage 2 fused at tile granularity.
 ///
 /// Equivalent to `corr_optimized` followed by `normalize_separated`, but
@@ -111,12 +119,20 @@ pub fn normalize_separated(corr: &mut CorrData, ctx: &TaskContext) {
 /// leaves cache (Fig. 5), and the z-apply doubles as the single write to
 /// the interleaved output. Produces the finished normalized buffer.
 ///
+/// The task's voxels are banded across `pool` workers: each worker owns
+/// a disjoint MR-aligned band and runs the full tile loop for it,
+/// writing straight into its own contiguous slice of the interleaved
+/// output. Bit-identical at every thread count (DESIGN.md §15): band
+/// boundaries respect the register-tile grouping, per-voxel statistics
+/// never cross bands, and there is no cross-thread reduction at all.
+///
 /// # Panics
 /// If `task` is out of range for `ctx`.
-pub fn corr_normalized_merged(
+pub fn corr_normalized_merged_parallel(
     ctx: &TaskContext,
     task: VoxelTask,
     opts: TallSkinnyOpts,
+    pool: &Pool,
 ) -> CorrData {
     let v = task.count;
     let n = ctx.n_voxels();
@@ -133,124 +149,16 @@ pub fn corr_normalized_merged(
         .collect();
 
     let w_max = opts.tile_cols.max(16);
-    let mut tile = vec![0.0f32; v * max_subject_epochs(ctx) * w_max];
-    // Workhorse stat buffers reused across every tile.
-    let mut sum = vec![0.0f32; w_max];
-    let mut sumsq = vec![0.0f32; w_max];
-    let mut mean = vec![0.0f32; w_max];
-    let mut inv_std = vec![0.0f32; w_max];
-
-    let mut j0 = 0;
-    while j0 < n {
-        let w = w_max.min(n - j0);
-        for sr in ctx.subject_ranges.iter() {
-            let e_cnt = sr.len();
-            // Compute the (all task voxels × subject epochs × strip) tile.
-            corr_tile_block(&pairs, sr.clone(), j0..j0 + w, &mut tile);
-            for vi in 0..v {
-                let base = vi * e_cnt * w;
-                let block = &mut tile[base..base + e_cnt * w];
-                sum[..w].fill(0.0);
-                sumsq[..w].fill(0.0);
-                for row in block.chunks_mut(w) {
-                    fisher_z_slice(row);
-                    accumulate(row, &mut sum[..w], &mut sumsq[..w]);
-                }
-                finish_stats(
-                    &sum[..w],
-                    &sumsq[..w],
-                    f32_from_usize(e_cnt),
-                    &mut mean[..w],
-                    &mut inv_std[..w],
-                );
-                // Fused z-apply + scatter: the tile is read once (hot in
-                // cache) and the finished values stream to memory once.
-                for (ei, e) in sr.clone().enumerate() {
-                    let src = &block[ei * w..(ei + 1) * w];
-                    let dst_row = layout.row(vi, e);
-                    let dst = &mut buf[dst_row * n + j0..dst_row * n + j0 + w];
-                    for j in 0..w {
-                        dst[j] = (src[j] - mean[j]) * inv_std[j];
-                    }
-                }
-            }
-        }
-        j0 += w;
-    }
-    fcma_linalg::debug_assert_finite!(&buf, "stage2 merged pipeline output");
-    CorrData { buf, layout }
-}
-
-/// Parallel merged schedule: the fused stage-1+2 pipeline banded across
-/// `pool` workers along the assigned-voxel dimension.
-///
-/// Each worker owns a disjoint MR-aligned band of the task's voxels and
-/// runs the full [`corr_normalized_merged`] tile loop for that band —
-/// computing each correlation tile and normalizing it while cache-hot —
-/// writing straight into its own contiguous slice of the interleaved
-/// output. Bit-identical to the serial merged schedule at every thread
-/// count (DESIGN.md §15): band boundaries respect the register-tile
-/// grouping, per-voxel statistics never cross bands, and there is no
-/// cross-thread reduction at all.
-///
-/// # Panics
-/// If `task` is out of range for `ctx`.
-pub fn corr_normalized_merged_parallel(
-    ctx: &TaskContext,
-    task: VoxelTask,
-    opts: TallSkinnyOpts,
-    pool: &Pool,
-) -> CorrData {
-    let v = task.count;
-    let n_groups = v.div_ceil(MR);
-    let bands = pool.threads().min(n_groups).max(1);
-    if bands <= 1 {
-        return corr_normalized_merged(ctx, task, opts);
-    }
-    let n = ctx.n_voxels();
-    let m = ctx.n_epochs();
-    let layout = CorrLayout { n_assigned: v, n_epochs: m, n_brain: n };
-    let mut buf = vec![0.0f32; layout.out_len()];
-    let _span = span!("stage12.fused", voxels = v, brain = n, epochs = m, threads = bands);
-
-    let assigned = crate::stage1::assigned_blocks(ctx, task);
-    let pairs: Vec<EpochPair<'_>> = assigned
-        .iter()
-        .enumerate()
-        .map(|(e, a)| EpochPair { assigned: a, brain: ctx.norm.brain(e) })
-        .collect();
-
-    // Carve the interleaved buffer at band boundaries: voxels [v0, v1)
-    // own rows v0·M .. v1·M, a contiguous slice.
-    let mut tasks: Vec<(usize, usize, &mut [f32])> = Vec::with_capacity(bands);
-    let mut rest: &mut [f32] = &mut buf;
-    let mut v0 = 0usize;
-    for band in 0..bands {
-        let groups = n_groups / bands + usize::from(band < n_groups % bands);
-        let v1 = (v0 + groups * MR).min(v);
-        if band + 1 == bands {
-            tasks.push((v0, v1, rest));
-            rest = &mut [];
-        } else {
-            let (head, tail) = rest.split_at_mut((v1 - v0) * m * n);
-            tasks.push((v0, v1, head));
-            rest = tail;
-        }
-        v0 = v1;
-    }
-    let _ = rest;
-
-    let w_max = opts.tile_cols.max(16);
     let max_se = max_subject_epochs(ctx);
-    // audit: disjoint(tasks) — bands are carved by split_at_mut, one non-overlapping chunk per task
-    let (_, stats) = pool.run_init_stats(
-        tasks,
+    run_voxel_bands(
+        pool,
+        &mut buf,
+        v,
+        m * n,
+        MR,
         || (),
-        |(), _idx, (v0, v1, chunk)| {
-            merged_band(ctx, &pairs, v0, v1, chunk, w_max, max_se, m, n);
-        },
+        |(), _band, (v0, v1, chunk)| merged_band(ctx, &pairs, v0, v1, chunk, w_max, max_se, m, n),
     );
-    bridge_pool_counters(&stats);
     fcma_linalg::debug_assert_finite!(&buf, "stage2 merged pipeline output");
     CorrData { buf, layout }
 }
@@ -271,6 +179,7 @@ fn merged_band(
 ) {
     let bv = v1 - v0;
     let mut tile = vec![0.0f32; bv * max_se * w_max];
+    // Workhorse stat buffers reused across every tile.
     let mut sum = vec![0.0f32; w_max];
     let mut sumsq = vec![0.0f32; w_max];
     let mut mean = vec![0.0f32; w_max];
@@ -281,6 +190,7 @@ fn merged_band(
         let w = w_max.min(n - j0);
         for sr in ctx.subject_ranges.iter() {
             let e_cnt = sr.len();
+            // Compute the (band voxels × subject epochs × strip) tile.
             corr_tile_block_rows(pairs, v0..v1, sr.clone(), j0..j0 + w, &mut tile);
             for vi in 0..bv {
                 let base = vi * e_cnt * w;
@@ -298,6 +208,8 @@ fn merged_band(
                     &mut mean[..w],
                     &mut inv_std[..w],
                 );
+                // Fused z-apply + scatter: the tile is read once (hot in
+                // cache) and the finished values stream to memory once.
                 for (ei, e) in sr.clone().enumerate() {
                     let src = &block[ei * w..(ei + 1) * w];
                     let dst_row = vi * m + e;
@@ -357,8 +269,8 @@ mod tests {
     fn baseline_and_separated_agree() {
         let ctx = ctx();
         let task = VoxelTask { start: 4, count: 9 };
-        let mut a = corr_baseline(&ctx, task);
-        let mut b = corr_baseline(&ctx, task);
+        let mut a = corr_baseline(&ctx, task, &Pool::default());
+        let mut b = corr_baseline(&ctx, task, &Pool::default());
         normalize_baseline(&mut a, &ctx);
         normalize_separated(&mut b, &ctx);
         assert!(max_diff(&a, &b) < 1e-4);
@@ -404,7 +316,7 @@ mod tests {
     fn normalized_columns_have_zero_mean_per_subject() {
         let ctx = ctx();
         let task = VoxelTask { start: 0, count: 3 };
-        let mut c = corr_baseline(&ctx, task);
+        let mut c = corr_baseline(&ctx, task, &Pool::default());
         normalize_baseline(&mut c, &ctx);
         for vi in 0..3 {
             for sr in ctx.subject_ranges.iter() {
@@ -427,7 +339,7 @@ mod tests {
         // epochs) → Fisher clamps it, variance ≈ 0 → z-scored to 0.
         let ctx = ctx();
         let task = VoxelTask { start: 5, count: 2 };
-        let mut c = corr_baseline(&ctx, task);
+        let mut c = corr_baseline(&ctx, task, &Pool::default());
         normalize_baseline(&mut c, &ctx);
         for vi in 0..2 {
             for e in 0..ctx.n_epochs() {

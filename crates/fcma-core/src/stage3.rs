@@ -12,7 +12,7 @@
 use crate::stage1::{bridge_pool_counters, CorrData};
 use crate::task::{VoxelScore, VoxelTask};
 use fcma_linalg::{SyrkScratch, PANEL_K};
-use fcma_svm::{loso_cross_validate, loso_cross_validate_pool, KernelMatrix, SolverKind};
+use fcma_svm::{loso_cross_validate_pool, KernelMatrix, SolverKind};
 use fcma_sync::pool::Pool;
 use fcma_trace::{counter, span};
 
@@ -29,10 +29,10 @@ pub enum KernelPrecompute {
 ///
 /// `vi` is the task-relative voxel index into `corr`; `y` and `groups`
 /// are parallel to the epochs of `corr` (groups are subjects for offline
-/// analysis, epoch folds for the online case). When `fold_pool` is set
-/// the CV folds run fold-parallel — bit-identical to the serial CV at
-/// every thread count (DESIGN.md §15), used when the task is narrower
-/// than the pool.
+/// analysis, epoch folds for the online case). The CV folds run on
+/// `fold_pool` — bit-identical at every thread count (DESIGN.md §15);
+/// callers that already fill the cores across voxels pass the
+/// one-thread pool.
 #[allow(clippy::too_many_arguments)] // per-voxel scoring ABI shared by both executors
 pub(crate) fn score_voxel(
     corr: &CorrData,
@@ -42,7 +42,7 @@ pub(crate) fn score_voxel(
     solver: &SolverKind,
     precompute: KernelPrecompute,
     scratch: &mut SyrkScratch,
-    fold_pool: Option<&Pool>,
+    fold_pool: &Pool,
 ) -> f64 {
     let m = corr.layout.n_epochs;
     let n = corr.layout.n_brain;
@@ -53,10 +53,7 @@ pub(crate) fn score_voxel(
         KernelPrecompute::Baseline => KernelMatrix::precompute_baseline_raw(m, n, data),
         KernelPrecompute::Optimized => KernelMatrix::precompute_raw_with(m, n, data, scratch),
     };
-    match fold_pool {
-        Some(pool) => loso_cross_validate_pool(&kernel, y, groups, solver, pool).accuracy,
-        None => loso_cross_validate(&kernel, y, groups, solver).accuracy,
-    }
+    loso_cross_validate_pool(&kernel, y, groups, solver, fold_pool).accuracy
 }
 
 /// Score every voxel of a task in parallel.
@@ -78,21 +75,21 @@ pub fn score_task(
         // A single-voxel task (the online/realtime shape) has no voxel
         // parallelism to exploit; push the pool down one level and run
         // the CV folds in parallel instead. Same score either way — the
-        // fold-parallel CV is bit-identical to serial (DESIGN.md §15).
+        // CV is bit-identical at every thread count (DESIGN.md §15).
         let mut scratch = SyrkScratch::new(corr.layout.n_epochs, PANEL_K);
-        let accuracy =
-            score_voxel(corr, 0, y, groups, solver, precompute, &mut scratch, Some(pool));
+        let accuracy = score_voxel(corr, 0, y, groups, solver, precompute, &mut scratch, pool);
         return vec![VoxelScore { voxel: task.start, accuracy }];
     }
     // One SYRK scratch per pool worker, reused across that worker's
     // voxels — the paper's per-thread A_local buffers (§4.4). Scores come
     // back in task-index order regardless of which worker ran them.
+    let inline = Pool::default();
     let (scores, stats) = pool.run_init_stats(
         (0..task.count).collect(),
         || SyrkScratch::new(corr.layout.n_epochs, PANEL_K),
         |scratch, _idx, vi| VoxelScore {
             voxel: task.start + vi,
-            accuracy: score_voxel(corr, vi, y, groups, solver, precompute, scratch, None),
+            accuracy: score_voxel(corr, vi, y, groups, solver, precompute, scratch, &inline),
         },
     );
     bridge_pool_counters(&stats);

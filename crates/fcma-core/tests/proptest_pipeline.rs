@@ -3,12 +3,12 @@
 //! dataset configurations.
 
 use fcma_core::{
-    corr_baseline, corr_baseline_parallel, corr_normalized_merged, corr_normalized_merged_parallel,
-    corr_optimized, normalize_baseline, normalize_separated, score_task, KernelPrecompute,
-    TaskContext, VoxelTask,
+    corr_baseline, corr_normalized_merged, corr_normalized_merged_parallel, corr_optimized,
+    normalize_baseline, normalize_separated, score_task, KernelPrecompute, TaskContext, VoxelTask,
 };
 use fcma_fmri::noise::{Ar1, Drift};
 use fcma_fmri::synth::{Placement, SynthConfig};
+use fcma_linalg::gemm_blocked;
 use fcma_linalg::tall_skinny::TallSkinnyOpts;
 use fcma_svm::{SmoParams, SolverKind};
 use fcma_sync::pool::Pool;
@@ -43,7 +43,7 @@ proptest! {
         let count = (d.n_voxels() - start).min(7).max(1);
         let task = VoxelTask { start, count };
 
-        let mut a = corr_baseline(&ctx, task);
+        let mut a = corr_baseline(&ctx, task, &Pool::default());
         normalize_baseline(&mut a, &ctx);
         let mut b = corr_optimized(&ctx, task, TallSkinnyOpts { tile_cols: 16 });
         normalize_separated(&mut b, &ctx);
@@ -92,9 +92,10 @@ proptest! {
         }
     }
 
-    /// DESIGN.md §15: the fused stage-1+2 pipeline and the baseline
-    /// stage-1 GEMM are bit-identical to their serial schedules at every
-    /// thread count, on arbitrary datasets and task offsets.
+    /// DESIGN.md §15: the fused stage-1+2 pipeline is bit-identical to its
+    /// one-thread schedule at every thread count, on arbitrary datasets
+    /// and task offsets (bands are MR = 8 voxels, so 12–47-voxel tasks
+    /// give 2–6 of them).
     #[test]
     fn parallel_pipeline_bit_identical(cfg in config_strategy(), start_frac in 0.0f32..0.6) {
         let (d, _) = cfg.generate();
@@ -104,15 +105,39 @@ proptest! {
         let task = VoxelTask { start, count };
 
         let merged = corr_normalized_merged(&ctx, task, TallSkinnyOpts { tile_cols: 32 });
-        let base = corr_baseline(&ctx, task);
         for threads in [1usize, 2, 3, 8] {
             let pool = Pool::new(threads);
             let pm = corr_normalized_merged_parallel(&ctx, task, TallSkinnyOpts { tile_cols: 32 }, &pool);
-            let pb = corr_baseline_parallel(&ctx, task, &pool);
             for (i, (p, s)) in pm.buf.iter().zip(&merged.buf).enumerate() {
                 prop_assert_eq!(p.to_bits(), s.to_bits(), "merged threads={} idx={}", threads, i);
             }
-            for (i, (p, s)) in pb.buf.iter().zip(&base.buf).enumerate() {
+        }
+    }
+
+    /// DESIGN.md §15 for the baseline stage 1, whose bands are mc = 64
+    /// voxels: a 150-voxel task is two full bands and a 22-voxel ragged
+    /// tail, so threads {2, 3, 8} really split it. Every thread count
+    /// must reproduce, bit for bit, one full-range `gemm_blocked` per
+    /// epoch on fresh packing buffers — while inside `corr_baseline`
+    /// each worker's scratch is dirty from the previous epoch's product
+    /// (and from a previous band, when it steals one).
+    #[test]
+    fn banded_baseline_bit_identical(cfg in config_strategy(), start in 0usize..11) {
+        let (d, _) = SynthConfig { n_voxels: 160, n_informative: 8, ..cfg }.generate();
+        let ctx = TaskContext::full(&d);
+        let task = VoxelTask { start, count: 150 };
+        let (v, n, m) = (task.count, ctx.n_voxels(), ctx.n_epochs());
+
+        let mut fresh = vec![f32::NAN; v * m * n];
+        for (e, a) in ctx.norm.assigned_blocks(task.range()).iter().enumerate() {
+            let k = a.cols();
+            let b = ctx.norm.brain(e);
+            gemm_blocked(v, n, k, a.as_slice(), k, b.as_slice(), n, &mut fresh[e * n..], m * n);
+        }
+        for threads in [1usize, 2, 3, 8] {
+            let got = corr_baseline(&ctx, task, &Pool::new(threads));
+            prop_assert_eq!(got.buf.len(), fresh.len());
+            for (i, (p, s)) in got.buf.iter().zip(&fresh).enumerate() {
                 prop_assert_eq!(p.to_bits(), s.to_bits(), "baseline threads={} idx={}", threads, i);
             }
         }

@@ -11,12 +11,8 @@
 
 use crate::gemm_ref::check_gemm_dims;
 use crate::microkernel::{microkernel, microkernel_edge, pack_a_panel, pack_b_panel};
-use fcma_sync::pool::{Pool, PoolStats};
 
-/// Register tile height used by the generic kernel.
-pub const MR: usize = 8;
-/// Register tile width (one Phi vector register of f32).
-pub const NR: usize = 16;
+pub use crate::microkernel::{MR, NR};
 
 /// Cache blocking parameters of the generic kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,7 +33,8 @@ impl Default for BlockSizes {
     }
 }
 
-/// `C = A · B` with default blocking. See [`gemm_blocked_with`].
+/// `C = A · B` with default blocking and freshly allocated packing
+/// buffers. See [`gemm_blocked_scratch`].
 #[allow(clippy::too_many_arguments)] // BLAS-style signature
 pub fn gemm_blocked(
     m: usize,
@@ -50,32 +47,18 @@ pub fn gemm_blocked(
     c: &mut [f32],
     ldc: usize,
 ) {
-    gemm_blocked_with(BlockSizes::default(), m, n, k, a, lda, b, ldb, c, ldc);
-}
-
-/// `C[0..m, 0..n] = A[0..m, 0..k] · B[0..k, 0..n]` (row-major, overwrite)
-/// with explicit cache-block sizes.
-///
-/// Semantics are identical to [`crate::gemm_ref::gemm_ref`]; only the
-/// traversal order and packing differ.
-///
-/// # Panics
-/// Panics on inconsistent leading dimensions or undersized buffers.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_blocked_with(
-    bs: BlockSizes,
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    lda: usize,
-    b: &[f32],
-    ldb: usize,
-    c: &mut [f32],
-    ldc: usize,
-) {
-    let mut scratch = GemmScratch::new(bs);
-    gemm_blocked_scratch(m, n, k, a, lda, b, ldb, c, ldc, &mut scratch);
+    gemm_blocked_scratch(
+        m,
+        n,
+        k,
+        a,
+        lda,
+        b,
+        ldb,
+        c,
+        ldc,
+        &mut GemmScratch::new(BlockSizes::default()),
+    );
 }
 
 /// Reusable packing buffers for the blocked GEMM. Sized purely by the
@@ -107,11 +90,20 @@ impl GemmScratch {
     }
 }
 
-/// [`gemm_blocked_with`] with caller-provided packing buffers — the hot
-/// entry point (DESIGN.md §14). The block configuration is carried by
-/// the scratch; results are bit-identical to the allocating wrappers
-/// because every packed region read by the microkernels is fully
-/// overwritten (fringe-padded) before use.
+/// `C[0..m, 0..n] = A[0..m, 0..k] · B[0..k, 0..n]` (row-major, overwrite)
+/// with caller-provided packing buffers — the hot entry point
+/// (DESIGN.md §14). Semantics are identical to
+/// [`crate::gemm_ref::gemm_ref`]; only the traversal order and packing
+/// differ. The block configuration is carried by the scratch; a dirty
+/// scratch gives bit-identical results to a fresh one because every
+/// packed region read by the microkernels is fully overwritten
+/// (fringe-padded) before use.
+///
+/// Rows are walked in `mc` blocks, so calling this on an `mc`-aligned
+/// row sub-range (`&a[r0 * lda..]`, `&mut c[r0 * ldc..]`) runs exactly
+/// the full-range instruction sequence for those rows — what lets the
+/// baseline stage 1 band voxels across pool workers and stay
+/// bit-identical at every thread count (DESIGN.md §15).
 ///
 /// # Panics
 /// Panics on inconsistent leading dimensions or undersized buffers.
@@ -196,73 +188,6 @@ pub fn gemm_blocked_scratch(
     }
 }
 
-/// Pool-parallel [`gemm_blocked_scratch`]: `C`'s rows are split into
-/// contiguous `mc`-aligned bands, one task per `mc` block row, and each
-/// band runs the full blocked traversal over its own rows with a
-/// per-worker [`GemmScratch`]. Because band boundaries coincide with
-/// the serial kernel's `ic` blocking, every output element sees exactly
-/// the serial instruction sequence — results are bit-identical to the
-/// serial kernel at every thread count (DESIGN.md §15). The `B` slab is
-/// re-packed per band (identical values), trading packing traffic for a
-/// lock-free disjoint-output partition.
-///
-/// Returns the region's [`PoolStats`] so callers can merge per-epoch
-/// regions and bridge them into trace counters in one shot.
-///
-/// # Panics
-/// Panics on inconsistent leading dimensions or undersized buffers.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_blocked_parallel(
-    pool: &Pool,
-    bs: BlockSizes,
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    lda: usize,
-    b: &[f32],
-    ldb: usize,
-    c: &mut [f32],
-    ldc: usize,
-) -> PoolStats {
-    check_gemm_dims(m, n, k, a.len(), lda, b.len(), ldb, c.len(), ldc);
-    let n_blocks = m.div_ceil(bs.mc);
-    let bands = pool.threads().min(n_blocks).max(1);
-    if bands <= 1 || n == 0 || k == 0 {
-        let mut scratch = GemmScratch::new(bs);
-        gemm_blocked_scratch(m, n, k, a, lda, b, ldb, c, ldc, &mut scratch);
-        return PoolStats { tasks: 1, ..PoolStats::default() };
-    }
-    // Carve mc-aligned row bands off the output; each task owns its
-    // rows outright (disjoint &mut slices, no reduction).
-    let mut tasks: Vec<(usize, usize, &mut [f32])> = Vec::with_capacity(bands);
-    let mut rest: &mut [f32] = c;
-    let mut r0 = 0usize;
-    for band in 0..bands {
-        let blocks = n_blocks / bands + usize::from(band < n_blocks % bands);
-        let r1 = (r0 + blocks * bs.mc).min(m);
-        if band + 1 == bands {
-            tasks.push((r0, r1, rest));
-            rest = &mut [];
-        } else {
-            let (head, tail) = rest.split_at_mut((r1 - r0) * ldc);
-            tasks.push((r0, r1, head));
-            rest = tail;
-        }
-        r0 = r1;
-    }
-    let _ = rest;
-    // audit: disjoint(tasks) — row bands are carved by split_at_mut, one non-overlapping C band per task
-    let (_, stats) = pool.run_init_stats(
-        tasks,
-        || GemmScratch::new(bs),
-        |scratch, _idx, (r0, r1, band)| {
-            gemm_blocked_scratch(r1 - r0, n, k, &a[r0 * lda..], lda, b, ldb, band, ldc, scratch);
-        },
-    );
-    stats
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,7 +210,7 @@ mod tests {
         let b = pseudo(k * n, 2);
         let mut c = vec![f32::NAN; m * n];
         let mut expect = vec![0.0; m * n];
-        gemm_blocked_with(bs, m, n, k, &a, k, &b, n, &mut c, n);
+        gemm_blocked_scratch(m, n, k, &a, k, &b, n, &mut c, n, &mut GemmScratch::new(bs));
         gemm_ref(m, n, k, &a, k, &b, n, &mut expect, n);
         let tol = 1e-4 * k.max(1) as f32;
         for (i, (g, e)) in c.iter().zip(&expect).enumerate() {
@@ -339,30 +264,11 @@ mod tests {
             let a = pseudo(m * k, seed);
             let b = pseudo(k * n, seed + 10);
             let mut fresh = vec![0.0; m * n];
-            gemm_blocked_with(bs, m, n, k, &a, k, &b, n, &mut fresh, n);
+            gemm_blocked_scratch(m, n, k, &a, k, &b, n, &mut fresh, n, &mut GemmScratch::new(bs));
             let mut reused = vec![f32::NAN; m * n];
             gemm_blocked_scratch(m, n, k, &a, k, &b, n, &mut reused, n, &mut scratch);
             for (r, f) in reused.iter().zip(&fresh) {
                 assert_eq!(r.to_bits(), f.to_bits(), "({m}x{n}x{k})");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_is_bit_identical_to_serial_at_every_thread_count() {
-        let bs = BlockSizes { mc: 16, kc: 8, nc: 32 };
-        for (m, n, k) in [(40usize, 70usize, 30usize), (13, 37, 11), (64, 20, 50), (7, 5, 3)] {
-            let a = pseudo(m * k, 21);
-            let b = pseudo(k * n, 22);
-            let mut serial = vec![0.0; m * n];
-            gemm_blocked_with(bs, m, n, k, &a, k, &b, n, &mut serial, n);
-            for threads in [1usize, 2, 3, 8] {
-                let pool = Pool::new(threads);
-                let mut par = vec![f32::NAN; m * n];
-                gemm_blocked_parallel(&pool, bs, m, n, k, &a, k, &b, n, &mut par, n);
-                for (p, s) in par.iter().zip(&serial) {
-                    assert_eq!(p.to_bits(), s.to_bits(), "threads={threads} ({m}x{n}x{k})");
-                }
             }
         }
     }

@@ -12,7 +12,8 @@
 //! * [`tall_skinny`] — the paper's optimized stage-1 correlation kernel
 //!   (L2-sized column strips, packed panels, interleaved-by-voxel output);
 //! * [`syrk`] — the paper's optimized stage-3 kernel-matrix SYRK
-//!   (96-deep panels, register microkernel, lock-merged partial `C`);
+//!   (96-deep panels, register microkernel, one caller-owned scratch per
+//!   thread; no cross-thread reduction);
 //! * [`microkernel`] — the shared register-tile microkernels;
 //! * [`norms`] — epoch normalization (Eq. 2), Fisher transform (Eq. 4),
 //!   z-scoring (Eq. 5) and vector primitives.
@@ -32,21 +33,14 @@ pub mod syrk;
 pub mod tall_skinny;
 
 pub use cast::{f32_from_f64, f32_from_usize, f64_from_usize};
-pub use gemm_blocked::{
-    gemm_blocked, gemm_blocked_parallel, gemm_blocked_scratch, gemm_blocked_with, BlockSizes,
-    GemmScratch,
-};
+pub use gemm_blocked::{gemm_blocked, gemm_blocked_scratch, BlockSizes, GemmScratch};
 pub use gemm_ref::{gemm_ref, syrk_ref};
 pub use mat::Mat;
 pub use norms::{
     dot, fast_ln, fisher_z, fisher_z_slice, mean_var_onepass, normalize_epoch, zscore, zscore_with,
 };
 pub use ops::{add_scaled, col_means, gemv, gemv_t, row_means, scale};
-pub use syrk::{
-    syrk_dot, syrk_panel, syrk_panel_parallel, syrk_panel_scratch, syrk_panel_with, SyrkScratch,
-    PANEL_K,
-};
+pub use syrk::{syrk_dot, syrk_panel_scratch, SyrkScratch, PANEL_K};
 pub use tall_skinny::{
-    corr_reference, corr_tall_skinny, corr_tile_block, corr_tile_block_rows, CorrLayout, EpochPair,
-    TallSkinnyOpts,
+    corr_reference, corr_tall_skinny, corr_tile_block_rows, CorrLayout, EpochPair, TallSkinnyOpts,
 };

@@ -15,6 +15,14 @@
 /// Number of f32 lanes in one Xeon Phi vector register; the natural `NR`.
 pub const VPU_WIDTH: usize = 16;
 
+/// Register tile height every kernel in this crate instantiates the
+/// microkernels with. Declared once: the §15 bit-identity of banded
+/// output depends on GEMM, SYRK, the correlation tile and the callers
+/// that align bands on it all agreeing.
+pub const MR: usize = 8;
+/// Register tile width (one Phi vector register of f32).
+pub const NR: usize = VPU_WIDTH;
+
 /// Compute a single `MR × NR` tile: `C[i, j] (+)= Σ_l a_panel[l,i] · b_panel[l,j]`.
 ///
 /// When `accumulate` is false the tile is overwritten.

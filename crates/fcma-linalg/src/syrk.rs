@@ -9,25 +9,21 @@
 //! `16x9x96` register microkernel, and merge their partial `C` under a
 //! lock.
 //!
-//! Three implementations live here:
+//! Three implementations, one body each:
 //! * [`crate::gemm_ref::syrk_ref`] — the triple-loop oracle (in `gemm_ref`);
 //! * [`syrk_dot`] — a generic library-style version (chunked row dot
 //!   products over the lower triangle), the `cblas_ssyrk` stand-in;
-//! * [`syrk_panel`] — the paper's panel-blocked, microkernel-based design,
-//!   with a work-stealing parallel path ([`syrk_panel_parallel`]) that
-//!   splits `C` into `MR`-aligned row bands. Unlike the paper's
-//!   OpenMP-lock partial-`C` merge (§4.4), each band walks every panel
-//!   in serial order and owns its output rows outright, so the parallel
-//!   result is *bit-identical* to the serial kernel at any thread count
-//!   (DESIGN.md §15) — there is no arrival-order reduction to race.
+//! * [`syrk_panel_scratch`] — the paper's panel-blocked, microkernel-based
+//!   design over caller-provided packing buffers. It is single-threaded
+//!   by design: stage 3 fills the cores across voxels (or across CV
+//!   folds for a one-voxel task), one [`SyrkScratch`] per pool worker,
+//!   so unlike the paper's OpenMP-lock partial-`C` merge (§4.4) there is
+//!   no cross-thread reduction here at all.
 
 use crate::microkernel::{microkernel, microkernel_edge, pack_a_panel};
-use fcma_sync::pool::Pool;
 
-/// Register tile height of the SYRK microkernel.
-pub const MR: usize = 8;
-/// Register tile width of the SYRK microkernel.
-pub const NR: usize = 16;
+pub use crate::microkernel::{MR, NR};
+
 /// Depth of one packed panel — the paper's "blocks of 96 rows (an integral
 /// multiple of VPU length)".
 pub const PANEL_K: usize = 96;
@@ -61,41 +57,19 @@ pub fn syrk_dot(m: usize, n: usize, a: &[f32], lda: usize, c: &mut [f32], ldc: u
     }
 }
 
-/// The paper's optimized SYRK: panel-blocked over the long dimension with
-/// a register microkernel. Sequential driver; see [`syrk_panel_parallel`]
-/// for the threaded version.
-pub fn syrk_panel(m: usize, n: usize, a: &[f32], lda: usize, c: &mut [f32], ldc: usize) {
-    syrk_panel_with(PANEL_K, m, n, a, lda, c, ldc);
-}
-
-/// [`syrk_panel`] with an explicit panel depth — the ablation knob for
-/// the paper's choice of 96 (an integral multiple of the 16-lane VPU
-/// width sized so a packed `m × panel_k` slab stays L2-resident).
+/// The paper's optimized SYRK — panel-blocked over the long dimension
+/// with a register microkernel — over caller-provided packing buffers:
+/// the hot entry point (DESIGN.md §14). The panel depth is carried by
+/// the scratch (the paper's 96 is [`PANEL_K`]; other depths are the
+/// `fcma-repro ablate-panel` knob); a [`SyrkScratch`] built once can be
+/// reused across calls (and across smaller `m`) without touching the
+/// allocator, which is what the paper's per-thread `A_local` buffers
+/// amount to.
 ///
-/// # Panics
-/// Panics if `panel_k` is zero or buffers are inconsistent.
-pub fn syrk_panel_with(
-    panel_k: usize,
-    m: usize,
-    n: usize,
-    a: &[f32],
-    lda: usize,
-    c: &mut [f32],
-    ldc: usize,
-) {
-    let mut scratch = SyrkScratch::new(m, panel_k);
-    syrk_panel_scratch(m, n, a, lda, c, ldc, &mut scratch);
-}
-
-/// [`syrk_panel_with`] with caller-provided packing buffers — the hot
-/// entry point (DESIGN.md §14). The panel depth is carried by the
-/// scratch; a [`SyrkScratch`] built once can be reused across calls (and
-/// across smaller `m`) without touching the allocator, which is what the
-/// paper's per-thread `A_local` buffers amount to.
-///
-/// Results are bit-identical to the allocating wrappers: every scratch
-/// region read by the microkernels is fully overwritten first, so stale
-/// contents from a previous call can never leak into the product.
+/// A dirty scratch gives bit-identical results to a fresh one: every
+/// scratch region read by the microkernels is fully overwritten first,
+/// so stale contents from a previous call can never leak into the
+/// product.
 ///
 /// # Panics
 /// Panics if buffers are inconsistent or `scratch` was built for a
@@ -118,73 +92,8 @@ pub fn syrk_panel_scratch(
     let panel_k = scratch.panel_k;
     for p in (0..n).step_by(panel_k) {
         let kp = panel_k.min(n - p);
-        accumulate_panel(m, 0, m, a, lda, p, kp, c, ldc, scratch);
+        accumulate_panel(m, a, lda, p, kp, c, ldc, scratch);
     }
-    mirror_lower_to_upper(c, m, ldc);
-}
-
-/// Work-stealing parallel variant: `C`'s rows are split into contiguous
-/// `MR`-aligned bands, one pool task per band. Every band walks the
-/// full panel sequence in order and writes only its own rows, so each
-/// output element sees exactly the serial kernel's instruction sequence
-/// — results are bit-identical to [`syrk_panel_scratch`] at every
-/// thread count (the deterministic-reduction contract, DESIGN.md §15).
-/// Each worker reuses one [`SyrkScratch`] across its bands.
-///
-/// # Panics
-/// If `lda < n`, `ldc < m`, or either buffer is shorter than the
-/// leading-dimension layout requires.
-pub fn syrk_panel_parallel(
-    pool: &Pool,
-    m: usize,
-    n: usize,
-    a: &[f32],
-    lda: usize,
-    c: &mut [f32],
-    ldc: usize,
-) {
-    validate(m, n, a.len(), lda, c.len(), ldc);
-    if m == 0 {
-        return;
-    }
-    let n_tiles = m.div_ceil(MR);
-    let bands = pool.threads().min(n_tiles).max(1);
-    if bands <= 1 {
-        let mut scratch = SyrkScratch::new(m, PANEL_K);
-        syrk_panel_scratch(m, n, a, lda, c, ldc, &mut scratch);
-        return;
-    }
-    zero_lower(c, m, ldc);
-    // Carve MR-aligned row bands off the output; each task owns rows
-    // [r0, r1) outright (disjoint &mut slices, no reduction lock).
-    let mut tasks: Vec<(usize, usize, &mut [f32])> = Vec::with_capacity(bands);
-    let mut rest: &mut [f32] = c;
-    let mut r0 = 0usize;
-    for band in 0..bands {
-        let tiles = n_tiles / bands + usize::from(band < n_tiles % bands);
-        let r1 = (r0 + tiles * MR).min(m);
-        if band + 1 == bands {
-            tasks.push((r0, r1, rest));
-            rest = &mut [];
-        } else {
-            let (head, tail) = rest.split_at_mut((r1 - r0) * ldc);
-            tasks.push((r0, r1, head));
-            rest = tail;
-        }
-        r0 = r1;
-    }
-    let _ = rest;
-    // audit: disjoint(tasks) — row bands are carved by split_at_mut, one non-overlapping C band per task
-    pool.run_init(
-        tasks,
-        || SyrkScratch::new(m, PANEL_K),
-        |scratch, _idx, (r0, r1, band)| {
-            for p in (0..n).step_by(PANEL_K) {
-                let kp = PANEL_K.min(n - p);
-                accumulate_panel(m, r0, r1, a, lda, p, kp, band, ldc, scratch);
-            }
-        },
-    );
     mirror_lower_to_upper(c, m, ldc);
 }
 
@@ -222,39 +131,30 @@ impl SyrkScratch {
     }
 }
 
-/// Add one `kp`-deep panel's contribution to the lower triangle of the
-/// `MR`-aligned row band `[r0, r1)`. `c_band` holds only the band's
-/// rows (global row `i` lives at `(i - r0) * ldc`); the serial kernel
-/// passes the full range `(0, m)` with `c_band = c`. Because band
-/// boundaries are `MR`-aligned, the tile walk — and therefore each
-/// element's accumulation sequence — is identical however the rows are
-/// banded.
+/// Add one `kp`-deep panel's contribution to the lower triangle of `C`.
 #[allow(clippy::too_many_arguments)]
 // audit: hot
 fn accumulate_panel(
     m: usize,
-    r0: usize,
-    r1: usize,
     a: &[f32],
     lda: usize,
     p: usize,
     kp: usize,
-    c_band: &mut [f32],
+    c: &mut [f32],
     ldc: usize,
     scratch: &mut SyrkScratch,
 ) {
     let SyrkScratch { a_packs, b_panel, panel_k, .. } = scratch;
     let panel_k = *panel_k;
-    // Pack every MR-tall row tile of A[r0..r1, p..p+kp] once; tiles serve
-    // as both the left (a_panel) and — re-read NR-wide — the right operand.
-    for (t, i0) in (r0..r1).step_by(MR).enumerate() {
+    // Pack every MR-tall row tile of A[.., p..p+kp] once; tiles serve as
+    // both the left (a_panel) and — re-read NR-wide — the right operand.
+    for (t, i0) in (0..m).step_by(MR).enumerate() {
         let mr = MR.min(m - i0);
         pack_a_panel::<MR>(&a[i0 * lda + p..], lda, mr, kp, &mut a_packs[t * panel_k * MR..]);
     }
     // Right-operand panels need the B layout (l*NR + j = A[j0+j, p+l]);
-    // build them per column tile from A directly. Only column tiles at
-    // or left of the band's last row contribute to its lower triangle.
-    for j0 in (0..r1).step_by(NR) {
+    // build them per column tile from A directly.
+    for j0 in (0..m).step_by(NR) {
         let nr = NR.min(m - j0);
         for l in 0..kp {
             let dst = &mut b_panel[l * NR..(l + 1) * NR];
@@ -265,15 +165,15 @@ fn accumulate_panel(
         }
         // Only row tiles at or below this column tile contribute to the
         // lower triangle (j0 <= i0 covers all i >= j; see mirror step).
-        for (t, i0) in (r0..r1).step_by(MR).enumerate() {
+        for (t, i0) in (0..m).step_by(MR).enumerate() {
             if i0 < j0 {
                 continue;
             }
             let mr = MR.min(m - i0);
             let a_panel = &a_packs[t * panel_k * MR..t * panel_k * MR + kp * MR];
-            let c_off = (i0 - r0) * ldc + j0;
+            let c_off = i0 * ldc + j0;
             if mr == MR && nr == NR {
-                microkernel::<MR, NR>(kp, a_panel, b_panel, &mut c_band[c_off..], ldc, true);
+                microkernel::<MR, NR>(kp, a_panel, b_panel, &mut c[c_off..], ldc, true);
             } else {
                 microkernel_edge::<MR, NR>(
                     kp,
@@ -281,7 +181,7 @@ fn accumulate_panel(
                     nr,
                     a_panel,
                     b_panel,
-                    &mut c_band[c_off..],
+                    &mut c[c_off..],
                     ldc,
                     true,
                 );
@@ -335,6 +235,11 @@ mod tests {
             .collect()
     }
 
+    /// The panel kernel at the paper's depth over a fresh scratch.
+    fn syrk_fresh(m: usize, n: usize, a: &[f32], lda: usize, c: &mut [f32], ldc: usize) {
+        syrk_panel_scratch(m, n, a, lda, c, ldc, &mut SyrkScratch::new(m, PANEL_K));
+    }
+
     fn check(m: usize, n: usize, f: impl Fn(usize, usize, &[f32], usize, &mut [f32], usize)) {
         let a = pseudo(m * n, 3);
         let mut got = vec![f32::NAN; m * m];
@@ -355,49 +260,21 @@ mod tests {
 
     #[test]
     fn panel_version_matches_reference_exact_panels() {
-        check(16, 192, syrk_panel);
+        check(16, 192, syrk_fresh);
     }
 
     #[test]
     fn panel_version_matches_reference_ragged() {
-        check(13, 100, syrk_panel);
-        check(9, 97, syrk_panel);
-        check(21, 1, syrk_panel);
-        check(1, 200, syrk_panel);
+        check(13, 100, syrk_fresh);
+        check(9, 97, syrk_fresh);
+        check(21, 1, syrk_fresh);
+        check(1, 200, syrk_fresh);
     }
 
     #[test]
     fn panel_version_fcma_shape_scaled() {
         // M ~ epochs (204 in the paper; scaled), N ~ brain voxels.
-        check(52, 700, syrk_panel);
-    }
-
-    #[test]
-    fn parallel_version_matches_reference() {
-        for threads in [2usize, 3, 8] {
-            let pool = Pool::new(threads);
-            let f = |m: usize, n: usize, a: &[f32], lda: usize, c: &mut [f32], ldc: usize| {
-                syrk_panel_parallel(&pool, m, n, a, lda, c, ldc);
-            };
-            check(20, 2000, f);
-            check(17, 777, f);
-        }
-    }
-
-    #[test]
-    fn parallel_is_bit_identical_to_serial_at_every_thread_count() {
-        for (m, n) in [(20usize, 300usize), (17, 97), (9, 45), (33, 128)] {
-            let a = pseudo(m * n, 13);
-            let mut serial = vec![0.0; m * m];
-            syrk_panel(m, n, &a, n, &mut serial, m);
-            for threads in [1usize, 2, 3, 8] {
-                let mut par = vec![f32::NAN; m * m];
-                syrk_panel_parallel(&Pool::new(threads), m, n, &a, n, &mut par, m);
-                for (p, s) in par.iter().zip(&serial) {
-                    assert_eq!(p.to_bits(), s.to_bits(), "threads={threads} m={m} n={n}");
-                }
-            }
-        }
+        check(52, 700, syrk_fresh);
     }
 
     #[test]
@@ -406,7 +283,7 @@ mod tests {
         let n = 131;
         let a = pseudo(m * n, 8);
         let mut c = vec![0.0; m * m];
-        syrk_panel(m, n, &a, n, &mut c, m);
+        syrk_fresh(m, n, &a, n, &mut c, m);
         for i in 0..m {
             for j in 0..m {
                 assert_eq!(c[i * m + j], c[j * m + i], "asymmetry at ({i},{j})");
@@ -420,7 +297,7 @@ mod tests {
         let n = 50;
         let a = pseudo(m * n, 21);
         let mut c = vec![0.0; m * m];
-        syrk_panel(m, n, &a, n, &mut c, m);
+        syrk_fresh(m, n, &a, n, &mut c, m);
         for i in 0..m {
             assert!(c[i * m + i] >= 0.0, "negative diagonal at {i}");
         }
@@ -435,7 +312,7 @@ mod tests {
         syrk_ref(m, n, &a, n, &mut expect, m);
         for panel_k in [1usize, 16, 48, 96, 200, 512] {
             let mut got = vec![0.0; m * m];
-            syrk_panel_with(panel_k, m, n, &a, n, &mut got, m);
+            syrk_panel_scratch(m, n, &a, n, &mut got, m, &mut SyrkScratch::new(m, panel_k));
             for (g, e) in got.iter().zip(&expect) {
                 assert!((g - e).abs() < 0.05, "panel {panel_k}: {g} vs {e}");
             }
@@ -445,8 +322,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "panel_k")]
     fn rejects_zero_panel_depth() {
-        let mut c = vec![0.0; 4];
-        syrk_panel_with(0, 2, 4, &[0.0; 8], 4, &mut c, 2);
+        let _ = SyrkScratch::new(2, 0);
     }
 
     #[test]
@@ -457,7 +333,7 @@ mod tests {
         for (m, n, seed) in [(24usize, 150usize, 5u32), (17, 97, 6), (9, 200, 7)] {
             let a = pseudo(m * n, seed);
             let mut fresh = vec![0.0; m * m];
-            syrk_panel_with(48, m, n, &a, n, &mut fresh, m);
+            syrk_panel_scratch(m, n, &a, n, &mut fresh, m, &mut SyrkScratch::new(m, 48));
             let mut reused = vec![f32::NAN; m * m];
             syrk_panel_scratch(m, n, &a, n, &mut reused, m, &mut scratch);
             for (r, f) in reused.iter().zip(&fresh) {
@@ -477,7 +353,7 @@ mod tests {
     #[test]
     fn zero_depth_gives_zero_matrix() {
         let mut c = vec![5.0; 9];
-        syrk_panel(3, 0, &[], 0, &mut c, 3);
+        syrk_fresh(3, 0, &[], 0, &mut c, 3);
         assert_eq!(c, vec![0.0; 9]);
     }
 
@@ -488,7 +364,7 @@ mod tests {
         let a = pseudo(m * n, 4);
         let ldc = 7;
         let mut c = vec![-3.0; m * ldc];
-        syrk_panel(m, n, &a, n, &mut c, ldc);
+        syrk_fresh(m, n, &a, n, &mut c, ldc);
         let mut expect = vec![0.0; m * m];
         syrk_ref(m, n, &a, n, &mut expect, m);
         for i in 0..m {

@@ -27,10 +27,7 @@ use crate::microkernel::{microkernel, microkernel_edge, pack_a_panel, pack_b_pan
 use crate::Mat;
 use std::ops::Range;
 
-/// Register tile height for the correlation kernel.
-pub const MR: usize = 8;
-/// Register tile width (Phi vector width in f32 lanes).
-pub const NR: usize = 16;
+pub use crate::microkernel::{MR, NR};
 
 /// One epoch's pair of normalized activity matrices.
 ///
@@ -195,40 +192,24 @@ pub fn corr_tall_skinny(
     layout
 }
 
-/// Compute a compact correlation block for a contiguous range of epochs
-/// and a strip of brain-voxel columns.
+/// Compute a compact correlation block for a band of assigned voxels, a
+/// contiguous range of epochs and a strip of brain-voxel columns.
 ///
 /// This is the primitive behind the *merged* stage-1+2 pipeline
-/// (optimization idea #2): the caller asks for exactly the `(all voxels) ×
+/// (optimization idea #2): the caller asks for exactly the `(voxel band) ×
 /// (one subject's epochs) × (one column strip)` block that within-subject
 /// normalization needs, normalizes it while it is cache-hot, and only then
 /// scatters it to the big interleaved buffer.
 ///
-/// `buf` is written densely: `buf[(vi · E + ei) · W + (j − col0)]` where
+/// `buf` is written densely with *local* voxel indices:
+/// `buf[((vi − v_start) · E + ei) · W + (j − col0)]` where
 /// `E = epoch_range.len()` and `W = col_range.len()`.
 ///
-/// # Panics
-/// Panics on inconsistent shapes, empty/out-of-bounds ranges, or a short
-/// buffer.
-pub fn corr_tile_block(
-    epochs: &[EpochPair<'_>],
-    epoch_range: Range<usize>,
-    col_range: Range<usize>,
-    buf: &mut [f32],
-) {
-    let v = epochs.first().map_or(0, |ep| ep.assigned.rows());
-    corr_tile_block_rows(epochs, 0..v, epoch_range, col_range, buf);
-}
-
-/// Voxel-range generalization of [`corr_tile_block`]: compute the block
-/// only for assigned voxels `voxel_range`, writing `buf` densely with
-/// *local* voxel indices (`buf[((vi − v_start) · E + ei) · W + …]`).
-///
-/// This is the unit of work the parallel fused stage-1+2 pipeline hands
-/// to pool workers: each worker owns a disjoint MR-aligned band of
-/// assigned voxels. `voxel_range.start` must be a multiple of [`MR`] so
-/// the register-tile grouping — and therefore every per-element FMA
-/// sequence — matches the serial full-range call bit for bit
+/// It is the unit of work the merged pipeline hands to pool workers:
+/// each worker owns a disjoint MR-aligned band of assigned voxels (one
+/// band, `0..V`, at one thread). `voxel_range.start` must be a multiple
+/// of [`MR`] so the register-tile grouping — and therefore every
+/// per-element FMA sequence — matches the full-range call bit for bit
 /// (DESIGN.md §15 determinism contract).
 ///
 /// # Panics
@@ -241,22 +222,22 @@ pub fn corr_tile_block_rows(
     col_range: Range<usize>,
     buf: &mut [f32],
 ) {
-    assert!(!epochs.is_empty(), "corr_tile_block: no epochs");
+    assert!(!epochs.is_empty(), "corr_tile_block_rows: no epochs");
     let v = epochs[0].assigned.rows();
     let n = epochs[0].brain.cols();
-    assert!(epoch_range.end <= epochs.len(), "corr_tile_block: epoch range out of bounds");
-    assert!(col_range.end <= n, "corr_tile_block: column range out of bounds");
-    assert!(voxel_range.end <= v, "corr_tile_block: voxel range out of bounds");
+    assert!(epoch_range.end <= epochs.len(), "corr_tile_block_rows: epoch range out of bounds");
+    assert!(col_range.end <= n, "corr_tile_block_rows: column range out of bounds");
+    assert!(voxel_range.end <= v, "corr_tile_block_rows: voxel range out of bounds");
     assert_eq!(
         voxel_range.start % MR,
         0,
-        "corr_tile_block: voxel range must start on an MR={MR} boundary"
+        "corr_tile_block_rows: voxel range must start on an MR={MR} boundary"
     );
     let v_start = voxel_range.start;
     let v_count = voxel_range.len();
     let e_count = epoch_range.len();
     let w = col_range.len();
-    assert!(buf.len() >= v_count * e_count * w, "corr_tile_block: buffer too short");
+    assert!(buf.len() >= v_count * e_count * w, "corr_tile_block_rows: buffer too short");
 
     let k_max = epochs[epoch_range.clone()].iter().map(EpochPair::k).max().unwrap_or(0);
     let mut b_pack = vec![0.0f32; k_max.max(1) * w.div_ceil(NR) * NR];
@@ -445,7 +426,7 @@ mod tests {
         let w = cr.len();
         let ec = er.len();
         let mut buf = vec![f32::NAN; v * ec * w];
-        corr_tile_block(&eps, er.clone(), cr.clone(), &mut buf);
+        corr_tile_block_rows(&eps, 0..v, er.clone(), cr.clone(), &mut buf);
         for vi in 0..v {
             for (ei, e) in er.clone().enumerate() {
                 for (ji, j) in cr.clone().enumerate() {
@@ -472,7 +453,7 @@ mod tests {
         let w = cr.len();
         let ec = er.len();
         let mut full = vec![f32::NAN; v * ec * w];
-        corr_tile_block(&eps, er.clone(), cr.clone(), &mut full);
+        corr_tile_block_rows(&eps, 0..v, er.clone(), cr.clone(), &mut full);
         for bands in [1usize, 2, 3] {
             let n_groups = v.div_ceil(MR);
             let mut v0 = 0usize;

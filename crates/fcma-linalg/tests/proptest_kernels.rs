@@ -4,7 +4,6 @@
 use fcma_linalg::gemm_blocked::BlockSizes;
 use fcma_linalg::tall_skinny::{EpochPair, TallSkinnyOpts, MR};
 use fcma_linalg::*;
-use fcma_sync::pool::Pool;
 use proptest::prelude::*;
 
 fn finite_vec(len: usize) -> impl Strategy<Value = Vec<f32>> {
@@ -54,7 +53,8 @@ proptest! {
         let b: Vec<f32> = (0..k * n).map(|i| ((i * 13 + 7) % 19) as f32 - 9.0).collect();
         let mut got = vec![0.0; m * n];
         let mut expect = vec![0.0; m * n];
-        gemm_blocked_with(BlockSizes { mc, kc, nc }, m, n, k, &a, k, &b, n, &mut got, n);
+        let mut scratch = GemmScratch::new(BlockSizes { mc, kc, nc });
+        gemm_blocked_scratch(m, n, k, &a, k, &b, n, &mut got, n, &mut scratch);
         gemm_ref(m, n, k, &a, k, &b, n, &mut expect, n);
         for (g, e) in got.iter().zip(&expect) {
             prop_assert!(close(*g, *e, (k * 23) as f32));
@@ -72,7 +72,7 @@ proptest! {
             .collect();
         let mut got = vec![f32::NAN; m * m];
         let mut expect = vec![0.0; m * m];
-        syrk_panel(m, n, &a, n, &mut got, m);
+        syrk_panel_scratch(m, n, &a, n, &mut got, m, &mut SyrkScratch::new(m, PANEL_K));
         syrk_ref(m, n, &a, n, &mut expect, m);
         for (g, e) in got.iter().zip(&expect) {
             prop_assert!(close(*g, *e, n as f32), "{g} vs {e}");
@@ -87,13 +87,10 @@ proptest! {
         let a: Vec<f32> = (0..m * n).map(|i| ((i * 31 + 11) % 17) as f32 * 0.1 - 0.8).collect();
         let mut dotv = vec![0.0; m * m];
         let mut pan = vec![0.0; m * m];
-        let mut par = vec![0.0; m * m];
         syrk_dot(m, n, &a, n, &mut dotv, m);
-        syrk_panel(m, n, &a, n, &mut pan, m);
-        syrk_panel_parallel(&Pool::new(3), m, n, &a, n, &mut par, m);
+        syrk_panel_scratch(m, n, &a, n, &mut pan, m, &mut SyrkScratch::new(m, PANEL_K));
         for i in 0..m * m {
             prop_assert!(close(dotv[i], pan[i], n as f32));
-            prop_assert!(close(pan[i], par[i], n as f32));
         }
     }
 
@@ -108,9 +105,9 @@ proptest! {
             .map(|i| (((i as u32).wrapping_mul(seed | 1) >> 16) % 100) as f32 / 50.0 - 1.0)
             .collect();
         let mut fresh = vec![0.0; m * m];
-        syrk_panel_with(panel_k, m, n, &a, n, &mut fresh, m);
+        syrk_panel_scratch(m, n, &a, n, &mut fresh, m, &mut SyrkScratch::new(m, panel_k));
         // Dirty the scratch with an unrelated product first: reuse must
-        // still reproduce the fresh-allocation path bit for bit.
+        // still reproduce the fresh-scratch result bit for bit.
         let decoy: Vec<f32> = a.iter().map(|v| v.mul_add(-1.5, 0.3)).collect();
         let mut scratch = SyrkScratch::new(m, panel_k);
         let mut junk = vec![0.0; m * m];
@@ -141,7 +138,7 @@ proptest! {
         let a: Vec<f32> = (0..m * k.max(1)).map(|_| next()).collect();
         let b: Vec<f32> = (0..k.max(1) * n).map(|_| next()).collect();
         let mut fresh = vec![0.0; m * n];
-        gemm_blocked_with(bs, m, n, k, &a, k.max(1), &b, n, &mut fresh, n);
+        gemm_blocked_scratch(m, n, k, &a, k.max(1), &b, n, &mut fresh, n, &mut GemmScratch::new(bs));
         // Same dirty-reuse discipline as the SYRK property above.
         let decoy_a: Vec<f32> = a.iter().map(|v| v.mul_add(-2.0, 0.1)).collect();
         let decoy_b: Vec<f32> = b.iter().map(|v| v.mul_add(0.5, -0.2)).collect();
@@ -395,7 +392,7 @@ proptest! {
     }
 
     #[test]
-    fn syrk_panel_with_matches_reference_any_depth(
+    fn syrk_panel_scratch_matches_reference_any_depth(
         panel_k in 1usize..128,
         m in 1usize..16,
         n in 1usize..150,
@@ -404,7 +401,7 @@ proptest! {
         let a = pseudo(m * n, seed);
         let mut got = vec![f32::NAN; m * m];
         let mut expect = vec![0.0; m * m];
-        syrk_panel_with(panel_k, m, n, &a, n, &mut got, m);
+        syrk_panel_scratch(m, n, &a, n, &mut got, m, &mut SyrkScratch::new(m, panel_k));
         syrk_ref(m, n, &a, n, &mut expect, m);
         for (g, e) in got.iter().zip(&expect) {
             prop_assert!(close(*g, *e, n as f32), "panel_k={panel_k}: {g} vs {e}");
@@ -412,7 +409,7 @@ proptest! {
     }
 
     #[test]
-    fn corr_tile_block_matches_naive_dots(
+    fn corr_tile_block_rows_matches_naive_dots(
         v in 1usize..8,
         n in 4usize..40,
         k in 1usize..10,
@@ -434,7 +431,7 @@ proptest! {
         let col1 = n;
         let w = col1 - col0;
         let mut buf = vec![f32::NAN; v * m_epochs * w];
-        corr_tile_block(&eps, 0..m_epochs, col0..col1, &mut buf);
+        corr_tile_block_rows(&eps, 0..v, 0..m_epochs, col0..col1, &mut buf);
         for vi in 0..v {
             for ei in 0..m_epochs {
                 for j in col0..col1 {
@@ -457,7 +454,7 @@ proptest! {
         bands in 1usize..5,
         seed in any::<u64>(),
     ) {
-        // The parallel fused pipeline's banding unit: computing the block
+        // The merged pipeline's banding unit: computing the block
         // in MR-aligned voxel bands must reproduce the full-range call
         // bit for bit (DESIGN.md §15).
         let assigned: Vec<Mat> = (0..m_epochs)
@@ -492,60 +489,46 @@ proptest! {
         }
     }
 
-    // DESIGN.md §15 determinism contract: the parallel band kernels must
-    // be BIT-identical to their serial counterparts at every thread
-    // count, arbitrary shapes, including the dirty-scratch path (a decoy
-    // product runs through the same pool first, so any per-worker state
-    // reuse — seeded deques, stolen bands, recycled packing buffers —
-    // must not perturb a single ulp).
+    // DESIGN.md §15 determinism contract, baseline stage 1's banding
+    // unit: the blocked GEMM over any split of its rows at multiples of
+    // `mc` must be BIT-identical to the full-range call, arbitrary shapes
+    // and block sizes, through one dirty scratch (a decoy product runs
+    // first, as a pool worker's recycled packing buffers would).
 
     #[test]
-    fn gemm_parallel_bit_identical_across_threads(
+    fn gemm_mc_aligned_row_bands_bit_identical_to_full_range(
         m in 1usize..48,
         n in 1usize..40,
         k in 0usize..24,
         mc in 8usize..32,
         kc in 1usize..16,
         nc in 16usize..64,
+        bands in 1usize..5,
         seed in any::<u64>(),
     ) {
         let bs = BlockSizes { mc, kc, nc };
-        let a = pseudo(m * k.max(1), seed);
+        let (lda, a) = (k.max(1), pseudo(m * k.max(1), seed));
         let b = pseudo(k.max(1) * n, seed ^ 0xbead);
-        let mut serial = vec![0.0; m * n];
-        gemm_blocked_with(bs, m, n, k, &a, k.max(1), &b, n, &mut serial, n);
+        let mut full = vec![0.0; m * n];
+        gemm_blocked_scratch(m, n, k, &a, lda, &b, n, &mut full, n, &mut GemmScratch::new(bs));
         let decoy: Vec<f32> = a.iter().map(|v| v.mul_add(-1.5, 0.2)).collect();
-        for threads in [1usize, 2, 3, 8] {
-            let pool = Pool::new(threads);
-            let mut junk = vec![0.0; m * n];
-            gemm_blocked_parallel(&pool, bs, m, n, k, &decoy, k.max(1), &b, n, &mut junk, n);
-            let mut par = vec![f32::NAN; m * n];
-            gemm_blocked_parallel(&pool, bs, m, n, k, &a, k.max(1), &b, n, &mut par, n);
-            for (p, s) in par.iter().zip(&serial) {
-                prop_assert_eq!(p.to_bits(), s.to_bits(), "threads={} ({}x{}x{})", threads, m, n, k);
-            }
+        let mut scratch = GemmScratch::new(bs);
+        let mut junk = vec![0.0; m * n];
+        gemm_blocked_scratch(m, n, k, &decoy, lda, &b, n, &mut junk, n, &mut scratch);
+        let mut banded = vec![f32::NAN; m * n];
+        let n_blocks = m.div_ceil(mc);
+        let bands = bands.min(n_blocks);
+        let mut r0 = 0usize;
+        for band in 0..bands {
+            let blocks = n_blocks / bands + usize::from(band < n_blocks % bands);
+            let r1 = (r0 + blocks * mc).min(m);
+            let (a, c) = (&a[r0 * lda..], &mut banded[r0 * n..]);
+            gemm_blocked_scratch(r1 - r0, n, k, a, lda, &b, n, c, n, &mut scratch);
+            r0 = r1;
         }
-    }
-
-    #[test]
-    fn syrk_parallel_bit_identical_across_threads(
-        m in 1usize..40,
-        n in 1usize..160,
-        seed in any::<u64>(),
-    ) {
-        let a = pseudo(m * n, seed);
-        let mut serial = vec![0.0; m * m];
-        syrk_panel(m, n, &a, n, &mut serial, m);
-        let decoy: Vec<f32> = a.iter().map(|v| v.mul_add(0.7, -0.3)).collect();
-        for threads in [1usize, 2, 3, 8] {
-            let pool = Pool::new(threads);
-            let mut junk = vec![0.0; m * m];
-            syrk_panel_parallel(&pool, m, n, &decoy, n, &mut junk, m);
-            let mut par = vec![f32::NAN; m * m];
-            syrk_panel_parallel(&pool, m, n, &a, n, &mut par, m);
-            for (p, s) in par.iter().zip(&serial) {
-                prop_assert_eq!(p.to_bits(), s.to_bits(), "threads={} (m={} n={})", threads, m, n);
-            }
+        prop_assert_eq!(r0, m);
+        for (p, s) in banded.iter().zip(&full) {
+            prop_assert_eq!(p.to_bits(), s.to_bits(), "bands={} ({}x{}x{})", bands, m, n, k);
         }
     }
 

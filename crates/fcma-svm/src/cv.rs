@@ -42,40 +42,27 @@ pub struct CvResult {
     pub total_iterations: usize,
 }
 
-/// Run leave-one-subject-out cross validation.
-///
-/// `y[t]` is the ±1 target of sample `t`; `subjects[t]` its owning subject
-/// (0-based contiguous). Samples are global kernel indices `0..kernel.n()`.
-///
-/// # Panics
-/// Panics on length mismatches or if any fold would see a single class.
+/// Leave-one-subject-out cross validation on the calling thread:
+/// [`loso_cross_validate_pool`] with the one-thread pool.
 pub fn loso_cross_validate(
     kernel: &KernelMatrix,
     y: &[f32],
     subjects: &[usize],
     solver: &SolverKind,
 ) -> CvResult {
-    let m = kernel.n();
-    assert_eq!(y.len(), m, "cv: targets length != kernel size");
-    assert_eq!(subjects.len(), m, "cv: subjects length != kernel size");
-    let n_subjects = subjects.iter().copied().max().map_or(0, |s| s + 1);
-    assert!(n_subjects >= 2, "cv: need at least two subjects for LOSO");
-    let _span = span!("svm.cv.loso", folds = n_subjects, samples = m);
-    counter!("svm.cv.folds", n_subjects);
-
-    let folds: Vec<FoldResult> =
-        (0..n_subjects).map(|held| run_fold(kernel, y, subjects, held, solver)).collect();
-    reduce_folds(&folds)
+    loso_cross_validate_pool(kernel, y, subjects, solver, &Pool::default())
 }
 
-/// Fold-parallel leave-one-subject-out cross validation.
+/// Run leave-one-subject-out cross validation.
 ///
-/// Each fold (one held-out subject) becomes one pool task; the fold
-/// results are reduced in held-subject order, so the outcome is
-/// bit-identical to [`loso_cross_validate`] at every thread count and
-/// steal seed (DESIGN.md §15) — each fold's training run is a serial
-/// solve over its own sub-problem, and the cross-fold reduction is pure
-/// integer accumulation in a fixed order.
+/// `y[t]` is the ±1 target of sample `t`; `subjects[t]` its owning subject
+/// (0-based contiguous). Samples are global kernel indices `0..kernel.n()`.
+///
+/// Each fold (one held-out subject) is one pool task; the fold results
+/// are reduced in held-subject order, so the outcome is bit-identical at
+/// every thread count and steal seed (DESIGN.md §15) — each fold's
+/// training run is a serial solve over its own sub-problem, and the
+/// cross-fold reduction is pure integer accumulation in a fixed order.
 ///
 /// # Panics
 /// Panics on length mismatches or if any fold would see a single class.

@@ -10,7 +10,7 @@
 //! the memory reduction that lets a coprocessor hold 240 voxels' problems
 //! at once (§4.4).
 
-use fcma_linalg::{syrk_dot, syrk_panel, syrk_panel_scratch, Mat, SyrkScratch};
+use fcma_linalg::{syrk_dot, syrk_panel_scratch, Mat, SyrkScratch, PANEL_K};
 use fcma_trace::span;
 
 /// A precomputed symmetric positive semidefinite Gram matrix over `M`
@@ -35,13 +35,9 @@ impl KernelMatrix {
 
     /// [`Self::precompute`] over a raw row-major `m × n` slice (avoids a
     /// copy when the data lives inside a larger buffer, as FCMA's
-    /// per-voxel correlation matrices do).
+    /// per-voxel correlation matrices do), through a fresh SYRK scratch.
     pub fn precompute_raw(m: usize, n: usize, data: &[f32]) -> Self {
-        let _span = span!("svm.kernel.precompute", samples = m, features = n, kernel = "panel");
-        let mut k = Mat::zeros(m, m);
-        syrk_panel(m, n, data, n, k.as_mut_slice(), m);
-        fcma_linalg::debug_assert_finite!(k.as_slice(), "stage3 SYRK kernel precompute");
-        KernelMatrix { k }
+        Self::precompute_raw_with(m, n, data, &mut SyrkScratch::new(m, PANEL_K))
     }
 
     /// [`Self::precompute_raw`] reusing caller-provided SYRK scratch —

@@ -65,25 +65,6 @@ pub struct WorkerLane {
     pub parks: u64,
 }
 
-impl PoolStats {
-    /// Accumulate another region's counters into this one. Worker lanes
-    /// are merged by worker id; a region with more workers widens the
-    /// lane vector.
-    pub fn merge(&mut self, other: &PoolStats) {
-        self.tasks = self.tasks.saturating_add(other.tasks);
-        self.steals = self.steals.saturating_add(other.steals);
-        self.idle_parks = self.idle_parks.saturating_add(other.idle_parks);
-        if self.per_worker.len() < other.per_worker.len() {
-            self.per_worker.resize(other.per_worker.len(), WorkerLane::default());
-        }
-        for (mine, theirs) in self.per_worker.iter_mut().zip(&other.per_worker) {
-            mine.tasks = mine.tasks.saturating_add(theirs.tasks);
-            mine.steals = mine.steals.saturating_add(theirs.steals);
-            mine.parks = mine.parks.saturating_add(theirs.parks);
-        }
-    }
-}
-
 /// A work-stealing thread-pool configuration. Cheap to copy; threads
 /// are spawned per [`Pool::run`] region (fork-join), not kept alive
 /// between regions, so a `Pool` can be freely embedded in executors and
@@ -517,30 +498,6 @@ mod tests {
         assert_eq!(stats.per_worker.iter().map(|l| l.tasks).sum::<u64>(), stats.tasks);
         assert_eq!(stats.per_worker.iter().map(|l| l.steals).sum::<u64>(), stats.steals);
         assert_eq!(stats.per_worker.iter().map(|l| l.parks).sum::<u64>(), stats.idle_parks);
-    }
-
-    #[test]
-    fn merge_widens_and_adds_lanes() {
-        let mut a = PoolStats {
-            tasks: 3,
-            steals: 1,
-            idle_parks: 0,
-            per_worker: vec![WorkerLane { tasks: 3, steals: 1, parks: 0 }],
-        };
-        let b = PoolStats {
-            tasks: 5,
-            steals: 0,
-            idle_parks: 2,
-            per_worker: vec![
-                WorkerLane { tasks: 2, steals: 0, parks: 1 },
-                WorkerLane { tasks: 3, steals: 0, parks: 1 },
-            ],
-        };
-        a.merge(&b);
-        assert_eq!(a.tasks, 8);
-        assert_eq!(a.per_worker.len(), 2);
-        assert_eq!(a.per_worker[0], WorkerLane { tasks: 5, steals: 1, parks: 1 });
-        assert_eq!(a.per_worker[1], WorkerLane { tasks: 3, steals: 0, parks: 1 });
     }
 
     #[test]

@@ -197,19 +197,6 @@ impl Histogram {
         }
         self.max
     }
-
-    /// Fold another histogram into this one (bucket-wise; the moments
-    /// combine exactly). Per-thread and per-shard histograms merge into
-    /// fleet-level ones without keeping raw samples.
-    pub fn merge(&mut self, other: &Histogram) {
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-    }
 }
 
 /// A counter broken out along one label dimension — e.g. the per-worker
