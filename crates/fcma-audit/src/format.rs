@@ -229,8 +229,8 @@ mod tests {
 
     #[test]
     fn stats_format_golden() {
-        let got = render_stats(&[("moddoc", 0, 0), ("cast", 2, 5), ("unusedallow", 1, 0)]);
-        let want = "{\n  \"moddoc\": {\"violations\": 0, \"allows\": 0},\n  \
+        let got = render_stats(&[("proptest", 0, 0), ("cast", 2, 5), ("unusedallow", 1, 0)]);
+        let want = "{\n  \"proptest\": {\"violations\": 0, \"allows\": 0},\n  \
                     \"cast\": {\"violations\": 2, \"allows\": 5},\n  \
                     \"unusedallow\": {\"violations\": 1, \"allows\": 0}\n}\n";
         assert_eq!(got, want);
@@ -238,7 +238,7 @@ mod tests {
 
     #[test]
     fn stats_parse_roundtrips_render() {
-        let stats = vec![("moddoc", 0usize, 0usize), ("cast", 2, 5), ("unusedallow", 1, 0)];
+        let stats = vec![("proptest", 0usize, 0usize), ("cast", 2, 5), ("unusedallow", 1, 0)];
         let parsed = parse_stats(&render_stats(&stats)).expect("own output parses");
         let want: Vec<(String, usize, usize)> =
             stats.iter().map(|&(p, v, a)| (p.to_owned(), v, a)).collect();
@@ -250,11 +250,11 @@ mod tests {
     #[test]
     fn stats_delta_golden() {
         let baseline = vec![
-            ("moddoc".to_owned(), 0usize, 0usize),
+            ("proptest".to_owned(), 0usize, 0usize),
             ("cast".to_owned(), 2, 5),
             ("gone".to_owned(), 1, 1),
         ];
-        let current = [("moddoc", 0usize, 0usize), ("cast", 3, 5), ("threadescape", 0, 3)];
+        let current = [("proptest", 0usize, 0usize), ("cast", 3, 5), ("threadescape", 0, 3)];
         let got = render_stats_delta(&baseline, &current);
         let want = "pass          violations    allows\n\
                     cast               2 \u{2192} 3         5\n\
@@ -265,8 +265,8 @@ mod tests {
 
     #[test]
     fn stats_delta_empty_when_identical() {
-        let baseline = vec![("moddoc".to_owned(), 0usize, 0usize), ("cast".to_owned(), 2, 5)];
-        let current = [("moddoc", 0usize, 0usize), ("cast", 2, 5)];
+        let baseline = vec![("proptest".to_owned(), 0usize, 0usize), ("cast".to_owned(), 2, 5)];
+        let current = [("proptest", 0usize, 0usize), ("cast", 2, 5)];
         assert_eq!(render_stats_delta(&baseline, &current), "");
     }
 

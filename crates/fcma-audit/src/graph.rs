@@ -215,19 +215,20 @@ impl AtomicsContract {
 }
 
 /// One row of the §17 "Mutation contracts" table: a mutant class with
-/// its expected killers and the minimum kill score `fcma-mut --check`
-/// enforces for it.
+/// its expected killers and the minimum killed-or-covered share
+/// `fcma-mut --check` enforces for it.
 #[derive(Debug, Clone)]
 pub struct MutationRow {
     /// 0-based DESIGN.md line of the row.
     pub line: usize,
     /// Mutant-class name (one of [`crate::mutants::MUTANT_CLASSES`]).
     pub class: String,
-    /// Backticked killer names (`audit` pass names, `test`,
-    /// `model-check`) — documentation plus the expected-killer hint the
-    /// engine tries first.
+    /// Backticked killer names (audit pass names, `mc`) —
+    /// documentation plus the expected-killer hint the engine tries
+    /// first. Empty for the classes no executed oracle targets.
     pub killers: Vec<String>,
-    /// Minimum percentage of non-equivalent mutants that must be killed.
+    /// Minimum percentage of non-equivalent mutants that must be killed
+    /// or, for classes without an executed oracle, covered.
     pub min_score: u32,
 }
 

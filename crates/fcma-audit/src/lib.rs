@@ -2,8 +2,8 @@
 //!
 //! A zero-dependency (std-only) lint tool that walks the workspace
 //! source tree and enforces project-specific invariants that `clippy`
-//! cannot express: no lossy `as` casts in the numeric kernel crates, property-test coverage of every public linalg
-//! kernel, module-level documentation on every source file, trace-probe
+//! cannot express: no lossy `as` casts in the numeric kernel crates,
+//! property-test coverage of every public linalg kernel, trace-probe
 //! names that match the DESIGN.md §Observability taxonomy, the crate
 //! layering DAG of DESIGN.md §Architecture contracts, call-graph panic
 //! reachability of library `pub fn`s, master–worker protocol

@@ -335,7 +335,6 @@ output:
 passes:
   cast         no `as` numeric casts in kernel crates (fcma-linalg, fcma-core)
   proptest     every pub fn kernel in fcma-linalg has a property test
-  moddoc       every src/*.rs has module-level //! docs
   tracename    every span!/event!/counter!/histogram! name is snake.dotted
                and documented in DESIGN.md §Observability
   layering     Cargo.toml edges and fcma_*:: references obey the crate

@@ -10,13 +10,13 @@
 //!
 //! | class              | seeded fault                                   | expected killer |
 //! |--------------------|------------------------------------------------|-----------------|
-//! | `arith-swap`       | `+`↔`-`, `*`→`+`, `/`→`*` (and compound forms) | tests           |
-//! | `cmp-flip`         | `<`↔`<=`, `>`↔`>=`, `==`↔`!=`                  | tests           |
-//! | `off-by-one`       | for-loop `a..b` → `a..=b`                      | tests           |
-//! | `accum-reorder`    | float-accumulating `for` loop reversed          | tests           |
+//! | `arith-swap`       | `+`↔`-`, `*`→`+`, `/`→`*` (and compound forms) | none (covered) |
+//! | `cmp-flip`         | `<`↔`<=`, `>`↔`>=`, `==`↔`!=`                  | none (covered) |
+//! | `off-by-one`       | for-loop `a..b` → `a..=b`                      | none (covered) |
+//! | `accum-reorder`    | float-accumulating `for` loop reversed          | none (covered) |
 //! | `ordering-weaken`  | `Ordering::{Acquire,Release,AcqRel,SeqCst}` → `Relaxed` | `atomicorder` |
 //! | `lock-delete`      | a declared `.lock()` acquisition removed        | `lockset` / model check |
-//! | `band-shift`       | `split_at_mut(e)` → `split_at_mut(e + 1)`       | tests           |
+//! | `band-shift`       | `split_at_mut(e)` → `split_at_mut(e + 1)`       | none (covered) |
 //! | `match-arm-delete` | a driver protocol arm retargeted off its variant | `protocol`     |
 //!
 //! Enumeration is deliberately conservative: operator sites come from
@@ -26,8 +26,8 @@
 //! uses, and sites the DESIGN.md contracts already permit to be weak
 //! (or that an allow marker covers) are skipped — those are not faults.
 //! `fcma-mut` applies the patches through an in-memory overlay and
-//! classifies each mutant against the audit passes, the model checker,
-//! and call-graph test reachability.
+//! classifies each mutant against the audit passes and the model
+//! checker, and reports call-graph test reachability as coverage.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -626,10 +626,10 @@ fn arm_mutants(ws: &Workspace, fi: usize, out: &mut Vec<Mutant>) {
 
 /// The set of (file, fn index) nodes reachable from any test function
 /// through the conservative workspace call graph — the static
-/// prediction behind `killed-by-test`: a targeted tier-1 subset (every
-/// test that transitively calls the mutated fn) would exercise the
-/// mutated code. Deterministic classes whose enclosing fn is in this
-/// set are predicted test-killed; concurrency classes never are (a
+/// reachability behind the `covered` verdict: some tier-1 test
+/// transitively calls the mutated fn. Nothing is executed, so this is
+/// coverage, not a kill. Deterministic classes whose enclosing fn is in
+/// this set are reported covered; concurrency classes never are (a
 /// deterministic test cannot reliably observe a race).
 pub fn test_reachable(ws: &Workspace) -> BTreeSet<(usize, usize)> {
     let files: Vec<(String, &ParsedFile)> = ws

@@ -125,18 +125,6 @@ impl SourceFile {
         self.test_spans.iter().any(|&(a, b)| (a..=b).contains(&line))
     }
 
-    /// Does the file open with module-level `//!` docs (before any item)?
-    pub fn has_module_docs(&self) -> bool {
-        for raw in &self.scan.raw_lines {
-            let t = raw.trim_start();
-            if t.is_empty() || t.starts_with("#!") {
-                continue;
-            }
-            return t.starts_with("//!");
-        }
-        false
-    }
-
     /// Every `audit: allow(...)` marker comment in the file, in order.
     pub fn markers(&self) -> Vec<Marker> {
         let mut out = Vec::new();
@@ -561,13 +549,5 @@ mod tests {
         assert_eq!(ms[0].line, 3);
         assert!(!f.allow_marker("cast", 0), "doc mention must not suppress");
         assert!(f.allow_marker("cast", 4));
-    }
-
-    #[test]
-    fn module_docs_detection() {
-        assert!(lib("//! Docs.\nfn a() {}\n").has_module_docs());
-        assert!(lib("\n#![allow(dead_code)]\n//! Docs.\n").has_module_docs());
-        assert!(!lib("// plain comment\nfn a() {}\n").has_module_docs());
-        assert!(!lib("fn a() {}\n").has_module_docs());
     }
 }

@@ -36,12 +36,6 @@ fn seeded_violations_are_caught() {
              o.unwrap();\n    n as f32\n}\n",
         ),
         SourceFile::new(
-            "crates/fcma-core/src/nodoc.rs",
-            Some("fcma-core"),
-            Role::Lib,
-            "fn f() {}\n",
-        ),
-        SourceFile::new(
             "crates/fcma-core/src/rogue.rs",
             Some("fcma-core"),
             Role::Lib,
@@ -60,9 +54,7 @@ fn seeded_violations_are_caught() {
     let ws = Workspace::new(seeded, CrateGraph::default(), Contracts::default(), Some(taxonomy));
     let violations = ws.run_all();
     let passes_hit: std::collections::BTreeSet<&str> = violations.iter().map(|v| v.pass).collect();
-    for expected in
-        ["cast", "proptest", "moddoc", "tracename", "panicpath", "syncfacade", "unusedallow"]
-    {
+    for expected in ["cast", "proptest", "tracename", "panicpath", "syncfacade", "unusedallow"] {
         assert!(passes_hit.contains(expected), "pass `{expected}` did not fire: {violations:?}");
     }
 }

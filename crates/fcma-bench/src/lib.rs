@@ -1,12 +1,13 @@
 //! # fcma-bench — reproduction harness internals
 //!
 //! Shared machinery for `fcma-repro` (one subcommand per table/figure of
-//! the paper) and the criterion benches:
+//! the paper). Host timing at the paper's shapes is `benchmark/`'s job,
+//! not this crate's.
 //!
 //! * [`workloads`] — the two datasets' full-scale shapes and scaled
 //!   configs;
 //! * [`measure`] — real host measurements (SMO iterations per solver,
-//!   kernel wall times);
+//!   quick kernel wall times for the tables' host columns);
 //! * [`model`] — composite pipeline models assembling `fcma-sim` counters
 //!   into task- and cluster-level times;
 //! * [`report`] — plain-text table rendering.

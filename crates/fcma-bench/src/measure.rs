@@ -7,10 +7,11 @@
 //!   actual solvers from `fcma-svm` on a scaled dataset (full epoch
 //!   structure, so the SVM problem size `l` is *exactly* the paper's)
 //!   and record iterations and host wall time.
-//! * **Kernel wall times** on the host CPU — every relative claim
-//!   (blocked tall-skinny > generic GEMM, panel SYRK > dot SYRK,
-//!   merged > separated) is checked in real time on real hardware by the
-//!   criterion benches; the quick versions here feed the repro binary.
+//! * **Kernel wall times** on the host CPU — quick best-of-`reps`
+//!   readings at scaled shapes that fill the repro binary's host
+//!   columns. They are orientation only: the host numbers the docs cite
+//!   come from `benchmark/` (paper shapes, recorded in
+//!   `BENCH_history.jsonl`).
 
 use crate::workloads::DatasetKind;
 use fcma_core::{

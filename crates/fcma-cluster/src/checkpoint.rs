@@ -100,18 +100,6 @@ impl Checkpoint {
         }
         Ok(Checkpoint { n_voxels, task_size, tasks, truncated_tail })
     }
-
-    /// Voxel scores of every recorded task, flattened in file order.
-    // audit: allow(deadpub) — library API exercised by unit tests; kept for external use
-    pub fn all_scores(&self) -> Vec<VoxelScore> {
-        self.tasks.iter().flat_map(|t| t.scores.iter().copied()).collect()
-    }
-
-    /// Starts of the recorded tasks.
-    // audit: allow(deadpub) — library API exercised by unit tests; kept for external use
-    pub fn completed_starts(&self) -> Vec<usize> {
-        self.tasks.iter().map(|t| t.task.start).collect()
-    }
 }
 
 fn parse_header(line: &str) -> Result<(usize, usize), CheckpointError> {
@@ -295,6 +283,10 @@ mod tests {
         task.range().map(|v| VoxelScore { voxel: v, accuracy: 0.5 + v as f64 * 1e-3 }).collect()
     }
 
+    fn completed_starts(ck: &Checkpoint) -> Vec<usize> {
+        ck.tasks.iter().map(|t| t.task.start).collect()
+    }
+
     #[test]
     fn roundtrip_preserves_bits_exactly() {
         let path = tmp("roundtrip.ckpt");
@@ -306,10 +298,10 @@ mod tests {
         drop(w);
         let ck = Checkpoint::load(&path).expect("load");
         assert_eq!((ck.n_voxels, ck.task_size), (8, 4));
-        assert_eq!(ck.completed_starts(), vec![0, 4]);
+        assert_eq!(completed_starts(&ck), vec![0, 4]);
         assert!(!ck.truncated_tail);
-        let all = ck.all_scores();
-        for (a, b) in all.iter().zip(sample_scores(t0).iter().chain(&sample_scores(t1))) {
+        let all = ck.tasks.iter().flat_map(|t| &t.scores);
+        for (a, b) in all.zip(sample_scores(t0).iter().chain(&sample_scores(t1))) {
             assert_eq!(a.voxel, b.voxel);
             assert_eq!(a.accuracy.to_bits(), b.accuracy.to_bits());
         }
@@ -326,7 +318,7 @@ mod tests {
         let mut w = CheckpointWriter::append(&path).expect("append");
         w.record(t1, &sample_scores(t1)).expect("record");
         drop(w);
-        assert_eq!(Checkpoint::load(&path).expect("load").completed_starts(), vec![0, 2]);
+        assert_eq!(completed_starts(&Checkpoint::load(&path).expect("load")), vec![0, 2]);
     }
 
     #[test]
@@ -362,7 +354,7 @@ mod tests {
         text.push_str("task 2 2\n2 3fe0000000000000\n");
         std::fs::write(&path, text).expect("write");
         let ck = Checkpoint::load(&path).expect("load");
-        assert_eq!(ck.completed_starts(), vec![0]);
+        assert_eq!(completed_starts(&ck), vec![0]);
         assert!(ck.truncated_tail);
     }
 

@@ -171,14 +171,6 @@ impl ChaosExecutor {
         Self::new(inner, FaultPlan::none().with_fault(task_start, 0, FaultKind::panic_now()))
     }
 
-    /// How many times the task starting at `task_start` has been
-    /// executed so far.
-    // audit: allow(deadpub) — library API exercised by unit tests; kept for external use
-    pub fn attempts_for(&self, task_start: usize) -> usize {
-        let map = self.attempts.lock();
-        map.get(&task_start).copied().unwrap_or(0)
-    }
-
     /// Atomically fetch-and-increment the attempt counter for a task.
     fn next_attempt(&self, task_start: usize) -> usize {
         let mut map = self.attempts.lock();

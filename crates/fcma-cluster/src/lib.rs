@@ -33,4 +33,4 @@ pub use driver::{run_cluster, run_cluster_with, ClusterConfig, ClusterRun, TaskS
 pub use error::{CheckpointError, ClusterError};
 pub use fault::{ChaosExecutor, FaultKind, FaultPlan, FaultSpec};
 pub use protocol::{FromWorker, ToWorker};
-pub use scaling::{ClusterModel, NodeFailure};
+pub use scaling::ClusterModel;

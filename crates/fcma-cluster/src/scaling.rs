@@ -22,11 +22,11 @@
 /// accepting work at `at_sec` and any task it is running at that moment
 /// is lost and must be re-executed elsewhere.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NodeFailure {
+struct NodeFailure {
     /// Index of the failing node.
-    pub node: usize,
+    node: usize,
     /// Simulation time of the failure, seconds.
-    pub at_sec: f64,
+    at_sec: f64,
 }
 
 /// Cost parameters of the cluster.
@@ -85,38 +85,6 @@ impl ClusterModel {
         node_free.into_iter().fold(0.0, f64::max) + self.serial_sec
     }
 
-    /// Like [`Self::simulate`] but with per-node speed factors: node `i`
-    /// executes a task of nominal `t` seconds in `t / speeds[i]`. Models
-    /// mixed-generation clusters (the paper's nodes each carry two
-    /// coprocessors; uneven hosts show up as speed skew).
-    ///
-    /// # Panics
-    /// Panics if `speeds` is empty or contains a non-positive factor.
-    // audit: allow(deadpub) — library API exercised by unit tests; kept for external use
-    pub fn simulate_heterogeneous(&self, task_secs: &[f64], speeds: &[f64]) -> f64 {
-        assert!(!speeds.is_empty(), "simulate_heterogeneous: no nodes");
-        assert!(speeds.iter().all(|&s| s > 0.0), "simulate_heterogeneous: speeds must be positive");
-        let per_node_xfer = self.data_bytes / self.link_bytes_per_sec;
-        let mut node_free: Vec<f64> =
-            (0..speeds.len()).map(|i| (i + 1) as f64 * per_node_xfer).collect();
-        let mut master_free = 0.0f64;
-        for &t in task_secs {
-            // Greedy: dispatch to the node that would *finish* earliest.
-            let (idx, start, dur) = node_free
-                .iter()
-                .enumerate()
-                .map(|(i, &free)| {
-                    let start = master_free.max(free) + self.dispatch_sec;
-                    (i, start, t / speeds[i])
-                })
-                .min_by(|a, b| (a.1 + a.2).partial_cmp(&(b.1 + b.2)).expect("no NaN times"))
-                .expect("speeds non-empty");
-            master_free = start;
-            node_free[idx] = start + dur;
-        }
-        node_free.into_iter().fold(0.0, f64::max) + self.serial_sec
-    }
-
     /// Degraded-mode simulation: like [`Self::simulate`], but nodes
     /// listed in `failures` die at their failure times. A task caught
     /// mid-execution on a dying node is requeued and re-dispatched (the
@@ -127,7 +95,7 @@ impl ClusterModel {
     /// # Panics
     /// Panics if `n_nodes` is zero or a failure names a node `>=
     /// n_nodes`.
-    pub fn simulate_degraded(
+    fn simulate_degraded(
         &self,
         task_secs: &[f64],
         n_nodes: usize,
@@ -299,37 +267,11 @@ mod tests {
     }
 
     #[test]
-    fn homogeneous_heterogeneous_agree() {
-        let m = ClusterModel { data_bytes: 1e8, ..Default::default() };
-        let tasks = uniform(50, 1.0);
-        let a = m.simulate(&tasks, 4);
-        let b = m.simulate_heterogeneous(&tasks, &[1.0; 4]);
-        assert!((a - b).abs() < 1e-6, "{a} vs {b}");
-    }
-
-    #[test]
-    fn faster_nodes_absorb_more_work() {
-        let m = ClusterModel::default();
-        let tasks = uniform(40, 1.0);
-        // One 4x node + one 1x node: makespan should approach
-        // total/(4+1) = 8 s rather than total/2 = 20 s.
-        let t = m.simulate_heterogeneous(&tasks, &[4.0, 1.0]);
-        assert!(t < 11.0, "heterogeneous makespan {t}");
-        assert!(t >= 8.0 - 1e-6);
-    }
-
-    #[test]
     fn serial_tail_is_additive() {
         let m = ClusterModel { serial_sec: 2.0, ..Default::default() };
         let tasks = uniform(8, 1.0);
         let t = m.simulate(&tasks, 8);
         assert!(t >= 3.0, "serial tail missing: {t}");
-    }
-
-    #[test]
-    #[should_panic(expected = "speeds must be positive")]
-    fn rejects_nonpositive_speed() {
-        let _ = ClusterModel::default().simulate_heterogeneous(&[1.0], &[1.0, 0.0]);
     }
 
     #[test]

@@ -107,6 +107,26 @@ pub fn offline_analysis(
     OfflineResult { folds, mean_test_accuracy, stable }
 }
 
+/// Sample matrix of the selected voxels: one row per epoch, holding the
+/// selected voxels' normalized correlation vectors concatenated.
+// audit: allow(panicpath) — row slices are sized by the same m/n/selected that sized the samples matrix
+pub(crate) fn selected_samples(ctx: &TaskContext, selected: &[usize]) -> Mat {
+    let m = ctx.n_epochs();
+    let n = ctx.n_voxels();
+    let mut samples = Mat::zeros(m, selected.len() * n);
+    for (si, &v) in selected.iter().enumerate() {
+        let corr = corr_normalized_merged(
+            ctx,
+            VoxelTask { start: v, count: 1 },
+            TallSkinnyOpts::default(),
+        );
+        for e in 0..m {
+            samples.row_mut(e)[si * n..(si + 1) * n].copy_from_slice(corr.row(0, e));
+        }
+    }
+    samples
+}
+
 /// Train the final classifier on the selected voxels' correlation
 /// patterns (training subjects) and test on the held-out subject.
 fn final_classifier_accuracy(
@@ -116,21 +136,7 @@ fn final_classifier_accuracy(
     held: usize,
 ) -> f64 {
     let m = full_ctx.n_epochs();
-    let n = full_ctx.n_voxels();
-    // Sample matrix: epoch × (selected voxels' correlation vectors,
-    // concatenated).
-    let mut samples = Mat::zeros(m, selected.len() * n);
-    for (si, &v) in selected.iter().enumerate() {
-        let corr = corr_normalized_merged(
-            full_ctx,
-            VoxelTask { start: v, count: 1 },
-            TallSkinnyOpts::default(),
-        );
-        for e in 0..m {
-            samples.row_mut(e)[si * n..(si + 1) * n].copy_from_slice(corr.row(0, e));
-        }
-    }
-    let kernel = KernelMatrix::precompute(&samples);
+    let kernel = KernelMatrix::precompute(&selected_samples(full_ctx, selected));
     let train_idx: Vec<usize> = (0..m).filter(|&e| dataset.epochs()[e].subject != held).collect();
     let test_idx: Vec<usize> = (0..m).filter(|&e| dataset.epochs()[e].subject == held).collect();
     let train_y: Vec<f32> = train_idx.iter().map(|&e| full_ctx.y[e]).collect();

@@ -55,12 +55,6 @@ impl TaskControls {
     pub fn unbounded() -> Self {
         Self::default()
     }
-
-    /// Controls bounded by a per-task deadline.
-    // audit: allow(deadpub) — library API exercised by unit tests; kept for external use
-    pub fn with_deadline(deadline: Duration) -> Self {
-        TaskControls { cancel: CancelToken::new(), deadline: Some(deadline) }
-    }
 }
 
 #[cfg(test)]
@@ -90,7 +84,5 @@ mod tests {
         let c = TaskControls::unbounded();
         assert!(c.deadline.is_none());
         assert!(!c.cancel.is_cancelled());
-        let d = TaskControls::with_deadline(Duration::from_millis(5));
-        assert_eq!(d.deadline, Some(Duration::from_millis(5)));
     }
 }

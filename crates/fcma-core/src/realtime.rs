@@ -8,13 +8,10 @@
 //! scanner-to-cluster loop, with the scanner replaced by the caller
 //! feeding volumes.
 
-use crate::analysis::stratified_folds;
+use crate::analysis::{selected_samples, stratified_folds};
 use crate::context::TaskContext;
 use crate::selection::select_top_k;
-use crate::stage2::corr_normalized_merged;
-use crate::task::VoxelTask;
 use fcma_fmri::{Condition, Dataset, EpochSpec};
-use fcma_linalg::tall_skinny::TallSkinnyOpts;
 use fcma_linalg::Mat;
 use fcma_svm::{train_phisvm, KernelMatrix, SmoParams, SvmModel};
 
@@ -84,11 +81,21 @@ pub enum SessionError {
     /// `end_epoch` without an open epoch.
     NoOpenEpoch,
     /// Open epoch does not yet span `epoch_len` volumes.
-    EpochTooShort { have: usize, need: usize },
+    EpochTooShort {
+        /// Volumes pushed into the open epoch so far.
+        have: usize,
+        /// The session's `epoch_len`.
+        need: usize,
+    },
     /// Not enough epochs/conditions to train.
     NotEnoughData(String),
     /// Volume length does not match `n_voxels`.
-    BadVolume { got: usize, want: usize },
+    BadVolume {
+        /// Length of the pushed volume.
+        got: usize,
+        /// The session's `n_voxels`.
+        want: usize,
+    },
 }
 
 impl std::fmt::Display for SessionError {
@@ -114,12 +121,6 @@ impl OnlineSession {
     pub fn new(mut cfg: SessionConfig, n_voxels: usize) -> Self {
         cfg.n_voxels = n_voxels;
         OnlineSession { cfg, volumes: Vec::new(), epochs: Vec::new(), open: None }
-    }
-
-    /// Number of volumes ingested.
-    // audit: allow(deadpub) — library API exercised by unit tests; kept for external use
-    pub fn n_volumes(&self) -> usize {
-        self.volumes.len()
     }
 
     /// Number of completed labeled epochs.
@@ -186,7 +187,7 @@ impl OnlineSession {
             crate::analysis::score_all_voxels(&ctx, &exec, self.cfg.task_size, Some(&groups));
         let selected = select_top_k(&scores, self.cfg.top_k.min(scores.len()));
 
-        let (kernel, _) = self.selected_kernel(&ctx, &selected);
+        let kernel = KernelMatrix::precompute(&selected_samples(&ctx, &selected));
         let idx: Vec<usize> = (0..ctx.n_epochs()).collect();
         let model = train_phisvm(&kernel, &idx, &ctx.y, &self.cfg.svm);
         Ok(FeedbackModel { selected, model, kernel, trained_epochs: ctx.n_epochs() })
@@ -195,7 +196,7 @@ impl OnlineSession {
     /// Score epoch `e` (any completed epoch, typically one newer than the
     /// training set) with a feedback model: returns the decision value
     /// whose sign is the predicted condition.
-    // audit: allow(deadpub) — library API exercised by unit tests; kept for external use
+    // audit: allow(deadpub) — called by the stand-alone benchmark package (online-session workload), which the audit does not scan
     pub fn score_epoch(&self, fb: &FeedbackModel, e: usize) -> Result<f32, SessionError> {
         if e >= self.epochs.len() {
             return Err(SessionError::NotEnoughData(format!("epoch {e} not completed")));
@@ -209,28 +210,8 @@ impl OnlineSession {
         // keeps the code simple at session scale).
         let dataset = self.dataset()?;
         let ctx = TaskContext::full(&dataset);
-        let (kernel, _) = self.selected_kernel(&ctx, &fb.selected);
+        let kernel = KernelMatrix::precompute(&selected_samples(&ctx, &fb.selected));
         Ok(fb.model.decision(&kernel, e))
-    }
-
-    /// Build the kernel over every epoch's selected-voxel correlation
-    /// patterns.
-    // audit: allow(panicpath) — row slices are sized by the same m/n/selected that sized the samples matrix
-    fn selected_kernel(&self, ctx: &TaskContext, selected: &[usize]) -> (KernelMatrix, usize) {
-        let m = ctx.n_epochs();
-        let n = ctx.n_voxels();
-        let mut samples = Mat::zeros(m, selected.len() * n);
-        for (si, &v) in selected.iter().enumerate() {
-            let corr = corr_normalized_merged(
-                ctx,
-                VoxelTask { start: v, count: 1 },
-                TallSkinnyOpts::default(),
-            );
-            for e in 0..m {
-                samples.row_mut(e)[si * n..(si + 1) * n].copy_from_slice(corr.row(0, e));
-            }
-        }
-        (KernelMatrix::precompute(&samples), m)
     }
 }
 

@@ -83,16 +83,34 @@ pub struct Dataset {
 // audit: allow(deadpub) — named only structurally outside the crate, via `Dataset::new`'s Result
 pub enum DatasetError {
     /// An epoch window exceeds the time axis.
-    EpochOutOfRange { epoch: usize, start: usize, len: usize, n_timepoints: usize },
+    EpochOutOfRange {
+        /// Index of the offending epoch.
+        epoch: usize,
+        /// First time point of its window.
+        start: usize,
+        /// Length of its window in time points.
+        len: usize,
+        /// Length of the dataset's time axis.
+        n_timepoints: usize,
+    },
     /// An epoch has zero length.
-    EmptyEpoch { epoch: usize },
+    EmptyEpoch {
+        /// Index of the offending epoch.
+        epoch: usize,
+    },
     /// Subject ids are not 0-based contiguous or epochs are not grouped by
     /// subject in nondecreasing order.
-    BadSubjectOrder { epoch: usize },
+    BadSubjectOrder {
+        /// Index of the first epoch that breaks the grouping.
+        epoch: usize,
+    },
     /// The dataset has no epochs at all.
     NoEpochs,
     /// A subject's epochs are all one condition (SVM needs both classes).
-    SingleClassSubject { subject: usize },
+    SingleClassSubject {
+        /// The subject whose epochs carry a single condition.
+        subject: usize,
+    },
 }
 
 impl fmt::Display for DatasetError {
@@ -195,14 +213,6 @@ impl Dataset {
         &self.data
     }
 
-    /// Indices into [`Self::epochs`] belonging to `subject`.
-    // audit: allow(panicpath) — start comes from position() (< len) or 0; total slicing; audit: allow(deadpub) — library API exercised by unit tests
-    pub fn epoch_range_of_subject(&self, subject: usize) -> std::ops::Range<usize> {
-        let start = self.epochs.iter().position(|e| e.subject == subject).unwrap_or(0);
-        let end = start + self.epochs[start..].iter().take_while(|e| e.subject == subject).count();
-        start..end
-    }
-
     /// Epoch labels in table order.
     pub fn labels(&self) -> Vec<Condition> {
         self.epochs.iter().map(|e| e.label).collect()
@@ -250,8 +260,6 @@ mod tests {
         .unwrap();
         assert_eq!(d.n_subjects(), 2);
         assert_eq!(d.n_epochs(), 4);
-        assert_eq!(d.epoch_range_of_subject(0), 0..2);
-        assert_eq!(d.epoch_range_of_subject(1), 2..4);
     }
 
     #[test]

@@ -100,30 +100,6 @@ impl Grid3 {
         }
         out
     }
-
-    /// All voxels within Euclidean `radius` of `center` (a spherical ROI
-    /// seed), sorted by linear index.
-    // audit: allow(deadpub) — library API exercised by unit tests; kept for external use
-    pub fn sphere(&self, center: usize, radius: f64) -> Vec<usize> {
-        let (cx, cy, cz) = self.coords(center);
-        let r = radius.max(0.0);
-        let ri = r.ceil() as usize;
-        let mut out = Vec::new();
-        let x0 = cx.saturating_sub(ri);
-        let y0 = cy.saturating_sub(ri);
-        let z0 = cz.saturating_sub(ri);
-        for z in z0..(cz + ri + 1).min(self.nz) {
-            for y in y0..(cy + ri + 1).min(self.ny) {
-                for x in x0..(cx + ri + 1).min(self.nx) {
-                    let i = self.index(x, y, z);
-                    if self.distance(center, i) <= r + 1e-9 {
-                        out.push(i);
-                    }
-                }
-            }
-        }
-        out
-    }
 }
 
 /// A connected cluster of selected voxels.
@@ -229,32 +205,6 @@ mod tests {
         for nb in g.neighbors6(g.index(1, 1, 1)) {
             assert!((g.distance(g.index(1, 1, 1), nb) - 1.0).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn sphere_radius_zero_is_center() {
-        let g = Grid3::new(5, 5, 5);
-        let c = g.index(2, 2, 2);
-        assert_eq!(g.sphere(c, 0.0), vec![c]);
-    }
-
-    #[test]
-    fn sphere_radius_one_is_face_neighborhood() {
-        let g = Grid3::new(5, 5, 5);
-        let c = g.index(2, 2, 2);
-        let s = g.sphere(c, 1.0);
-        assert_eq!(s.len(), 7); // center + 6 faces
-        for v in &s {
-            assert!(g.distance(c, *v) <= 1.0 + 1e-9);
-        }
-    }
-
-    #[test]
-    fn sphere_clips_at_boundaries() {
-        let g = Grid3::new(4, 4, 4);
-        let corner = g.index(0, 0, 0);
-        let s = g.sphere(corner, 1.0);
-        assert_eq!(s.len(), 4); // center + 3 in-bounds faces
     }
 
     #[test]

@@ -25,7 +25,12 @@ pub enum IoError {
     /// Bad magic / truncated / inconsistent binary container.
     Corrupt(String),
     /// Malformed epoch table line.
-    Parse { line: usize, msg: String },
+    Parse {
+        /// 1-based line number in the epoch table.
+        line: usize,
+        /// What was wrong with the line.
+        msg: String,
+    },
     /// The files loaded fine but dataset validation failed.
     Invalid(crate::dataset::DatasetError),
 }

@@ -8,7 +8,6 @@
 //! selected voxels can be reported in acquisition space.
 
 use crate::dataset::Dataset;
-use crate::geometry::Grid3;
 use fcma_linalg::Mat;
 
 /// A voxel-inclusion mask.
@@ -54,14 +53,6 @@ impl VoxelMask {
                 })
                 .collect(),
         }
-    }
-
-    /// Spherical mask on a grid (a crude "brain is round" mask): keep
-    /// voxels within `radius` of the grid center.
-    // audit: allow(deadpub) — library API exercised by unit tests; kept for external use
-    pub fn sphere(grid: &Grid3, radius: f64) -> Self {
-        let center = grid.index(grid.nx / 2, grid.ny / 2, grid.nz / 2);
-        VoxelMask { keep: (0..grid.len()).map(|v| grid.distance(center, v) <= radius).collect() }
     }
 
     /// Total voxels the mask is defined over.
@@ -151,15 +142,6 @@ mod tests {
         let a = VoxelMask::from_indices(4, &[0, 1, 2]);
         let b = VoxelMask::from_indices(4, &[1, 2, 3]);
         assert_eq!(a.and(&b).indices(), vec![1, 2]);
-    }
-
-    #[test]
-    fn sphere_mask_is_centered() {
-        let g = Grid3::new(5, 5, 5);
-        let m = VoxelMask::sphere(&g, 1.0);
-        assert_eq!(m.n_kept(), 7);
-        assert!(m.contains(g.index(2, 2, 2)));
-        assert!(!m.contains(g.index(0, 0, 0)));
     }
 
     #[test]

@@ -191,17 +191,6 @@ impl SynthConfig {
         }
     }
 
-    /// The informative voxel set implied by this config (deterministic in
-    /// the seed; regenerating is cheap). Union of the two network halves,
-    /// sorted.
-    // audit: allow(deadpub) — library API exercised by unit tests; kept for external use
-    pub fn informative_voxels(&self) -> Vec<usize> {
-        let (h1, h2) = self.network_halves();
-        let mut inf: Vec<usize> = h1.into_iter().chain(h2).collect();
-        inf.sort_unstable();
-        inf
-    }
-
     /// Generate the dataset and its ground truth.
     ///
     /// # Panics
@@ -224,8 +213,7 @@ impl SynthConfig {
             }
         }
 
-        // Informative network membership (same derivation as
-        // `informative_voxels`, same seed stream).
+        // Informative network membership: union of the two halves, sorted.
         let (h1, h2) = self.network_halves();
         let mut informative: Vec<usize> = h1.iter().chain(h2.iter()).copied().collect();
         informative.sort_unstable();
@@ -331,19 +319,12 @@ mod tests {
     }
 
     #[test]
-    fn informative_voxels_matches_generate() {
-        let cfg = small();
-        let (_, gt) = cfg.generate();
-        assert_eq!(cfg.informative_voxels(), gt.informative);
-    }
-
-    #[test]
     fn labels_are_balanced_per_subject() {
         let (d, _) = small().generate();
         for s in 0..d.n_subjects() {
-            let r = d.epoch_range_of_subject(s);
-            let a = d.epochs()[r.clone()].iter().filter(|e| e.label == Condition::A).count();
-            assert_eq!(a * 2, r.len(), "subject {s} imbalanced");
+            let of_s: Vec<_> = d.epochs().iter().filter(|e| e.subject == s).collect();
+            let a = of_s.iter().filter(|e| e.label == Condition::A).count();
+            assert_eq!(a * 2, of_s.len(), "subject {s} imbalanced");
         }
     }
 

@@ -144,12 +144,6 @@ impl Mat {
         &mut self.data
     }
 
-    /// Consume into the underlying buffer.
-    // audit: allow(deadpub) — library API exercised by unit tests; kept for external use
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// A newly allocated transpose.
     // audit: allow(panicpath) — indices range over self's own dims, in-bounds by construction
     pub fn transposed(&self) -> Mat {
@@ -162,22 +156,6 @@ impl Mat {
         t
     }
 
-    /// Copy rows `[start, start + count)` into a new matrix.
-    ///
-    /// # Panics
-    /// Panics if the range exceeds the row count.
-    // audit: allow(deadpub) — library API exercised by unit tests; kept for external use
-    pub fn row_block(&self, start: usize, count: usize) -> Mat {
-        assert!(
-            start + count <= self.rows,
-            "Mat::row_block: rows [{start}, {}) out of bounds (rows={})",
-            start + count,
-            self.rows
-        );
-        let data = self.data[start * self.cols..(start + count) * self.cols].to_vec();
-        Mat { rows: count, cols: self.cols, data }
-    }
-
     /// Maximum absolute elementwise difference against `other`.
     ///
     /// # Panics
@@ -186,12 +164,6 @@ impl Mat {
         assert_eq!(self.rows, other.rows, "max_abs_diff: row mismatch");
         assert_eq!(self.cols, other.cols, "max_abs_diff: col mismatch");
         self.data.iter().zip(&other.data).map(|(a, b)| (a - b).abs()).fold(0.0f32, f32::max)
-    }
-
-    /// Frobenius norm.
-    // audit: allow(deadpub) — library API exercised by unit tests; kept for external use
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
     }
 
     /// Fill the matrix with a constant value.
@@ -291,20 +263,10 @@ mod tests {
     }
 
     #[test]
-    fn row_block_extracts_expected_rows() {
-        let m = Mat::from_fn(5, 2, |r, _| r as f32);
-        let b = m.row_block(1, 3);
-        assert_eq!(b.rows(), 3);
-        assert_eq!(b.row(0), &[1.0, 1.0]);
-        assert_eq!(b.row(2), &[3.0, 3.0]);
-    }
-
-    #[test]
-    fn max_abs_diff_and_frobenius() {
+    fn max_abs_diff_is_the_largest_elementwise_gap() {
         let a = Mat::from_vec(1, 3, vec![1.0, 2.0, 2.0]);
         let b = Mat::from_vec(1, 3, vec![1.0, 0.0, 2.0]);
         assert_eq!(a.max_abs_diff(&b), 2.0);
-        assert_eq!(a.frobenius_norm(), 3.0);
     }
 
     #[test]

@@ -8,11 +8,12 @@
 //!    `ordering-weaken` that is `atomicorder` alone — one pass, early
 //!    exit on a kill);
 //! 2. deterministic classes then consult call-graph test reachability
-//!    (computed once for the whole run);
+//!    (computed once for the whole run) — a reachable site is *covered*,
+//!    which is not a kill: no test is executed;
 //! 3. only mutants still unclassified pay for a full selected-pass run,
 //!    catching cross-pass kills the expected set missed;
 //! 4. concurrency mutants fall through to the bounded model-check
-//!    attempt instead of the test oracle;
+//!    attempt instead of the coverage check;
 //! 5. what remains is surviving — triaged if an
 //!    `// audit: equivalent(<class>)` marker covers the site.
 //!
@@ -66,9 +67,9 @@ pub enum Verdict {
         /// What the checker saw (failure class, schedule length).
         detail: String,
     },
-    /// The mutated fn is reachable from a tier-1 test via the call
-    /// graph (static prediction; deterministic classes only).
-    KilledByTest,
+    /// The mutated fn is call-graph reachable from a tier-1 test, not
+    /// executed: coverage, not a kill (deterministic classes only).
+    Covered,
     /// Surviving, but an `// audit: equivalent(<class>)` marker at the
     /// site declares it unkillable by construction.
     Triaged,
@@ -85,7 +86,7 @@ impl Verdict {
         match self {
             Verdict::KilledByAudit { .. } => "audit",
             Verdict::KilledByMc { .. } => "mc",
-            Verdict::KilledByTest => "test",
+            Verdict::Covered => "covered",
             Verdict::Triaged => "triaged",
             Verdict::Surviving { .. } => "surviving",
         }
@@ -116,13 +117,13 @@ pub struct Analysis {
 
 /// Classes whose faults are deterministic program-semantics changes a
 /// test can observe on every run. The complement (`ordering-weaken`,
-/// `lock-delete`) is racy: those are never credited to tests.
+/// `lock-delete`) is racy: those are never counted as covered.
 const DETERMINISTIC_CLASSES: &[&str] =
     &["arith-swap", "cmp-flip", "off-by-one", "accum-reorder", "band-shift", "match-arm-delete"];
 
 /// The audit passes expected to kill each class, tried first with
 /// early exit. Classes absent here have no cheap expected killer and
-/// go straight to the test oracle / full pass run.
+/// go straight to the coverage check / full pass run.
 fn expected_killers(class: &str) -> &'static [&'static str] {
     match class {
         "ordering-weaken" => &["atomicorder"],
@@ -221,7 +222,7 @@ fn fxhash(s: &str) -> u64 {
 }
 
 /// Classify one mutant: expected audit killers, then the per-class
-/// second oracle (test prediction or model check), then the full pass
+/// second step (test coverage or model check), then the full pass
 /// set, then triage.
 fn classify(
     ws: &Workspace,
@@ -247,7 +248,7 @@ fn classify(
     }
     let deterministic = DETERMINISTIC_CLASSES.contains(&m.class);
     if deterministic && is_test_reachable(ws, m, reachable) {
-        return Verdict::KilledByTest;
+        return Verdict::Covered;
     }
     // Full selected set: cross-pass kills the expected set missed
     // (e.g. an off-by-one on a loop head that changes what panicpath
@@ -376,7 +377,7 @@ fn matrix_of(classified: &[Classified]) -> Vec<ClassRow> {
             total: of_class.len(),
             audit: count("audit"),
             mc: count("mc"),
-            test: count("test"),
+            covered: count("covered"),
             triaged: count("triaged"),
             surviving: count("surviving"),
         });

@@ -1,5 +1,6 @@
-//! fcma-mut: mutation analysis proving the audit passes, the model
-//! checker, and the tier-1 tests are load-bearing.
+//! fcma-mut: mutation analysis proving the audit passes and the model
+//! checker are load-bearing, and reporting which mutants the tier-1
+//! tests reach.
 //!
 //! A static-analysis suite that never fails is indistinguishable from
 //! one that checks nothing. This crate turns that doubt into a
@@ -8,20 +9,20 @@
 //! each one via an **in-memory source overlay** (no disk churn, no
 //! rebuilds), and asks the oracles whether they notice:
 //!
-//! - **killed-by-audit** — one of the 20 `fcma-audit` passes raises a
+//! - **killed-by-audit** — one of the `fcma-audit` passes raises a
 //!   violation against the mutated tree that the clean tree does not
 //!   have;
 //! - **killed-by-mc** — for concurrency mutants, a bounded
 //!   model-checking attempt ([`fcma_mc::mutants`]) finds a failing
 //!   schedule in a small model of the mutated protocol;
-//! - **killed-by-test** — for deterministic mutants, the mutated
-//!   function is reachable from a tier-1 test through the conservative
-//!   call graph, so a targeted `cargo test` subset exercises the fault.
-//!   This is a *static prediction*, not a per-mutant test run: the
-//!   engine's in-memory overlay never touches the build tree, and the
-//!   call-graph reachability it uses is the same analysis `panicpath`
-//!   trusts. Concurrency mutants are **never** credited to tests — a
-//!   deterministic test observes a race only by luck;
+//! - **covered** — for deterministic mutants, the mutated function is
+//!   reachable from a tier-1 test through the conservative call graph.
+//!   This is coverage, **not a kill**: no test is executed (the
+//!   in-memory overlay never touches the build tree), so a covered
+//!   mutant may well survive the test that reaches it. Only the two
+//!   verdicts above are executed oracles. Concurrency mutants are
+//!   **never** counted as covered — a deterministic test observes a
+//!   race only by luck;
 //! - **surviving** — no oracle fires. A surviving mutant is either
 //!   triaged as semantically equivalent with an
 //!   `// audit: equivalent(<class>) — <reason>` marker at its site
@@ -31,7 +32,7 @@
 //!
 //! The per-class kill matrix is compared against a committed
 //! `mutation-baseline.json` and DESIGN.md §17's "Mutation contracts"
-//! table (minimum kill score per class), mirroring how
+//! table (minimum killed-or-covered share per class), mirroring how
 //! `fcma-audit stats --check` pins the violation counts.
 
 pub mod engine;

@@ -9,7 +9,7 @@
 //! `cargo run -p fcma-mut -- run` works from any directory inside the
 //! workspace.
 //!
-//! Exit codes: 0 — every sampled mutant is killed or triaged, the
+//! Exit codes: 0 — every sampled mutant is killed, covered or triaged, the
 //! matrix matches the baseline (when `--check` is given), and every
 //! DESIGN.md §17 minimum score holds; 1 — untriaged survivors, baseline
 //! drift, or a §17 score violation; 2 — usage error, I/O failure, or
@@ -231,7 +231,7 @@ fn main() -> ExitCode {
         ExitCode::from(1)
     } else {
         if format == Format::Human {
-            println!("fcma-mut: every sampled mutant killed or triaged");
+            println!("fcma-mut: every sampled mutant killed, covered or triaged");
         }
         ExitCode::SUCCESS
     }
@@ -242,7 +242,7 @@ fn verdict_detail(v: &Verdict) -> String {
     match v {
         Verdict::KilledByAudit { pass } => format!("pass {pass}"),
         Verdict::KilledByMc { detail } | Verdict::Surviving { detail } => detail.clone(),
-        Verdict::KilledByTest => String::from("call-graph reachable from a tier-1 test"),
+        Verdict::Covered => String::from("call-graph reachable from a tier-1 test, not executed"),
         Verdict::Triaged => String::from("audit: equivalent marker at site"),
     }
 }
@@ -258,7 +258,7 @@ const USAGE: &str = "usage: fcma-mut run [--root DIR] [--seed N] [--sample K] [-
 Seeds typed semantic mutants through the fcma-audit model, applies each
 via an in-memory overlay, and classifies it: killed-by-audit (a pass
 fires), killed-by-mc (bounded model check finds a failing schedule),
-killed-by-test (call-graph reachable from a tier-1 test), triaged
+covered (call-graph reachable from a tier-1 test, not executed), triaged
 (`// audit: equivalent(<class>) — <reason>` marker at the site), or
 surviving (a gap; exits 1).
 
@@ -287,4 +287,4 @@ mutant classes:
   match-arm-delete  a driver protocol match arm retargeted off its variant
 
 DESIGN.md §17 (\"Mutation contracts\") declares the expected killer and
-minimum kill score per class; scoring below the minimum exits 1.";
+the minimum killed-or-covered share per class; scoring below it exits 1.";

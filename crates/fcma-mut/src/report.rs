@@ -16,8 +16,8 @@ pub struct ClassRow {
     pub audit: usize,
     /// Killed by the bounded model-check attempt.
     pub mc: usize,
-    /// Predicted killed by the test suite (call-graph reachability).
-    pub test: usize,
+    /// Covered: call-graph reachable from a tier-1 test, not executed.
+    pub covered: usize,
     /// Surviving but triaged equivalent.
     pub triaged: usize,
     /// Surviving untriaged — gaps.
@@ -25,17 +25,18 @@ pub struct ClassRow {
 }
 
 impl ClassRow {
-    /// Kill score in percent over the non-triaged sample: triaged
-    /// mutants are unkillable by construction, so they shrink the
-    /// denominator rather than count as misses. An all-triaged class
-    /// scores 100.
+    /// Killed-or-covered share in percent over the non-triaged sample:
+    /// triaged mutants are unkillable by construction, so they shrink
+    /// the denominator rather than count as misses. An all-triaged
+    /// class scores 100. Only `audit` and `mc` are executed oracles; for
+    /// the deterministic classes this is a coverage figure.
     pub fn score(&self) -> u32 {
         let denom = self.total - self.triaged;
         if denom == 0 {
             return 100;
         }
-        let kills = self.audit + self.mc + self.test;
-        u32::try_from(kills * 100 / denom).unwrap_or(0)
+        let counted = self.audit + self.mc + self.covered;
+        u32::try_from(counted * 100 / denom).unwrap_or(0)
     }
 
     /// The six counters in field order, paired with their JSON keys.
@@ -44,7 +45,7 @@ impl ClassRow {
             ("total", self.total),
             ("audit", self.audit),
             ("mc", self.mc),
-            ("test", self.test),
+            ("covered", self.covered),
             ("triaged", self.triaged),
             ("surviving", self.surviving),
         ]
@@ -91,7 +92,7 @@ pub fn parse_matrix(json: &str) -> Option<Vec<ClassRow>> {
             total: 0,
             audit: 0,
             mc: 0,
-            test: 0,
+            covered: 0,
             triaged: 0,
             surviving: 0,
         };
@@ -103,7 +104,7 @@ pub fn parse_matrix(json: &str) -> Option<Vec<ClassRow>> {
                 "total" => row.total = n,
                 "audit" => row.audit = n,
                 "mc" => row.mc = n,
-                "test" => row.test = n,
+                "covered" => row.covered = n,
                 "triaged" => row.triaged = n,
                 "surviving" => row.surviving = n,
                 _ => return None,
@@ -138,7 +139,7 @@ pub fn render_matrix_delta(baseline: &[ClassRow], current: &[ClassRow]) -> Strin
             pick(|r| r.total),
             pick(|r| r.audit),
             pick(|r| r.mc),
-            pick(|r| r.test),
+            pick(|r| r.covered),
             pick(|r| r.triaged),
             pick(|r| r.surviving),
         ]
@@ -158,7 +159,7 @@ pub fn render_matrix_delta(baseline: &[ClassRow], current: &[ClassRow]) -> Strin
         return String::new();
     }
     rows.sort_by(|a, b| a[0].cmp(&b[0]));
-    let header = ["class", "total", "audit", "mc", "test", "triaged", "surviving"];
+    let header = ["class", "total", "audit", "mc", "covered", "triaged", "surviving"];
     let width = |i: usize| {
         rows.iter().map(|r| r[i].chars().count()).chain([header[i].len()]).max().unwrap_or(0)
     };
@@ -190,7 +191,7 @@ mod tests {
                 total: 4,
                 audit: 0,
                 mc: 0,
-                test: 4,
+                covered: 4,
                 triaged: 0,
                 surviving: 0,
             },
@@ -199,7 +200,7 @@ mod tests {
                 total: 3,
                 audit: 3,
                 mc: 0,
-                test: 0,
+                covered: 0,
                 triaged: 0,
                 surviving: 0,
             },
@@ -209,9 +210,9 @@ mod tests {
     #[test]
     fn matrix_golden_and_roundtrip() {
         let got = render_matrix(&sample());
-        let want = "{\n  \"arith-swap\": {\"total\": 4, \"audit\": 0, \"mc\": 0, \"test\": 4, \
+        let want = "{\n  \"arith-swap\": {\"total\": 4, \"audit\": 0, \"mc\": 0, \"covered\": 4, \
                     \"triaged\": 0, \"surviving\": 0},\n  \
-                    \"ordering-weaken\": {\"total\": 3, \"audit\": 3, \"mc\": 0, \"test\": 0, \
+                    \"ordering-weaken\": {\"total\": 3, \"audit\": 3, \"mc\": 0, \"covered\": 0, \
                     \"triaged\": 0, \"surviving\": 0}\n}\n";
         assert_eq!(got, want);
         assert_eq!(parse_matrix(&got).expect("own output parses"), sample());
@@ -223,7 +224,7 @@ mod tests {
     fn score_excludes_triaged_from_the_denominator() {
         let mut r = sample().remove(0);
         assert_eq!(r.score(), 100);
-        r.test = 3;
+        r.covered = 3;
         r.triaged = 1;
         assert_eq!(r.score(), 100, "3 kills / (4 - 1 triaged)");
         r.triaged = 0;
@@ -234,7 +235,7 @@ mod tests {
             total: 2,
             audit: 0,
             mc: 0,
-            test: 0,
+            covered: 0,
             triaged: 2,
             surviving: 0,
         };
@@ -246,7 +247,7 @@ mod tests {
         let base = sample();
         assert_eq!(render_matrix_delta(&base, &sample()), "");
         let mut cur = sample();
-        cur[0].test = 3;
+        cur[0].covered = 3;
         cur[0].surviving = 1;
         cur.remove(1);
         cur.push(ClassRow {
@@ -254,7 +255,7 @@ mod tests {
             total: 1,
             audit: 0,
             mc: 0,
-            test: 1,
+            covered: 1,
             triaged: 0,
             surviving: 0,
         });

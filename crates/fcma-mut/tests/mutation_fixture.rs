@@ -1,7 +1,7 @@
 //! On-disk fixture workspace for the classification engine: one crate
 //! with a test-covered arithmetic site, a triaged-equivalent comparison
 //! site, and an uncovered untriaged site, asserting the engine lands
-//! each in the right kill-matrix column — killed-by-test via call-graph
+//! each in the right kill-matrix column — covered via call-graph
 //! reachability, triaged via the `// audit: equivalent(...)` marker,
 //! and surviving for the genuine gap.
 
@@ -85,7 +85,7 @@ fn fixture(tag: &str) -> Fixture {
 }
 
 #[test]
-fn engine_classifies_test_kill_triage_and_survivor() {
+fn engine_classifies_covered_triaged_and_surviving() {
     let fx = fixture("classify");
     let cfg = RunConfig { sample: 0, ..RunConfig::default() };
     let analysis = run(&fx.root, &cfg).expect("fixture analyzes");
@@ -101,7 +101,7 @@ fn engine_classifies_test_kill_triage_and_survivor() {
         hits
     };
     for v in verdict_in("covered") {
-        assert_eq!(*v, Verdict::KilledByTest, "covered() is call-graph reachable");
+        assert_eq!(*v, Verdict::Covered, "covered() is call-graph reachable");
     }
     for v in verdict_in("uncovered") {
         assert_eq!(*v, Verdict::Triaged, "the equivalent marker covers the site");
@@ -117,7 +117,7 @@ fn engine_classifies_test_kill_triage_and_survivor() {
     let cmp = row("cmp-flip");
     assert_eq!((cmp.triaged, cmp.surviving, cmp.score()), (1, 0, 100));
     let arith = row("arith-swap");
-    assert_eq!(arith.test, 1, "the covered `+` site");
+    assert_eq!(arith.covered, 1, "the covered `+` site");
     assert!(arith.surviving >= 1, "the gap `*` site survives: {arith:?}");
 }
 

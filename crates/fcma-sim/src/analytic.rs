@@ -98,8 +98,9 @@ pub mod params {
     /// the tall-skinny GEMM (read + packed write + packed read).
     pub const MKL_PACK_FACTOR: f64 = 2.0;
 
-    /// Microkernel geometry shared by the optimized kernels.
+    /// Microkernel register-tile rows shared by the optimized kernels.
     pub const MR: u64 = 8;
+    /// Microkernel register-tile columns shared by the optimized kernels.
     pub const NR: u64 = 16;
     /// SYRK panel depth (the paper's 96).
     pub const PANEL_K: u64 = 96;

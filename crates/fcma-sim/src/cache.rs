@@ -124,15 +124,6 @@ impl CacheSim {
     pub fn stats(&self) -> CacheStats {
         self.stats
     }
-
-    /// Clear contents and statistics.
-    // audit: allow(deadpub) — library API exercised by unit tests; kept for external use
-    pub fn reset(&mut self) {
-        for s in &mut self.sets {
-            s.clear();
-        }
-        self.stats = CacheStats::default();
-    }
 }
 
 #[cfg(test)]
@@ -227,15 +218,6 @@ mod tests {
         }
         assert_eq!(c.stats().misses, 8);
         assert_eq!(c.stats().hits, 16);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut c = CacheSim::new(small());
-        c.access(0);
-        c.reset();
-        assert_eq!(c.stats().accesses(), 0);
-        assert!(!c.access(0));
     }
 
     #[test]

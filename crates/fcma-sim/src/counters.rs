@@ -47,30 +47,6 @@ impl KernelCounters {
         }
         self.flops as f64 / (elapsed_ms * 1e-3) / 1e9
     }
-
-    /// Convenience constructor for a kernel with uniform vector width:
-    /// `elements` processed `width`-wide plus `scalar_tail` scalar
-    /// element-operations, `mem_refs` memory instructions, and the given
-    /// flops/misses.
-    // audit: allow(deadpub) — library API exercised by unit tests; kept for external use
-    pub fn from_vector_profile(
-        elements: u64,
-        width: u64,
-        scalar_tail: u64,
-        mem_refs: u64,
-        flops: u64,
-        l2_misses: u64,
-    ) -> Self {
-        assert!(width > 0, "vector width must be positive");
-        let vec_instr = elements.div_ceil(width);
-        KernelCounters {
-            mem_refs,
-            l2_misses,
-            flops,
-            vpu_instructions: vec_instr + scalar_tail,
-            vector_elements: elements + scalar_tail,
-        }
-    }
 }
 
 impl Add for KernelCounters {
@@ -101,16 +77,6 @@ mod tests {
         let c = KernelCounters { vpu_instructions: 10, vector_elements: 160, ..Default::default() };
         assert_eq!(c.vector_intensity(), 16.0);
         assert_eq!(KernelCounters::default().vector_intensity(), 0.0);
-    }
-
-    #[test]
-    fn scalar_tail_lowers_intensity() {
-        // 160 elements fully vectorized 16-wide (10 instrs) + 40 scalar
-        // ops → VI = 200 / 50 = 4.
-        let c = KernelCounters::from_vector_profile(160, 16, 40, 0, 0, 0);
-        assert_eq!(c.vpu_instructions, 50);
-        assert_eq!(c.vector_elements, 200);
-        assert_eq!(c.vector_intensity(), 4.0);
     }
 
     #[test]

@@ -50,13 +50,6 @@ impl MachineConfig {
     pub(crate) fn issue_rate(&self) -> f64 {
         self.cores as f64 * self.clock_ghz * 1e9
     }
-
-    /// The ideal vectorization intensity (one full vector per VPU
-    /// instruction).
-    // audit: allow(deadpub) — library API exercised by unit tests; kept for external use
-    pub fn ideal_vector_intensity(&self) -> f64 {
-        self.vpu_lanes as f64
-    }
 }
 
 /// The Intel Xeon Phi 5110P coprocessor (paper §2, Fig. 2): 60 in-order

@@ -115,8 +115,8 @@ pub fn trace_corr_optimized(
 /// packing pass streams `B` into a large packed buffer, the compute pass
 /// streams the packed copy back, and `C` is written — no strip blocking,
 /// so nothing survives in L2 between phases.
-// audit: allow(panicpath) — epoch indices range over the shape that sized the address space; audit: allow(deadpub) — library API exercised by unit tests
-pub fn trace_corr_mkl(s: &CorrShape, cfg: CacheConfig) -> CacheStats {
+#[cfg(test)]
+fn trace_corr_mkl(s: &CorrShape, cfg: CacheConfig) -> CacheStats {
     let space = CorrSpace::new(s);
     let mut cache = CacheSim::new(cfg);
     // The packed buffer is full-size (k × n), far beyond L2.
@@ -219,8 +219,8 @@ pub fn trace_syrk_optimized(s: &SyrkShape, cfg: CacheConfig, panel_k: u64) -> Ca
 
 /// Replay the MKL-style square-blocked SYRK: each `t × t` tile of `C`
 /// streams two `t × n` slabs of `A` end to end.
-// audit: allow(deadpub) — library API exercised by unit tests; kept for external use
-pub fn trace_syrk_mkl(s: &SyrkShape, cfg: CacheConfig, t: u64) -> CacheStats {
+#[cfg(test)]
+fn trace_syrk_mkl(s: &SyrkShape, cfg: CacheConfig, t: u64) -> CacheStats {
     let mut cache = CacheSim::new(cfg);
     let a_base = 0u64;
     let c_base = s.m * s.n * ELEM;

@@ -27,12 +27,6 @@ impl KernelMatrix {
         Self::precompute_raw(data.rows(), data.cols(), data.as_slice())
     }
 
-    /// Precompute via the generic library-style SYRK (baseline path).
-    // audit: allow(deadpub) — library API exercised by unit tests; kept for external use
-    pub fn precompute_baseline(data: &Mat) -> Self {
-        Self::precompute_baseline_raw(data.rows(), data.cols(), data.as_slice())
-    }
-
     /// [`Self::precompute`] over a raw row-major `m × n` slice (avoids a
     /// copy when the data lives inside a larger buffer, as FCMA's
     /// per-voxel correlation matrices do), through a fresh SYRK scratch.
@@ -60,7 +54,8 @@ impl KernelMatrix {
         KernelMatrix { k }
     }
 
-    /// [`Self::precompute_baseline`] over a raw row-major slice.
+    /// Precompute via the generic library-style dot-product SYRK (the
+    /// baseline path) over a raw row-major `m × n` slice.
     pub fn precompute_baseline_raw(m: usize, n: usize, data: &[f32]) -> Self {
         let _span = span!("svm.kernel.precompute", samples = m, features = n, kernel = "dot");
         let mut k = Mat::zeros(m, m);
@@ -102,13 +97,6 @@ impl KernelMatrix {
         self.k.row(i)
     }
 
-    /// Diagonal entry `K[i, i]`.
-    #[inline]
-    // audit: allow(deadpub) — library API exercised by unit tests; kept for external use
-    pub fn diag(&self, i: usize) -> f32 {
-        self.k.get(i, i)
-    }
-
     /// Extract the dense sub-kernel over `idx × idx` (one CV fold's
     /// training block). Contiguous output keeps the SMO hot loops
     /// vectorizable.
@@ -127,12 +115,6 @@ impl KernelMatrix {
         }
         out
     }
-
-    /// Underlying matrix (for inspection / serialization).
-    // audit: allow(deadpub) — library API exercised by unit tests; kept for external use
-    pub fn as_mat(&self) -> &Mat {
-        &self.k
-    }
 }
 
 #[cfg(test)]
@@ -147,8 +129,8 @@ mod tests {
     fn precompute_matches_baseline() {
         let x = samples();
         let a = KernelMatrix::precompute(&x);
-        let b = KernelMatrix::precompute_baseline(&x);
-        assert!(a.as_mat().max_abs_diff(b.as_mat()) < 1e-3);
+        let b = KernelMatrix::precompute_baseline_raw(x.rows(), x.cols(), x.as_slice());
+        assert!(a.k.max_abs_diff(&b.k) < 1e-3);
     }
 
     #[test]
@@ -159,7 +141,7 @@ mod tests {
         for _round in 0..2 {
             let reused =
                 KernelMatrix::precompute_raw_with(x.rows(), x.cols(), x.as_slice(), &mut scratch);
-            for (r, f) in reused.as_mat().as_slice().iter().zip(fresh.as_mat().as_slice()) {
+            for (r, f) in reused.k.as_slice().iter().zip(fresh.k.as_slice()) {
                 assert_eq!(r.to_bits(), f.to_bits());
             }
         }
@@ -174,16 +156,6 @@ mod tests {
                 let want = fcma_linalg::dot(x.row(i), x.row(j));
                 assert!((k.row(i)[j] - want).abs() < 1e-3);
             }
-        }
-    }
-
-    #[test]
-    fn diag_is_squared_norm() {
-        let x = samples();
-        let k = KernelMatrix::precompute(&x);
-        for i in 0..x.rows() {
-            let want: f32 = x.row(i).iter().map(|v| v * v).sum();
-            assert!((k.diag(i) - want).abs() < 1e-3);
         }
     }
 

@@ -23,7 +23,7 @@ pub fn train_phisvm(
     y: &[f32],
     params: &SmoParams,
 ) -> SvmModel {
-    train_dense(kernel, idx, y, &SmoParams { wss: params.wss, ..*params })
+    train_dense(kernel, idx, y, params)
 }
 
 /// Train the "optimized LibSVM" variant: identical machinery with the

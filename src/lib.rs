@@ -53,7 +53,7 @@ pub use fcma_trace as trace;
 pub mod prelude {
     pub use fcma_cluster::{
         run_cluster, run_cluster_with, ChaosExecutor, Checkpoint, ClusterConfig, ClusterError,
-        ClusterModel, ClusterRun, FaultKind, FaultPlan, FaultSpec, NodeFailure,
+        ClusterModel, ClusterRun, FaultKind, FaultPlan, FaultSpec,
     };
     pub use fcma_core::{
         offline_analysis, online_voxel_selection, recovery_rate, score_all_voxels, select_top_k,
