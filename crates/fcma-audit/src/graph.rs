@@ -170,30 +170,8 @@ pub struct AtomicEntry {
     pub pairing: Vec<String>,
 }
 
-/// The declared seqlock protocol shape (§16 "Seqlock shape" table):
-/// which functions implement the odd/even publish protocol over which
-/// version/payload/cursor words.
-#[derive(Debug, Clone)]
-pub struct SeqlockDecl {
-    /// Workspace-relative path of the implementation (suffix-matched).
-    pub file: String,
-    /// Writer function: odd version store, payload stores, even version
-    /// store, cursor store — in that order.
-    pub writer: String,
-    /// Reader function: Acquire version load before *and* after the
-    /// payload loads.
-    pub reader: String,
-    /// The per-slot version word receiver.
-    pub version: String,
-    /// The payload word receivers.
-    pub payload: Vec<String>,
-    /// The publish-cursor (ring head) receiver.
-    pub cursor: String,
-}
-
 /// The §16 "Atomics contracts" section, machine-parsed: every
-/// `Ordering::*` site in the workspace must trace to an [`AtomicEntry`],
-/// and the seqlock implementation must match its declared shape.
+/// `Ordering::*` site in the workspace must trace to an [`AtomicEntry`].
 #[derive(Debug, Clone, Default)]
 pub struct AtomicsContract {
     /// One entry per (atomic, file) pair.
@@ -202,8 +180,6 @@ pub struct AtomicsContract {
     /// section carries a "sites:" line; the `atomicorder` pass verifies
     /// it against the actual count.
     pub declared_sites: Option<usize>,
-    /// The declared seqlock shape, when the sub-table is present.
-    pub seqlock: Option<SeqlockDecl>,
 }
 
 impl AtomicsContract {
@@ -223,8 +199,7 @@ pub struct MutationRow {
     pub line: usize,
     /// Mutant-class name (one of [`crate::mutants::MUTANT_CLASSES`]).
     pub class: String,
-    /// Backticked killer names (audit pass names, `mc`) —
-    /// documentation plus the expected-killer hint the engine tries
+    /// Backticked killer names (audit pass names) — documentation plus the expected-killer hint the engine tries
     /// first. Empty for the classes no executed oracle targets.
     pub killers: Vec<String>,
     /// Minimum percentage of non-equivalent mutants that must be killed
@@ -376,12 +351,10 @@ impl Contracts {
     /// under a heading containing "Hot functions": each row's first
     /// backticked cell names a hot function.
     ///
-    /// §16 parses under two further headings: "Atomics contracts" rows
-    /// are `| atomic | file | role | loads | stores | pairing |` with
-    /// backticked orderings, plus an optional prose line containing
-    /// `sites:` followed by the declared total site count; a "Seqlock
-    /// shape" row is `| file | writer | reader | version | payload |
-    /// cursor |`. §17 "Mutation contracts" rows are `| class | expected
+    /// §16 "Atomics contracts" rows are `| atomic | file | role | loads |
+    /// stores | pairing |` with backticked orderings, plus an optional
+    /// prose line containing `sites:` followed by the declared total
+    /// site count. §17 "Mutation contracts" rows are `| class | expected
     /// killers | min score |`.
     ///
     /// Malformed data rows are recorded as named [`ContractError`]s, not
@@ -395,7 +368,6 @@ impl Contracts {
         let mut in_lock_order = false;
         let mut in_hot = false;
         let mut in_atomics = false;
-        let mut in_seqlock = false;
         let mut in_mutation = false;
         let mut layering: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
         let mut protocol: Vec<ProtocolEntry> = Vec::new();
@@ -416,9 +388,8 @@ impl Contracts {
                 in_lock_order = line.contains("Lock order");
                 in_hot = line.contains("Hot functions");
                 in_atomics = line.contains("Atomics contracts");
-                in_seqlock = line.contains("Seqlock shape");
                 in_mutation = line.contains("Mutation contracts");
-                saw_atomics |= in_atomics || in_seqlock;
+                saw_atomics |= in_atomics;
                 saw_mutation |= in_mutation;
                 if line.starts_with("## ") {
                     in_section = line.contains("Architecture contracts");
@@ -467,23 +438,6 @@ impl Contracts {
                             stores: backticked(cells[4]),
                             pairing: backticked(cells[5]),
                         });
-                    }
-                }
-                continue;
-            }
-            if in_seqlock {
-                if cells.len() >= 6 {
-                    let file = backticked(cells[0]).into_iter().next();
-                    let writer = backticked(cells[1]).into_iter().next();
-                    let reader = backticked(cells[2]).into_iter().next();
-                    let version = backticked(cells[3]).into_iter().next();
-                    let payload = backticked(cells[4]);
-                    let cursor = backticked(cells[5]).into_iter().next();
-                    if let (Some(file), Some(writer), Some(reader), Some(version), Some(cursor)) =
-                        (file, writer, reader, version, cursor)
-                    {
-                        atomics.seqlock =
-                            Some(SeqlockDecl { file, writer, reader, version, payload, cursor });
                     }
                 }
                 continue;
@@ -807,15 +761,12 @@ Blah.
     }
 
     #[test]
-    fn contracts_parse_atomics_tables_count_and_seqlock() {
+    fn contracts_parse_atomics_table_and_count() {
         let md = "## 16. Atomics contracts\n\nProse. Total `Ordering::*` sites: 36 (verified).\n\n\
                   | Atomic | File | Role | Loads | Stores | Pairing |\n|---|---|---|---|---|---|\n\
                   | `flag` | `fcma-core/src/control.rs` | cancel flag | `Acquire` | `Release` | `flag` release→acquire |\n\
                   | `ver` | `fcma-trace/src/recorder.rs` | slot version | `Acquire` | `Release` | `ver` |\n\
                   | `w_ts` | `fcma-trace/src/recorder.rs` | payload | `Relaxed` | `Relaxed` | via `ver` |\n\n\
-                  ### Seqlock shape\n\n\
-                  | File | Writer | Reader | Version | Payload | Cursor |\n|---|---|---|---|---|---|\n\
-                  | `fcma-trace/src/recorder.rs` | `push` | `snapshot` | `ver` | `w_ts`, `w_meta` | `head` |\n\n\
                   ### After\n\n| `not_atomics` | x |\n";
         let c = Contracts::from_design_md(md);
         let a = c.atomics.expect("section parses");
@@ -826,11 +777,6 @@ Blah.
         assert_eq!(flag.stores, vec!["Release"]);
         assert_eq!(flag.pairing, vec!["flag"]);
         assert!(a.entry("flag", "crates/fcma-trace/src/recorder.rs").is_none());
-        let sl = a.seqlock.expect("seqlock row parses");
-        assert_eq!((sl.writer.as_str(), sl.reader.as_str()), ("push", "snapshot"));
-        assert_eq!(sl.version, "ver");
-        assert_eq!(sl.payload, vec!["w_ts", "w_meta"]);
-        assert_eq!(sl.cursor, "head");
         // §12–§14 parses are unaffected, and documents without §16
         // yield no atomics contract at all.
         let both = format!("{DESIGN}\n{md}");
@@ -899,7 +845,7 @@ Blah.
                   | Class | Expected killers | Min score |\n|---|---|---|\n\
                   | `ordering-weaken` | `atomicorder` | 100 |\n\
                   | `arith-swap` | tests | 80 |\n\
-                  | `lock-delete` | `lockset`, model check | 90 |\n";
+                  | `match-arm-delete` | `protocol`, review | 90 |\n";
         let c = Contracts::from_design_md(md);
         assert!(c.errors.is_empty(), "{:?}", c.errors);
         let rows = c.mutation.expect("section parses");
@@ -908,7 +854,7 @@ Blah.
         assert_eq!(rows[0].killers, vec!["atomicorder"]);
         assert_eq!(rows[0].min_score, 100);
         assert_eq!(rows[1].min_score, 80);
-        assert_eq!(rows[2].killers, vec!["lockset"]);
+        assert_eq!(rows[2].killers, vec!["protocol"]);
         // No §17 heading → no mutation contract at all.
         assert!(Contracts::from_design_md(DESIGN).mutation.is_none());
     }

@@ -14,8 +14,8 @@
 //! three race-detection passes: thread-escape analysis of values
 //! captured by pool/spawn/channel boundaries ([`escape`]), Eraser-style
 //! lockset intersection over the call graph ([`lockset`]), and the
-//! DESIGN.md §16 atomics memory-ordering contracts with a seqlock
-//! publish-protocol shape check ([`passes::check_atomicorder`]).
+//! DESIGN.md §16 atomics memory-ordering contracts
+//! ([`passes::check_atomicorder`]).
 //!
 //! Run it with `cargo run -p fcma-audit -- check [--format human|json]
 //! [--passes a,b,c]`. Exit code 0 means clean, 1 means violations were

@@ -365,8 +365,7 @@ passes:
                hold a non-empty intersection of facade locks
                (Eraser-style, call-graph entry sets)
   atomicorder  every Ordering::* site matches a DESIGN.md §16 atomics
-               contract row (orderings allowed, site count, seqlock
-               writer/reader publish shape)
+               contract row (orderings allowed, site count)
   unusedallow  every allow or disjoint marker must suppress something
 
 fn markers (on the fn line or the line directly above):

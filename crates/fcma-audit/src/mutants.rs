@@ -15,7 +15,6 @@
 //! | `off-by-one`       | for-loop `a..b` → `a..=b`                      | none (covered) |
 //! | `accum-reorder`    | float-accumulating `for` loop reversed          | none (covered) |
 //! | `ordering-weaken`  | `Ordering::{Acquire,Release,AcqRel,SeqCst}` → `Relaxed` | `atomicorder` |
-//! | `lock-delete`      | a declared `.lock()` acquisition removed        | `lockset` / model check |
 //! | `band-shift`       | `split_at_mut(e)` → `split_at_mut(e + 1)`       | none (covered) |
 //! | `match-arm-delete` | a driver protocol arm retargeted off its variant | `protocol`     |
 //!
@@ -25,9 +24,9 @@
 //! sites from the same receiver attribution the `atomicorder` pass
 //! uses, and sites the DESIGN.md contracts already permit to be weak
 //! (or that an allow marker covers) are skipped — those are not faults.
-//! `fcma-mut` applies the patches through an in-memory overlay and
-//! classifies each mutant against the audit passes and the model
-//! checker, and reports call-graph test reachability as coverage.
+//! `fcma-mut` applies the patches through an in-memory overlay,
+//! classifies each mutant against the audit passes, and reports
+//! call-graph test reachability as coverage.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -45,7 +44,6 @@ pub const MUTANT_CLASSES: &[&str] = &[
     "arith-swap",
     "band-shift",
     "cmp-flip",
-    "lock-delete",
     "match-arm-delete",
     "off-by-one",
     "ordering-weaken",
@@ -130,7 +128,6 @@ pub fn enumerate(ws: &Workspace) -> Vec<Mutant> {
         operator_mutants(ws, fi, &mut out);
         loop_mutants(ws, fi, &mut out);
         ordering_mutants(ws, fi, &mut out);
-        lock_mutants(ws, fi, &mut out);
         band_mutants(ws, fi, &mut out);
         arm_mutants(ws, fi, &mut out);
     }
@@ -475,51 +472,6 @@ fn ordering_mutants(ws: &Workspace, fi: usize, out: &mut Vec<Mutant>) {
     }
 }
 
-/// `lock-delete`: remove a `.lock()` acquisition whose receiver the
-/// DESIGN.md §13 lock-order table declares. The facade's own pool locks
-/// are invisible to the static lock passes (the facade is their
-/// implementation), so those mutants fall to the model checker's
-/// lock-elision attempt — which is exactly the division of labor §17
-/// documents.
-fn lock_mutants(ws: &Workspace, fi: usize, out: &mut Vec<Mutant>) {
-    let f = &ws.files[fi];
-    let Some(order) = ws.contracts.lock_order.as_ref() else {
-        return;
-    };
-    for (line, code) in f.scan.code_lines.iter().enumerate() {
-        if f.in_test_span(line) {
-            continue;
-        }
-        let chars: Vec<char> = code.chars().collect();
-        for col in find_all(code, ".lock()") {
-            let mut b = col;
-            while b > 0 && (chars[b - 1].is_ascii_alphanumeric() || chars[b - 1] == '_') {
-                b -= 1;
-            }
-            if b == col {
-                continue;
-            }
-            let recv: String = chars[b..col].iter().collect();
-            if !order.contains(&recv) {
-                continue;
-            }
-            let Some(patched) = splice(&f.scan.raw_lines[line], col, 7, "", ".lock()") else {
-                continue;
-            };
-            out.push(Mutant {
-                class: "lock-delete",
-                file: fi,
-                rel_path: f.rel_path.clone(),
-                line,
-                col,
-                fn_name: enclosing_fn(&ws.parsed[fi], line).map(|x| x.name.clone()),
-                description: format!("delete `.lock()` on declared lock `{recv}`"),
-                patched,
-            });
-        }
-    }
-}
-
 /// `band-shift`: move a `split_at_mut` band boundary by one element,
 /// breaking the §15 disjoint-banding alignment the parallel kernels'
 /// bit-identity rests on.
@@ -761,25 +713,6 @@ mod tests {
         assert_eq!(weaken.len(), 2, "flag store + flag load only: {weaken:?}");
         assert!(weaken.iter().all(|m| m.description.contains("`flag.")));
         assert!(weaken[0].patched.contains("Ordering::Relaxed"));
-    }
-
-    #[test]
-    fn lock_delete_targets_declared_locks_only() {
-        let md = "### Lock order\n\n\
-                  | Rank | Lock | Protects |\n|---|---|---|\n\
-                  | 1 | `shared` | data |\n";
-        let contracts = Contracts::from_design_md(md);
-        let ws = ws_of(
-            vec![lib(
-                "fcma-core",
-                "pub fn f(s: &S) {\n    let g = s.shared.lock();\n    let h = s.other.lock();\n    drop((g, h));\n}\n",
-            )],
-            contracts,
-        );
-        let ms = enumerate(&ws);
-        let locks: Vec<_> = ms.iter().filter(|m| m.class == "lock-delete").collect();
-        assert_eq!(locks.len(), 1, "{locks:?}");
-        assert_eq!(locks[0].patched.trim(), "let g = s.shared;");
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! | `hotcallout`  | hot fns call only hot/`audit: pure` fns — no I/O, tracing, or locking | allow marker |
 //! | `threadescape`| values captured by thread-boundary closures are immutable, atomic, lock-guarded, or `audit: disjoint` | allow marker |
 //! | `lockset`     | Eraser-style: fields of shared structs written from ≥2 fns need a non-empty held-lock intersection | allow marker |
-//! | `atomicorder` | every `Ordering::*` site matches a DESIGN.md §16 atomics-contract row; seqlock publish shape | allow marker |
+//! | `atomicorder` | every `Ordering::*` site matches a DESIGN.md §16 atomics-contract row | allow marker |
 //! | `unusedallow` | every allow or disjoint marker must suppress something | none |
 //!
 //! Allow markers are comments of the form
@@ -46,7 +46,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use crate::cfg::FnCfg;
 use crate::dataflow;
-use crate::graph::{CallGraph, Contracts, CrateGraph, SeqlockDecl};
+use crate::graph::{CallGraph, Contracts, CrateGraph};
 use crate::parser::{self, ParsedFile, TypeKind, Vis};
 use crate::source::{marker_allows, Role, SourceFile};
 
@@ -67,7 +67,6 @@ const TRACE_SITES: &[&str] = &[
     "counter!(",
     "labeled_counter!(",
     "histogram!(",
-    "record!(",
     "record_span_since(",
     "record_span_elapsed(",
 ];
@@ -1869,9 +1868,7 @@ pub(crate) fn atomic_op_at(
 /// sound. This pass closes the loop in both directions — an `Ordering::*`
 /// site without a row is a violation, and a row without a site is stale.
 /// The declared `sites:` count must match the scan exactly, so a new
-/// fence cannot land without a contract review. When §16 additionally
-/// declares the seqlock shape, the named writer/reader pair is checked
-/// against the odd/even publish protocol (see [`check_seqlock_shape`]).
+/// fence cannot land without a contract review.
 /// Escapable per site with `// audit: allow(atomicorder) — <reason>`.
 pub fn check_atomicorder(ws: &Workspace) -> Vec<Violation> {
     let contract = ws.contracts.atomics.as_ref();
@@ -1983,186 +1980,8 @@ pub fn check_atomicorder(ws: &Workspace) -> Vec<Violation> {
                     });
                 }
             }
-            if let Some(sl) = &c.seqlock {
-                out.extend(check_seqlock_shape(ws, sl));
-            }
         }
         (None, None) => {}
-    }
-    out
-}
-
-/// Shape check for the §16-declared per-slot seqlock: the writer must
-/// publish the version word twice with `Release` (odd — `+ 1` — before
-/// the payload stores, even after), every payload store must be
-/// `Relaxed` and sit between the two publishes, and the cursor must be
-/// released after the even publish; the reader must load the version
-/// with `Acquire` both before and after its `Relaxed` payload loads
-/// (the seq-stability re-check).
-fn check_seqlock_shape(ws: &Workspace, sl: &SeqlockDecl) -> Vec<Violation> {
-    let mut out = Vec::new();
-    let design = |message: String| Violation {
-        file: "DESIGN.md".to_owned(),
-        line: 1,
-        pass: "atomicorder",
-        message,
-    };
-    let Some(fi) = ws.files.iter().position(|f| f.rel_path.ends_with(&sl.file)) else {
-        return vec![design(format!(
-            "§16 seqlock row names `{}`, which is not a workspace file",
-            sl.file
-        ))];
-    };
-    let f = &ws.files[fi];
-    // All `(line, ordering)` sites of `recv.op(` inside a fn body.
-    let sites = |recv: &str, op: &str, span: (usize, usize)| -> Vec<(usize, &'static str)> {
-        let pat = format!("{recv}.{op}");
-        (span.0..=span.1)
-            .filter(|&l| contains_word(&f.scan.code_lines[l], &pat))
-            .filter_map(|l| {
-                ordering_tokens(&f.scan.code_lines[l]).first().map(|&(_, ord)| (l, ord))
-            })
-            .collect()
-    };
-    let body =
-        |name: &str| ws.parsed[fi].fns.iter().find(|fun| fun.name == name).and_then(|fun| fun.body);
-
-    let Some(wspan) = body(&sl.writer) else {
-        return vec![design(format!(
-            "§16 seqlock writer `{}` not found in `{}`",
-            sl.writer, sl.file
-        ))];
-    };
-    let vstores = sites(&sl.version, "store", wspan);
-    if vstores.len() != 2 {
-        out.push(Violation {
-            file: f.rel_path.clone(),
-            line: wspan.0 + 1,
-            pass: "atomicorder",
-            message: format!(
-                "seqlock writer `{}` must publish `{}` exactly twice (odd sequence before \
-                 the payload stores, even after); found {} store(s)",
-                sl.writer,
-                sl.version,
-                vstores.len()
-            ),
-        });
-    } else {
-        let (first, second) = (vstores[0], vstores[1]);
-        if first.1 != "Release" || second.1 != "Release" {
-            out.push(Violation {
-                file: f.rel_path.clone(),
-                line: first.0 + 1,
-                pass: "atomicorder",
-                message: format!(
-                    "seqlock version publishes of `{}` must both use `Ordering::Release`",
-                    sl.version
-                ),
-            });
-        }
-        if !f.scan.code_lines[first.0].contains("+ 1") {
-            out.push(Violation {
-                file: f.rel_path.clone(),
-                line: first.0 + 1,
-                pass: "atomicorder",
-                message: format!(
-                    "first publish of `{}` must make the sequence odd (`… + 1`) before the \
-                     payload stores",
-                    sl.version
-                ),
-            });
-        }
-        for p in &sl.payload {
-            let ps = sites(p, "store", wspan);
-            if ps.is_empty() {
-                out.push(Violation {
-                    file: f.rel_path.clone(),
-                    line: wspan.0 + 1,
-                    pass: "atomicorder",
-                    message: format!(
-                        "seqlock payload `{p}` is never stored inside writer `{}`",
-                        sl.writer
-                    ),
-                });
-                continue;
-            }
-            for (l, ord) in ps {
-                if ord != "Relaxed" || l <= first.0 || l >= second.0 {
-                    out.push(Violation {
-                        file: f.rel_path.clone(),
-                        line: l + 1,
-                        pass: "atomicorder",
-                        message: format!(
-                            "seqlock payload store `{p}` must be `Relaxed` and sit between \
-                             the odd and even publishes of `{}`",
-                            sl.version
-                        ),
-                    });
-                }
-            }
-        }
-        let cs = sites(&sl.cursor, "store", wspan);
-        if !cs.iter().any(|&(l, ord)| ord == "Release" && l > second.0) {
-            out.push(Violation {
-                file: f.rel_path.clone(),
-                line: wspan.0 + 1,
-                pass: "atomicorder",
-                message: format!(
-                    "seqlock cursor `{}` must be published with `Release` after the even \
-                     publish of `{}`",
-                    sl.cursor, sl.version
-                ),
-            });
-        }
-    }
-
-    let Some(rspan) = body(&sl.reader) else {
-        out.push(design(format!("§16 seqlock reader `{}` not found in `{}`", sl.reader, sl.file)));
-        return out;
-    };
-    let vloads = sites(&sl.version, "load", rspan);
-    if vloads.len() < 2 || vloads.iter().any(|&(_, ord)| ord != "Acquire") {
-        out.push(Violation {
-            file: f.rel_path.clone(),
-            line: rspan.0 + 1,
-            pass: "atomicorder",
-            message: format!(
-                "seqlock reader `{}` must load `{}` with `Acquire` both before and after \
-                 the payload loads (stability re-check)",
-                sl.reader, sl.version
-            ),
-        });
-    } else {
-        let (lo, hi) = (vloads[0].0, vloads[vloads.len() - 1].0);
-        for p in &sl.payload {
-            let pl = sites(p, "load", rspan);
-            if pl.is_empty() {
-                out.push(Violation {
-                    file: f.rel_path.clone(),
-                    line: rspan.0 + 1,
-                    pass: "atomicorder",
-                    message: format!(
-                        "seqlock payload `{p}` is never loaded inside reader `{}`",
-                        sl.reader
-                    ),
-                });
-                continue;
-            }
-            for (l, ord) in pl {
-                if ord != "Relaxed" || l <= lo || l >= hi {
-                    out.push(Violation {
-                        file: f.rel_path.clone(),
-                        line: l + 1,
-                        pass: "atomicorder",
-                        message: format!(
-                            "seqlock payload load `{p}` must be `Relaxed` and bracketed by \
-                             the `Acquire` loads of `{}`",
-                            sl.version
-                        ),
-                    });
-                }
-            }
-        }
     }
     out
 }
@@ -3257,74 +3076,5 @@ mod tests {
             atomics_contracts("sites: 1\n"),
         ));
         assert!(v.is_empty(), "{v:?}");
-    }
-
-    const SEQLOCK_MD: &str = "sites: 8\n\n\
-        | Atomic | File | Role | Loads | Stores | Pairing |\n|---|---|---|---|---|---|\n\
-        | `head` | `fcma-core/src/a.rs` | cursor | `Relaxed` | `Release` | via `ver` |\n\
-        | `ver` | `fcma-core/src/a.rs` | version | `Acquire` | `Release` | `ver` |\n\
-        | `w_ts` | `fcma-core/src/a.rs` | payload | `Relaxed` | `Relaxed` | via `ver` |\n\n\
-        ### Seqlock shape\n\n\
-        | File | Writer | Reader | Version | Payload | Cursor |\n|---|---|---|---|---|---|\n\
-        | `fcma-core/src/a.rs` | `push` | `snapshot` | `ver` | `w_ts` | `head` |\n";
-
-    const SEQLOCK_WRITER_OK: &str = "    let seq = self.head.load(Ordering::Relaxed);\n    \
-        self.ver.store(2 * seq + 1, Ordering::Release);\n    \
-        self.w_ts.store(7, Ordering::Relaxed);\n    \
-        self.ver.store(2 * seq, Ordering::Release);\n    \
-        self.head.store(seq + 1, Ordering::Release);\n";
-
-    const SEQLOCK_READER_OK: &str = "fn snapshot(&self) -> u64 {\n    \
-        let _a = self.ver.load(Ordering::Acquire);\n    \
-        let ts = self.w_ts.load(Ordering::Relaxed);\n    \
-        let _b = self.ver.load(Ordering::Acquire);\n    ts\n}\n";
-
-    #[test]
-    fn atomicorder_seqlock_shape_accepts_the_protocol() {
-        let src = format!("//! m\nfn push(&self) {{\n{SEQLOCK_WRITER_OK}}}\n{SEQLOCK_READER_OK}");
-        let f = lib_file("fcma-core", &src);
-        let v = check_atomicorder(&ws_with(
-            vec![f],
-            CrateGraph::default(),
-            atomics_contracts(SEQLOCK_MD),
-        ));
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn atomicorder_seqlock_mutant_dropped_second_publish_is_caught() {
-        let mutant_writer =
-            SEQLOCK_WRITER_OK.replace("    self.ver.store(2 * seq, Ordering::Release);\n", "");
-        let src = format!("//! m\nfn push(&self) {{\n{mutant_writer}}}\n{SEQLOCK_READER_OK}");
-        let f = lib_file("fcma-core", &src);
-        let v = check_atomicorder(&ws_with(
-            vec![f],
-            CrateGraph::default(),
-            atomics_contracts(&SEQLOCK_MD.replace("sites: 8", "sites: 7")),
-        ));
-        assert!(
-            v.iter().any(|x| x.message.contains("exactly twice")),
-            "mutant must trip the shape check: {v:?}"
-        );
-    }
-
-    #[test]
-    fn atomicorder_seqlock_payload_outside_publish_window_fires() {
-        let bad_writer = "    let seq = self.head.load(Ordering::Relaxed);\n    \
-            self.w_ts.store(7, Ordering::Relaxed);\n    \
-            self.ver.store(2 * seq + 1, Ordering::Release);\n    \
-            self.ver.store(2 * seq, Ordering::Release);\n    \
-            self.head.store(seq + 1, Ordering::Release);\n";
-        let src = format!("//! m\nfn push(&self) {{\n{bad_writer}}}\n{SEQLOCK_READER_OK}");
-        let f = lib_file("fcma-core", &src);
-        let v = check_atomicorder(&ws_with(
-            vec![f],
-            CrateGraph::default(),
-            atomics_contracts(SEQLOCK_MD),
-        ));
-        assert!(
-            v.iter().any(|x| x.message.contains("sit between")),
-            "early payload store must fire: {v:?}"
-        );
     }
 }

@@ -106,7 +106,7 @@ fn shipped_design_md_contracts_parse() {
     let locks = contracts.lock_order.expect("DESIGN.md §13 must declare the lock-order table");
     assert_eq!(
         locks,
-        vec!["deque".to_owned(), "region".to_owned(), "attempts".to_owned()],
+        vec!["deque".to_owned(), "region".to_owned(), "attempts".to_owned(), "log".to_owned()],
         "the shipped lock ranking the lockorder pass enforces"
     );
 

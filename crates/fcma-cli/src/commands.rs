@@ -228,9 +228,7 @@ pub(crate) fn analyze(args: &Args) -> Result<()> {
     );
 
     if let Some(scoped) = &scoped {
-        // Bridge flight-recorder rings into the drained report so the
-        // Chrome trace shows recorder events alongside collector spans.
-        let report = scoped.drain_with_recorder();
+        let report = scoped.drain();
         if let Some(path) = &trace_out {
             std::fs::write(path, to_chrome_json(&report))?;
             eprintln!("wrote trace {}", path.display());
@@ -321,7 +319,6 @@ pub(crate) fn postmortem(args: &Args) -> Result<()> {
     println!("postmortem  {path}");
     println!("trigger     {}", summary.trigger);
     println!("events      {}", summary.events);
-    println!("rings       {}", summary.rings);
     println!("chain       {} event(s)", summary.chain_len);
     Ok(())
 }

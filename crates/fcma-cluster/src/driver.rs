@@ -36,9 +36,10 @@ use fcma_core::{
 use fcma_sync::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use fcma_sync::time::Instant;
 use fcma_trace::postmortem::PostmortemTrigger;
-use fcma_trace::{counter, event, histogram, record, span, AttrValue, TraceCtx, TraceOrigin};
+use fcma_trace::recorder::{EventKind, FlightLog};
+use fcma_trace::{counter, event, histogram, span, AttrValue, TraceCtx, TraceOrigin};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -78,8 +79,9 @@ pub struct ClusterConfig {
     /// config describes the whole run shape, and defaulted from the
     /// `FCMA_THREADS` environment variable.
     pub kernel_threads: usize,
-    /// Write a flight-recorder postmortem dump (`fcma-postmortem v1`)
-    /// into this directory whenever the run hits a fault: a task panic,
+    /// Write a flight-recorder postmortem dump (`fcma-postmortem v2`,
+    /// this run's events only) into this directory whenever the run
+    /// hits a fault: a task panic,
     /// a worker condemnation, a deadline fence discarding a late
     /// message, or a checkpoint-resume mismatch. `None` disables dumps;
     /// emission failures are ignored (postmortems must never take down
@@ -209,6 +211,9 @@ pub fn run_cluster_with(
         kernel_threads = cfg.kernel_threads
     );
     counter!("cluster.tasks.total", total_tasks);
+    // This run's flight log: shared with its workers, read by its
+    // postmortems, freed when the last of them is done with it.
+    let log = FlightLog::new();
 
     // Seed completed work from the resume checkpoint, if any.
     let mut completed: BTreeSet<usize> = BTreeSet::new();
@@ -218,18 +223,9 @@ pub fn run_cluster_with(
     if let Some(path) = &cfg.resume_from {
         let ck = Checkpoint::load(path)?;
         if (ck.n_voxels, ck.task_size) != (ctx.n_voxels(), cfg.task_size) {
-            record!(
-                "recorder.resume.mismatch",
-                0,
-                0,
-                TraceOrigin::Dispatch,
-                u64::try_from(ck.n_voxels).unwrap_or(u64::MAX)
-            );
-            if let Some(dir) = &cfg.postmortem_dir {
-                let trigger =
-                    PostmortemTrigger { kind: "resume.mismatch", task: 0, attempt: 0, worker: 0 };
-                let _ = fcma_trace::postmortem::emit_to_dir(dir, &trigger);
-            }
+            let no_attempt = TraceCtx::new(0, 0, TraceOrigin::Dispatch);
+            log.record(EventKind::ResumeMismatch, no_attempt, ck.n_voxels);
+            emit_postmortem(cfg.postmortem_dir.as_deref(), &log, "resume.mismatch", 0, 0, 0);
             return Err(ClusterError::CheckpointMismatch {
                 found: (ck.n_voxels, ck.task_size),
                 expected: (ctx.n_voxels(), cfg.task_size),
@@ -270,19 +266,15 @@ pub fn run_cluster_with(
     let (to_master_tx, to_master_rx): (Sender<FromWorker>, Receiver<FromWorker>) = unbounded();
     let mut workers = Vec::with_capacity(cfg.n_workers);
     for wid in 0..cfg.n_workers {
-        let (tx, rx): (Sender<ToWorker>, Receiver<ToWorker>) = unbounded();
-        let cancel = CancelToken::new();
-        let controls = TaskControls { cancel: cancel.clone(), deadline: cfg.task_deadline };
-        spawn_worker(
+        workers.push(spawn_worker(
             wid,
             ctx.clone(),
             Arc::clone(&exec),
             cfg.groups.clone(),
-            rx,
             to_master_tx.clone(),
-            controls,
-        );
-        workers.push(WorkerState { tx, cancel, alive: true, idle: true, condemned: false });
+            cfg.task_deadline,
+            log.clone(),
+        ));
     }
     drop(to_master_tx);
 
@@ -308,6 +300,7 @@ pub fn run_cluster_with(
         speculative_launches: 0,
         duplicate_results: 0,
         postmortem_dir: cfg.postmortem_dir.clone(),
+        log,
     };
     let outcome = master.run(&to_master_rx, total_tasks);
     master.shutdown_workers();
@@ -459,21 +452,56 @@ struct Master {
     duplicate_results: usize,
     /// Directory for flight-recorder postmortem dumps (`None`: off).
     postmortem_dir: Option<PathBuf>,
+    /// This run's flight log (the workers hold the other handles).
+    log: FlightLog,
+}
+
+/// The causal identity of one dispatch of `task`: a speculative clone
+/// keeps the straggler's attempt number under origin `speculative`,
+/// while a retry advances the attempt under origin `retry` — so the two
+/// are distinguishable everywhere downstream.
+fn causal_ctx(task: VoxelTask, attempt: usize, speculative: bool) -> TraceCtx {
+    let origin = if speculative {
+        TraceOrigin::Speculative
+    } else if attempt <= 1 {
+        TraceOrigin::Dispatch
+    } else {
+        TraceOrigin::Retry
+    };
+    TraceCtx::new(
+        u64::try_from(task.start).unwrap_or(u64::MAX),
+        u32::try_from(attempt).unwrap_or(u32::MAX),
+        origin,
+    )
+}
+
+/// Dump `log` for a fault into `dir` (`None`: dumps are off).
+/// Best-effort by contract: a postmortem must never take down the run
+/// it describes.
+fn emit_postmortem(
+    dir: Option<&Path>,
+    log: &FlightLog,
+    kind: &'static str,
+    task: usize,
+    attempt: usize,
+    worker: usize,
+) {
+    let Some(dir) = dir else {
+        return;
+    };
+    let trigger = PostmortemTrigger {
+        kind,
+        task: u64::try_from(task).unwrap_or(u64::MAX),
+        attempt: u32::try_from(attempt).unwrap_or(u32::MAX),
+        worker: u64::try_from(worker).unwrap_or(u64::MAX),
+    };
+    let _ = fcma_trace::postmortem::emit_to_dir(dir, &log.snapshot(), &trigger);
 }
 
 impl Master {
-    /// Dump the flight recorder for a fault. Best-effort by contract:
-    /// a postmortem must never take down the run it describes.
+    /// Dump this run's flight log for a fault.
     fn postmortem(&self, kind: &'static str, task: usize, attempt: usize, worker: usize) {
-        if let Some(dir) = &self.postmortem_dir {
-            let trigger = PostmortemTrigger {
-                kind,
-                task: u64::try_from(task).unwrap_or(u64::MAX),
-                attempt: u32::try_from(attempt).unwrap_or(u32::MAX),
-                worker: u64::try_from(worker).unwrap_or(u64::MAX),
-            };
-            let _ = fcma_trace::postmortem::emit_to_dir(dir, &trigger);
-        }
+        emit_postmortem(self.postmortem_dir.as_deref(), &self.log, kind, task, attempt, worker);
     }
 
     /// The event loop: dispatch, receive, recover, until every task is
@@ -523,27 +551,13 @@ impl Master {
 
     /// Send `task` to `wid`; returns `false` if the worker is gone.
     ///
-    /// The dispatch's causal identity ([`TraceCtx`]) is computed before
-    /// the send and rides the message: a speculative clone keeps the
-    /// straggler's attempt number under origin `speculative`, while a
-    /// retry advances the attempt under origin `retry` — so the two are
-    /// distinguishable everywhere downstream.
+    /// The dispatch's causal identity ([`causal_ctx`]) is computed before
+    /// the send and rides the message.
     // audit: allow(panicpath) — worker ids are stamped at spawn time and dense in 0..workers.len()
     fn dispatch(&mut self, task: VoxelTask, wid: usize, speculative: bool) -> bool {
         let prior = self.attempts.get(&task.start).copied().unwrap_or(0);
         let attempt = if speculative { prior } else { prior + 1 };
-        let origin = if speculative {
-            TraceOrigin::Speculative
-        } else if attempt <= 1 {
-            TraceOrigin::Dispatch
-        } else {
-            TraceOrigin::Retry
-        };
-        let ctx = TraceCtx::new(
-            u64::try_from(task.start).unwrap_or(u64::MAX),
-            u32::try_from(attempt).unwrap_or(u32::MAX),
-            origin,
-        );
+        let ctx = causal_ctx(task, attempt, speculative);
         if self.workers[wid].tx.send(ToWorker::Task { task, ctx }).is_err() {
             self.workers[wid].alive = false;
             self.workers[wid].idle = false;
@@ -555,22 +569,10 @@ impl Master {
             self.speculative_launches += 1;
             counter!("cluster.tasks.speculative", 1_u64);
             event!("cluster.speculate", task = task.start, worker = wid);
-            record!(
-                "recorder.speculate",
-                ctx.task,
-                ctx.attempt,
-                origin,
-                u64::try_from(wid).unwrap_or(u64::MAX)
-            );
+            self.log.record(EventKind::Speculate, ctx, wid);
         } else {
             *self.attempts.entry(task.start).or_insert(0) += 1;
-            record!(
-                "recorder.dispatch",
-                ctx.task,
-                ctx.attempt,
-                origin,
-                u64::try_from(wid).unwrap_or(u64::MAX)
-            );
+            self.log.record(EventKind::Dispatch, ctx, wid);
         }
         counter!("cluster.tasks.dispatched", 1_u64);
         self.current[wid] = Some(DispatchInfo { task, started: now, attempt, speculative });
@@ -628,13 +630,7 @@ impl Master {
     /// the fenced attempt may start after it).
     fn fence(&mut self, worker: usize, task: VoxelTask, ctx: TraceCtx) {
         event!("cluster.fence", worker = worker, task = task.start, attempt = ctx.attempt);
-        record!(
-            "recorder.fence",
-            ctx.task,
-            ctx.attempt,
-            ctx.origin,
-            u64::try_from(worker).unwrap_or(u64::MAX)
-        );
+        self.log.record(EventKind::Fence, ctx, worker);
         self.postmortem(
             "deadline.fence",
             task.start,
@@ -819,14 +815,10 @@ impl Master {
                         self.hung_workers.push(wid);
                         event!("cluster.condemn", worker = wid, task = task.start);
                         let info = self.resolve_dispatch(wid, DispatchOutcome::Condemned);
-                        let attempt = info.map_or(0, |i| i.attempt);
-                        record!(
-                            "recorder.condemn",
-                            u64::try_from(task.start).unwrap_or(u64::MAX),
-                            u32::try_from(attempt).unwrap_or(u32::MAX),
-                            TraceOrigin::Dispatch,
-                            u64::try_from(wid).unwrap_or(u64::MAX)
-                        );
+                        let (attempt, speculative) =
+                            info.map_or((0, false), |i| (i.attempt, i.speculative));
+                        let ctx = causal_ctx(task, attempt, speculative);
+                        self.log.record(EventKind::Condemn, ctx, wid);
                         self.postmortem("worker.condemned", task.start, attempt, wid);
                     }
                 }
@@ -871,22 +863,24 @@ impl Master {
 }
 
 /// Spawn one detached worker thread serving tasks until shutdown,
-/// disconnect, or its own death.
+/// disconnect, or its own death, and return the master's handle on it.
 // audit: allow(panicpath) — executor panics are contained by catch_unwind and reported as FromWorker::Failed
 fn spawn_worker(
     wid: usize,
     ctx: TaskContext,
     exec: Arc<dyn TaskExecutor>,
     groups: Option<Arc<Vec<usize>>>,
-    rx: Receiver<ToWorker>,
     to_master: Sender<FromWorker>,
-    controls: TaskControls,
-) {
+    task_deadline: Option<Duration>,
+    log: FlightLog,
+) -> WorkerState {
+    let (tx, rx): (Sender<ToWorker>, Receiver<ToWorker>) = unbounded();
+    let cancel = CancelToken::new();
+    let controls = TaskControls { cancel: cancel.clone(), deadline: task_deadline };
     fcma_sync::thread::spawn(move || {
         if to_master.send(FromWorker::Ready { worker: wid }).is_err() {
             return;
         }
-        let warg = u64::try_from(wid).unwrap_or(u64::MAX);
         while let Ok(msg) = rx.recv() {
             match msg {
                 ToWorker::Task { task, ctx: trace_ctx } => {
@@ -898,13 +892,7 @@ fn spawn_worker(
                     // and recorder entry below — including on pool
                     // threads — is stamped with it.
                     let ctx_guard: fcma_trace::CtxGuard = trace_ctx.install();
-                    record!(
-                        "recorder.task.start",
-                        trace_ctx.task,
-                        trace_ctx.attempt,
-                        trace_ctx.origin,
-                        warg
-                    );
+                    log.record(EventKind::TaskStart, trace_ctx, wid);
                     // Contain executor panics: report the failure so the
                     // master can requeue, then die (a crashed node does
                     // not come back).
@@ -919,13 +907,7 @@ fn spawn_worker(
                     drop(ctx_guard);
                     match result {
                         Ok(scores) => {
-                            record!(
-                                "recorder.task.end",
-                                trace_ctx.task,
-                                trace_ctx.attempt,
-                                trace_ctx.origin,
-                                warg
-                            );
+                            log.record(EventKind::TaskEnd, trace_ctx, wid);
                             if to_master
                                 .send(FromWorker::Done {
                                     worker: wid,
@@ -939,13 +921,7 @@ fn spawn_worker(
                             }
                         }
                         Err(_) => {
-                            record!(
-                                "recorder.task.panic",
-                                trace_ctx.task,
-                                trace_ctx.attempt,
-                                trace_ctx.origin,
-                                warg
-                            );
+                            log.record(EventKind::TaskPanic, trace_ctx, wid);
                             let _ = to_master.send(FromWorker::Failed {
                                 worker: wid,
                                 task,
@@ -959,6 +935,7 @@ fn spawn_worker(
             }
         }
     });
+    WorkerState { tx, cancel, alive: true, idle: true, condemned: false }
 }
 
 #[cfg(test)]

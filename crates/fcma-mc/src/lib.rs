@@ -30,7 +30,6 @@
 //! the checked closure). A failure aborts and drains the execution and
 //! carries the full decision trace.
 
-pub mod mutants;
 mod sched;
 
 #[cfg(test)]

@@ -12,9 +12,7 @@
 //!    which is not a kill: no test is executed;
 //! 3. only mutants still unclassified pay for a full selected-pass run,
 //!    catching cross-pass kills the expected set missed;
-//! 4. concurrency mutants fall through to the bounded model-check
-//!    attempt instead of the coverage check;
-//! 5. what remains is surviving — triaged if an
+//! 4. what remains is surviving — triaged if an
 //!    `// audit: equivalent(<class>)` marker covers the site.
 //!
 //! Everything is deterministic: sampling uses splitmix64 over
@@ -62,11 +60,6 @@ pub enum Verdict {
         /// The pass that fired.
         pass: &'static str,
     },
-    /// The bounded model-check attempt found a failing schedule.
-    KilledByMc {
-        /// What the checker saw (failure class, schedule length).
-        detail: String,
-    },
     /// The mutated fn is call-graph reachable from a tier-1 test, not
     /// executed: coverage, not a kill (deterministic classes only).
     Covered,
@@ -74,10 +67,7 @@ pub enum Verdict {
     /// site declares it unkillable by construction.
     Triaged,
     /// No oracle fires and no triage covers it: a real gap.
-    Surviving {
-        /// Why the concurrency oracles could not see it, when they ran.
-        detail: String,
-    },
+    Surviving,
 }
 
 impl Verdict {
@@ -85,10 +75,9 @@ impl Verdict {
     pub fn label(&self) -> &'static str {
         match self {
             Verdict::KilledByAudit { .. } => "audit",
-            Verdict::KilledByMc { .. } => "mc",
             Verdict::Covered => "covered",
             Verdict::Triaged => "triaged",
-            Verdict::Surviving { .. } => "surviving",
+            Verdict::Surviving => "surviving",
         }
     }
 }
@@ -116,8 +105,8 @@ pub struct Analysis {
 }
 
 /// Classes whose faults are deterministic program-semantics changes a
-/// test can observe on every run. The complement (`ordering-weaken`,
-/// `lock-delete`) is racy: those are never counted as covered.
+/// test can observe on every run. The complement (`ordering-weaken`)
+/// is racy: it is never counted as covered.
 const DETERMINISTIC_CLASSES: &[&str] =
     &["arith-swap", "cmp-flip", "off-by-one", "accum-reorder", "band-shift", "match-arm-delete"];
 
@@ -127,7 +116,6 @@ const DETERMINISTIC_CLASSES: &[&str] =
 fn expected_killers(class: &str) -> &'static [&'static str] {
     match class {
         "ordering-weaken" => &["atomicorder"],
-        "lock-delete" => &["lockset", "lockorder", "blockinlock"],
         "match-arm-delete" => &["protocol"],
         _ => &[],
     }
@@ -221,9 +209,8 @@ fn fxhash(s: &str) -> u64 {
     h
 }
 
-/// Classify one mutant: expected audit killers, then the per-class
-/// second step (test coverage or model check), then the full pass
-/// set, then triage.
+/// Classify one mutant: expected audit killers, then test coverage
+/// (deterministic classes only), then the full pass set, then triage.
 fn classify(
     ws: &Workspace,
     m: &Mutant,
@@ -259,25 +246,11 @@ fn classify(
     if let Some(pass) = audit_kill(&ov, &rest, baseline) {
         return Verdict::KilledByAudit { pass };
     }
-    if !deterministic {
-        let attempt = mc_attempt(m);
-        match attempt {
-            Some(a) if a.killed => return Verdict::KilledByMc { detail: a.detail },
-            Some(a) => {
-                return triage_or_survive(ws, m, a.detail);
-            }
-            None => {}
-        }
-    }
-    triage_or_survive(ws, m, String::from("no oracle fires"))
-}
-
-/// Surviving → triaged when an equivalent marker covers the site.
-fn triage_or_survive(ws: &Workspace, m: &Mutant, detail: String) -> Verdict {
+    // Surviving → triaged when an equivalent marker covers the site.
     if ws.files[m.file].equivalent_marker(m.class, m.line) {
         Verdict::Triaged
     } else {
-        Verdict::Surviving { detail }
+        Verdict::Surviving
     }
 }
 
@@ -339,29 +312,6 @@ fn is_test_reachable(
         .any(|(idx, f)| f.name == name && reachable.contains(&(m.file, idx)))
 }
 
-/// The bounded model-check attempt for a concurrency mutant: the
-/// protocol model that corresponds to the mutant's shape.
-fn mc_attempt(m: &Mutant) -> Option<fcma_mc::mutants::KillAttempt> {
-    use fcma_mc::mutants::{attempt, ProtocolMutant};
-    let cfg = fcma_mc::Config { max_preemptions: 1, max_executions: 256, ..Default::default() };
-    let shape = match m.class {
-        "lock-delete" => ProtocolMutant::LockElision,
-        "ordering-weaken" if m.description.contains("store") => {
-            ProtocolMutant::SeqlockRelaxedPublish
-        }
-        "ordering-weaken" => ProtocolMutant::SeqlockRelaxedReaderCheck,
-        _ => return None,
-    };
-    // The checker *hunts* for assertion panics on its model threads;
-    // letting the default hook spray their backtraces over the report
-    // would bury it. The checker captures the payloads itself.
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let result = attempt(shape, &cfg);
-    std::panic::set_hook(prev);
-    Some(result)
-}
-
 /// Collapse classifications into per-class rows.
 fn matrix_of(classified: &[Classified]) -> Vec<ClassRow> {
     let mut rows: Vec<ClassRow> = Vec::new();
@@ -376,7 +326,6 @@ fn matrix_of(classified: &[Classified]) -> Vec<ClassRow> {
             class: class.to_owned(),
             total: of_class.len(),
             audit: count("audit"),
-            mc: count("mc"),
             covered: count("covered"),
             triaged: count("triaged"),
             surviving: count("surviving"),
@@ -408,7 +357,7 @@ mod tests {
     fn deterministic_classes_complement_is_concurrency() {
         for &c in MUTANT_CLASSES {
             let det = DETERMINISTIC_CLASSES.contains(&c);
-            let conc = matches!(c, "ordering-weaken" | "lock-delete");
+            let conc = c == "ordering-weaken";
             assert!(det != conc, "{c} must be exactly one of deterministic/concurrency");
         }
     }

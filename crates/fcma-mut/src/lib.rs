@@ -1,6 +1,5 @@
-//! fcma-mut: mutation analysis proving the audit passes and the model
-//! checker are load-bearing, and reporting which mutants the tier-1
-//! tests reach.
+//! fcma-mut: mutation analysis proving the audit passes are
+//! load-bearing, and reporting which mutants the tier-1 tests reach.
 //!
 //! A static-analysis suite that never fails is indistinguishable from
 //! one that checks nothing. This crate turns that doubt into a
@@ -12,15 +11,12 @@
 //! - **killed-by-audit** — one of the `fcma-audit` passes raises a
 //!   violation against the mutated tree that the clean tree does not
 //!   have;
-//! - **killed-by-mc** — for concurrency mutants, a bounded
-//!   model-checking attempt ([`fcma_mc::mutants`]) finds a failing
-//!   schedule in a small model of the mutated protocol;
 //! - **covered** — for deterministic mutants, the mutated function is
 //!   reachable from a tier-1 test through the conservative call graph.
 //!   This is coverage, **not a kill**: no test is executed (the
 //!   in-memory overlay never touches the build tree), so a covered
-//!   mutant may well survive the test that reaches it. Only the two
-//!   verdicts above are executed oracles. Concurrency mutants are
+//!   mutant may well survive the test that reaches it. Only the
+//!   verdict above is an executed oracle. Concurrency mutants are
 //!   **never** counted as covered — a deterministic test observes a
 //!   race only by luck;
 //! - **surviving** — no oracle fires. A surviving mutant is either

@@ -142,19 +142,19 @@ fn main() -> ExitCode {
                 json_str(&verdict_detail(&c.verdict))
             ),
             Format::Human => {
-                if let Verdict::Surviving { detail } = &c.verdict {
+                if c.verdict == Verdict::Surviving {
                     println!(
-                        "{}:{}: surviving: [{}] {} ({detail})",
+                        "{}:{}: surviving: [{}] {} ({})",
                         m.rel_path,
                         m.line + 1,
                         m.class,
-                        m.description
+                        m.description,
+                        verdict_detail(&c.verdict)
                     );
-                    failed = true;
                 }
             }
         }
-        if matches!(c.verdict, Verdict::Surviving { .. }) {
+        if c.verdict == Verdict::Surviving {
             failed = true;
         }
     }
@@ -241,7 +241,7 @@ fn main() -> ExitCode {
 fn verdict_detail(v: &Verdict) -> String {
     match v {
         Verdict::KilledByAudit { pass } => format!("pass {pass}"),
-        Verdict::KilledByMc { detail } | Verdict::Surviving { detail } => detail.clone(),
+        Verdict::Surviving => String::from("no oracle fires"),
         Verdict::Covered => String::from("call-graph reachable from a tier-1 test, not executed"),
         Verdict::Triaged => String::from("audit: equivalent marker at site"),
     }
@@ -257,10 +257,9 @@ const USAGE: &str = "usage: fcma-mut run [--root DIR] [--seed N] [--sample K] [-
 
 Seeds typed semantic mutants through the fcma-audit model, applies each
 via an in-memory overlay, and classifies it: killed-by-audit (a pass
-fires), killed-by-mc (bounded model check finds a failing schedule),
-covered (call-graph reachable from a tier-1 test, not executed), triaged
-(`// audit: equivalent(<class>) — <reason>` marker at the site), or
-surviving (a gap; exits 1).
+fires), covered (call-graph reachable from a tier-1 test, not
+executed), triaged (`// audit: equivalent(<class>) — <reason>` marker
+at the site), or surviving (a gap; exits 1).
 
 options:
   --seed N          sampling seed (default 7)
@@ -282,7 +281,6 @@ mutant classes:
   accum-reorder     float-accumulating loop reversed (summation order)
   ordering-weaken   `Ordering::*` weakened to `Relaxed` where DESIGN.md
                     §16 does not permit it
-  lock-delete       a declared `.lock()` acquisition removed
   band-shift        `split_at_mut` band boundary moved by one
   match-arm-delete  a driver protocol match arm retargeted off its variant
 

@@ -1,7 +1,7 @@
 //! Kill-matrix rendering: the committed `mutation-baseline.json`
 //! format, its parser, and the strict delta table CI prints on drift —
 //! the same shapes `fcma-audit stats --check` uses for violation
-//! counts, extended to the six per-class counters.
+//! counts, extended to the five per-class counters.
 
 use fcma_audit::format::json_str;
 
@@ -14,8 +14,6 @@ pub struct ClassRow {
     pub total: usize,
     /// Killed by an audit pass.
     pub audit: usize,
-    /// Killed by the bounded model-check attempt.
-    pub mc: usize,
     /// Covered: call-graph reachable from a tier-1 test, not executed.
     pub covered: usize,
     /// Surviving but triaged equivalent.
@@ -28,23 +26,22 @@ impl ClassRow {
     /// Killed-or-covered share in percent over the non-triaged sample:
     /// triaged mutants are unkillable by construction, so they shrink
     /// the denominator rather than count as misses. An all-triaged
-    /// class scores 100. Only `audit` and `mc` are executed oracles; for
-    /// the deterministic classes this is a coverage figure.
+    /// class scores 100. Only `audit` is an executed oracle; for the
+    /// deterministic classes this is a coverage figure.
     pub fn score(&self) -> u32 {
         let denom = self.total - self.triaged;
         if denom == 0 {
             return 100;
         }
-        let counted = self.audit + self.mc + self.covered;
+        let counted = self.audit + self.covered;
         u32::try_from(counted * 100 / denom).unwrap_or(0)
     }
 
-    /// The six counters in field order, paired with their JSON keys.
-    fn fields(&self) -> [(&'static str, usize); 6] {
+    /// The five counters in field order, paired with their JSON keys.
+    fn fields(&self) -> [(&'static str, usize); 5] {
         [
             ("total", self.total),
             ("audit", self.audit),
-            ("mc", self.mc),
             ("covered", self.covered),
             ("triaged", self.triaged),
             ("surviving", self.surviving),
@@ -91,7 +88,6 @@ pub fn parse_matrix(json: &str) -> Option<Vec<ClassRow>> {
             class: class.to_owned(),
             total: 0,
             audit: 0,
-            mc: 0,
             covered: 0,
             triaged: 0,
             surviving: 0,
@@ -103,7 +99,6 @@ pub fn parse_matrix(json: &str) -> Option<Vec<ClassRow>> {
             match k.trim().trim_matches('"') {
                 "total" => row.total = n,
                 "audit" => row.audit = n,
-                "mc" => row.mc = n,
                 "covered" => row.covered = n,
                 "triaged" => row.triaged = n,
                 "surviving" => row.surviving = n,
@@ -111,7 +106,7 @@ pub fn parse_matrix(json: &str) -> Option<Vec<ClassRow>> {
             }
             seen += 1;
         }
-        if seen != 6 {
+        if seen != 5 {
             return None;
         }
         out.push(row);
@@ -131,14 +126,13 @@ pub fn render_matrix_delta(baseline: &[ClassRow], current: &[ClassRow]) -> Strin
         (Some(b), None) => format!("{b} (gone)"),
         (None, None) => String::new(),
     };
-    let mut rows: Vec<[String; 7]> = Vec::new();
+    let mut rows: Vec<[String; 6]> = Vec::new();
     let row_cells = |b: Option<&ClassRow>, c: Option<&ClassRow>, class: &str| {
         let pick = |f: fn(&ClassRow) -> usize| cell(b.map(f), c.map(f));
         [
             class.to_owned(),
             pick(|r| r.total),
             pick(|r| r.audit),
-            pick(|r| r.mc),
             pick(|r| r.covered),
             pick(|r| r.triaged),
             pick(|r| r.surviving),
@@ -159,11 +153,11 @@ pub fn render_matrix_delta(baseline: &[ClassRow], current: &[ClassRow]) -> Strin
         return String::new();
     }
     rows.sort_by(|a, b| a[0].cmp(&b[0]));
-    let header = ["class", "total", "audit", "mc", "covered", "triaged", "surviving"];
+    let header = ["class", "total", "audit", "covered", "triaged", "surviving"];
     let width = |i: usize| {
         rows.iter().map(|r| r[i].chars().count()).chain([header[i].len()]).max().unwrap_or(0)
     };
-    let w: Vec<usize> = (0..7).map(width).collect();
+    let w: Vec<usize> = (0..6).map(width).collect();
     let render_row = |cells: &[String]| {
         let mut line = format!("{:<w0$}", cells[0], w0 = w[0]);
         for (i, c) in cells.iter().enumerate().skip(1) {
@@ -190,7 +184,6 @@ mod tests {
                 class: "arith-swap".into(),
                 total: 4,
                 audit: 0,
-                mc: 0,
                 covered: 4,
                 triaged: 0,
                 surviving: 0,
@@ -199,7 +192,6 @@ mod tests {
                 class: "ordering-weaken".into(),
                 total: 3,
                 audit: 3,
-                mc: 0,
                 covered: 0,
                 triaged: 0,
                 surviving: 0,
@@ -210,14 +202,14 @@ mod tests {
     #[test]
     fn matrix_golden_and_roundtrip() {
         let got = render_matrix(&sample());
-        let want = "{\n  \"arith-swap\": {\"total\": 4, \"audit\": 0, \"mc\": 0, \"covered\": 4, \
+        let want = "{\n  \"arith-swap\": {\"total\": 4, \"audit\": 0, \"covered\": 4, \
                     \"triaged\": 0, \"surviving\": 0},\n  \
-                    \"ordering-weaken\": {\"total\": 3, \"audit\": 3, \"mc\": 0, \"covered\": 0, \
+                    \"ordering-weaken\": {\"total\": 3, \"audit\": 3, \"covered\": 0, \
                     \"triaged\": 0, \"surviving\": 0}\n}\n";
         assert_eq!(got, want);
         assert_eq!(parse_matrix(&got).expect("own output parses"), sample());
         assert!(parse_matrix("not json").is_none());
-        assert!(parse_matrix("{\n  \"a\": {\"total\": 1}\n}\n").is_none(), "all six required");
+        assert!(parse_matrix("{\n  \"a\": {\"total\": 1}\n}\n").is_none(), "all five required");
     }
 
     #[test]
@@ -234,7 +226,6 @@ mod tests {
             class: "x".into(),
             total: 2,
             audit: 0,
-            mc: 0,
             covered: 0,
             triaged: 2,
             surviving: 0,
@@ -254,7 +245,6 @@ mod tests {
             class: "band-shift".into(),
             total: 1,
             audit: 0,
-            mc: 0,
             covered: 1,
             triaged: 0,
             surviving: 0,

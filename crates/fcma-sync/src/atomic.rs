@@ -1,13 +1,11 @@
 //! Facade atomics.
 //!
-//! [`AtomicBool`] and [`AtomicU64`] wrap their `std::sync::atomic`
-//! counterparts; under a model checker each access is preceded by a
-//! scheduling point, so races on flags (cancellation, shutdown) and on
-//! the flight recorder's ring-buffer words are part of the explored
+//! [`AtomicBool`] wraps its `std::sync::atomic` counterpart; under a
+//! model checker each access is preceded by a scheduling point, so
+//! races on flags (cancellation, shutdown) are part of the explored
 //! interleavings. Orderings are passed straight through — under the
 //! model threads are serialized, so every execution is sequentially
-//! consistent anyway. Constructors are `const` so lock-free structures
-//! (the recorder's enable flag, ring heads) can live in statics.
+//! consistent anyway.
 
 pub use std::sync::atomic::Ordering;
 
@@ -35,40 +33,6 @@ impl AtomicBool {
     pub fn store(&self, value: bool, order: Ordering) {
         interleave();
         self.inner.store(value, order);
-    }
-}
-
-/// A 64-bit counter shared between threads.
-///
-/// The minimal surface the flight recorder's single-writer rings need:
-/// plain loads/stores plus `fetch_add` for shared sequence counters.
-#[derive(Debug, Default)]
-pub struct AtomicU64 {
-    inner: std::sync::atomic::AtomicU64,
-}
-
-impl AtomicU64 {
-    /// A new counter holding `value`.
-    pub const fn new(value: u64) -> Self {
-        AtomicU64 { inner: std::sync::atomic::AtomicU64::new(value) }
-    }
-
-    /// Read the counter.
-    pub fn load(&self, order: Ordering) -> u64 {
-        interleave();
-        self.inner.load(order)
-    }
-
-    /// Write the counter.
-    pub fn store(&self, value: u64, order: Ordering) {
-        interleave();
-        self.inner.store(value, order);
-    }
-
-    /// Add `delta`, returning the previous value.
-    pub fn fetch_add(&self, delta: u64, order: Ordering) -> u64 {
-        interleave();
-        self.inner.fetch_add(delta, order)
     }
 }
 

@@ -44,7 +44,7 @@ impl Instant {
     /// Raw nanoseconds since the mode's epoch.
     ///
     /// Meaningful only relative to other instants from the same mode;
-    /// the flight recorder stores these directly in its ring slots.
+    /// the flight recorder stores these as event timestamps.
     pub fn nanos(&self) -> u64 {
         self.nanos
     }

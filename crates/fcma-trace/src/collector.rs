@@ -53,10 +53,6 @@ type LabeledMap = HashMap<(&'static str, &'static str), std::collections::BTreeM
 struct Inner {
     /// Time base for every timestamp recorded under this collector.
     epoch: Instant,
-    /// The facade clock's reading at this collector's epoch, for
-    /// aligning flight-recorder timestamps (recorded on the facade
-    /// clock) with span timestamps (recorded against `epoch`).
-    rec_epoch: u64,
     /// Every thread buffer ever registered under this collector.
     threads: Mutex<Vec<Arc<ThreadBuf>>>,
     /// Monotonic named counters.
@@ -411,7 +407,6 @@ impl Collector {
         Collector {
             inner: Arc::new(Inner {
                 epoch: Instant::now(),
-                rec_epoch: fcma_sync::time::Instant::now().nanos(),
                 threads: Mutex::new(Vec::new()),
                 counters: Mutex::new(HashMap::new()),
                 labeled: Mutex::new(HashMap::new()),
@@ -456,35 +451,6 @@ impl Collector {
             lock(&self.inner.histograms).drain().map(|(k, v)| (k.to_owned(), v)).collect();
         TraceReport { spans, counters, labeled_counters, histograms }
     }
-
-    /// [`Collector::drain`], then bridge the flight recorder's current
-    /// events into the report as instant records (so they land on the
-    /// Chrome timeline next to the spans). Recorder timestamps are on
-    /// the facade clock; they are re-based to this collector's epoch,
-    /// clamping events recorded before it to 0. Bridged records use
-    /// `tid = 900 + ring` to keep recorder lanes visually separate.
-    pub fn drain_with_recorder(&self) -> TraceReport {
-        let mut report = self.drain();
-        for ev in crate::recorder::snapshot().events {
-            report.spans.push(SpanRecord {
-                name: ev.kind.name().to_owned(),
-                tid: 900 + ev.ring,
-                id: NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed),
-                parent: None,
-                start_ns: ev.ts_ns.saturating_sub(self.inner.rec_epoch),
-                dur_ns: None,
-                attrs: vec![
-                    ("task".to_owned(), AttrValue::U64(ev.task)),
-                    ("attempt".to_owned(), AttrValue::U64(u64::from(ev.attempt))),
-                    ("origin".to_owned(), AttrValue::Str(ev.origin.as_str().to_owned())),
-                    ("arg".to_owned(), AttrValue::U64(ev.arg)),
-                    ("seq".to_owned(), AttrValue::U64(ev.seq)),
-                ],
-            });
-        }
-        report.spans.sort_by_key(|s| (s.start_ns, s.id));
-        report
-    }
 }
 
 /// RAII guard from [`Collector::install_scoped`]; restores the
@@ -501,12 +467,6 @@ impl ScopedCollector<'_> {
     /// Drain the underlying collector (see [`Collector::drain`]).
     pub fn drain(&self) -> TraceReport {
         self.collector.drain()
-    }
-
-    /// Drain plus the flight-recorder bridge (see
-    /// [`Collector::drain_with_recorder`]).
-    pub fn drain_with_recorder(&self) -> TraceReport {
-        self.collector.drain_with_recorder()
     }
 }
 

@@ -38,22 +38,6 @@ impl TraceOrigin {
             TraceOrigin::Speculative => "speculative",
         }
     }
-
-    pub(crate) fn code(self) -> u64 {
-        match self {
-            TraceOrigin::Dispatch => 0,
-            TraceOrigin::Retry => 1,
-            TraceOrigin::Speculative => 2,
-        }
-    }
-
-    pub(crate) fn from_code(code: u64) -> TraceOrigin {
-        match code {
-            1 => TraceOrigin::Retry,
-            2 => TraceOrigin::Speculative,
-            _ => TraceOrigin::Dispatch,
-        }
-    }
 }
 
 /// The causal identity of one dispatch attempt.

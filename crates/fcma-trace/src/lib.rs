@@ -22,6 +22,11 @@
 //! created any other way are uninstrumented. Nothing is process-global,
 //! so two instrumented runs in one process produce two disjoint reports.
 //!
+//! The flight recorder ([`recorder::FlightLog`]) is scoped the same
+//! way by ownership instead of installation: each cluster run creates
+//! its own bounded log, shares it with its workers, and drops it on
+//! return, so a [`postmortem`] dump holds that run's events only.
+//!
 //! # Cost model
 //!
 //! With no collector current on the thread every macro reduces to one
@@ -151,22 +156,6 @@ macro_rules! labeled_counter {
         if $crate::is_enabled() {
             $crate::add_labeled_counter($name, stringify!($label), $key, $delta);
         }
-    };
-}
-
-/// Append one event to the calling thread's flight-recorder ring. The
-/// recorder is **not** gated on a collector being installed — it is the
-/// always-on black box — so this macro only names the event; see
-/// [`recorder::record`].
-///
-/// ```
-/// # use fcma_trace::{record, TraceOrigin};
-/// record!("recorder.dispatch", 64, 1, TraceOrigin::Dispatch, 0);
-/// ```
-#[macro_export]
-macro_rules! record {
-    ($name:literal, $task:expr, $attempt:expr, $origin:expr, $arg:expr) => {
-        $crate::recorder::record($name, $task, $attempt, $origin, $arg)
     };
 }
 

@@ -1,8 +1,8 @@
-//! Postmortem dumps: when the cluster hits a fault, the flight
-//! recorder's rings are snapshotted and rendered into a small,
-//! self-describing text artifact (`fcma-postmortem v1`) that names the
-//! trigger, prints the merged cross-thread timeline, and extracts the
-//! causal chain of the task that tripped the fault.
+//! Postmortem dumps: when a cluster run hits a fault, its flight log
+//! is snapshotted and rendered into a small, self-describing text
+//! artifact (`fcma-postmortem v2`) that names the trigger, prints the
+//! run's timeline, and extracts the causal chain of the task that
+//! tripped the fault.
 //!
 //! The driver emits one automatically (into `ClusterConfig::
 //! postmortem_dir`) on a task panic, a worker condemnation, a deadline
@@ -13,11 +13,11 @@
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-use crate::recorder::{snapshot, RecorderSnapshot};
+use crate::recorder::RecorderEvent;
 
 /// Magic first line of every dump; bump the suffix when the format
 /// changes shape.
-pub const POSTMORTEM_HEADER: &str = "fcma-postmortem v1";
+pub const POSTMORTEM_HEADER: &str = "fcma-postmortem v2";
 
 /// Why a postmortem was taken.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,69 +33,67 @@ pub struct PostmortemTrigger {
     pub worker: u64,
 }
 
-/// Render a recorder snapshot plus trigger into the `fcma-postmortem
-/// v1` text format. Pure function of its inputs, so the format is
-/// golden-testable.
+/// Render one run's flight-log snapshot plus trigger into the
+/// `fcma-postmortem v2` text format. Pure function of its inputs, so
+/// the format is golden-testable. The causal chain is the timeline
+/// restricted to the trigger's task.
 #[must_use]
-pub fn render(snap: &RecorderSnapshot, trigger: &PostmortemTrigger) -> String {
+pub fn render(events: &[RecorderEvent], trigger: &PostmortemTrigger) -> String {
     let mut out = String::new();
-    let mut rings: Vec<u64> = snap.events.iter().map(|e| e.ring).collect();
-    rings.sort_unstable();
-    rings.dedup();
     let _ = writeln!(out, "{POSTMORTEM_HEADER}");
     let _ = writeln!(
         out,
         "trigger: {} task={} attempt={} worker={}",
         trigger.kind, trigger.task, trigger.attempt, trigger.worker
     );
-    let _ = writeln!(out, "events: {}", snap.events.len());
-    let _ = writeln!(out, "rings: {}", rings.len());
+    let _ = writeln!(out, "events: {}", events.len());
     let _ = writeln!(out, "-- timeline --");
-    for e in &snap.events {
+    for e in events {
         let _ = writeln!(
             out,
-            "ts={} ring={} seq={} {} task={} attempt={} origin={} arg={}",
+            "ts={} seq={} {} task={} attempt={} origin={} arg={}",
             e.ts_ns,
-            e.ring,
             e.seq,
             e.kind.name(),
-            e.task,
-            e.attempt,
-            e.origin.as_str(),
+            e.ctx.task,
+            e.ctx.attempt,
+            e.ctx.origin.as_str(),
             e.arg
         );
     }
     let _ = writeln!(out, "-- causal chain: task {} --", trigger.task);
-    for e in snap.causal_chain(trigger.task) {
+    for e in events.iter().filter(|e| e.ctx.task == trigger.task) {
         let _ = writeln!(
             out,
-            "ts={} ring={} seq={} {} attempt={} origin={} arg={}",
+            "ts={} seq={} {} attempt={} origin={} arg={}",
             e.ts_ns,
-            e.ring,
             e.seq,
             e.kind.name(),
-            e.attempt,
-            e.origin.as_str(),
+            e.ctx.attempt,
+            e.ctx.origin.as_str(),
             e.arg
         );
     }
     out
 }
 
-/// Snapshot every ring and write a dump for `trigger` into `dir`
-/// (created if absent). The file name is derived from the trigger so
-/// repeated faults in one run produce distinct artifacts.
+/// Write a dump of `events` for `trigger` into `dir` (created if
+/// absent). The file name is derived from the trigger so repeated
+/// faults in one run produce distinct artifacts.
 ///
 /// # Errors
 /// Propagates filesystem errors creating the directory or writing the
 /// file.
-pub fn emit_to_dir(dir: &Path, trigger: &PostmortemTrigger) -> std::io::Result<PathBuf> {
+pub fn emit_to_dir(
+    dir: &Path,
+    events: &[RecorderEvent],
+    trigger: &PostmortemTrigger,
+) -> std::io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
-    let snap = snapshot();
     let kind = trigger.kind.replace('.', "-");
     let path =
         dir.join(format!("postmortem-{kind}-task{}-attempt{}.txt", trigger.task, trigger.attempt));
-    std::fs::write(&path, render(&snap, trigger))?;
+    std::fs::write(&path, render(events, trigger))?;
     Ok(path)
 }
 
@@ -106,8 +104,6 @@ pub struct PostmortemSummary {
     pub trigger: String,
     /// Declared event count from the header.
     pub events: usize,
-    /// Declared ring count from the header.
-    pub rings: usize,
     /// Lines in the causal-chain section.
     pub chain_len: usize,
 }
@@ -133,11 +129,6 @@ pub fn validate(text: &str) -> Result<PostmortemSummary, String> {
         .and_then(|l| l.strip_prefix("events: "))
         .and_then(|n| n.parse().ok())
         .ok_or_else(|| "missing events line".to_string())?;
-    let rings: usize = lines
-        .next()
-        .and_then(|l| l.strip_prefix("rings: "))
-        .and_then(|n| n.parse().ok())
-        .ok_or_else(|| "missing rings line".to_string())?;
     if lines.next() != Some("-- timeline --") {
         return Err("missing timeline section".to_string());
     }
@@ -160,60 +151,69 @@ pub fn validate(text: &str) -> Result<PostmortemSummary, String> {
         return Err(format!("events header says {events} but timeline has {timeline} lines"));
     }
     let chain_len = chain_len.ok_or_else(|| "missing causal-chain section".to_string())?;
-    Ok(PostmortemSummary { trigger, events, rings, chain_len })
+    Ok(PostmortemSummary { trigger, events, chain_len })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctx::TraceOrigin;
-    use crate::recorder::{EventKind, RecorderEvent};
+    use crate::ctx::{TraceCtx, TraceOrigin};
+    use crate::recorder::EventKind;
 
-    fn sample_snapshot() -> RecorderSnapshot {
-        let ev = |ring, seq, ts_ns, kind, task, attempt, origin, arg| RecorderEvent {
-            ring,
-            seq,
-            ts_ns,
-            kind,
-            task,
-            attempt,
-            origin,
-            arg,
-        };
-        RecorderSnapshot {
-            events: vec![
-                ev(0, 0, 100, EventKind::Dispatch, 64, 0, TraceOrigin::Dispatch, 1),
-                ev(1, 0, 150, EventKind::TaskStart, 64, 0, TraceOrigin::Dispatch, 1),
-                ev(0, 1, 200, EventKind::Dispatch, 128, 0, TraceOrigin::Dispatch, 2),
-                ev(1, 1, 900, EventKind::TaskPanic, 64, 0, TraceOrigin::Dispatch, 1),
-                ev(0, 2, 950, EventKind::Condemn, 64, 0, TraceOrigin::Dispatch, 1),
-                ev(0, 3, 980, EventKind::Dispatch, 64, 1, TraceOrigin::Retry, 2),
-            ],
-        }
+    /// One event of every kind: the golden test below is what pins the
+    /// eight `recorder.*` wire names.
+    fn sample_events() -> Vec<RecorderEvent> {
+        let rows = [
+            (100, EventKind::Dispatch, 64, 1, TraceOrigin::Dispatch, 1),
+            (150, EventKind::TaskStart, 64, 1, TraceOrigin::Dispatch, 1),
+            (200, EventKind::Dispatch, 128, 1, TraceOrigin::Dispatch, 2),
+            (250, EventKind::TaskEnd, 128, 1, TraceOrigin::Dispatch, 2),
+            (600, EventKind::Speculate, 64, 1, TraceOrigin::Speculative, 2),
+            (900, EventKind::TaskPanic, 64, 1, TraceOrigin::Speculative, 2),
+            (950, EventKind::Condemn, 64, 1, TraceOrigin::Dispatch, 1),
+            (980, EventKind::Dispatch, 64, 2, TraceOrigin::Retry, 3),
+            (990, EventKind::Fence, 64, 1, TraceOrigin::Dispatch, 1),
+            (999, EventKind::ResumeMismatch, 0, 0, TraceOrigin::Dispatch, 96),
+        ];
+        (0u64..)
+            .zip(rows)
+            .map(|(seq, (ts_ns, kind, task, attempt, origin, arg))| RecorderEvent {
+                seq,
+                ts_ns,
+                kind,
+                ctx: TraceCtx::new(task, attempt, origin),
+                arg,
+            })
+            .collect()
     }
 
     #[test]
     fn render_matches_golden() {
-        let trigger = PostmortemTrigger { kind: "task.panic", task: 64, attempt: 0, worker: 1 };
-        let got = render(&sample_snapshot(), &trigger);
+        let trigger = PostmortemTrigger { kind: "task.panic", task: 64, attempt: 1, worker: 2 };
+        let got = render(&sample_events(), &trigger);
         let want = "\
-fcma-postmortem v1
-trigger: task.panic task=64 attempt=0 worker=1
-events: 6
-rings: 2
+fcma-postmortem v2
+trigger: task.panic task=64 attempt=1 worker=2
+events: 10
 -- timeline --
-ts=100 ring=0 seq=0 recorder.dispatch task=64 attempt=0 origin=dispatch arg=1
-ts=150 ring=1 seq=0 recorder.task.start task=64 attempt=0 origin=dispatch arg=1
-ts=200 ring=0 seq=1 recorder.dispatch task=128 attempt=0 origin=dispatch arg=2
-ts=900 ring=1 seq=1 recorder.task.panic task=64 attempt=0 origin=dispatch arg=1
-ts=950 ring=0 seq=2 recorder.condemn task=64 attempt=0 origin=dispatch arg=1
-ts=980 ring=0 seq=3 recorder.dispatch task=64 attempt=1 origin=retry arg=2
+ts=100 seq=0 recorder.dispatch task=64 attempt=1 origin=dispatch arg=1
+ts=150 seq=1 recorder.task.start task=64 attempt=1 origin=dispatch arg=1
+ts=200 seq=2 recorder.dispatch task=128 attempt=1 origin=dispatch arg=2
+ts=250 seq=3 recorder.task.end task=128 attempt=1 origin=dispatch arg=2
+ts=600 seq=4 recorder.speculate task=64 attempt=1 origin=speculative arg=2
+ts=900 seq=5 recorder.task.panic task=64 attempt=1 origin=speculative arg=2
+ts=950 seq=6 recorder.condemn task=64 attempt=1 origin=dispatch arg=1
+ts=980 seq=7 recorder.dispatch task=64 attempt=2 origin=retry arg=3
+ts=990 seq=8 recorder.fence task=64 attempt=1 origin=dispatch arg=1
+ts=999 seq=9 recorder.resume.mismatch task=0 attempt=0 origin=dispatch arg=96
 -- causal chain: task 64 --
-ts=100 ring=0 seq=0 recorder.dispatch attempt=0 origin=dispatch arg=1
-ts=150 ring=1 seq=0 recorder.task.start attempt=0 origin=dispatch arg=1
-ts=900 ring=1 seq=1 recorder.task.panic attempt=0 origin=dispatch arg=1
-ts=950 ring=0 seq=2 recorder.condemn attempt=0 origin=dispatch arg=1
-ts=980 ring=0 seq=3 recorder.dispatch attempt=1 origin=retry arg=2
+ts=100 seq=0 recorder.dispatch attempt=1 origin=dispatch arg=1
+ts=150 seq=1 recorder.task.start attempt=1 origin=dispatch arg=1
+ts=600 seq=4 recorder.speculate attempt=1 origin=speculative arg=2
+ts=900 seq=5 recorder.task.panic attempt=1 origin=speculative arg=2
+ts=950 seq=6 recorder.condemn attempt=1 origin=dispatch arg=1
+ts=980 seq=7 recorder.dispatch attempt=2 origin=retry arg=3
+ts=990 seq=8 recorder.fence attempt=1 origin=dispatch arg=1
 ";
         assert_eq!(got, want);
     }
@@ -221,28 +221,26 @@ ts=980 ring=0 seq=3 recorder.dispatch attempt=1 origin=retry arg=2
     #[test]
     fn rendered_dump_validates_and_summarizes() {
         let trigger =
-            PostmortemTrigger { kind: "worker.condemned", task: 64, attempt: 0, worker: 1 };
-        let text = render(&sample_snapshot(), &trigger);
+            PostmortemTrigger { kind: "worker.condemned", task: 64, attempt: 1, worker: 1 };
+        let text = render(&sample_events(), &trigger);
         let summary = validate(&text).expect("rendered dump must validate");
-        assert_eq!(summary.trigger, "worker.condemned task=64 attempt=0 worker=1");
-        assert_eq!(summary.events, 6);
-        assert_eq!(summary.rings, 2);
-        assert_eq!(summary.chain_len, 5);
+        assert_eq!(summary.trigger, "worker.condemned task=64 attempt=1 worker=1");
+        assert_eq!(summary.events, 10);
+        assert_eq!(summary.chain_len, 7);
     }
 
     #[test]
     fn validate_rejects_malformed_dumps() {
         assert!(validate("not a postmortem").is_err());
-        assert!(validate("fcma-postmortem v1\n").is_err());
+        assert!(validate("fcma-postmortem v2\n").is_err());
+        assert!(validate("fcma-postmortem v1\n").is_err(), "the v1 shape had ring columns");
         let trigger = PostmortemTrigger { kind: "task.panic", task: 1, attempt: 0, worker: 0 };
-        let mut text = render(&sample_snapshot(), &trigger);
-        text.push_str(
-            "ts=999 ring=9 seq=9 recorder.fence task=1 attempt=0 origin=dispatch arg=0\n",
-        );
+        let mut text = render(&sample_events(), &trigger);
+        text.push_str("ts=999 seq=9 recorder.fence task=1 attempt=0 origin=dispatch arg=0\n");
         // Extra chain lines are fine; a missing timeline line is not.
         assert!(validate(&text).is_ok());
         let truncated = text.replace(
-            "ts=200 ring=0 seq=1 recorder.dispatch task=128 attempt=0 origin=dispatch arg=2\n",
+            "ts=200 seq=2 recorder.dispatch task=128 attempt=1 origin=dispatch arg=2\n",
             "",
         );
         assert!(validate(&truncated).is_err());
@@ -252,7 +250,7 @@ ts=980 ring=0 seq=3 recorder.dispatch attempt=1 origin=retry arg=2
     fn emit_writes_a_validating_artifact() {
         let dir = std::env::temp_dir().join("fcma-postmortem-test");
         let trigger = PostmortemTrigger { kind: "resume.mismatch", task: 3, attempt: 2, worker: 0 };
-        let path = emit_to_dir(&dir, &trigger).expect("emit");
+        let path = emit_to_dir(&dir, &sample_events(), &trigger).expect("emit");
         assert_eq!(
             path.file_name().and_then(|n| n.to_str()),
             Some("postmortem-resume-mismatch-task3-attempt2.txt")

@@ -1,73 +1,47 @@
-//! Property test for the flight recorder's wraparound contract: after
-//! `N ≫ capacity` events, a quiescent ring holds **exactly** the newest
-//! `capacity` events, oldest first, with contiguous sequence numbers —
-//! at 1, 2, and 8 recording threads, under the virtual clock so the
-//! property is about ring mechanics, not wall time.
-//!
-//! Each thread records into its own thread-local ring (the recorder is
-//! single-writer by construction), so the per-thread assertion is exact:
-//! no torn-slot skips are tolerated when the writer is the snapshotter.
+//! Property test for the flight log's eviction contract: after any
+//! number of records, from 1, 2, or 8 threads sharing one log, a
+//! snapshot holds **exactly** the newest `min(written, CAPACITY)`
+//! events, oldest first, with contiguous sequence numbers and
+//! non-decreasing timestamps.
 
-use fcma_trace::recorder::{self, EventKind};
-use fcma_trace::TraceOrigin;
+use fcma_trace::recorder::{EventKind, FlightLog, CAPACITY};
+use fcma_trace::{TraceCtx, TraceOrigin};
 use proptest::prelude::*;
-
-/// Push `total` events on one fresh thread with ring capacity
-/// `capacity`, snapshot from that same thread, and check the exact
-/// newest-`capacity` window.
-fn check_thread_window(thread_tag: u64, capacity: usize, total: u64) {
-    for i in 0..total {
-        recorder::record(
-            "recorder.dispatch",
-            thread_tag * 1_000_000 + i,
-            u32::try_from(i % 7).unwrap_or(0),
-            TraceOrigin::Dispatch,
-            thread_tag,
-        );
-    }
-    assert!(recorder::recorder_enabled(), "recorder defaults to on");
-    let ring: std::sync::Arc<recorder::Ring> =
-        recorder::current_ring().expect("recording thread has a ring");
-    assert_eq!(ring.capacity(), capacity, "ring picked up the configured capacity");
-    assert_eq!(ring.written(), total, "every push landed");
-    let events: Vec<recorder::RecorderEvent> = ring.snapshot();
-    let expect = u64::try_from(capacity).unwrap_or(u64::MAX).min(total);
-    assert_eq!(
-        events.len(),
-        usize::try_from(expect).unwrap_or(usize::MAX),
-        "quiescent ring must hold exactly min(written, capacity) events"
-    );
-    for (k, e) in events.iter().enumerate() {
-        let k = u64::try_from(k).unwrap_or(u64::MAX);
-        let seq = total - expect + k;
-        assert_eq!(e.seq, seq, "sequence numbers are contiguous, oldest first");
-        assert_eq!(e.task, thread_tag * 1_000_000 + seq, "payloads match their sequence");
-        assert_eq!(e.attempt, u32::try_from(seq % 7).unwrap_or(0));
-        assert_eq!(e.kind, EventKind::Dispatch);
-        assert_eq!(e.arg, thread_tag);
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Wraparound keeps exactly the newest `capacity` events in order,
-    /// for every thread of a 1-, 2-, or 8-thread recording burst.
     #[test]
-    fn ring_window_is_exact_across_thread_counts(
-        cap_exp in 3u32..7,          // capacities 8..64 (pow2 contract)
-        extra in 1u64..200,          // how far past capacity each thread runs
+    fn log_window_is_exact_across_thread_counts(
+        per_thread in 0usize..400,   // 8 × 399 runs well past CAPACITY
         thread_sel in 0usize..3,     // index into the {1, 2, 8} thread ladder
     ) {
         let threads = [1usize, 2, 8][thread_sel];
-        let _clock = fcma_sync::clock::VirtualClock::install();
-        let capacity = 1usize << cap_exp;
-        recorder::set_capacity(capacity);
-        let total = u64::try_from(capacity).unwrap_or(u64::MAX) + extra;
+        let log = FlightLog::new();
         std::thread::scope(|s| {
             for t in 0..threads {
-                s.spawn(move || check_thread_window(u64::try_from(t).unwrap_or(0) + 1, capacity, total));
+                let log = log.clone();
+                s.spawn(move || {
+                    for i in (0u64..).take(per_thread) {
+                        let ctx = TraceCtx::new(i, 0, TraceOrigin::Dispatch);
+                        log.record(EventKind::Dispatch, ctx, t);
+                    }
+                });
             }
         });
+        let total = threads * per_thread;
+        let kept = total.min(CAPACITY);
+        let events = log.snapshot();
+        prop_assert_eq!(events.len(), kept);
+        let first = u64::try_from(total - kept).unwrap_or(u64::MAX);
+        for (seq, e) in (first..).zip(&events) {
+            prop_assert_eq!(e.seq, seq, "sequence numbers are contiguous, oldest first");
+        }
+        prop_assert!(events.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns), "log order is time order");
+        // Each writer's own events survive in the order it wrote them.
+        for t in 0..threads {
+            let mine: Vec<u64> = events.iter().filter(|e| e.arg == t).map(|e| e.ctx.task).collect();
+            prop_assert!(mine.windows(2).all(|w| w[0] < w[1]), "thread {}: {:?}", t, mine);
+        }
     }
 }

@@ -199,14 +199,23 @@ fn speculative_duplicate_is_traced_and_accounted() {
     assert!(straggler.wall >= Duration::from_millis(80), "wall {:?}", straggler.wall);
 }
 
+/// The lines of a postmortem dump's timeline section.
+fn timeline(dump: &str) -> Vec<&str> {
+    dump.lines()
+        .skip_while(|l| *l != "-- timeline --")
+        .skip(1)
+        .take_while(|l| !l.starts_with("-- causal chain"))
+        .collect()
+}
+
 /// Causal tracing end to end: a chaos run with a panic and a retry must
 /// stamp every worker-side span with the ctx of a live dispatch, mark
-/// the retry's spans with origin `retry`, bridge the flight recorder's
-/// events into the drained report, and drop a validating postmortem
+/// the retry's spans with origin `retry`, keep flight-recorder events
+/// out of the collected trace, and drop a validating postmortem
 /// artifact for the panicking task — all under the causality invariants
 /// of `check_consistency`.
 #[test]
-fn causal_context_recorder_bridge_and_postmortem() {
+fn causal_context_and_postmortem() {
     use fcma::trace::AttrValue;
 
     let _clock = VirtualClock::install();
@@ -224,7 +233,7 @@ fn causal_context_recorder_bridge_and_postmortem() {
     let collector = Collector::new();
     let scoped = collector.install_scoped();
     let run = run_cluster_with(&ctx, chaos_exec(plan), &cfg).expect("chaos run must recover");
-    let report = scoped.drain_with_recorder();
+    let report = scoped.drain();
     drop(scoped);
     assert_eq!(run.scores.len(), 48);
 
@@ -269,27 +278,93 @@ fn causal_context_recorder_bridge_and_postmortem() {
     let hist = hists.get("task.process").expect("task.process family in the histograms");
     assert!(hist.quantile(0.99) >= hist.quantile(0.5), "quantiles must be monotone");
 
-    // The live recorder agrees with the bridged view: a merged snapshot
-    // still carries the panicking task's causal chain.
-    let snap: fcma::trace::recorder::RecorderSnapshot = fcma::trace::recorder::snapshot();
-    assert!(!snap.causal_chain(16).is_empty(), "recorder snapshot lost task 16's chain");
+    // The flight log is the run's own: none of it rides the collector.
+    assert!(report.spans.iter().all(|s| !s.name.starts_with("recorder.")));
 
-    // Flight-recorder events were bridged into the drained report and
-    // survive the Chrome JSON round trip.
-    assert!(report.spans.iter().any(|s| s.name == "recorder.dispatch"));
-    assert!(report.spans.iter().any(|s| s.name == "recorder.task.panic"));
-    let parsed = from_chrome_json(&to_chrome_json(&report)).expect("round trip");
-    assert_eq!(
-        parsed.spans.iter().filter(|s| s.name.starts_with("recorder.")).count(),
-        report.spans.iter().filter(|s| s.name.starts_with("recorder.")).count()
-    );
-
-    // The panic dropped a validating postmortem naming the causal chain.
+    // The panic dropped a validating postmortem whose causal chain is
+    // the panicking attempt and nothing else (the retry is dispatched
+    // only after the dump is taken). The master records a dispatch
+    // after sending it, so the worker's lines may precede it.
     let dump = pm_dir.join("postmortem-task-panic-task16-attempt1.txt");
     let text = std::fs::read_to_string(&dump).expect("postmortem artifact must exist");
     let summary = fcma::trace::postmortem::validate(&text).expect("artifact must validate");
     assert!(summary.trigger.starts_with("task.panic task=16 attempt=1"), "{}", summary.trigger);
-    assert!(summary.chain_len > 0, "causal chain of the panicking task is empty");
+    let chain: Vec<&str> =
+        timeline(&text).into_iter().filter(|l| l.contains(" task=16 ")).collect();
+    assert_eq!(summary.chain_len, chain.len());
+    assert_eq!(chain.len(), 3, "{chain:?}");
+    for kind in ["dispatch", "task.start", "task.panic"] {
+        let wanted = format!(" recorder.{kind} task=16 attempt=1 origin=dispatch ");
+        assert!(chain.iter().any(|l| l.contains(&wanted)), "no {kind} line in {chain:?}");
+    }
+    let _ = std::fs::remove_dir_all(&pm_dir);
+}
+
+/// A postmortem holds the events of the run that produced it and of no
+/// other: the second of two chaos sweeps run back to back on one thread
+/// dumps only its own panic, and its log starts at `seq` 0.
+#[test]
+fn second_sweeps_postmortem_holds_only_its_own_events() {
+    let _clock = VirtualClock::install();
+    let ctx = planted(48); // 3 tasks of 16 voxels
+    let pm_dir = std::env::temp_dir().join("fcma-obs-two-sweeps");
+    let _ = std::fs::remove_dir_all(&pm_dir);
+    let cfg = ClusterConfig {
+        n_workers: 3,
+        task_size: 16,
+        postmortem_dir: Some(pm_dir.clone()),
+        ..Default::default()
+    };
+    for panic_task in [16, 32] {
+        let plan = FaultPlan::none().with_fault(panic_task, 0, FaultKind::panic_now());
+        let run = run_cluster_with(&ctx, chaos_exec(plan), &cfg).expect("chaos run must recover");
+        assert_eq!(run.failed_workers.len(), 1);
+    }
+
+    let dump = pm_dir.join("postmortem-task-panic-task32-attempt1.txt");
+    let text = std::fs::read_to_string(&dump).expect("second sweep's artifact must exist");
+    fcma::trace::postmortem::validate(&text).expect("artifact must validate");
+    let lines = timeline(&text);
+    let panics: Vec<&&str> = lines.iter().filter(|l| l.contains(" recorder.task.panic ")).collect();
+    assert_eq!(panics.len(), 1, "the first sweep's panic leaked into the dump: {lines:?}");
+    assert!(panics[0].contains(" task=32 "), "{}", panics[0]);
+    let first_seq = lines[0].split(' ').find_map(|tok| tok.strip_prefix("seq="));
+    assert_eq!(first_seq, Some("0"), "the log began with this run: {}", lines[0]);
+    let dispatches = lines.iter().filter(|l| l.contains(" recorder.dispatch ")).count();
+    assert_eq!(dispatches, 3, "three first dispatches, all this sweep's: {lines:?}");
+    let _ = std::fs::remove_dir_all(&pm_dir);
+}
+
+/// A condemned *retry* says so: task 0 panics on its first attempt and
+/// hangs on its second, and the condemnation recorded for that second
+/// attempt carries origin `retry`, not `dispatch`.
+#[test]
+fn condemned_retry_is_logged_with_origin_retry() {
+    let _clock = VirtualClock::install();
+    let ctx = planted(48); // 3 tasks of 16 voxels
+    let plan = FaultPlan::none().with_fault(0, 0, FaultKind::panic_now()).with_fault(
+        0,
+        1,
+        FaultKind::Stall,
+    );
+    let pm_dir = std::env::temp_dir().join("fcma-obs-condemned-retry");
+    let _ = std::fs::remove_dir_all(&pm_dir);
+    let cfg = ClusterConfig {
+        n_workers: 3,
+        task_size: 16,
+        task_deadline: Some(Duration::from_millis(500)),
+        postmortem_dir: Some(pm_dir.clone()),
+        ..Default::default()
+    };
+    let run = run_cluster_with(&ctx, chaos_exec(plan), &cfg).expect("chaos run must recover");
+    assert_eq!((run.failed_workers.len(), run.hung_workers.len()), (1, 1));
+
+    let dump = pm_dir.join("postmortem-worker-condemned-task0-attempt2.txt");
+    let text = std::fs::read_to_string(&dump).expect("condemnation artifact must exist");
+    let lines = timeline(&text);
+    let condemns: Vec<&&str> = lines.iter().filter(|l| l.contains(" recorder.condemn ")).collect();
+    assert_eq!(condemns.len(), 1, "{lines:?}");
+    assert!(condemns[0].contains(" task=0 attempt=2 origin=retry "), "{}", condemns[0]);
     let _ = std::fs::remove_dir_all(&pm_dir);
 }
 
