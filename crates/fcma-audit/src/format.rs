@@ -254,12 +254,12 @@ mod tests {
             ("cast".to_owned(), 2, 5),
             ("gone".to_owned(), 1, 1),
         ];
-        let current = [("proptest", 0usize, 0usize), ("cast", 3, 5), ("threadescape", 0, 3)];
+        let current = [("proptest", 0usize, 0usize), ("cast", 3, 5), ("syncfacade", 0, 3)];
         let got = render_stats_delta(&baseline, &current);
-        let want = "pass          violations    allows\n\
-                    cast               2 \u{2192} 3         5\n\
-                    gone            1 (gone)  1 (gone)\n\
-                    threadescape     (new) 0   (new) 3\n";
+        let want = "pass        violations    allows\n\
+                    cast             2 \u{2192} 3         5\n\
+                    gone          1 (gone)  1 (gone)\n\
+                    syncfacade     (new) 0   (new) 3\n";
         assert_eq!(got, want, "delta rows sort lexicographically by pass name");
     }
 

@@ -213,11 +213,6 @@ pub struct MutationRow {
 /// drift the tables exist to catch slip through unreported.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ContractError {
-    /// A §13 lock-order data row carries no backticked lock name.
-    MalformedLockOrderRow {
-        /// 0-based DESIGN.md line.
-        line: usize,
-    },
     /// A §16 atomics row allows an ordering that is not a
     /// `std::sync::atomic::Ordering` variant.
     UnknownOrdering {
@@ -258,9 +253,6 @@ pub enum ContractError {
 impl std::fmt::Display for ContractError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ContractError::MalformedLockOrderRow { line } => {
-                write!(f, "DESIGN.md:{}: lock-order row has no backticked lock name", line + 1)
-            }
             ContractError::UnknownOrdering { line, ordering } => write!(
                 f,
                 "DESIGN.md:{}: atomics row allows unknown ordering `{ordering}` \
@@ -301,11 +293,6 @@ pub struct Contracts {
     pub layering: Option<BTreeMap<String, BTreeSet<String>>>,
     /// Protocol table entries; `None` when the table is absent.
     pub protocol: Option<Vec<ProtocolEntry>>,
-    /// Declared lock-acquisition order from the §13 "Lock order" table:
-    /// lock names in rank order (a thread holding a lock may only
-    /// acquire locks of strictly higher rank). `None` when the table is
-    /// absent.
-    pub lock_order: Option<Vec<String>>,
     /// Functions declared hot by the §14 "Hot functions" table, as
     /// `name` or `Type::name` entries. `None` when the table is absent.
     /// The hot-path passes union these with `// audit: hot` markers.
@@ -339,17 +326,15 @@ fn backticked(cell: &str) -> Vec<String> {
 
 impl Contracts {
     /// Parse the `## 12. Architecture contracts` section of DESIGN.md,
-    /// plus the §13 "Lock order" and §14 "Hot functions" tables.
+    /// plus the §14 "Hot functions" table.
     ///
     /// §12 table rows are classified by their first backticked token: a
     /// token containing `::` is a protocol row (`Enum::Variant`), a
     /// `fcma-*` token is a layering row. Header and separator rows have
-    /// no backticked first cell and are skipped. The lock-order table is
-    /// every table row between a heading containing "Lock order" and the
-    /// next heading; each row's first backticked token is a lock name,
-    /// ranked by row order. The hot-functions table works the same way
-    /// under a heading containing "Hot functions": each row's first
-    /// backticked cell names a hot function.
+    /// no backticked first cell and are skipped. The hot-functions
+    /// table is every table row between a heading containing "Hot
+    /// functions" and the next heading: each row's first backticked cell
+    /// names a hot function.
     ///
     /// §16 "Atomics contracts" rows are `| atomic | file | role | loads |
     /// stores | pairing |` with backticked orderings, plus an optional
@@ -358,20 +343,18 @@ impl Contracts {
     /// killers | min score |`.
     ///
     /// Malformed data rows are recorded as named [`ContractError`]s, not
-    /// skipped: a §13 row with no backticked lock name, a §16 row
-    /// allowing an unknown ordering, a duplicate §14 hot-fn entry, and
-    /// the §17 analogues all surface in [`Contracts::errors`]. Header
-    /// rows (the row directly above a `|---|` separator) and separator
-    /// rows are structural and never validated.
+    /// skipped: a §16 row allowing an unknown ordering, a duplicate §14
+    /// hot-fn entry, and the §17 analogues all surface in
+    /// [`Contracts::errors`]. Header rows (the row directly above a
+    /// `|---|` separator) and separator rows are structural and never
+    /// validated.
     pub fn from_design_md(text: &str) -> Contracts {
         let mut in_section = false;
-        let mut in_lock_order = false;
         let mut in_hot = false;
         let mut in_atomics = false;
         let mut in_mutation = false;
         let mut layering: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
         let mut protocol: Vec<ProtocolEntry> = Vec::new();
-        let mut lock_order: Vec<String> = Vec::new();
         let mut hot_fns: Vec<String> = Vec::new();
         let mut atomics = AtomicsContract::default();
         let mut saw_atomics = false;
@@ -385,7 +368,6 @@ impl Contracts {
         };
         for (lineno, &line) in lines.iter().enumerate() {
             if line.starts_with('#') {
-                in_lock_order = line.contains("Lock order");
                 in_hot = line.contains("Hot functions");
                 in_atomics = line.contains("Atomics contracts");
                 in_mutation = line.contains("Mutation contracts");
@@ -439,15 +421,6 @@ impl Contracts {
                             pairing: backticked(cells[5]),
                         });
                     }
-                }
-                continue;
-            }
-            if in_lock_order {
-                // First backticked token anywhere in the row names the
-                // lock (the leading cell is typically the rank number).
-                match cells.iter().find_map(|c| backticked(c).into_iter().next()) {
-                    Some(name) => lock_order.push(name),
-                    None => errors.push(ContractError::MalformedLockOrderRow { line: lineno }),
                 }
                 continue;
             }
@@ -511,7 +484,6 @@ impl Contracts {
         Contracts {
             layering: (!layering.is_empty()).then_some(layering),
             protocol: (!protocol.is_empty()).then_some(protocol),
-            lock_order: (!lock_order.is_empty()).then_some(lock_order),
             hot_fns: (!hot_fns.is_empty()).then_some(hot_fns),
             atomics: saw_atomics.then_some(atomics),
             mutation: saw_mutation.then_some(mutation),
@@ -722,24 +694,6 @@ Blah.
         let c = Contracts::from_design_md("## 11. Observability\n\n| `a.b` |\n");
         assert!(c.layering.is_none());
         assert!(c.protocol.is_none());
-        assert!(c.lock_order.is_none());
-    }
-
-    #[test]
-    fn contracts_parse_lock_order_table_in_rank_order() {
-        let md = "## 13. Concurrency model\n\nProse.\n\n### Lock order\n\n\
-                  | Rank | Lock | Protects |\n|---|---|---|\n\
-                  | 1 | `shared` | the C matrix |\n\
-                  | 2 | `attempts` | chaos counters |\n\n\
-                  ### After\n\n| `not_a_lock` | x |\n";
-        let c = Contracts::from_design_md(md);
-        assert_eq!(c.lock_order.unwrap(), vec!["shared", "attempts"]);
-        // The §12 tables are unaffected by the §13 parse.
-        let both = format!("{DESIGN}\n{md}");
-        let c2 = Contracts::from_design_md(&both);
-        assert!(c2.layering.is_some());
-        assert!(c2.protocol.is_some());
-        assert_eq!(c2.lock_order.unwrap().len(), 2);
     }
 
     #[test]
@@ -752,11 +706,10 @@ Blah.
                   ### After\n\n| `not_hot` | x |\n";
         let c = Contracts::from_design_md(md);
         assert_eq!(c.hot_fns.unwrap(), vec!["syrk_panel_scratch", "gemm_blocked_scratch"]);
-        // The §13 and §12 parses are unaffected by a §14 table.
-        let both = format!("{DESIGN}\n### Lock order\n\n| 1 | `shared` | x |\n\n{md}");
+        // The §12 parse is unaffected by a §14 table.
+        let both = format!("{DESIGN}\n{md}");
         let c2 = Contracts::from_design_md(&both);
         assert!(c2.layering.is_some());
-        assert_eq!(c2.lock_order.unwrap(), vec!["shared"]);
         assert_eq!(c2.hot_fns.unwrap().len(), 2);
     }
 
@@ -784,25 +737,6 @@ Blah.
         assert!(c2.layering.is_some() && c2.protocol.is_some());
         assert_eq!(c2.atomics.unwrap().entries.len(), 3);
         assert!(Contracts::from_design_md(DESIGN).atomics.is_none());
-    }
-
-    #[test]
-    fn malformed_lock_order_row_is_a_named_error() {
-        let md = "### Lock order\n\n\
-                  | Rank | Lock | Protects |\n|---|---|---|\n\
-                  | 1 | `shared` | the C matrix |\n\
-                  | 2 | attempts without backticks | chaos |\n";
-        let c = Contracts::from_design_md(md);
-        // The good row still parses; the bad one is reported, not skipped.
-        assert_eq!(c.lock_order.unwrap(), vec!["shared"]);
-        assert_eq!(c.errors, vec![ContractError::MalformedLockOrderRow { line: 5 }]);
-        let msg = c.errors[0].to_string();
-        assert!(msg.starts_with("DESIGN.md:6:"), "1-based line in message: {msg}");
-        // Header and separator rows are structure, not malformed data.
-        let clean = Contracts::from_design_md(
-            "### Lock order\n\n| Rank | Lock | Protects |\n|---|---|---|\n| 1 | `shared` | x |\n",
-        );
-        assert!(clean.errors.is_empty(), "{:?}", clean.errors);
     }
 
     #[test]

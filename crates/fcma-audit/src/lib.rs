@@ -11,10 +11,7 @@
 //! allow markers, the DESIGN.md §14 hot-path performance contracts
 //! (no allocation, bounds-checked gathers, order-unstable float
 //! accumulation, or I/O/locking callouts inside hot kernel loops), and
-//! three race-detection passes: thread-escape analysis of values
-//! captured by pool/spawn/channel boundaries ([`escape`]), Eraser-style
-//! lockset intersection over the call graph ([`lockset`]), and the
-//! DESIGN.md §16 atomics memory-ordering contracts
+//! the DESIGN.md §16 atomics memory-ordering contracts
 //! ([`passes::check_atomicorder`]).
 //!
 //! Run it with `cargo run -p fcma-audit -- check [--format human|json]
@@ -33,11 +30,9 @@
 
 pub mod cfg;
 pub mod dataflow;
-pub mod escape;
 pub mod format;
 pub mod graph;
 pub mod lexer;
-pub mod lockset;
 pub mod mutants;
 pub mod parser;
 pub mod passes;

@@ -228,18 +228,12 @@ fn main() -> ExitCode {
     // run. Reject exactly those selections, naming the stranded markers.
     if passes.is_some() && selected.contains(&"unusedallow") {
         let mut stranded = Vec::new();
-        let race_selected = selected.contains(&"threadescape") && selected.contains(&"lockset");
         for f in &ws.files {
             for m in f.markers() {
                 if ESCAPABLE_PASSES.contains(&m.pass.as_str())
                     && !selected.contains(&m.pass.as_str())
                 {
                     stranded.push(format!("{}:{}: allow({})", f.rel_path, m.line + 1, m.pass));
-                }
-            }
-            if !race_selected {
-                for d in f.disjoint_markers() {
-                    stranded.push(format!("{}:{}: disjoint({})", f.rel_path, d.line + 1, d.what));
                 }
             }
         }
@@ -314,7 +308,7 @@ commands:
            the classification itself lives in `cargo run -p fcma-mut`
 
 any command exits 2 when DESIGN.md contains malformed contract rows
-(bad lock-order/atomics/hot-fn/mutation table entries are named errors,
+(bad atomics/hot-fn/mutation table entries are named errors,
 never silent skips)
 
 output:
@@ -322,9 +316,9 @@ output:
   --format json   one JSON object per violation:
                   {\"file\":…,\"line\":…,\"pass\":…,\"message\":…}
   --passes a,b,c  run only the named passes; selecting `unusedallow`
-                  while excluding a pass whose allow/disjoint markers
-                  exist in the tree is rejected (stranded markers would
-                  read as stale)
+                  while excluding a pass whose allow markers exist in
+                  the tree is rejected (stranded markers would read as
+                  stale)
   --check FILE    (stats) compare against FILE instead of printing
   --changed       (check) report only violations in files changed per
                   `git diff --name-only` against --since REF (default
@@ -346,10 +340,6 @@ passes:
   deadpub      no workspace-pub item without cross-crate references
   syncfacade   no raw std::sync/std::thread outside the fcma-sync
                facade (Arc/Weak stay allowed)
-  lockorder    every .lock() receiver declared in DESIGN.md §13 and
-               acquired in strictly increasing rank (call-graph transitive)
-  blockinlock  no channel recv / file I/O reachable while a facade lock
-               is held
   allocinloop  no heap allocation inside a loop of a hot fn, directly or
                through callees (DESIGN.md §14 table or `// audit: hot`)
   boundsinloop no `base[i]` indexing by the induction variable in an
@@ -358,15 +348,9 @@ passes:
                loop without an `// audit: allow(accumorder)` justification
   hotcallout   hot fns call only hot or `// audit: pure` fns; no console
                I/O, trace probes, locks, or blocking calls in hot code
-  threadescape values captured by closures crossing pool.run*/spawn/
-               channel-send boundaries must be immutable, facade-atomic,
-               lock-guarded, or declared disjoint
-  lockset      plain fields of shared structs written from >=2 fns must
-               hold a non-empty intersection of facade locks
-               (Eraser-style, call-graph entry sets)
   atomicorder  every Ordering::* site matches a DESIGN.md §16 atomics
                contract row (orderings allowed, site count)
-  unusedallow  every allow or disjoint marker must suppress something
+  unusedallow  every allow marker must suppress something
 
 fn markers (on the fn line or the line directly above):
   // audit: hot   treat this fn as hot even if absent from DESIGN.md §14
@@ -380,22 +364,11 @@ escape markers (same line or the line above; reason mandatory):
   // audit: allow(panicpath) — <reason>
   // audit: allow(deadpub) — <reason>
   // audit: allow(syncfacade) — <reason>
-  // audit: allow(lockorder) — <reason>
-  // audit: allow(blockinlock) — <reason>
   // audit: allow(allocinloop) — <reason>
   // audit: allow(boundsinloop) — <reason>
   // audit: allow(accumorder) — <reason>
   // audit: allow(hotcallout) — <reason>
-  // audit: allow(threadescape) — <reason>
-  // audit: allow(lockset) — <reason>
   // audit: allow(atomicorder) — <reason>
-
-disjoint markers (same line or the line above; reason mandatory):
-  // audit: disjoint(<binding or field>) — <reason>
-                  declares that a mutable value handed to worker tasks
-                  is partitioned into non-overlapping per-task pieces
-                  (consumed by threadescape/lockset; stale ones fail
-                  unusedallow)
 
 mutation-triage markers (same line or the line above; reason mandatory):
   // audit: equivalent(<mutant class>) — <reason>

@@ -11,28 +11,17 @@
 //! | `protocol`    | ToWorker/FromWorker ↔ driver match arms ↔ DESIGN.md §12 table | none |
 //! | `deadpub`     | sweep-crate `pub` items with no cross-crate references | allow marker |
 //! | `syncfacade`  | no raw `std::sync`/`std::thread` primitives outside fcma-sync | allow marker |
-//! | `lockorder`   | `.lock()` receivers declared in DESIGN.md §13, acquired in rank order | allow marker |
-//! | `blockinlock` | no channel recv / file I/O reachable while a facade lock is held | allow marker |
 //! | `allocinloop` | no heap allocation reachable inside a loop of a hot fn (DESIGN.md §14) | allow marker |
 //! | `boundsinloop`| no `a[i]` induction-variable indexing in innermost hot loops | allow marker |
 //! | `accumorder`  | float accumulators in hot loops must use the blessed fcma-linalg idioms | allow marker |
 //! | `hotcallout`  | hot fns call only hot/`audit: pure` fns — no I/O, tracing, or locking | allow marker |
-//! | `threadescape`| values captured by thread-boundary closures are immutable, atomic, lock-guarded, or `audit: disjoint` | allow marker |
-//! | `lockset`     | Eraser-style: fields of shared structs written from ≥2 fns need a non-empty held-lock intersection | allow marker |
 //! | `atomicorder` | every `Ordering::*` site matches a DESIGN.md §16 atomics-contract row | allow marker |
-//! | `unusedallow` | every allow or disjoint marker must suppress something | none |
+//! | `unusedallow` | every allow marker must suppress something | none |
 //!
 //! Allow markers are comments of the form
 //! `// audit: allow(<pass>) — <reason>` on the offending line or the line
 //! directly above; the reason is mandatory. The `unusedallow` pass runs
 //! last and flags any marker no other pass consumed.
-//!
-//! Disjoint-band markers — `// audit: disjoint(<name>) — <reason>` — are
-//! the race-detector counterpart: they classify a mutable value crossing
-//! a thread boundary as partitioned into non-overlapping per-task pieces
-//! (the `split_at_mut` output-band pattern of DESIGN.md §15). The
-//! `threadescape`/`lockset` passes consume them; `unusedallow` flags the
-//! stale ones.
 //!
 //! The four hot-path passes are scoped by DESIGN.md §14: a fn is *hot*
 //! when the §14 "Hot functions" table names it or an `// audit: hot`
@@ -61,15 +50,8 @@ const PROPTEST_CRATE: &str = "fcma-linalg";
 const TRACE_CRATE: &str = "fcma-trace";
 
 /// Call-site prefixes whose first string literal is a trace name.
-const TRACE_SITES: &[&str] = &[
-    "span!(",
-    "event!(",
-    "counter!(",
-    "labeled_counter!(",
-    "histogram!(",
-    "record_span_since(",
-    "record_span_elapsed(",
-];
+const TRACE_SITES: &[&str] =
+    &["span!(", "event!(", "counter!(", "labeled_counter!(", "histogram!(", "record_span_elapsed("];
 
 /// Where the cluster protocol enums live.
 const PROTOCOL_FILE: &str = "crates/fcma-cluster/src/protocol.rs";
@@ -89,13 +71,12 @@ const EXEMPT_CRATES: &[&str] = &["fcma-audit", "fcma-bench", "fcma-mc", "fcma-mu
 /// The package name of the workspace root crate.
 const ROOT_CRATE: &str = "fcma";
 
-/// Crates exempt from the concurrency-facade passes (`syncfacade`,
-/// `lockorder`, `blockinlock`): `fcma-sync` *is* the facade, `fcma-mc`
-/// is the model checker driving it, `fcma-trace` is the observational
-/// substrate below it (its internal registry mutex must keep working
-/// while the facade is in model mode), and the tool/bench crates never
-/// run inside a sweep.
-pub(crate) const SYNC_EXEMPT_CRATES: &[&str] =
+/// Crates exempt from the `syncfacade` pass: `fcma-sync` *is* the
+/// facade, `fcma-mc` is the model checker driving it, `fcma-trace` is
+/// the observational substrate below it (its internal registry mutex
+/// must keep working while the facade is in model mode), and the
+/// tool/bench crates never run inside a sweep.
+const SYNC_EXEMPT_CRATES: &[&str] =
     &["fcma-sync", "fcma-mc", "fcma-trace", "fcma-audit", "fcma-bench"];
 
 /// `std::sync` items forbidden outside the facade. `Arc`/`Weak` stay
@@ -105,7 +86,7 @@ const FORBIDDEN_STD_SYNC: &[&str] =
     &["Mutex", "RwLock", "Condvar", "Barrier", "Once", "OnceLock", "LazyLock", "mpsc", "atomic"];
 
 /// Call names that can block the calling thread — channel receives and
-/// file I/O — and are therefore forbidden while a facade lock is held.
+/// file I/O — and are therefore forbidden on the hot path.
 const BLOCKING_CALLS: &[&str] =
     &["recv", "recv_timeout", "read_to_string", "write_all", "flush", "sync_all"];
 
@@ -124,14 +105,10 @@ pub const PASS_NAMES: &[&str] = &[
     "protocol",
     "deadpub",
     "syncfacade",
-    "lockorder",
-    "blockinlock",
     "allocinloop",
     "boundsinloop",
     "accumorder",
     "hotcallout",
-    "threadescape",
-    "lockset",
     "atomicorder",
     "unusedallow",
 ];
@@ -144,14 +121,10 @@ pub const ESCAPABLE_PASSES: &[&str] = &[
     "panicpath",
     "deadpub",
     "syncfacade",
-    "lockorder",
-    "blockinlock",
     "allocinloop",
     "boundsinloop",
     "accumorder",
     "hotcallout",
-    "threadescape",
-    "lockset",
     "atomicorder",
 ];
 
@@ -191,8 +164,6 @@ pub struct Workspace {
     pub taxonomy: Option<Taxonomy>,
     /// `(file index, marker line)` of every consumed allow marker.
     used_markers: RefCell<BTreeSet<(usize, usize)>>,
-    /// `(file index, marker line)` of every consumed disjoint marker.
-    used_disjoint: RefCell<BTreeSet<(usize, usize)>>,
 }
 
 impl Workspace {
@@ -211,7 +182,6 @@ impl Workspace {
             contracts,
             taxonomy,
             used_markers: RefCell::new(BTreeSet::new()),
-            used_disjoint: RefCell::new(BTreeSet::new()),
         }
     }
 
@@ -235,7 +205,6 @@ impl Workspace {
             contracts,
             taxonomy,
             used_markers: RefCell::new(BTreeSet::new()),
-            used_disjoint: RefCell::new(BTreeSet::new()),
         }
     }
 
@@ -252,24 +221,6 @@ impl Workspace {
             if l < f.scan.comment_lines.len() && marker_allows(&f.scan.comment_lines[l], pass) {
                 self.used_markers.borrow_mut().insert((file, l));
                 return true;
-            }
-        }
-        false
-    }
-
-    /// Does a `// audit: disjoint(<what>)` marker (with its mandatory
-    /// reason) cover 0-based `line` of `file`? A hit is recorded as
-    /// consumed for the `unusedallow` pass.
-    pub fn disjoint_allowed(&self, file: usize, what: &str, line: usize) -> bool {
-        let f = &self.files[file];
-        for l in [line, line.wrapping_sub(1)] {
-            if l < f.scan.comment_lines.len() {
-                let hit = crate::source::parse_disjoint(&f.scan.comment_lines[l])
-                    .is_some_and(|(w, has_reason)| w == what && has_reason);
-                if hit {
-                    self.used_disjoint.borrow_mut().insert((file, l));
-                    return true;
-                }
             }
         }
         false
@@ -311,12 +262,6 @@ impl Workspace {
         if on("syncfacade") {
             v.extend(check_syncfacade(self));
         }
-        if on("lockorder") {
-            v.extend(check_lockorder(self));
-        }
-        if on("blockinlock") {
-            v.extend(check_blockinlock(self));
-        }
         if on("allocinloop") {
             v.extend(check_allocinloop(self));
         }
@@ -328,12 +273,6 @@ impl Workspace {
         }
         if on("hotcallout") {
             v.extend(check_hotcallout(self));
-        }
-        if on("threadescape") {
-            v.extend(crate::escape::check_threadescape(self));
-        }
-        if on("lockset") {
-            v.extend(crate::lockset::check_lockset(self));
         }
         if on("atomicorder") {
             v.extend(check_atomicorder(self));
@@ -1090,267 +1029,12 @@ fn std_sync_items(code_lines: &[String], lno: usize, from: usize) -> Vec<String>
     items
 }
 
-/// One direct lock-acquisition site in an in-scope function.
-pub(crate) struct LockSite {
-    /// Receiver ident of the `.lock()` call, if resolvable.
-    pub(crate) recv: Option<String>,
-    /// 0-based line.
-    pub(crate) line: usize,
-}
-
-/// Shared scaffolding for the lock-graph passes: the in-scope call
-/// graph (library code of non-exempt crates, tests excluded) plus each
-/// node's unsuppressed `.lock()` sites for `pass`.
-pub(crate) fn lock_graph(ws: &Workspace, pass: &str) -> (CallGraph, Vec<Vec<LockSite>>) {
-    let files: Vec<(String, &ParsedFile)> = ws
-        .files
-        .iter()
-        .enumerate()
-        .map(|(fi, f)| {
-            let key = if f.role == Role::Lib { ws.crate_key(fi).to_owned() } else { String::new() };
-            (key, &ws.parsed[fi])
-        })
-        .collect();
-    let include = |file: usize, idx: usize| {
-        let f = &ws.files[file];
-        f.role == Role::Lib
-            && !SYNC_EXEMPT_CRATES.contains(&ws.crate_key(file))
-            && !f.in_test_span(ws.parsed[file].fns[idx].line)
-    };
-    let mut visible: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    for m in &ws.crates.crates {
-        visible.insert(m.name.clone(), ws.crates.closure(&m.name));
-    }
-    let graph = CallGraph::build(&files, &include, &visible);
-
-    let sites: Vec<Vec<LockSite>> = graph
-        .nodes
-        .iter()
-        .map(|n| {
-            ws.parsed[n.file].fns[n.idx]
-                .calls
-                .iter()
-                .filter(|c| c.name == "lock" && c.method)
-                .filter(|c| !ws.allowed(n.file, pass, c.line))
-                .map(|c| LockSite { recv: c.recv.clone(), line: c.line })
-                .collect()
-        })
-        .collect();
-    (graph, sites)
-}
-
-/// Pass: every `.lock()` receiver is declared in the DESIGN.md §13
-/// lock-order table, and locks are acquired in strictly increasing rank.
-///
-/// Two-level check over the in-scope call graph: within one function, a
-/// lock site that follows another must target a strictly higher-ranked
-/// lock (the conservative assumption is that the earlier guard is still
-/// held); across functions, a call placed after a lock site must not
-/// reach — transitively — an acquisition of an equal- or lower-ranked
-/// lock. Either direction of a rank inversion is a potential ABBA
-/// deadlock the model checker can only find if the schedule happens to
-/// interleave both paths; this pass rejects the pattern statically.
-/// Scoped guards that provably drop early can justify themselves with
-/// `// audit: allow(lockorder) — <reason>` on the acquisition line.
-pub fn check_lockorder(ws: &Workspace) -> Vec<Violation> {
-    let Some(order) = &ws.contracts.lock_order else {
-        return Vec::new();
-    };
-    let rank: BTreeMap<&str, usize> =
-        order.iter().enumerate().map(|(i, n)| (n.as_str(), i)).collect();
-    let (graph, sites) = lock_graph(ws, "lockorder");
-
-    // Transitive lock sets: which declared locks can each node acquire,
-    // directly or through calls.
-    let mut acquires: Vec<BTreeSet<String>> = sites
-        .iter()
-        .map(|s| s.iter().filter_map(|l| l.recv.clone()).collect::<BTreeSet<_>>())
-        .collect();
-    let mut queue: VecDeque<usize> =
-        (0..graph.nodes.len()).filter(|&i| !acquires[i].is_empty()).collect();
-    while let Some(j) = queue.pop_front() {
-        let locks = acquires[j].clone();
-        for &i in &graph.callers[j] {
-            let before = acquires[i].len();
-            acquires[i].extend(locks.iter().cloned());
-            if acquires[i].len() > before {
-                queue.push_back(i);
-            }
-        }
-    }
-
-    let mut out = Vec::new();
-    for (i, n) in graph.nodes.iter().enumerate() {
-        let file = &ws.files[n.file];
-        for site in &sites[i] {
-            let Some(r) = &site.recv else {
-                out.push(Violation {
-                    file: file.rel_path.clone(),
-                    line: site.line + 1,
-                    pass: "lockorder",
-                    message: "`.lock()` on an unresolvable receiver: bind the mutex to a \
-                              named binding declared in the DESIGN.md §13 lock-order table"
-                        .to_owned(),
-                });
-                continue;
-            };
-            let Some(&held_rank) = rank.get(r.as_str()) else {
-                out.push(Violation {
-                    file: file.rel_path.clone(),
-                    line: site.line + 1,
-                    pass: "lockorder",
-                    message: format!(
-                        "lock `{r}` is not declared in the DESIGN.md §13 lock-order table; \
-                         add a row (or `// audit: allow(lockorder) — <reason>`)"
-                    ),
-                });
-                continue;
-            };
-            // Later direct acquisitions in the same function.
-            for later in sites[i].iter().filter(|l| l.line > site.line) {
-                let Some(lr) = &later.recv else { continue };
-                if let Some(&later_rank) = rank.get(lr.as_str()) {
-                    if later_rank <= held_rank {
-                        out.push(Violation {
-                            file: file.rel_path.clone(),
-                            line: later.line + 1,
-                            pass: "lockorder",
-                            message: format!(
-                                "lock `{lr}` (rank {}) acquired while `{r}` (rank {}) may \
-                                 still be held inverts the DESIGN.md §13 lock order",
-                                later_rank + 1,
-                                held_rank + 1,
-                            ),
-                        });
-                    }
-                }
-            }
-            // Calls after the acquisition that can lock transitively.
-            for &(callee, call_line) in &graph.callees[i] {
-                if call_line < site.line || ws.allowed(n.file, "lockorder", call_line) {
-                    continue;
-                }
-                let callee_fn = &ws.parsed[graph.nodes[callee].file].fns[graph.nodes[callee].idx];
-                for l2 in &acquires[callee] {
-                    if let Some(&r2) = rank.get(l2.as_str()) {
-                        if r2 <= held_rank {
-                            out.push(Violation {
-                                file: file.rel_path.clone(),
-                                line: call_line + 1,
-                                pass: "lockorder",
-                                message: format!(
-                                    "call to `{}` can acquire lock `{l2}` (rank {}) while \
-                                     `{r}` (rank {}) may still be held, inverting the \
-                                     DESIGN.md §13 lock order",
-                                    callee_fn.name,
-                                    r2 + 1,
-                                    held_rank + 1,
-                                ),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Pass: nothing that can block is reachable while a facade lock is held.
-///
-/// A thread that parks inside a channel `recv`/`recv_timeout` or a file
-/// write while holding a mutex stalls every thread contending for that
-/// lock — under the model checker this shows up as an exploding schedule
-/// space, and in production as a convoy. From each `.lock()` site, the
-/// rest of the enclosing function is conservatively treated as the
-/// critical section: any direct blocking call after it, or any call
-/// whose transitive closure contains one, is flagged. Escapable with
-/// `// audit: allow(blockinlock) — <reason>` when the guard provably
-/// drops first.
-pub fn check_blockinlock(ws: &Workspace) -> Vec<Violation> {
-    let (graph, sites) = lock_graph(ws, "blockinlock");
-
-    // Per-node blocking evidence, propagated callee → caller.
-    let mut blocks: Vec<Option<String>> = graph
-        .nodes
-        .iter()
-        .map(|n| {
-            ws.parsed[n.file].fns[n.idx]
-                .calls
-                .iter()
-                .find(|c| BLOCKING_CALLS.contains(&c.name.as_str()))
-                .map(|c| format!("`.{}()` at {}:{}", c.name, ws.files[n.file].rel_path, c.line + 1))
-        })
-        .collect();
-    let mut queue: VecDeque<usize> =
-        (0..graph.nodes.len()).filter(|&i| blocks[i].is_some()).collect();
-    while let Some(j) = queue.pop_front() {
-        let callee_name = ws.parsed[graph.nodes[j].file].fns[graph.nodes[j].idx].name.clone();
-        let why = blocks[j].clone().unwrap_or_default();
-        for &i in &graph.callers[j] {
-            if blocks[i].is_none() {
-                blocks[i] = Some(format!("via `{callee_name}`, {why}"));
-                queue.push_back(i);
-            }
-        }
-    }
-
-    let mut out = Vec::new();
-    for (i, n) in graph.nodes.iter().enumerate() {
-        let file = &ws.files[n.file];
-        let f = &ws.parsed[n.file].fns[n.idx];
-        for site in &sites[i] {
-            let held = site.recv.as_deref().unwrap_or("<unnamed>");
-            // Direct blocking calls textually after the acquisition.
-            for call in &f.calls {
-                if call.line < site.line
-                    || !BLOCKING_CALLS.contains(&call.name.as_str())
-                    || ws.allowed(n.file, "blockinlock", call.line)
-                {
-                    continue;
-                }
-                out.push(Violation {
-                    file: file.rel_path.clone(),
-                    line: call.line + 1,
-                    pass: "blockinlock",
-                    message: format!(
-                        "`.{}()` can block while lock `{held}` may still be held; drop the \
-                         guard first or add `// audit: allow(blockinlock) — <reason>`",
-                        call.name
-                    ),
-                });
-            }
-            // Calls whose transitive closure blocks.
-            for &(callee, call_line) in &graph.callees[i] {
-                if call_line < site.line || ws.allowed(n.file, "blockinlock", call_line) {
-                    continue;
-                }
-                if let Some(why) = &blocks[callee] {
-                    let callee_fn =
-                        &ws.parsed[graph.nodes[callee].file].fns[graph.nodes[callee].idx];
-                    out.push(Violation {
-                        file: file.rel_path.clone(),
-                        line: call_line + 1,
-                        pass: "blockinlock",
-                        message: format!(
-                            "call to `{}` can block ({why}) while lock `{held}` may still \
-                             be held",
-                            callee_fn.name
-                        ),
-                    });
-                }
-            }
-        }
-    }
-    out
-}
-
 /// Shared context for the four hot-path passes (DESIGN.md §14): the
 /// library-wide call graph, the hot/pure sets, and per-hot-fn CFGs.
 ///
-/// Unlike [`lock_graph`], no crate is exempt — hot-path contracts are
-/// opt-in (a fn is in scope only when the §14 table or a marker names
-/// it), so scoping by crate would add nothing.
+/// No crate is exempt — hot-path contracts are opt-in (a fn is in scope
+/// only when the §14 table or a marker names it), so scoping by crate
+/// would add nothing.
 struct HotCtx {
     graph: CallGraph,
     /// Per node: named by the §14 table or carrying a hot marker.
@@ -1408,10 +1092,10 @@ fn hot_ctx(ws: &Workspace) -> HotCtx {
 /// (`vec!`, `format!`, `Vec::new`-style constructors, `.to_vec()` /
 /// `.clone()` / `.collect()` and friends) at loop depth ≥ 1 of a hot
 /// fn are flagged, and allocation evidence propagates callee → caller
-/// through the call graph with `blockinlock`-style via-chain
-/// diagnostics, so a loop-resident call into an allocating helper is
-/// caught too. A `pure` marker does not stop the propagation — pure is
-/// not an allocation escape.
+/// through the call graph with via-chain diagnostics, so a
+/// loop-resident call into an allocating helper is caught too. A `pure`
+/// marker does not stop the propagation — pure is not an allocation
+/// escape.
 pub fn check_allocinloop(ws: &Workspace) -> Vec<Violation> {
     let ctx = hot_ctx(ws);
     if !ctx.hot.iter().any(|&h| h) {
@@ -1609,8 +1293,8 @@ pub fn check_accumorder(ws: &Workspace) -> Vec<Violation> {
 /// Keeps the hot path a closed world: every callee is either itself
 /// under the hot-path contracts or a declared-pure leaf accessor.
 /// Tracing probes and console I/O are matched textually (macros are
-/// not parsed as calls), locking and blocking calls by the same rules
-/// as `lockorder`/`blockinlock`, and the transitive facade-lock
+/// not parsed as calls), locking as `.lock()` method calls and blocking
+/// calls by name ([`BLOCKING_CALLS`]), and the transitive facade-lock
 /// acquires sets compose in: even a hot/pure callee is flagged if it
 /// can reach a `.lock()`.
 pub fn check_hotcallout(ws: &Workspace) -> Vec<Violation> {
@@ -1618,9 +1302,8 @@ pub fn check_hotcallout(ws: &Workspace) -> Vec<Violation> {
     if !ctx.hot.iter().any(|&h| h) {
         return Vec::new();
     }
-    // Transitive facade-lock acquisitions over this graph (same seed
-    // rule as lockorder, no allow filtering at the seeds — a lock is a
-    // lock for hot-path purposes).
+    // Transitive facade-lock acquisitions over this graph (no allow
+    // filtering at the seeds — a lock is a lock for hot-path purposes).
     let mut acquires: Vec<BTreeSet<String>> = ctx
         .graph
         .nodes
@@ -1991,16 +1674,14 @@ pub fn check_atomicorder(ws: &Workspace) -> Vec<Violation> {
 /// Mirrors `#[warn(unused_allow)]`: a marker naming an unknown pass, a
 /// marker missing its mandatory reason, a marker for a pass with no
 /// escape hatch, and a well-formed marker no pass consumed are all
-/// violations. Disjoint-band markers get the same treatment: one that
-/// no `threadescape`/`lockset` classification consulted is stale, and
-/// `// audit: equivalent(<class>)` mutation-triage markers are checked
-/// the same way — the class must be one the mutation engine implements
-/// and an enumerated mutant of that class must sit under the marker,
-/// so a triage comment cannot outlive the code it excuses. Must run
-/// after every other pass (consumption is recorded as they go).
+/// violations. `// audit: equivalent(<class>)` mutation-triage markers
+/// are checked the same way — the class must be one the mutation engine
+/// implements and an enumerated mutant of that class must sit under
+/// the marker, so a triage comment cannot outlive the code it excuses.
+/// Must run after every other pass (consumption is recorded as they
+/// go).
 pub fn check_unused_allow(ws: &Workspace) -> Vec<Violation> {
     let used = ws.used_markers.borrow();
-    let used_disjoint = ws.used_disjoint.borrow();
     let mut out = Vec::new();
     // Mutant sites only matter when a triage marker exists somewhere;
     // the enumeration is one extra linear scan in that case.
@@ -2033,30 +1714,6 @@ pub fn check_unused_allow(ws: &Workspace) -> Vec<Violation> {
                 Some(format!(
                     "stale equivalent marker: no `{}` mutant is enumerated under it; remove it",
                     m.class
-                ))
-            } else {
-                None
-            };
-            if let Some(message) = violation {
-                out.push(Violation {
-                    file: f.rel_path.clone(),
-                    line: m.line + 1,
-                    pass: "unusedallow",
-                    message,
-                });
-            }
-        }
-        for m in f.disjoint_markers() {
-            let violation = if !m.has_reason {
-                Some(format!(
-                    "disjoint marker for `{}` is missing its mandatory reason \
-                     (`// audit: disjoint({}) — <reason>`)",
-                    m.what, m.what
-                ))
-            } else if !used_disjoint.contains(&(fi, m.line)) {
-                Some(format!(
-                    "stale disjoint marker: `audit: disjoint({})` classifies nothing; remove it",
-                    m.what
                 ))
             } else {
                 None
@@ -2703,103 +2360,6 @@ mod tests {
             "//! m\n// audit: allow(syncfacade) — kernel-local reduction lock\nuse std::sync::Mutex;\n",
         );
         let v = check_syncfacade(&ws_of(vec![arc_only, facade_itself, in_tests, marked]));
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    fn lock_contract() -> Contracts {
-        Contracts {
-            lock_order: Some(vec!["shared".to_owned(), "attempts".to_owned()]),
-            ..Contracts::default()
-        }
-    }
-
-    #[test]
-    fn lockorder_silent_without_a_contract_table() {
-        let f = lib_file("fcma-cluster", "//! m\nfn f() {\n    let g = rogue.lock();\n}\n");
-        assert!(check_lockorder(&ws_of(vec![f])).is_empty());
-    }
-
-    #[test]
-    fn lockorder_flags_inversion_undeclared_and_unresolvable() {
-        let f = lib_file(
-            "fcma-cluster",
-            "//! m\nfn inverted() {\n    let a = attempts.lock();\n    let s = shared.lock();\n}\n\
-             fn undeclared() {\n    let g = rogue.lock();\n}\n\
-             fn unresolvable() {\n    let g = make().lock();\n}\n",
-        );
-        let v = check_lockorder(&ws_with(vec![f], CrateGraph::default(), lock_contract()));
-        assert_eq!(v.len(), 3, "{v:?}");
-        assert!(v.iter().any(|x| x.line == 4 && x.message.contains("inverts")), "{v:?}");
-        assert!(v.iter().any(|x| x.message.contains("`rogue` is not declared")));
-        assert!(v.iter().any(|x| x.message.contains("unresolvable receiver")));
-    }
-
-    #[test]
-    fn lockorder_flags_transitive_inversion_through_a_callee() {
-        let f = lib_file(
-            "fcma-cluster",
-            "//! m\nfn f() {\n    let g = attempts.lock();\n    helper();\n}\n\
-             fn helper() {\n    let s = shared.lock();\n}\n",
-        );
-        let v = check_lockorder(&ws_with(vec![f], CrateGraph::default(), lock_contract()));
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].line, 4);
-        assert!(v[0].message.contains("can acquire lock `shared`"), "{}", v[0].message);
-    }
-
-    #[test]
-    fn lockorder_quiet_on_increasing_rank_and_markers() {
-        let ordered = lib_file(
-            "fcma-cluster",
-            "//! m\nfn f() {\n    let s = shared.lock();\n    helper();\n}\n\
-             fn helper() {\n    let a = attempts.lock();\n}\n",
-        );
-        let marked = lib_file(
-            "fcma-core",
-            "//! m\nfn f() {\n    // audit: allow(lockorder) — guard drops on the previous line\n    let g = scratch.lock();\n}\n",
-        );
-        let v = check_lockorder(&ws_with(
-            vec![ordered, marked],
-            CrateGraph::default(),
-            lock_contract(),
-        ));
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn blockinlock_flags_direct_and_transitive_blocking() {
-        let f = lib_file(
-            "fcma-cluster",
-            "//! m\nfn direct() {\n    let g = state.lock();\n    let m = rx.recv();\n}\n\
-             fn indirect() {\n    let g = state.lock();\n    helper();\n}\n\
-             fn helper() {\n    let m = rx.recv();\n}\n",
-        );
-        let v = check_blockinlock(&ws_of(vec![f]));
-        assert_eq!(v.len(), 2, "{v:?}");
-        assert!(v.iter().any(|x| x.line == 4 && x.message.contains("`.recv()` can block")));
-        assert!(
-            v.iter().any(|x| x.line == 8 && x.message.contains("call to `helper` can block")),
-            "{v:?}"
-        );
-    }
-
-    #[test]
-    fn blockinlock_quiet_before_lock_outside_lib_and_with_marker() {
-        let before = lib_file(
-            "fcma-cluster",
-            "//! m\nfn f() {\n    let m = rx.recv();\n    let g = state.lock();\n}\n",
-        );
-        let bin = SourceFile::new(
-            "crates/fcma-cli/src/main.rs",
-            Some("fcma-cli"),
-            Role::Bin,
-            "//! m\nfn f() {\n    let g = io::stdout().lock();\n    out.flush();\n}\n",
-        );
-        let marked = lib_file(
-            "fcma-core",
-            "//! m\nfn f() {\n    let g = state.lock();\n    // audit: allow(blockinlock) — guard dropped on the line above\n    let m = rx.recv();\n}\n",
-        );
-        let v = check_blockinlock(&ws_of(vec![before, bin, marked]));
         assert!(v.is_empty(), "{v:?}");
     }
 

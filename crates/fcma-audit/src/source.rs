@@ -41,24 +41,11 @@ pub struct Marker {
     pub has_reason: bool,
 }
 
-/// One `// audit: disjoint(<what>)` marker comment: the declaration
-/// that a mutable value crossing a thread boundary is partitioned into
-/// non-overlapping per-task pieces (the §15 output-band pattern).
-#[derive(Debug, Clone)]
-pub struct DisjointMarker {
-    /// 0-based line of the marker comment.
-    pub line: usize,
-    /// The declared value name inside the parentheses.
-    pub what: String,
-    /// Whether the mandatory reason text is present.
-    pub has_reason: bool,
-}
-
 /// One `// audit: equivalent(<class>)` marker comment: the triage
 /// record that a mutant of the named class at this site is semantically
 /// equivalent to the original code, so no oracle can (or should) kill
 /// it. Consumed by `fcma-mut`; stale or reasonless ones fail
-/// `unusedallow` exactly like disjoint markers.
+/// `unusedallow` exactly like allow markers.
 #[derive(Debug, Clone)]
 pub struct EquivalentMarker {
     /// 0-based line of the marker comment.
@@ -141,31 +128,6 @@ impl SourceFile {
             };
             let pass = rest[..close].trim().to_owned();
             out.push(Marker { line, has_reason: marker_allows(comment, &pass), pass });
-        }
-        out
-    }
-
-    /// Does a `// audit: disjoint(<what>)` marker with a reason cover
-    /// 0-based `line`? Same two-line window and doc-comment exclusion as
-    /// [`Self::allow_marker`]; a marker without a reason is absent.
-    pub fn disjoint_marker(&self, what: &str, line: usize) -> bool {
-        let hit = |l: usize| {
-            parse_disjoint(&self.scan.comment_lines[l])
-                .is_some_and(|(w, has_reason)| w == what && has_reason)
-        };
-        hit(line) || (line > 0 && hit(line - 1))
-    }
-
-    /// Every `audit: disjoint(...)` marker comment in the file, in order.
-    ///
-    /// Used by the `threadescape` pass to flag stale markers (a disjoint
-    /// declaration on a line no boundary closure actually crosses).
-    pub fn disjoint_markers(&self) -> Vec<DisjointMarker> {
-        let mut out = Vec::new();
-        for (line, comment) in self.scan.comment_lines.iter().enumerate() {
-            if let Some((what, has_reason)) = parse_disjoint(comment) {
-                out.push(DisjointMarker { line, what, has_reason });
-            }
         }
         out
     }
@@ -277,9 +239,6 @@ impl SourceFile {
 /// The comment prefix that introduces an allow marker.
 const MARKER_PREFIX: &str = "audit: allow(";
 
-/// The comment prefix that introduces a disjoint-band declaration.
-const DISJOINT_PREFIX: &str = "audit: disjoint(";
-
 /// The comment prefix that introduces an equivalent-mutant triage.
 const EQUIVALENT_PREFIX: &str = "audit: equivalent(";
 
@@ -301,26 +260,6 @@ pub fn parse_equivalent(comment: &str) -> Option<(String, bool)> {
         .or_else(|| after.strip_prefix(':'))
         .map_or("", str::trim);
     Some((class, !reason.is_empty()))
-}
-
-/// Parse a `// audit: disjoint(<what>) — <reason>` marker out of a
-/// collected comment line. Returns the declared name and whether the
-/// mandatory reason is present; doc comments never carry markers.
-pub fn parse_disjoint(comment: &str) -> Option<(String, bool)> {
-    if is_doc_comment(comment) {
-        return None;
-    }
-    let p = comment.find(DISJOINT_PREFIX)?;
-    let rest = &comment[p + DISJOINT_PREFIX.len()..];
-    let close = rest.find(')')?;
-    let what = rest[..close].trim().to_owned();
-    let after = rest[close + 1..].trim_start();
-    let reason = after
-        .strip_prefix('\u{2014}')
-        .or_else(|| after.strip_prefix('-'))
-        .or_else(|| after.strip_prefix(':'))
-        .map_or("", str::trim);
-    Some((what, !reason.is_empty()))
 }
 
 /// Is this collected comment a doc comment (`///`, `//!`, `/**`, `/*!`)?
@@ -498,25 +437,6 @@ mod tests {
         assert_eq!((ms[0].line, ms[0].pass.as_str(), ms[0].has_reason), (0, "cast", true));
         assert_eq!((ms[1].line, ms[1].pass.as_str(), ms[1].has_reason), (2, "deadpub", false));
         assert_eq!((ms[2].line, ms[2].pass.as_str(), ms[2].has_reason), (4, "bogus", true));
-    }
-
-    #[test]
-    fn disjoint_marker_window_name_and_reason() {
-        let f = lib("// audit: disjoint(tasks) — bands split via split_at_mut\nfn a() {}\n\
-             fn b() {} // audit: disjoint(tasks) — per-task rows\n\
-             // audit: disjoint(tasks)\nfn c() {}\n\
-             // audit: disjoint(rows) — different name\nfn d() {}\n\
-             /// audit: disjoint(tasks) — doc mention\nfn e() {}\n");
-        assert!(f.disjoint_marker("tasks", 1), "marker on the line above");
-        assert!(f.disjoint_marker("tasks", 2), "marker on the line itself");
-        assert!(!f.disjoint_marker("tasks", 4), "reason is mandatory");
-        assert!(!f.disjoint_marker("tasks", 6), "names must match");
-        assert!(!f.disjoint_marker("tasks", 8), "doc comments never carry markers");
-        let ms = f.disjoint_markers();
-        assert_eq!(ms.len(), 4, "{ms:?}");
-        assert_eq!((ms[0].line, ms[0].what.as_str(), ms[0].has_reason), (0, "tasks", true));
-        assert_eq!((ms[2].line, ms[2].what.as_str(), ms[2].has_reason), (3, "tasks", false));
-        assert_eq!(ms[3].what, "rows");
     }
 
     #[test]

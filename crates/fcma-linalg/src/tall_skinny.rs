@@ -140,53 +140,10 @@ pub fn corr_tall_skinny(
     // and consumed by every (epoch, voxel-group) pair before eviction.
     for j0 in (0..n).step_by(tile) {
         let tw = tile.min(n - j0);
-        let n_tiles = tw.div_ceil(NR);
         for (e, ep) in epochs.iter().enumerate() {
-            let k = ep.k();
-            if k == 0 {
-                for vi in 0..v {
-                    out[(layout.row(vi, e)) * n + j0..(layout.row(vi, e)) * n + j0 + tw].fill(0.0);
-                }
-                continue;
-            }
-            // Pack (transpose) this epoch's strip of brain data.
-            for t in 0..n_tiles {
-                let jt = j0 + t * NR;
-                let nr = NR.min(n - jt);
-                pack_b_panel::<NR>(
-                    &ep.brain.as_slice()[jt..],
-                    n,
-                    k,
-                    nr,
-                    &mut b_pack[t * k_max * NR..],
-                );
-            }
-            for v0 in (0..v).step_by(MR) {
-                let mr = MR.min(v - v0);
-                pack_a_panel::<MR>(&ep.assigned.as_slice()[v0 * k..], k, mr, k, &mut a_pack);
-                for t in 0..n_tiles {
-                    let jt = j0 + t * NR;
-                    let nr = NR.min(n - jt);
-                    let b_panel = &b_pack[t * k_max * NR..t * k_max * NR + k * NR];
-                    // Output rows for consecutive voxels are M rows apart:
-                    // leading dimension M·N expresses the interleaving.
-                    let c_off = layout.row(v0, e) * n + jt;
-                    if mr == MR && nr == NR {
-                        microkernel::<MR, NR>(k, &a_pack, b_panel, &mut out[c_off..], m * n, false);
-                    } else {
-                        microkernel_edge::<MR, NR>(
-                            k,
-                            mr,
-                            nr,
-                            &a_pack,
-                            b_panel,
-                            &mut out[c_off..],
-                            m * n,
-                            false,
-                        );
-                    }
-                }
-            }
+            // Output rows for consecutive voxels are M rows apart:
+            // leading dimension M·N expresses the interleaving.
+            epoch_strip(ep, k_max, 0..v, j0, tw, &mut a_pack, &mut b_pack, out, e * n + j0, m * n);
         }
     }
     layout
@@ -233,7 +190,6 @@ pub fn corr_tile_block_rows(
         0,
         "corr_tile_block_rows: voxel range must start on an MR={MR} boundary"
     );
-    let v_start = voxel_range.start;
     let v_count = voxel_range.len();
     let e_count = epoch_range.len();
     let w = col_range.len();
@@ -242,52 +198,79 @@ pub fn corr_tile_block_rows(
     let k_max = epochs[epoch_range.clone()].iter().map(EpochPair::k).max().unwrap_or(0);
     let mut b_pack = vec![0.0f32; k_max.max(1) * w.div_ceil(NR) * NR];
     let mut a_pack = vec![0.0f32; k_max.max(1) * MR];
-    let n_tiles = w.div_ceil(NR);
-
     for (ei, eidx) in epoch_range.clone().enumerate() {
         let ep = &epochs[eidx];
         ep.validate(v, n);
-        let k = ep.k();
-        if k == 0 {
-            for vi in 0..v_count {
-                buf[(vi * e_count + ei) * w..(vi * e_count + ei + 1) * w].fill(0.0);
-            }
-            continue;
+        epoch_strip(
+            ep,
+            k_max,
+            voxel_range.clone(),
+            col_range.start,
+            w,
+            &mut a_pack,
+            &mut b_pack,
+            buf,
+            ei * w,
+            e_count * w,
+        );
+    }
+}
+
+/// The one strip body of the tall-skinny family: one epoch's
+/// correlations of the `voxel_range` rows of `assigned` against columns
+/// `col0..col0 + w` of `brain`, written to `c[base + vi·ldc + j]` for
+/// local voxel `vi` and local column `j`. [`corr_tall_skinny`] lands the
+/// tile in the voxel-interleaved buffer (`base = e·N + col0`,
+/// `ldc = M·N`), [`corr_tile_block_rows`] in its dense block
+/// (`base = ei·W`, `ldc = E·W`). Voxels are grouped by [`MR`] from
+/// `voxel_range.start` and columns by [`NR`] from `col0`; `a_pack` /
+/// `b_pack` are caller-owned packing scratch sized for `k_max`.
+#[allow(clippy::too_many_arguments)] // kernel-call ABI
+fn epoch_strip(
+    ep: &EpochPair<'_>,
+    k_max: usize,
+    voxel_range: Range<usize>,
+    col0: usize,
+    w: usize,
+    a_pack: &mut [f32],
+    b_pack: &mut [f32],
+    c: &mut [f32],
+    base: usize,
+    ldc: usize,
+) {
+    let k = ep.k();
+    if k == 0 {
+        for vi in 0..voxel_range.len() {
+            c[base + vi * ldc..base + vi * ldc + w].fill(0.0);
         }
+        return;
+    }
+    let n = ep.brain.cols();
+    let n_tiles = w.div_ceil(NR);
+    // Pack (transpose) this epoch's strip of brain data.
+    for t in 0..n_tiles {
+        let jt = t * NR;
+        let nr = NR.min(w - jt);
+        pack_b_panel::<NR>(
+            &ep.brain.as_slice()[col0 + jt..],
+            n,
+            k,
+            nr,
+            &mut b_pack[t * k_max * NR..],
+        );
+    }
+    for v0 in voxel_range.clone().step_by(MR) {
+        let mr = MR.min(voxel_range.end - v0);
+        pack_a_panel::<MR>(&ep.assigned.as_slice()[v0 * k..], k, mr, k, a_pack);
         for t in 0..n_tiles {
-            let jt = col_range.start + t * NR;
-            let nr = NR.min(col_range.end - jt);
-            pack_b_panel::<NR>(&ep.brain.as_slice()[jt..], n, k, nr, &mut b_pack[t * k_max * NR..]);
-        }
-        for v0 in voxel_range.clone().step_by(MR) {
-            let mr = MR.min(voxel_range.end - v0);
-            pack_a_panel::<MR>(&ep.assigned.as_slice()[v0 * k..], k, mr, k, &mut a_pack);
-            for t in 0..n_tiles {
-                let jt = t * NR;
-                let nr = NR.min(w - jt);
-                let b_panel = &b_pack[t * k_max * NR..t * k_max * NR + k * NR];
-                let c_off = ((v0 - v_start) * e_count + ei) * w + jt;
-                if mr == MR && nr == NR {
-                    microkernel::<MR, NR>(
-                        k,
-                        &a_pack,
-                        b_panel,
-                        &mut buf[c_off..],
-                        e_count * w,
-                        false,
-                    );
-                } else {
-                    microkernel_edge::<MR, NR>(
-                        k,
-                        mr,
-                        nr,
-                        &a_pack,
-                        b_panel,
-                        &mut buf[c_off..],
-                        e_count * w,
-                        false,
-                    );
-                }
+            let jt = t * NR;
+            let nr = NR.min(w - jt);
+            let b_panel = &b_pack[t * k_max * NR..t * k_max * NR + k * NR];
+            let c_tile = &mut c[base + (v0 - voxel_range.start) * ldc + jt..];
+            if mr == MR && nr == NR {
+                microkernel::<MR, NR>(k, a_pack, b_panel, c_tile, ldc, false);
+            } else {
+                microkernel_edge::<MR, NR>(k, mr, nr, a_pack, b_panel, c_tile, ldc, false);
             }
         }
     }

@@ -62,20 +62,67 @@ fn missed_signal() {
     }
 }
 
-#[test]
-fn dfs_finds_lost_wakeup_deadlock() {
+/// `check` must report a deadlock of `n_blocked` threads for `root`,
+/// classified `lost_wakeup`, with a schedule `replay` reproduces.
+fn assert_deadlock(root: fn(), lost_wakeup: bool, n_blocked: usize) {
     let cfg = Config::default();
-    let outcome = check(&cfg, missed_signal);
-    let failure = outcome.failure().expect("DFS must find the missed-signal deadlock");
+    let outcome = check(&cfg, root);
+    let failure = outcome.failure().expect("DFS must find the deadlock");
     match &failure.kind {
-        FailureKind::Deadlock { lost_wakeup, blocked } => {
-            assert!(lost_wakeup, "the deadlock must be classified as a lost wakeup");
-            assert_eq!(blocked.len(), 1, "exactly the waiter is stuck: {blocked:?}");
+        FailureKind::Deadlock { lost_wakeup: lost, blocked } => {
+            assert_eq!(*lost, lost_wakeup, "lost-wakeup classification");
+            assert_eq!(blocked.len(), n_blocked, "stuck threads: {blocked:?}");
         }
         other => panic!("expected a deadlock, got: {other:?}"),
     }
-    let replayed = replay(&cfg, &failure.schedule, missed_signal);
-    assert!(replayed.failure().is_some(), "the deadlock schedule must replay");
+    assert!(!failure.schedule.is_empty(), "failure must carry a schedule");
+    let replayed = replay(&cfg, &failure.schedule, root);
+    let refailure = replayed.failure().expect("the deadlock schedule must replay");
+    assert_eq!(refailure.kind, failure.kind, "replay must reproduce the same deadlock");
+}
+
+#[test]
+fn dfs_finds_lost_wakeup_deadlock() {
+    // Exactly the waiter is stuck, on a condvar notified with no waiter.
+    assert_deadlock(missed_signal, true, 1);
+}
+
+/// Two facade mutexes taken in opposite orders by two threads — the
+/// ABBA inversion. Only schedules where each thread takes its first
+/// lock before the other takes its second deadlock.
+fn abba() {
+    let locks = Arc::new((Mutex::new(0u32), Mutex::new(0u32)));
+    let other = Arc::clone(&locks);
+    thread::spawn(move || {
+        let _b = other.1.lock();
+        let _a = other.0.lock();
+    });
+    let _a = locks.0.lock();
+    let _b = locks.1.lock();
+}
+
+/// A `recv` under a lock the sending thread must take before it sends:
+/// the receiver parks holding `gate`, the sender parks wanting it.
+fn recv_under_lock() {
+    let gate = Arc::new(Mutex::new(()));
+    let sender_gate = Arc::clone(&gate);
+    let (tx, rx) = channel::unbounded();
+    thread::spawn(move || {
+        let _g = sender_gate.lock();
+        tx.send(1u8).expect("receiver is alive");
+    });
+    let _held = gate.lock();
+    let _ = rx.recv();
+}
+
+#[test]
+fn dfs_finds_abba_lock_inversion() {
+    assert_deadlock(abba, false, 2);
+}
+
+#[test]
+fn dfs_finds_recv_under_a_lock_the_sender_needs() {
+    assert_deadlock(recv_under_lock, false, 2);
 }
 
 #[test]

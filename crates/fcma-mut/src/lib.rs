@@ -23,7 +23,7 @@
 //!   triaged as semantically equivalent with an
 //!   `// audit: equivalent(<class>) — <reason>` marker at its site
 //!   (tracked for staleness by the `unusedallow` pass, exactly like
-//!   disjoint markers), or it is a named gap the kill-matrix report
+//!   allow markers), or it is a named gap the kill-matrix report
 //!   surfaces and CI fails on.
 //!
 //! The per-class kill matrix is compared against a committed

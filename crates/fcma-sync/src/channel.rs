@@ -111,19 +111,6 @@ impl<T> Receiver<T> {
         }
     }
 
-    /// Dequeue a value without blocking.
-    // audit: allow(deadpub) — facade API parity with crossbeam_channel::Receiver::try_recv; callers porting off crossbeam must not lose surface
-    pub fn try_recv(&self) -> Result<T, TryRecvError> {
-        let mut st = self.chan.state.lock();
-        if let Some(value) = st.queue.pop_front() {
-            return Ok(value);
-        }
-        if st.senders == 0 {
-            return Err(TryRecvError::Disconnected);
-        }
-        Err(TryRecvError::Empty)
-    }
-
     /// Dequeue a value, blocking for at most `timeout` of (possibly
     /// virtual) time.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
@@ -194,27 +181,6 @@ impl fmt::Display for RecvError {
 
 impl std::error::Error for RecvError {}
 
-/// Why [`Receiver::try_recv`] returned no value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-// audit: allow(deadpub) — the error type of Receiver::try_recv's public signature, part of the facade's crossbeam-parity surface
-pub enum TryRecvError {
-    /// No value is queued right now.
-    Empty,
-    /// Every sender was dropped and the queue is drained.
-    Disconnected,
-}
-
-impl fmt::Display for TryRecvError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TryRecvError::Empty => f.write_str("channel is empty"),
-            TryRecvError::Disconnected => f.write_str("channel is empty and closed"),
-        }
-    }
-}
-
-impl std::error::Error for TryRecvError {}
-
 /// Why [`Receiver::recv_timeout`] returned no value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecvTimeoutError {
@@ -249,6 +215,5 @@ mod tests {
         std::mem::forget(tx);
         assert_eq!(rx.recv(), Ok(1));
         assert_eq!(rx.recv(), Err(RecvError));
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
     }
 }

@@ -126,8 +126,7 @@ impl Condvar {
 
     /// [`Condvar::wait`] bounded by `dur`; returns `true` if the wait
     /// timed out (the lock is re-acquired either way).
-    // audit: allow(deadpub) — facade API parity with std::sync::Condvar::wait_timeout; the facade's own channel recv_timeout is built on it
-    pub fn wait_timeout<T>(&self, guard: &mut MutexGuard<'_, T>, dur: Duration) -> bool {
+    pub(crate) fn wait_timeout<T>(&self, guard: &mut MutexGuard<'_, T>, dur: Duration) -> bool {
         self.wait_impl(guard, Some(dur))
     }
 

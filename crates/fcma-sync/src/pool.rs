@@ -120,6 +120,46 @@ impl Pool {
 
     /// Run every task and return the results in task order.
     ///
+    /// `job` is `Fn + Sync` and the workspace forbids `unsafe`, so a
+    /// data race between tasks is a compile error, not a convention. A
+    /// job cannot mutate what it captures:
+    ///
+    /// ```compile_fail,E0594
+    /// use fcma_sync::Pool;
+    /// let mut total = 0usize;
+    /// Pool::new(2).run(vec![1usize, 2, 3], |_, t| total += t);
+    /// ```
+    ///
+    /// unless the capture is behind a facade lock:
+    ///
+    /// ```
+    /// use fcma_sync::{Mutex, Pool};
+    /// let total = Mutex::new(0usize);
+    /// Pool::new(2).run(vec![1usize, 2, 3], |_, t| *total.lock() += t);
+    /// assert_eq!(*total.lock(), 6);
+    /// ```
+    ///
+    /// Nor can it capture unsynchronized interior mutability:
+    ///
+    /// ```compile_fail,E0277
+    /// use fcma_sync::Pool;
+    /// use std::cell::Cell;
+    /// let total = Cell::new(0usize);
+    /// Pool::new(2).run(vec![1usize, 2, 3], |_, t| total.set(total.get() + t));
+    /// ```
+    ///
+    /// where the same read-modify-write under a lock compiles:
+    ///
+    /// ```
+    /// use fcma_sync::{Mutex, Pool};
+    /// let total = Mutex::new(0usize);
+    /// Pool::new(2).run(vec![1usize, 2, 3], |_, t| {
+    ///     let mut total = total.lock();
+    ///     *total = *total + t;
+    /// });
+    /// assert_eq!(*total.lock(), 6);
+    /// ```
+    ///
     /// # Panics
     /// Re-raises the first panic from a task, after all workers exited.
     pub fn run<T, R>(&self, tasks: Vec<T>, job: impl Fn(usize, T) -> R + Sync) -> Vec<R>
@@ -135,6 +175,27 @@ impl Pool {
     /// task that worker executes. The per-task computation must not
     /// depend on prior state contents — the kernels' dirty-scratch
     /// bit-identity contract.
+    ///
+    /// Tasks own what they are given (`T: Send`, moved into exactly one
+    /// job call), so an output band cannot reach two tasks:
+    ///
+    /// ```compile_fail,E0499
+    /// use fcma_sync::Pool;
+    /// let mut buf = vec![0.0f32; 8];
+    /// let tasks: Vec<&mut [f32]> = vec![&mut buf[..], &mut buf[..]];
+    /// Pool::new(2).run_init(tasks, || 1.0f32, |one, _, band| band.fill(*one));
+    /// ```
+    ///
+    /// The kernels carve disjoint bands with `split_at_mut` instead:
+    ///
+    /// ```
+    /// use fcma_sync::Pool;
+    /// let mut buf = vec![0.0f32; 8];
+    /// let (lo, hi) = buf.split_at_mut(4);
+    /// let tasks: Vec<&mut [f32]> = vec![lo, hi];
+    /// Pool::new(2).run_init(tasks, || 1.0f32, |one, _, band| band.fill(*one));
+    /// assert_eq!(buf, [1.0f32; 8]);
+    /// ```
     ///
     /// # Panics
     /// Re-raises the first panic from a task, after all workers exited.

@@ -4,7 +4,7 @@
 
 use std::time::Duration;
 
-use crate::channel::{unbounded, RecvTimeoutError, TryRecvError};
+use crate::channel::{unbounded, RecvTimeoutError};
 use crate::clock::VirtualClock;
 use crate::time::Instant;
 use crate::{thread, Condvar, Mutex};
@@ -15,8 +15,7 @@ fn channel_roundtrip_and_disconnect() {
     tx.send(1).expect("open channel");
     tx.send(2).expect("open channel");
     assert_eq!(rx.recv(), Ok(1));
-    assert_eq!(rx.try_recv(), Ok(2));
-    assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
+    assert_eq!(rx.recv(), Ok(2));
     drop(tx);
     assert!(rx.recv().is_err(), "disconnect must surface once drained");
 }

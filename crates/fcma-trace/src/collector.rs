@@ -271,32 +271,6 @@ pub fn instant(name: &'static str, mut attrs: Vec<(&'static str, AttrValue)>) {
     });
 }
 
-/// Record a span whose start time was captured externally. The duration
-/// is `started.elapsed()` at the time of this call. The cluster master
-/// used to track dispatch flights this way; it now records durations
-/// measured on the sync facade's clock via [`record_span_elapsed`], but
-/// this variant stays public for callers that hold a std [`Instant`].
-// audit: allow(deadpub) — public trace API kept for std-Instant callers; the facade-ported driver uses record_span_elapsed instead
-pub fn record_span_since(
-    name: &'static str,
-    mut attrs: Vec<(&'static str, AttrValue)>,
-    started: Instant,
-) {
-    stamp_ctx(&mut attrs);
-    with_tls(|_, buf, stack| {
-        let record = SpanRecord {
-            name: name.to_owned(),
-            tid: buf.tid,
-            id: NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed),
-            parent: stack.last().copied(),
-            start_ns: ns_since(buf.epoch, started),
-            dur_ns: Some(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)),
-            attrs: attrs.iter().map(|(k, v)| ((*k).to_owned(), v.clone())).collect(),
-        };
-        lock(&buf.events).push(record);
-    });
-}
-
 /// Record a span that ends now and lasted `elapsed`, for callers that
 /// measure time on a clock other than `std` (the cluster master tracks
 /// dispatch flights on the `fcma-sync` facade clock, which may be

@@ -66,8 +66,8 @@ mod report;
 pub mod slo;
 
 pub use collector::{
-    add_counter, add_labeled_counter, instant, is_enabled, record_span_elapsed, record_span_since,
-    record_value, start_span, Collector, SpanGuard,
+    add_counter, add_labeled_counter, instant, is_enabled, record_span_elapsed, record_value,
+    start_span, Collector, SpanGuard,
 };
 pub use collector::{IntoCount, ScopedCollector};
 pub use ctx::{CtxGuard, TraceCtx, TraceOrigin};
@@ -162,7 +162,7 @@ macro_rules! labeled_counter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::{Duration, Instant};
+    use std::time::Duration;
 
     #[test]
     fn disabled_macros_do_not_evaluate_attrs() {
@@ -233,20 +233,6 @@ mod tests {
         assert_eq!(names, ["stage1.corr", "stage2.normalize", "stage3.score"]);
         let tids: Vec<u64> = report.spans.iter().map(|s| s.tid).collect();
         assert_ne!(tids[0], tids[1], "worker thread gets its own trace tid");
-    }
-
-    #[test]
-    fn record_span_since_captures_external_start() {
-        let collector = Collector::new();
-        let scope = collector.install_scoped();
-        let started = Instant::now();
-        std::thread::sleep(Duration::from_millis(2));
-        record_span_since("cluster.dispatch", vec![("attempt", AttrValue::U64(1))], started);
-        let report = scope.drain();
-        assert_eq!(report.span_count("cluster.dispatch"), 1);
-        let span = &report.spans[0];
-        assert!(span.dur_ns.unwrap() >= 1_000_000, "duration covers the sleep");
-        assert_eq!(span.attr("attempt"), Some(&AttrValue::U64(1)));
     }
 
     #[test]
