@@ -120,7 +120,7 @@ mod tests {
     use super::*;
 
     fn parse(v: &[&str]) -> Result<Args, ArgError> {
-        Args::parse(v.iter().map(|s| s.to_string()))
+        Args::parse(v.iter().map(ToString::to_string))
     }
 
     #[test]

@@ -135,6 +135,14 @@ fn threads_of(args: &Args) -> Result<usize> {
     }
 }
 
+/// Voxels per task: `--task-size` if given, else 64.
+fn task_size_of(args: &Args) -> Result<usize> {
+    match args.get_parsed("task-size", 64usize, "integer")? {
+        0 => Err("--task-size must be at least 1".into()),
+        n => Ok(n),
+    }
+}
+
 fn executor_of(args: &Args) -> Result<Arc<dyn TaskExecutor>> {
     let pool = Pool::new(threads_of(args)?);
     match args.get_or("executor", "optimized").as_str() {
@@ -192,7 +200,7 @@ pub(crate) fn analyze(args: &Args) -> Result<()> {
         exec = Arc::new(ChaosExecutor::panic_once(exec, start));
         eprintln!("chaos: will panic once on the task starting at voxel {start}");
     }
-    let task_size = args.get_parsed("task-size", 64usize, "integer")?;
+    let task_size = task_size_of(args)?;
     let top_k = args.get_parsed("top-k", 16usize, "integer")?;
     let trace_out = args.get("trace-out").map(PathBuf::from);
     let metrics_out = args.get("metrics-out").map(PathBuf::from);
@@ -329,7 +337,7 @@ pub(crate) fn offline(args: &Args) -> Result<()> {
     let dataset = fio::load_dataset(&data)?;
     let exec = executor_of(args)?;
     let cfg = AnalysisConfig {
-        task_size: args.get_parsed("task-size", 64usize, "integer")?,
+        task_size: task_size_of(args)?,
         top_k: args.get_parsed("top-k", 16usize, "integer")?,
     };
     let t0 = std::time::Instant::now();
@@ -444,7 +452,7 @@ mod tests {
     use crate::args::Args;
 
     fn args(v: &[&str]) -> Args {
-        Args::parse(v.iter().map(|s| s.to_string())).unwrap()
+        Args::parse(v.iter().map(ToString::to_string)).unwrap()
     }
 
     fn tmp(name: &str) -> PathBuf {
@@ -488,6 +496,22 @@ mod tests {
         let parsed = read_scores(&scores).unwrap();
         assert_eq!(parsed.len(), 64);
         assert!(parsed.iter().all(|s| (0.0..=1.0).contains(&s.accuracy)));
+    }
+
+    #[test]
+    fn zero_task_size_and_zero_threads_are_typed_errors() {
+        // `--task-size 0` used to reach `partition`'s assert and exit 101.
+        let ds = tmp("cli_zero_ds");
+        let ds = ds.to_str().unwrap();
+        generate(&args(&["generate", "--preset", "tiny", "--voxels", "32", "--out", ds])).unwrap();
+        for (command, flag) in [
+            (analyze as fn(&Args) -> Result<()>, "--task-size"),
+            (analyze, "--threads"),
+            (offline, "--task-size"),
+        ] {
+            let err = command(&args(&["run", "--data", ds, flag, "0"])).unwrap_err();
+            assert_eq!(err.to_string(), format!("{flag} must be at least 1"));
+        }
     }
 
     #[test]

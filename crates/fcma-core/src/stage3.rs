@@ -12,7 +12,7 @@
 use crate::stage1::{bridge_pool_counters, CorrData};
 use crate::task::{VoxelScore, VoxelTask};
 use fcma_linalg::{SyrkScratch, PANEL_K};
-use fcma_svm::{loso_cross_validate_pool, KernelMatrix, SolverKind};
+use fcma_svm::{loso_cross_validate_with, KernelMatrix, SmoScratch, SolverKind};
 use fcma_sync::pool::Pool;
 use fcma_trace::{counter, span};
 
@@ -23,6 +23,21 @@ pub enum KernelPrecompute {
     Baseline,
     /// The paper's 96-deep panel SYRK.
     Optimized,
+}
+
+/// What one stage-3 worker reuses across its voxels: the SYRK panel
+/// buffers (the paper's per-thread `A_local`, §4.4) and the SMO solver's
+/// vectors and training-block buffer.
+pub(crate) struct VoxelScratch {
+    syrk: SyrkScratch,
+    smo: SmoScratch,
+}
+
+impl VoxelScratch {
+    /// Scratch for voxels of `n_epochs` epochs each.
+    pub(crate) fn new(n_epochs: usize) -> Self {
+        VoxelScratch { syrk: SyrkScratch::new(n_epochs, PANEL_K), smo: SmoScratch::default() }
+    }
 }
 
 /// Score one voxel: kernel precompute + leave-one-group-out CV.
@@ -41,7 +56,7 @@ pub(crate) fn score_voxel(
     groups: &[usize],
     solver: &SolverKind,
     precompute: KernelPrecompute,
-    scratch: &mut SyrkScratch,
+    scratch: &mut VoxelScratch,
     fold_pool: &Pool,
 ) -> f64 {
     let m = corr.layout.n_epochs;
@@ -51,9 +66,11 @@ pub(crate) fn score_voxel(
     let data = corr.voxel_matrix(vi);
     let kernel = match precompute {
         KernelPrecompute::Baseline => KernelMatrix::precompute_baseline_raw(m, n, data),
-        KernelPrecompute::Optimized => KernelMatrix::precompute_raw_with(m, n, data, scratch),
+        KernelPrecompute::Optimized => {
+            KernelMatrix::precompute_raw_with(m, n, data, &mut scratch.syrk)
+        }
     };
-    loso_cross_validate_pool(&kernel, y, groups, solver, fold_pool).accuracy
+    loso_cross_validate_with(&kernel, y, groups, solver, fold_pool, &mut scratch.smo).accuracy
 }
 
 /// Score every voxel of a task in parallel.
@@ -76,17 +93,17 @@ pub fn score_task(
         // parallelism to exploit; push the pool down one level and run
         // the CV folds in parallel instead. Same score either way — the
         // CV is bit-identical at every thread count (DESIGN.md §15).
-        let mut scratch = SyrkScratch::new(corr.layout.n_epochs, PANEL_K);
+        let mut scratch = VoxelScratch::new(corr.layout.n_epochs);
         let accuracy = score_voxel(corr, 0, y, groups, solver, precompute, &mut scratch, pool);
         return vec![VoxelScore { voxel: task.start, accuracy }];
     }
-    // One SYRK scratch per pool worker, reused across that worker's
-    // voxels — the paper's per-thread A_local buffers (§4.4). Scores come
-    // back in task-index order regardless of which worker ran them.
+    // One scratch per pool worker, reused across that worker's voxels.
+    // Scores come back in task-index order regardless of which worker
+    // ran them.
     let inline = Pool::default();
     let (scores, stats) = pool.run_init_stats(
         (0..task.count).collect(),
-        || SyrkScratch::new(corr.layout.n_epochs, PANEL_K),
+        || VoxelScratch::new(corr.layout.n_epochs),
         |scratch, _idx, vi| VoxelScore {
             voxel: task.start + vi,
             accuracy: score_voxel(corr, vi, y, groups, solver, precompute, scratch, &inline),

@@ -40,7 +40,7 @@ proptest! {
         let (d, _) = cfg.generate();
         let ctx = TaskContext::full(&d);
         let start = (start_frac * d.n_voxels() as f32) as usize;
-        let count = (d.n_voxels() - start).min(7).max(1);
+        let count = (d.n_voxels() - start).clamp(1, 7);
         let task = VoxelTask { start, count };
 
         let mut a = corr_baseline(&ctx, task, &Pool::default());

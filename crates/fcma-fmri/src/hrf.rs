@@ -137,7 +137,7 @@ mod tests {
     #[test]
     fn kernel_has_an_undershoot() {
         let k = Hrf::default().kernel();
-        let min = k.iter().cloned().fold(f32::MAX, f32::min);
+        let min = k.iter().copied().fold(f32::MAX, f32::min);
         assert!(min < -0.01, "no undershoot: min {min}");
         // Undershoot comes after the peak.
         let peak_idx = k.iter().enumerate().max_by(|a, b| a.1.partial_cmp(b.1).unwrap()).unwrap().0;
@@ -159,8 +159,8 @@ mod tests {
         let mut x = vec![0.0f32; 40];
         x[10] = 1.0;
         let y = h.convolve(&x);
-        for t in 0..10 {
-            assert_eq!(y[t], 0.0, "non-causal response at t={t}");
+        for (t, &before) in y.iter().enumerate().take(10) {
+            assert_eq!(before, 0.0, "non-causal response at t={t}");
         }
         let k = h.kernel();
         for t in 10..40 {
@@ -190,16 +190,14 @@ mod tests {
         // HRF data realistic).
         let h = Hrf::default();
         let mut x = vec![0.0f32; 40];
-        for t in 5..13 {
-            x[t] = 1.0;
-        }
+        x[5..13].fill(1.0);
         let y = h.convolve(&x);
         assert!(y[5].abs() < 0.05, "response should be delayed");
         // Just past the block end (t=14: 1.5 s after) the positive lobe is
         // still feeding through; much later the undershoot takes over.
         assert!(y[14] > 0.2, "response should persist past the block end: {}", y[14]);
         assert!(y[22] < 0.0, "late undershoot expected: {}", y[22]);
-        let peak: f32 = y.iter().cloned().fold(f32::MIN, f32::max);
+        let peak: f32 = y.iter().copied().fold(f32::MIN, f32::max);
         let peak_idx = y.iter().position(|&v| v == peak).unwrap();
         assert!(peak_idx > 8, "peak too early: {peak_idx}");
     }

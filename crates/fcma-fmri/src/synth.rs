@@ -421,7 +421,7 @@ mod tests {
         let grid = crate::geometry::Grid3::cube_for(cfg.n_voxels);
         for blob in [&h1, &h2] {
             let c = crate::geometry::Cluster { voxels: blob.clone() }.centroid(&grid);
-            for &v in blob.iter() {
+            for &v in blob {
                 let (x, y, z) = grid.coords(v);
                 let d = ((x as f64 - c.0).powi(2)
                     + (y as f64 - c.1).powi(2)

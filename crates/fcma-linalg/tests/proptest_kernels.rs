@@ -213,8 +213,8 @@ proptest! {
 
     #[test]
     fn zscore_then_stats_are_standard(x in proptest::collection::vec(-100.0f32..100.0, 4..64)) {
-        let spread = x.iter().cloned().fold(f32::MIN, f32::max)
-            - x.iter().cloned().fold(f32::MAX, f32::min);
+        let spread = x.iter().copied().fold(f32::MIN, f32::max)
+            - x.iter().copied().fold(f32::MAX, f32::min);
         prop_assume!(spread > 1e-3);
         let mut z = x.clone();
         zscore(&mut z);
@@ -336,9 +336,9 @@ proptest! {
         let x = pseudo(n, seed ^ 0xa5a5);
         let mut y = vec![f32::NAN; m];
         gemv(&a, &x, &mut y);
-        for r in 0..m {
+        for (r, &got) in y.iter().enumerate() {
             let naive: f32 = a.row(r).iter().zip(&x).map(|(p, q)| p * q).sum();
-            prop_assert!(close(y[r], naive, n as f32));
+            prop_assert!(close(got, naive, n as f32));
         }
     }
 
@@ -360,13 +360,14 @@ proptest! {
         let a = Mat::from_vec(m, n, pseudo(m * n, seed));
         let rm = row_means(&a);
         let cm = col_means(&a);
-        for r in 0..m {
+        prop_assert_eq!((rm.len(), cm.len()), (m, n));
+        for (r, &got) in rm.iter().enumerate() {
             let naive = a.row(r).iter().sum::<f32>() / n as f32;
-            prop_assert!(close(rm[r], naive, 1.0));
+            prop_assert!(close(got, naive, 1.0));
         }
-        for c in 0..n {
+        for (c, &got) in cm.iter().enumerate() {
             let naive = (0..m).map(|r| a.get(r, c)).sum::<f32>() / m as f32;
-            prop_assert!(close(cm[c], naive, 1.0));
+            prop_assert!(close(got, naive, 1.0));
         }
     }
 

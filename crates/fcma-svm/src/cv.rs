@@ -4,14 +4,22 @@
 //! cross-validating a linear SVM across subjects: every fold holds out one
 //! subject's epochs, trains on the rest, and tests on the held-out epochs
 //! (paper §3.1). Because the full `M × M` kernel matrix is precomputed,
-//! each fold only indexes sub-blocks of it — no feature-space work at all.
+//! a fold does no feature-space work at all: the dense solvers gather the
+//! fold's training block from it, run by run, into a per-worker
+//! [`SmoScratch`] (a few percent of the fold; SMO wants its rows
+//! contiguous), solve there, and score each held-out epoch as one dot
+//! product of the dual variables against that epoch's kernel row. The
+//! fold plan — who trains, who tests, the training targets — is built
+//! once per call, so a fold itself allocates nothing.
 
-use crate::kernel::KernelMatrix;
-use crate::phisvm::{train_optimized_libsvm, train_phisvm};
+use crate::kernel::{index_runs, KernelMatrix};
+use crate::phisvm::{optimized_libsvm, solve_runs};
 use crate::reference::{decision as ref_decision, train_precomputed, LibSvmParams};
-use crate::smo::SmoParams;
+use crate::smo::{SmoParams, SmoScratch};
 use fcma_sync::pool::Pool;
+use fcma_sync::Mutex;
 use fcma_trace::{counter, span};
+use std::ops::Range;
 
 /// Which solver runs the folds — the three rows of the paper's Table 8.
 #[derive(Debug, Clone, Copy)]
@@ -32,7 +40,6 @@ impl Default for SolverKind {
 
 /// Outcome of a full leave-one-subject-out run.
 #[derive(Debug, Clone)]
-// audit: allow(deadpub) — named only structurally outside the crate, via `loso_cross_validate`'s return value
 pub struct CvResult {
     /// Correct predictions across all folds / total held-out samples.
     pub accuracy: f64,
@@ -43,14 +50,16 @@ pub struct CvResult {
 }
 
 /// Leave-one-subject-out cross validation on the calling thread:
-/// [`loso_cross_validate_pool`] with the one-thread pool.
+/// [`loso_cross_validate_with`] on the one-thread pool, through a fresh
+/// solver scratch.
 pub fn loso_cross_validate(
     kernel: &KernelMatrix,
     y: &[f32],
     subjects: &[usize],
     solver: &SolverKind,
 ) -> CvResult {
-    loso_cross_validate_pool(kernel, y, subjects, solver, &Pool::default())
+    let (pool, mut scratch) = (Pool::default(), SmoScratch::default());
+    loso_cross_validate_with(kernel, y, subjects, solver, &pool, &mut scratch)
 }
 
 /// Run leave-one-subject-out cross validation.
@@ -64,14 +73,20 @@ pub fn loso_cross_validate(
 /// training run is a serial solve over its own sub-problem, and the
 /// cross-fold reduction is pure integer accumulation in a fixed order.
 ///
+/// `scratch` is the caller's solver scratch — stage 3 keeps one per
+/// voxel worker — and serves the first pool worker to start, which on
+/// the one-thread pool is the only one; any other worker grows its own
+/// for the length of the call.
+///
 /// # Panics
 /// Panics on length mismatches or if any fold would see a single class.
-pub fn loso_cross_validate_pool(
+pub fn loso_cross_validate_with(
     kernel: &KernelMatrix,
     y: &[f32],
     subjects: &[usize],
     solver: &SolverKind,
     pool: &Pool,
+    scratch: &mut SmoScratch,
 ) -> CvResult {
     let m = kernel.n();
     assert_eq!(y.len(), m, "cv: targets length != kernel size");
@@ -81,63 +96,99 @@ pub fn loso_cross_validate_pool(
     let _span = span!("svm.cv.loso", folds = n_subjects, samples = m);
     counter!("svm.cv.folds", n_subjects);
 
-    let folds = pool
-        .run((0..n_subjects).collect(), |_idx, held| run_fold(kernel, y, subjects, held, solver));
+    let plan: Vec<Fold> =
+        (0..n_subjects).map(|held| Fold::holding_out(y, subjects, held)).collect();
+    let lent = Mutex::new(Some(scratch));
+    let folds = pool.run_init(
+        plan,
+        || (lent.lock().take(), SmoScratch::default()),
+        |(lent, own), _idx, fold| {
+            run_fold(kernel, y, &fold, solver, lent.as_deref_mut().unwrap_or(own))
+        },
+    );
     reduce_folds(&folds)
+}
+
+/// One fold of the plan: subject `held` tests, everyone else trains.
+struct Fold {
+    /// Global kernel index of each training sample, ascending.
+    train_idx: Vec<usize>,
+    /// `train_idx` as maximal runs of consecutive indices.
+    train_runs: Vec<Range<usize>>,
+    /// Targets parallel to `train_idx`.
+    train_y: Vec<f32>,
+    /// Global kernel index of each held-out sample.
+    test_idx: Vec<usize>,
+}
+
+impl Fold {
+    fn holding_out(y: &[f32], subjects: &[usize], held: usize) -> Self {
+        let (test_idx, train_idx): (Vec<usize>, Vec<usize>) =
+            (0..subjects.len()).partition(|&t| subjects[t] == held);
+        assert!(!test_idx.is_empty(), "cv: subject {held} has no samples");
+        let train_y = train_idx.iter().map(|&t| y[t]).collect();
+        Fold { train_runs: index_runs(&train_idx), train_idx, train_y, test_idx }
+    }
 }
 
 /// One fold's outcome: (correct predictions, held-out samples, solver
 /// iterations).
 type FoldResult = (usize, usize, usize);
 
-/// Train on everything except subject `held`, test on `held`'s epochs.
+/// Train on the fold's training samples, test on its held-out ones.
 fn run_fold(
     kernel: &KernelMatrix,
     y: &[f32],
-    subjects: &[usize],
-    held: usize,
+    fold: &Fold,
     solver: &SolverKind,
+    scratch: &mut SmoScratch,
 ) -> FoldResult {
-    let m = kernel.n();
-    let train_idx: Vec<usize> = (0..m).filter(|&t| subjects[t] != held).collect();
-    let test_idx: Vec<usize> = (0..m).filter(|&t| subjects[t] == held).collect();
-    assert!(!test_idx.is_empty(), "cv: subject {held} has no samples");
-    let train_y: Vec<f32> = train_idx.iter().map(|&t| y[t]).collect();
-
-    let mut fold_correct = 0usize;
-    let iterations;
-    match solver {
+    let Fold { train_idx, train_y, test_idx, .. } = fold;
+    let (fold_correct, iterations) = match solver {
         SolverKind::LibSvm(p) => {
-            let r = train_precomputed(kernel, &train_idx, &train_y, p);
-            iterations = r.iterations;
-            for &t in &test_idx {
-                let d = ref_decision(kernel, &r, &train_idx, &train_y, t);
+            let r = train_precomputed(kernel, train_idx, train_y, p);
+            let mut correct = 0usize;
+            for &t in test_idx {
+                let d = ref_decision(kernel, &r, train_idx, train_y, t);
                 let pred = if d >= 0.0 { 1.0 } else { -1.0 };
                 if pred == y[t] {
-                    fold_correct += 1;
+                    correct += 1;
                 }
             }
+            (correct, r.iterations)
         }
         SolverKind::OptimizedLibSvm(p) => {
-            let model = train_optimized_libsvm(kernel, &train_idx, &train_y, p);
-            iterations = model.iterations;
-            for &t in &test_idx {
-                if model.predict(kernel, t) == y[t] {
-                    fold_correct += 1;
-                }
-            }
+            run_dense_fold(kernel, y, fold, &optimized_libsvm(p), scratch)
         }
-        SolverKind::PhiSvm(p) => {
-            let model = train_phisvm(kernel, &train_idx, &train_y, p);
-            iterations = model.iterations;
-            for &t in &test_idx {
-                if model.predict(kernel, t) == y[t] {
-                    fold_correct += 1;
-                }
-            }
+        SolverKind::PhiSvm(p) => run_dense_fold(kernel, y, fold, p, scratch),
+    };
+    (fold_correct, test_idx.len(), iterations)
+}
+
+/// [`run_fold`] for the dense solvers: (correct predictions, iterations).
+fn run_dense_fold(
+    kernel: &KernelMatrix,
+    y: &[f32],
+    fold: &Fold,
+    params: &SmoParams,
+    scratch: &mut SmoScratch,
+) -> (usize, usize) {
+    let r = solve_runs(kernel, &fold.train_runs, &fold.train_y, params, scratch);
+    let alpha = scratch.alpha();
+    let mut correct = 0usize;
+    for &t in &fold.test_idx {
+        // Σ α_s y_s K[t, s] − ρ in training order.
+        let row = kernel.row(t);
+        let mut d = 0.0f32;
+        for ((&s, &a), &ys) in fold.train_idx.iter().zip(alpha).zip(&fold.train_y) {
+            d += a * ys * row[s];
+        }
+        let pred = if d - r.rho >= 0.0 { 1.0 } else { -1.0 };
+        if pred == y[t] {
+            correct += 1;
         }
     }
-    (fold_correct, test_idx.len(), iterations)
+    (correct, r.iterations)
 }
 
 /// Fixed-order reduction over fold results (fold index = held subject).
@@ -217,7 +268,14 @@ mod tests {
         ] {
             let serial = loso_cross_validate(&k, &y, &subjects, &solver);
             for threads in [1usize, 2, 3, 8] {
-                let par = loso_cross_validate_pool(&k, &y, &subjects, &solver, &Pool::new(threads));
+                let par = loso_cross_validate_with(
+                    &k,
+                    &y,
+                    &subjects,
+                    &solver,
+                    &Pool::new(threads),
+                    &mut SmoScratch::default(),
+                );
                 assert_eq!(par.accuracy.to_bits(), serial.accuracy.to_bits(), "{solver:?}");
                 assert_eq!(par.total_iterations, serial.total_iterations);
                 assert_eq!(par.fold_accuracies.len(), serial.fold_accuracies.len());

@@ -5,13 +5,29 @@
 //! brain voxels) dwarfs the sample count (`M` ≈ a few hundred epochs),
 //! the paper precomputes the entire `M × M` kernel matrix
 //! `K = X · Xᵀ` once per voxel with a symmetric rank-k update (§3.2),
-//! then runs every cross-validation fold against sub-blocks of it. The
-//! precompute also collapses a ~60 MB data matrix into a ~160 KB kernel —
+//! then runs every cross-validation fold against a training block
+//! gathered from it (`KernelMatrix::gather_block`). The precompute also
+//! collapses a ~60 MB data matrix into a ~160 KB kernel —
 //! the memory reduction that lets a coprocessor hold 240 voxels' problems
 //! at once (§4.4).
 
 use fcma_linalg::{syrk_dot, syrk_panel_scratch, Mat, SyrkScratch, PANEL_K};
 use fcma_trace::span;
+use std::ops::Range;
+
+/// The maximal runs of consecutive indices in `idx`, in order: two for a
+/// LOSO fold around one contiguous subject, one per training stretch for
+/// the online stratified folds.
+pub(crate) fn index_runs(idx: &[usize]) -> Vec<Range<usize>> {
+    let mut runs: Vec<Range<usize>> = Vec::new();
+    for &t in idx {
+        match runs.last_mut() {
+            Some(run) if run.end == t => run.end = t + 1,
+            _ => runs.push(t..t + 1),
+        }
+    }
+    runs
+}
 
 /// A precomputed symmetric positive semidefinite Gram matrix over `M`
 /// samples.
@@ -97,21 +113,38 @@ impl KernelMatrix {
         self.k.row(i)
     }
 
-    /// Extract the dense sub-kernel over `idx × idx` (one CV fold's
-    /// training block). Contiguous output keeps the SMO hot loops
-    /// vectorizable.
+    /// Gather the training block over `runs × runs` into `out`, one
+    /// `copy_from_slice` per run: row `a` of the block starts at
+    /// `a * stride`, holds the selected entries of the `a`-th selected
+    /// kernel row, and is zero from there to the stride.
+    ///
+    /// # Panics
+    /// If a run reaches past the kernel, or `out` is not `stride` floats
+    /// per selected row with `stride` at least the selected count.
+    pub(crate) fn gather_block(&self, runs: &[Range<usize>], stride: usize, out: &mut [f32]) {
+        let l: usize = runs.iter().map(Range::len).sum();
+        assert_eq!(out.len(), l * stride, "gather_block: block rows != selected samples");
+        let rows = runs.iter().flat_map(Clone::clone);
+        for (dst, ia) in out.chunks_exact_mut(stride).zip(rows) {
+            let src = self.k.row(ia);
+            let mut at = 0;
+            for run in runs {
+                dst[at..at + run.len()].copy_from_slice(&src[run.clone()]);
+                at += run.len();
+            }
+            dst[at..].fill(0.0);
+        }
+    }
+
+    /// Extract the dense sub-kernel over `idx × idx`.
     ///
     /// # Panics
     /// If any index in `idx` is out of range for the kernel.
     pub fn sub_kernel(&self, idx: &[usize]) -> Mat {
         let l = idx.len();
         let mut out = Mat::zeros(l, l);
-        for (a, &ia) in idx.iter().enumerate() {
-            let src = self.k.row(ia);
-            let dst = out.row_mut(a);
-            for (b, &ib) in idx.iter().enumerate() {
-                dst[b] = src[ib];
-            }
+        if l > 0 {
+            self.gather_block(&index_runs(idx), l, out.as_mut_slice());
         }
         out
     }
@@ -169,6 +202,28 @@ mod tests {
         for a in 0..3 {
             for b in 0..3 {
                 assert_eq!(s.get(a, b), k.row(idx[a])[idx[b]]);
+            }
+        }
+    }
+
+    #[test]
+    fn index_runs_are_maximal_and_ordered() {
+        assert_eq!(index_runs(&[]), Vec::<Range<usize>>::new());
+        assert_eq!(index_runs(&[0, 1, 2, 5, 6, 9]), vec![0..3, 5..7, 9..10]);
+        assert_eq!(index_runs(&[4, 0, 2, 3]), vec![4..5, 0..1, 2..4]);
+    }
+
+    #[test]
+    fn gather_block_pads_rows_with_zeros() {
+        let x = samples();
+        let k = KernelMatrix::precompute(&x);
+        let idx = [0usize, 1, 3, 5];
+        let mut out = vec![f32::NAN; 4 * 8];
+        k.gather_block(&index_runs(&idx), 8, &mut out);
+        for (a, row) in out.chunks_exact(8).enumerate() {
+            for (b, &v) in row.iter().enumerate() {
+                let want = if b < 4 { k.row(idx[a])[idx[b]] } else { 0.0 };
+                assert_eq!(v.to_bits(), want.to_bits(), "({a},{b})");
             }
         }
     }

@@ -7,7 +7,7 @@
 //! * [`mod@reference`] — a faithful LibSVM replica: sparse `(index, value)`
 //!   node arrays, `f64` hot loops, on-demand `Q` rows behind an LRU
 //!   cache, second-order working-set selection;
-//! * [`phisvm::train_optimized_libsvm`] — the paper's "optimized LibSVM":
+//! * [`SolverKind::OptimizedLibSvm`] — the paper's "optimized LibSVM":
 //!   the same algorithm with dense `f32` layout;
 //! * [`phisvm::train_phisvm`] — **PhiSVM**: dense `f32` SMO with adaptive
 //!   first/second-order working-set selection (§4.4, derived from the GPU
@@ -30,7 +30,7 @@ pub mod probability;
 pub mod reference;
 pub mod smo;
 
-pub use cv::{loso_cross_validate, loso_cross_validate_pool, CvResult, SolverKind};
+pub use cv::{loso_cross_validate, loso_cross_validate_with, CvResult, SolverKind};
 pub use kernel::KernelMatrix;
 pub use model::SvmModel;
 pub use model::WssStats;
@@ -40,4 +40,4 @@ pub use phisvm::train_phisvm;
 pub use probability::PlattScaling;
 pub use reference::LibSvmParams;
 pub use reference::LibSvmResult;
-pub use smo::{SmoParams, WssMode};
+pub use smo::{SmoParams, SmoScratch, WssMode};

@@ -2,7 +2,8 @@
 //! comparison point (Table 8).
 //!
 //! Both are thin assemblies over the dense `f32` SMO core in
-//! [`crate::smo`]:
+//! [`crate::smo`], which solves over a training block gathered from the
+//! precomputed kernel into a reusable [`SmoScratch`]:
 //!
 //! * **PhiSVM** = dense `f32` + precomputed kernel + *adaptive*
 //!   working-set selection (first- vs second-order chosen by measured
@@ -11,37 +12,27 @@
 //!   algorithm (fixed second-order selection) but with the `f64`→`f32`
 //!   conversion and dense, vectorization-friendly layout applied.
 
-use crate::kernel::KernelMatrix;
+use crate::kernel::{index_runs, KernelMatrix};
 use crate::model::SvmModel;
-use crate::smo::{solve, SmoParams, WssMode};
+use crate::smo::{SmoParams, SmoScratch, Solved, WssMode};
+use std::ops::Range;
 
 /// Train PhiSVM on the samples `idx` (global kernel indices) with targets
 /// `y` (±1, parallel to `idx`).
+///
+/// # Panics
+/// Panics if `idx` and `y` differ in length, an index is out of range for
+/// the kernel, or `y` is not a two-class ±1 vector.
 pub fn train_phisvm(
     kernel: &KernelMatrix,
     idx: &[usize],
     y: &[f32],
     params: &SmoParams,
 ) -> SvmModel {
-    train_dense(kernel, idx, y, params)
-}
-
-/// Train the "optimized LibSVM" variant: identical machinery with the
-/// working-set heuristic pinned to LibSVM's second-order rule.
-pub(crate) fn train_optimized_libsvm(
-    kernel: &KernelMatrix,
-    idx: &[usize],
-    y: &[f32],
-    params: &SmoParams,
-) -> SvmModel {
-    train_dense(kernel, idx, y, &SmoParams { wss: WssMode::SecondOrder, ..*params })
-}
-
-fn train_dense(kernel: &KernelMatrix, idx: &[usize], y: &[f32], params: &SmoParams) -> SvmModel {
     assert_eq!(idx.len(), y.len(), "train: idx/targets length mismatch");
-    let sub = kernel.sub_kernel(idx);
-    let r = solve(&sub, y, params);
-    let alpha_y: Vec<f32> = r.alpha.iter().zip(y).map(|(a, yy)| a * yy).collect();
+    let mut scratch = SmoScratch::default();
+    let r = solve_runs(kernel, &index_runs(idx), y, params, &mut scratch);
+    let alpha_y: Vec<f32> = scratch.alpha().iter().zip(y).map(|(a, yy)| a * yy).collect();
     SvmModel {
         train_idx: idx.to_vec(),
         alpha_y,
@@ -50,6 +41,28 @@ fn train_dense(kernel: &KernelMatrix, idx: &[usize], y: &[f32], params: &SmoPara
         iterations: r.iterations,
         wss: r.wss,
     }
+}
+
+/// The "optimized LibSVM" variant of `params`: identical machinery with
+/// the working-set heuristic pinned to LibSVM's second-order rule.
+pub(crate) fn optimized_libsvm(params: &SmoParams) -> SmoParams {
+    SmoParams { wss: WssMode::SecondOrder, ..*params }
+}
+
+/// Solve the dual over the training block `runs × runs` of `kernel`
+/// (runs of global kernel indices, `y` parallel to their concatenation):
+/// gather the block into `scratch` and run SMO there. The dual variables
+/// stay in the scratch.
+pub(crate) fn solve_runs(
+    kernel: &KernelMatrix,
+    runs: &[Range<usize>],
+    y: &[f32],
+    params: &SmoParams,
+    scratch: &mut SmoScratch,
+) -> Solved {
+    let (block, stride) = scratch.block_mut(y.len());
+    kernel.gather_block(runs, stride, block);
+    scratch.solve(y, params)
 }
 
 #[cfg(test)]
@@ -86,7 +99,7 @@ mod tests {
         let (k, y) = toy_kernel();
         let idx: Vec<usize> = (0..16).collect();
         let a = train_phisvm(&k, &idx, &y, &SmoParams::default());
-        let b = train_optimized_libsvm(&k, &idx, &y, &SmoParams::default());
+        let b = train_phisvm(&k, &idx, &y, &optimized_libsvm(&SmoParams::default()));
         assert!(
             (a.objective - b.objective).abs() < 1e-2 * a.objective.abs().max(1.0),
             "{} vs {}",
@@ -102,7 +115,7 @@ mod tests {
     fn optimized_libsvm_never_uses_first_order() {
         let (k, y) = toy_kernel();
         let idx: Vec<usize> = (0..16).collect();
-        let m = train_optimized_libsvm(&k, &idx, &y, &SmoParams::default());
+        let m = train_phisvm(&k, &idx, &y, &optimized_libsvm(&SmoParams::default()));
         assert_eq!(m.wss.first_order_iters, 0);
         assert!(m.wss.second_order_iters > 0);
     }

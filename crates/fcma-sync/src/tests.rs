@@ -134,7 +134,7 @@ fn ctx_hooks_reach_pool_workers_and_spawned_threads() {
         let mut seen = crate::Pool::new(4).run(vec![(); 16], |_i, ()| TEST_CTX.with(Cell::get));
         let (tx, rx) = unbounded();
         thread::spawn(move || {
-            tx.send(TEST_CTX.with(Cell::get)).expect("parent holds the receiver")
+            tx.send(TEST_CTX.with(Cell::get)).expect("parent holds the receiver");
         });
         seen.push(rx.recv().expect("child reports"));
         seen

@@ -75,7 +75,7 @@ fn main() {
     let tasks: Vec<f64> = vec![task_secs; n_tasks * 18];
     let data_bytes = full_brain * dataset.n_timepoints() as f64 * 4.0;
     let model = ClusterModel { data_bytes, ..Default::default() };
-    println!("projected full-brain task time: {:.2}s x {} tasks x 18 folds", task_secs, n_tasks);
+    println!("projected full-brain task time: {task_secs:.2}s x {n_tasks} tasks x 18 folds");
 
     println!("nodes  elapsed(s)  speedup  efficiency");
     let t1 = model.simulate(&tasks, 1);

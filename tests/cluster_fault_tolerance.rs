@@ -5,7 +5,7 @@
 use fcma::cluster::CheckpointError;
 use fcma::prelude::*;
 use fcma_sync::clock::VirtualClock;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -63,7 +63,7 @@ fn requeued_task_reaches_an_idle_worker() {
 /// With 2 workers and a task that panics on every attempt, the surviving
 /// worker must drain the other three tasks before the second fatal panic
 /// kills it, so the checkpoint deterministically holds tasks 0/12/24.
-fn run_until_cluster_death(ctx: &TaskContext, ckpt: &PathBuf) {
+fn run_until_cluster_death(ctx: &TaskContext, ckpt: &Path) {
     let plan = FaultPlan::none().with_fault(36, 0, FaultKind::panic_now()).with_fault(
         36,
         1,
@@ -74,7 +74,7 @@ fn run_until_cluster_death(ctx: &TaskContext, ckpt: &PathBuf) {
     let cfg = ClusterConfig {
         n_workers: 2,
         task_size: 12,
-        checkpoint: Some(ckpt.clone()),
+        checkpoint: Some(ckpt.to_path_buf()),
         ..Default::default()
     };
     let err = run_cluster_with(ctx, exec, &cfg).expect_err("both workers must die");

@@ -100,7 +100,7 @@ fn roi_workflow_end_to_end() {
         (1..=3).contains(&big.len()),
         "expected ~2 large clusters, got {} (sizes {:?})",
         big.len(),
-        clusters.iter().map(|c| c.len()).collect::<Vec<_>>()
+        clusters.iter().map(|c| c.voxels.len()).collect::<Vec<_>>()
     );
     let planted_in_big: usize =
         big.iter().map(|c| c.voxels.iter().filter(|v| gt.informative.contains(v)).count()).sum();

@@ -115,7 +115,8 @@ fn pooled_executor_without_a_ctx_records_pool_thread_spans() {
         assert!(serial.span_count(name) > 0, "{name} missing from the serial trace");
         assert_eq!(pooled.span_count(name), serial.span_count(name), "{name}");
     }
-    assert_eq!(pooled.span_count("svm.smo.solve"), serial.span_count("svm.smo.solve"));
+    // A solve is counted, not spanned (DESIGN.md §11).
+    assert!(serial.counter("svm.smo.solves") > 0);
     assert_eq!(pooled.counter("svm.smo.solves"), serial.counter("svm.smo.solves"));
     assert_eq!(pooled.counter("svm.smo.iterations"), serial.counter("svm.smo.iterations"));
     // Whenever the spawned worker ran a voxel at all, its spans are there
