@@ -17,10 +17,17 @@
 
 mod args;
 mod commands;
+mod cpu;
 
 use args::Args;
 
 fn main() {
+    // Before anything else: past this line the code may use any
+    // instruction the build level allows.
+    if let Err(e) = cpu::check() {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    }
     let args = match Args::parse(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(e) => {

@@ -27,7 +27,7 @@
 use crate::context::TaskContext;
 use crate::stage1::{run_voxel_bands, CorrData};
 use crate::task::VoxelTask;
-use fcma_linalg::tall_skinny::{corr_tile_block_rows, EpochPair, TallSkinnyOpts, MR};
+use fcma_linalg::tall_skinny::{corr_tile_block_rows, EpochPair, StripScratch, TallSkinnyOpts, MR};
 use fcma_linalg::{f32_from_usize, fisher_z_slice, CorrLayout};
 use fcma_sync::pool::Pool;
 use fcma_trace::span;
@@ -179,6 +179,7 @@ fn merged_band(
 ) {
     let bv = v1 - v0;
     let mut tile = vec![0.0f32; bv * max_se * w_max];
+    let mut strip_scratch = StripScratch::for_epochs(pairs);
     // Workhorse stat buffers reused across every tile.
     let mut sum = vec![0.0f32; w_max];
     let mut sumsq = vec![0.0f32; w_max];
@@ -191,7 +192,14 @@ fn merged_band(
         for sr in ctx.subject_ranges.iter() {
             let e_cnt = sr.len();
             // Compute the (band voxels × subject epochs × strip) tile.
-            corr_tile_block_rows(pairs, v0..v1, sr.clone(), j0..j0 + w, &mut tile);
+            corr_tile_block_rows(
+                pairs,
+                v0..v1,
+                sr.clone(),
+                j0..j0 + w,
+                &mut tile,
+                &mut strip_scratch,
+            );
             for vi in 0..bv {
                 let base = vi * e_cnt * w;
                 let block = &mut tile[base..base + e_cnt * w];
@@ -294,6 +302,27 @@ mod tests {
         normalize_separated(&mut sep, &ctx);
         let merged = corr_normalized_merged(&ctx, task, TallSkinnyOpts { tile_cols: 24 });
         assert!(max_diff(&sep, &merged) < 1e-4);
+    }
+
+    #[test]
+    fn tile_cols_never_changes_a_bit() {
+        // An element's k-deep dot product and a column's epoch-order
+        // statistics never see the strip width. ROADMAP item 3 (SYRK
+        // fused into the strip) moves strip boundaries onto panel
+        // boundaries and relies on exactly this.
+        let (d, _) = fcma_fmri::SynthConfig { n_voxels: 700, ..presets::tiny() }.generate();
+        let ctx = TaskContext::full(&d);
+        let n = ctx.n_voxels();
+        // 7 voxels: one full MR group and a 3-row fringe; 700 columns:
+        // every width below leaves a ragged last strip or a ragged tile.
+        let task = VoxelTask { start: 1, count: 7 };
+        let whole = corr_normalized_merged(&ctx, task, TallSkinnyOpts { tile_cols: n });
+        for tile_cols in [16usize, 96, 480, 512, 576] {
+            let strips = corr_normalized_merged(&ctx, task, TallSkinnyOpts { tile_cols });
+            for (i, (s, w)) in strips.buf.iter().zip(&whole.buf).enumerate() {
+                assert_eq!(s.to_bits(), w.to_bits(), "tile_cols={tile_cols} idx={i}");
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! specialized competitor lives in [`crate::tall_skinny`].
 
 use crate::gemm_ref::check_gemm_dims;
-use crate::microkernel::{microkernel, microkernel_edge, pack_a_panel, pack_b_panel};
+use crate::microkernel::{microkernel_clipped, pack_a_panel, pack_b_panel};
 
 pub use crate::microkernel::{MR, NR};
 
@@ -160,27 +160,17 @@ pub fn gemm_blocked_scratch(
                         let nr = NR.min(nc - jt);
                         let b_panel = &b_pack[tb * bs.kc * NR..tb * bs.kc * NR + kc * NR];
                         let c_off = (ic + it) * ldc + jc + jt;
-                        if mr == MR && nr == NR {
-                            microkernel::<MR, NR>(
-                                kc,
-                                a_panel,
-                                b_panel,
-                                &mut c[c_off..],
-                                ldc,
-                                !first_k_block,
-                            );
-                        } else {
-                            microkernel_edge::<MR, NR>(
-                                kc,
-                                mr,
-                                nr,
-                                a_panel,
-                                b_panel,
-                                &mut c[c_off..],
-                                ldc,
-                                !first_k_block,
-                            );
-                        }
+                        microkernel_clipped(
+                            kc,
+                            mr,
+                            nr,
+                            a_panel,
+                            b_panel,
+                            NR,
+                            &mut c[c_off..],
+                            ldc,
+                            !first_k_block,
+                        );
                     }
                 }
             }

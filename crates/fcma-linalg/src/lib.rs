@@ -42,5 +42,6 @@ pub use norms::{
 pub use ops::{add_scaled, col_means, gemv, gemv_t, row_means, scale};
 pub use syrk::{syrk_dot, syrk_panel_scratch, SyrkScratch, PANEL_K};
 pub use tall_skinny::{
-    corr_reference, corr_tall_skinny, corr_tile_block_rows, CorrLayout, EpochPair, TallSkinnyOpts,
+    corr_reference, corr_tall_skinny, corr_tile_block_rows, CorrLayout, EpochPair, StripScratch,
+    TallSkinnyOpts,
 };

@@ -19,101 +19,199 @@ pub const VPU_WIDTH: usize = 16;
 /// microkernels with. Declared once: the §15 bit-identity of banded
 /// output depends on GEMM, SYRK, the correlation tile and the callers
 /// that align bands on it all agreeing.
-pub const MR: usize = 8;
+///
+/// 4 × 16 f32 is eight `ymm` accumulators at the committed build level
+/// (`x86-64-v3`, `.cargo/config.toml`) and sixteen `xmm` at the
+/// baseline level; it is the one shape LLVM keeps in registers at both
+/// (DESIGN.md §8), so there is no `cfg` fork. [`NR`] is a multiple of
+/// it, which is what lets SYRK assemble its right operand from whole
+/// packed row tiles.
+pub const MR: usize = 4;
 /// Register tile width (one Phi vector register of f32).
 pub const NR: usize = VPU_WIDTH;
 
-/// Compute a single `MR × NR` tile: `C[i, j] (+)= Σ_l a_panel[l,i] · b_panel[l,j]`.
+const _: () = assert!(NR.is_multiple_of(MR), "SYRK builds NR-wide panels from whole MR-tall tiles");
+
+/// The register-tile sum: `acc[i][j] = Σ_l a_panel[l·M + I0 + i] ·
+/// b[l·ldb + j]` for `R` rows of an `M`-strided A pack against `N`
+/// columns of a `B` whose rows are `ldb` apart (a packed panel has
+/// `ldb == N`), each sum taken in ascending `l` from 0.0. Every bound
+/// but `k` is a constant, so the accumulator is `R` vector rows; pack
+/// rows outside `I0..I0 + R` are not read.
 ///
-/// When `accumulate` is false the tile is overwritten.
-///
-/// # Panics
-/// Panics (in debug builds) if the panels are shorter than `k` steps or the
-/// C buffer cannot hold the tile at leading dimension `ldc`.
-#[inline]
+/// The accumulator is *returned*, not written through a reference:
+/// by-value is what lets LLVM keep all sixteen `xmm` registers of a
+/// 4 × 16 tile live at the baseline level (DESIGN.md §8).
+#[inline(always)]
 // audit: pure
-pub fn microkernel<const MR: usize, const NR: usize>(
+fn tile_acc<const M: usize, const I0: usize, const R: usize, const N: usize>(
     k: usize,
     a_panel: &[f32],
-    b_panel: &[f32],
-    c: &mut [f32],
-    ldc: usize,
-    accumulate: bool,
-) {
-    debug_assert!(a_panel.len() >= k * MR, "microkernel: A panel too short");
-    debug_assert!(b_panel.len() >= k * NR, "microkernel: B panel too short");
-    debug_assert!(ldc >= NR, "microkernel: ldc {ldc} < NR {NR}");
-    debug_assert!(MR == 0 || c.len() >= (MR - 1) * ldc + NR, "microkernel: C too short");
-
-    let mut acc = [[0.0f32; NR]; MR];
-    for l in 0..k {
-        let arow = &a_panel[l * MR..(l + 1) * MR];
-        let brow = &b_panel[l * NR..(l + 1) * NR];
-        for i in 0..MR {
-            let ail = arow[i];
+    b: &[f32],
+    ldb: usize,
+) -> [[f32; N]; R] {
+    assert!(
+        ldb >= N && (k == 0 || b.len() >= (k - 1) * ldb + N),
+        "microkernel: B shorter than k rows"
+    );
+    let mut acc = [[0.0f32; N]; R];
+    for (l, arow) in a_panel[..k * M].chunks_exact(M).enumerate() {
+        let brow = &b[l * ldb..l * ldb + N];
+        for i in 0..R {
+            let ail = arow[I0 + i];
             let accr = &mut acc[i];
-            for j in 0..NR {
+            for j in 0..N {
                 accr[j] += ail * brow[j];
             }
         }
     }
-    for i in 0..MR {
-        let crow = &mut c[i * ldc..i * ldc + NR];
-        if accumulate {
-            for j in 0..NR {
-                crow[j] += acc[i][j];
+    acc
+}
+
+/// The one register-tile body: [`tile_acc`], then the leading `nr`
+/// columns landed in `c` (whose row 0 is tile row `I0`) — overwritten,
+/// or added to when `accumulate`. A full-width tile (`nr == N`) moves
+/// whole constant-length rows.
+///
+/// Never inlined: the tile's register allocation must not depend on its
+/// caller. At the baseline level 4 × 16 is all sixteen `xmm` registers,
+/// and any extra live value of an inlining caller spills the
+/// accumulators (DESIGN.md §8).
+#[inline(never)]
+#[allow(clippy::too_many_arguments)] // kernel-call ABI
+                                     // audit: pure
+fn tile<const M: usize, const I0: usize, const R: usize, const N: usize>(
+    k: usize,
+    nr: usize,
+    a_panel: &[f32],
+    b: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+    ldc: usize,
+    accumulate: bool,
+) {
+    let acc = tile_acc::<M, I0, R, N>(k, a_panel, b, ldb);
+    for (i, accr) in acc.iter().enumerate() {
+        if nr == N {
+            let crow = &mut c[i * ldc..i * ldc + N];
+            if accumulate {
+                for j in 0..N {
+                    crow[j] += accr[j];
+                }
+            } else {
+                crow.copy_from_slice(accr);
             }
         } else {
-            crow.copy_from_slice(&acc[i]);
+            let crow = &mut c[i * ldc..i * ldc + nr];
+            if accumulate {
+                for (cj, aj) in crow.iter_mut().zip(accr) {
+                    *cj += aj;
+                }
+            } else {
+                crow.copy_from_slice(&accr[..nr]);
+            }
         }
     }
 }
 
-/// Like [`microkernel`] but for an edge tile narrower than `NR` columns
-/// and/or shorter than `MR` rows. Slower; only used on matrix fringes.
-///
-/// # Panics
-/// If the packed panels or `c` are shorter than the `k`/`mr`/`nr`/`ldc`
-/// layout requires.
-#[inline]
-#[allow(clippy::too_many_arguments)] // kernel-call ABI
-                                     // audit: pure
-pub fn microkernel_edge<const MR: usize, const NR: usize>(
+/// Rows `I0..min(I0 + MR, M)` of a packed `M × N` tile, full width: the
+/// constant-height [`tile`] body the row count selects, or nothing when
+/// the tile ends at or above `I0`.
+#[inline(always)]
+// audit: pure
+fn row_chunk<const M: usize, const I0: usize, const N: usize>(
     k: usize,
-    mr: usize,
-    nr: usize,
     a_panel: &[f32],
     b_panel: &[f32],
     c: &mut [f32],
     ldc: usize,
     accumulate: bool,
 ) {
-    debug_assert!(mr <= MR && nr <= NR, "microkernel_edge: tile exceeds template");
-    let mut acc = [[0.0f32; NR]; MR];
-    for l in 0..k {
-        let arow = &a_panel[l * MR..l * MR + mr];
-        let brow = &b_panel[l * NR..l * NR + nr];
-        for i in 0..mr {
-            let ail = arow[i];
-            for j in 0..nr {
-                acc[i][j] += ail * brow[j];
-            }
-        }
+    if I0 >= M {
+        return;
     }
-    for i in 0..mr {
-        let crow = &mut c[i * ldc..i * ldc + nr];
-        if accumulate {
-            for j in 0..nr {
-                crow[j] += acc[i][j];
-            }
-        } else {
-            crow.copy_from_slice(&acc[i][..nr]);
-        }
+    let c = &mut c[I0 * ldc..];
+    match M - I0 {
+        1 => tile::<M, I0, 1, N>(k, N, a_panel, b_panel, N, c, ldc, accumulate),
+        2 => tile::<M, I0, 2, N>(k, N, a_panel, b_panel, N, c, ldc, accumulate),
+        3 => tile::<M, I0, 3, N>(k, N, a_panel, b_panel, N, c, ldc, accumulate),
+        _ => tile::<M, I0, MR, N>(k, N, a_panel, b_panel, N, c, ldc, accumulate),
+    }
+}
+
+/// Compute a single `M × N` tile: `C[i, j] (+)= Σ_l a_panel[l,i] · b_panel[l,j]`.
+///
+/// When `accumulate` is false the tile is overwritten. A tile taller
+/// than the crate's register tile is walked in [`MR`]-row chunks of the
+/// one tile body, so any `M ≤ 16` stays in registers.
+///
+/// # Panics
+/// Panics if the panels are shorter than `k` steps or the C buffer
+/// cannot hold the tile at leading dimension `ldc`.
+#[inline]
+// audit: pure
+pub fn microkernel<const M: usize, const N: usize>(
+    k: usize,
+    a_panel: &[f32],
+    b_panel: &[f32],
+    c: &mut [f32],
+    ldc: usize,
+    accumulate: bool,
+) {
+    const { assert!(M <= 4 * MR, "microkernel: at most four MR-row chunks") };
+    debug_assert!(ldc >= N, "microkernel: ldc {ldc} < N {N}");
+    row_chunk::<M, 0, N>(k, a_panel, b_panel, c, ldc, accumulate);
+    row_chunk::<M, MR, N>(k, a_panel, b_panel, c, ldc, accumulate);
+    row_chunk::<M, { 2 * MR }, N>(k, a_panel, b_panel, c, ldc, accumulate);
+    row_chunk::<M, { 3 * MR }, N>(k, a_panel, b_panel, c, ldc, accumulate);
+}
+
+/// The crate's [`MR`] `×` [`NR`] tile clipped to its leading `mr` rows
+/// and `nr` columns — the one tile call of GEMM, SYRK and the
+/// correlation strip. `b` is read in place: row `l` of the right operand
+/// is `b[l·ldb..l·ldb + NR]`, so a packed panel passes `ldb == NR` and
+/// the correlation strip passes the brain matrix itself.
+///
+/// The row count picks a constant-height body, so a fringe (a task of
+/// fewer than `MR` voxels, the last row tile of a matrix) stays in
+/// registers exactly like the full tile. A narrow fringe computes all
+/// `NR` lanes and stores `nr` of them, so its `b` must still hold `NR`
+/// readable (zero-padded) lanes per row. Rows `mr..MR` of the A pack
+/// are never read, and nothing outside the `mr × nr` corner of `c` is
+/// written.
+///
+/// # Panics
+/// If `mr` is 0 or exceeds [`MR`], `nr` exceeds [`NR`], or `a_panel`,
+/// `b` or `c` is shorter than the `k`/`mr`/`nr`/`ldb`/`ldc` layout
+/// requires.
+#[inline]
+#[allow(clippy::too_many_arguments)] // kernel-call ABI
+                                     // audit: pure
+pub fn microkernel_clipped(
+    k: usize,
+    mr: usize,
+    nr: usize,
+    a_panel: &[f32],
+    b: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+    ldc: usize,
+    accumulate: bool,
+) {
+    assert!(nr <= NR, "microkernel_clipped: nr {nr} > NR {NR}");
+    match mr {
+        1 => tile::<MR, 0, 1, NR>(k, nr, a_panel, b, ldb, c, ldc, accumulate),
+        2 => tile::<MR, 0, 2, NR>(k, nr, a_panel, b, ldb, c, ldc, accumulate),
+        3 => tile::<MR, 0, 3, NR>(k, nr, a_panel, b, ldb, c, ldc, accumulate),
+        MR => tile::<MR, 0, MR, NR>(k, nr, a_panel, b, ldb, c, ldc, accumulate),
+        _ => panic!("microkernel_clipped: mr {mr} outside 1..={MR}"),
     }
 }
 
 /// Pack an `mr × k` slab of row-major `A` (leading dimension `lda`) into
-/// the k-major panel layout, zero-padding rows `mr..MR`.
+/// the k-major panel layout, zero-padding rows `mr..MR`. A full-height
+/// slab gathers from `MR` row slices cut once, so the transposing loop
+/// carries no per-element bounds check (half of SYRK's packing time).
 ///
 /// # Panics
 /// If `a` or `panel` is shorter than the `mr`/`k`/`lda` layout requires.
@@ -128,17 +226,28 @@ pub fn pack_a_panel<const MR: usize>(
 ) {
     debug_assert!(mr <= MR);
     debug_assert!(panel.len() >= k * MR, "pack_a_panel: panel too short");
-    for l in 0..k {
-        let dst = &mut panel[l * MR..(l + 1) * MR];
-        for i in 0..mr {
-            dst[i] = a[i * lda + l];
+    if mr == MR {
+        let rows: [&[f32]; MR] = std::array::from_fn(|i| &a[i * lda..i * lda + k]);
+        for (l, dst) in panel[..k * MR].chunks_exact_mut(MR).enumerate() {
+            for i in 0..MR {
+                dst[i] = rows[i][l];
+            }
         }
-        dst[mr..MR].fill(0.0);
+    } else {
+        for l in 0..k {
+            let dst = &mut panel[l * MR..(l + 1) * MR];
+            for i in 0..mr {
+                dst[i] = a[i * lda + l];
+            }
+            dst[mr..MR].fill(0.0);
+        }
     }
 }
 
 /// Pack a `k × nr` slab of row-major `B` (leading dimension `ldb`) into the
-/// panel layout, zero-padding columns `nr..NR`.
+/// panel layout, zero-padding columns `nr..NR`. A full-width slab moves
+/// constant-length rows (a runtime-length `copy_from_slice` is a `memcpy`
+/// call per 64-byte row — DESIGN.md §8).
 ///
 /// # Panics
 /// If `b` or `panel` is shorter than the `k`/`nr`/`ldb` layout requires.
@@ -153,11 +262,13 @@ pub fn pack_b_panel<const NR: usize>(
 ) {
     debug_assert!(nr <= NR);
     debug_assert!(panel.len() >= k * NR, "pack_b_panel: panel too short");
-    for l in 0..k {
-        let src = &b[l * ldb..l * ldb + nr];
-        let dst = &mut panel[l * NR..(l + 1) * NR];
-        dst[..nr].copy_from_slice(src);
-        dst[nr..NR].fill(0.0);
+    for (l, dst) in panel[..k * NR].chunks_exact_mut(NR).enumerate() {
+        if nr == NR {
+            dst.copy_from_slice(&b[l * ldb..l * ldb + NR]);
+        } else {
+            dst[..nr].copy_from_slice(&b[l * ldb..l * ldb + nr]);
+            dst[nr..].fill(0.0);
+        }
     }
 }
 
@@ -224,25 +335,82 @@ mod tests {
         }
     }
 
+    fn pseudo(n: usize, seed: u32) -> Vec<f32> {
+        let mut state = seed.wrapping_mul(2654435761).wrapping_add(7);
+        (0..n)
+            .map(|_| {
+                state = state.wrapping_mul(1664525).wrapping_add(1013904223);
+                ((state >> 8) as f32 / (1 << 24) as f32) - 0.5
+            })
+            .collect()
+    }
+
     #[test]
-    fn edge_tile_matches_reference() {
-        let k = 10;
-        let mr = 5;
-        let nr = 11;
-        let a: Vec<f32> = (0..mr * k).map(|i| (i % 7) as f32 * 0.5 - 1.0).collect();
-        let b: Vec<f32> = (0..k * nr).map(|i| (i % 9) as f32 * 0.25 - 1.0).collect();
-        let mut a_panel = vec![0.0; k * 8];
-        let mut b_panel = vec![0.0; k * 16];
-        pack_a_panel::<8>(&a, k, mr, k, &mut a_panel);
-        pack_b_panel::<16>(&b, nr, k, nr, &mut b_panel);
+    fn clipped_tile_is_the_full_tile_bit_for_bit_and_touches_nothing_else() {
+        let ldc = NR + 3;
+        let prefill: Vec<f32> = (0..MR * ldc).map(|i| 0.25 + i as f32).collect();
+        for k in [0usize, 1, 12, 96] {
+            for mr in 1..=MR {
+                for nr in 1..=NR {
+                    let a = pseudo(mr * k, 31 + k as u32);
+                    let b = pseudo(k * nr, 57 + k as u32);
+                    let mut a_panel = vec![0.0; k * MR];
+                    let mut b_panel = vec![0.0; k * NR];
+                    pack_a_panel::<MR>(&a, k, mr, k, &mut a_panel);
+                    pack_b_panel::<NR>(&b, nr, k, nr, &mut b_panel);
+                    // The clipped tile gets an A pack whose rows mr..MR
+                    // are poison: reading them would surface as NaN.
+                    let mut poisoned = a_panel.clone();
+                    for step in poisoned.chunks_exact_mut(MR) {
+                        step[mr..].fill(f32::NAN);
+                    }
+                    for accumulate in [false, true] {
+                        let mut full = prefill.clone();
+                        microkernel::<MR, NR>(k, &a_panel, &b_panel, &mut full, ldc, accumulate);
+                        let mut got = prefill.clone();
+                        microkernel_clipped(
+                            k, mr, nr, &poisoned, &b_panel, NR, &mut got, ldc, accumulate,
+                        );
+                        for (idx, (g, p)) in got.iter().zip(&prefill).enumerate() {
+                            let (i, j) = (idx / ldc, idx % ldc);
+                            let what = format!("k={k} mr={mr} nr={nr} acc={accumulate} ({i},{j})");
+                            if i < mr && j < nr {
+                                let mut sum = 0.0f32;
+                                for l in 0..k {
+                                    sum += a[i * k + l] * b[l * nr + j];
+                                }
+                                let want = if accumulate { p + sum } else { sum };
+                                assert_eq!(g.to_bits(), want.to_bits(), "{what}: scalar sum");
+                                assert_eq!(g.to_bits(), full[idx].to_bits(), "{what}: full tile");
+                            } else {
+                                assert_eq!(g.to_bits(), p.to_bits(), "{what}: written outside");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
 
-        let mut c = vec![0.0; mr * nr];
-        microkernel_edge::<8, 16>(k, mr, nr, &a_panel, &b_panel, &mut c, nr, false);
-
-        let mut expect = vec![0.0; mr * nr];
-        gemm_ref(mr, nr, k, &a, k, &b, nr, &mut expect, nr);
-        for (g, e) in c.iter().zip(&expect) {
-            assert!((g - e).abs() < 1e-3);
+    #[test]
+    fn b_read_in_place_matches_the_packed_panel_bit_for_bit() {
+        // The correlation strip hands the kernel a window of a wide
+        // row-major matrix instead of a packed panel.
+        let (k, ldb, col0) = (12usize, 45usize, 7usize);
+        let a = pseudo(MR * k, 3);
+        let wide = pseudo(k * ldb, 4);
+        let mut a_panel = vec![0.0; k * MR];
+        let mut b_panel = vec![0.0; k * NR];
+        pack_a_panel::<MR>(&a, k, MR, k, &mut a_panel);
+        pack_b_panel::<NR>(&wide[col0..], ldb, k, NR, &mut b_panel);
+        for mr in 1..=MR {
+            let mut packed = vec![f32::NAN; MR * NR];
+            let mut in_place = vec![f32::NAN; MR * NR];
+            microkernel_clipped(k, mr, NR, &a_panel, &b_panel, NR, &mut packed, NR, false);
+            microkernel_clipped(k, mr, NR, &a_panel, &wide[col0..], ldb, &mut in_place, NR, false);
+            for (p, q) in packed.iter().zip(&in_place) {
+                assert_eq!(p.to_bits(), q.to_bits(), "mr={mr}");
+            }
         }
     }
 

@@ -20,7 +20,7 @@
 //!   so unlike the paper's OpenMP-lock partial-`C` merge (§4.4) there is
 //!   no cross-thread reduction here at all.
 
-use crate::microkernel::{microkernel, microkernel_edge, pack_a_panel};
+use crate::microkernel::{microkernel_clipped, pack_a_panel};
 
 pub use crate::microkernel::{MR, NR};
 
@@ -147,21 +147,29 @@ fn accumulate_panel(
     let SyrkScratch { a_packs, b_panel, panel_k, .. } = scratch;
     let panel_k = *panel_k;
     // Pack every MR-tall row tile of A[.., p..p+kp] once; tiles serve as
-    // both the left (a_panel) and — re-read NR-wide — the right operand.
+    // the left operand and, NR / MR of them side by side, as the right.
+    let n_row_tiles = m.div_ceil(MR);
     for (t, i0) in (0..m).step_by(MR).enumerate() {
         let mr = MR.min(m - i0);
         pack_a_panel::<MR>(&a[i0 * lda + p..], lda, mr, kp, &mut a_packs[t * panel_k * MR..]);
     }
-    // Right-operand panels need the B layout (l*NR + j = A[j0+j, p+l]);
-    // build them per column tile from A directly.
     for j0 in (0..m).step_by(NR) {
         let nr = NR.min(m - j0);
-        for l in 0..kp {
-            let dst = &mut b_panel[l * NR..(l + 1) * NR];
-            for (j, d) in dst[..nr].iter_mut().enumerate() {
-                *d = a[(j0 + j) * lda + p + l];
+        // The B layout (l*NR + j = A[j0+j, p+l]) is row tile j0/MR + q in
+        // lanes q*MR.. of every step; tiles past the last row are zero.
+        for q in 0..NR / MR {
+            let t = j0 / MR + q;
+            let steps = b_panel[..kp * NR].chunks_exact_mut(NR);
+            if t < n_row_tiles {
+                let tile = &a_packs[t * panel_k * MR..t * panel_k * MR + kp * MR];
+                for (dst, src) in steps.zip(tile.chunks_exact(MR)) {
+                    dst[q * MR..(q + 1) * MR].copy_from_slice(src);
+                }
+            } else {
+                for dst in steps {
+                    dst[q * MR..(q + 1) * MR].fill(0.0);
+                }
             }
-            dst[nr..].fill(0.0);
         }
         // Only row tiles at or below this column tile contribute to the
         // lower triangle (j0 <= i0 covers all i >= j; see mirror step).
@@ -171,21 +179,17 @@ fn accumulate_panel(
             }
             let mr = MR.min(m - i0);
             let a_panel = &a_packs[t * panel_k * MR..t * panel_k * MR + kp * MR];
-            let c_off = i0 * ldc + j0;
-            if mr == MR && nr == NR {
-                microkernel::<MR, NR>(kp, a_panel, b_panel, &mut c[c_off..], ldc, true);
-            } else {
-                microkernel_edge::<MR, NR>(
-                    kp,
-                    mr,
-                    nr,
-                    a_panel,
-                    b_panel,
-                    &mut c[c_off..],
-                    ldc,
-                    true,
-                );
-            }
+            microkernel_clipped(
+                kp,
+                mr,
+                nr,
+                a_panel,
+                b_panel,
+                NR,
+                &mut c[i0 * ldc + j0..],
+                ldc,
+                true,
+            );
         }
     }
 }
@@ -330,6 +334,17 @@ mod tests {
         // One dirty scratch walked across shrinking shapes must reproduce
         // the fresh-allocation path bit for bit.
         let mut scratch = SyrkScratch::new(24, 48);
+        // Dirty it with NaN first: the right panel is assembled from the
+        // packed row tiles, and a stale tile read would surface at once.
+        syrk_panel_scratch(
+            24,
+            100,
+            &[f32::NAN; 24 * 100],
+            100,
+            &mut [0.0; 24 * 24],
+            24,
+            &mut scratch,
+        );
         for (m, n, seed) in [(24usize, 150usize, 5u32), (17, 97, 6), (9, 200, 7)] {
             let a = pseudo(m * n, seed);
             let mut fresh = vec![0.0; m * m];

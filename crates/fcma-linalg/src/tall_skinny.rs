@@ -17,13 +17,16 @@
 //! 1. tiles the *wide* dimension `N` into column strips sized to keep the
 //!    brain-data strip plus the output tile resident in one core's L2
 //!    (idea #1 — "partitioning tall-skinny matrices for blocking");
-//! 2. transposes/packs each strip once and reuses it across **all** epochs
-//!    and all voxel groups before moving on (the strip is the hot data);
+//! 2. reads each epoch's strip of brain data *in place* — the `k` rows of
+//!    a strip are already `NR`-lane contiguous, so the register tile takes
+//!    them at the brain matrix's own leading dimension and nothing is
+//!    packed or copied except the `k × MR` assigned-voxel slab and the
+//!    one ragged column tile at the end of a matrix (DESIGN.md §8);
 //! 3. bottoms out in the 16-lane register microkernel so every multiply is
 //!    a full-width vector FMA (idea #3 — vectorization-friendly layout).
 
 use crate::gemm_ref::gemm_ref;
-use crate::microkernel::{microkernel, microkernel_edge, pack_a_panel, pack_b_panel};
+use crate::microkernel::{microkernel_clipped, pack_a_panel, pack_b_panel};
 use crate::Mat;
 use std::ops::Range;
 
@@ -131,22 +134,39 @@ pub fn corr_tall_skinny(
         out.len(),
         layout.out_len()
     );
-    let k_max = epochs.iter().map(EpochPair::k).max().unwrap_or(0);
     let tile = opts.tile_cols.max(NR);
-    let mut b_pack = vec![0.0f32; k_max * tile.div_ceil(NR) * NR];
-    let mut a_pack = vec![0.0f32; k_max * MR];
+    let mut scratch = StripScratch::for_epochs(epochs);
 
-    // Column-strip-major traversal: one strip of brain data is packed once
-    // and consumed by every (epoch, voxel-group) pair before eviction.
+    // Column-strip-major traversal: every epoch's strip of the output is
+    // finished, across all voxel groups, before the next strip starts.
     for j0 in (0..n).step_by(tile) {
         let tw = tile.min(n - j0);
         for (e, ep) in epochs.iter().enumerate() {
             // Output rows for consecutive voxels are M rows apart:
             // leading dimension M·N expresses the interleaving.
-            epoch_strip(ep, k_max, 0..v, j0, tw, &mut a_pack, &mut b_pack, out, e * n + j0, m * n);
+            epoch_strip(ep, 0..v, j0, tw, &mut scratch, out, e * n + j0, m * n);
         }
     }
     layout
+}
+
+/// The packing scratch of the tall-skinny family, reused across every
+/// strip of a walk: the `k × MR` slab of the current voxel group and the
+/// zero-padded `k × NR` pack of a strip's ragged last column tile (the
+/// only part of `B` that is ever copied). Built once per
+/// [`corr_tall_skinny`] call or per band worker of the merged pipeline.
+pub struct StripScratch {
+    a_pack: Vec<f32>,
+    b_edge: Vec<f32>,
+}
+
+impl StripScratch {
+    /// Scratch deep enough for the longest of `epochs`.
+    #[must_use]
+    pub fn for_epochs(epochs: &[EpochPair<'_>]) -> Self {
+        let k_max = epochs.iter().map(EpochPair::k).max().unwrap_or(0);
+        StripScratch { a_pack: vec![0.0; k_max * MR], b_edge: vec![0.0; k_max * NR] }
+    }
 }
 
 /// Compute a compact correlation block for a band of assigned voxels, a
@@ -169,15 +189,21 @@ pub fn corr_tall_skinny(
 /// per-element FMA sequence — matches the full-range call bit for bit
 /// (DESIGN.md §15 determinism contract).
 ///
+/// `scratch` is the caller's [`StripScratch::for_epochs`] of (a superset
+/// of) these epochs, reused across calls; a dirty one gives the same
+/// bits as a fresh one, since every region read is overwritten first.
+///
 /// # Panics
 /// Panics on inconsistent shapes, out-of-bounds ranges, an unaligned
-/// `voxel_range.start`, or a short buffer.
+/// `voxel_range.start`, a short buffer, or a scratch built for shorter
+/// epochs.
 pub fn corr_tile_block_rows(
     epochs: &[EpochPair<'_>],
     voxel_range: Range<usize>,
     epoch_range: Range<usize>,
     col_range: Range<usize>,
     buf: &mut [f32],
+    scratch: &mut StripScratch,
 ) {
     assert!(!epochs.is_empty(), "corr_tile_block_rows: no epochs");
     let v = epochs[0].assigned.rows();
@@ -195,24 +221,10 @@ pub fn corr_tile_block_rows(
     let w = col_range.len();
     assert!(buf.len() >= v_count * e_count * w, "corr_tile_block_rows: buffer too short");
 
-    let k_max = epochs[epoch_range.clone()].iter().map(EpochPair::k).max().unwrap_or(0);
-    let mut b_pack = vec![0.0f32; k_max.max(1) * w.div_ceil(NR) * NR];
-    let mut a_pack = vec![0.0f32; k_max.max(1) * MR];
     for (ei, eidx) in epoch_range.clone().enumerate() {
         let ep = &epochs[eidx];
         ep.validate(v, n);
-        epoch_strip(
-            ep,
-            k_max,
-            voxel_range.clone(),
-            col_range.start,
-            w,
-            &mut a_pack,
-            &mut b_pack,
-            buf,
-            ei * w,
-            e_count * w,
-        );
+        epoch_strip(ep, voxel_range.clone(), col_range.start, w, scratch, buf, ei * w, e_count * w);
     }
 }
 
@@ -223,17 +235,15 @@ pub fn corr_tile_block_rows(
 /// tile in the voxel-interleaved buffer (`base = e·N + col0`,
 /// `ldc = M·N`), [`corr_tile_block_rows`] in its dense block
 /// (`base = ei·W`, `ldc = E·W`). Voxels are grouped by [`MR`] from
-/// `voxel_range.start` and columns by [`NR`] from `col0`; `a_pack` /
-/// `b_pack` are caller-owned packing scratch sized for `k_max`.
+/// `voxel_range.start` and columns by [`NR`] from `col0`; every full
+/// column tile reads `brain` in place.
 #[allow(clippy::too_many_arguments)] // kernel-call ABI
 fn epoch_strip(
     ep: &EpochPair<'_>,
-    k_max: usize,
     voxel_range: Range<usize>,
     col0: usize,
     w: usize,
-    a_pack: &mut [f32],
-    b_pack: &mut [f32],
+    scratch: &mut StripScratch,
     c: &mut [f32],
     base: usize,
     ldc: usize,
@@ -245,33 +255,36 @@ fn epoch_strip(
         }
         return;
     }
+    let StripScratch { a_pack, b_edge } = scratch;
+    assert!(a_pack.len() >= k * MR, "tall_skinny: scratch built for epochs shorter than {k}");
     let n = ep.brain.cols();
-    let n_tiles = w.div_ceil(NR);
-    // Pack (transpose) this epoch's strip of brain data.
-    for t in 0..n_tiles {
-        let jt = t * NR;
-        let nr = NR.min(w - jt);
-        pack_b_panel::<NR>(
-            &ep.brain.as_slice()[col0 + jt..],
-            n,
-            k,
-            nr,
-            &mut b_pack[t * k_max * NR..],
-        );
+    let strip = &ep.brain.as_slice()[col0..];
+    // The ragged last tile is the one place a row of the strip is not NR
+    // readable lanes; zero-pad it once for all voxel groups.
+    let w_full = w - w % NR;
+    if w_full < w {
+        pack_b_panel::<NR>(&strip[w_full..], n, k, w - w_full, b_edge);
     }
     for v0 in voxel_range.clone().step_by(MR) {
         let mr = MR.min(voxel_range.end - v0);
         pack_a_panel::<MR>(&ep.assigned.as_slice()[v0 * k..], k, mr, k, a_pack);
-        for t in 0..n_tiles {
-            let jt = t * NR;
-            let nr = NR.min(w - jt);
-            let b_panel = &b_pack[t * k_max * NR..t * k_max * NR + k * NR];
-            let c_tile = &mut c[base + (v0 - voxel_range.start) * ldc + jt..];
-            if mr == MR && nr == NR {
-                microkernel::<MR, NR>(k, a_pack, b_panel, c_tile, ldc, false);
-            } else {
-                microkernel_edge::<MR, NR>(k, mr, nr, a_pack, b_panel, c_tile, ldc, false);
-            }
+        let c_row = base + (v0 - voxel_range.start) * ldc;
+        for jt in (0..w_full).step_by(NR) {
+            microkernel_clipped(
+                k,
+                mr,
+                NR,
+                a_pack,
+                &strip[jt..],
+                n,
+                &mut c[c_row + jt..],
+                ldc,
+                false,
+            );
+        }
+        if w_full < w {
+            let c_tile = &mut c[c_row + w_full..];
+            microkernel_clipped(k, mr, w - w_full, a_pack, b_edge, NR, c_tile, ldc, false);
         }
     }
 }
@@ -409,7 +422,14 @@ mod tests {
         let w = cr.len();
         let ec = er.len();
         let mut buf = vec![f32::NAN; v * ec * w];
-        corr_tile_block_rows(&eps, 0..v, er.clone(), cr.clone(), &mut buf);
+        corr_tile_block_rows(
+            &eps,
+            0..v,
+            er.clone(),
+            cr.clone(),
+            &mut buf,
+            &mut StripScratch::for_epochs(&eps),
+        );
         for vi in 0..v {
             for (ei, e) in er.clone().enumerate() {
                 for (ji, j) in cr.clone().enumerate() {
@@ -426,7 +446,7 @@ mod tests {
         // Band-partitioned computation (the parallel fused pipeline's unit
         // of work) must reproduce the full-range tile bit for bit as long
         // as band starts are MR-aligned.
-        let v = 21; // 2 full MR groups + a 5-row edge
+        let v = 21; // 5 full MR groups + a 1-row edge
         let n = 50;
         let ks = [12usize, 7, 12];
         let (assigned, brain) = make_epochs(v, n, &ks);
@@ -436,7 +456,8 @@ mod tests {
         let w = cr.len();
         let ec = er.len();
         let mut full = vec![f32::NAN; v * ec * w];
-        corr_tile_block_rows(&eps, 0..v, er.clone(), cr.clone(), &mut full);
+        let mut scratch = StripScratch::for_epochs(&eps);
+        corr_tile_block_rows(&eps, 0..v, er.clone(), cr.clone(), &mut full, &mut scratch);
         for bands in [1usize, 2, 3] {
             let n_groups = v.div_ceil(MR);
             let mut v0 = 0usize;
@@ -444,7 +465,7 @@ mod tests {
                 let groups = n_groups / bands + usize::from(band < n_groups % bands);
                 let v1 = (v0 + groups * MR).min(v);
                 let mut part = vec![f32::NAN; (v1 - v0) * ec * w];
-                corr_tile_block_rows(&eps, v0..v1, er.clone(), cr.clone(), &mut part);
+                corr_tile_block_rows(&eps, v0..v1, er.clone(), cr.clone(), &mut part, &mut scratch);
                 for (li, got) in part.iter().enumerate() {
                     let vi = v0 + li / (ec * w);
                     let want = full[(vi * ec) * w + li % (ec * w)];
@@ -457,13 +478,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "MR=8 boundary")]
+    #[should_panic(expected = "MR=4 boundary")]
     fn tile_block_rows_rejects_unaligned_start() {
         let a = Mat::zeros(16, 3);
         let b = Mat::zeros(3, 5);
         let eps = [EpochPair { assigned: &a, brain: &b }];
         let mut buf = vec![0.0; 16 * 5];
-        corr_tile_block_rows(&eps, 3..16, 0..1, 0..5, &mut buf);
+        corr_tile_block_rows(
+            &eps,
+            3..16,
+            0..1,
+            0..5,
+            &mut buf,
+            &mut StripScratch::for_epochs(&eps),
+        );
     }
 
     #[test]

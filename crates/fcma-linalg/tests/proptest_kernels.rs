@@ -2,7 +2,7 @@
 //! implementations across randomized shapes and data.
 
 use fcma_linalg::gemm_blocked::BlockSizes;
-use fcma_linalg::tall_skinny::{EpochPair, TallSkinnyOpts, MR};
+use fcma_linalg::tall_skinny::{EpochPair, StripScratch, TallSkinnyOpts, MR};
 use fcma_linalg::*;
 use proptest::prelude::*;
 
@@ -230,7 +230,7 @@ proptest! {
 // panel-depth knob, the merged-pipeline tile primitive, and the checked
 // cast helpers.
 
-use fcma_linalg::microkernel::{microkernel, microkernel_edge, pack_a_panel, pack_b_panel};
+use fcma_linalg::microkernel::{microkernel, microkernel_clipped, pack_a_panel, pack_b_panel, NR};
 use fcma_linalg::norms::axpy;
 
 fn pseudo(n: usize, seed: u64) -> Vec<f32> {
@@ -266,14 +266,12 @@ proptest! {
     }
 
     #[test]
-    fn microkernel_edge_matches_reference(
+    fn microkernel_clipped_matches_reference(
         k in 1usize..32,
-        mr in 1usize..=8,
-        nr in 1usize..=16,
+        mr in 1usize..=MR,
+        nr in 1usize..=NR,
         seed in any::<u64>(),
     ) {
-        const MR: usize = 8;
-        const NR: usize = 16;
         let a = pseudo(mr * k, seed);
         let b = pseudo(k * nr, seed ^ 0x51f0);
         let mut a_panel = vec![0.0; k * MR];
@@ -281,7 +279,7 @@ proptest! {
         pack_a_panel::<MR>(&a, k, mr, k, &mut a_panel);
         pack_b_panel::<NR>(&b, nr, k, nr, &mut b_panel);
         let mut got = vec![f32::NAN; mr * nr];
-        microkernel_edge::<MR, NR>(k, mr, nr, &a_panel, &b_panel, &mut got, nr, false);
+        microkernel_clipped(k, mr, nr, &a_panel, &b_panel, NR, &mut got, nr, false);
         let mut expect = vec![0.0; mr * nr];
         gemm_ref(mr, nr, k, &a, k, &b, nr, &mut expect, nr);
         for (g, e) in got.iter().zip(&expect) {
@@ -432,7 +430,8 @@ proptest! {
         let col1 = n;
         let w = col1 - col0;
         let mut buf = vec![f32::NAN; v * m_epochs * w];
-        corr_tile_block_rows(&eps, 0..v, 0..m_epochs, col0..col1, &mut buf);
+        let mut scratch = StripScratch::for_epochs(&eps);
+        corr_tile_block_rows(&eps, 0..v, 0..m_epochs, col0..col1, &mut buf, &mut scratch);
         for vi in 0..v {
             for ei in 0..m_epochs {
                 for j in col0..col1 {
@@ -472,7 +471,16 @@ proptest! {
         let col0 = n / 5;
         let w = n - col0;
         let mut full = vec![f32::NAN; v * m_epochs * w];
-        corr_tile_block_rows(&eps, 0..v, 0..m_epochs, col0..n, &mut full);
+        corr_tile_block_rows(
+            &eps,
+            0..v,
+            0..m_epochs,
+            col0..n,
+            &mut full,
+            &mut StripScratch::for_epochs(&eps),
+        );
+        // One scratch across every band, dirty from the band before.
+        let mut scratch = StripScratch::for_epochs(&eps);
         let mut banded = vec![f32::NAN; v * m_epochs * w];
         let n_groups = v.div_ceil(MR);
         let bands = bands.min(n_groups);
@@ -481,7 +489,7 @@ proptest! {
             let groups = n_groups / bands + usize::from(band < n_groups % bands);
             let v1 = (v0 + groups * MR).min(v);
             let chunk = &mut banded[v0 * m_epochs * w..v1 * m_epochs * w];
-            corr_tile_block_rows(&eps, v0..v1, 0..m_epochs, col0..n, chunk);
+            corr_tile_block_rows(&eps, v0..v1, 0..m_epochs, col0..n, chunk, &mut scratch);
             v0 = v1;
         }
         prop_assert_eq!(v0, v);
