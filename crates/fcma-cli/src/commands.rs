@@ -212,6 +212,9 @@ pub(crate) fn analyze(args: &Args) -> Result<()> {
     let cluster_cfg = cluster_config_of(args, task_size)?;
 
     let ctx = TaskContext::full(&dataset);
+    // The sweep reads only the normalized epochs; the raw matrix is as
+    // large again.
+    drop(dataset);
     let t0 = std::time::Instant::now();
     let scores = if cluster_cfg.n_workers > 0 {
         let run = run_cluster_with(&ctx, Arc::clone(&exec), &cluster_cfg)?;
@@ -511,6 +514,57 @@ mod tests {
         ] {
             let err = command(&args(&["run", "--data", ds, flag, "0"])).unwrap_err();
             assert_eq!(err.to_string(), format!("{flag} must be at least 1"));
+        }
+    }
+
+    #[test]
+    fn hostile_dataset_files_are_typed_errors() {
+        use fcma_fmri::{io::IoError, DatasetError};
+        let ds = tmp("cli_hostile_ds");
+        let stem = ds.to_str().unwrap();
+        let fcma = ds.with_extension("fcma");
+        let epochs = ds.with_extension("epochs");
+        let regenerate = || {
+            generate(&args(&["generate", "--preset", "tiny", "--voxels", "32", "--out", stem]))
+                .unwrap();
+        };
+        let io_error = |command: fn(&Args) -> Result<()>| {
+            let err = command(&args(&["run", "--data", stem])).unwrap_err();
+            *err.downcast::<IoError>().expect("a dataset file error is an IoError")
+        };
+
+        // A header that declares 32 GiB over no payload used to abort in
+        // the allocator (exit 134).
+        regenerate();
+        let mut header = b"FCMADAT1".to_vec();
+        header.extend_from_slice(&(1u64 << 17).to_le_bytes());
+        header.extend_from_slice(&(1u64 << 16).to_le_bytes());
+        std::fs::write(&fcma, header).unwrap();
+        assert!(matches!(io_error(info), IoError::Corrupt(_)));
+
+        // An epoch whose start + len wraps used to pass validation and
+        // panic in `analyze` (exit 101).
+        regenerate();
+        let table = std::fs::read_to_string(&epochs).unwrap();
+        let mut lines: Vec<&str> = table.lines().collect();
+        lines[1] = "0 0 18446744073709551615 12";
+        std::fs::write(&epochs, lines.join("\n")).unwrap();
+        for command in [info as fn(&Args) -> Result<()>, analyze] {
+            assert!(matches!(
+                io_error(command),
+                IoError::Invalid(DatasetError::EpochOutOfRange { epoch: 0, .. })
+            ));
+        }
+
+        // One NaN sample used to end in a ranking (exit 0).
+        regenerate();
+        let mut bytes = std::fs::read(&fcma).unwrap();
+        let cols = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
+        let at = 24 + (3 * cols + 5) * 4;
+        bytes[at..at + 4].copy_from_slice(&f32::NAN.to_le_bytes());
+        std::fs::write(&fcma, bytes).unwrap();
+        for command in [info as fn(&Args) -> Result<()>, analyze, offline] {
+            assert!(matches!(io_error(command), IoError::NonFinite { voxel: 3, time: 5, .. }));
         }
     }
 

@@ -15,6 +15,10 @@ use fcma_fmri::{Condition, Dataset, EpochSpec};
 use fcma_linalg::Mat;
 use fcma_svm::{train_phisvm, KernelMatrix, SmoParams, SvmModel};
 
+/// Side of the square tile [`OnlineSession::dataset`] transposes through
+/// (16 KiB, L1-resident).
+const SNAPSHOT_TILE: usize = 64;
+
 /// Configuration for the streaming session.
 #[derive(Debug, Clone)]
 pub struct SessionConfig {
@@ -165,11 +169,26 @@ impl OnlineSession {
         if self.epochs.len() < 2 {
             return Err(SessionError::NotEnoughData("need >= 2 epochs".into()));
         }
-        let t = self.volumes.len();
-        let mut data = Mat::zeros(self.cfg.n_voxels, t);
-        for (ti, vol) in self.volumes.iter().enumerate() {
-            for (v, &x) in vol.iter().enumerate() {
-                data.set(v, ti, x);
+        // Transposed through a time-major tile: each volume is read in
+        // contiguous runs, each voxel's row is written in contiguous runs.
+        let n = self.cfg.n_voxels;
+        let mut data = Mat::zeros(n, self.volumes.len());
+        let mut tile = [0.0f32; SNAPSHOT_TILE * SNAPSHOT_TILE];
+        for v0 in (0..n).step_by(SNAPSHOT_TILE) {
+            let width = SNAPSHOT_TILE.min(n - v0);
+            for (ti, vols) in self.volumes.chunks(SNAPSHOT_TILE).enumerate() {
+                for (row, vol) in tile.chunks_exact_mut(SNAPSHOT_TILE).zip(vols) {
+                    for (dst, &x) in row.iter_mut().zip(vol.iter().skip(v0)) {
+                        *dst = x;
+                    }
+                }
+                for j in 0..width {
+                    let column = tile.iter().skip(j).step_by(SNAPSHOT_TILE);
+                    let run = data.row_mut(v0 + j).iter_mut().skip(ti * SNAPSHOT_TILE);
+                    for (dst, &x) in run.zip(column).take(vols.len()) {
+                        *dst = x;
+                    }
+                }
             }
         }
         Dataset::new(data, self.epochs.clone())
@@ -261,6 +280,34 @@ mod tests {
             SessionError::BadVolume { got: 3, .. }
         ));
         assert!(s.dataset().is_err());
+    }
+
+    #[test]
+    fn snapshot_equals_the_per_element_transpose() {
+        // 5 epochs of 15 volumes: t = 75, not a multiple of the tile.
+        let (epoch_len, n_epochs) = (15, 5);
+        for n in [1usize, 65, 2048] {
+            let scfg = SessionConfig { epoch_len, ..Default::default() };
+            let mut s = OnlineSession::new(scfg, n);
+            let mut volumes = Vec::new();
+            for e in 0..n_epochs {
+                s.begin_epoch(if e % 2 == 0 { Condition::A } else { Condition::B }).unwrap();
+                for _ in 0..epoch_len {
+                    let t = volumes.len();
+                    let vol: Vec<f32> = (0..n).map(|v| (v * 131 + t * 7) as f32 * 0.25).collect();
+                    s.push_volume(&vol).unwrap();
+                    volumes.push(vol);
+                }
+                s.end_epoch().unwrap();
+            }
+            let snap = s.dataset().unwrap();
+            assert_eq!((snap.n_voxels(), snap.n_timepoints()), (n, volumes.len()));
+            for (t, vol) in volumes.iter().enumerate() {
+                for (v, x) in vol.iter().enumerate() {
+                    assert_eq!(snap.data().get(v, t).to_bits(), x.to_bits(), "n {n} v {v} t {t}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -80,7 +80,6 @@ pub struct Dataset {
 
 /// Errors raised by [`Dataset::new`] validation.
 #[derive(Debug, Clone, PartialEq, Eq)]
-// audit: allow(deadpub) — named only structurally outside the crate, via `Dataset::new`'s Result
 pub enum DatasetError {
     /// An epoch window exceeds the time axis.
     EpochOutOfRange {
@@ -118,8 +117,8 @@ impl fmt::Display for DatasetError {
         match self {
             DatasetError::EpochOutOfRange { epoch, start, len, n_timepoints } => write!(
                 f,
-                "epoch {epoch} window [{start}, {}) exceeds {n_timepoints} time points",
-                start + len
+                "epoch {epoch} window of {len} time points from {start} exceeds \
+                 {n_timepoints} time points"
             ),
             DatasetError::EmptyEpoch { epoch } => write!(f, "epoch {epoch} has zero length"),
             DatasetError::BadSubjectOrder { epoch } => {
@@ -153,7 +152,7 @@ impl Dataset {
             if ep.len == 0 {
                 return Err(DatasetError::EmptyEpoch { epoch: i });
             }
-            if ep.start + ep.len > nt {
+            if ep.start.checked_add(ep.len).is_none_or(|end| end > nt) {
                 return Err(DatasetError::EpochOutOfRange {
                     epoch: i,
                     start: ep.start,
@@ -272,6 +271,16 @@ mod tests {
         let err =
             tiny(2, 10, vec![ep(0, Condition::A, 5, 10), ep(0, Condition::B, 0, 5)]).unwrap_err();
         assert!(matches!(err, DatasetError::EpochOutOfRange { epoch: 0, .. }));
+    }
+
+    #[test]
+    fn rejects_epoch_whose_end_wraps() {
+        // start + len wraps to 11, which is inside the 40-point axis.
+        let err =
+            tiny(2, 40, vec![ep(0, Condition::A, usize::MAX, 12), ep(0, Condition::B, 0, 12)])
+                .unwrap_err();
+        assert!(matches!(err, DatasetError::EpochOutOfRange { epoch: 0, start: usize::MAX, .. }));
+        assert!(err.to_string().contains("exceeds 40 time points"));
     }
 
     #[test]

@@ -13,8 +13,13 @@
 //!   from the same normalized values, ready to be the left operand.
 
 use crate::dataset::Dataset;
-use fcma_linalg::{normalize_epoch, Mat};
+use fcma_linalg::{epoch_scale, Mat};
 use std::ops::Range;
+
+/// Voxels normalized per tile: the tile and the per-column statistics
+/// stay in L1 at any epoch length, and every store is a 256-byte run
+/// (DESIGN.md §8 has the widths and loop orders measured).
+const VOXEL_BLOCK: usize = 64;
 
 /// All epochs of a dataset, normalized per Eq. 2 and laid out for the
 /// correlation kernels.
@@ -40,25 +45,70 @@ impl NormalizedEpochs {
     /// (in `keep` order). Used by cross-validation folds that exclude a
     /// subject's epochs.
     ///
+    /// Walks the voxels in blocks of [`VOXEL_BLOCK`]. For each block and
+    /// each kept epoch, the voxels' raw windows are copied into a
+    /// `k × block` tile (one voxel per column), every column's `f64` sums
+    /// are accumulated in time order side by side, and each tile row is
+    /// normalized straight into a contiguous run of the epoch's matrix.
+    /// Per voxel the arithmetic is [`fcma_linalg::normalize_epoch`]'s, bit
+    /// for bit, and every raw row is read once, front to back.
+    ///
     /// # Panics
     /// Panics if any index is out of range.
     pub fn from_dataset_subset(dataset: &Dataset, keep: &[usize]) -> Self {
         let n = dataset.n_voxels();
-        let mut brain = Vec::with_capacity(keep.len());
-        let mut scratch: Vec<f32> = Vec::new();
-        for &e in keep {
-            assert!(e < dataset.n_epochs(), "epoch index {e} out of range");
-            let k = dataset.epochs()[e].len;
-            let mut m = Mat::zeros(k, n);
-            for v in 0..n {
-                scratch.clear();
-                scratch.extend_from_slice(dataset.epoch_series(v, e));
-                normalize_epoch(&mut scratch);
-                for (t, &val) in scratch.iter().enumerate() {
-                    m.set(t, v, val);
+        let mut brain: Vec<Mat> = keep
+            .iter()
+            .map(|&e| {
+                assert!(e < dataset.n_epochs(), "epoch index {e} out of range");
+                Mat::zeros(dataset.epochs()[e].len, n)
+            })
+            .collect();
+        let k_max = brain.iter().map(Mat::rows).max().unwrap_or(0);
+        let mut tile = vec![0.0f32; k_max * VOXEL_BLOCK];
+        let mut sum = [0.0f64; VOXEL_BLOCK];
+        let mut sum_sq = [0.0f64; VOXEL_BLOCK];
+        // Per column: Eq. 2's (mean, 1/rss), and whether it has one (a
+        // constant voxel does not). Three flat arrays, not one of
+        // `Option`s, so the store loop below vectorises.
+        let mut mean = [0.0f32; VOXEL_BLOCK];
+        let mut inv = [0.0f32; VOXEL_BLOCK];
+        let mut live = [false; VOXEL_BLOCK];
+        for v0 in (0..n).step_by(VOXEL_BLOCK) {
+            let width = VOXEL_BLOCK.min(n - v0);
+            for (&e, m) in keep.iter().zip(&mut brain) {
+                let k = m.rows();
+                // Raw windows into the tile, one voxel per column.
+                for j in 0..width {
+                    let x = dataset.epoch_series(v0 + j, e);
+                    for (row, &raw) in tile.chunks_exact_mut(VOXEL_BLOCK).zip(x) {
+                        row[j] = raw;
+                    }
+                }
+                // Each column's sums in time order, all columns at once.
+                sum.fill(0.0);
+                sum_sq.fill(0.0);
+                for row in tile.chunks_exact(VOXEL_BLOCK).take(k) {
+                    for ((s, s2), &raw) in sum.iter_mut().zip(&mut sum_sq).zip(row) {
+                        let raw = f64::from(raw);
+                        *s += raw;
+                        *s2 += raw * raw;
+                    }
+                }
+                for j in 0..width {
+                    let scale = epoch_scale(sum[j], sum_sq[j], k);
+                    live[j] = scale.is_some();
+                    (mean[j], inv[j]) = scale.unwrap_or_default();
+                }
+                for (t, row) in tile.chunks_exact(VOXEL_BLOCK).take(k).enumerate() {
+                    let out = &mut m.row_mut(t)[v0..v0 + width];
+                    for ((((out, &raw), &mean), &inv), &live) in
+                        out.iter_mut().zip(row).zip(&mean).zip(&inv).zip(&live)
+                    {
+                        *out = if live { (raw - mean) * inv } else { 0.0 };
+                    }
                 }
             }
-            brain.push(m);
         }
         NormalizedEpochs { brain, n_voxels: n }
     }

@@ -5,8 +5,56 @@ use fcma_fmri::geometry::{extract_clusters, Grid3};
 use fcma_fmri::mask::VoxelMask;
 use fcma_fmri::noise::{Ar1, Drift};
 use fcma_fmri::synth::{Placement, SynthConfig};
+use fcma_fmri::{Condition, Dataset, EpochSpec, NormalizedEpochs};
+use fcma_linalg::{normalize_epoch, Mat};
 use proptest::prelude::*;
 use std::io::Cursor;
+
+/// `NormalizedEpochs::from_dataset_subset` as it was before it was
+/// blocked: one `normalize_epoch` per (voxel, epoch) window, scattered
+/// element by element. The blocked pass must reproduce its bits.
+fn normalized_per_element(d: &Dataset, keep: &[usize]) -> Vec<Mat> {
+    keep.iter()
+        .map(|&e| {
+            let ep = d.epochs()[e];
+            let mut m = Mat::zeros(ep.len, d.n_voxels());
+            for v in 0..d.n_voxels() {
+                let mut x = d.data().row(v)[ep.start..ep.start + ep.len].to_vec();
+                normalize_epoch(&mut x);
+                for (t, &val) in x.iter().enumerate() {
+                    m.set(t, v, val);
+                }
+            }
+            m
+        })
+        .collect()
+}
+
+/// One subject's worth of epochs of the given lengths, each preceded by
+/// its gap, over `n` voxels that mix ordinary series (on a large offset,
+/// where the one-pass variance cancels), constant ones and ones that
+/// differ from constant in a single sample's last bits.
+fn ragged_dataset(n: usize, windows: &[(usize, usize)], seed: u64) -> Dataset {
+    let mut epochs = Vec::new();
+    let mut t = 0;
+    for (i, &(gap, len)) in windows.iter().enumerate() {
+        let label = if i % 2 == 0 { Condition::A } else { Condition::B };
+        epochs.push(EpochSpec { subject: 0, label, start: t + gap, len });
+        t += gap + len;
+    }
+    let mut state = seed | 1;
+    let mut next = move || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (state >> 40) as f32 / (1u64 << 24) as f32
+    };
+    let data = Mat::from_fn(n, t + 3, |v, c| match v % 5 {
+        3 => 7.25,
+        4 if c % 11 == 0 => f32::from_bits(1000.0f32.to_bits() + 1),
+        4 => 1000.0,
+        _ => 500.0 * (v % 3) as f32 + next(),
+    });
+    Dataset::new(data, epochs).expect("two labelled in-range epochs of one subject")
+}
 
 fn config_strategy() -> impl Strategy<Value = SynthConfig> {
     (
@@ -132,6 +180,36 @@ proptest! {
         prop_assert_eq!(masked.n_voxels(), a.n_kept());
         for (ci, &oi) in map.iter().enumerate() {
             prop_assert_eq!(masked.data().row(ci), d.data().row(oi));
+        }
+    }
+
+    /// The blocked normalisation equals the per-element one bit for bit:
+    /// voxel counts on both sides of the block width, epoch lengths that
+    /// differ within a dataset, gaps, dead and nearly dead voxels, and a
+    /// `keep` that is a strict subsequence.
+    #[test]
+    fn blocked_normalisation_is_bit_identical_to_per_element(
+        n in prop_oneof![Just(1usize), Just(63), Just(64), Just(65), Just(200)],
+        windows in proptest::collection::vec((0usize..5, 2usize..=40), 3..8),
+        seed in any::<u64>(),
+        drop_bits in any::<u8>(),
+    ) {
+        let d = ragged_dataset(n, &windows, seed);
+        let all: Vec<usize> = (0..d.n_epochs()).collect();
+        // Always drops epoch 1, so `subset` is a strict subsequence.
+        let subset: Vec<usize> =
+            all.iter().copied().filter(|&e| e != 1 && drop_bits & (1 << e) == 0).collect();
+        for keep in [&all, &subset] {
+            let got = NormalizedEpochs::from_dataset_subset(&d, keep);
+            let want = normalized_per_element(&d, keep);
+            prop_assert_eq!(got.n_epochs(), want.len());
+            for (i, want) in want.iter().enumerate() {
+                let got = got.brain(i);
+                prop_assert_eq!((got.rows(), got.cols()), (want.rows(), want.cols()));
+                let same = got.as_slice().iter().zip(want.as_slice())
+                    .all(|(g, w)| g.to_bits() == w.to_bits());
+                prop_assert!(same, "epoch {} of keep {:?} differs", keep[i], keep);
+            }
         }
     }
 

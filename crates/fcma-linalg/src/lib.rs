@@ -37,7 +37,8 @@ pub use gemm_blocked::{gemm_blocked, gemm_blocked_scratch, BlockSizes, GemmScrat
 pub use gemm_ref::{gemm_ref, syrk_ref};
 pub use mat::Mat;
 pub use norms::{
-    dot, fast_ln, fisher_z, fisher_z_slice, mean_var_onepass, normalize_epoch, zscore, zscore_with,
+    dot, epoch_scale, fast_ln, fisher_z, fisher_z_slice, mean_var_onepass, normalize_epoch, zscore,
+    zscore_with,
 };
 pub use ops::{add_scaled, col_means, gemv, gemv_t, row_means, scale};
 pub use syrk::{syrk_dot, syrk_panel_scratch, SyrkScratch, PANEL_K};

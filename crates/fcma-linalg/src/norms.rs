@@ -46,17 +46,9 @@ pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     }
 }
 
-/// One-pass mean and (population) variance using the `E[X²] − E[X]²`
-/// formulation the paper uses in its normalization kernel (§4.3).
-///
-/// Returns `(mean, variance)`. Empty input returns `(0, 0)`.
-/// The variance is clamped at zero to absorb the formulation's
-/// susceptibility to tiny negative results from rounding.
+/// `Σx` and `Σx²` of `x`, accumulated in `f64` in element order.
 #[inline]
-pub fn mean_var_onepass(x: &[f32]) -> (f32, f32) {
-    if x.is_empty() {
-        return (0.0, 0.0);
-    }
+fn sums(x: &[f32]) -> (f64, f64) {
     let mut s = 0.0f64;
     let mut s2 = 0.0f64;
     for &v in x {
@@ -64,10 +56,33 @@ pub fn mean_var_onepass(x: &[f32]) -> (f32, f32) {
         s += v;
         s2 += v * v;
     }
-    let n = crate::cast::f64_from_usize(x.len());
-    let mean = s / n;
-    let var = (s2 / n - mean * mean).max(0.0);
+    (s, s2)
+}
+
+/// Mean and (population) variance of `len` values from their `f64` sums
+/// `Σx` and `Σx²`, the `E[X²] − E[X]²` formulation the paper uses in its
+/// normalization kernel (§4.3).
+///
+/// `len == 0` returns `(0, 0)`. The variance is clamped at zero to absorb
+/// the formulation's susceptibility to tiny negative results from
+/// rounding.
+#[inline]
+fn mean_var_of_sums(sum: f64, sum_sq: f64, len: usize) -> (f32, f32) {
+    if len == 0 {
+        return (0.0, 0.0);
+    }
+    let n = crate::cast::f64_from_usize(len);
+    let mean = sum / n;
+    let var = (sum_sq / n - mean * mean).max(0.0);
     (crate::cast::f32_from_f64(mean), crate::cast::f32_from_f64(var))
+}
+
+/// One-pass mean and (population) variance of `x`; see
+/// [`mean_var_of_sums`] for the formulation. Empty input returns `(0, 0)`.
+#[inline]
+pub fn mean_var_onepass(x: &[f32]) -> (f32, f32) {
+    let (s, s2) = sums(x);
+    mean_var_of_sums(s, s2, x.len())
 }
 
 /// Fast `ln` for strictly positive finite `f32`, accurate to ~2 ulp of
@@ -150,6 +165,25 @@ pub fn zscore(x: &mut [f32]) {
     zscore_with(x, mean, var.sqrt());
 }
 
+/// The `(mean, 1 / rss)` pair of paper Eq. 2 for a time epoch of `len`
+/// values, given their `f64` sums `Σx` and `Σx²` accumulated in time
+/// order; `rss` is the root sum of squares of the mean-centered epoch.
+/// `None` for a constant (zero-variance) epoch, which has no such scale.
+///
+/// [`normalize_epoch`] is this applied to one vector; a caller that keeps
+/// the sums of many epochs side by side gets the same bits from it.
+#[inline]
+pub fn epoch_scale(sum: f64, sum_sq: f64, len: usize) -> Option<(f32, f32)> {
+    let (mean, var) = mean_var_of_sums(sum, sum_sq, len);
+    let n = crate::cast::f32_from_usize(len);
+    // √(Σx² − n·x̄²) = √(n·var): root sum of squares of the centered vector.
+    let rss = (n * var).sqrt();
+    if rss <= f32::MIN_POSITIVE {
+        return None;
+    }
+    Some((mean, 1.0 / rss))
+}
+
 /// Normalize a time-epoch vector per paper Eq. 2: subtract the mean, then
 /// divide by the root sum of squares of the mean-centered vector, so that
 /// the Pearson correlation of two normalized vectors is their dot product.
@@ -159,15 +193,11 @@ pub fn zscore(x: &mut [f32]) {
 /// voxels.
 #[inline]
 pub fn normalize_epoch(x: &mut [f32]) {
-    let (mean, var) = mean_var_onepass(x);
-    let n = crate::cast::f32_from_usize(x.len());
-    // √(Σx² − n·x̄²) = √(n·var): root sum of squares of the centered vector.
-    let rss = (n * var).sqrt();
-    if rss <= f32::MIN_POSITIVE {
+    let (s, s2) = sums(x);
+    let Some((mean, inv)) = epoch_scale(s, s2, x.len()) else {
         x.fill(0.0);
         return;
-    }
-    let inv = 1.0 / rss;
+    };
     for v in x.iter_mut() {
         *v = (*v - mean) * inv;
     }

@@ -193,6 +193,28 @@ proptest! {
     }
 
     #[test]
+    fn epoch_scale_of_the_sums_is_normalize_epoch(
+        x in finite_vec(12),
+        constant in any::<bool>(),
+    ) {
+        // A caller that keeps the time-ordered f64 sums itself gets
+        // normalize_epoch's bits, the dead-voxel branch included.
+        let x = if constant { vec![x[0]; 12] } else { x };
+        let (mut s, mut s2) = (0.0f64, 0.0f64);
+        for &v in &x {
+            s += f64::from(v);
+            s2 += f64::from(v) * f64::from(v);
+        }
+        let scale = epoch_scale(s, s2, x.len());
+        let mut want = x.clone();
+        normalize_epoch(&mut want);
+        for (&raw, want) in x.iter().zip(&want) {
+            let got = scale.map_or(0.0, |(mean, inv)| (raw - mean) * inv);
+            prop_assert_eq!(got.to_bits(), want.to_bits());
+        }
+    }
+
+    #[test]
     fn pearson_via_dot_is_bounded(x in finite_vec(12), y in finite_vec(12)) {
         let mut xn = x.clone();
         let mut yn = y.clone();
