@@ -143,6 +143,14 @@ fn task_size_of(args: &Args) -> Result<usize> {
     }
 }
 
+/// Voxels to select: `--top-k` if given, else 16.
+fn top_k_of(args: &Args) -> Result<usize> {
+    match args.get_parsed("top-k", 16usize, "integer")? {
+        0 => Err("--top-k must be at least 1".into()),
+        k => Ok(k),
+    }
+}
+
 fn executor_of(args: &Args) -> Result<Arc<dyn TaskExecutor>> {
     let pool = Pool::new(threads_of(args)?);
     match args.get_or("executor", "optimized").as_str() {
@@ -201,7 +209,7 @@ pub(crate) fn analyze(args: &Args) -> Result<()> {
         eprintln!("chaos: will panic once on the task starting at voxel {start}");
     }
     let task_size = task_size_of(args)?;
-    let top_k = args.get_parsed("top-k", 16usize, "integer")?;
+    let top_k = top_k_of(args)?;
     let trace_out = args.get("trace-out").map(PathBuf::from);
     let metrics_out = args.get("metrics-out").map(PathBuf::from);
     // Install the collector before the config is built so the
@@ -339,10 +347,7 @@ pub(crate) fn offline(args: &Args) -> Result<()> {
     let data = stem(args, "data")?;
     let dataset = fio::load_dataset(&data)?;
     let exec = executor_of(args)?;
-    let cfg = AnalysisConfig {
-        task_size: task_size_of(args)?,
-        top_k: args.get_parsed("top-k", 16usize, "integer")?,
-    };
+    let cfg = AnalysisConfig { task_size: task_size_of(args)?, top_k: top_k_of(args)? };
     let t0 = std::time::Instant::now();
     let r = offline_analysis(&dataset, exec.as_ref(), &cfg);
     println!("fold\theld-out\ttest-accuracy");
@@ -357,9 +362,9 @@ pub(crate) fn offline(args: &Args) -> Result<()> {
 
 /// `fcma clusters`
 pub(crate) fn clusters(args: &Args) -> Result<()> {
+    let top_k = top_k_of(args)?;
     let scores_path = stem(args, "scores")?;
     let scores = read_scores(&scores_path)?;
-    let top_k = args.get_parsed("top-k", 16usize, "integer")?;
     let selected = select_top_k(&scores, top_k);
     let grid = match args.get("grid") {
         None => Grid3::cube_for(scores.len()),
@@ -503,14 +508,19 @@ mod tests {
 
     #[test]
     fn zero_task_size_and_zero_threads_are_typed_errors() {
-        // `--task-size 0` used to reach `partition`'s assert and exit 101.
+        // `--task-size 0` used to reach `partition`'s assert and exit 101;
+        // `--top-k 0` used to print results of a zero-feature classifier
+        // (`offline`) or nothing at all, with exit 0.
         let ds = tmp("cli_zero_ds");
         let ds = ds.to_str().unwrap();
         generate(&args(&["generate", "--preset", "tiny", "--voxels", "32", "--out", ds])).unwrap();
         for (command, flag) in [
             (analyze as fn(&Args) -> Result<()>, "--task-size"),
             (analyze, "--threads"),
+            (analyze, "--top-k"),
             (offline, "--task-size"),
+            (offline, "--top-k"),
+            (clusters, "--top-k"),
         ] {
             let err = command(&args(&["run", "--data", ds, flag, "0"])).unwrap_err();
             assert_eq!(err.to_string(), format!("{flag} must be at least 1"));

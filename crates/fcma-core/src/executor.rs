@@ -4,10 +4,9 @@
 use crate::context::TaskContext;
 use crate::control::TaskControls;
 use crate::stage1::corr_baseline;
-use crate::stage2::{corr_normalized_merged_parallel, normalize_baseline};
-use crate::stage3::{score_task, KernelPrecompute};
+use crate::stage2::{fused_kernels, normalize_baseline};
+use crate::stage3::{score_kernels, score_task, KernelPrecompute};
 use crate::task::{VoxelScore, VoxelTask};
-use fcma_linalg::tall_skinny::TallSkinnyOpts;
 use fcma_svm::{LibSvmParams, SmoParams, SolverKind};
 use fcma_sync::pool::Pool;
 use fcma_trace::span;
@@ -91,11 +90,12 @@ impl TaskExecutor for BaselineExecutor {
 }
 
 /// The paper's §4 optimized pipeline: merged stage 1+2 with tall-skinny
-/// blocking, panel SYRK, and PhiSVM.
+/// blocking, panel SYRK, and PhiSVM — with the SYRK fused into the
+/// merged pass, so each voxel's kernel is built strip by strip while the
+/// strip is in cache and the task's `V × M × N` correlations are never
+/// held (`stage2::fused_kernels`).
 #[derive(Debug, Clone, Default)]
 pub struct OptimizedExecutor {
-    /// Strip width of the tall-skinny kernel.
-    pub opts: TallSkinnyOpts,
     /// PhiSVM parameters for stage 3.
     pub svm: SmoParams,
     /// Worker pool for the kernel loops (defaults to single-threaded;
@@ -116,15 +116,14 @@ impl TaskExecutor for OptimizedExecutor {
     ) -> Vec<VoxelScore> {
         let _span =
             span!("task.process", start = task.start, count = task.count, executor = "optimized");
-        let corr = corr_normalized_merged_parallel(ctx, task, self.opts, &self.pool);
+        let kernels = fused_kernels(ctx, task, &self.pool);
         let groups = groups.unwrap_or(&ctx.subjects);
-        score_task(
-            &corr,
-            task,
+        score_kernels(
+            &kernels,
+            task.start,
             &ctx.y,
             groups,
             &SolverKind::PhiSvm(self.svm),
-            KernelPrecompute::Optimized,
             &self.pool,
         )
     }

@@ -11,7 +11,7 @@
 //! * [`stage1`] — correlation computation;
 //! * [`stage2`] — Fisher + within-subject z-scoring, three schedules
 //!   (baseline / separated / merged) that agree bit-for-bit within f32
-//!   tolerance;
+//!   tolerance, and the merged one fused with the kernel precompute;
 //! * [`stage3`] — kernel precompute + per-voxel SVM cross validation;
 //! * [`executor`] — the baseline and optimized single-node pipelines;
 //! * [`selection`] — ROI ranking and cross-fold stability;
@@ -40,7 +40,7 @@ pub use selection::{recovery_rate, select_top_k};
 pub use stage1::CorrData;
 pub use stage1::{corr_baseline, corr_optimized};
 pub use stage2::{
-    corr_normalized_merged, corr_normalized_merged_parallel, normalize_baseline,
+    corr_normalized_merged, corr_normalized_merged_parallel, fused_kernels, normalize_baseline,
     normalize_separated,
 };
 pub use stage3::{score_task, KernelPrecompute};

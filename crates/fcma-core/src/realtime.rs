@@ -100,6 +100,11 @@ pub enum SessionError {
         /// The session's `n_voxels`.
         want: usize,
     },
+    /// The volume holds a NaN or an infinity; it was not stored.
+    NonFinite {
+        /// The first voxel whose sample is not finite.
+        voxel: usize,
+    },
 }
 
 impl std::fmt::Display for SessionError {
@@ -113,6 +118,9 @@ impl std::fmt::Display for SessionError {
             SessionError::NotEnoughData(m) => write!(f, "not enough data: {m}"),
             SessionError::BadVolume { got, want } => {
                 write!(f, "volume has {got} voxels, expected {want}")
+            }
+            SessionError::NonFinite { voxel } => {
+                write!(f, "volume sample at voxel {voxel} is not finite")
             }
         }
     }
@@ -133,9 +141,18 @@ impl OnlineSession {
     }
 
     /// Ingest one acquired brain volume (all voxels at one time point).
+    /// A volume of the wrong length or with a NaN or infinite sample is
+    /// refused and leaves the session as it was.
     pub fn push_volume(&mut self, volume: &[f32]) -> Result<(), SessionError> {
         if volume.len() != self.cfg.n_voxels {
             return Err(SessionError::BadVolume { got: volume.len(), want: self.cfg.n_voxels });
+        }
+        // Branch-free over the volume so it vectorises; the voxel is
+        // looked for only once one is known to be there.
+        if volume.iter().fold(false, |bad, x| bad | !x.is_finite()) {
+            if let Some(voxel) = volume.iter().position(|x| !x.is_finite()) {
+                return Err(SessionError::NonFinite { voxel });
+            }
         }
         self.volumes.push(volume.to_vec());
         Ok(())
@@ -280,6 +297,37 @@ mod tests {
             SessionError::BadVolume { got: 3, .. }
         ));
         assert!(s.dataset().is_err());
+    }
+
+    #[test]
+    fn non_finite_volumes_are_refused_and_the_session_goes_on() {
+        let n = 5;
+        let mut s = OnlineSession::new(SessionConfig { epoch_len: 2, ..Default::default() }, n);
+        let volume = |t: usize| (0..n).map(|v| (v * 3 + t) as f32).collect::<Vec<f32>>();
+        let mut pushed = Vec::new();
+        for label in [Condition::A, Condition::B] {
+            s.begin_epoch(label).unwrap();
+            for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                for voxel in [0, n - 1] {
+                    let mut vol = volume(pushed.len());
+                    vol[voxel] = bad;
+                    assert_eq!(s.push_volume(&vol), Err(SessionError::NonFinite { voxel }));
+                }
+                // Refused, not stored: the next good volume is the next
+                // time point.
+                let vol = volume(pushed.len());
+                s.push_volume(&vol).unwrap();
+                pushed.push(vol);
+            }
+            s.end_epoch().unwrap();
+        }
+        let snap = s.dataset().unwrap();
+        assert_eq!(snap.n_timepoints(), pushed.len());
+        for (t, vol) in pushed.iter().enumerate() {
+            for (v, x) in vol.iter().enumerate() {
+                assert_eq!(snap.data().get(v, t).to_bits(), x.to_bits(), "v {v} t {t}");
+            }
+        }
     }
 
     #[test]

@@ -153,6 +153,16 @@ pub(crate) fn assigned_blocks(ctx: &TaskContext, task: VoxelTask) -> Vec<Mat> {
     ctx.norm.assigned_blocks(task.range())
 }
 
+/// Pair each epoch's assigned-voxel matrix with its whole-brain matrix —
+/// the operands of the tall-skinny family.
+pub(crate) fn epoch_pairs<'a>(ctx: &'a TaskContext, assigned: &'a [Mat]) -> Vec<EpochPair<'a>> {
+    assigned
+        .iter()
+        .enumerate()
+        .map(|(e, a)| EpochPair { assigned: a, brain: ctx.norm.brain(e) })
+        .collect()
+}
+
 /// Baseline stage 1: per-epoch generic blocked GEMM with interleaved
 /// output via the leading dimension.
 ///
@@ -221,12 +231,7 @@ pub fn corr_optimized(ctx: &TaskContext, task: VoxelTask, opts: TallSkinnyOpts) 
     if fcma_trace::is_enabled() {
         bridge_stage1_counters(&assigned, v, n, fcma_sim::analytic::corr_optimized);
     }
-    let pairs: Vec<EpochPair<'_>> = assigned
-        .iter()
-        .enumerate()
-        .map(|(e, a)| EpochPair { assigned: a, brain: ctx.norm.brain(e) })
-        .collect();
-    let got = corr_tall_skinny(&pairs, &mut buf, opts);
+    let got = corr_tall_skinny(&epoch_pairs(ctx, &assigned), &mut buf, opts);
     debug_assert_eq!(got, layout);
     fcma_linalg::debug_assert_finite!(&buf, "stage1 optimized correlation output");
     CorrData { buf, layout }

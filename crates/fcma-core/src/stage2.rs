@@ -20,17 +20,34 @@
 //!   normalizes it *while it is still cache-resident*, and the z-apply is
 //!   fused with the single write to the interleaved output buffer.
 //!
+//! The optimized executor takes the merged schedule one stage further
+//! ([`fused_kernels`]): the same band body lands each z-scored strip in
+//! a reused per-band buffer instead of the task-wide one, and adds the
+//! strip's panels to every voxel's Gram matrix (the stage-3 SYRK) before
+//! the next strip starts. A task then holds `V·M²` floats, never the
+//! `V·M·N` of the interleaved buffer.
+//!
 //! Statistics accumulate in `f32`: the population is one subject's `E`
 //! (≈12) epochs, far below any f32 summation-accuracy concern, and it
 //! keeps the stat loops on the vector units (idea #3).
 
 use crate::context::TaskContext;
-use crate::stage1::{run_voxel_bands, CorrData};
+use crate::stage1::{assigned_blocks, epoch_pairs, run_voxel_bands, CorrData};
 use crate::task::VoxelTask;
-use fcma_linalg::tall_skinny::{corr_tile_block_rows, EpochPair, StripScratch, TallSkinnyOpts, MR};
-use fcma_linalg::{f32_from_usize, fisher_z_slice, CorrLayout};
+use fcma_linalg::tall_skinny::{corr_tile_block_rows, EpochPair, StripScratch, TallSkinnyOpts};
+use fcma_linalg::{
+    f32_from_usize, fisher_z_slice, syrk_accumulate, syrk_mirror, syrk_zero, CorrLayout, Mat,
+    SyrkScratch, PANEL_K,
+};
+use fcma_svm::KernelMatrix;
 use fcma_sync::pool::Pool;
 use fcma_trace::span;
+use std::ops::Range;
+
+/// What one band's z-scored strip may occupy on the fused path: the
+/// strip stays in a 2 MiB L2 while its panels are added to the Gram
+/// matrices (DESIGN.md §8 has the widths measured around it).
+const STRIP_BYTES: usize = 2 << 20;
 
 /// Baseline schedule: Fisher pass, then stats pass, then apply pass.
 ///
@@ -120,11 +137,12 @@ pub fn corr_normalized_merged(
 /// the interleaved output. Produces the finished normalized buffer.
 ///
 /// The task's voxels are banded across `pool` workers: each worker owns
-/// a disjoint MR-aligned band and runs the full tile loop for it,
-/// writing straight into its own contiguous slice of the interleaved
-/// output. Bit-identical at every thread count (DESIGN.md §15): band
-/// boundaries respect the register-tile grouping, per-voxel statistics
-/// never cross bands, and there is no cross-thread reduction at all.
+/// a disjoint band and runs the full tile loop for it, writing straight
+/// into its own contiguous slice of the interleaved output.
+/// Bit-identical at every thread count (DESIGN.md §15): every row of a
+/// register tile is its own in-order sum, so bands may start on any
+/// voxel, per-voxel statistics never cross bands, and there is no
+/// cross-thread reduction at all.
 ///
 /// # Panics
 /// If `task` is out of range for `ctx`.
@@ -141,44 +159,129 @@ pub fn corr_normalized_merged_parallel(
     let mut buf = vec![0.0f32; layout.out_len()];
     let _span = span!("stage12.fused", voxels = v, brain = n, epochs = m);
 
-    let assigned = crate::stage1::assigned_blocks(ctx, task);
-    let pairs: Vec<EpochPair<'_>> = assigned
-        .iter()
-        .enumerate()
-        .map(|(e, a)| EpochPair { assigned: a, brain: ctx.norm.brain(e) })
-        .collect();
-
+    let assigned = assigned_blocks(ctx, task);
+    let pairs = epoch_pairs(ctx, &assigned);
     let w_max = opts.tile_cols.max(16);
-    let max_se = max_subject_epochs(ctx);
     run_voxel_bands(
         pool,
         &mut buf,
         v,
         m * n,
-        MR,
+        1,
         || (),
-        |(), _band, (v0, v1, chunk)| merged_band(ctx, &pairs, v0, v1, chunk, w_max, max_se, m, n),
+        |(), _band, (v0, v1, chunk)| {
+            merged_band(ctx, &pairs, v0..v1, w_max, Landing::Task, chunk, |_, _| ());
+        },
     );
     fcma_linalg::debug_assert_finite!(&buf, "stage2 merged pipeline output");
     CorrData { buf, layout }
 }
 
-/// One worker's share of the merged pipeline: voxels `[v0, v1)`, writing
-/// the band's rows into `chunk` (local layout, row `(vi − v0)·M + e`).
-#[allow(clippy::too_many_arguments)] // band-worker ABI: everything is loop-invariant context
+/// The optimized executor's stages 1, 2 and kernel precompute as one
+/// pass: voxel `vi`'s `M × M` Gram matrix over its z-scored correlation
+/// vectors, for every voxel of `task`, without ever holding the task's
+/// `V × M × N` correlations.
+///
+/// Each band runs the merged body into a reused strip buffer and, once
+/// a strip is finished, adds its panels to the band's Gram matrices
+/// (`syrk_accumulate` at `lda = w`) while it is still in L2. Strips are
+/// a multiple of [`PANEL_K`] wide, so the SYRK sees exactly the panels
+/// of the task-wide buffer in the same order, and the strip width cannot
+/// change a stage 1+2 bit: the result equals
+/// `KernelMatrix::precompute_raw_with` over [`corr_normalized_merged`]'s
+/// buffer bit for bit, at every thread count (bands start on any voxel,
+/// DESIGN.md §15).
+///
+/// # Panics
+/// If `task` is out of range for `ctx`.
+pub fn fused_kernels(ctx: &TaskContext, task: VoxelTask, pool: &Pool) -> Vec<KernelMatrix> {
+    fused_kernels_within(ctx, task, pool, STRIP_BYTES)
+}
+
+/// [`fused_kernels`] with strips sized for `strip_bytes` (tests shrink
+/// it to force many strips on small brains).
+fn fused_kernels_within(
+    ctx: &TaskContext,
+    task: VoxelTask,
+    pool: &Pool,
+    strip_bytes: usize,
+) -> Vec<KernelMatrix> {
+    let v = task.count;
+    let n = ctx.n_voxels();
+    let m = ctx.n_epochs();
+    let mut grams = vec![0.0f32; v * m * m];
+    let _span = span!("stage12.fused", voxels = v, brain = n, epochs = m);
+
+    let assigned = assigned_blocks(ctx, task);
+    let pairs = epoch_pairs(ctx, &assigned);
+    run_voxel_bands(
+        pool,
+        &mut grams,
+        v,
+        m * m,
+        1,
+        || (),
+        |(), _band, (v0, v1, grams)| {
+            let w_max = strip_cols(v1 - v0, m, strip_bytes);
+            let mut strip = vec![0.0f32; (v1 - v0) * m * w_max];
+            let mut syrk = SyrkScratch::new(m, PANEL_K);
+            for gram in grams.chunks_exact_mut(m * m) {
+                syrk_zero(m, gram, m);
+            }
+            merged_band(ctx, &pairs, v0..v1, w_max, Landing::Strip, &mut strip, |strip, w| {
+                for (x, gram) in strip.chunks_exact(m * w).zip(grams.chunks_exact_mut(m * m)) {
+                    syrk_accumulate(m, w, x, w, gram, m, &mut syrk);
+                }
+            });
+            for gram in grams.chunks_exact_mut(m * m) {
+                syrk_mirror(m, gram, m);
+            }
+        },
+    );
+    fcma_linalg::debug_assert_finite!(&grams, "stage12 fused Gram matrices");
+    grams
+        .chunks_exact(m * m)
+        .map(|g| KernelMatrix::from_mat(Mat::from_vec(m, m, g.to_vec())))
+        .collect()
+}
+
+/// The fused path's strip width for a band of `band_voxels` voxels over
+/// `m` epochs: the widest multiple of [`PANEL_K`] whose
+/// (voxels × `M` × w) strip of `f32` fits in `strip_bytes`, and at least
+/// one panel.
+fn strip_cols(band_voxels: usize, m: usize, strip_bytes: usize) -> usize {
+    let col_bytes = band_voxels * m * std::mem::size_of::<f32>();
+    (strip_bytes / col_bytes.max(1) / PANEL_K).max(1) * PANEL_K
+}
+
+/// Where [`merged_band`] lands the band's z-scored values.
+#[derive(Clone, Copy)]
+enum Landing {
+    /// The band's rows of the task-wide interleaved buffer: row
+    /// `vi·M + e` at leading dimension `N`, from column `j0`.
+    Task,
+    /// The band's reused strip buffer: row `vi·M + e` at leading
+    /// dimension `w`, from column 0, so voxel `vi`'s strip is one
+    /// contiguous `M × w` matrix.
+    Strip,
+}
+
+/// One worker's share of the merged pipeline: the voxels of `band`,
+/// strip by strip (`w_max` columns each, the last one ragged), landed
+/// in `out` as `landing` says. Once a strip is finished — every subject
+/// tiled, normalized and landed — `strip_done(out, w)` runs.
 fn merged_band(
     ctx: &TaskContext,
     pairs: &[EpochPair<'_>],
-    v0: usize,
-    v1: usize,
-    chunk: &mut [f32],
+    band: Range<usize>,
     w_max: usize,
-    max_se: usize,
-    m: usize,
-    n: usize,
+    landing: Landing,
+    out: &mut [f32],
+    mut strip_done: impl FnMut(&[f32], usize),
 ) {
-    let bv = v1 - v0;
-    let mut tile = vec![0.0f32; bv * max_se * w_max];
+    let (m, n) = (ctx.n_epochs(), ctx.n_voxels());
+    let bv = band.len();
+    let mut tile = vec![0.0f32; bv * max_subject_epochs(ctx) * w_max];
     let mut strip_scratch = StripScratch::for_epochs(pairs);
     // Workhorse stat buffers reused across every tile.
     let mut sum = vec![0.0f32; w_max];
@@ -189,12 +292,16 @@ fn merged_band(
     let mut j0 = 0;
     while j0 < n {
         let w = w_max.min(n - j0);
+        let (ld, col) = match landing {
+            Landing::Task => (n, j0),
+            Landing::Strip => (w, 0),
+        };
         for sr in ctx.subject_ranges.iter() {
             let e_cnt = sr.len();
             // Compute the (band voxels × subject epochs × strip) tile.
             corr_tile_block_rows(
                 pairs,
-                v0..v1,
+                band.clone(),
                 sr.clone(),
                 j0..j0 + w,
                 &mut tile,
@@ -216,18 +323,19 @@ fn merged_band(
                     &mut mean[..w],
                     &mut inv_std[..w],
                 );
-                // Fused z-apply + scatter: the tile is read once (hot in
-                // cache) and the finished values stream to memory once.
+                // Fused z-apply + landing: the tile is read once (hot in
+                // cache) and every finished value is written once.
                 for (ei, e) in sr.clone().enumerate() {
                     let src = &block[ei * w..(ei + 1) * w];
-                    let dst_row = vi * m + e;
-                    let dst = &mut chunk[dst_row * n + j0..dst_row * n + j0 + w];
+                    let at = (vi * m + e) * ld + col;
+                    let dst = &mut out[at..at + w];
                     for j in 0..w {
                         dst[j] = (src[j] - mean[j]) * inv_std[j];
                     }
                 }
             }
         }
+        strip_done(out, w);
         j0 += w;
     }
 }
@@ -307,9 +415,9 @@ mod tests {
     #[test]
     fn tile_cols_never_changes_a_bit() {
         // An element's k-deep dot product and a column's epoch-order
-        // statistics never see the strip width. ROADMAP item 3 (SYRK
-        // fused into the strip) moves strip boundaries onto panel
-        // boundaries and relies on exactly this.
+        // statistics never see the strip width. The fused executor path
+        // (`fused_kernels`) cuts its strips at multiples of PANEL_K and
+        // relies on exactly this.
         let (d, _) = fcma_fmri::SynthConfig { n_voxels: 700, ..presets::tiny() }.generate();
         let ctx = TaskContext::full(&d);
         let n = ctx.n_voxels();
@@ -326,10 +434,55 @@ mod tests {
     }
 
     #[test]
+    fn strip_width_is_derived_from_the_band() {
+        // The benchmark's shapes: face-scene M = 216 at one band of two
+        // voxels and at two bands of one, attention M = 540; a band too
+        // tall for the budget still gets one panel.
+        assert_eq!(strip_cols(2, 216, STRIP_BYTES), 1152);
+        assert_eq!(strip_cols(1, 216, STRIP_BYTES), 2400);
+        assert_eq!(strip_cols(2, 540, STRIP_BYTES), 480);
+        assert_eq!(strip_cols(64, 216, STRIP_BYTES), PANEL_K);
+        assert_eq!(strip_cols(3, 40, 0), PANEL_K);
+    }
+
+    #[test]
+    fn fused_kernels_equal_precompute_over_the_merged_buffer() {
+        // One-panel strips (a zero budget) cut a 700-column brain into
+        // seven full strips and a ragged one; the real budget is one
+        // strip. Either way every Gram entry is the unfused one's bits.
+        let (d, _) = fcma_fmri::SynthConfig { n_voxels: 700, ..presets::tiny() }.generate();
+        let ctx = TaskContext::full(&d);
+        let (n, m) = (ctx.n_voxels(), ctx.n_epochs());
+        let task = VoxelTask { start: 3, count: 6 };
+        let merged = corr_normalized_merged(&ctx, task, TallSkinnyOpts::default());
+        let mut scratch = SyrkScratch::new(m, PANEL_K);
+        let want: Vec<KernelMatrix> = (0..task.count)
+            .map(|vi| {
+                KernelMatrix::precompute_raw_with(m, n, merged.voxel_matrix(vi), &mut scratch)
+            })
+            .collect();
+        for (strip_bytes, threads) in [(0, 1), (0, 2), (0, 4), (STRIP_BYTES, 1), (STRIP_BYTES, 3)] {
+            let got = fused_kernels_within(&ctx, task, &Pool::new(threads), strip_bytes);
+            assert_eq!(got.len(), want.len());
+            for (vi, (g, w)) in got.iter().zip(&want).enumerate() {
+                for i in 0..m {
+                    for (j, (x, y)) in g.row(i).iter().zip(w.row(i)).enumerate() {
+                        assert_eq!(
+                            x.to_bits(),
+                            y.to_bits(),
+                            "bytes={strip_bytes} threads={threads} voxel {vi} ({i},{j})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn parallel_merged_bit_identical_at_every_thread_count() {
         let ctx = ctx();
-        // 19 voxels: 2 full MR groups + a 3-row edge, so band carving
-        // exercises both aligned interior bands and the ragged tail.
+        // 19 voxels: at 2, 3 and 8 threads the bands (10 + 9, 7 + 6 + 6,
+        // 3 × 3 + 5 × 2) start off MR boundaries and end in fringes.
         let task = VoxelTask { start: 2, count: 19 };
         let opts = TallSkinnyOpts { tile_cols: 48 };
         let serial = corr_normalized_merged(&ctx, task, opts);

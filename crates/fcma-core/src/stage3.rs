@@ -6,8 +6,11 @@
 //! configured SVM solver. The resulting accuracy is the voxel's
 //! "informativeness" score.
 //!
-//! One pool task handles one voxel — the paper's "a thread takes full
-//! responsibility for the cross validation of one voxel".
+//! [`score_task`] does both over a task's correlation buffer; the
+//! optimized executor gets its kernels from the fused stage 1+2 pass
+//! (`stage2::fused_kernels`) instead. Both end in [`score_kernels`],
+//! where one pool task handles one voxel — the paper's "a thread takes
+//! full responsibility for the cross validation of one voxel".
 
 use crate::stage1::{bridge_pool_counters, CorrData};
 use crate::task::{VoxelScore, VoxelTask};
@@ -25,57 +28,17 @@ pub enum KernelPrecompute {
     Optimized,
 }
 
-/// What one stage-3 worker reuses across its voxels: the SYRK panel
-/// buffers (the paper's per-thread `A_local`, §4.4) and the SMO solver's
-/// vectors and training-block buffer.
-pub(crate) struct VoxelScratch {
-    syrk: SyrkScratch,
-    smo: SmoScratch,
-}
-
-impl VoxelScratch {
-    /// Scratch for voxels of `n_epochs` epochs each.
-    pub(crate) fn new(n_epochs: usize) -> Self {
-        VoxelScratch { syrk: SyrkScratch::new(n_epochs, PANEL_K), smo: SmoScratch::default() }
-    }
-}
-
-/// Score one voxel: kernel precompute + leave-one-group-out CV.
+/// Score every voxel of a task: precompute each voxel's kernel from
+/// `corr` (one [`SyrkScratch`] per pool worker, the paper's per-thread
+/// `A_local`, §4.4), then [`score_kernels`].
 ///
-/// `vi` is the task-relative voxel index into `corr`; `y` and `groups`
-/// are parallel to the epochs of `corr` (groups are subjects for offline
-/// analysis, epoch folds for the online case). The CV folds run on
-/// `fold_pool` — bit-identical at every thread count (DESIGN.md §15);
-/// callers that already fill the cores across voxels pass the
-/// one-thread pool.
-#[allow(clippy::too_many_arguments)] // per-voxel scoring ABI shared by both executors
-pub(crate) fn score_voxel(
-    corr: &CorrData,
-    vi: usize,
-    y: &[f32],
-    groups: &[usize],
-    solver: &SolverKind,
-    precompute: KernelPrecompute,
-    scratch: &mut VoxelScratch,
-    fold_pool: &Pool,
-) -> f64 {
-    let m = corr.layout.n_epochs;
-    let n = corr.layout.n_brain;
-    assert_eq!(y.len(), m, "score_voxel: targets/epochs mismatch");
-    assert_eq!(groups.len(), m, "score_voxel: groups/epochs mismatch");
-    let data = corr.voxel_matrix(vi);
-    let kernel = match precompute {
-        KernelPrecompute::Baseline => KernelMatrix::precompute_baseline_raw(m, n, data),
-        KernelPrecompute::Optimized => {
-            KernelMatrix::precompute_raw_with(m, n, data, &mut scratch.syrk)
-        }
-    };
-    loso_cross_validate_with(&kernel, y, groups, solver, fold_pool, &mut scratch.smo).accuracy
-}
-
-/// Score every voxel of a task in parallel.
-///
+/// `y` and `groups` are parallel to the epochs of `corr` (groups are
+/// subjects for offline analysis, epoch folds for the online case).
 /// Returns global-voxel-indexed scores (using `task.start` as the base).
+///
+/// # Panics
+/// If `corr` does not hold `task.count` voxels, or on the length
+/// mismatches [`score_kernels`] rejects.
 pub fn score_task(
     corr: &CorrData,
     task: VoxelTask,
@@ -86,29 +49,55 @@ pub fn score_task(
     pool: &Pool,
 ) -> Vec<VoxelScore> {
     assert_eq!(corr.layout.n_assigned, task.count, "score_task: task/corr shape mismatch");
-    let _span = span!("stage3.score", voxels = task.count, epochs = corr.layout.n_epochs);
-    counter!("stage3.voxels", task.count);
-    if task.count == 1 && pool.threads() > 1 {
-        // A single-voxel task (the online/realtime shape) has no voxel
-        // parallelism to exploit; push the pool down one level and run
-        // the CV folds in parallel instead. Same score either way — the
-        // CV is bit-identical at every thread count (DESIGN.md §15).
-        let mut scratch = VoxelScratch::new(corr.layout.n_epochs);
-        let accuracy = score_voxel(corr, 0, y, groups, solver, precompute, &mut scratch, pool);
-        return vec![VoxelScore { voxel: task.start, accuracy }];
-    }
-    // One scratch per pool worker, reused across that worker's voxels.
-    // Scores come back in task-index order regardless of which worker
-    // ran them.
-    let inline = Pool::default();
-    let (scores, stats) = pool.run_init_stats(
+    let (m, n) = (corr.layout.n_epochs, corr.layout.n_brain);
+    let (kernels, stats) = pool.run_init_stats(
         (0..task.count).collect(),
-        || VoxelScratch::new(corr.layout.n_epochs),
-        |scratch, _idx, vi| VoxelScore {
-            voxel: task.start + vi,
-            accuracy: score_voxel(corr, vi, y, groups, solver, precompute, scratch, &inline),
+        || SyrkScratch::new(m, PANEL_K),
+        |syrk, _idx, vi| {
+            let data = corr.voxel_matrix(vi);
+            match precompute {
+                KernelPrecompute::Baseline => KernelMatrix::precompute_baseline_raw(m, n, data),
+                KernelPrecompute::Optimized => KernelMatrix::precompute_raw_with(m, n, data, syrk),
+            }
         },
     );
+    bridge_pool_counters(&stats);
+    score_kernels(&kernels, task.start, y, groups, solver, pool)
+}
+
+/// Leave-one-group-out CV of every voxel of a task from its precomputed
+/// kernel — the one stage-3 loop of both executors. `kernels[vi]` is
+/// voxel `start + vi`'s; `y` and `groups` are parallel to its samples.
+///
+/// One pool task per voxel, each worker reusing one [`SmoScratch`];
+/// scores come back in voxel order whichever worker ran them. A
+/// one-voxel task (the online shape) has no voxel parallelism, so the
+/// pool goes down one level and runs that voxel's CV folds instead.
+/// Same scores either way: the CV is bit-identical at every thread
+/// count (DESIGN.md §15).
+///
+/// # Panics
+/// If `y` or `groups` does not match a kernel's size, or a fold would
+/// see a single class.
+pub(crate) fn score_kernels(
+    kernels: &[KernelMatrix],
+    start: usize,
+    y: &[f32],
+    groups: &[usize],
+    solver: &SolverKind,
+    pool: &Pool,
+) -> Vec<VoxelScore> {
+    let _span = span!("stage3.score", voxels = kernels.len(), epochs = y.len());
+    counter!("stage3.voxels", kernels.len());
+    let fold_pool = if kernels.len() == 1 { *pool } else { Pool::default() };
+    let (scores, stats) =
+        pool.run_init_stats(kernels.iter().collect(), SmoScratch::default, |smo, vi, kernel| {
+            VoxelScore {
+                voxel: start + vi,
+                accuracy: loso_cross_validate_with(kernel, y, groups, solver, &fold_pool, smo)
+                    .accuracy,
+            }
+        });
     bridge_pool_counters(&stats);
     scores
 }

@@ -4,32 +4,48 @@
 
 use fcma_core::{
     corr_baseline, corr_normalized_merged, corr_normalized_merged_parallel, corr_optimized,
-    normalize_baseline, normalize_separated, score_task, KernelPrecompute, TaskContext, VoxelTask,
+    fused_kernels, normalize_baseline, normalize_separated, score_task, KernelPrecompute,
+    TaskContext, VoxelTask,
 };
 use fcma_fmri::noise::{Ar1, Drift};
 use fcma_fmri::synth::{Placement, SynthConfig};
-use fcma_linalg::gemm_blocked;
 use fcma_linalg::tall_skinny::TallSkinnyOpts;
-use fcma_svm::{SmoParams, SolverKind};
+use fcma_linalg::{gemm_blocked, SyrkScratch, PANEL_K};
+use fcma_svm::{KernelMatrix, SmoParams, SolverKind};
 use fcma_sync::pool::Pool;
 use proptest::prelude::*;
 
 fn config_strategy() -> impl Strategy<Value = SynthConfig> {
     (12usize..48, 2usize..4, 2usize..4, any::<u64>()).prop_map(|(nv, ns, eh, seed)| SynthConfig {
-        n_voxels: nv,
-        n_subjects: ns,
-        epochs_per_subject: eh * 2,
+        n_informative: (nv / 4).max(2) & !1,
+        ..synth(nv, ns, eh * 2, seed)
+    })
+}
+
+/// A small noisy dataset with no planted network.
+fn synth(n_voxels: usize, n_subjects: usize, epochs_per_subject: usize, seed: u64) -> SynthConfig {
+    SynthConfig {
+        n_voxels,
+        n_subjects,
+        epochs_per_subject,
         epoch_len: 8,
         gap: 2,
-        n_informative: (nv / 4).max(2) & !1,
+        n_informative: 0,
         coupling: 1.2,
         noise: Ar1 { phi: 0.3, sigma: 1.0 },
         drift: Drift { linear: 0.5, sin_amp: 0.2, sin_cycles: 1.0 },
         seed,
         placement: Placement::Random,
         hrf: None,
-    })
+    }
 }
+
+/// Brain widths of the fused-kernel property: one voxel, one SYRK panel
+/// (`PANEL_K` = 96 columns) and either side of it, and several panels.
+const FUSED_BRAINS: [usize; 5] = [1, 95, 96, 97, 700];
+/// Task sizes of the fused-kernel property: below, at and above one
+/// register tile (`MR` = 4), and two tiles and a fringe.
+const FUSED_VOXELS: [usize; 5] = [1, 3, 4, 5, 9];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -94,8 +110,8 @@ proptest! {
 
     /// DESIGN.md §15: the fused stage-1+2 pipeline is bit-identical to its
     /// one-thread schedule at every thread count, on arbitrary datasets
-    /// and task offsets (bands are MR = 8 voxels, so 12–47-voxel tasks
-    /// give 2–6 of them).
+    /// and task offsets (bands are cut at voxel granularity, so most of
+    /// them start off an `MR` boundary).
     #[test]
     fn parallel_pipeline_bit_identical(cfg in config_strategy(), start_frac in 0.0f32..0.6) {
         let (d, _) = cfg.generate();
@@ -110,6 +126,63 @@ proptest! {
             let pm = corr_normalized_merged_parallel(&ctx, task, TallSkinnyOpts { tile_cols: 32 }, &pool);
             for (i, (p, s)) in pm.buf.iter().zip(&merged.buf).enumerate() {
                 prop_assert_eq!(p.to_bits(), s.to_bits(), "merged threads={} idx={}", threads, i);
+            }
+        }
+    }
+
+    /// The optimized executor's one pass — stage 1+2 and the kernel
+    /// precompute over each strip while it is in cache — gives every
+    /// voxel's Gram matrix the bits of the unfused sequence:
+    /// `corr_normalized_merged`, then `KernelMatrix::precompute_raw_with`.
+    /// Subjects keep a ragged number of epochs, bands start on any voxel
+    /// at 1–3 threads, and a decoy task runs through the same pool (and
+    /// dirties the oracle's SYRK scratch) first.
+    #[test]
+    fn fused_kernels_bit_identical_to_unfused(
+        brain in 0usize..5,
+        voxels in 0usize..5,
+        threads in 1usize..4,
+        lens in proptest::collection::vec(1usize..7, 3),
+        start_frac in 0.0f32..1.0,
+        seed in any::<u64>(),
+    ) {
+        let n = FUSED_BRAINS[brain];
+        let (d, _) = synth(n, 3, 6, seed).generate();
+        // Ragged subjects: subject s keeps its first lens[s] epochs.
+        let mut seen = [0usize; 3];
+        let keep: Vec<usize> = (0..d.n_epochs())
+            .filter(|&e| {
+                let s = d.epochs()[e].subject;
+                seen[s] += 1;
+                seen[s] <= lens[s]
+            })
+            .collect();
+        let ctx = TaskContext::subset(&d, &keep);
+        let m = ctx.n_epochs();
+        let count = FUSED_VOXELS[voxels].min(n);
+        let task = VoxelTask { start: ((n - count) as f32 * start_frac) as usize, count };
+        let pool = Pool::new(threads);
+
+        let decoy = VoxelTask { start: n - 1, count: 1 };
+        let mut scratch = SyrkScratch::new(m, PANEL_K);
+        let dirt = corr_normalized_merged(&ctx, decoy, TallSkinnyOpts::default());
+        KernelMatrix::precompute_raw_with(m, n, dirt.voxel_matrix(0), &mut scratch);
+        drop(fused_kernels(&ctx, decoy, &pool));
+
+        let merged = corr_normalized_merged(&ctx, task, TallSkinnyOpts::default());
+        let fused = fused_kernels(&ctx, task, &pool);
+        prop_assert_eq!(fused.len(), count);
+        for (vi, got) in fused.iter().enumerate() {
+            let want = KernelMatrix::precompute_raw_with(m, n, merged.voxel_matrix(vi), &mut scratch);
+            for i in 0..m {
+                for (j, (g, w)) in got.row(i).iter().zip(want.row(i)).enumerate() {
+                    prop_assert_eq!(
+                        g.to_bits(),
+                        w.to_bits(),
+                        "n={} task={:?} threads={} voxel {} ({},{})",
+                        n, task, threads, vi, i, j
+                    );
+                }
             }
         }
     }

@@ -13,7 +13,7 @@
 //!   (L2-sized column strips, packed panels, interleaved-by-voxel output);
 //! * [`syrk`] — the paper's optimized stage-3 kernel-matrix SYRK
 //!   (96-deep panels, register microkernel, one caller-owned scratch per
-//!   thread; no cross-thread reduction);
+//!   thread; no cross-thread reduction), also callable strip by strip;
 //! * [`microkernel`] — the shared register-tile microkernels;
 //! * [`norms`] — epoch normalization (Eq. 2), Fisher transform (Eq. 4),
 //!   z-scoring (Eq. 5) and vector primitives.
@@ -41,7 +41,9 @@ pub use norms::{
     zscore_with,
 };
 pub use ops::{add_scaled, col_means, gemv, gemv_t, row_means, scale};
-pub use syrk::{syrk_dot, syrk_panel_scratch, SyrkScratch, PANEL_K};
+pub use syrk::{
+    syrk_accumulate, syrk_dot, syrk_mirror, syrk_panel_scratch, syrk_zero, SyrkScratch, PANEL_K,
+};
 pub use tall_skinny::{
     corr_reference, corr_tall_skinny, corr_tile_block_rows, CorrLayout, EpochPair, StripScratch,
     TallSkinnyOpts,

@@ -19,6 +19,15 @@
 //!   folds for a one-voxel task), one [`SyrkScratch`] per pool worker,
 //!   so unlike the paper's OpenMP-lock partial-`C` merge (§4.4) there is
 //!   no cross-thread reduction here at all.
+//!
+//! The panel kernel is three steps — [`syrk_zero`], [`syrk_accumulate`],
+//! [`syrk_mirror`] — and [`syrk_panel_scratch`] is their composition.
+//! The middle step adds `A`'s panels to the lower triangle in ascending
+//! column order, so calling it once per column strip of `A` (strips that
+//! start on multiples of the panel depth) performs the same additions in
+//! the same order as one call over all of `A`: that is how the optimized
+//! executor builds each voxel's Gram matrix from strips it never
+//! assembles into a whole `M × N` matrix.
 
 use crate::microkernel::{microkernel_clipped, pack_a_panel};
 
@@ -83,18 +92,70 @@ pub fn syrk_panel_scratch(
     ldc: usize,
     scratch: &mut SyrkScratch,
 ) {
+    syrk_zero(m, c, ldc);
+    syrk_accumulate(m, n, a, lda, c, ldc, scratch);
+    syrk_mirror(m, c, ldc);
+}
+
+/// Step 1 of [`syrk_panel_scratch`]: zero the `m × m` square of `C`
+/// (tiles straddling the diagonal write a few upper entries too, so the
+/// whole square is cleared and stale data never leaks through
+/// [`syrk_mirror`]).
+///
+/// # Panics
+/// If `c` cannot hold `m` rows at leading dimension `ldc`.
+// audit: pure
+pub fn syrk_zero(m: usize, c: &mut [f32], ldc: usize) {
+    for i in 0..m {
+        c[i * ldc..i * ldc + m].fill(0.0);
+    }
+}
+
+/// Step 2 of [`syrk_panel_scratch`]: add `A · Aᵀ` over `A`'s `n`
+/// columns to the lower triangle of `C`, one scratch-deep panel at a
+/// time in ascending column order. `A` may be one column strip of a
+/// wider matrix (`lda` is then the strip width): consecutive calls over
+/// strips that start on multiples of the panel depth add the same
+/// panels, in the same order, as one call over the whole matrix, so the
+/// result is bit-identical.
+///
+/// # Panics
+/// Panics if buffers are inconsistent or `scratch` was built for a
+/// smaller `m`.
+// audit: hot
+pub fn syrk_accumulate(
+    m: usize,
+    n: usize,
+    a: &[f32],
+    lda: usize,
+    c: &mut [f32],
+    ldc: usize,
+    scratch: &mut SyrkScratch,
+) {
     assert!(scratch.m >= m, "syrk: scratch built for m {} < {m}", scratch.m);
     validate(m, n, a.len(), lda, c.len(), ldc);
     if m == 0 {
         return;
     }
-    zero_lower(c, m, ldc);
     let panel_k = scratch.panel_k;
     for p in (0..n).step_by(panel_k) {
         let kp = panel_k.min(n - p);
         accumulate_panel(m, a, lda, p, kp, c, ldc, scratch);
     }
-    mirror_lower_to_upper(c, m, ldc);
+}
+
+/// Step 3 of [`syrk_panel_scratch`]: copy the lower triangle of the
+/// `m × m` square of `C` onto its upper triangle.
+///
+/// # Panics
+/// If `c` cannot hold `m` rows at leading dimension `ldc`.
+// audit: pure
+pub fn syrk_mirror(m: usize, c: &mut [f32], ldc: usize) {
+    for i in 0..m {
+        for j in i + 1..m {
+            c[i * ldc + j] = c[j * ldc + i];
+        }
+    }
 }
 
 /// Reusable packing buffers for one thread's panel walk (`A_local` and
@@ -201,24 +262,6 @@ fn validate(m: usize, n: usize, a_len: usize, lda: usize, c_len: usize, ldc: usi
     if m > 0 {
         assert!(a_len >= (m - 1) * lda + n, "syrk: A too short");
         assert!(c_len >= (m - 1) * ldc + m, "syrk: C too short");
-    }
-}
-
-// audit: pure
-fn zero_lower(c: &mut [f32], m: usize, ldc: usize) {
-    // Tiles straddling the diagonal write a few upper entries too; zero the
-    // full square so stale data never leaks through the mirror step.
-    for i in 0..m {
-        c[i * ldc..i * ldc + m].fill(0.0);
-    }
-}
-
-// audit: pure
-fn mirror_lower_to_upper(c: &mut [f32], m: usize, ldc: usize) {
-    for i in 0..m {
-        for j in i + 1..m {
-            c[i * ldc + j] = c[j * ldc + i];
-        }
     }
 }
 

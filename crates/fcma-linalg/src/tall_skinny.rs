@@ -176,27 +176,28 @@ impl StripScratch {
 /// (optimization idea #2): the caller asks for exactly the `(voxel band) ×
 /// (one subject's epochs) × (one column strip)` block that within-subject
 /// normalization needs, normalizes it while it is cache-hot, and only then
-/// scatters it to the big interleaved buffer.
+/// lands it — in the big interleaved buffer, or in the strip the fused
+/// executor path adds to its Gram matrices.
 ///
 /// `buf` is written densely with *local* voxel indices:
 /// `buf[((vi − v_start) · E + ei) · W + (j − col0)]` where
 /// `E = epoch_range.len()` and `W = col_range.len()`.
 ///
 /// It is the unit of work the merged pipeline hands to pool workers:
-/// each worker owns a disjoint MR-aligned band of assigned voxels (one
-/// band, `0..V`, at one thread). `voxel_range.start` must be a multiple
-/// of [`MR`] so the register-tile grouping — and therefore every
-/// per-element FMA sequence — matches the full-range call bit for bit
-/// (DESIGN.md §15 determinism contract).
+/// each worker owns a disjoint band of assigned voxels (one band, `0..V`,
+/// at one thread). The band may start anywhere: voxels are grouped by
+/// [`MR`] from `voxel_range.start`, but every row of a register tile is
+/// its own in-order sum whatever the tile's height, so each element is
+/// bit-identical to the full-range call's (DESIGN.md §15 determinism
+/// contract).
 ///
 /// `scratch` is the caller's [`StripScratch::for_epochs`] of (a superset
 /// of) these epochs, reused across calls; a dirty one gives the same
 /// bits as a fresh one, since every region read is overwritten first.
 ///
 /// # Panics
-/// Panics on inconsistent shapes, out-of-bounds ranges, an unaligned
-/// `voxel_range.start`, a short buffer, or a scratch built for shorter
-/// epochs.
+/// Panics on inconsistent shapes, out-of-bounds ranges, a short buffer,
+/// or a scratch built for shorter epochs.
 pub fn corr_tile_block_rows(
     epochs: &[EpochPair<'_>],
     voxel_range: Range<usize>,
@@ -211,11 +212,6 @@ pub fn corr_tile_block_rows(
     assert!(epoch_range.end <= epochs.len(), "corr_tile_block_rows: epoch range out of bounds");
     assert!(col_range.end <= n, "corr_tile_block_rows: column range out of bounds");
     assert!(voxel_range.end <= v, "corr_tile_block_rows: voxel range out of bounds");
-    assert_eq!(
-        voxel_range.start % MR,
-        0,
-        "corr_tile_block_rows: voxel range must start on an MR={MR} boundary"
-    );
     let v_count = voxel_range.len();
     let e_count = epoch_range.len();
     let w = col_range.len();
@@ -443,55 +439,30 @@ mod tests {
 
     #[test]
     fn tile_block_rows_bit_identical_to_full_range() {
-        // Band-partitioned computation (the parallel fused pipeline's unit
-        // of work) must reproduce the full-range tile bit for bit as long
-        // as band starts are MR-aligned.
-        let v = 21; // 5 full MR groups + a 1-row edge
-        let n = 50;
-        let ks = [12usize, 7, 12];
-        let (assigned, brain) = make_epochs(v, n, &ks);
+        // Band-partitioned computation (the merged pipeline's unit of
+        // work) at voxel granularity: every range, MR-aligned or not,
+        // gives the matching rows of the full-range call bit for bit,
+        // though its register tiles group other voxels (and other
+        // fringes) than the full call's. One scratch, dirty from the
+        // call before, serves every range.
+        let v = 2 * MR + 3;
+        let ks = [12usize, 5];
+        let (assigned, brain) = make_epochs(v, 37, &ks);
         let eps = pairs(&assigned, &brain);
-        let er = 0..ks.len();
-        let cr = 3..47usize;
-        let w = cr.len();
-        let ec = er.len();
-        let mut full = vec![f32::NAN; v * ec * w];
+        let (er, cr) = (0..ks.len(), 2..35usize);
+        let row = ks.len() * cr.len();
         let mut scratch = StripScratch::for_epochs(&eps);
+        let mut full = vec![f32::NAN; v * row];
         corr_tile_block_rows(&eps, 0..v, er.clone(), cr.clone(), &mut full, &mut scratch);
-        for bands in [1usize, 2, 3] {
-            let n_groups = v.div_ceil(MR);
-            let mut v0 = 0usize;
-            for band in 0..bands.min(n_groups) {
-                let groups = n_groups / bands + usize::from(band < n_groups % bands);
-                let v1 = (v0 + groups * MR).min(v);
-                let mut part = vec![f32::NAN; (v1 - v0) * ec * w];
+        for v0 in 0..v {
+            for v1 in v0 + 1..=v {
+                let mut part = vec![f32::NAN; (v1 - v0) * row];
                 corr_tile_block_rows(&eps, v0..v1, er.clone(), cr.clone(), &mut part, &mut scratch);
-                for (li, got) in part.iter().enumerate() {
-                    let vi = v0 + li / (ec * w);
-                    let want = full[(vi * ec) * w + li % (ec * w)];
-                    assert_eq!(got.to_bits(), want.to_bits(), "bands={bands} band={band}");
+                for (i, (p, f)) in part.iter().zip(&full[v0 * row..v1 * row]).enumerate() {
+                    assert_eq!(p.to_bits(), f.to_bits(), "{v0}..{v1} idx {i}");
                 }
-                v0 = v1;
             }
-            assert_eq!(v0, v);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "MR=4 boundary")]
-    fn tile_block_rows_rejects_unaligned_start() {
-        let a = Mat::zeros(16, 3);
-        let b = Mat::zeros(3, 5);
-        let eps = [EpochPair { assigned: &a, brain: &b }];
-        let mut buf = vec![0.0; 16 * 5];
-        corr_tile_block_rows(
-            &eps,
-            3..16,
-            0..1,
-            0..5,
-            &mut buf,
-            &mut StripScratch::for_epochs(&eps),
-        );
     }
 
     #[test]

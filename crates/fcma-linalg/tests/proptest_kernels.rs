@@ -120,6 +120,39 @@ proptest! {
     }
 
     #[test]
+    fn syrk_strip_by_strip_bit_identical_to_one_call(
+        m in 1usize..20,
+        n in 1usize..400,
+        panel_k in 1usize..64,
+        panels_per_strip in 1usize..5,
+        seed in any::<u32>(),
+    ) {
+        // The fused executor's use of the three steps: zero, one
+        // accumulate per column strip (each copied out at lda = its
+        // width, strips a whole number of panels wide, the last one
+        // ragged), mirror — over a scratch left dirty by the call before.
+        let a: Vec<f32> = (0..m * n)
+            .map(|i| (((i as u32).wrapping_mul(seed | 1) >> 16) % 100) as f32 / 50.0 - 1.0)
+            .collect();
+        let mut scratch = SyrkScratch::new(m, panel_k);
+        let mut whole = vec![f32::NAN; m * m];
+        syrk_panel_scratch(m, n, &a, n, &mut whole, m, &mut scratch);
+        let w_max = panels_per_strip * panel_k;
+        let mut c = vec![f32::NAN; m * m];
+        syrk_zero(m, &mut c, m);
+        for j0 in (0..n).step_by(w_max) {
+            let w = w_max.min(n - j0);
+            let strip: Vec<f32> =
+                (0..m).flat_map(|i| a[i * n + j0..i * n + j0 + w].iter().copied()).collect();
+            syrk_accumulate(m, w, &strip, w, &mut c, m, &mut scratch);
+        }
+        syrk_mirror(m, &mut c, m);
+        for (s, f) in c.iter().zip(&whole) {
+            prop_assert_eq!(s.to_bits(), f.to_bits(), "m={} n={} w_max={}", m, n, w_max);
+        }
+    }
+
+    #[test]
     fn gemm_blocked_scratch_bit_identical_to_fresh(
         m in 1usize..20,
         n in 1usize..50,
@@ -476,9 +509,9 @@ proptest! {
         bands in 1usize..5,
         seed in any::<u64>(),
     ) {
-        // The merged pipeline's banding unit: computing the block
-        // in MR-aligned voxel bands must reproduce the full-range call
-        // bit for bit (DESIGN.md §15).
+        // The merged pipeline's banding unit: computing the block in
+        // voxel bands that start anywhere (not only on MR boundaries)
+        // must reproduce the full-range call bit for bit (DESIGN.md §15).
         let assigned: Vec<Mat> = (0..m_epochs)
             .map(|e| Mat::from_vec(v, k, pseudo(v * k, seed ^ e as u64)))
             .collect();
@@ -504,12 +537,10 @@ proptest! {
         // One scratch across every band, dirty from the band before.
         let mut scratch = StripScratch::for_epochs(&eps);
         let mut banded = vec![f32::NAN; v * m_epochs * w];
-        let n_groups = v.div_ceil(MR);
-        let bands = bands.min(n_groups);
+        let bands = bands.min(v);
         let mut v0 = 0usize;
         for band in 0..bands {
-            let groups = n_groups / bands + usize::from(band < n_groups % bands);
-            let v1 = (v0 + groups * MR).min(v);
+            let v1 = v0 + v / bands + usize::from(band < v % bands);
             let chunk = &mut banded[v0 * m_epochs * w..v1 * m_epochs * w];
             corr_tile_block_rows(&eps, v0..v1, 0..m_epochs, col0..n, chunk, &mut scratch);
             v0 = v1;
