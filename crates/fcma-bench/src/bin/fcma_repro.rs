@@ -20,7 +20,6 @@ use fcma_bench::model::{
 use fcma_bench::report::{fmt, fmt_ms, print_table};
 use fcma_bench::workloads::DatasetKind;
 use fcma_bench::SvmMeasurement;
-use fcma_cluster::ClusterModel;
 use fcma_core::{
     corr_normalized_merged, corr_optimized, offline_analysis, recovery_rate, AnalysisConfig,
     OptimizedExecutor, TaskContext, VoxelTask,
@@ -30,7 +29,7 @@ use fcma_sim::analytic::{
     corr_mkl, corr_optimized as corr_opt_model, norm_baseline, norm_merged, norm_separated, svm_cv,
     syrk_mkl, syrk_optimized, SvmImpl,
 };
-use fcma_sim::{phi_5110p, xeon_e5_2670, KernelCounters, TimeModel};
+use fcma_sim::{phi_5110p, xeon_e5_2670, ClusterModel, KernelCounters, TimeModel};
 use fcma_svm::{loso_cross_validate, KernelMatrix, LibSvmParams, SmoParams, SolverKind, WssMode};
 
 /// Command-line options shared by all subcommands.

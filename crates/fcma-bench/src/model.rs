@@ -147,7 +147,7 @@ pub fn degraded_offline_table(
     fail_at_sec: f64,
 ) -> Vec<(usize, f64, f64)> {
     let tasks = offline_task_list(kind, machine, phisvm_iters);
-    let model = fcma_cluster::ClusterModel { data_bytes: kind.data_bytes(), ..Default::default() };
+    let model = fcma_sim::ClusterModel { data_bytes: kind.data_bytes(), ..Default::default() };
     model.degraded_sweep(&tasks, node_counts, failed_fraction, fail_at_sec)
 }
 

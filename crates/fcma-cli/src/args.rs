@@ -26,6 +26,8 @@ pub(crate) enum ArgError {
     BadValue { key: String, value: String, want: &'static str },
     /// Extra positional argument.
     UnexpectedPositional(String),
+    /// An option the command does not take.
+    UnknownOption { option: String, command: String },
 }
 
 impl std::fmt::Display for ArgError {
@@ -39,6 +41,9 @@ impl std::fmt::Display for ArgError {
             ArgError::UnexpectedPositional(p) => {
                 write!(f, "unexpected argument {p:?}")
             }
+            ArgError::UnknownOption { option, command } => {
+                write!(f, "`fcma {command}` has no option --{option}")
+            }
         }
     }
 }
@@ -46,10 +51,36 @@ impl std::fmt::Display for ArgError {
 impl std::error::Error for ArgError {}
 
 /// Keys that are switches (take no value).
-const SWITCHES: &[&str] = &["verbose", "help", "resume", "check"];
+const SWITCHES: &[&str] = &["help", "resume", "check"];
 
 /// Commands that accept bare positional arguments after the command name.
 const POSITIONAL_COMMANDS: &[&str] = &["report", "top", "postmortem"];
+
+/// The options each command takes, switches included and separated by
+/// spaces; `--help` is taken by every command. An unlisted command is
+/// left for `main` to reject.
+const COMMAND_OPTIONS: &[(&str, &str)] = &[
+    ("generate", "preset voxels subjects coupling placement seed out"),
+    ("info", "data"),
+    (
+        "analyze",
+        "data task-size top-k out threads truth workers retries task-deadline-ms checkpoint \
+         resume trace-out metrics-out postmortem chaos-panic-task",
+    ),
+    ("report", "check slo"),
+    ("top", ""),
+    ("postmortem", ""),
+    ("offline", "data top-k task-size threads"),
+    ("clusters", "scores top-k grid"),
+    ("mask", "data threshold out"),
+    ("help", ""),
+];
+
+/// The options `command` takes, if it is a command.
+pub(crate) fn options_of(command: &str) -> Option<Vec<&'static str>> {
+    let (_, options) = COMMAND_OPTIONS.iter().find(|(c, _)| *c == command)?;
+    Some(options.split_whitespace().collect())
+}
 
 impl Args {
     /// Parse from an iterator of arguments (excluding the program name).
@@ -62,8 +93,12 @@ impl Args {
         let mut options = HashMap::new();
         let mut flags = Vec::new();
         let mut positionals = Vec::new();
+        let accepted = options_of(&command);
         while let Some(a) = it.next() {
             if let Some(key) = a.strip_prefix("--") {
+                if key != "help" && accepted.as_ref().is_some_and(|o| !o.contains(&key)) {
+                    return Err(ArgError::UnknownOption { option: key.into(), command });
+                }
                 if SWITCHES.contains(&key) {
                     flags.push(key.to_string());
                 } else {
@@ -125,12 +160,12 @@ mod tests {
 
     #[test]
     fn parses_command_and_options() {
-        let a = parse(&["generate", "--voxels", "512", "--out", "ds", "--verbose"]).unwrap();
-        assert_eq!(a.command, "generate");
-        assert_eq!(a.get("voxels"), Some("512"));
-        assert_eq!(a.get_or("preset", "tiny"), "tiny");
-        assert!(a.has_flag("verbose"));
-        assert_eq!(a.get_parsed("voxels", 0usize, "integer").unwrap(), 512);
+        let a = parse(&["analyze", "--task-size", "512", "--out", "s.tsv", "--resume"]).unwrap();
+        assert_eq!(a.command, "analyze");
+        assert_eq!(a.get("task-size"), Some("512"));
+        assert_eq!(a.get_or("data", "fallback"), "fallback");
+        assert!(a.has_flag("resume"));
+        assert_eq!(a.get_parsed("task-size", 0usize, "integer").unwrap(), 512);
     }
 
     #[test]
@@ -149,12 +184,41 @@ mod tests {
     #[test]
     fn errors_are_specific() {
         assert_eq!(parse(&[]).unwrap_err(), ArgError::NoCommand);
-        assert_eq!(parse(&["run", "--out"]).unwrap_err(), ArgError::MissingValue("out".into()));
-        assert!(matches!(parse(&["run", "stray"]).unwrap_err(), ArgError::UnexpectedPositional(_)));
-        let a = parse(&["run", "--voxels", "abc"]).unwrap();
+        assert_eq!(
+            parse(&["generate", "--out"]).unwrap_err(),
+            ArgError::MissingValue("out".into())
+        );
+        assert!(matches!(
+            parse(&["info", "stray"]).unwrap_err(),
+            ArgError::UnexpectedPositional(_)
+        ));
+        let a = parse(&["generate", "--voxels", "abc"]).unwrap();
         assert!(matches!(
             a.get_parsed("voxels", 0usize, "integer").unwrap_err(),
             ArgError::BadValue { .. }
         ));
+    }
+
+    #[test]
+    fn unknown_and_retired_options_are_rejected() {
+        // A typo used to score with the default, and `--executor`,
+        // `--verbose` and `--trace` are options no command takes any more.
+        for (argv, option) in [
+            (&["analyze", "--data", "ds", "--task-sise", "0", "--top-k", "2"][..], "task-sise"),
+            (&["info", "--data", "ds", "--bogus", "x"], "bogus"),
+            (&["analyze", "--data", "ds", "--executor", "baseline"], "executor"),
+            (&["offline", "--data", "ds", "--executor", "baseline"], "executor"),
+            (&["generate", "--out", "ds", "--verbose"], "verbose"),
+            (&["report", "--trace", "trace.json"], "trace"),
+            (&["top", "--trace", "trace.json"], "trace"),
+        ] {
+            let command = argv[0];
+            let err = parse(argv).unwrap_err();
+            assert_eq!(
+                err,
+                ArgError::UnknownOption { option: option.into(), command: command.into() }
+            );
+            assert_eq!(err.to_string(), format!("`fcma {command}` has no option --{option}"));
+        }
     }
 }

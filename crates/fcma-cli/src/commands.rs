@@ -4,11 +4,11 @@ use crate::args::Args;
 use fcma_cluster::{run_cluster_with, ChaosExecutor, ClusterConfig};
 use fcma_core::{
     offline_analysis, recovery_rate, score_all_voxels, select_top_k, AnalysisConfig,
-    BaselineExecutor, OptimizedExecutor, TaskContext, TaskExecutor, VoxelScore,
+    OptimizedExecutor, TaskContext, TaskExecutor, VoxelScore,
 };
 use fcma_fmri::geometry::{extract_clusters, Grid3};
 use fcma_fmri::mask::VoxelMask;
-use fcma_fmri::{io as fio, presets, Placement};
+use fcma_fmri::{io as fio, presets, Dataset, Placement};
 use fcma_sync::pool::Pool;
 use fcma_trace::export::{from_chrome_json, to_chrome_json, to_prometheus_text};
 use fcma_trace::slo::{SloRule, SloSpec, SloViolation};
@@ -20,17 +20,15 @@ use std::sync::Arc;
 
 type Result<T> = std::result::Result<T, Box<dyn Error>>;
 
-/// Print the command reference.
-pub(crate) fn print_help() {
-    println!(
-        "fcma — full correlation matrix analysis\n\n\
+/// The command reference.
+const HELP: &str = "fcma — full correlation matrix analysis\n\n\
          commands:\n\
          \u{20} generate  synthesize a dataset      --preset tiny|face-scene|attention\n\
          \u{20}                                     --voxels N --subjects S --coupling X\n\
          \u{20}                                     --placement random|blobs --seed N --out STEM\n\
          \u{20} info      describe a dataset        --data STEM\n\
-         \u{20} analyze   score every voxel         --data STEM --executor optimized|baseline\n\
-         \u{20}                                     --task-size N --top-k K [--out scores.tsv]\n\
+         \u{20} analyze   score every voxel         --data STEM --task-size N --top-k K\n\
+         \u{20}                                     [--out scores.tsv]\n\
          \u{20}                                     [--threads N] kernel threads per worker\n\
          \u{20}                                     (default: $FCMA_THREADS or 1)\n\
          \u{20}                                     [--truth STEM.truth]\n\
@@ -48,10 +46,14 @@ pub(crate) fn print_help() {
          \u{20} top       per-worker utilization    fcma top trace.json\n\
          \u{20} postmortem summarize a dump         fcma postmortem FILE\n\
          \u{20} offline   nested LOSO analysis      --data STEM --top-k K [--task-size N]\n\
+         \u{20}                                     [--threads N]\n\
          \u{20} clusters  ROI cluster extraction    --scores scores.tsv --top-k K [--grid X,Y,Z]\n\
          \u{20} mask      threshold-mask a dataset  --data STEM --threshold T --out STEM2\n\
-         \u{20} help      this text"
-    );
+         \u{20} help      this text";
+
+/// Print the command reference.
+pub(crate) fn print_help() {
+    println!("{HELP}");
 }
 
 fn stem(args: &Args, key: &str) -> Result<PathBuf> {
@@ -70,9 +72,15 @@ pub(crate) fn generate(args: &Args) -> Result<()> {
     if let Some(v) = args.get("voxels") {
         cfg.n_voxels = v.parse()?;
         cfg.n_informative = (cfg.n_voxels / 16).max(4) & !1;
+        if cfg.n_voxels < cfg.n_informative {
+            return Err(format!("--voxels must be at least {}", cfg.n_informative).into());
+        }
     }
     if let Some(v) = args.get("subjects") {
         cfg.n_subjects = v.parse()?;
+        if cfg.n_subjects == 0 {
+            return Err("--subjects must be at least 1".into());
+        }
     }
     if let Some(v) = args.get("coupling") {
         cfg.coupling = v.parse()?;
@@ -151,13 +159,15 @@ fn top_k_of(args: &Args) -> Result<usize> {
     }
 }
 
-fn executor_of(args: &Args) -> Result<Arc<dyn TaskExecutor>> {
-    let pool = Pool::new(threads_of(args)?);
-    match args.get_or("executor", "optimized").as_str() {
-        "optimized" => Ok(Arc::new(OptimizedExecutor { pool, ..Default::default() })),
-        "baseline" => Ok(Arc::new(BaselineExecutor { pool, ..Default::default() })),
-        other => Err(format!("unknown executor {other:?}").into()),
+/// Refuse a dataset with fewer than `min` subjects, the least `command`'s
+/// leave-one-subject-out cross validation runs on.
+fn require_subjects(dataset: &Dataset, min: usize, command: &str) -> Result<()> {
+    let n = dataset.n_subjects();
+    if n >= min {
+        return Ok(());
     }
+    Err(format!("{command} needs at least {min} subjects to cross-validate; the dataset has {n}")
+        .into())
 }
 
 /// Build the cluster driver config from the analyze flags.
@@ -200,7 +210,10 @@ fn cluster_config_of(args: &Args, task_size: usize) -> Result<ClusterConfig> {
 pub(crate) fn analyze(args: &Args) -> Result<()> {
     let data = stem(args, "data")?;
     let dataset = fio::load_dataset(&data)?;
-    let mut exec = executor_of(args)?;
+    require_subjects(&dataset, 2, "analyze")?;
+    let pool = Pool::new(threads_of(args)?);
+    let mut exec: Arc<dyn TaskExecutor> =
+        Arc::new(OptimizedExecutor { pool, ..Default::default() });
     if let Some(start) = args.get("chaos-panic-task") {
         // Fault drill: one injected panic exercises the whole recovery
         // and observability path (requeue, postmortem, causal trace).
@@ -277,10 +290,7 @@ pub(crate) fn analyze(args: &Args) -> Result<()> {
 
 /// `fcma report` — summarize a Chrome trace written by `analyze --trace-out`.
 pub(crate) fn report(args: &Args) -> Result<()> {
-    let path = args
-        .positional(0)
-        .or_else(|| args.get("trace"))
-        .ok_or("report needs a trace file: `fcma report trace.json`")?;
+    let path = args.positional(0).ok_or("report needs a trace file: `fcma report trace.json`")?;
     let text = std::fs::read_to_string(path)?;
     let report = from_chrome_json(&text).map_err(|e| format!("{path}: {e}"))?;
     print!("{}", report.summary_table());
@@ -317,10 +327,7 @@ pub(crate) fn report(args: &Args) -> Result<()> {
 /// `fcma top` — per-worker utilization and straggler timeline from a
 /// Chrome trace written by `analyze --trace-out`.
 pub(crate) fn top(args: &Args) -> Result<()> {
-    let path = args
-        .positional(0)
-        .or_else(|| args.get("trace"))
-        .ok_or("top needs a trace file: `fcma top trace.json`")?;
+    let path = args.positional(0).ok_or("top needs a trace file: `fcma top trace.json`")?;
     let text = std::fs::read_to_string(path)?;
     let report = from_chrome_json(&text).map_err(|e| format!("{path}: {e}"))?;
     print!("{}", report.top_table());
@@ -346,10 +353,11 @@ pub(crate) fn postmortem(args: &Args) -> Result<()> {
 pub(crate) fn offline(args: &Args) -> Result<()> {
     let data = stem(args, "data")?;
     let dataset = fio::load_dataset(&data)?;
-    let exec = executor_of(args)?;
+    require_subjects(&dataset, 3, "offline")?;
+    let exec = OptimizedExecutor { pool: Pool::new(threads_of(args)?), ..Default::default() };
     let cfg = AnalysisConfig { task_size: task_size_of(args)?, top_k: top_k_of(args)? };
     let t0 = std::time::Instant::now();
-    let r = offline_analysis(&dataset, exec.as_ref(), &cfg);
+    let r = offline_analysis(&dataset, &exec, &cfg);
     println!("fold\theld-out\ttest-accuracy");
     for f in &r.folds {
         println!("{}\t{}\t{:.4}", f.held_out, f.held_out, f.test_accuracy);
@@ -371,12 +379,24 @@ pub(crate) fn clusters(args: &Args) -> Result<()> {
         Some(spec) => {
             let dims: Vec<usize> =
                 spec.split(',').map(str::parse).collect::<std::result::Result<_, _>>()?;
-            if dims.len() != 3 {
+            let [x, y, z] = dims[..] else {
                 return Err("--grid expects X,Y,Z".into());
+            };
+            if x == 0 || y == 0 || z == 0 {
+                return Err("--grid extents must be at least 1".into());
             }
-            Grid3::new(dims[0], dims[1], dims[2])
+            Grid3::new(x, y, z)
         }
     };
+    let size = grid.nx.checked_mul(grid.ny).and_then(|xy| xy.checked_mul(grid.nz));
+    let size = size.ok_or("--grid holds more voxels than a voxel index can name")?;
+    if let Some(v) = scores.iter().map(|s| s.voxel).max().filter(|&v| v >= size) {
+        let Grid3 { nx, ny, nz } = grid;
+        return Err(format!(
+            "the {nx}x{ny}x{nz} grid holds {size} voxels; the scores name voxel {v}"
+        )
+        .into());
+    }
     let clusters = extract_clusters(&grid, &selected);
     println!("cluster\tsize\tcentroid\tvoxels");
     for (i, c) in clusters.iter().enumerate() {
@@ -514,15 +534,15 @@ mod tests {
         let ds = tmp("cli_zero_ds");
         let ds = ds.to_str().unwrap();
         generate(&args(&["generate", "--preset", "tiny", "--voxels", "32", "--out", ds])).unwrap();
-        for (command, flag) in [
-            (analyze as fn(&Args) -> Result<()>, "--task-size"),
-            (analyze, "--threads"),
-            (analyze, "--top-k"),
-            (offline, "--task-size"),
-            (offline, "--top-k"),
-            (clusters, "--top-k"),
+        for (command, name, input, flag) in [
+            (analyze as fn(&Args) -> Result<()>, "analyze", "--data", "--task-size"),
+            (analyze, "analyze", "--data", "--threads"),
+            (analyze, "analyze", "--data", "--top-k"),
+            (offline, "offline", "--data", "--task-size"),
+            (offline, "offline", "--data", "--top-k"),
+            (clusters, "clusters", "--scores", "--top-k"),
         ] {
-            let err = command(&args(&["run", "--data", ds, flag, "0"])).unwrap_err();
+            let err = command(&args(&[name, input, ds, flag, "0"])).unwrap_err();
             assert_eq!(err.to_string(), format!("{flag} must be at least 1"));
         }
     }
@@ -538,8 +558,8 @@ mod tests {
             generate(&args(&["generate", "--preset", "tiny", "--voxels", "32", "--out", stem]))
                 .unwrap();
         };
-        let io_error = |command: fn(&Args) -> Result<()>| {
-            let err = command(&args(&["run", "--data", stem])).unwrap_err();
+        let io_error = |name: &str, command: fn(&Args) -> Result<()>| {
+            let err = command(&args(&[name, "--data", stem])).unwrap_err();
             *err.downcast::<IoError>().expect("a dataset file error is an IoError")
         };
 
@@ -550,7 +570,7 @@ mod tests {
         header.extend_from_slice(&(1u64 << 17).to_le_bytes());
         header.extend_from_slice(&(1u64 << 16).to_le_bytes());
         std::fs::write(&fcma, header).unwrap();
-        assert!(matches!(io_error(info), IoError::Corrupt(_)));
+        assert!(matches!(io_error("info", info), IoError::Corrupt(_)));
 
         // An epoch whose start + len wraps used to pass validation and
         // panic in `analyze` (exit 101).
@@ -559,9 +579,9 @@ mod tests {
         let mut lines: Vec<&str> = table.lines().collect();
         lines[1] = "0 0 18446744073709551615 12";
         std::fs::write(&epochs, lines.join("\n")).unwrap();
-        for command in [info as fn(&Args) -> Result<()>, analyze] {
+        for (name, command) in [("info", info as fn(&Args) -> Result<()>), ("analyze", analyze)] {
             assert!(matches!(
-                io_error(command),
+                io_error(name, command),
                 IoError::Invalid(DatasetError::EpochOutOfRange { epoch: 0, .. })
             ));
         }
@@ -573,8 +593,84 @@ mod tests {
         let at = 24 + (3 * cols + 5) * 4;
         bytes[at..at + 4].copy_from_slice(&f32::NAN.to_le_bytes());
         std::fs::write(&fcma, bytes).unwrap();
-        for command in [info as fn(&Args) -> Result<()>, analyze, offline] {
-            assert!(matches!(io_error(command), IoError::NonFinite { voxel: 3, time: 5, .. }));
+        for (name, command) in
+            [("info", info as fn(&Args) -> Result<()>), ("analyze", analyze), ("offline", offline)]
+        {
+            assert!(matches!(
+                io_error(name, command),
+                IoError::NonFinite { voxel: 3, time: 5, .. }
+            ));
+        }
+    }
+
+    #[test]
+    fn inputs_that_used_to_panic_are_typed_errors() {
+        // Each of these exited 101 from an assert deep in the pipeline.
+        let [one, two, out, scores] =
+            ["cli_one_subject_ds", "cli_two_subjects_ds", "cli_no_ds", "cli_grid.tsv"]
+                .map(|name| tmp(name).to_str().unwrap().to_owned());
+        for (stem, subjects) in [(&one, "1"), (&two, "2")] {
+            generate(&args(&["generate", "--voxels", "32", "--subjects", subjects, "--out", stem]))
+                .unwrap();
+        }
+        let ranked: Vec<VoxelScore> =
+            (0..32).map(|voxel| VoxelScore { voxel, accuracy: 0.5 }).collect();
+        write_scores(Path::new(&scores), &ranked).unwrap();
+        let grid = |spec| ["clusters", "--scores", &scores, "--grid", spec];
+        for (command, argv, message) in [
+            (
+                analyze as fn(&Args) -> Result<()>,
+                &["analyze", "--data", &one][..],
+                "analyze needs at least 2 subjects to cross-validate; the dataset has 1",
+            ),
+            (
+                offline,
+                &["offline", "--data", &two],
+                "offline needs at least 3 subjects to cross-validate; the dataset has 2",
+            ),
+            (clusters, &grid("0,3,3"), "--grid extents must be at least 1"),
+            (clusters, &grid("2,2,2"), "the 2x2x2 grid holds 8 voxels; the scores name voxel 31"),
+            (
+                clusters,
+                &grid("4294967296,4294967296,2"),
+                "--grid holds more voxels than a voxel index can name",
+            ),
+            (
+                generate,
+                &["generate", "--voxels", "3", "--out", &out],
+                "--voxels must be at least 4",
+            ),
+            (
+                generate,
+                &["generate", "--subjects", "0", "--out", &out],
+                "--subjects must be at least 1",
+            ),
+        ] {
+            assert_eq!(command(&args(argv)).unwrap_err().to_string(), message, "{argv:?}");
+        }
+    }
+
+    #[test]
+    fn help_lists_exactly_the_options_each_command_takes() {
+        let mut listed: Vec<(&str, Vec<&str>)> = Vec::new();
+        for line in HELP.lines().skip_while(|l| *l != "commands:").skip(1) {
+            let line = line.strip_prefix("  ").unwrap_or(line);
+            if !line.starts_with(' ') {
+                let command = line.split_whitespace().next().unwrap();
+                listed.push((command, Vec::new()));
+            }
+            let (_, options) = listed.last_mut().unwrap();
+            options.extend(
+                line.split_whitespace()
+                    .filter_map(|w| w.trim_matches(['[', ']']).strip_prefix("--")),
+            );
+        }
+        assert_eq!(listed.len(), 10, "{listed:?}");
+        for (command, mut options) in listed {
+            let mut accepted = crate::args::options_of(command).unwrap();
+            options.sort_unstable();
+            accepted.sort_unstable();
+            assert_eq!(options, accepted, "`fcma {command}`");
         }
     }
 
@@ -823,6 +919,5 @@ mod tests {
     fn bad_inputs_error_cleanly() {
         assert!(generate(&args(&["generate", "--preset", "bogus", "--out", "x"])).is_err());
         assert!(info(&args(&["info", "--data", "/nonexistent/xyz"])).is_err());
-        assert!(executor_of(&args(&["analyze", "--executor", "warp-speed"])).is_err());
     }
 }

@@ -3,7 +3,7 @@
 //! ```sh
 //! fcma generate --preset face-scene --voxels 512 --out ds
 //! fcma info     --data ds
-//! fcma analyze  --data ds --executor optimized --top-k 16 --out scores.tsv
+//! fcma analyze  --data ds --top-k 16 --out scores.tsv
 //! fcma analyze  --data ds --workers 4 --retries 3 --checkpoint sweep.ckpt
 //! fcma analyze  --data ds --workers 4 --checkpoint sweep.ckpt --resume
 //! fcma analyze  --data ds --workers 4 --trace-out trace.json --metrics-out metrics.prom

@@ -14,23 +14,19 @@
 //!   [`ChaosExecutor`]) so every recovery path above is a reproducibly
 //!   tested path;
 //! * [`checkpoint`] — the self-checking on-disk format behind
-//!   checkpoint/resume;
-//! * [`scaling`] — a discrete-event model of the same protocol at cluster
-//!   scale (data distribution, dispatch latency, greedy task placement,
-//!   node failures) that regenerates the elapsed-time-vs-nodes tables
-//!   (Tables 3/4) and the speedup curves (Fig. 8), with per-task times
-//!   supplied by the `fcma-sim` time model.
+//!   checkpoint/resume.
+//!
+//! The same protocol at cluster scale — the discrete-event model behind
+//! the paper's Tables 3/4 and Fig. 8 — is `fcma-sim`'s `scaling` module.
 
 pub mod checkpoint;
 pub mod driver;
 pub mod error;
 pub mod fault;
 pub mod protocol;
-pub mod scaling;
 
 pub use checkpoint::{Checkpoint, TaskRecord};
 pub use driver::{run_cluster, run_cluster_with, ClusterConfig, ClusterRun, TaskStat};
 pub use error::{CheckpointError, ClusterError};
 pub use fault::{ChaosExecutor, FaultKind, FaultPlan, FaultSpec};
 pub use protocol::{FromWorker, ToWorker};
-pub use scaling::ClusterModel;

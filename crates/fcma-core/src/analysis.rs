@@ -178,6 +178,7 @@ pub fn online_voxel_selection(
 ///
 /// # Panics
 /// If `n_folds == 0`.
+// audit: allow(deadpub) — called by the stand-alone benchmark package (online-session workload), which the audit does not scan
 pub fn stratified_folds(y: &[f32], n_folds: usize) -> Vec<usize> {
     let mut groups = vec![0usize; y.len()];
     let mut pos = 0usize;

@@ -232,7 +232,6 @@ impl OnlineSession {
     /// Score epoch `e` (any completed epoch, typically one newer than the
     /// training set) with a feedback model: returns the decision value
     /// whose sign is the predicted condition.
-    // audit: allow(deadpub) — called by the stand-alone benchmark package (online-session workload), which the audit does not scan
     pub fn score_epoch(&self, fb: &FeedbackModel, e: usize) -> Result<f32, SessionError> {
         if e >= self.epochs.len() {
             return Err(SessionError::NotEnoughData(format!("epoch {e} not completed")));

@@ -17,7 +17,6 @@ use fcma_linalg::tall_skinny::{EpochPair, TallSkinnyOpts};
 use fcma_linalg::{
     corr_tall_skinny, gemm_blocked_scratch, BlockSizes, CorrLayout, GemmScratch, Mat,
 };
-use fcma_sim::analytic::CorrShape;
 use fcma_sync::pool::{Pool, PoolStats, WorkerLane};
 use fcma_trace::{counter, labeled_counter, span};
 
@@ -73,34 +72,37 @@ pub(crate) fn run_voxel_bands<S>(
     bridge_pool_counters(&stats);
 }
 
-/// Widen a shape dimension for the analytic counter models.
+/// Widen a shape dimension for the stage-1 counters.
 fn dim(x: usize) -> u64 {
     u64::try_from(x).unwrap_or(u64::MAX)
 }
 
-/// Bridge the analytic [`fcma_sim::counters::KernelCounters`] model for
-/// this task's shape into the trace counters, so a traced run can put
-/// the model's FLOP / memory-reference tallies next to measured wall
-/// time in one report. `model` picks the analytic variant (MKL-like
-/// baseline vs the tall-skinny kernel).
-fn bridge_stage1_counters(
-    assigned: &[Mat],
-    v: usize,
-    n: usize,
-    model: fn(&CorrShape, &fcma_sim::machine::MachineConfig) -> fcma_sim::counters::KernelCounters,
-) {
-    let mach = fcma_sim::machine::phi_5110p();
-    let mut flops = 0u64;
-    let mut mem_refs = 0u64;
-    for a in assigned {
-        // Epoch lengths may differ, so model one epoch at a time.
-        let shape = CorrShape { v: dim(v), n: dim(n), m: 1, k: dim(a.cols()) };
-        let c = model(&shape, &mach);
-        flops = flops.saturating_add(c.flops);
-        mem_refs = mem_refs.saturating_add(c.mem_refs);
-    }
-    counter!("stage1.flops", flops);
-    counter!("stage1.mem_refs", mem_refs);
+/// `stage1.flops` (DESIGN.md §11): the task's multiply-adds, 2·V·N·k
+/// per epoch, summed over epochs because their lengths may differ.
+fn stage1_flops(assigned: &[Mat], v: usize, n: usize) -> u64 {
+    assigned.iter().map(|a| 2 * dim(v) * dim(n) * dim(a.cols())).sum()
+}
+
+/// `stage1.mem_refs` (DESIGN.md §11): the memory-reference instructions
+/// the paper's tall-skinny kernel retires on the Phi, per epoch — one
+/// `B` vector load and `MR` broadcasts per `MR × NR` tile and k-step,
+/// `MR` stores per tile, and one load and one store per packed vector of
+/// either operand. The tile is the Phi's 8 × 16, not this build's
+/// [`fcma_linalg::microkernel::MR`]: this is `fcma-sim`'s analytic
+/// `corr_optimized` at one epoch, inlined so the pipeline does not call
+/// into the simulator (`tests/sim_consistency.rs` holds the two equal).
+fn stage1_mem_refs(assigned: &[Mat], v: usize, n: usize) -> u64 {
+    const MR: u64 = 8;
+    const NR: u64 = 16;
+    let (v, n) = (dim(v), dim(n));
+    assigned
+        .iter()
+        .map(|a| {
+            let k = dim(a.cols());
+            let tiles = v.div_ceil(MR) * n.div_ceil(NR);
+            tiles * (k * (1 + MR) + MR) + 2 * n * k / NR + v.div_ceil(MR) * 2 * k
+        })
+        .sum()
 }
 
 /// The interleaved correlation buffer for one task: `V·M` rows of `N`
@@ -184,9 +186,7 @@ pub fn corr_baseline(ctx: &TaskContext, task: VoxelTask, pool: &Pool) -> CorrDat
     let mut buf = vec![0.0f32; layout.out_len()];
     let assigned = assigned_blocks(ctx, task);
     let _span = span!("stage1.corr", voxels = v, brain = n, epochs = m, kernel = "baseline");
-    if fcma_trace::is_enabled() {
-        bridge_stage1_counters(&assigned, v, n, fcma_sim::analytic::corr_mkl);
-    }
+    counter!("stage1.flops", stage1_flops(&assigned, v, n));
     let bs = BlockSizes::default();
     run_voxel_bands(
         pool,
@@ -228,9 +228,8 @@ pub fn corr_optimized(ctx: &TaskContext, task: VoxelTask, opts: TallSkinnyOpts) 
     let mut buf = vec![0.0f32; layout.out_len()];
     let assigned = assigned_blocks(ctx, task);
     let _span = span!("stage1.corr", voxels = v, brain = n, epochs = m, kernel = "tall_skinny");
-    if fcma_trace::is_enabled() {
-        bridge_stage1_counters(&assigned, v, n, fcma_sim::analytic::corr_optimized);
-    }
+    counter!("stage1.flops", stage1_flops(&assigned, v, n));
+    counter!("stage1.mem_refs", stage1_mem_refs(&assigned, v, n));
     let got = corr_tall_skinny(&epoch_pairs(ctx, &assigned), &mut buf, opts);
     debug_assert_eq!(got, layout);
     fcma_linalg::debug_assert_finite!(&buf, "stage1 optimized correlation output");

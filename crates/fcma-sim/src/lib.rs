@@ -18,12 +18,17 @@
 //!   tests pin them together);
 //! * [`timemodel`] — a roofline-style conversion from counters to
 //!   milliseconds, including the thread-starvation effect that drives the
-//!   baseline's SVM-stage slowdown (§3.3.3).
+//!   baseline's SVM-stage slowdown (§3.3.3);
+//! * [`scaling`] — a discrete-event model of the master–worker protocol
+//!   at cluster scale (data distribution, dispatch latency, greedy task
+//!   placement, node failures) that regenerates Tables 3/4 and Fig. 8
+//!   from per-task times of the time model.
 
 pub mod analytic;
 pub mod cache;
 pub mod counters;
 pub mod machine;
+pub mod scaling;
 pub mod timemodel;
 pub mod trace;
 
@@ -32,4 +37,5 @@ pub use cache::CacheStats;
 pub use cache::{CacheConfig, CacheSim};
 pub use counters::KernelCounters;
 pub use machine::{phi_5110p, xeon_e5_2670, MachineConfig};
+pub use scaling::ClusterModel;
 pub use timemodel::TimeModel;

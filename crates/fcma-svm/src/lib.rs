@@ -26,7 +26,6 @@ pub mod kernel;
 pub mod model;
 pub mod persist;
 pub mod phisvm;
-pub mod probability;
 pub mod reference;
 pub mod smo;
 
@@ -37,7 +36,6 @@ pub use model::WssStats;
 pub use persist::PersistError;
 pub use persist::{load_model, save_model};
 pub use phisvm::train_phisvm;
-pub use probability::PlattScaling;
 pub use reference::LibSvmParams;
 pub use reference::LibSvmResult;
 pub use smo::{SmoParams, SmoScratch, WssMode};

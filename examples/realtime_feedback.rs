@@ -1,22 +1,28 @@
 //! Emulated closed-loop real-time fMRI session (paper §5.2.2, Fig. 1).
 //!
-//! Phase 1 — *online voxel selection*: one subject is scanned; FCMA
-//! selects the voxels whose whole-brain correlation patterns discriminate
-//! the two conditions (k-fold CV over the session's epochs, no nested
-//! CV).
+//! The scanner is replaced by a generated scan fed to an
+//! [`OnlineSession`] one volume at a time, with the epoch boundaries
+//! marked as they pass.
 //!
-//! Phase 2 — *neurofeedback*: a classifier trained on the selected
-//! voxels' correlation patterns scores each subsequent epoch as it
-//! "arrives", emulating the feedback signal sent back to the subject.
+//! Phase 1 — *online voxel selection*: once the first 16 epochs are
+//! complete, the session selects the voxels whose whole-brain
+//! correlation patterns discriminate the two conditions (k-fold CV over
+//! the session's epochs, no nested CV) and trains the feedback
+//! classifier on their correlation patterns.
+//!
+//! Phase 2 — *neurofeedback*: every later epoch is scored as soon as it
+//! closes; the signed decision value is the graded feedback signal sent
+//! back to the subject.
 //!
 //! ```sh
 //! cargo run --release --example realtime_feedback
 //! ```
 
-use fcma::core::stage2::corr_normalized_merged;
-use fcma::linalg::tall_skinny::TallSkinnyOpts;
-use fcma::prelude::*;
-use fcma::svm::{train_phisvm, PlattScaling};
+use fcma::core::{OnlineSession, SessionConfig};
+use std::time::Instant;
+
+/// Epochs seen before the feedback classifier is trained.
+const TRAIN_EPOCHS: usize = 16;
 
 fn main() {
     // One subject, 24 epochs: the first 16 train the online classifier,
@@ -28,86 +34,63 @@ fn main() {
     config.n_informative = 16;
     config.coupling = 1.8;
     let (dataset, truth) = config.generate();
+    let n = dataset.n_voxels();
     println!(
-        "Session: {} voxels, {} epochs of {} time points",
-        dataset.n_voxels(),
+        "Session: {n} voxels, {} epochs of {} time points",
         dataset.n_epochs(),
         config.epoch_len
     );
 
-    // ---- Phase 1: online voxel selection on the training epochs ----
-    let train_epochs: Vec<usize> = (0..16).collect();
-    let train_ctx = TaskContext::subset(&dataset, &train_epochs);
-    let exec = OptimizedExecutor::default();
-    let cfg = AnalysisConfig { task_size: 64, top_k: 16 };
-    let groups = fcma::core::analysis::stratified_folds(&train_ctx.y, 4);
-    let t0 = std::time::Instant::now();
-    let scores = score_all_voxels(&train_ctx, &exec, cfg.task_size, Some(&groups));
-    let selected = select_top_k(&scores, cfg.top_k);
-    println!(
-        "Selected {} voxels in {:.2?} ({}/{} planted)",
-        selected.len(),
-        t0.elapsed(),
-        selected.iter().filter(|v| truth.informative.contains(v)).count(),
-        truth.informative.len()
-    );
-
-    // ---- Phase 2: train the feedback classifier, stream the rest ----
-    // Samples: each epoch's correlation patterns of the selected voxels
-    // against the whole brain, computed with the merged pipeline.
-    let full_ctx = TaskContext::full(&dataset);
-    let m = full_ctx.n_epochs();
-    let n = full_ctx.n_voxels();
-    let mut samples = Mat::zeros(m, selected.len() * n);
-    for (si, &v) in selected.iter().enumerate() {
-        let corr = corr_normalized_merged(
-            &full_ctx,
-            VoxelTask { start: v, count: 1 },
-            TallSkinnyOpts::default(),
-        );
-        for e in 0..m {
-            samples.row_mut(e)[si * n..(si + 1) * n].copy_from_slice(corr.row(0, e));
-        }
-    }
-    let kernel = KernelMatrix::precompute(&samples);
-    let train_idx: Vec<usize> = (0..16).collect();
-    let train_y: Vec<f32> = train_idx.iter().map(|&e| full_ctx.y[e]).collect();
-    let model = train_phisvm(&kernel, &train_idx, &train_y, &SmoParams::default());
-    println!(
-        "Feedback classifier: {} support vectors, {} SMO iterations\n",
-        model.n_support(),
-        model.iterations
-    );
-
-    // Calibrate a graded feedback signal: neurofeedback shows the subject
-    // P(condition A), not a binary label (Platt scaling on the training
-    // decisions).
-    let train_decisions: Vec<f64> =
-        train_idx.iter().map(|&e| model.decision(&kernel, e) as f64).collect();
-    let platt = PlattScaling::fit(&train_decisions, &train_y);
-
-    // Stream the held-out epochs as if they were arriving live.
-    println!("epoch  condition  decision  P(A)   feedback");
+    // The defaults select 16 voxels by 4-fold CV in tasks of 64 voxels.
+    let session_cfg = SessionConfig { epoch_len: config.epoch_len, ..Default::default() };
+    let mut session = OnlineSession::new(session_cfg, n);
+    let epochs = dataset.epochs();
+    let mut next = 0; // the next epoch of the scan to open
+    let mut feedback = None;
     let mut correct = 0;
-    for e in 16..m {
-        let d = model.decision(&kernel, e);
-        let p_a = platt.probability(d as f64);
-        let predicted = if d >= 0.0 { "A" } else { "B" };
-        let actual = if full_ctx.y[e] > 0.0 { "A" } else { "B" };
-        if predicted == actual {
-            correct += 1;
+    for t in 0..dataset.n_timepoints() {
+        if epochs.get(next).is_some_and(|ep| ep.start == t) {
+            session.begin_epoch(epochs[next].label).expect("no epoch is open");
         }
-        println!(
-            "{:>5}  {:>9}  {:>8.3}  {:>5.2}  predict {} {}",
-            e,
-            actual,
-            d,
-            p_a,
-            predicted,
-            if predicted == actual { "✓" } else { "✗" }
-        );
+        let volume: Vec<f32> = (0..n).map(|v| dataset.data().get(v, t)).collect();
+        session.push_volume(&volume).expect("a finite volume of n voxels");
+        if epochs.get(next).is_none_or(|ep| ep.start + ep.len != t + 1) {
+            continue;
+        }
+        let e = session.end_epoch().expect("the epoch spans epoch_len volumes");
+        next += 1;
+
+        if e + 1 == TRAIN_EPOCHS {
+            // ---- Phase 1: select voxels and train on everything so far ----
+            let t0 = Instant::now();
+            let fb = session.train_feedback().expect("both conditions seen");
+            println!(
+                "Selected {} voxels and trained in {:.2?} ({}/{} planted); \
+                 {} support vectors, {} SMO iterations\n",
+                fb.selected.len(),
+                t0.elapsed(),
+                fb.selected.iter().filter(|v| truth.is_informative(**v)).count(),
+                truth.informative.len(),
+                fb.model.n_support(),
+                fb.model.iterations
+            );
+            println!("epoch  condition  feedback");
+            feedback = Some(fb);
+        } else if let Some(fb) = &feedback {
+            // ---- Phase 2: score the epoch that just closed ----
+            let d = session.score_epoch(fb, e).expect("a completed epoch");
+            let predicted = if d >= 0.0 { "A" } else { "B" };
+            let actual = if epochs[e].label.sign() > 0.0 { "A" } else { "B" };
+            if predicted == actual {
+                correct += 1;
+            }
+            println!(
+                "{e:>5}  {actual:>9}  {d:>+8.3}  predict {predicted} {}",
+                if predicted == actual { "✓" } else { "✗" }
+            );
+        }
     }
-    let acc = correct as f64 / (m - 16) as f64;
+    let acc = correct as f64 / (dataset.n_epochs() - TRAIN_EPOCHS) as f64;
     println!("\nOnline feedback accuracy: {:.0}%", acc * 100.0);
     assert!(acc > 0.5, "feedback classifier at or below chance");
     println!("OK");

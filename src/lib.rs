@@ -37,8 +37,8 @@
 //! | [`linalg`] | Mat, GEMM/SYRK kernels (reference, blocked, tall-skinny) |
 //! | [`svm`] | LibSVM replica, PhiSVM, kernel precompute, LOSO CV |
 //! | [`core`] | the three-stage pipeline, executors, analyses |
-//! | [`cluster`] | threaded master–worker + discrete-event scaling model |
-//! | [`sim`] | Phi/Xeon machine models, cache simulator, counter models |
+//! | [`cluster`] | fault-tolerant threaded master–worker scheduler |
+//! | [`sim`] | Phi/Xeon machine models, cache simulator, counter models, discrete-event cluster scaling model |
 //! | [`trace`] | runtime spans/counters/histograms + Chrome-trace export |
 
 pub use fcma_cluster as cluster;
@@ -53,7 +53,7 @@ pub use fcma_trace as trace;
 pub mod prelude {
     pub use fcma_cluster::{
         run_cluster, run_cluster_with, ChaosExecutor, Checkpoint, ClusterConfig, ClusterError,
-        ClusterModel, ClusterRun, FaultKind, FaultPlan, FaultSpec,
+        ClusterRun, FaultKind, FaultPlan, FaultSpec,
     };
     pub use fcma_core::{
         offline_analysis, online_voxel_selection, recovery_rate, score_all_voxels, select_top_k,
@@ -62,6 +62,7 @@ pub mod prelude {
     };
     pub use fcma_fmri::{Condition, Dataset, EpochSpec, GroundTruth, SynthConfig};
     pub use fcma_linalg::Mat;
+    pub use fcma_sim::ClusterModel;
     pub use fcma_svm::{KernelMatrix, SmoParams, SolverKind, WssMode};
 }
 

@@ -124,3 +124,52 @@ fn trace_and_analytic_agree_that_merging_saves_misses() {
     let asep = analytic::norm_separated(&s, &phi);
     assert!(asep.l2_misses > am.l2_misses);
 }
+
+/// A traced stage 1 reports the analytic model's counts, summed over
+/// epochs: `fcma-core` computes them itself so that it does not link the
+/// simulator. Every term of the tile model is exercised: voxel counts on
+/// both sides of the Phi's 8-row tile (and of the host's 4-row one), a
+/// brain that is not a multiple of the 16-wide tile, and epochs of
+/// unequal length.
+#[test]
+fn stage1_trace_counters_are_the_analytic_model_per_epoch() {
+    use fcma::core::{corr_baseline, corr_optimized, TaskContext, VoxelTask};
+    use fcma::fmri::Dataset;
+    use fcma::linalg::tall_skinny::TallSkinnyOpts;
+    use fcma::trace::{Collector, TraceReport};
+    use fcma_sync::pool::Pool;
+
+    // N = 100 voxels, not a multiple of the tile's 16.
+    let mut config = fcma::fmri::presets::tiny();
+    config.n_voxels = 100;
+    let (d, _) = config.generate();
+    let mut epochs = d.epochs().to_vec();
+    for (e, ep) in epochs.iter_mut().enumerate() {
+        ep.len -= e % 4; // 12, 11, 10, 9, 12, … time points
+    }
+    let lens: Vec<usize> = epochs.iter().map(|ep| ep.len).collect();
+    let ctx = TaskContext::full(&Dataset::new(d.data().clone(), epochs).unwrap());
+    let traced = |f: &dyn Fn()| -> TraceReport {
+        let collector = Collector::new();
+        let scope = collector.install_scoped();
+        f();
+        drop(scope);
+        collector.drain()
+    };
+
+    let phi = phi_5110p();
+    for v in [1u64, 3, 8, 9] {
+        let task = VoxelTask { start: 2, count: v as usize };
+        let model = lens.iter().fold((0, 0), |(flops, refs), &k| {
+            let shape = CorrShape { v, n: 100, m: 1, k: k as u64 };
+            let c = analytic::corr_optimized(&shape, &phi);
+            (flops + c.flops, refs + c.mem_refs)
+        });
+        let optimized = traced(&|| drop(corr_optimized(&ctx, task, TallSkinnyOpts::default())));
+        let got = (optimized.counter("stage1.flops"), optimized.counter("stage1.mem_refs"));
+        assert_eq!(got, model, "corr_optimized at V = {v}: (flops, mem_refs)");
+        let baseline = traced(&|| drop(corr_baseline(&ctx, task, &Pool::default())));
+        assert_eq!(baseline.counter("stage1.flops"), model.0, "corr_baseline at V = {v}");
+        assert!(!baseline.counters.contains_key("stage1.mem_refs"), "corr_baseline at V = {v}");
+    }
+}
