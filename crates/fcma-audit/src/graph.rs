@@ -221,13 +221,6 @@ pub enum ContractError {
         /// The unrecognized ordering token.
         ordering: String,
     },
-    /// A §14 hot-functions row repeats a function already declared hot.
-    DuplicateHotFn {
-        /// 0-based DESIGN.md line.
-        line: usize,
-        /// The duplicated function name.
-        name: String,
-    },
     /// A §17 mutation row is missing its class or min-score cell, or
     /// the score is not a percentage.
     MalformedMutationRow {
@@ -259,9 +252,6 @@ impl std::fmt::Display for ContractError {
                  (known: Relaxed, Acquire, Release, AcqRel, SeqCst)",
                 line + 1
             ),
-            ContractError::DuplicateHotFn { line, name } => {
-                write!(f, "DESIGN.md:{}: hot-functions row repeats `{name}`", line + 1)
-            }
             ContractError::MalformedMutationRow { line } => write!(
                 f,
                 "DESIGN.md:{}: mutation row needs a backticked class and a numeric \
@@ -285,7 +275,8 @@ impl std::fmt::Display for ContractError {
 /// The `std::sync::atomic::Ordering` variants a §16 row may allow.
 const KNOWN_ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
 
-/// The machine-readable architecture contracts from DESIGN.md §12–§17.
+/// The machine-readable architecture contracts from DESIGN.md §12, §16
+/// and §17.
 #[derive(Debug, Clone, Default)]
 pub struct Contracts {
     /// Allowed direct `fcma-*` dependencies per crate; `None` when the
@@ -293,10 +284,6 @@ pub struct Contracts {
     pub layering: Option<BTreeMap<String, BTreeSet<String>>>,
     /// Protocol table entries; `None` when the table is absent.
     pub protocol: Option<Vec<ProtocolEntry>>,
-    /// Functions declared hot by the §14 "Hot functions" table, as
-    /// `name` or `Type::name` entries. `None` when the table is absent.
-    /// The hot-path passes union these with `// audit: hot` markers.
-    pub hot_fns: Option<Vec<String>>,
     /// The §16 "Atomics contracts" tables; `None` when absent.
     pub atomics: Option<AtomicsContract>,
     /// The §17 "Mutation contracts" table; `None` when absent.
@@ -326,15 +313,12 @@ fn backticked(cell: &str) -> Vec<String> {
 
 impl Contracts {
     /// Parse the `## 12. Architecture contracts` section of DESIGN.md,
-    /// plus the §14 "Hot functions" table.
+    /// plus the §16 and §17 tables.
     ///
     /// §12 table rows are classified by their first backticked token: a
     /// token containing `::` is a protocol row (`Enum::Variant`), a
     /// `fcma-*` token is a layering row. Header and separator rows have
-    /// no backticked first cell and are skipped. The hot-functions
-    /// table is every table row between a heading containing "Hot
-    /// functions" and the next heading: each row's first backticked cell
-    /// names a hot function.
+    /// no backticked first cell and are skipped.
     ///
     /// §16 "Atomics contracts" rows are `| atomic | file | role | loads |
     /// stores | pairing |` with backticked orderings, plus an optional
@@ -343,19 +327,17 @@ impl Contracts {
     /// killers | min score |`.
     ///
     /// Malformed data rows are recorded as named [`ContractError`]s, not
-    /// skipped: a §16 row allowing an unknown ordering, a duplicate §14
-    /// hot-fn entry, and the §17 analogues all surface in
+    /// skipped: a §16 row allowing an unknown ordering and the §17
+    /// analogues all surface in
     /// [`Contracts::errors`]. Header rows (the row directly above a
     /// `|---|` separator) and separator rows are structural and never
     /// validated.
     pub fn from_design_md(text: &str) -> Contracts {
         let mut in_section = false;
-        let mut in_hot = false;
         let mut in_atomics = false;
         let mut in_mutation = false;
         let mut layering: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
         let mut protocol: Vec<ProtocolEntry> = Vec::new();
-        let mut hot_fns: Vec<String> = Vec::new();
         let mut atomics = AtomicsContract::default();
         let mut saw_atomics = false;
         let mut mutation: Vec<MutationRow> = Vec::new();
@@ -368,7 +350,6 @@ impl Contracts {
         };
         for (lineno, &line) in lines.iter().enumerate() {
             if line.starts_with('#') {
-                in_hot = line.contains("Hot functions");
                 in_atomics = line.contains("Atomics contracts");
                 in_mutation = line.contains("Mutation contracts");
                 saw_atomics |= in_atomics;
@@ -424,16 +405,6 @@ impl Contracts {
                 }
                 continue;
             }
-            if in_hot {
-                if let Some(name) = backticked(cells[0]).into_iter().next() {
-                    if hot_fns.contains(&name) {
-                        errors.push(ContractError::DuplicateHotFn { line: lineno, name });
-                    } else {
-                        hot_fns.push(name);
-                    }
-                }
-                continue;
-            }
             if in_mutation {
                 let class = backticked(cells[0]).into_iter().next();
                 let score: Option<u32> = cells.get(2).and_then(|c| {
@@ -484,7 +455,6 @@ impl Contracts {
         Contracts {
             layering: (!layering.is_empty()).then_some(layering),
             protocol: (!protocol.is_empty()).then_some(protocol),
-            hot_fns: (!hot_fns.is_empty()).then_some(hot_fns),
             atomics: saw_atomics.then_some(atomics),
             mutation: saw_mutation.then_some(mutation),
             errors,
@@ -697,23 +667,6 @@ Blah.
     }
 
     #[test]
-    fn contracts_parse_hot_functions_table() {
-        let md = "## 14. Hot-path contracts\n\nProse about markers.\n\n\
-                  ### Hot functions\n\n\
-                  | Function | Crate | Role |\n|---|---|---|\n\
-                  | `syrk_panel_scratch` | `fcma-linalg` | stage-3 panel walk |\n\
-                  | `gemm_blocked_scratch` | `fcma-linalg` | baseline GEMM |\n\n\
-                  ### After\n\n| `not_hot` | x |\n";
-        let c = Contracts::from_design_md(md);
-        assert_eq!(c.hot_fns.unwrap(), vec!["syrk_panel_scratch", "gemm_blocked_scratch"]);
-        // The §12 parse is unaffected by a §14 table.
-        let both = format!("{DESIGN}\n{md}");
-        let c2 = Contracts::from_design_md(&both);
-        assert!(c2.layering.is_some());
-        assert_eq!(c2.hot_fns.unwrap().len(), 2);
-    }
-
-    #[test]
     fn contracts_parse_atomics_table_and_count() {
         let md = "## 16. Atomics contracts\n\nProse. Total `Ordering::*` sites: 36 (verified).\n\n\
                   | Atomic | File | Role | Loads | Stores | Pairing |\n|---|---|---|---|---|---|\n\
@@ -730,7 +683,7 @@ Blah.
         assert_eq!(flag.stores, vec!["Release"]);
         assert_eq!(flag.pairing, vec!["flag"]);
         assert!(a.entry("flag", "crates/fcma-trace/src/recorder.rs").is_none());
-        // §12–§14 parses are unaffected, and documents without §16
+        // The §12 parse is unaffected, and documents without §16
         // yield no atomics contract at all.
         let both = format!("{DESIGN}\n{md}");
         let c2 = Contracts::from_design_md(&both);
@@ -757,20 +710,6 @@ Blah.
         // Both rows still enter the table — a typo'd row must not make
         // its sites look uncontracted on top of the parse error.
         assert_eq!(c.atomics.unwrap().entries.len(), 2);
-    }
-
-    #[test]
-    fn duplicate_hot_fn_is_a_named_error() {
-        let md = "### Hot functions\n\n\
-                  | Function | Crate | Role |\n|---|---|---|\n\
-                  | `syrk_panel_scratch` | `fcma-linalg` | panel |\n\
-                  | `syrk_panel_scratch` | `fcma-linalg` | panel again |\n";
-        let c = Contracts::from_design_md(md);
-        assert_eq!(c.hot_fns.unwrap(), vec!["syrk_panel_scratch"]);
-        assert_eq!(
-            c.errors,
-            vec![ContractError::DuplicateHotFn { line: 5, name: "syrk_panel_scratch".to_owned() }]
-        );
     }
 
     #[test]

@@ -8,11 +8,8 @@
 //! layering DAG of DESIGN.md §Architecture contracts, call-graph panic
 //! reachability of library `pub fn`s, master–worker protocol
 //! conformance, workspace-`pub` items nobody references, stale
-//! allow markers, the DESIGN.md §14 hot-path performance contracts
-//! (no allocation, bounds-checked gathers, order-unstable float
-//! accumulation, or I/O/locking callouts inside hot kernel loops), and
-//! the DESIGN.md §16 atomics memory-ordering contracts
-//! ([`passes::check_atomicorder`]).
+//! allow markers, and the DESIGN.md §16 atomics memory-ordering
+//! contracts ([`passes::check_atomicorder`]).
 //!
 //! Run it with `cargo run -p fcma-audit -- check [--format human|json]
 //! [--passes a,b,c]`. Exit code 0 means clean, 1 means violations were
@@ -23,13 +20,10 @@
 //! scrubbing lexer ([`lexer`]) feeds a brace-depth scope analyzer
 //! ([`source`]) and a token-tree item parser ([`parser`]); [`graph`]
 //! assembles the crate-dependency graph from the manifests and the call
-//! graph from the parsed items, and [`cfg`]/[`dataflow`] recover loop
-//! structure and reaching definitions for the hot-path passes. This
-//! stays exact for the constructs the passes need, keeps the tool
-//! dependency-free, and makes diagnostics trivially clickable.
+//! graph from the parsed items. This stays exact for the constructs the
+//! passes need, keeps the tool dependency-free, and makes diagnostics
+//! trivially clickable.
 
-pub mod cfg;
-pub mod dataflow;
 pub mod format;
 pub mod graph;
 pub mod lexer;

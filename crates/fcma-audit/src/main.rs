@@ -308,8 +308,8 @@ commands:
            the classification itself lives in `cargo run -p fcma-mut`
 
 any command exits 2 when DESIGN.md contains malformed contract rows
-(bad atomics/hot-fn/mutation table entries are named errors,
-never silent skips)
+(bad atomics/mutation table entries are named errors, never
+silent skips)
 
 output:
   --format human  file:line: pass: message (default)
@@ -340,22 +340,9 @@ passes:
   deadpub      no workspace-pub item without cross-crate references
   syncfacade   no raw std::sync/std::thread outside the fcma-sync
                facade (Arc/Weak stay allowed)
-  allocinloop  no heap allocation inside a loop of a hot fn, directly or
-               through callees (DESIGN.md §14 table or `// audit: hot`)
-  boundsinloop no `base[i]` indexing by the induction variable in an
-               innermost hot loop (use slices/iterators/chunks)
-  accumorder   no float compound accumulation across iterations of a hot
-               loop without an `// audit: allow(accumorder)` justification
-  hotcallout   hot fns call only hot or `// audit: pure` fns; no console
-               I/O, trace probes, locks, or blocking calls in hot code
   atomicorder  every Ordering::* site matches a DESIGN.md §16 atomics
                contract row (orderings allowed, site count)
   unusedallow  every allow marker must suppress something
-
-fn markers (on the fn line or the line directly above):
-  // audit: hot   treat this fn as hot even if absent from DESIGN.md §14
-  // audit: pure  trusted leaf: hot fns may call it; its body is not
-                  scanned by hotcallout (allocation still propagates)
 
 escape markers (same line or the line above; reason mandatory):
   // audit: allow(cast) — <reason>
@@ -364,10 +351,6 @@ escape markers (same line or the line above; reason mandatory):
   // audit: allow(panicpath) — <reason>
   // audit: allow(deadpub) — <reason>
   // audit: allow(syncfacade) — <reason>
-  // audit: allow(allocinloop) — <reason>
-  // audit: allow(boundsinloop) — <reason>
-  // audit: allow(accumorder) — <reason>
-  // audit: allow(hotcallout) — <reason>
   // audit: allow(atomicorder) — <reason>
 
 mutation-triage markers (same line or the line above; reason mandatory):

@@ -1,6 +1,6 @@
 //! Mutant enumeration: typed, line-preserving semantic mutations over
-//! the analyzed workspace, driven by the same lexer/parser/CFG/graph
-//! layers the audit passes use.
+//! the analyzed workspace, driven by the same lexer/parser/graph layers
+//! the audit passes use.
 //!
 //! Each [`Mutant`] is a single-line textual patch that changes program
 //! semantics without changing the line count, so every diagnostic a
@@ -20,7 +20,7 @@
 //!
 //! Enumeration is deliberately conservative: operator sites come from
 //! scrubbed code lines (never strings or comments) inside function
-//! bodies, loop mutations from the [`crate::cfg`] loop forest, ordering
+//! bodies, loop mutations from one-line `for` heads, ordering
 //! sites from the same receiver attribution the `atomicorder` pass
 //! uses, and sites the DESIGN.md contracts already permit to be weak
 //! (or that an allow marker covers) are skipped — those are not faults.
@@ -30,8 +30,6 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use crate::cfg::{FnCfg, LoopKind};
-use crate::dataflow;
 use crate::graph::CallGraph;
 use crate::parser::ParsedFile;
 use crate::passes::{self, Workspace};
@@ -276,33 +274,24 @@ fn find_all(code: &str, needle: &str) -> Vec<usize> {
     cols
 }
 
-/// `off-by-one` and `accum-reorder`: loop-level mutations from the CFG
-/// loop forest. `off-by-one` widens a for-loop's exclusive range bound;
+/// `off-by-one` and `accum-reorder`: loop-level mutations on one-line
+/// `for` heads. `off-by-one` widens a for-loop's exclusive range bound;
 /// `accum-reorder` reverses a for loop that carries a float compound
-/// accumulation across iterations (per the reaching-definitions
-/// analysis), changing the rounding order the §15 bit-identity
-/// contract pins.
+/// accumulation across iterations, changing the rounding order the §15
+/// bit-identity contract pins.
 fn loop_mutants(ws: &Workspace, fi: usize, out: &mut Vec<Mutant>) {
     let f = &ws.files[fi];
-    let parsed = &ws.parsed[fi];
-    for func in &parsed.fns {
-        let Some(body) = func.body else { continue };
+    let lines = &f.scan.code_lines;
+    for func in &ws.parsed[fi].fns {
+        let Some((b0, b1)) = func.body else { continue };
         if f.in_test_span(func.line) {
             continue;
         }
-        let cfg = FnCfg::build(&f.scan, body);
-        if cfg.loops.is_empty() {
-            continue;
-        }
-        let sites = dataflow::compound_assigns(&f.scan, body);
-        let defs = dataflow::local_defs(&f.scan, body);
-        let rd = dataflow::Reaching::build(&cfg, &defs);
-        for lp in &cfg.loops {
-            if lp.kind != LoopKind::For || f.in_test_span(lp.head_line) {
+        for head in b0..=b1.min(lines.len().saturating_sub(1)) {
+            let code = &lines[head];
+            if f.in_test_span(head) || !is_for_head(code) {
                 continue;
             }
-            let head = lp.head_line;
-            let code = &f.scan.code_lines[head];
             let Some(range_col) = exclusive_range_col(code) else { continue };
             if let Some(patched) = splice(&f.scan.raw_lines[head], range_col, 2, "..=", "..") {
                 out.push(Mutant {
@@ -322,15 +311,7 @@ fn loop_mutants(ws: &Workspace, fi: usize, out: &mut Vec<Mutant>) {
             // Reversal only matters when a float accumulation is carried
             // across this loop's iterations: integer loops reversed are
             // equivalent, float sums are not (association order).
-            let carries_float = sites.iter().any(|site| {
-                (lp.body.0..=lp.body.1).contains(&site.line)
-                    && matches!(site.op, '+' | '-' | '*')
-                    && rd
-                        .reaching_at(&site.name, site.line)
-                        .into_iter()
-                        .any(|d| (d.line < lp.body.0 || d.line > lp.body.1) && d.is_float())
-            });
-            if !carries_float {
+            if !carries_float(lines, b0, head) {
                 continue;
             }
             if let Some(patched) = reverse_range(&f.scan.raw_lines[head], code) {
@@ -350,6 +331,107 @@ fn loop_mutants(ws: &Workspace, fi: usize, out: &mut Vec<Mutant>) {
             }
         }
     }
+}
+
+/// Is this scrubbed line a one-line `for` head, `for <pat> in <expr> {`,
+/// optionally labeled (`'outer: for …`)?
+fn is_for_head(code: &str) -> bool {
+    let t = code.trim();
+    let t = match t.strip_prefix('\'') {
+        Some(labeled) => labeled.split_once(": ").map_or(t, |(_, rest)| rest),
+        None => t,
+    };
+    t.starts_with("for ") && t.contains(" in ") && t.ends_with('{')
+}
+
+/// Does the loop headed on line `head` carry a float accumulation? It
+/// does when its brace-matched body has a `name += | -= | *=` site and
+/// `name` has a float-valued `let` or plain reassignment between the fn
+/// body's first line `fn_start` and the head, not shadowed by a
+/// `let name` inside the loop before the site.
+fn carries_float(lines: &[String], fn_start: usize, head: usize) -> bool {
+    let (mut opens, mut closes) = (0, 0);
+    for site in head..lines.len() {
+        for name in accum_targets(&lines[site]) {
+            let shadowed = (head + 1..site).any(|l| defines(&lines[l], name, true));
+            if !shadowed
+                && (fn_start..head)
+                    .any(|l| defines(&lines[l], name, false) && float_init(&lines[l]))
+            {
+                return true;
+            }
+        }
+        opens += lines[site].matches('{').count();
+        closes += lines[site].matches('}').count();
+        if closes >= opens {
+            break;
+        }
+    }
+    false
+}
+
+fn is_ident_char(c: char) -> bool {
+    c.is_ascii_alphanumeric() || c == '_'
+}
+
+/// Plain locals compound-assigned on `code` by `+=`, `-=` or `*=`.
+/// Indexed (`a[i] += …`) and field (`s.x += …`) targets are element
+/// updates, not scalar accumulators; `*acc += …` is kept.
+fn accum_targets(code: &str) -> Vec<&str> {
+    let mut out = Vec::new();
+    for op in [" += ", " -= ", " *= "] {
+        for (at, _) in code.match_indices(op) {
+            let start = code[..at].trim_end_matches(is_ident_char).len();
+            if start < at && !code[..start].ends_with('.') {
+                out.push(&code[start..at]);
+            }
+        }
+    }
+    out
+}
+
+/// Does `code` define local `name`: `let [mut] name = | :`, or (unless
+/// `let_only`) a plain reassignment `name = …`?
+fn defines(code: &str, name: &str, let_only: bool) -> bool {
+    code.match_indices(name).any(|(at, _)| {
+        if code[..at].ends_with(is_ident_char) {
+            return false;
+        }
+        let before = code[..at].trim_end();
+        let after = &code[at + name.len()..];
+        let unmut = before.strip_suffix("mut").map_or(before, str::trim_end);
+        if unmut.strip_suffix("let").is_some_and(|p| !p.ends_with(is_ident_char)) {
+            after.starts_with(" = ") || (after.starts_with(':') && !after.starts_with("::"))
+        } else {
+            !let_only
+                && after.starts_with(" = ")
+                && !before.ends_with(is_ident_char)
+                && !before.ends_with(NOT_ASSIGN_PREFIX)
+        }
+    })
+}
+
+/// Punctuation that, directly before `name =` or `=`, marks a field,
+/// deref, comparison or compound operator rather than a plain assignment.
+const NOT_ASSIGN_PREFIX: &[char] =
+    &['=', '<', '>', '!', '+', '-', '*', '/', '%', '&', '|', '^', '.', ':'];
+
+/// Positive evidence that the value assigned on `code` is a float: the
+/// text after its first plain `=` names `f32` / `f64`, or has a digit
+/// followed by `.` and no `..` range.
+fn float_init(code: &str) -> bool {
+    let chars: Vec<char> = code.chars().collect();
+    let plain_eq = |i: usize| {
+        chars[i] == '='
+            && !matches!(chars.get(i + 1), Some('=' | '>'))
+            && !(i > 0 && NOT_ASSIGN_PREFIX.contains(&chars[i - 1]))
+    };
+    let Some(eq) = (0..chars.len()).find(|&i| plain_eq(i)) else { return false };
+    let init = &chars[eq + 1..];
+    let text: String = init.iter().collect();
+    passes::contains_word(&text, "f32")
+        || passes::contains_word(&text, "f64")
+        || (!text.contains("..") && init.windows(2).any(|w| w[0].is_ascii_digit() && w[1] == '.'))
 }
 
 /// Char position of the first exclusive `..` range operator on a
@@ -692,6 +774,70 @@ mod tests {
             enumerate(&ws2).iter().all(|m| m.class != "accum-reorder"),
             "integer accumulation reversed is equivalent — no mutant"
         );
+    }
+
+    /// The loop-class mutants of one `fcma-linalg` library file.
+    fn loop_ids(src: &str) -> Vec<String> {
+        let ws = ws_of(vec![lib("fcma-linalg", src)], Contracts::default());
+        enumerate(&ws)
+            .iter()
+            .filter(|m| matches!(m.class, "off-by-one" | "accum-reorder"))
+            .map(|m| format!("{}:{}:{}", m.class, m.line + 1, m.col))
+            .collect()
+    }
+
+    #[test]
+    fn labeled_for_heads_are_loops() {
+        let ids = loop_ids(
+            "pub fn f(xs: &[f64]) -> f64 {\n    let mut acc = 0.0;\n    'outer: for i in 0..xs.len() {\n        acc += xs[i];\n        if acc > 1.0 {\n            break 'outer;\n        }\n    }\n    acc\n}\n",
+        );
+        assert_eq!(ids, vec!["accum-reorder:3:22", "off-by-one:3:22"]);
+    }
+
+    #[test]
+    fn loop_body_is_brace_matched_past_nested_blocks() {
+        // The accumulation sits after an `if` block closes inside the loop.
+        let ids = loop_ids(
+            "pub fn f(xs: &[f64]) -> f64 {\n    let mut acc = 0.0;\n    for i in 0..xs.len() {\n        if xs[i] < 0.0 {\n            continue;\n        }\n        acc += xs[i];\n    }\n    acc\n}\n",
+        );
+        assert_eq!(ids, vec!["accum-reorder:3:14", "off-by-one:3:14"]);
+        // A site after the loop's closing brace is not in its body.
+        let after = loop_ids(
+            "pub fn f(xs: &[f64]) -> f64 {\n    let mut acc = 0.0;\n    for i in 0..xs.len() {\n        if xs[i] < 0.0 {\n            continue;\n        }\n    }\n    acc += 1.0;\n    acc\n}\n",
+        );
+        assert_eq!(after, vec!["off-by-one:3:14"]);
+    }
+
+    #[test]
+    fn plain_reassignment_before_the_loop_carries_a_float() {
+        let ids = loop_ids(
+            "pub fn f(xs: &[f64], acc: &mut f64) {\n    let mut acc = *acc;\n    acc = 0.0;\n    for i in 0..xs.len() {\n        acc -= xs[i];\n    }\n    let _ = acc;\n}\n",
+        );
+        assert_eq!(ids, vec!["accum-reorder:4:14", "off-by-one:4:14"]);
+    }
+
+    #[test]
+    fn let_inside_the_loop_shadows_the_outer_float() {
+        let ids = loop_ids(
+            "pub fn f(xs: &[f64]) -> f64 {\n    let mut acc = 0.0;\n    for i in 0..xs.len() {\n        let mut acc = 0.0;\n        acc += xs[i];\n        let _ = acc;\n    }\n    acc\n}\n",
+        );
+        assert_eq!(ids, vec!["off-by-one:3:14"], "per-iteration accumulator: no reorder mutant");
+    }
+
+    #[test]
+    fn for_loops_inside_closures_are_scanned() {
+        let ids = loop_ids(
+            "pub fn f(rows: &[Vec<f32>]) -> Vec<f32> {\n    rows.iter()\n        .map(|r| {\n            let mut s = 0.0f32;\n            for j in 0..r.len() {\n                s += r[j];\n            }\n            s\n        })\n        .collect()\n}\n",
+        );
+        assert_eq!(ids, vec!["accum-reorder:5:22", "off-by-one:5:22"]);
+    }
+
+    #[test]
+    fn cfg_test_loop_heads_are_not_mutated() {
+        let ids = loop_ids(
+            "pub fn f() {}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n        let mut acc = 0.0;\n        for i in 0..4 {\n            acc += 1.0;\n        }\n        let _ = acc;\n    }\n}\n",
+        );
+        assert!(ids.is_empty(), "{ids:?}");
     }
 
     #[test]

@@ -66,10 +66,6 @@ pub struct Call {
     pub owner: Option<String>,
     /// `true` for `.name(…)` method-syntax calls (receiver type unknown).
     pub method: bool,
-    /// For method calls, the identifier directly left of the `.`
-    /// (`attempts` in `self.attempts.lock()`); `None` when the receiver
-    /// is a call result or other non-ident expression.
-    pub recv: Option<String>,
     /// 0-based line.
     pub line: usize,
 }
@@ -164,13 +160,13 @@ const NON_CALL_KEYWORDS: &[&str] = &[
 
 /// One lexical token: an identifier or a punctuation character.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum Tok {
+enum Tok {
     Ident(String),
     P(char),
 }
 
 /// Tokenize the scrubbed code view; returns (token, 0-based line) pairs.
-pub(crate) fn tokenize(scan: &Scanned) -> Vec<(Tok, usize)> {
+fn tokenize(scan: &Scanned) -> Vec<(Tok, usize)> {
     let mut out = Vec::new();
     for (lineno, code) in scan.code_lines.iter().enumerate() {
         let chars: Vec<char> = code.chars().collect();
@@ -616,29 +612,19 @@ impl<'a> Parser<'a> {
                     "expect" => Some(SourceKind::Expect),
                     _ => None,
                 };
-                let recv = match self.toks.get(self.i.wrapping_sub(2)).map(|(t, _)| t) {
-                    Some(Tok::Ident(r)) => Some(r.clone()),
-                    _ => None,
-                };
                 if let Some(kind) = src_kind {
                     if let Some(f) = self.in_fn() {
                         f.sources.push(PanicSource { kind, line });
                     }
                 } else if let Some(f) = self.in_fn() {
-                    f.calls.push(Call {
-                        name: w.to_owned(),
-                        owner: None,
-                        method: true,
-                        recv,
-                        line,
-                    });
+                    f.calls.push(Call { name: w.to_owned(), owner: None, method: true, line });
                 }
             } else if !NON_CALL_KEYWORDS.contains(&w) {
                 // Free or qualified call. An uppercase qualifier is a type
                 // (`Mat::zeros`, `Self::helper`); a lowercase one is a
                 // module path.
                 let owner = qualifier.filter(|q| q.chars().next().is_some_and(char::is_uppercase));
-                let call = Call { name: w.to_owned(), owner, method: false, recv: None, line };
+                let call = Call { name: w.to_owned(), owner, method: false, line };
                 if let Some(f) = self.in_fn() {
                     f.calls.push(call);
                 }
@@ -905,20 +891,6 @@ mod tests {
         assert!(call("free_fn").owner.is_none(), "module path is not a type owner");
         assert!(call("normalize").method);
         assert!(call("collect").method, "turbofish method call is still a call");
-    }
-
-    #[test]
-    fn method_calls_record_their_receiver_ident() {
-        let p = parsed(
-            "fn f(s: &S) {\n    let _a = s.attempts.lock();\n    let _b = shared.lock();\n    \
-             let _c = make().lock();\n    helper();\n}\n",
-        );
-        let f = &p.fns[0];
-        let locks: Vec<Option<&str>> =
-            f.calls.iter().filter(|c| c.name == "lock").map(|c| c.recv.as_deref()).collect();
-        assert_eq!(locks, vec![Some("attempts"), Some("shared"), None]);
-        let helper = f.calls.iter().find(|c| c.name == "helper").unwrap();
-        assert!(helper.recv.is_none(), "free calls carry no receiver");
     }
 
     #[test]

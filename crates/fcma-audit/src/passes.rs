@@ -11,10 +11,6 @@
 //! | `protocol`    | ToWorker/FromWorker ↔ driver match arms ↔ DESIGN.md §12 table | none |
 //! | `deadpub`     | sweep-crate `pub` items with no cross-crate references | allow marker |
 //! | `syncfacade`  | no raw `std::sync`/`std::thread` primitives outside fcma-sync | allow marker |
-//! | `allocinloop` | no heap allocation reachable inside a loop of a hot fn (DESIGN.md §14) | allow marker |
-//! | `boundsinloop`| no `a[i]` induction-variable indexing in innermost hot loops | allow marker |
-//! | `accumorder`  | float accumulators in hot loops must use the blessed fcma-linalg idioms | allow marker |
-//! | `hotcallout`  | hot fns call only hot/`audit: pure` fns — no I/O, tracing, or locking | allow marker |
 //! | `atomicorder` | every `Ordering::*` site matches a DESIGN.md §16 atomics-contract row | allow marker |
 //! | `unusedallow` | every allow marker must suppress something | none |
 //!
@@ -22,19 +18,10 @@
 //! `// audit: allow(<pass>) — <reason>` on the offending line or the line
 //! directly above; the reason is mandatory. The `unusedallow` pass runs
 //! last and flags any marker no other pass consumed.
-//!
-//! The four hot-path passes are scoped by DESIGN.md §14: a fn is *hot*
-//! when the §14 "Hot functions" table names it or an `// audit: hot`
-//! marker sits on its `fn` line (or directly above). `// audit: pure`
-//! marks a trusted leaf a hot fn may call; pure fns are not themselves
-//! scanned, but their allocation effects still propagate — pure is not
-//! an allocation escape.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
-use crate::cfg::FnCfg;
-use crate::dataflow;
 use crate::graph::{CallGraph, Contracts, CrateGraph};
 use crate::parser::{self, ParsedFile, TypeKind, Vis};
 use crate::source::{marker_allows, Role, SourceFile};
@@ -85,11 +72,6 @@ const SYNC_EXEMPT_CRATES: &[&str] =
 const FORBIDDEN_STD_SYNC: &[&str] =
     &["Mutex", "RwLock", "Condvar", "Barrier", "Once", "OnceLock", "LazyLock", "mpsc", "atomic"];
 
-/// Call names that can block the calling thread — channel receives and
-/// file I/O — and are therefore forbidden on the hot path.
-const BLOCKING_CALLS: &[&str] =
-    &["recv", "recv_timeout", "read_to_string", "write_all", "flush", "sync_all"];
-
 /// The mutant classes an `// audit: equivalent(<class>)` triage marker
 /// may name (alias of [`crate::mutants::MUTANT_CLASSES`], kept local so
 /// the marker checks read without a module hop).
@@ -105,28 +87,13 @@ pub const PASS_NAMES: &[&str] = &[
     "protocol",
     "deadpub",
     "syncfacade",
-    "allocinloop",
-    "boundsinloop",
-    "accumorder",
-    "hotcallout",
     "atomicorder",
     "unusedallow",
 ];
 
 /// Passes that honor allow markers at all.
-pub const ESCAPABLE_PASSES: &[&str] = &[
-    "cast",
-    "proptest",
-    "tracename",
-    "panicpath",
-    "deadpub",
-    "syncfacade",
-    "allocinloop",
-    "boundsinloop",
-    "accumorder",
-    "hotcallout",
-    "atomicorder",
-];
+pub const ESCAPABLE_PASSES: &[&str] =
+    &["cast", "proptest", "tracename", "panicpath", "deadpub", "syncfacade", "atomicorder"];
 
 /// One diagnostic. Lines are 1-based for display.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -261,18 +228,6 @@ impl Workspace {
         }
         if on("syncfacade") {
             v.extend(check_syncfacade(self));
-        }
-        if on("allocinloop") {
-            v.extend(check_allocinloop(self));
-        }
-        if on("boundsinloop") {
-            v.extend(check_boundsinloop(self));
-        }
-        if on("accumorder") {
-            v.extend(check_accumorder(self));
-        }
-        if on("hotcallout") {
-            v.extend(check_hotcallout(self));
         }
         if on("atomicorder") {
             v.extend(check_atomicorder(self));
@@ -1027,416 +982,6 @@ fn std_sync_items(code_lines: &[String], lno: usize, from: usize) -> Vec<String>
         }
     }
     items
-}
-
-/// Shared context for the four hot-path passes (DESIGN.md §14): the
-/// library-wide call graph, the hot/pure sets, and per-hot-fn CFGs.
-///
-/// No crate is exempt — hot-path contracts are opt-in (a fn is in scope
-/// only when the §14 table or a marker names it), so scoping by crate
-/// would add nothing.
-struct HotCtx {
-    graph: CallGraph,
-    /// Per node: named by the §14 table or carrying a hot marker.
-    hot: Vec<bool>,
-    /// Per node: carrying a pure marker (trusted leaf).
-    pure: Vec<bool>,
-    /// Per node: the CFG, built only for hot fns with bodies.
-    cfgs: Vec<Option<FnCfg>>,
-}
-
-fn hot_ctx(ws: &Workspace) -> HotCtx {
-    let files: Vec<(String, &ParsedFile)> = ws
-        .files
-        .iter()
-        .enumerate()
-        .map(|(fi, f)| {
-            let key = if f.role == Role::Lib { ws.crate_key(fi).to_owned() } else { String::new() };
-            (key, &ws.parsed[fi])
-        })
-        .collect();
-    let include = |file: usize, idx: usize| {
-        let f = &ws.files[file];
-        f.role == Role::Lib && !f.in_test_span(ws.parsed[file].fns[idx].line)
-    };
-    let mut visible: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    for m in &ws.crates.crates {
-        visible.insert(m.name.clone(), ws.crates.closure(&m.name));
-    }
-    let graph = CallGraph::build(&files, &include, &visible);
-
-    let table: BTreeSet<&str> = ws.contracts.hot_fns.iter().flatten().map(String::as_str).collect();
-    let mut hot = Vec::with_capacity(graph.nodes.len());
-    let mut pure = Vec::with_capacity(graph.nodes.len());
-    let mut cfgs = Vec::with_capacity(graph.nodes.len());
-    for n in &graph.nodes {
-        let f = &ws.parsed[n.file].fns[n.idx];
-        let file = &ws.files[n.file];
-        // Table entries match by bare name or `Type::name`.
-        let qualified = f.owner.as_ref().map(|o| format!("{o}::{}", f.name));
-        let in_table = table.contains(f.name.as_str())
-            || qualified.as_deref().is_some_and(|q| table.contains(q));
-        let is_hot = in_table || file.fn_marker("hot", f.line);
-        hot.push(is_hot);
-        pure.push(file.fn_marker("pure", f.line));
-        cfgs.push(if is_hot { f.body.map(|b| FnCfg::build(&file.scan, b)) } else { None });
-    }
-    HotCtx { graph, hot, pure, cfgs }
-}
-
-/// Pass: no heap allocation reachable inside a loop of a hot function.
-///
-/// The paper's kernels win precisely because per-panel scratch is
-/// allocated once and reused (§4.4); a `vec!` reintroduced into an
-/// inner loop silently forfeits that. Direct allocation sites
-/// (`vec!`, `format!`, `Vec::new`-style constructors, `.to_vec()` /
-/// `.clone()` / `.collect()` and friends) at loop depth ≥ 1 of a hot
-/// fn are flagged, and allocation evidence propagates callee → caller
-/// through the call graph with via-chain diagnostics, so a
-/// loop-resident call into an allocating helper is caught too. A `pure`
-/// marker does not stop the propagation — pure is not an allocation
-/// escape.
-pub fn check_allocinloop(ws: &Workspace) -> Vec<Violation> {
-    let ctx = hot_ctx(ws);
-    if !ctx.hot.iter().any(|&h| h) {
-        return Vec::new();
-    }
-    // Per-node allocation evidence, propagated callee → caller.
-    let mut allocs: Vec<Option<String>> = ctx
-        .graph
-        .nodes
-        .iter()
-        .map(|n| {
-            let f = &ws.parsed[n.file].fns[n.idx];
-            dataflow::effects(f, &ws.files[n.file].scan)
-                .allocs
-                .into_iter()
-                .find(|s| !ws.allowed(n.file, "allocinloop", s.line))
-                .map(|s| format!("{} at {}:{}", s.what, ws.files[n.file].rel_path, s.line + 1))
-        })
-        .collect();
-    let mut queue: VecDeque<usize> =
-        (0..ctx.graph.nodes.len()).filter(|&i| allocs[i].is_some()).collect();
-    while let Some(j) = queue.pop_front() {
-        let callee_name =
-            ws.parsed[ctx.graph.nodes[j].file].fns[ctx.graph.nodes[j].idx].name.clone();
-        let why = allocs[j].clone().unwrap_or_default();
-        for &i in &ctx.graph.callers[j] {
-            if allocs[i].is_none() {
-                allocs[i] = Some(format!("via `{callee_name}`, {why}"));
-                queue.push_back(i);
-            }
-        }
-    }
-
-    let mut out = Vec::new();
-    for (i, n) in ctx.graph.nodes.iter().enumerate() {
-        if !ctx.hot[i] {
-            continue;
-        }
-        let Some(cfg) = &ctx.cfgs[i] else { continue };
-        let file = &ws.files[n.file];
-        let f = &ws.parsed[n.file].fns[n.idx];
-        // Name-based method resolution can produce duplicate edges for
-        // one call site; dedupe on (line, message).
-        let mut seen: BTreeSet<(usize, String)> = BTreeSet::new();
-        for s in dataflow::effects(f, &file.scan).allocs {
-            if cfg.loop_depth_at(s.line) == 0 || ws.allowed(n.file, "allocinloop", s.line) {
-                continue;
-            }
-            let message = format!(
-                "heap allocation ({}) inside a loop of hot fn `{}`; hoist it into \
-                 caller-provided scratch or add `// audit: allow(allocinloop) — <reason>`",
-                s.what, f.name
-            );
-            if seen.insert((s.line, message.clone())) {
-                out.push(Violation {
-                    file: file.rel_path.clone(),
-                    line: s.line + 1,
-                    pass: "allocinloop",
-                    message,
-                });
-            }
-        }
-        for &(callee, call_line) in &ctx.graph.callees[i] {
-            if cfg.loop_depth_at(call_line) == 0 || ws.allowed(n.file, "allocinloop", call_line) {
-                continue;
-            }
-            if let Some(why) = &allocs[callee] {
-                let callee_fn =
-                    &ws.parsed[ctx.graph.nodes[callee].file].fns[ctx.graph.nodes[callee].idx];
-                let message = format!(
-                    "call to `{}` allocates ({why}) inside a loop of hot fn `{}`",
-                    callee_fn.name, f.name
-                );
-                if seen.insert((call_line, message.clone())) {
-                    out.push(Violation {
-                        file: file.rel_path.clone(),
-                        line: call_line + 1,
-                        pass: "allocinloop",
-                        message,
-                    });
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Pass: no `a[i]` induction-variable indexing in an innermost hot loop.
-///
-/// An element gather indexed by the loop variable carries a bounds
-/// check per iteration that an iterator / `zip` / `chunks` /
-/// `split_at` formulation elides (and `unsafe get_unchecked` stays
-/// forbidden workspace-wide). Only single-identifier indices whose
-/// identifier is an induction variable of the *deepest* loop
-/// containing the site are flagged — slice-range expressions
-/// (`a[i..j]`, `a[..n]`) and computed indices (`a[i * lda + j]`) index
-/// once per tile and pass.
-pub fn check_boundsinloop(ws: &Workspace) -> Vec<Violation> {
-    let ctx = hot_ctx(ws);
-    let mut out = Vec::new();
-    for (i, n) in ctx.graph.nodes.iter().enumerate() {
-        if !ctx.hot[i] {
-            continue;
-        }
-        let Some(cfg) = &ctx.cfgs[i] else { continue };
-        let f = &ws.parsed[n.file].fns[n.idx];
-        let file = &ws.files[n.file];
-        let Some(body) = f.body else { continue };
-        // Effect pre-filter: a fn the parser found no panicking `[]`
-        // index in has nothing for the token scan to find either.
-        if dataflow::effects(f, &file.scan).index_lines.is_empty() {
-            continue;
-        }
-        for site in dataflow::index_sites(&file.scan, body) {
-            let Some(lp) = cfg.innermost_loop_at(site.line) else { continue };
-            if !lp.induction.iter().any(|v| v == &site.index)
-                || ws.allowed(n.file, "boundsinloop", site.line)
-            {
-                continue;
-            }
-            out.push(Violation {
-                file: file.rel_path.clone(),
-                line: site.line + 1,
-                pass: "boundsinloop",
-                message: format!(
-                    "`{}[{}]` indexes by the loop variable in an innermost loop of hot fn \
-                     `{}`; restructure with iterators/zip/chunks/split_at to elide the \
-                     bounds check, or add `// audit: allow(boundsinloop) — <reason>`",
-                    site.base, site.index, f.name
-                ),
-            });
-        }
-    }
-    out
-}
-
-/// Pass: float accumulators in hot loops must use the blessed
-/// fcma-linalg accumulation idioms.
-///
-/// A scalar `s += x` folded serially across a loop pins the summation
-/// order to this exact iteration schedule; the coming parallel kernel
-/// split would then change results run to run. The blessed idioms —
-/// `norms::dot`'s fixed 8-lane partial-sum array, `axpy`,
-/// `mean_var_onepass` — fix an explicit reduction shape instead. The
-/// reaching-definitions engine keeps the pass honest: only a compound
-/// assignment whose accumulator is float-initialized *outside* the
-/// containing loop (i.e. genuinely carried across iterations) fires;
-/// per-iteration locals and integer counters pass.
-pub fn check_accumorder(ws: &Workspace) -> Vec<Violation> {
-    let ctx = hot_ctx(ws);
-    let mut out = Vec::new();
-    for (i, n) in ctx.graph.nodes.iter().enumerate() {
-        if !ctx.hot[i] {
-            continue;
-        }
-        let Some(cfg) = &ctx.cfgs[i] else { continue };
-        let f = &ws.parsed[n.file].fns[n.idx];
-        let file = &ws.files[n.file];
-        let Some(body) = f.body else { continue };
-        let sites = dataflow::compound_assigns(&file.scan, body);
-        if sites.is_empty() {
-            continue;
-        }
-        let defs = dataflow::local_defs(&file.scan, body);
-        let rd = dataflow::Reaching::build(cfg, &defs);
-        for site in sites {
-            let Some(lp) = cfg.innermost_loop_at(site.line) else { continue };
-            let carried = rd
-                .reaching_at(&site.name, site.line)
-                .into_iter()
-                .any(|d| (d.line < lp.body.0 || d.line > lp.body.1) && d.is_float());
-            if !carried || ws.allowed(n.file, "accumorder", site.line) {
-                continue;
-            }
-            out.push(Violation {
-                file: file.rel_path.clone(),
-                line: site.line + 1,
-                pass: "accumorder",
-                message: format!(
-                    "float accumulator `{}` is folded serially (`{}=`) across a hot loop; \
-                     use a blessed fcma-linalg reduction (dot's lane array, axpy, \
-                     mean_var_onepass) so summation order survives the parallel split, or \
-                     add `// audit: allow(accumorder) — <reason>`",
-                    site.name, site.op
-                ),
-            });
-        }
-    }
-    out
-}
-
-/// Pass: hot functions call only hot or pure functions — no I/O, no
-/// tracing-probe construction, no locking.
-///
-/// Keeps the hot path a closed world: every callee is either itself
-/// under the hot-path contracts or a declared-pure leaf accessor.
-/// Tracing probes and console I/O are matched textually (macros are
-/// not parsed as calls), locking as `.lock()` method calls and blocking
-/// calls by name ([`BLOCKING_CALLS`]), and the transitive facade-lock
-/// acquires sets compose in: even a hot/pure callee is flagged if it
-/// can reach a `.lock()`.
-pub fn check_hotcallout(ws: &Workspace) -> Vec<Violation> {
-    let ctx = hot_ctx(ws);
-    if !ctx.hot.iter().any(|&h| h) {
-        return Vec::new();
-    }
-    // Transitive facade-lock acquisitions over this graph (no allow
-    // filtering at the seeds — a lock is a lock for hot-path purposes).
-    let mut acquires: Vec<BTreeSet<String>> = ctx
-        .graph
-        .nodes
-        .iter()
-        .map(|n| {
-            ws.parsed[n.file].fns[n.idx]
-                .calls
-                .iter()
-                .filter(|c| c.name == "lock" && c.method)
-                .map(|c| c.recv.clone().unwrap_or_else(|| "<unnamed>".to_owned()))
-                .collect::<BTreeSet<_>>()
-        })
-        .collect();
-    let mut queue: VecDeque<usize> =
-        (0..ctx.graph.nodes.len()).filter(|&i| !acquires[i].is_empty()).collect();
-    while let Some(j) = queue.pop_front() {
-        let locks = acquires[j].clone();
-        for &i in &ctx.graph.callers[j] {
-            let before = acquires[i].len();
-            acquires[i].extend(locks.iter().cloned());
-            if acquires[i].len() > before {
-                queue.push_back(i);
-            }
-        }
-    }
-
-    const IO_MACROS: &[&str] = &["println!(", "eprintln!(", "print!(", "eprint!(", "dbg!("];
-    let mut out = Vec::new();
-    for (i, n) in ctx.graph.nodes.iter().enumerate() {
-        if !ctx.hot[i] {
-            continue;
-        }
-        let f = &ws.parsed[n.file].fns[n.idx];
-        let file = &ws.files[n.file];
-        let Some(body) = f.body else { continue };
-        // Textual probes: tracing-span construction and console I/O.
-        for (lineno, code) in file.scan.code_lines.iter().enumerate().take(body.1 + 1).skip(body.0)
-        {
-            for pat in TRACE_SITES {
-                if !site_starts(code, pat).is_empty() && !ws.allowed(n.file, "hotcallout", lineno) {
-                    out.push(Violation {
-                        file: file.rel_path.clone(),
-                        line: lineno + 1,
-                        pass: "hotcallout",
-                        message: format!(
-                            "hot fn `{}` constructs a tracing probe (`{}`); hoist \
-                             instrumentation into a non-hot wrapper or add \
-                             `// audit: allow(hotcallout) — <reason>`",
-                            f.name,
-                            pat.trim_end_matches('(')
-                        ),
-                    });
-                }
-            }
-            for pat in IO_MACROS {
-                if !site_starts(code, pat).is_empty() && !ws.allowed(n.file, "hotcallout", lineno) {
-                    out.push(Violation {
-                        file: file.rel_path.clone(),
-                        line: lineno + 1,
-                        pass: "hotcallout",
-                        message: format!(
-                            "hot fn `{}` performs console I/O (`{}`)",
-                            f.name,
-                            pat.trim_end_matches('(')
-                        ),
-                    });
-                }
-            }
-        }
-        // Direct locking / blocking calls.
-        for c in &f.calls {
-            if ws.allowed(n.file, "hotcallout", c.line) {
-                continue;
-            }
-            if c.name == "lock" && c.method {
-                out.push(Violation {
-                    file: file.rel_path.clone(),
-                    line: c.line + 1,
-                    pass: "hotcallout",
-                    message: format!(
-                        "hot fn `{}` acquires lock `{}`; hot code must stay lock-free \
-                         (merge outside the hot path)",
-                        f.name,
-                        c.recv.as_deref().unwrap_or("<unnamed>")
-                    ),
-                });
-            } else if BLOCKING_CALLS.contains(&c.name.as_str()) {
-                out.push(Violation {
-                    file: file.rel_path.clone(),
-                    line: c.line + 1,
-                    pass: "hotcallout",
-                    message: format!(
-                        "hot fn `{}` makes blocking call `.{}()`; no I/O on the hot path",
-                        f.name, c.name
-                    ),
-                });
-            }
-        }
-        // Resolved workspace callees must be hot or pure, and must not
-        // reach a facade lock.
-        let mut seen: BTreeSet<(usize, usize)> = BTreeSet::new();
-        for &(callee, call_line) in &ctx.graph.callees[i] {
-            if !seen.insert((callee, call_line)) || ws.allowed(n.file, "hotcallout", call_line) {
-                continue;
-            }
-            let cf = &ws.parsed[ctx.graph.nodes[callee].file].fns[ctx.graph.nodes[callee].idx];
-            if !(ctx.hot[callee] || ctx.pure[callee]) {
-                out.push(Violation {
-                    file: file.rel_path.clone(),
-                    line: call_line + 1,
-                    pass: "hotcallout",
-                    message: format!(
-                        "hot fn `{}` calls `{}`, which is neither hot nor marked pure; \
-                         bring the callee under the §14 contracts (table row or fn \
-                         marker) or add `// audit: allow(hotcallout) — <reason>`",
-                        f.name, cf.name
-                    ),
-                });
-            } else if let Some(lock) = acquires[callee].iter().next() {
-                out.push(Violation {
-                    file: file.rel_path.clone(),
-                    line: call_line + 1,
-                    pass: "hotcallout",
-                    message: format!(
-                        "hot fn `{}` calls `{}`, which can acquire facade lock `{lock}`; \
-                         hot code must stay lock-free",
-                        f.name, cf.name
-                    ),
-                });
-            }
-        }
-    }
-    out
 }
 
 /// The memory orderings the `atomicorder` pass tracks.
@@ -2436,104 +1981,6 @@ mod tests {
         );
         let b = lib_file("fcma-core", "//! m\nfn f() {\n    bench_hook();\n}\n");
         let v = ws_of(vec![f, b]).run_all();
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn allocinloop_flags_direct_and_transitive_allocation() {
-        let f = lib_file(
-            "fcma-linalg",
-            "//! m\n// audit: hot\nfn direct(n: usize) {\n    for _i in 0..n {\n        let v = vec![0.0f32; 4];\n        drop(v);\n    }\n}\n\
-             // audit: hot\nfn indirect(n: usize) {\n    for _i in 0..n {\n        helper();\n    }\n}\n\
-             fn helper() {\n    let v = Vec::new();\n    drop(v);\n}\n",
-        );
-        let v = check_allocinloop(&ws_of(vec![f]));
-        assert_eq!(v.len(), 2, "{v:?}");
-        assert!(v.iter().any(|x| x.message.contains("heap allocation (`vec!`)")), "{v:?}");
-        assert!(v.iter().any(|x| x.message.contains("call to `helper` allocates")), "{v:?}");
-    }
-
-    #[test]
-    fn allocinloop_quiet_outside_loops_and_with_marker() {
-        let f = lib_file(
-            "fcma-linalg",
-            "//! m\n// audit: hot\nfn f(n: usize) {\n    let v = vec![0.0f32; n];\n    for _i in 0..n {\n        // audit: allow(allocinloop) — grows rarely, amortised\n        scratch.push(0.0);\n    }\n    drop(v);\n}\n",
-        );
-        let ws = ws_of(vec![f]);
-        let v = check_allocinloop(&ws);
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn boundsinloop_flags_induction_indexing_in_hot_loop() {
-        let f = lib_file(
-            "fcma-linalg",
-            "//! m\n// audit: hot\nfn f(a: &[f32], out: &mut [f32]) {\n    for i in 0..a.len() {\n        out[i] = a[i];\n    }\n}\n",
-        );
-        let v = check_boundsinloop(&ws_of(vec![f]));
-        assert_eq!(v.len(), 2, "{v:?}");
-        assert!(v[0].message.contains("indexes by the loop variable"), "{v:?}");
-    }
-
-    #[test]
-    fn boundsinloop_quiet_for_nonhot_and_noninduction_index() {
-        let cold = lib_file(
-            "fcma-core",
-            "//! m\nfn f(a: &[f32], out: &mut [f32]) {\n    for i in 0..a.len() {\n        out[i] = a[i];\n    }\n}\n",
-        );
-        let fixed = lib_file(
-            "fcma-linalg",
-            "//! m\n// audit: hot\nfn g(a: &[f32], k: usize, n: usize) -> f32 {\n    let mut last = 0.0;\n    for _i in 0..n {\n        last = a[k];\n    }\n    last\n}\n",
-        );
-        let v = check_boundsinloop(&ws_of(vec![cold, fixed]));
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn accumorder_flags_serial_float_fold_across_hot_loop() {
-        let f = lib_file(
-            "fcma-linalg",
-            "//! m\n// audit: hot\nfn sum(xs: &[f32]) -> f32 {\n    let mut s = 0.0f32;\n    for x in xs {\n        s += *x;\n    }\n    s\n}\n",
-        );
-        let v = check_accumorder(&ws_of(vec![f]));
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].message.contains("float accumulator `s`"), "{v:?}");
-    }
-
-    #[test]
-    fn accumorder_quiet_for_integer_and_loop_local_accumulators() {
-        let f = lib_file(
-            "fcma-linalg",
-            "//! m\n// audit: hot\nfn f(xs: &[f32], n: usize) -> usize {\n    let mut count = 0usize;\n    for _x in xs {\n        count += 1;\n    }\n    for _i in 0..n {\n        let mut t = 0.0f32;\n        t += 1.0;\n        consume(t);\n    }\n    count\n}\n",
-        );
-        let v = check_accumorder(&ws_of(vec![f]));
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn hotcallout_flags_io_locks_and_unmarked_callees() {
-        let f = lib_file(
-            "fcma-linalg",
-            "//! m\n// audit: hot\nfn f(state: &Shared) {\n    println!(\"progress\");\n    let g = state.lock();\n    helper();\n    drop(g);\n}\n\
-             fn helper() {}\n",
-        );
-        let v = check_hotcallout(&ws_of(vec![f]));
-        assert_eq!(v.len(), 3, "{v:?}");
-        assert!(v.iter().any(|x| x.message.contains("console I/O")), "{v:?}");
-        assert!(v.iter().any(|x| x.message.contains("acquires lock `state`")), "{v:?}");
-        assert!(v.iter().any(|x| x.message.contains("neither hot nor marked pure")), "{v:?}");
-    }
-
-    #[test]
-    fn hotcallout_quiet_for_pure_and_table_hot_callees() {
-        let contracts =
-            Contracts { hot_fns: Some(vec!["table_hot".to_owned()]), ..Contracts::default() };
-        let f = lib_file(
-            "fcma-linalg",
-            "//! m\nfn table_hot(xs: &[f32]) {\n    leaf(xs);\n}\n\
-             // audit: pure\nfn leaf(_xs: &[f32]) {}\n",
-        );
-        let v = check_hotcallout(&ws_with(vec![f], CrateGraph::default(), contracts));
         assert!(v.is_empty(), "{v:?}");
     }
 

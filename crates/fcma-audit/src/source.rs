@@ -156,17 +156,6 @@ impl SourceFile {
         out
     }
 
-    /// Does a `// audit: <kind>` function marker (`audit: hot` or
-    /// `audit: pure`) sit on 0-based `line` or the line directly above?
-    ///
-    /// Same two-line window as [`Self::allow_marker`], same doc-comment
-    /// exclusion. The word-boundary check keeps `audit: hotfix` (or the
-    /// `audit: allow(...)` syntax itself) from matching.
-    pub fn fn_marker(&self, kind: &str, line: usize) -> bool {
-        let hit = |l: usize| self.scan.comment_lines.get(l).is_some_and(|c| has_fn_marker(c, kind));
-        hit(line) || (line > 0 && hit(line - 1))
-    }
-
     /// One sequential pass over the scrubbed code computing spans and
     /// token sites. Brace depth is tracked exactly (literals are already
     /// blanked); item starts are recognized from keyword tokens.
@@ -295,25 +284,6 @@ pub fn marker_allows(comment: &str, pass: &str) -> bool {
     !reason.is_empty()
 }
 
-/// Does this comment carry a bare `audit: <kind>` function marker?
-///
-/// Trailing prose is allowed (`// audit: hot — stage-3 panel walk`),
-/// but the kind must end at a word boundary and must not open a
-/// parenthesis (that is the `audit: allow(pass)` syntax).
-fn has_fn_marker(comment: &str, kind: &str) -> bool {
-    if is_doc_comment(comment) {
-        return false;
-    }
-    let needle = format!("audit: {kind}");
-    let Some(p) = comment.find(&needle) else {
-        return false;
-    };
-    match comment[p + needle.len()..].chars().next() {
-        Some(c) => !(c.is_ascii_alphanumeric() || c == '_' || c == '('),
-        None => true,
-    }
-}
-
 /// Events from the per-line token walk.
 enum Token {
     Ident(String),
@@ -414,16 +384,6 @@ mod tests {
         let wrong_pass =
             lib("fn a(x: Option<u8>) {\n    // audit: allow(cast) — nope\n    x.unwrap();\n}\n");
         assert!(!wrong_pass.allow_marker("panicpath", 2));
-    }
-
-    #[test]
-    fn fn_marker_window_and_word_boundary() {
-        let f = lib("// audit: hot — stage-3 panel walk\nfn a() {}\n\nfn b() {} // audit: pure\n\n// audit: hotfix notes\nfn c() {}\n\n/// audit: hot\nfn d() {}\n");
-        assert!(f.fn_marker("hot", 1), "marker on the line above");
-        assert!(f.fn_marker("pure", 3), "marker on the fn line itself");
-        assert!(!f.fn_marker("hot", 6), "`hotfix` must not match `hot`");
-        assert!(!f.fn_marker("hot", 9), "doc comments never carry markers");
-        assert!(!f.fn_marker("pure", 1), "kinds do not cross-match");
     }
 
     #[test]

@@ -56,6 +56,7 @@ fn collect_package(
     if src.is_dir() {
         // A package with no lib.rs is binary-only: all of src/ is Bin.
         let has_lib = src.join("lib.rs").is_file();
+        let src_dir = src.as_path();
         collect_tree(
             &src,
             pkg,
@@ -63,6 +64,8 @@ fn collect_package(
             move |path| {
                 if !has_lib || is_bin_path(path) {
                     Role::Bin
+                } else if is_test_module(path, src_dir) {
+                    Role::Test
                 } else {
                     Role::Lib
                 }
@@ -85,6 +88,27 @@ fn collect_package(
 fn is_bin_path(path: &Path) -> bool {
     path.file_name().and_then(|n| n.to_str()) == Some("main.rs")
         || path.components().any(|c| c.as_os_str() == "bin")
+}
+
+/// Is this src/ file an out-of-line test module: does its declaring
+/// module put `#[cfg(test)]` directly above `mod <stem>;`?
+fn is_test_module(path: &Path, src: &Path) -> bool {
+    let Some(parent) = path.parent() else { return false };
+    let (stem, dir) = match path.file_stem().and_then(|s| s.to_str()) {
+        Some("mod") => (parent.file_name().and_then(|s| s.to_str()), parent.parent()),
+        stem => (stem, Some(parent)),
+    };
+    let (Some(stem), Some(dir)) = (stem, dir) else { return false };
+    let declarers = if dir == src {
+        vec![src.join("lib.rs")]
+    } else {
+        vec![dir.with_extension("rs"), dir.join("mod.rs")]
+    };
+    let decl = format!("mod {stem};");
+    declarers.iter().filter_map(|d| fs::read_to_string(d).ok()).any(|text| {
+        let lines: Vec<&str> = text.lines().map(str::trim).collect();
+        lines.windows(2).any(|w| w[0] == "#[cfg(test)]" && w[1] == decl)
+    })
 }
 
 /// Recursively collect `.rs` files under `dir`, assigning roles via `role_of`.
@@ -161,5 +185,12 @@ mod tests {
                 assert_eq!(f.role, Role::Bench, "{}", f.rel_path);
             }
         }
+        // Out-of-line `#[cfg(test)] mod tests;` files are test code.
+        for path in ["crates/fcma-sync/src/tests.rs", "crates/fcma-mc/src/tests.rs"] {
+            let f = files.iter().find(|f| f.rel_path == path).expect(path);
+            assert_eq!(f.role, Role::Test, "{path}");
+        }
+        let lib = files.iter().find(|f| f.rel_path == "crates/fcma-sync/src/pool.rs");
+        assert_eq!(lib.map(|f| f.role), Some(Role::Lib));
     }
 }

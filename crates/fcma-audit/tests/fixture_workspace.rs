@@ -1,9 +1,9 @@
 //! On-disk fixture workspace: seed one violation per workspace-level
 //! pass (layering, panicpath, protocol, deadpub, syncfacade,
-//! unusedallow, the four hot-path passes, atomicorder) in a temporary
-//! crate tree and assert the full [`fcma_audit::audit`] pipeline —
-//! discovery, manifest parsing, DESIGN.md contract parsing, call-graph
-//! construction — catches each one and nothing it shouldn't.
+//! unusedallow, atomicorder) in a temporary crate tree and assert the
+//! full [`fcma_audit::audit`] pipeline — discovery, manifest parsing,
+//! DESIGN.md contract parsing, call-graph construction — catches each
+//! one and nothing it shouldn't.
 //!
 //! The in-memory seeds in `self_clean.rs` cover the per-file passes;
 //! this test covers the passes that need manifests and contracts on
@@ -54,7 +54,6 @@ const DESIGN_MD: &str = "\
 | `fcma-beta` | (none) |
 | `fcma-cluster` | (none) |
 | `fcma-gamma` | (none) |
-| `fcma-hot` | (none) |
 | `fcma-race` | (none) |
 
 | Message | Payload fields | Meaning |
@@ -62,14 +61,6 @@ const DESIGN_MD: &str = "\
 | `ToWorker::Task` | `task` | dispatch one task |
 | `ToWorker::Shutdown` | (none) | drain and exit |
 | `FromWorker::Done` | `worker`, `task` | scores for a task |
-
-## 14. Hot-path contracts
-
-### Hot functions
-
-| Function | Where | Why it is hot |
-|---|---|---|
-| `table_hot` | `fcma-hot/src/lib.rs` | fixture: hot via the contracts table rather than a marker |
 
 ## 16. Atomics contracts
 
@@ -187,63 +178,6 @@ fn audited_fixture(tag: &str) -> (Fixture, Vec<Violation>) {
         "//! Seeded: raw sync primitive.\n\nuse std::sync::Mutex;\n",
     );
 
-    // fcma-hot: one violation per §14 hot-path pass — a loop-resident
-    // allocating callee (mismarked `pure`, proving pure is not an
-    // allocation escape), induction-variable indexing, a serial float
-    // fold, and a call to an unmarked helper.
-    fx.write("crates/fcma-hot/Cargo.toml", "[package]\nname = \"fcma-hot\"\n\n[dependencies]\n");
-    fx.write(
-        "crates/fcma-hot/src/lib.rs",
-        "//! Seeded: one violation per hot-path pass.\n\
-         \n\
-         /// Hot via the DESIGN.md table; its loop calls an allocating helper.\n\
-         fn table_hot(n: usize) -> usize {\n\
-             let mut total = 0usize;\n\
-             for _i in 0..n {\n\
-                 let v = alloc_helper();\n\
-                 total += v.len();\n\
-             }\n\
-             total\n\
-         }\n\
-         \n\
-         /// Deliberately mismarked: pure must not hide the allocation.\n\
-         // audit: pure\n\
-         fn alloc_helper() -> Vec<f32> {\n\
-             vec![0.0; 4]\n\
-         }\n\
-         \n\
-         /// Indexes by the induction variable in its innermost loop.\n\
-         // audit: hot\n\
-         fn hot_bounds(inp: &[f32]) -> f32 {\n\
-             let mut best = 0.0f32;\n\
-             for i in 0..inp.len() {\n\
-                 best = best.max(inp[i]);\n\
-             }\n\
-             best\n\
-         }\n\
-         \n\
-         /// Folds a float serially across its loop.\n\
-         // audit: hot\n\
-         fn hot_accum(xs: &[f32]) -> f32 {\n\
-             let mut s = 0.0f32;\n\
-             for x in xs {\n\
-                 s += *x;\n\
-             }\n\
-             s\n\
-         }\n\
-         \n\
-         /// Calls a helper that is neither hot nor pure.\n\
-         // audit: hot\n\
-         fn hot_callout(x: f32) -> f32 {\n\
-             plain_helper(x)\n\
-         }\n\
-         \n\
-         /// No markers at all.\n\
-         fn plain_helper(x: f32) -> f32 {\n\
-             x\n\
-         }\n",
-    );
-
     // fcma-race: an `Ordering::SeqCst` site with no §16 contract row
     // (the fixture table above is deliberately empty but declares the
     // matching `sites: 1` count).
@@ -358,55 +292,6 @@ fn syncfacade_pass_fires_on_raw_std_sync_import() {
             .any(|v| v.file == "crates/fcma-gamma/src/lib.rs"
                 && v.message.contains("std::sync::Mutex")),
         "raw std::sync::Mutex import not flagged: {sync:?}"
-    );
-}
-
-#[test]
-fn allocinloop_pass_fires_exactly_once_via_pure_callee() {
-    let (_fx, violations) = audited_fixture("allocinloop");
-    let alloc = hits(&violations, "allocinloop");
-    assert_eq!(alloc.len(), 1, "exactly one seeded allocation: {alloc:?}");
-    assert!(
-        alloc[0].file == "crates/fcma-hot/src/lib.rs"
-            && alloc[0].message.contains("call to `alloc_helper` allocates"),
-        "loop-resident allocating callee not flagged through the pure marker: {alloc:?}"
-    );
-}
-
-#[test]
-fn boundsinloop_pass_fires_exactly_once_on_induction_indexing() {
-    let (_fx, violations) = audited_fixture("boundsinloop");
-    let bounds = hits(&violations, "boundsinloop");
-    assert_eq!(bounds.len(), 1, "exactly one seeded induction index: {bounds:?}");
-    assert!(
-        bounds[0].file == "crates/fcma-hot/src/lib.rs"
-            && bounds[0].message.contains("`inp[i]` indexes by the loop variable"),
-        "induction-variable indexing not flagged: {bounds:?}"
-    );
-}
-
-#[test]
-fn accumorder_pass_fires_exactly_once_on_serial_float_fold() {
-    let (_fx, violations) = audited_fixture("accumorder");
-    let accum = hits(&violations, "accumorder");
-    assert_eq!(accum.len(), 1, "exactly one seeded serial fold: {accum:?}");
-    assert!(
-        accum[0].file == "crates/fcma-hot/src/lib.rs"
-            && accum[0].message.contains("float accumulator `s`"),
-        "serial float fold not flagged: {accum:?}"
-    );
-}
-
-#[test]
-fn hotcallout_pass_fires_exactly_once_on_unmarked_callee() {
-    let (_fx, violations) = audited_fixture("hotcallout");
-    let callout = hits(&violations, "hotcallout");
-    assert_eq!(callout.len(), 1, "exactly one seeded callout: {callout:?}");
-    assert!(
-        callout[0].file == "crates/fcma-hot/src/lib.rs"
-            && callout[0].message.contains("calls `plain_helper`")
-            && callout[0].message.contains("neither hot nor marked pure"),
-        "unmarked callee not flagged: {callout:?}"
     );
 }
 

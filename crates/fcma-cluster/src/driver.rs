@@ -1093,12 +1093,11 @@ mod tests {
 
     #[test]
     fn hung_worker_is_condemned_and_task_redispatched() {
+        // Virtual time: however slow the build, healthy tasks take none.
+        let _clock = fcma_sync::clock::VirtualClock::install();
         let ctx = ctx();
         let plan = FaultPlan::none().with_fault(0, 0, FaultKind::Stall);
         let exec = ChaosExecutor::new(Arc::new(OptimizedExecutor::default()), plan);
-        // The deadline must dominate a legitimate task's debug-build wall
-        // time (or the healthy worker gets condemned too) while staying
-        // far below the stall cap.
         let cfg = ClusterConfig {
             n_workers: 2,
             task_size: 32,
@@ -1115,6 +1114,7 @@ mod tests {
 
     #[test]
     fn straggler_triggers_speculative_copy() {
+        let _clock = fcma_sync::clock::VirtualClock::install();
         let ctx = ctx();
         let plan = FaultPlan::none().with_fault(0, 0, FaultKind::Delay(Duration::from_millis(400)));
         let exec = ChaosExecutor::new(Arc::new(OptimizedExecutor::default()), plan);

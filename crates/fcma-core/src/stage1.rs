@@ -170,8 +170,8 @@ pub(crate) fn epoch_pairs<'a>(ctx: &'a TaskContext, assigned: &'a [Mat]) -> Vec<
 ///
 /// One pool region per task: the task's voxels are split into
 /// `mc`-aligned bands, and each worker multiplies every epoch for its
-/// band's rows through one [`GemmScratch`] (DESIGN.md §14: no
-/// per-iteration allocation on the correlation path). Band boundaries
+/// band's rows through one [`GemmScratch`] (DESIGN.md §14: the band
+/// driver owns the scratch, so the epoch loop never allocates). Band boundaries
 /// coincide with the kernel's own `mc` row blocking, so the output is
 /// bit-identical at every thread count (DESIGN.md §15); serial callers
 /// pass `&Pool::default()`.

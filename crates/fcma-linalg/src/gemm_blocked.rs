@@ -91,7 +91,7 @@ impl GemmScratch {
 }
 
 /// `C[0..m, 0..n] = A[0..m, 0..k] · B[0..k, 0..n]` (row-major, overwrite)
-/// with caller-provided packing buffers — the hot entry point
+/// with caller-provided packing buffers, allocated once per band worker
 /// (DESIGN.md §14). Semantics are identical to
 /// [`crate::gemm_ref::gemm_ref`]; only the traversal order and packing
 /// differ. The block configuration is carried by the scratch; a dirty

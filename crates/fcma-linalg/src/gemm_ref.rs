@@ -44,7 +44,6 @@ pub fn gemm_ref(
 /// Validate GEMM buffer shapes; shared by every kernel in this crate.
 #[inline]
 #[allow(clippy::too_many_arguments)] // mirrors the BLAS call it validates
-                                     // audit: pure
 pub(crate) fn check_gemm_dims(
     m: usize,
     n: usize,

@@ -81,7 +81,6 @@ impl Mat {
 
     /// Total number of elements.
     #[inline]
-    // audit: pure
     pub fn len(&self) -> usize {
         self.data.len()
     }
@@ -167,7 +166,6 @@ impl Mat {
     }
 
     /// Fill the matrix with a constant value.
-    // audit: pure
     pub fn fill(&mut self, v: f32) {
         self.data.fill(v);
     }

@@ -43,7 +43,6 @@ const _: () = assert!(NR.is_multiple_of(MR), "SYRK builds NR-wide panels from wh
 /// by-value is what lets LLVM keep all sixteen `xmm` registers of a
 /// 4 × 16 tile live at the baseline level (DESIGN.md §8).
 #[inline(always)]
-// audit: pure
 fn tile_acc<const M: usize, const I0: usize, const R: usize, const N: usize>(
     k: usize,
     a_panel: &[f32],
@@ -79,7 +78,6 @@ fn tile_acc<const M: usize, const I0: usize, const R: usize, const N: usize>(
 /// accumulators (DESIGN.md §8).
 #[inline(never)]
 #[allow(clippy::too_many_arguments)] // kernel-call ABI
-                                     // audit: pure
 fn tile<const M: usize, const I0: usize, const R: usize, const N: usize>(
     k: usize,
     nr: usize,
@@ -118,7 +116,6 @@ fn tile<const M: usize, const I0: usize, const R: usize, const N: usize>(
 /// constant-height [`tile`] body the row count selects, or nothing when
 /// the tile ends at or above `I0`.
 #[inline(always)]
-// audit: pure
 fn row_chunk<const M: usize, const I0: usize, const N: usize>(
     k: usize,
     a_panel: &[f32],
@@ -149,7 +146,6 @@ fn row_chunk<const M: usize, const I0: usize, const N: usize>(
 /// Panics if the panels are shorter than `k` steps or the C buffer
 /// cannot hold the tile at leading dimension `ldc`.
 #[inline]
-// audit: pure
 pub fn microkernel<const M: usize, const N: usize>(
     k: usize,
     a_panel: &[f32],
@@ -186,7 +182,6 @@ pub fn microkernel<const M: usize, const N: usize>(
 /// requires.
 #[inline]
 #[allow(clippy::too_many_arguments)] // kernel-call ABI
-                                     // audit: pure
 pub fn microkernel_clipped(
     k: usize,
     mr: usize,
@@ -216,7 +211,6 @@ pub fn microkernel_clipped(
 /// # Panics
 /// If `a` or `panel` is shorter than the `mr`/`k`/`lda` layout requires.
 #[inline]
-// audit: pure
 pub fn pack_a_panel<const MR: usize>(
     a: &[f32],
     lda: usize,
@@ -252,7 +246,6 @@ pub fn pack_a_panel<const MR: usize>(
 /// # Panics
 /// If `b` or `panel` is shorter than the `k`/`nr`/`ldb` layout requires.
 #[inline]
-// audit: pure
 pub fn pack_b_panel<const NR: usize>(
     b: &[f32],
     ldb: usize,

@@ -67,8 +67,8 @@ pub fn syrk_dot(m: usize, n: usize, a: &[f32], lda: usize, c: &mut [f32], ldc: u
 }
 
 /// The paper's optimized SYRK — panel-blocked over the long dimension
-/// with a register microkernel — over caller-provided packing buffers:
-/// the hot entry point (DESIGN.md §14). The panel depth is carried by
+/// with a register microkernel — over caller-provided packing buffers,
+/// allocated once per worker (DESIGN.md §14). The panel depth is carried by
 /// the scratch (the paper's 96 is [`PANEL_K`]; other depths are the
 /// `fcma-repro ablate-panel` knob); a [`SyrkScratch`] built once can be
 /// reused across calls (and across smaller `m`) without touching the
@@ -104,7 +104,6 @@ pub fn syrk_panel_scratch(
 ///
 /// # Panics
 /// If `c` cannot hold `m` rows at leading dimension `ldc`.
-// audit: pure
 pub fn syrk_zero(m: usize, c: &mut [f32], ldc: usize) {
     for i in 0..m {
         c[i * ldc..i * ldc + m].fill(0.0);
@@ -122,7 +121,6 @@ pub fn syrk_zero(m: usize, c: &mut [f32], ldc: usize) {
 /// # Panics
 /// Panics if buffers are inconsistent or `scratch` was built for a
 /// smaller `m`.
-// audit: hot
 pub fn syrk_accumulate(
     m: usize,
     n: usize,
@@ -149,7 +147,6 @@ pub fn syrk_accumulate(
 ///
 /// # Panics
 /// If `c` cannot hold `m` rows at leading dimension `ldc`.
-// audit: pure
 pub fn syrk_mirror(m: usize, c: &mut [f32], ldc: usize) {
     for i in 0..m {
         for j in i + 1..m {
@@ -194,7 +191,6 @@ impl SyrkScratch {
 
 /// Add one `kp`-deep panel's contribution to the lower triangle of `C`.
 #[allow(clippy::too_many_arguments)]
-// audit: hot
 fn accumulate_panel(
     m: usize,
     a: &[f32],
@@ -255,7 +251,6 @@ fn accumulate_panel(
     }
 }
 
-// audit: pure
 fn validate(m: usize, n: usize, a_len: usize, lda: usize, c_len: usize, ldc: usize) {
     assert!(lda >= n, "syrk: lda {lda} < n {n}");
     assert!(ldc >= m, "syrk: ldc {ldc} < m {m}");

@@ -390,7 +390,6 @@ impl SmoScratch {
     /// the next iteration's value reductions: refreshes both value
     /// buffers from the new gradient and returns `i` with `m(α)`, and
     /// `M(α)`.
-    // audit: hot
     fn update_gradient_select_i(
         &mut self,
         i: usize,
@@ -443,7 +442,6 @@ impl SmoScratch {
 
     /// Second-order `j`: minimizes `−b²/a` among `t ∈ I_low` with
     /// `−y_t G_t < m(α)`.
-    // audit: hot
     fn select_j_second(&mut self, i: usize, gmax: f32) -> Option<usize> {
         let n = self.stride;
         let kii = self.diag[i];
@@ -505,7 +503,6 @@ fn low_mask(y: f32, a: f32, c: f32) -> f32 {
 }
 
 /// All-ones for `true`, zero for `false`.
-// audit: pure
 fn mask_of(b: bool) -> u32 {
     u32::from(b).wrapping_neg()
 }
@@ -513,13 +510,11 @@ fn mask_of(b: bool) -> u32 {
 /// `v` under an all-ones `mask`, `other` under a zero one. A bit select:
 /// an `if` between two `f32` lanes is lowered to a branch per lane on
 /// SSE2, which unrolls the pass into scalar code.
-// audit: pure
 fn select(mask: u32, v: f32, other: f32) -> f32 {
     f32::from_bits((v.to_bits() & mask) | (other.to_bits() & !mask))
 }
 
 /// The larger of `v` and `acc`, `acc` when `v` is NaN (one `maxps`).
-// audit: pure
 fn lane_max(v: f32, acc: f32) -> f32 {
     if v > acc {
         v
@@ -529,7 +524,6 @@ fn lane_max(v: f32, acc: f32) -> f32 {
 }
 
 /// The smaller of `v` and `acc`, `acc` when `v` is NaN (one `minps`).
-// audit: pure
 fn lane_min(v: f32, acc: f32) -> f32 {
     if v < acc {
         v
@@ -540,7 +534,6 @@ fn lane_min(v: f32, acc: f32) -> f32 {
 
 /// Index and value of the first element of `buf` equal to `target`: one
 /// branch-free compare per chunk, then a scan of the chunk that hit.
-// audit: hot
 fn first_eq(buf: &[f32], target: f32) -> Option<(usize, f32)> {
     for (c, chunk) in buf.as_chunks::<LANES>().0.iter().enumerate() {
         let hits: [u32; LANES] = array::from_fn(|t| mask_of(chunk[t] == target));
