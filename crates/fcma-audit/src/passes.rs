@@ -38,7 +38,7 @@ const TRACE_CRATE: &str = "fcma-trace";
 
 /// Call-site prefixes whose first string literal is a trace name.
 const TRACE_SITES: &[&str] =
-    &["span!(", "event!(", "counter!(", "labeled_counter!(", "histogram!(", "record_span_elapsed("];
+    &["span!(", "event!(", "counter!(", "histogram!(", "record_span_elapsed("];
 
 /// Where the cluster protocol enums live.
 const PROTOCOL_FILE: &str = "crates/fcma-cluster/src/protocol.rs";

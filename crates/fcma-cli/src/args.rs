@@ -54,7 +54,7 @@ impl std::error::Error for ArgError {}
 const SWITCHES: &[&str] = &["help", "resume", "check"];
 
 /// Commands that accept bare positional arguments after the command name.
-const POSITIONAL_COMMANDS: &[&str] = &["report", "top", "postmortem"];
+const POSITIONAL_COMMANDS: &[&str] = &["report"];
 
 /// The options each command takes, switches included and separated by
 /// spaces; `--help` is taken by every command. An unlisted command is
@@ -65,11 +65,9 @@ const COMMAND_OPTIONS: &[(&str, &str)] = &[
     (
         "analyze",
         "data task-size top-k out threads truth workers retries task-deadline-ms checkpoint \
-         resume trace-out metrics-out postmortem chaos-panic-task",
+         resume trace-out postmortem chaos-panic-task",
     ),
-    ("report", "check slo"),
-    ("top", ""),
-    ("postmortem", ""),
+    ("report", "check"),
     ("offline", "data top-k task-size threads"),
     ("clusters", "scores top-k grid"),
     ("mask", "data threshold out"),
@@ -202,7 +200,8 @@ mod tests {
     #[test]
     fn unknown_and_retired_options_are_rejected() {
         // A typo used to score with the default, and `--executor`,
-        // `--verbose` and `--trace` are options no command takes any more.
+        // `--verbose`, `--trace`, `--metrics-out` and `--slo` are options
+        // no command takes any more.
         for (argv, option) in [
             (&["analyze", "--data", "ds", "--task-sise", "0", "--top-k", "2"][..], "task-sise"),
             (&["info", "--data", "ds", "--bogus", "x"], "bogus"),
@@ -210,7 +209,8 @@ mod tests {
             (&["offline", "--data", "ds", "--executor", "baseline"], "executor"),
             (&["generate", "--out", "ds", "--verbose"], "verbose"),
             (&["report", "--trace", "trace.json"], "trace"),
-            (&["top", "--trace", "trace.json"], "trace"),
+            (&["analyze", "--data", "ds", "--metrics-out", "m.prom"], "metrics-out"),
+            (&["report", "trace.json", "--slo", "slo.toml"], "slo"),
         ] {
             let command = argv[0];
             let err = parse(argv).unwrap_err();

@@ -6,10 +6,8 @@
 //! fcma analyze  --data ds --top-k 16 --out scores.tsv
 //! fcma analyze  --data ds --workers 4 --retries 3 --checkpoint sweep.ckpt
 //! fcma analyze  --data ds --workers 4 --checkpoint sweep.ckpt --resume
-//! fcma analyze  --data ds --workers 4 --trace-out trace.json --metrics-out metrics.prom
-//! fcma report   trace.json --check --slo slo.toml
-//! fcma top      trace.json
-//! fcma postmortem postmortems/postmortem-task-panic-task16-attempt1.txt
+//! fcma analyze  --data ds --workers 4 --trace-out trace.json --postmortem pm
+//! fcma report   trace.json --check
 //! fcma offline  --data ds --top-k 16
 //! fcma clusters --scores scores.tsv --top-k 16
 //! fcma mask     --data ds --threshold 0.05 --out ds_masked
@@ -45,8 +43,6 @@ fn main() {
         "info" => commands::info(&args),
         "analyze" => commands::analyze(&args),
         "report" => commands::report(&args),
-        "top" => commands::top(&args),
-        "postmortem" => commands::postmortem(&args),
         "offline" => commands::offline(&args),
         "clusters" => commands::clusters(&args),
         "mask" => commands::mask(&args),

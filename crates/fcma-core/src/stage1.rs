@@ -17,25 +17,16 @@ use fcma_linalg::tall_skinny::{EpochPair, TallSkinnyOpts};
 use fcma_linalg::{
     corr_tall_skinny, gemm_blocked_scratch, BlockSizes, CorrLayout, GemmScratch, Mat,
 };
-use fcma_sync::pool::{Pool, PoolStats, WorkerLane};
-use fcma_trace::{counter, labeled_counter, span};
+use fcma_sync::pool::{Pool, PoolStats};
+use fcma_trace::{counter, span};
 
 /// Bridge one parallel region's [`PoolStats`] into the trace counters.
 /// The pool itself is trace-free (fcma-sync stays a leaf crate), so the
 /// kernel call sites own the `pool.*` counter taxonomy (DESIGN.md §11).
-/// Region totals land in plain counters; the per-worker lanes land in
-/// `worker`-labeled series so load imbalance (one worker stealing or
-/// parking far more than its peers) survives the aggregation.
 pub(crate) fn bridge_pool_counters(stats: &PoolStats) {
     counter!("pool.tasks.run", stats.tasks);
     counter!("pool.steals", stats.steals);
     counter!("pool.idle.parks", stats.idle_parks);
-    let lanes: &[WorkerLane] = &stats.per_worker;
-    for (wid, lane) in lanes.iter().enumerate() {
-        labeled_counter!("pool.worker.tasks", worker = wid, lane.tasks);
-        labeled_counter!("pool.worker.steals", worker = wid, lane.steals);
-        labeled_counter!("pool.worker.parks", worker = wid, lane.parks);
-    }
 }
 
 /// Run `job(state, band, (v0, v1, rows))` once per band of a task's `v`

@@ -40,4 +40,4 @@ pub mod time;
 mod tests;
 
 pub use mutex::{Condvar, Mutex, MutexGuard};
-pub use pool::{Pool, PoolStats, WorkerLane};
+pub use pool::{Pool, PoolStats};

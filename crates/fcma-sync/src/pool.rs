@@ -47,22 +47,6 @@ pub struct PoolStats {
     /// Times a worker parked with empty deques and work still in
     /// flight.
     pub idle_parks: u64,
-    /// Per-worker breakdown of the totals above, indexed by worker id
-    /// within the region (worker 0 is the caller). Merged totals hide
-    /// imbalance; these lanes are what the Prometheus `worker` labels
-    /// are bridged from.
-    pub per_worker: Vec<WorkerLane>,
-}
-
-/// One worker's share of a region's [`PoolStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WorkerLane {
-    /// Tasks this worker executed.
-    pub tasks: u64,
-    /// Tasks this worker took from another worker's deque.
-    pub steals: u64,
-    /// Times this worker parked idle.
-    pub parks: u64,
 }
 
 /// A work-stealing thread-pool configuration. Cheap to copy; threads
@@ -235,11 +219,7 @@ impl Pool {
             let mut state = init();
             let results =
                 tasks.into_iter().enumerate().map(|(i, t)| job(&mut state, i, t)).collect();
-            let lane = WorkerLane { tasks: n64, steals: 0, parks: 0 };
-            return (
-                results,
-                PoolStats { tasks: n64, per_worker: vec![lane], ..Default::default() },
-            );
+            return (results, PoolStats { tasks: n64, ..Default::default() });
         }
         let workers = self.threads.min(n);
 
@@ -258,7 +238,6 @@ impl Pool {
                 panic: None,
                 steals: 0,
                 idle_parks: 0,
-                lanes: vec![WorkerLane::default(); workers],
             }),
             cv: Condvar::new(),
         };
@@ -337,12 +316,7 @@ impl Pool {
             drop(reg);
             resume_unwind(p);
         }
-        let stats = PoolStats {
-            tasks: n64,
-            steals: reg.steals,
-            idle_parks: reg.idle_parks,
-            per_worker: std::mem::take(&mut reg.lanes),
-        };
+        let stats = PoolStats { tasks: n64, steals: reg.steals, idle_parks: reg.idle_parks };
         let results = reg
             .results
             .iter_mut()
@@ -373,8 +347,6 @@ struct RegionState<R> {
     panic: Option<Box<dyn std::any::Any + Send>>,
     steals: u64,
     idle_parks: u64,
-    /// Per-worker task/steal/park counts (same lock, same updates).
-    lanes: Vec<WorkerLane>,
 }
 
 /// One worker's loop: pop own deque from the front, steal from the back
@@ -419,10 +391,8 @@ fn worker<T, R, S, I, F>(
             Some((idx, task)) => {
                 let out = catch_unwind(AssertUnwindSafe(|| job(&mut state, idx, task)));
                 let mut reg = shared.region.lock();
-                reg.lanes[wid].tasks += 1;
                 if stolen {
                     reg.steals += 1;
-                    reg.lanes[wid].steals += 1;
                 }
                 match out {
                     Ok(r) => {
@@ -455,7 +425,6 @@ fn worker<T, R, S, I, F>(
                         return;
                     }
                     reg.idle_parks += 1;
-                    reg.lanes[wid].parks += 1;
                     shared.cv.wait(&mut reg);
                 }
             }
@@ -549,16 +518,6 @@ mod tests {
         assert_eq!(got.len(), 17);
         assert_eq!(stats.tasks, 17);
         assert!(stats.steals <= stats.tasks);
-    }
-
-    #[test]
-    fn per_worker_lanes_sum_to_region_totals() {
-        let pool = Pool::new(3);
-        let (_, stats) = pool.run_init_stats(vec![1u64; 23], || (), |(), _i, v| v);
-        assert!(!stats.per_worker.is_empty());
-        assert_eq!(stats.per_worker.iter().map(|l| l.tasks).sum::<u64>(), stats.tasks);
-        assert_eq!(stats.per_worker.iter().map(|l| l.steals).sum::<u64>(), stats.steals);
-        assert_eq!(stats.per_worker.iter().map(|l| l.parks).sum::<u64>(), stats.idle_parks);
     }
 
     #[test]

@@ -46,9 +46,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Labeled-counter storage: (name, label key) → label value → count.
-type LabeledMap = HashMap<(&'static str, &'static str), std::collections::BTreeMap<u64, u64>>;
-
 /// Shared state of one collector.
 struct Inner {
     /// Time base for every timestamp recorded under this collector.
@@ -57,8 +54,6 @@ struct Inner {
     threads: Mutex<Vec<Arc<ThreadBuf>>>,
     /// Monotonic named counters.
     counters: Mutex<HashMap<&'static str, u64>>,
-    /// Labeled counters, keyed by (name, label key): label value → count.
-    labeled: Mutex<LabeledMap>,
     /// Named value distributions.
     histograms: Mutex<HashMap<&'static str, Histogram>>,
 }
@@ -333,24 +328,6 @@ pub fn add_counter(name: &'static str, delta: impl IntoCount) {
     });
 }
 
-/// Add `delta` to one series of a labeled counter — `label` is the
-/// label key (e.g. `worker`), `key` its value for this series. Prefer
-/// the [`crate::labeled_counter!`] macro.
-// audit: allow(deadpub) — reached via $crate:: paths from #[macro_export] macros; demotion breaks cross-crate expansion
-pub fn add_labeled_counter(
-    name: &'static str,
-    label: &'static str,
-    key: impl IntoCount,
-    delta: impl IntoCount,
-) {
-    let (key, delta) = (key.into_count(), delta.into_count());
-    with_tls(|inner, _, _| {
-        let mut labeled = lock(&inner.labeled);
-        let slot = labeled.entry((name, label)).or_default().entry(key).or_insert(0);
-        *slot = slot.saturating_add(delta);
-    });
-}
-
 /// Record `value` into the named histogram. Prefer the
 /// [`crate::histogram!`] macro.
 // audit: allow(deadpub) — reached via $crate:: paths from #[macro_export] macros; demotion breaks cross-crate expansion
@@ -383,7 +360,6 @@ impl Collector {
                 epoch: Instant::now(),
                 threads: Mutex::new(Vec::new()),
                 counters: Mutex::new(HashMap::new()),
-                labeled: Mutex::new(HashMap::new()),
                 histograms: Mutex::new(HashMap::new()),
             }),
         }
@@ -415,15 +391,9 @@ impl Collector {
         }
         spans.sort_by_key(|s| (s.start_ns, s.id));
         let counters = lock(&self.inner.counters).drain().map(|(k, v)| (k.to_owned(), v)).collect();
-        let labeled_counters = lock(&self.inner.labeled)
-            .drain()
-            .map(|((name, label), values)| {
-                (name.to_owned(), crate::LabeledCounter { label: label.to_owned(), values })
-            })
-            .collect();
         let histograms =
             lock(&self.inner.histograms).drain().map(|(k, v)| (k.to_owned(), v)).collect();
-        TraceReport { spans, counters, labeled_counters, histograms }
+        TraceReport { spans, counters, histograms }
     }
 }
 

@@ -1,5 +1,5 @@
-//! Exporters: Chrome `chrome://tracing` JSON, Prometheus-style text,
-//! and the inverse parse ([`from_chrome_json`]) used by `fcma report`.
+//! The Chrome `chrome://tracing` JSON exporter and the inverse parse
+//! ([`from_chrome_json`]) used by `fcma report`.
 //!
 //! The Chrome export uses the trace-event *object* format: spans become
 //! complete (`"ph":"X"`) events, instant events `"ph":"i"`, with
@@ -8,21 +8,14 @@
 //! `fcmaHistograms` (the object format explicitly allows unknown
 //! top-level members), so one `trace.json` is self-contained: it opens
 //! in `chrome://tracing` / Perfetto *and* round-trips back into a
-//! [`TraceReport`] for `fcma report --check`.
-//!
-//! The Prometheus export is the text exposition format, `.` mapped to
-//! `_` in metric names (Prometheus forbids dots) and span aggregates
-//! emitted as `fcma_span_{count,duration_seconds_total}` with a
-//! `span` label.
+//! [`TraceReport`] for `fcma report --check`. A histogram is exported as
+//! its count, sum, min and max; the parse ignores members it does not
+//! read, so older files with `fcmaLabeledCounters` or per-histogram
+//! `buckets` still load.
 
 use crate::json::{self, Value};
-use crate::report::{
-    AttrValue, Histogram, LabeledCounter, SpanRecord, TraceReport, HISTOGRAM_BUCKETS,
-};
+use crate::report::{AttrValue, Histogram, SpanRecord, TraceReport};
 use std::fmt::Write as _;
-
-/// The quantiles every summary family exports (p50 / p95 / p99).
-const QUANTILES: [(f64, &str); 3] = [(0.5, "0.5"), (0.95, "0.95"), (0.99, "0.99")];
 
 fn push_attr_value(out: &mut String, v: &AttrValue) {
     match v {
@@ -47,7 +40,6 @@ fn push_attr_value(out: &mut String, v: &AttrValue) {
 }
 
 /// Serialize a report as Chrome trace JSON (object format).
-// audit: allow(panicpath) — buckets[..last] bounded by rposition, in-bounds by construction
 pub fn to_chrome_json(report: &TraceReport) -> String {
     let mut out = String::with_capacity(4096 + report.spans.len() * 160);
     out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
@@ -93,30 +85,7 @@ pub fn to_chrome_json(report: &TraceReport) -> String {
         json::escape_into(&mut out, name);
         let _ = write!(out, ":{value}");
     }
-    out.push('}');
-    // Elided entirely when empty, so pre-labeled-counter traces and
-    // their goldens keep their exact bytes.
-    if !report.labeled_counters.is_empty() {
-        out.push_str(",\"fcmaLabeledCounters\":{");
-        for (i, (name, lc)) in report.labeled_counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::escape_into(&mut out, name);
-            out.push_str(":{\"label\":");
-            json::escape_into(&mut out, &lc.label);
-            out.push_str(",\"values\":{");
-            for (j, (k, v)) in lc.values.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "\"{k}\":{v}");
-            }
-            out.push_str("}}");
-        }
-        out.push('}');
-    }
-    out.push_str(",\"fcmaHistograms\":{");
+    out.push_str("},\"fcmaHistograms\":{");
     for (i, (name, h)) in report.histograms.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -124,17 +93,7 @@ pub fn to_chrome_json(report: &TraceReport) -> String {
         json::escape_into(&mut out, name);
         let (min, max) = if h.count == 0 { (0.0, 0.0) } else { (h.min, h.max) };
         let _ =
-            write!(out, ":{{\"count\":{},\"sum\":{},\"min\":{min},\"max\":{max}", h.count, h.sum);
-        out.push_str(",\"buckets\":[");
-        // Trailing zero buckets are elided; the parser re-pads.
-        let last = h.buckets.iter().rposition(|&b| b != 0).map_or(0, |p| p + 1);
-        for (j, b) in h.buckets[..last].iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{b}");
-        }
-        out.push_str("]}");
+            write!(out, ":{{\"count\":{},\"sum\":{},\"min\":{min},\"max\":{max}}}", h.count, h.sum);
     }
     out.push_str("}}");
     out
@@ -144,10 +103,10 @@ fn attr_from_value(v: &Value) -> AttrValue {
     match v {
         Value::Bool(b) => AttrValue::Bool(*b),
         Value::Number(n) => {
-            if n.fract() == 0.0 && *n >= 0.0 {
-                AttrValue::U64(v.as_u64().unwrap_or(0))
-            } else if n.fract() == 0.0 && *n >= -9_007_199_254_740_992.0 {
-                // cast is exact here: guarded: integral f64 within i64 range
+            if let Some(u) = v.as_u64() {
+                AttrValue::U64(u)
+            } else if n.fract() == 0.0 && (-9_007_199_254_740_992.0..0.0).contains(n) {
+                // cast is exact here: guarded: negative integral f64 within i64 range
                 AttrValue::I64(*n as i64)
             } else {
                 AttrValue::F64(*n)
@@ -177,7 +136,6 @@ fn ns_of(v: Option<&Value>) -> u64 {
 /// # Errors
 /// Returns a description of the first structural problem: invalid JSON,
 /// missing `traceEvents`, or malformed event members.
-// audit: allow(panicpath) — bucket writes bounded by take(HISTOGRAM_BUCKETS)
 pub fn from_chrome_json(input: &str) -> Result<TraceReport, String> {
     let doc = json::parse(input)?;
     let events = doc
@@ -228,20 +186,6 @@ pub fn from_chrome_json(input: &str) -> Result<TraceReport, String> {
             report.counters.insert(name.clone(), v);
         }
     }
-    if let Some(labeled) = doc.get("fcmaLabeledCounters").and_then(Value::as_object) {
-        for (name, entry) in labeled {
-            let label = entry.get("label").and_then(Value::as_str).unwrap_or("label").to_owned();
-            let mut values = std::collections::BTreeMap::new();
-            if let Some(obj) = entry.get("values").and_then(Value::as_object) {
-                for (k, v) in obj {
-                    if let (Ok(key), Some(val)) = (k.parse::<u64>(), v.as_u64()) {
-                        values.insert(key, val);
-                    }
-                }
-            }
-            report.labeled_counters.insert(name.clone(), LabeledCounter { label, values });
-        }
-    }
     if let Some(histograms) = doc.get("fcmaHistograms").and_then(Value::as_object) {
         for (name, value) in histograms {
             let mut h = Histogram {
@@ -249,102 +193,15 @@ pub fn from_chrome_json(input: &str) -> Result<TraceReport, String> {
                 sum: value.get("sum").and_then(Value::as_f64).unwrap_or(0.0),
                 min: value.get("min").and_then(Value::as_f64).unwrap_or(0.0),
                 max: value.get("max").and_then(Value::as_f64).unwrap_or(0.0),
-                buckets: [0; HISTOGRAM_BUCKETS],
             };
             if h.count == 0 {
                 h.min = f64::INFINITY;
                 h.max = f64::NEG_INFINITY;
             }
-            if let Some(buckets) = value.get("buckets").and_then(Value::as_array) {
-                for (j, b) in buckets.iter().take(HISTOGRAM_BUCKETS).enumerate() {
-                    h.buckets[j] = b.as_u64().unwrap_or(0);
-                }
-            }
             report.histograms.insert(name.clone(), h);
         }
     }
     Ok(report)
-}
-
-/// Map a dotted taxonomy name to a Prometheus metric name.
-fn prom_name(name: &str) -> String {
-    name.replace(['.', '-'], "_")
-}
-
-/// Serialize a report in the Prometheus text exposition format: every
-/// metric family gets `# HELP` / `# TYPE` header lines, labeled
-/// counters fan out into one series per label value, and latency
-/// summaries (per-span-family durations plus every value histogram)
-/// export p50/p95/p99 `quantile` series.
-pub fn to_prometheus_text(report: &TraceReport) -> String {
-    let mut out = String::new();
-    for (name, value) in &report.counters {
-        let metric = prom_name(name);
-        let _ = writeln!(out, "# HELP fcma_{metric} FCMA monotonic counter {name}");
-        let _ = writeln!(out, "# TYPE fcma_{metric} counter");
-        let _ = writeln!(out, "fcma_{metric} {value}");
-    }
-    for (name, lc) in &report.labeled_counters {
-        let metric = prom_name(name);
-        let _ = writeln!(out, "# HELP fcma_{metric} FCMA counter {name} by {}", lc.label);
-        let _ = writeln!(out, "# TYPE fcma_{metric} counter");
-        for (key, value) in &lc.values {
-            let _ = writeln!(out, "fcma_{metric}{{{}=\"{key}\"}} {value}", lc.label);
-        }
-    }
-    let aggregates = report.aggregates();
-    if !aggregates.is_empty() {
-        let _ = writeln!(out, "# HELP fcma_span_count completed spans per span family");
-        let _ = writeln!(out, "# TYPE fcma_span_count counter");
-        for row in &aggregates {
-            let _ = writeln!(out, "fcma_span_count{{span=\"{}\"}} {}", row.name, row.count);
-        }
-        let _ = writeln!(
-            out,
-            "# HELP fcma_span_duration_seconds_total total span wall time per span family"
-        );
-        let _ = writeln!(out, "# TYPE fcma_span_duration_seconds_total counter");
-        for row in &aggregates {
-            // cast is exact here: ns tally to seconds for display
-            let secs = row.total_ns as f64 / 1e9;
-            let _ =
-                writeln!(out, "fcma_span_duration_seconds_total{{span=\"{}\"}} {secs}", row.name);
-        }
-    }
-    let durations = report.span_duration_histograms();
-    if !durations.is_empty() {
-        let _ = writeln!(
-            out,
-            "# HELP fcma_span_duration_us span latency quantiles per span family, in microseconds"
-        );
-        let _ = writeln!(out, "# TYPE fcma_span_duration_us summary");
-        for (name, h) in &durations {
-            for (q, label) in QUANTILES {
-                let _ = writeln!(
-                    out,
-                    "fcma_span_duration_us{{span=\"{name}\",quantile=\"{label}\"}} {}",
-                    h.quantile(q)
-                );
-            }
-            let _ = writeln!(out, "fcma_span_duration_us_count{{span=\"{name}\"}} {}", h.count);
-            let _ = writeln!(out, "fcma_span_duration_us_sum{{span=\"{name}\"}} {}", h.sum);
-        }
-    }
-    for (name, h) in &report.histograms {
-        let metric = prom_name(name);
-        let _ = writeln!(out, "# HELP fcma_{metric} FCMA value histogram {name}");
-        let _ = writeln!(out, "# TYPE fcma_{metric} summary");
-        for (q, label) in QUANTILES {
-            let _ = writeln!(out, "fcma_{metric}{{quantile=\"{label}\"}} {}", h.quantile(q));
-        }
-        let _ = writeln!(out, "fcma_{metric}_count {}", h.count);
-        let _ = writeln!(out, "fcma_{metric}_sum {}", h.sum);
-        if h.count > 0 {
-            let _ = writeln!(out, "fcma_{metric}_min {}", h.min);
-            let _ = writeln!(out, "fcma_{metric}_max {}", h.max);
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -356,14 +213,6 @@ mod tests {
         let mut counters = BTreeMap::new();
         counters.insert("cluster.tasks.dispatched".to_owned(), 7);
         counters.insert("stage1.flops".to_owned(), 123_456);
-        let mut labeled_counters = BTreeMap::new();
-        labeled_counters.insert(
-            "pool.worker.tasks".to_owned(),
-            LabeledCounter {
-                label: "worker".to_owned(),
-                values: [(0, 3), (1, 4)].into_iter().collect(),
-            },
-        );
         let mut histograms = BTreeMap::new();
         let mut h = Histogram::default();
         h.record(3.0);
@@ -394,7 +243,6 @@ mod tests {
                 },
             ],
             counters,
-            labeled_counters,
             histograms,
         }
     }
@@ -414,54 +262,10 @@ mod tests {
             "\"args\":{\"parent\":1,\"worker\":3}}",
             "],\"fcmaCounters\":{",
             "\"cluster.tasks.dispatched\":7,\"stage1.flops\":123456",
-            "},\"fcmaLabeledCounters\":{",
-            "\"pool.worker.tasks\":{\"label\":\"worker\",\"values\":{\"0\":3,\"1\":4}}",
             "},\"fcmaHistograms\":{",
-            "\"svm.smo.iterations_per_solve\":",
-            "{\"count\":2,\"sum\":20,\"min\":3,\"max\":17,\"buckets\":[0,1,0,0,1]}",
+            "\"svm.smo.iterations_per_solve\":{\"count\":2,\"sum\":20,\"min\":3,\"max\":17}",
             "}}"
         );
-        assert_eq!(got, want);
-    }
-
-    /// Golden-file check for the Prometheus text exposition.
-    #[test]
-    fn prometheus_text_matches_golden() {
-        let got = to_prometheus_text(&sample_report());
-        let want = "\
-# HELP fcma_cluster_tasks_dispatched FCMA monotonic counter cluster.tasks.dispatched
-# TYPE fcma_cluster_tasks_dispatched counter
-fcma_cluster_tasks_dispatched 7
-# HELP fcma_stage1_flops FCMA monotonic counter stage1.flops
-# TYPE fcma_stage1_flops counter
-fcma_stage1_flops 123456
-# HELP fcma_pool_worker_tasks FCMA counter pool.worker.tasks by worker
-# TYPE fcma_pool_worker_tasks counter
-fcma_pool_worker_tasks{worker=\"0\"} 3
-fcma_pool_worker_tasks{worker=\"1\"} 4
-# HELP fcma_span_count completed spans per span family
-# TYPE fcma_span_count counter
-fcma_span_count{span=\"stage1.corr\"} 1
-# HELP fcma_span_duration_seconds_total total span wall time per span family
-# TYPE fcma_span_duration_seconds_total counter
-fcma_span_duration_seconds_total{span=\"stage1.corr\"} 0.00200025
-# HELP fcma_span_duration_us span latency quantiles per span family, in microseconds
-# TYPE fcma_span_duration_us summary
-fcma_span_duration_us{span=\"stage1.corr\",quantile=\"0.5\"} 2000.25
-fcma_span_duration_us{span=\"stage1.corr\",quantile=\"0.95\"} 2000.25
-fcma_span_duration_us{span=\"stage1.corr\",quantile=\"0.99\"} 2000.25
-fcma_span_duration_us_count{span=\"stage1.corr\"} 1
-fcma_span_duration_us_sum{span=\"stage1.corr\"} 2000.25
-# HELP fcma_svm_smo_iterations_per_solve FCMA value histogram svm.smo.iterations_per_solve
-# TYPE fcma_svm_smo_iterations_per_solve summary
-fcma_svm_smo_iterations_per_solve{quantile=\"0.5\"} 4
-fcma_svm_smo_iterations_per_solve{quantile=\"0.95\"} 17
-fcma_svm_smo_iterations_per_solve{quantile=\"0.99\"} 17
-fcma_svm_smo_iterations_per_solve_count 2
-fcma_svm_smo_iterations_per_solve_sum 20
-fcma_svm_smo_iterations_per_solve_min 3
-fcma_svm_smo_iterations_per_solve_max 17
-";
         assert_eq!(got, want);
     }
 
@@ -475,8 +279,59 @@ fcma_svm_smo_iterations_per_solve_max 17
         }
         assert_eq!(parsed.spans, report.spans);
         assert_eq!(parsed.counters, report.counters);
-        assert_eq!(parsed.labeled_counters, report.labeled_counters);
         assert_eq!(parsed.histograms, report.histograms);
+    }
+
+    /// Traces written while the exporter still emitted per-worker
+    /// labeled counters and log₂ histogram buckets read back: the parse
+    /// skips both members and keeps everything else.
+    #[test]
+    fn from_chrome_json_reads_the_older_trace_shape() {
+        let old = concat!(
+            "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[",
+            "{\"name\":\"cluster.dispatch\",\"cat\":\"fcma\",\"pid\":1,\"tid\":0,\"id\":1,",
+            "\"ts\":1.500,\"ph\":\"X\",\"dur\":2000.250,\"args\":{\"attempt\":1,\"task\":0}}",
+            "],\"fcmaCounters\":{",
+            "\"cluster.tasks.completed\":1,\"cluster.tasks.dispatched\":1,",
+            "\"cluster.tasks.total\":1,\"pool.steals\":1,\"pool.tasks.run\":4,\"svm.smo.solves\":2",
+            "},\"fcmaLabeledCounters\":{",
+            "\"pool.worker.tasks\":{\"label\":\"worker\",\"values\":{\"0\":3,\"1\":1}}",
+            "},\"fcmaHistograms\":{",
+            "\"svm.smo.iterations_per_solve\":",
+            "{\"count\":2,\"sum\":20,\"min\":3,\"max\":17,\"buckets\":[0,1,0,0,1]}",
+            "}}"
+        );
+        let parsed = from_chrome_json(old).unwrap();
+        let dispatch = SpanRecord {
+            name: "cluster.dispatch".to_owned(),
+            tid: 0,
+            id: 1,
+            parent: None,
+            start_ns: 1_500,
+            dur_ns: Some(2_000_250),
+            attrs: vec![
+                ("attempt".to_owned(), AttrValue::U64(1)),
+                ("task".to_owned(), AttrValue::U64(0)),
+            ],
+        };
+        assert_eq!(parsed.spans, [dispatch]);
+        let counters: Vec<(&str, u64)> =
+            parsed.counters.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+        assert_eq!(
+            counters,
+            [
+                ("cluster.tasks.completed", 1),
+                ("cluster.tasks.dispatched", 1),
+                ("cluster.tasks.total", 1),
+                ("pool.steals", 1),
+                ("pool.tasks.run", 4),
+                ("svm.smo.solves", 2),
+            ]
+        );
+        let want = Histogram { count: 2, sum: 20.0, min: 3.0, max: 17.0 };
+        assert_eq!(parsed.histograms.len(), 1);
+        assert_eq!(parsed.histograms["svm.smo.iterations_per_solve"], want);
+        assert!(parsed.check_consistency().is_empty(), "{:?}", parsed.check_consistency());
     }
 
     #[test]
@@ -486,6 +341,11 @@ fcma_svm_smo_iterations_per_solve_max 17
         assert!(
             from_chrome_json("{\"traceEvents\":[{\"ph\":\"X\"}]}").is_err(),
             "event without a name must be rejected"
+        );
+        assert_eq!(
+            from_chrome_json("{\"traceEvents\":[],\"fcmaCounters\":{\"x\":1e20}}").unwrap_err(),
+            "counter x is not a non-negative integer",
+            "a counter past u64 must not saturate"
         );
     }
 }

@@ -6,10 +6,18 @@
 //! emits: objects, arrays, strings (with `\uXXXX` escapes), numbers,
 //! booleans, and null. It is a strict parser — trailing garbage or
 //! malformed input yields an error with a byte offset, which is what
-//! the CI trace-validation step relies on.
+//! the CI trace-validation step relies on. Nesting is capped at 64
+//! levels, so a hostile file cannot exhaust the stack.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+/// Deepest nesting of arrays and objects [`parse`] accepts. The Chrome
+/// exporter writes four levels.
+const MAX_DEPTH: usize = 64;
+
+/// 2⁶⁴, the first integer a `u64` cannot hold.
+const U64_LIMIT: f64 = 18_446_744_073_709_551_616.0;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,11 +69,12 @@ impl Value {
         }
     }
 
-    /// The number as u64, if this is a non-negative integral number.
+    /// The number as u64, if this is a non-negative integral number
+    /// below 2⁶⁴.
     pub(crate) fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Number(n) if *n >= 0.0 && n.fract() == 0.0 => {
-                // cast is exact here: guarded: non-negative integral f64
+            Value::Number(n) if *n >= 0.0 && *n < U64_LIMIT && n.fract() == 0.0 => {
+                // cast is exact here: guarded: non-negative integral f64 below 2^64
                 Some(*n as u64)
             }
             _ => None,
@@ -85,7 +94,7 @@ impl Value {
 pub fn parse(input: &str) -> Result<Value, String> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -100,13 +109,17 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
+/// Parse one value inside `depth` enclosing arrays and objects.
 // audit: allow(panicpath) — descent helpers bounds-guard every byte index; syntax errors are Err, not panics
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(format!("unexpected end of input at byte {pos}")),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} levels at byte {pos}"))
+        }
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => parse_string(bytes, pos).map(Value::String),
         Some(b't') => parse_literal(bytes, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Value::Bool(false)),
@@ -194,7 +207,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     *pos += 1; // consume '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -203,7 +216,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
         return Ok(Value::Array(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => {
@@ -218,7 +231,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     *pos += 1; // consume '{'
     let mut map = BTreeMap::new();
     skip_ws(bytes, pos);
@@ -237,7 +250,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
             return Err(format!("expected ':' at byte {pos}"));
         }
         *pos += 1;
-        map.insert(key, parse_value(bytes, pos)?);
+        map.insert(key, parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => {
@@ -292,6 +305,18 @@ mod tests {
         assert!(parse("{\"a\": }").is_err());
         assert!(parse("[1, 2").is_err());
         assert!(parse("\"unterminated").is_err());
+        // A stack-exhausting nest is refused at the cap, with its offset.
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        assert_eq!(
+            parse(&nest(MAX_DEPTH + 1)).unwrap_err(),
+            format!("nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}")
+        );
+        assert!(parse(&"[".repeat(200_000)).is_err());
+        // A number past u64 is not an integer count, not u64::MAX.
+        assert_eq!(parse("1e20").unwrap().as_u64(), None);
+        assert_eq!(parse("18446744073709551616").unwrap().as_u64(), None);
+        assert_eq!(parse("9007199254740992").unwrap().as_u64(), Some(1 << 53));
     }
 
     #[test]

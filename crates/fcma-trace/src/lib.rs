@@ -1,6 +1,6 @@
 //! Runtime observability for the FCMA reproduction: hierarchical spans,
-//! monotonic counters, value histograms, and exporters — std-only, with
-//! a near-no-op disabled path.
+//! monotonic counters, value histograms, and a Chrome-trace exporter —
+//! std-only, with a near-no-op disabled path.
 //!
 //! The paper's optimization story is measurement-driven (per-stage
 //! wall-clock breakdowns and hardware-counter profiles motivate every
@@ -10,8 +10,7 @@
 //! [`counter!`], and [`histogram!`]; install a [`Collector`] around the
 //! region of interest; [`Collector::drain`] the merged [`TraceReport`];
 //! and export it as Chrome `chrome://tracing` JSON
-//! ([`export::to_chrome_json`]), Prometheus text
-//! ([`export::to_prometheus_text`]), or a `perf report`-style summary
+//! ([`export::to_chrome_json`]) or a `perf report`-style summary
 //! ([`TraceReport::summary_table`]).
 //!
 //! # Scoping
@@ -63,16 +62,14 @@ pub mod json;
 pub mod postmortem;
 pub mod recorder;
 mod report;
-pub mod slo;
 
 pub use collector::{
-    add_counter, add_labeled_counter, instant, is_enabled, record_span_elapsed, record_value,
-    start_span, Collector, SpanGuard,
+    add_counter, instant, is_enabled, record_span_elapsed, record_value, start_span, Collector,
+    SpanGuard,
 };
 pub use collector::{IntoCount, ScopedCollector};
 pub use ctx::{CtxGuard, TraceCtx, TraceOrigin};
-pub use report::{AttrValue, HISTOGRAM_BUCKETS};
-pub use report::{Histogram, LabeledCounter, SpanRecord, TraceReport};
+pub use report::{AttrValue, Histogram, SpanRecord, TraceReport};
 
 /// Open a hierarchical span; it records its wall time when the returned
 /// guard drops. Attributes are `key = value` pairs, where values are
@@ -138,23 +135,6 @@ macro_rules! histogram {
     ($name:literal, $value:expr) => {
         if $crate::is_enabled() {
             $crate::record_value($name, $value);
-        }
-    };
-}
-
-/// Add a delta to one series of a labeled counter (`label = key`
-/// selects the series; e.g. `worker = wid`). Unlike [`counter!`], one
-/// name fans out into per-label-value Prometheus series.
-///
-/// ```
-/// # use fcma_trace::labeled_counter;
-/// labeled_counter!("pool.worker.tasks", worker = 3_usize, 17_u64);
-/// ```
-#[macro_export]
-macro_rules! labeled_counter {
-    ($name:literal, $label:ident = $key:expr, $delta:expr) => {
-        if $crate::is_enabled() {
-            $crate::add_labeled_counter($name, stringify!($label), $key, $delta);
         }
     };
 }

@@ -7,8 +7,7 @@
 //! The driver emits one automatically (into `ClusterConfig::
 //! postmortem_dir`) on a task panic, a worker condemnation, a deadline
 //! fence discarding a late message, or a checkpoint-resume mismatch.
-//! `fcma postmortem <file>` re-parses and summarizes a dump with
-//! [`validate`].
+//! A dump is plain line-oriented text, read with any text tool.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -97,63 +96,6 @@ pub fn emit_to_dir(
     Ok(path)
 }
 
-/// A parsed-back dump summary, as printed by `fcma postmortem`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PostmortemSummary {
-    /// The full `trigger:` line (minus the key).
-    pub trigger: String,
-    /// Declared event count from the header.
-    pub events: usize,
-    /// Lines in the causal-chain section.
-    pub chain_len: usize,
-}
-
-/// Parse and check a dump: header magic, trigger line, event count
-/// matching the timeline section, and a causal-chain section.
-///
-/// # Errors
-/// Returns a human-readable description of the first malformation.
-pub fn validate(text: &str) -> Result<PostmortemSummary, String> {
-    let mut lines = text.lines();
-    let header = lines.next().unwrap_or("");
-    if header != POSTMORTEM_HEADER {
-        return Err(format!("bad header {header:?}: want {POSTMORTEM_HEADER:?}"));
-    }
-    let trigger = lines
-        .next()
-        .and_then(|l| l.strip_prefix("trigger: "))
-        .ok_or_else(|| "missing trigger line".to_string())?
-        .to_string();
-    let events: usize = lines
-        .next()
-        .and_then(|l| l.strip_prefix("events: "))
-        .and_then(|n| n.parse().ok())
-        .ok_or_else(|| "missing events line".to_string())?;
-    if lines.next() != Some("-- timeline --") {
-        return Err("missing timeline section".to_string());
-    }
-    let mut timeline = 0usize;
-    let mut chain_len = None;
-    for line in lines {
-        if let Some(rest) = line.strip_prefix("-- causal chain: ") {
-            if !rest.ends_with(" --") {
-                return Err(format!("malformed causal-chain marker {line:?}"));
-            }
-            chain_len = Some(0);
-            continue;
-        }
-        match &mut chain_len {
-            None => timeline += 1,
-            Some(n) => *n += 1,
-        }
-    }
-    if timeline != events {
-        return Err(format!("events header says {events} but timeline has {timeline} lines"));
-    }
-    let chain_len = chain_len.ok_or_else(|| "missing causal-chain section".to_string())?;
-    Ok(PostmortemSummary { trigger, events, chain_len })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,35 +161,7 @@ ts=990 seq=8 recorder.fence attempt=1 origin=dispatch arg=1
     }
 
     #[test]
-    fn rendered_dump_validates_and_summarizes() {
-        let trigger =
-            PostmortemTrigger { kind: "worker.condemned", task: 64, attempt: 1, worker: 1 };
-        let text = render(&sample_events(), &trigger);
-        let summary = validate(&text).expect("rendered dump must validate");
-        assert_eq!(summary.trigger, "worker.condemned task=64 attempt=1 worker=1");
-        assert_eq!(summary.events, 10);
-        assert_eq!(summary.chain_len, 7);
-    }
-
-    #[test]
-    fn validate_rejects_malformed_dumps() {
-        assert!(validate("not a postmortem").is_err());
-        assert!(validate("fcma-postmortem v2\n").is_err());
-        assert!(validate("fcma-postmortem v1\n").is_err(), "the v1 shape had ring columns");
-        let trigger = PostmortemTrigger { kind: "task.panic", task: 1, attempt: 0, worker: 0 };
-        let mut text = render(&sample_events(), &trigger);
-        text.push_str("ts=999 seq=9 recorder.fence task=1 attempt=0 origin=dispatch arg=0\n");
-        // Extra chain lines are fine; a missing timeline line is not.
-        assert!(validate(&text).is_ok());
-        let truncated = text.replace(
-            "ts=200 seq=2 recorder.dispatch task=128 attempt=1 origin=dispatch arg=2\n",
-            "",
-        );
-        assert!(validate(&truncated).is_err());
-    }
-
-    #[test]
-    fn emit_writes_a_validating_artifact() {
+    fn emit_writes_the_rendered_dump() {
         let dir = std::env::temp_dir().join("fcma-postmortem-test");
         let trigger = PostmortemTrigger { kind: "resume.mismatch", task: 3, attempt: 2, worker: 0 };
         let path = emit_to_dir(&dir, &sample_events(), &trigger).expect("emit");
@@ -256,8 +170,7 @@ ts=990 seq=8 recorder.fence attempt=1 origin=dispatch arg=1
             Some("postmortem-resume-mismatch-task3-attempt2.txt")
         );
         let text = std::fs::read_to_string(&path).expect("read back");
-        let summary = validate(&text).expect("validate");
-        assert!(summary.trigger.starts_with("resume.mismatch"));
+        assert_eq!(text, render(&sample_events(), &trigger));
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! A drained [`crate::Collector`] yields a [`TraceReport`]: the flat list
 //! of completed [`SpanRecord`]s (spans and instant events), the
-//! monotonic counters, and the value [`Histogram`]s. This module also
+//! monotonic counters, and the value [`Histogram`]s (count, sum, min and
+//! max — what the summary and the consistency audit read). This module also
 //! turns a report into the two things humans actually ask of a trace —
 //! a `perf report`-style per-stage summary table ([`TraceReport::summary_table`])
 //! and a pass/fail consistency audit of the scheduler counters
@@ -106,11 +107,7 @@ impl SpanRecord {
     }
 }
 
-/// Number of power-of-two buckets a [`Histogram`] keeps: bucket `i`
-/// counts values in `[2^i, 2^(i+1))` (bucket 0 also catches `< 1`).
-pub const HISTOGRAM_BUCKETS: usize = 32;
-
-/// A fixed-footprint distribution: count/sum/min/max plus log2 buckets.
+/// A fixed-footprint distribution: count, sum, min and max.
 #[derive(Debug, Clone, PartialEq)]
 // audit: allow(deadpub) — part of a referenced public signature; demotion trips private_interfaces
 pub struct Histogram {
@@ -122,42 +119,21 @@ pub struct Histogram {
     pub min: f64,
     /// Largest recorded value (`f64::NEG_INFINITY` when empty).
     pub max: f64,
-    /// Log2 bucket counts; see [`HISTOGRAM_BUCKETS`].
-    pub buckets: [u64; HISTOGRAM_BUCKETS],
 }
 
 impl Default for Histogram {
     fn default() -> Self {
-        Histogram {
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            buckets: [0; HISTOGRAM_BUCKETS],
-        }
+        Histogram { count: 0, sum: 0.0, min: f64::INFINITY, max: f64::NEG_INFINITY }
     }
 }
 
 impl Histogram {
     /// Record one value.
-    // audit: allow(panicpath) — idx < HISTOGRAM_BUCKETS by the loop guard above it
     pub fn record(&mut self, value: f64) {
         self.count += 1;
         self.sum += value;
         self.min = self.min.min(value);
         self.max = self.max.max(value);
-        let idx = if value < 2.0 {
-            0
-        } else {
-            let mut idx = 0usize;
-            let mut bound = 2.0f64;
-            while value >= bound && idx + 1 < HISTOGRAM_BUCKETS {
-                idx += 1;
-                bound *= 2.0;
-            }
-            idx
-        };
-        self.buckets[idx] += 1;
     }
 
     /// Mean of recorded values (0 when empty).
@@ -169,46 +145,6 @@ impl Histogram {
             self.sum / self.count as f64
         }
     }
-
-    /// Estimate the `q`-quantile (`q` in `[0, 1]`) by walking the
-    /// cumulative bucket counts and interpolating linearly inside the
-    /// landing bucket, clamped to the exact observed `[min, max]`.
-    /// Returns 0 when empty.
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        // cast is exact here: count is a tally, f64 mantissa suffices
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).max(1.0);
-        let mut cum = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            if n == 0 {
-                continue;
-            }
-            // cast is exact here: bucket tallies for interpolation
-            let (cum_before, cum_after) = (cum as f64, (cum + n) as f64);
-            cum += n;
-            if cum_after >= target {
-                let lo = if i == 0 { 0.0 } else { (1u64 << i) as f64 };
-                let hi = (1u64 << (i + 1)) as f64;
-                let frac = (target - cum_before) / (cum_after - cum_before);
-                return (lo + frac * (hi - lo)).clamp(self.min, self.max);
-            }
-        }
-        self.max
-    }
-}
-
-/// A counter broken out along one label dimension — e.g. the per-worker
-/// pool stats, where `label` is `"worker"` and `values` maps worker id
-/// to count. Exported to Prometheus as one series per label value.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-// audit: allow(deadpub) — part of a referenced public signature; demotion trips private_interfaces
-pub struct LabeledCounter {
-    /// The label key (e.g. `worker`).
-    pub label: String,
-    /// Label value → count.
-    pub values: BTreeMap<u64, u64>,
 }
 
 /// Everything one collector recorded, merged and ready for export.
@@ -218,8 +154,6 @@ pub struct TraceReport {
     pub spans: Vec<SpanRecord>,
     /// Monotonic counters by name.
     pub counters: BTreeMap<String, u64>,
-    /// Labeled counters by name (e.g. `pool.worker.tasks` by worker).
-    pub labeled_counters: BTreeMap<String, LabeledCounter>,
     /// Histograms by name.
     pub histograms: BTreeMap<String, Histogram>,
 }
@@ -492,109 +426,6 @@ impl TraceReport {
         }
         violations
     }
-
-    /// Derive per-span-family duration histograms, in **microseconds**
-    /// (the unit SLO quantile bounds are checked against).
-    pub fn span_duration_histograms(&self) -> BTreeMap<String, Histogram> {
-        let mut out: BTreeMap<String, Histogram> = BTreeMap::new();
-        for s in &self.spans {
-            if let Some(dur) = s.dur_ns {
-                // cast is exact here: ns tally scaled to µs for bucketing
-                out.entry(s.name.clone()).or_default().record(dur as f64 / 1e3);
-            }
-        }
-        out
-    }
-
-    /// Render the `fcma top` per-worker utilization table from the
-    /// `cluster.dispatch` spans: tasks run, busy time, utilization
-    /// against the run wall, an ASCII busy timeline, and a straggler
-    /// flag on any worker whose longest dispatch ran more than twice the
-    /// run-wide mean.
-    pub fn top_table(&self) -> String {
-        const TIMELINE: usize = 40;
-        let dispatches: Vec<&SpanRecord> =
-            self.spans.iter().filter(|s| !s.is_event() && s.name == "cluster.dispatch").collect();
-        if dispatches.is_empty() {
-            return "no cluster.dispatch spans in trace (not a cluster run?)\n".to_string();
-        }
-        let t0 = dispatches.iter().map(|s| s.start_ns).min().unwrap_or(0);
-        let t1 = dispatches
-            .iter()
-            .map(|s| s.start_ns.saturating_add(s.dur_ns.unwrap_or(0)))
-            .max()
-            .unwrap_or(0);
-        let wall = t1.saturating_sub(t0).max(1);
-        let total_busy: u64 = dispatches.iter().filter_map(|s| s.dur_ns).sum();
-        // cast is exact here: duration tallies for a display threshold
-        let mean_dur = total_busy as f64 / dispatches.len() as f64;
-        let mut workers: BTreeMap<u64, Vec<&SpanRecord>> = BTreeMap::new();
-        for s in &dispatches {
-            workers.entry(attr_u64(s, "worker").unwrap_or(u64::MAX)).or_default().push(s);
-        }
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{} workers, {} dispatches, wall {}",
-            workers.len(),
-            dispatches.len(),
-            fmt_ns(wall)
-        );
-        let _ = writeln!(
-            out,
-            "{:<6} {:>5} {:>10} {:>6}  {:<TIMELINE$}  flags",
-            "worker", "tasks", "busy", "util", "timeline"
-        );
-        let _ = writeln!(out, "{}", "-".repeat(19 + 8 + TIMELINE + 8));
-        for (wid, spans) in &workers {
-            let busy: u64 = spans.iter().filter_map(|s| s.dur_ns).sum();
-            let mut lane = [false; TIMELINE];
-            let cols = u64::try_from(TIMELINE).unwrap_or(u64::MAX);
-            for s in spans {
-                let end = s.start_ns.saturating_add(s.dur_ns.unwrap_or(0));
-                let cell_of = |t: u64| {
-                    usize::try_from(t.saturating_sub(t0) * cols / wall)
-                        .unwrap_or(TIMELINE - 1)
-                        .min(TIMELINE - 1)
-                };
-                for cell in lane.iter_mut().take(cell_of(end) + 1).skip(cell_of(s.start_ns)) {
-                    *cell = true;
-                }
-            }
-            let timeline: String = lane.iter().map(|&b| if b { '#' } else { '.' }).collect();
-            let mut flags = Vec::new();
-            if let Some(worst) = spans
-                .iter()
-                .filter(|s| {
-                    // cast is exact here: duration tally vs display threshold
-                    s.dur_ns.unwrap_or(0) as f64 > 2.0 * mean_dur
-                })
-                .max_by_key(|s| s.dur_ns.unwrap_or(0))
-            {
-                flags.push(format!("straggler:task={}", attr_u64(worst, "task").unwrap_or(0)));
-            }
-            for s in spans {
-                if s.attr("outcome")
-                    .is_some_and(|o| matches!(o, AttrValue::Str(v) if v == "condemned"))
-                {
-                    flags.push("condemned".to_string());
-                    break;
-                }
-            }
-            let _ = writeln!(
-                out,
-                "{:<6} {:>5} {:>10} {:>5.1}%  {}  {}",
-                wid,
-                spans.len(),
-                fmt_ns(busy),
-                // cast is exact here: ratio of tallies for display only
-                busy as f64 / wall as f64 * 100.0,
-                timeline,
-                flags.join(" ")
-            );
-        }
-        out
-    }
 }
 
 /// An attribute as `u64`, whatever integer variant it landed in.
@@ -644,7 +475,7 @@ mod tests {
     }
 
     #[test]
-    fn histogram_tracks_moments_and_buckets() {
+    fn histogram_tracks_moments() {
         let mut h = Histogram::default();
         for v in [1.0, 3.0, 9.0, 100.0] {
             h.record(v);
@@ -654,10 +485,6 @@ mod tests {
         assert!((h.mean() - 28.25).abs() < 1e-9);
         assert!((h.min - 1.0).abs() < 1e-9);
         assert!((h.max - 100.0).abs() < 1e-9);
-        assert_eq!(h.buckets[0], 1); // 1.0 in [0,2)
-        assert_eq!(h.buckets[1], 1); // 3.0 in [2,4)
-        assert_eq!(h.buckets[3], 1); // 9.0 in [8,16)
-        assert_eq!(h.buckets[6], 1); // 100.0 in [64,128)
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! EXPERIMENTS.md cites is one `BENCHMARK.json` declares,
 //! `BENCH_history.jsonl` holds a full-length record of every workload in
 //! both modes, and no document points back at the retired criterion
-//! layer. Plain substring checks; the files are the repository's own.
+//! layer or the retired metrics exporter, SLO gate and trace
+//! subcommands. Plain substring checks; the files are the repository's
+//! own.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -17,7 +19,7 @@ const DOCS: [&str; 5] = [
     "results/README.md",
     ".claude/skills/verify/SKILL.md",
 ];
-const RETIRED: [&str; 9] = [
+const RETIRED: [&str; 15] = [
     "criterion",
     "cargo bench",
     "bench_gemm",
@@ -27,6 +29,12 @@ const RETIRED: [&str; 9] = [
     "bench_normalization",
     "bench_cluster",
     "bench_trace",
+    "--metrics-out",
+    "--slo",
+    "slo.toml",
+    "fcma top",
+    "fcma postmortem",
+    "Prometheus",
 ];
 
 fn read(rel: &str) -> String {

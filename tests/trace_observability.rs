@@ -199,6 +199,15 @@ fn speculative_duplicate_is_traced_and_accounted() {
     assert!(straggler.wall >= Duration::from_millis(80), "wall {:?}", straggler.wall);
 }
 
+/// Check a postmortem dump's format header and that its `trigger:` line
+/// starts with `trigger`.
+fn assert_header(dump: &str, trigger: &str) {
+    let mut lines = dump.lines();
+    assert_eq!(lines.next(), Some("fcma-postmortem v2"));
+    let line = lines.next().unwrap_or_default();
+    assert!(line.strip_prefix("trigger: ").is_some_and(|t| t.starts_with(trigger)), "{line}");
+}
+
 /// The lines of a postmortem dump's timeline section.
 fn timeline(dump: &str) -> Vec<&str> {
     dump.lines()
@@ -211,7 +220,7 @@ fn timeline(dump: &str) -> Vec<&str> {
 /// Causal tracing end to end: a chaos run with a panic and a retry must
 /// stamp every worker-side span with the ctx of a live dispatch, mark
 /// the retry's spans with origin `retry`, keep flight-recorder events
-/// out of the collected trace, and drop a validating postmortem
+/// out of the collected trace, and drop a postmortem
 /// artifact for the panicking task — all under the causality invariants
 /// of `check_consistency`.
 #[test]
@@ -272,26 +281,20 @@ fn causal_context_and_postmortem() {
     assert!(report.check_consistency().is_empty(), "{:?}", report.check_consistency());
     assert!(report.check_causality().is_empty(), "{:?}", report.check_causality());
 
-    // The derived per-family latency histograms behave like quantile
-    // summaries: task.process is present and its quantiles are ordered.
-    let hists = report.span_duration_histograms();
-    let hist = hists.get("task.process").expect("task.process family in the histograms");
-    assert!(hist.quantile(0.99) >= hist.quantile(0.5), "quantiles must be monotone");
-
     // The flight log is the run's own: none of it rides the collector.
     assert!(report.spans.iter().all(|s| !s.name.starts_with("recorder.")));
 
-    // The panic dropped a validating postmortem whose causal chain is
-    // the panicking attempt and nothing else (the retry is dispatched
-    // only after the dump is taken). The master records a dispatch
-    // after sending it, so the worker's lines may precede it.
+    // The panic dropped a postmortem whose causal chain is the panicking
+    // attempt and nothing else (the retry is dispatched only after the
+    // dump is taken). The master records a dispatch after sending it, so
+    // the worker's lines may precede it.
     let dump = pm_dir.join("postmortem-task-panic-task16-attempt1.txt");
     let text = std::fs::read_to_string(&dump).expect("postmortem artifact must exist");
-    let summary = fcma::trace::postmortem::validate(&text).expect("artifact must validate");
-    assert!(summary.trigger.starts_with("task.panic task=16 attempt=1"), "{}", summary.trigger);
+    assert_header(&text, "task.panic task=16 attempt=1 ");
     let chain: Vec<&str> =
         timeline(&text).into_iter().filter(|l| l.contains(" task=16 ")).collect();
-    assert_eq!(summary.chain_len, chain.len());
+    let chain_section = text.lines().skip_while(|l| !l.starts_with("-- causal chain")).skip(1);
+    assert_eq!(chain_section.count(), chain.len());
     assert_eq!(chain.len(), 3, "{chain:?}");
     for kind in ["dispatch", "task.start", "task.panic"] {
         let wanted = format!(" recorder.{kind} task=16 attempt=1 origin=dispatch ");
@@ -323,7 +326,7 @@ fn second_sweeps_postmortem_holds_only_its_own_events() {
 
     let dump = pm_dir.join("postmortem-task-panic-task32-attempt1.txt");
     let text = std::fs::read_to_string(&dump).expect("second sweep's artifact must exist");
-    fcma::trace::postmortem::validate(&text).expect("artifact must validate");
+    assert_header(&text, "task.panic task=32 attempt=1 ");
     let lines = timeline(&text);
     let panics: Vec<&&str> = lines.iter().filter(|l| l.contains(" recorder.task.panic ")).collect();
     assert_eq!(panics.len(), 1, "the first sweep's panic leaked into the dump: {lines:?}");
