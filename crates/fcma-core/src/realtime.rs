@@ -7,16 +7,34 @@
 //! epochs as they complete — the software half of the paper's
 //! scanner-to-cluster loop, with the scanner replaced by the caller
 //! feeding volumes.
+//!
+//! **Frozen at training time.** [`OnlineSession::train_feedback`] runs the
+//! pipeline over every epoch seen so far and keeps, in the
+//! [`FeedbackModel`]: the selected voxels, the linear SVM, stage 2's
+//! within-subject z-score statistics of every (selected voxel, brain
+//! voxel) column over the training epochs, and the SVM's primal weight
+//! vector.
+//!
+//! **Computed per epoch.** [`OnlineSession::score_epoch`] reads the scored
+//! epoch's volumes and nothing else: it normalises the window (Eq. 2),
+//! computes each selected voxel's correlation row and Fisher-transforms
+//! it, z-scores it with the frozen statistics and takes one dot product
+//! with the weight vector — O(top_k × N × epoch_len) whatever the epoch's
+//! index, and the same for a training epoch as for a newer one.
 
-use crate::analysis::{selected_samples, stratified_folds};
+use crate::analysis::stratified_folds;
 use crate::context::TaskContext;
 use crate::selection::select_top_k;
-use fcma_fmri::{Condition, Dataset, EpochSpec};
-use fcma_linalg::Mat;
+use crate::stage2::{accumulate, finish_stats};
+use fcma_fmri::{Condition, Dataset, EpochSpec, NormalizedEpochs};
+use fcma_linalg::norms::axpy;
+use fcma_linalg::{
+    corr_tile_block_rows, dot, f32_from_usize, fisher_z_slice, EpochPair, Mat, StripScratch,
+};
 use fcma_svm::{train_phisvm, KernelMatrix, SmoParams, SvmModel};
 
-/// Side of the square tile [`OnlineSession::dataset`] transposes through
-/// (16 KiB, L1-resident).
+/// Side of the square tile [`voxel_major`] transposes through (16 KiB,
+/// L1-resident).
 const SNAPSHOT_TILE: usize = 64;
 
 /// Configuration for the streaming session.
@@ -49,7 +67,20 @@ impl Default for SessionConfig {
     }
 }
 
-/// A trained feedback state: selected voxels + classifier.
+/// A trained feedback state: selected voxels + classifier, and what
+/// scoring an epoch needs from training time.
+///
+/// The classifier's features are the selected voxels' z-scored
+/// correlation vectors, `top_k × N` floats per epoch, selected voxel
+/// major. Frozen here at training time: stage 2's `(mean, 1/std)` of each
+/// feature column over the training epochs, and the primal weight vector
+/// `w = Σ alpha_y[s] · z(train_idx[s])` of the linear kernel, so that a
+/// decision is `⟨w, z⟩ − rho`. Every epoch is z-scored against the
+/// statistics the classifier was trained on, not re-z-scored together
+/// with the epochs seen since: the classifier sees the features it was
+/// trained on, and an epoch's feedback does not depend on when it is
+/// asked for. Epoch indices name epochs of the session being scored; a
+/// model carries no epoch of the session it was trained in.
 #[derive(Debug, Clone)]
 // audit: allow(deadpub) — part of a referenced public signature; demotion trips private_interfaces
 pub struct FeedbackModel {
@@ -58,11 +89,100 @@ pub struct FeedbackModel {
     /// The trained classifier over the selected voxels' correlation
     /// patterns.
     pub model: SvmModel,
-    /// Kernel over all epochs seen at training time (prediction for newer
-    /// epochs rebuilds features; see [`OnlineSession::score_epoch`]).
-    kernel: KernelMatrix,
-    /// Number of epochs the kernel covers.
-    trained_epochs: usize,
+    /// Stage 2's per-column means of the training epochs' features.
+    mean: Vec<f32>,
+    /// Stage 2's per-column `1/std` (0 for a constant column).
+    inv_std: Vec<f32>,
+    /// The primal weight vector over the same features.
+    weights: Vec<f32>,
+}
+
+impl FeedbackModel {
+    /// The features of one epoch from its normalised `k × N` brain
+    /// matrix: the selected voxels' Fisher-transformed correlation rows,
+    /// z-scored with the frozen training statistics.
+    fn features(&self, brain: &Mat) -> Vec<f32> {
+        let mut z = vec![0.0f32; self.weights.len()];
+        fisher_rows(brain, &self.selected, &mut z);
+        zscore_frozen(&mut z, &self.mean, &self.inv_std);
+        z
+    }
+
+    /// Decision value of one epoch's features.
+    fn primal_decision(&self, z: &[f32]) -> f32 {
+        dot(&self.weights, z) - self.model.rho
+    }
+}
+
+/// Stage 1 and the Fisher half of stage 2 for one epoch: each selected
+/// voxel's correlation row against the whole brain, Fisher-transformed,
+/// into `out` (row `si` at `si·N`). The tile kernel and Fisher pass are
+/// the merged band's, and no element depends on which voxels or columns
+/// share its tile (DESIGN.md §15), so every value is the pipeline's bits.
+fn fisher_rows(brain: &Mat, selected: &[usize], out: &mut [f32]) {
+    let (k, n) = (brain.rows(), brain.cols());
+    let assigned = Mat::from_fn(selected.len(), k, |si, t| brain.get(t, selected[si]));
+    let pairs = [EpochPair { assigned: &assigned, brain }];
+    let mut scratch = StripScratch::for_epochs(&pairs);
+    corr_tile_block_rows(&pairs, 0..selected.len(), 0..1, 0..n, out, &mut scratch);
+    fisher_z_slice(out);
+}
+
+/// The training samples, one row of features per epoch of `ctx`, by stage
+/// 2's arithmetic over the session's one subject: each column's
+/// statistics over every epoch, then the z-apply. Returns the samples
+/// and the statistics, `(mean, 1/std)`.
+// audit: allow(panicpath) — every row and statistics buffer is sized selected × N of the context's own brain matrices
+fn training_samples(ctx: &TaskContext, selected: &[usize]) -> (Mat, Vec<f32>, Vec<f32>) {
+    let m = ctx.n_epochs();
+    let mut samples = Mat::zeros(m, selected.len() * ctx.n_voxels());
+    let mut sum = vec![0.0f32; samples.cols()];
+    let mut sumsq = vec![0.0f32; samples.cols()];
+    for e in 0..m {
+        let row = samples.row_mut(e);
+        fisher_rows(ctx.norm.brain(e), selected, row);
+        accumulate(row, &mut sum, &mut sumsq);
+    }
+    let mut mean = vec![0.0f32; samples.cols()];
+    let mut inv_std = vec![0.0f32; samples.cols()];
+    finish_stats(&sum, &sumsq, f32_from_usize(m), &mut mean, &mut inv_std);
+    for e in 0..m {
+        zscore_frozen(samples.row_mut(e), &mean, &inv_std);
+    }
+    (samples, mean, inv_std)
+}
+
+/// Stage 2's z-apply with given column statistics.
+fn zscore_frozen(z: &mut [f32], mean: &[f32], inv_std: &[f32]) {
+    for ((x, &mean), &inv_std) in z.iter_mut().zip(mean).zip(inv_std) {
+        *x = (*x - mean) * inv_std;
+    }
+}
+
+/// `volumes` (time-major, `n` voxels each) as an `n × t` voxel-major
+/// matrix, transposed through a time-major tile: each volume is read in
+/// contiguous runs, each voxel's row is written in contiguous runs.
+fn voxel_major(volumes: &[Vec<f32>], n: usize) -> Mat {
+    let mut data = Mat::zeros(n, volumes.len());
+    let mut tile = [0.0f32; SNAPSHOT_TILE * SNAPSHOT_TILE];
+    for v0 in (0..n).step_by(SNAPSHOT_TILE) {
+        let width = SNAPSHOT_TILE.min(n - v0);
+        for (ti, vols) in volumes.chunks(SNAPSHOT_TILE).enumerate() {
+            for (row, vol) in tile.chunks_exact_mut(SNAPSHOT_TILE).zip(vols) {
+                for (dst, &x) in row.iter_mut().zip(vol.iter().skip(v0)) {
+                    *dst = x;
+                }
+            }
+            for j in 0..width {
+                let column = tile.iter().skip(j).step_by(SNAPSHOT_TILE);
+                let run = data.row_mut(v0 + j).iter_mut().skip(ti * SNAPSHOT_TILE);
+                for (dst, &x) in run.zip(column).take(vols.len()) {
+                    *dst = x;
+                }
+            }
+        }
+    }
+    data
 }
 
 /// Streaming session state.
@@ -105,6 +225,20 @@ pub enum SessionError {
         /// The first voxel whose sample is not finite.
         voxel: usize,
     },
+    /// The epoch asked for has not been completed.
+    UnknownEpoch {
+        /// The epoch index asked for.
+        epoch: usize,
+        /// Epochs the session has completed.
+        completed: usize,
+    },
+    /// The feedback model was trained on volumes of another size.
+    ModelMismatch {
+        /// Voxels per volume the model was trained on.
+        model_voxels: usize,
+        /// The session's `n_voxels`.
+        session_voxels: usize,
+    },
 }
 
 impl std::fmt::Display for SessionError {
@@ -122,6 +256,14 @@ impl std::fmt::Display for SessionError {
             SessionError::NonFinite { voxel } => {
                 write!(f, "volume sample at voxel {voxel} is not finite")
             }
+            SessionError::UnknownEpoch { epoch, completed } => {
+                write!(f, "epoch {epoch} not completed ({completed} epochs are)")
+            }
+            SessionError::ModelMismatch { model_voxels, session_voxels } => write!(
+                f,
+                "feedback model was trained on {model_voxels}-voxel volumes, \
+                 the session's are {session_voxels}"
+            ),
         }
     }
 }
@@ -186,34 +328,14 @@ impl OnlineSession {
         if self.epochs.len() < 2 {
             return Err(SessionError::NotEnoughData("need >= 2 epochs".into()));
         }
-        // Transposed through a time-major tile: each volume is read in
-        // contiguous runs, each voxel's row is written in contiguous runs.
-        let n = self.cfg.n_voxels;
-        let mut data = Mat::zeros(n, self.volumes.len());
-        let mut tile = [0.0f32; SNAPSHOT_TILE * SNAPSHOT_TILE];
-        for v0 in (0..n).step_by(SNAPSHOT_TILE) {
-            let width = SNAPSHOT_TILE.min(n - v0);
-            for (ti, vols) in self.volumes.chunks(SNAPSHOT_TILE).enumerate() {
-                for (row, vol) in tile.chunks_exact_mut(SNAPSHOT_TILE).zip(vols) {
-                    for (dst, &x) in row.iter_mut().zip(vol.iter().skip(v0)) {
-                        *dst = x;
-                    }
-                }
-                for j in 0..width {
-                    let column = tile.iter().skip(j).step_by(SNAPSHOT_TILE);
-                    let run = data.row_mut(v0 + j).iter_mut().skip(ti * SNAPSHOT_TILE);
-                    for (dst, &x) in run.zip(column).take(vols.len()) {
-                        *dst = x;
-                    }
-                }
-            }
-        }
-        Dataset::new(data, self.epochs.clone())
+        Dataset::new(voxel_major(&self.volumes, self.cfg.n_voxels), self.epochs.clone())
             .map_err(|e| SessionError::NotEnoughData(e.to_string()))
     }
 
     /// Select voxels and train the feedback classifier on everything seen
-    /// so far (paper §5.2.2: k-fold over epochs, no nested CV).
+    /// so far (paper §5.2.2: k-fold over epochs, no nested CV), then
+    /// freeze what [`Self::score_epoch`] needs for newer epochs (see
+    /// [`FeedbackModel`]).
     pub fn train_feedback(&self) -> Result<FeedbackModel, SessionError> {
         let dataset = self.dataset()?;
         let ctx = TaskContext::full(&dataset);
@@ -223,42 +345,57 @@ impl OnlineSession {
             crate::analysis::score_all_voxels(&ctx, &exec, self.cfg.task_size, Some(&groups));
         let selected = select_top_k(&scores, self.cfg.top_k.min(scores.len()));
 
-        let kernel = KernelMatrix::precompute(&selected_samples(&ctx, &selected));
+        let (samples, mean, inv_std) = training_samples(&ctx, &selected);
         let idx: Vec<usize> = (0..ctx.n_epochs()).collect();
-        let model = train_phisvm(&kernel, &idx, &ctx.y, &self.cfg.svm);
-        Ok(FeedbackModel { selected, model, kernel, trained_epochs: ctx.n_epochs() })
+        let model = train_phisvm(&KernelMatrix::precompute(&samples), &idx, &ctx.y, &self.cfg.svm);
+        let mut weights = vec![0.0f32; samples.cols()];
+        for (&ay, &s) in model.alpha_y.iter().zip(&model.train_idx) {
+            axpy(ay, samples.row(s), &mut weights);
+        }
+        Ok(FeedbackModel { selected, model, mean, inv_std, weights })
     }
 
-    /// Score epoch `e` (any completed epoch, typically one newer than the
-    /// training set) with a feedback model: returns the decision value
-    /// whose sign is the predicted condition.
+    /// Score completed epoch `e` with a feedback model: returns the
+    /// decision value whose sign is the predicted condition.
+    ///
+    /// The epoch is scored from its own volumes, whether or not it was a
+    /// training epoch: its window is normalised, each selected voxel's
+    /// correlation row is computed, Fisher-transformed and z-scored with
+    /// the statistics frozen at training time, and the decision is one
+    /// dot product with the model's weight vector. The cost is the same
+    /// at every epoch index, and the result does not depend on the epochs
+    /// that came after `e`. On a training epoch it agrees with the dual
+    /// decision over the training kernel to float rounding.
+    // audit: allow(panicpath) — `end_epoch` closes an epoch only once its window lies inside the volumes pushed
     pub fn score_epoch(&self, fb: &FeedbackModel, e: usize) -> Result<f32, SessionError> {
-        if e >= self.epochs.len() {
-            return Err(SessionError::NotEnoughData(format!("epoch {e} not completed")));
+        let Some(ep) = self.epochs.get(e) else {
+            return Err(SessionError::UnknownEpoch { epoch: e, completed: self.epochs.len() });
+        };
+        let n = self.cfg.n_voxels;
+        if fb.weights.len() != fb.selected.len() * n {
+            return Err(SessionError::ModelMismatch {
+                model_voxels: fb.weights.len().checked_div(fb.selected.len()).unwrap_or(0),
+                session_voxels: n,
+            });
         }
-        if e < fb.trained_epochs && fb.kernel.n() == fb.trained_epochs {
-            // Covered by the training-time kernel: one row read.
-            return Ok(fb.model.decision(&fb.kernel, e));
-        }
-        // Newer epoch: rebuild the kernel over all epochs (the correlation
-        // features of *training* epochs are unchanged; the full rebuild
-        // keeps the code simple at session scale).
-        let dataset = self.dataset()?;
-        let ctx = TaskContext::full(&dataset);
-        let kernel = KernelMatrix::precompute(&selected_samples(&ctx, &fb.selected));
-        Ok(fb.model.decision(&kernel, e))
+        let raw = voxel_major(&self.volumes[ep.start..ep.start + ep.len], n);
+        let norm = NormalizedEpochs::from_windows(&raw, std::slice::from_ref(&(0..ep.len)));
+        Ok(fb.primal_decision(&fb.features(norm.brain(0))))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::selected_samples;
     use fcma_fmri::presets;
+    use std::ops::Range;
 
-    /// Feed a pre-generated dataset through the streaming interface.
-    fn stream(dataset: &Dataset, cfg: SessionConfig, epochs: usize) -> OnlineSession {
-        let mut s = OnlineSession::new(cfg, dataset.n_voxels());
-        for (ei, ep) in dataset.epochs().iter().take(epochs).enumerate() {
+    /// Feed epochs `epochs` of a pre-generated dataset through the
+    /// streaming interface.
+    fn feed(s: &mut OnlineSession, dataset: &Dataset, epochs: Range<usize>) {
+        for ei in epochs {
+            let ep = dataset.epochs()[ei];
             s.begin_epoch(ep.label).unwrap();
             for t in ep.start..ep.start + ep.len {
                 let vol: Vec<f32> =
@@ -267,6 +404,12 @@ mod tests {
             }
             assert_eq!(s.end_epoch().unwrap(), ei);
         }
+    }
+
+    /// A new session fed the first `epochs` epochs of `dataset`.
+    fn stream(dataset: &Dataset, cfg: SessionConfig, epochs: usize) -> OnlineSession {
+        let mut s = OnlineSession::new(cfg, dataset.n_voxels());
+        feed(&mut s, dataset, 0..epochs);
         s
     }
 
@@ -401,13 +544,66 @@ mod tests {
     }
 
     #[test]
+    fn feedback_does_not_depend_on_later_epochs() {
+        let (d, _, scfg) = single_subject();
+        let mut s = stream(&d, scfg, 14);
+        let fb = s.train_feedback().unwrap();
+        feed(&mut s, &d, 14..15);
+        let on_close = s.score_epoch(&fb, 14).unwrap();
+        feed(&mut s, &d, 15..20);
+        let later = s.score_epoch(&fb, 14).unwrap();
+        assert_eq!(on_close.to_bits(), later.to_bits(), "{on_close} then {later}");
+    }
+
+    #[test]
+    fn frozen_features_are_stage_2s() {
+        // The scoring path's feature step, run on each training epoch,
+        // is that epoch's row of the pipeline's samples matrix bit for
+        // bit; `score_epoch`'s primal decision agrees with the dual one
+        // over the training kernel.
+        let (d, _, scfg) = single_subject();
+        let s = stream(&d, scfg, 14);
+        let fb = s.train_feedback().unwrap();
+        let ctx = TaskContext::full(&s.dataset().unwrap());
+        let samples = selected_samples(&ctx, &fb.selected);
+        let kernel = KernelMatrix::precompute(&samples);
+        for e in 0..ctx.n_epochs() {
+            let z = fb.features(ctx.norm.brain(e));
+            for (j, (a, b)) in z.iter().zip(samples.row(e)).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "epoch {e} feature {j}: {a} vs {b}");
+            }
+            let primal = s.score_epoch(&fb, e).unwrap();
+            assert_eq!(primal.to_bits(), fb.primal_decision(&z).to_bits(), "epoch {e}");
+            let dual = fb.model.decision(&kernel, e);
+            assert_eq!(primal.signum(), dual.signum(), "epoch {e}: {primal} vs {dual}");
+            let tol = 1e-4 * dual.abs().max(1.0);
+            assert!((primal - dual).abs() <= tol, "epoch {e}: {primal} vs {dual}");
+        }
+    }
+
+    #[test]
     fn scoring_unknown_epoch_errors() {
         let (d, _, scfg) = single_subject();
         // 11 of 20 epochs: with 10 per condition, any prefix of 11 is
         // guaranteed to contain both classes whatever the shuffle order,
         // so training cannot fail on an unlucky label arrangement.
-        let s = stream(&d, scfg, 11);
+        let s = stream(&d, scfg.clone(), 11);
         let fb = s.train_feedback().unwrap();
-        assert!(s.score_epoch(&fb, 99).is_err());
+        assert_eq!(
+            s.score_epoch(&fb, 99).unwrap_err(),
+            SessionError::UnknownEpoch { epoch: 99, completed: 11 }
+        );
+        // A model trained on 96-voxel volumes, scored in a 64-voxel
+        // session.
+        let mut small = OnlineSession::new(scfg, 64);
+        small.begin_epoch(Condition::A).unwrap();
+        for t in 0..small.cfg.epoch_len {
+            small.push_volume(&(0..64).map(|v| (v * 7 + t) as f32).collect::<Vec<_>>()).unwrap();
+        }
+        small.end_epoch().unwrap();
+        assert_eq!(
+            small.score_epoch(&fb, 0).unwrap_err(),
+            SessionError::ModelMismatch { model_voxels: 96, session_voxels: 64 }
+        );
     }
 }

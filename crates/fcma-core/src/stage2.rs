@@ -345,9 +345,10 @@ fn max_subject_epochs(ctx: &TaskContext) -> usize {
 }
 
 /// Column-wise accumulation of sums and sums of squares (vectorizes: all
-/// three slices are contiguous).
+/// three slices are contiguous). The real-time feedback model freezes its
+/// statistics with this and [`finish_stats`] too.
 #[inline]
-fn accumulate(row: &[f32], sum: &mut [f32], sumsq: &mut [f32]) {
+pub(crate) fn accumulate(row: &[f32], sum: &mut [f32], sumsq: &mut [f32]) {
     for (j, &z) in row.iter().enumerate() {
         sum[j] += z;
         sumsq[j] += z * z;
@@ -357,7 +358,13 @@ fn accumulate(row: &[f32], sum: &mut [f32], sumsq: &mut [f32]) {
 /// Turn accumulated sums into (mean, 1/std) with the zero-variance
 /// convention (constant populations z-score to 0).
 #[inline]
-fn finish_stats(sum: &[f32], sumsq: &[f32], cnt: f32, mean: &mut [f32], inv_std: &mut [f32]) {
+pub(crate) fn finish_stats(
+    sum: &[f32],
+    sumsq: &[f32],
+    cnt: f32,
+    mean: &mut [f32],
+    inv_std: &mut [f32],
+) {
     for j in 0..sum.len() {
         let m = sum[j] / cnt;
         let var = (sumsq[j] / cnt - m * m).max(0.0);

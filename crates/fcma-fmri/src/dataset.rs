@@ -221,6 +221,7 @@ impl Dataset {
     ///
     /// # Panics
     /// If `voxel` or `epoch` is out of range for the dataset.
+    #[cfg(test)]
     pub(crate) fn epoch_series(&self, voxel: usize, epoch: usize) -> &[f32] {
         let ep = &self.epochs[epoch];
         &self.data.row(voxel)[ep.start..ep.start + ep.len]

@@ -45,8 +45,27 @@ impl NormalizedEpochs {
     /// (in `keep` order). Used by cross-validation folds that exclude a
     /// subject's epochs.
     ///
+    /// # Panics
+    /// Panics if any index is out of range.
+    pub fn from_dataset_subset(dataset: &Dataset, keep: &[usize]) -> Self {
+        let windows: Vec<Range<usize>> = keep
+            .iter()
+            .map(|&e| {
+                assert!(e < dataset.n_epochs(), "epoch index {e} out of range");
+                let ep = &dataset.epochs()[e];
+                ep.start..ep.start + ep.len
+            })
+            .collect();
+        Self::from_windows(dataset.data(), &windows)
+    }
+
+    /// Normalize the time windows `windows` of a raw `voxels × time`
+    /// activity matrix, one epoch per window (in `windows` order). A
+    /// caller holding one epoch's volumes, and no epoch table, normalizes
+    /// them as a single window.
+    ///
     /// Walks the voxels in blocks of [`VOXEL_BLOCK`]. For each block and
-    /// each kept epoch, the voxels' raw windows are copied into a
+    /// each window, the voxels' raw windows are copied into a
     /// `k × block` tile (one voxel per column), every column's `f64` sums
     /// are accumulated in time order side by side, and each tile row is
     /// normalized straight into a contiguous run of the epoch's matrix.
@@ -54,16 +73,10 @@ impl NormalizedEpochs {
     /// for bit, and every raw row is read once, front to back.
     ///
     /// # Panics
-    /// Panics if any index is out of range.
-    pub fn from_dataset_subset(dataset: &Dataset, keep: &[usize]) -> Self {
-        let n = dataset.n_voxels();
-        let mut brain: Vec<Mat> = keep
-            .iter()
-            .map(|&e| {
-                assert!(e < dataset.n_epochs(), "epoch index {e} out of range");
-                Mat::zeros(dataset.epochs()[e].len, n)
-            })
-            .collect();
+    /// Panics if a window reaches past the matrix's time points.
+    pub fn from_windows(data: &Mat, windows: &[Range<usize>]) -> Self {
+        let n = data.rows();
+        let mut brain: Vec<Mat> = windows.iter().map(|w| Mat::zeros(w.len(), n)).collect();
         let k_max = brain.iter().map(Mat::rows).max().unwrap_or(0);
         let mut tile = vec![0.0f32; k_max * VOXEL_BLOCK];
         let mut sum = [0.0f64; VOXEL_BLOCK];
@@ -76,11 +89,11 @@ impl NormalizedEpochs {
         let mut live = [false; VOXEL_BLOCK];
         for v0 in (0..n).step_by(VOXEL_BLOCK) {
             let width = VOXEL_BLOCK.min(n - v0);
-            for (&e, m) in keep.iter().zip(&mut brain) {
+            for (window, m) in windows.iter().zip(&mut brain) {
                 let k = m.rows();
                 // Raw windows into the tile, one voxel per column.
                 for j in 0..width {
-                    let x = dataset.epoch_series(v0 + j, e);
+                    let x = &data.row(v0 + j)[window.clone()];
                     for (row, &raw) in tile.chunks_exact_mut(VOXEL_BLOCK).zip(x) {
                         row[j] = raw;
                     }
@@ -192,6 +205,20 @@ mod tests {
                 let s = dot(&col, &col);
                 assert!((s - 1.0).abs() < 1e-4, "epoch {e} voxel {v}: {s}");
             }
+        }
+    }
+
+    #[test]
+    fn a_lone_window_normalizes_as_its_epoch() {
+        // Epoch 1's volumes alone, with no epoch table, give the bits of
+        // epoch 1 normalized inside the dataset.
+        let d = dataset();
+        let ne = NormalizedEpochs::from_dataset(&d);
+        let window = Mat::from_fn(3, 12, |r, c| d.data().get(r, 12 + c));
+        let lone = NormalizedEpochs::from_windows(&window, std::slice::from_ref(&(0..12)));
+        assert_eq!(lone.n_epochs(), 1);
+        for (a, b) in lone.brain(0).as_slice().iter().zip(ne.brain(1).as_slice()) {
+            assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 
