@@ -145,7 +145,7 @@ pub fn render_stats_delta(
 }
 
 /// Minimal JSON string escaping (std-only, like the fcma-trace exporter).
-pub fn json_str(s: &str) -> String {
+fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

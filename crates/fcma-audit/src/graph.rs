@@ -190,23 +190,6 @@ impl AtomicsContract {
     }
 }
 
-/// One row of the §17 "Mutation contracts" table: a mutant class with
-/// its expected killers and the minimum killed-or-covered share
-/// `fcma-mut --check` enforces for it.
-#[derive(Debug, Clone)]
-pub struct MutationRow {
-    /// 0-based DESIGN.md line of the row.
-    pub line: usize,
-    /// Mutant-class name (one of [`crate::mutants::MUTANT_CLASSES`]).
-    pub class: String,
-    /// Backticked killer names (audit pass names) — documentation plus the expected-killer hint the engine tries
-    /// first. Empty for the classes no executed oracle targets.
-    pub killers: Vec<String>,
-    /// Minimum percentage of non-equivalent mutants that must be killed
-    /// or, for classes without an executed oracle, covered.
-    pub min_score: u32,
-}
-
 /// A named defect in a machine-parsed DESIGN.md contract table. The
 /// parser records these instead of silently skipping the row: a
 /// malformed contract that parses as "no contract" would let the very
@@ -221,26 +204,6 @@ pub enum ContractError {
         /// The unrecognized ordering token.
         ordering: String,
     },
-    /// A §17 mutation row is missing its class or min-score cell, or
-    /// the score is not a percentage.
-    MalformedMutationRow {
-        /// 0-based DESIGN.md line.
-        line: usize,
-    },
-    /// A §17 mutation row names a class the engine does not implement.
-    UnknownMutantClass {
-        /// 0-based DESIGN.md line.
-        line: usize,
-        /// The unrecognized class name.
-        class: String,
-    },
-    /// A §17 mutation row repeats a class already declared.
-    DuplicateMutationRow {
-        /// 0-based DESIGN.md line.
-        line: usize,
-        /// The duplicated class name.
-        class: String,
-    },
 }
 
 impl std::fmt::Display for ContractError {
@@ -252,22 +215,6 @@ impl std::fmt::Display for ContractError {
                  (known: Relaxed, Acquire, Release, AcqRel, SeqCst)",
                 line + 1
             ),
-            ContractError::MalformedMutationRow { line } => write!(
-                f,
-                "DESIGN.md:{}: mutation row needs a backticked class and a numeric \
-                 min-score percentage",
-                line + 1
-            ),
-            ContractError::UnknownMutantClass { line, class } => write!(
-                f,
-                "DESIGN.md:{}: mutation row names unknown mutant class `{class}` \
-                 (known: {})",
-                line + 1,
-                crate::mutants::MUTANT_CLASSES.join(", ")
-            ),
-            ContractError::DuplicateMutationRow { line, class } => {
-                write!(f, "DESIGN.md:{}: mutation row repeats class `{class}`", line + 1)
-            }
         }
     }
 }
@@ -275,8 +222,8 @@ impl std::fmt::Display for ContractError {
 /// The `std::sync::atomic::Ordering` variants a §16 row may allow.
 const KNOWN_ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
 
-/// The machine-readable architecture contracts from DESIGN.md §12, §16
-/// and §17.
+/// The machine-readable architecture contracts from DESIGN.md §12 and
+/// §16.
 #[derive(Debug, Clone, Default)]
 pub struct Contracts {
     /// Allowed direct `fcma-*` dependencies per crate; `None` when the
@@ -286,8 +233,6 @@ pub struct Contracts {
     pub protocol: Option<Vec<ProtocolEntry>>,
     /// The §16 "Atomics contracts" tables; `None` when absent.
     pub atomics: Option<AtomicsContract>,
-    /// The §17 "Mutation contracts" table; `None` when absent.
-    pub mutation: Option<Vec<MutationRow>>,
     /// Named parse defects. Non-empty errors fail the CLI (exit 2): a
     /// contract that cannot be parsed must not silently vanish.
     pub errors: Vec<ContractError>,
@@ -313,7 +258,7 @@ fn backticked(cell: &str) -> Vec<String> {
 
 impl Contracts {
     /// Parse the `## 12. Architecture contracts` section of DESIGN.md,
-    /// plus the §16 and §17 tables.
+    /// plus the §16 tables.
     ///
     /// §12 table rows are classified by their first backticked token: a
     /// token containing `::` is a protocol row (`Enum::Variant`), a
@@ -323,25 +268,20 @@ impl Contracts {
     /// §16 "Atomics contracts" rows are `| atomic | file | role | loads |
     /// stores | pairing |` with backticked orderings, plus an optional
     /// prose line containing `sites:` followed by the declared total
-    /// site count. §17 "Mutation contracts" rows are `| class | expected
-    /// killers | min score |`.
+    /// site count.
     ///
     /// Malformed data rows are recorded as named [`ContractError`]s, not
-    /// skipped: a §16 row allowing an unknown ordering and the §17
-    /// analogues all surface in
+    /// skipped: a §16 row allowing an unknown ordering surfaces in
     /// [`Contracts::errors`]. Header rows (the row directly above a
     /// `|---|` separator) and separator rows are structural and never
     /// validated.
     pub fn from_design_md(text: &str) -> Contracts {
         let mut in_section = false;
         let mut in_atomics = false;
-        let mut in_mutation = false;
         let mut layering: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
         let mut protocol: Vec<ProtocolEntry> = Vec::new();
         let mut atomics = AtomicsContract::default();
         let mut saw_atomics = false;
-        let mut mutation: Vec<MutationRow> = Vec::new();
-        let mut saw_mutation = false;
         let mut errors: Vec<ContractError> = Vec::new();
         let lines: Vec<&str> = text.lines().collect();
         let is_separator = |l: &str| {
@@ -351,9 +291,7 @@ impl Contracts {
         for (lineno, &line) in lines.iter().enumerate() {
             if line.starts_with('#') {
                 in_atomics = line.contains("Atomics contracts");
-                in_mutation = line.contains("Mutation contracts");
                 saw_atomics |= in_atomics;
-                saw_mutation |= in_mutation;
                 if line.starts_with("## ") {
                     in_section = line.contains("Architecture contracts");
                 }
@@ -405,32 +343,6 @@ impl Contracts {
                 }
                 continue;
             }
-            if in_mutation {
-                let class = backticked(cells[0]).into_iter().next();
-                let score: Option<u32> = cells.get(2).and_then(|c| {
-                    let digits: String = c.chars().filter(char::is_ascii_digit).collect();
-                    digits.parse().ok()
-                });
-                match (class, score) {
-                    (Some(class), Some(min_score)) if min_score <= 100 => {
-                        if !crate::mutants::MUTANT_CLASSES.contains(&class.as_str()) {
-                            errors.push(ContractError::UnknownMutantClass { line: lineno, class });
-                        } else if mutation.iter().any(|r| r.class == class) {
-                            errors
-                                .push(ContractError::DuplicateMutationRow { line: lineno, class });
-                        } else {
-                            mutation.push(MutationRow {
-                                line: lineno,
-                                class,
-                                killers: backticked(cells[1]),
-                                min_score,
-                            });
-                        }
-                    }
-                    _ => errors.push(ContractError::MalformedMutationRow { line: lineno }),
-                }
-                continue;
-            }
             if !in_section {
                 continue;
             }
@@ -456,7 +368,6 @@ impl Contracts {
             layering: (!layering.is_empty()).then_some(layering),
             protocol: (!protocol.is_empty()).then_some(protocol),
             atomics: saw_atomics.then_some(atomics),
-            mutation: saw_mutation.then_some(mutation),
             errors,
         }
     }
@@ -480,9 +391,6 @@ pub struct CallGraph {
     pub nodes: Vec<FnNode>,
     /// Reverse edges: `callers[i]` = node indices that call node `i`.
     pub callers: Vec<Vec<usize>>,
-    /// Forward edges with evidence: `callees[i]` = `(callee node,
-    /// 0-based call line)` for every resolved call site in node `i`.
-    pub callees: Vec<Vec<(usize, usize)>>,
 }
 
 /// A panic-reachability verdict for one node: why it can panic.
@@ -527,7 +435,6 @@ impl CallGraph {
         };
 
         let mut callers: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
-        let mut callees: Vec<Vec<(usize, usize)>> = vec![Vec::new(); nodes.len()];
         for (i, node) in nodes.iter().enumerate() {
             let f = &files[node.file].1.fns[node.idx];
             for call in &f.calls {
@@ -541,12 +448,11 @@ impl CallGraph {
                 for &j in candidates {
                     if i != j && sees(node, &nodes[j]) {
                         callers[j].push(i);
-                        callees[i].push((j, call.line));
                     }
                 }
             }
         }
-        CallGraph { nodes, callers, callees }
+        CallGraph { nodes, callers }
     }
 
     /// Propagate panic reachability. `direct[i]` is `Some(why)` when
@@ -710,50 +616,6 @@ Blah.
         // Both rows still enter the table — a typo'd row must not make
         // its sites look uncontracted on top of the parse error.
         assert_eq!(c.atomics.unwrap().entries.len(), 2);
-    }
-
-    #[test]
-    fn mutation_contracts_table_parses() {
-        let md = "## 17. Mutation contracts\n\nProse about the kill matrix.\n\n\
-                  | Class | Expected killers | Min score |\n|---|---|---|\n\
-                  | `ordering-weaken` | `atomicorder` | 100 |\n\
-                  | `arith-swap` | tests | 80 |\n\
-                  | `match-arm-delete` | `protocol`, review | 90 |\n";
-        let c = Contracts::from_design_md(md);
-        assert!(c.errors.is_empty(), "{:?}", c.errors);
-        let rows = c.mutation.expect("section parses");
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0].class, "ordering-weaken");
-        assert_eq!(rows[0].killers, vec!["atomicorder"]);
-        assert_eq!(rows[0].min_score, 100);
-        assert_eq!(rows[1].min_score, 80);
-        assert_eq!(rows[2].killers, vec!["protocol"]);
-        // No §17 heading → no mutation contract at all.
-        assert!(Contracts::from_design_md(DESIGN).mutation.is_none());
-    }
-
-    #[test]
-    fn mutation_contract_errors_are_named() {
-        let md = "## 17. Mutation contracts\n\n\
-                  | Class | Expected killers | Min score |\n|---|---|---|\n\
-                  | `arith-swap` | tests | 80 |\n\
-                  | `no-such-class` | tests | 80 |\n\
-                  | `arith-swap` | tests | 90 |\n\
-                  | `cmp-flip` | tests | 300 |\n\
-                  | not backticked | tests | 80 |\n";
-        let c = Contracts::from_design_md(md);
-        assert_eq!(c.mutation.unwrap().len(), 1, "only the first row is good");
-        assert_eq!(
-            c.errors,
-            vec![
-                ContractError::UnknownMutantClass { line: 5, class: "no-such-class".to_owned() },
-                ContractError::DuplicateMutationRow { line: 6, class: "arith-swap".to_owned() },
-                ContractError::MalformedMutationRow { line: 7 },
-                ContractError::MalformedMutationRow { line: 8 },
-            ]
-        );
-        let unknown = c.errors[0].to_string();
-        assert!(unknown.contains("accum-reorder"), "lists known classes: {unknown}");
     }
 
     fn graph_of(sources: &[(&str, &str)]) -> (Vec<ParsedFile>, CallGraph) {

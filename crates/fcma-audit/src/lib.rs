@@ -7,14 +7,17 @@
 //! names that match the DESIGN.md §Observability taxonomy, the crate
 //! layering DAG of DESIGN.md §Architecture contracts, call-graph panic
 //! reachability of library `pub fn`s, master–worker protocol
-//! conformance, workspace-`pub` items nobody references, stale
-//! allow markers, and the DESIGN.md §16 atomics memory-ordering
-//! contracts ([`passes::check_atomicorder`]).
+//! conformance, workspace-`pub` items nobody references, stale allow
+//! markers and `// audit:` comments that are not allow markers, and the
+//! DESIGN.md §16 atomics memory-ordering contracts
+//! ([`passes::check_atomicorder`]).
 //!
 //! Run it with `cargo run -p fcma-audit -- check [--format human|json]
-//! [--passes a,b,c]`. Exit code 0 means clean, 1 means violations were
-//! printed, 2 means the tool itself could not run (bad usage or I/O
-//! failure).
+//! [--passes a,b,c]`, or `-- stats [--check FILE]` for the per-pass
+//! counts. Exit code 0 means clean, 1 means violations were printed, 2
+//! means the tool itself could not run (bad usage or I/O failure). Every
+//! pass has a seeded violation in the crate's tests, so none is green
+//! only because it checks nothing.
 //!
 //! The implementation deliberately avoids `syn`: a line-preserving
 //! scrubbing lexer ([`lexer`]) feeds a brace-depth scope analyzer
@@ -27,7 +30,6 @@
 pub mod format;
 pub mod graph;
 pub mod lexer;
-pub mod mutants;
 pub mod parser;
 pub mod passes;
 pub mod source;

@@ -2,8 +2,7 @@
 //!
 //! Usage: `fcma-audit check [--root DIR] [--format human|json]
 //! [--passes a,b,c] [--changed [--since REF]]`,
-//! `fcma-audit stats [--root DIR] [--check FILE]`, or
-//! `fcma-audit mutants [--root DIR] [--format human|json]`.
+//! or `fcma-audit stats [--root DIR] [--check FILE]`.
 //!
 //! With no `--root`, the workspace root is resolved from the location
 //! of this crate at compile time (two levels above its manifest), so
@@ -13,7 +12,6 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use fcma_audit::format::json_str;
 use fcma_audit::passes::{ESCAPABLE_PASSES, PASS_NAMES};
 use fcma_audit::Format;
 
@@ -113,12 +111,6 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         }
-        Some("mutants") => {
-            if passes.is_some() || baseline.is_some() {
-                eprintln!("fcma-audit: `mutants` takes only --root and --format");
-                return ExitCode::from(2);
-            }
-        }
         Some(other) => {
             eprintln!("fcma-audit: unknown command `{other}`\n{USAGE}");
             return ExitCode::from(2);
@@ -162,31 +154,6 @@ fn main() -> ExitCode {
             ws.contracts.errors.len()
         );
         return ExitCode::from(2);
-    }
-
-    if command.as_deref() == Some("mutants") {
-        let mutants = fcma_audit::mutants::enumerate(&ws);
-        for m in &mutants {
-            match format {
-                Format::Human => {
-                    println!("{}:{}: {}: {}", m.rel_path, m.line + 1, m.class, m.description);
-                }
-                Format::Json => println!(
-                    "{{\"id\":{},\"class\":{},\"file\":{},\"line\":{},\"fn\":{},\
-                     \"description\":{}}}",
-                    json_str(&m.id()),
-                    json_str(m.class),
-                    json_str(&m.rel_path),
-                    m.line + 1,
-                    json_str(m.fn_name.as_deref().unwrap_or("")),
-                    json_str(&m.description)
-                ),
-            }
-        }
-        if format == Format::Human {
-            println!("fcma-audit: {} mutant(s) enumerated", mutants.len());
-        }
-        return ExitCode::SUCCESS;
     }
 
     if command.as_deref() == Some("stats") {
@@ -296,20 +263,15 @@ fn changed_files(root: &Path, reference: &str) -> Option<std::collections::BTree
 const USAGE: &str = "usage: fcma-audit check [--root DIR] [--format human|json] [--passes a,b,c]
                         [--changed [--since REF]]
        fcma-audit stats [--root DIR] [--check FILE]
-       fcma-audit mutants [--root DIR] [--format human|json]
 
 commands:
   check    run the audit passes and print violations (exit 1 if any)
   stats    print per-pass violation and allow-marker counts as JSON;
            with --check FILE, compare against the committed baseline and
            print a per-pass delta table on drift (exit 1)
-  mutants  enumerate the semantic mutants the fcma-mut engine would
-           apply, as file:line: class: description (or --format json);
-           the classification itself lives in `cargo run -p fcma-mut`
 
 any command exits 2 when DESIGN.md contains malformed contract rows
-(bad atomics/mutation table entries are named errors, never
-silent skips)
+(bad atomics table entries are named errors, never silent skips)
 
 output:
   --format human  file:line: pass: message (default)
@@ -342,7 +304,8 @@ passes:
                facade (Arc/Weak stay allowed)
   atomicorder  every Ordering::* site matches a DESIGN.md §16 atomics
                contract row (orderings allowed, site count)
-  unusedallow  every allow marker must suppress something
+  unusedallow  every allow marker must suppress something, and every
+               `// audit:` comment must be an allow marker
 
 escape markers (same line or the line above; reason mandatory):
   // audit: allow(cast) — <reason>
@@ -351,12 +314,4 @@ escape markers (same line or the line above; reason mandatory):
   // audit: allow(panicpath) — <reason>
   // audit: allow(deadpub) — <reason>
   // audit: allow(syncfacade) — <reason>
-  // audit: allow(atomicorder) — <reason>
-
-mutation-triage markers (same line or the line above; reason mandatory):
-  // audit: equivalent(<mutant class>) — <reason>
-                  declares that the mutant fcma-mut seeds at this site is
-                  semantically equivalent to the original program, so no
-                  oracle can kill it; unknown classes, missing reasons,
-                  and markers with no enumerated mutant under them fail
-                  unusedallow";
+  // audit: allow(atomicorder) — <reason>";

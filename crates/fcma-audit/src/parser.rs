@@ -66,8 +66,6 @@ pub struct Call {
     pub owner: Option<String>,
     /// `true` for `.name(…)` method-syntax calls (receiver type unknown).
     pub method: bool,
-    /// 0-based line.
-    pub line: usize,
 }
 
 /// One `fn` item.
@@ -85,8 +83,6 @@ pub struct FnItem {
     pub vis: Vis,
     /// 0-based line of the `fn` keyword.
     pub line: usize,
-    /// 0-based inclusive body line span (`None` for bodyless decls).
-    pub body: Option<(usize, usize)>,
     /// Whether the doc comment has a `# Panics` section.
     pub doc_panics: bool,
     /// Declared at file scope (not in a mod/impl/trait/fn).
@@ -204,7 +200,7 @@ enum Ctx {
     Mod,
     Impl { type_name: Option<String>, trait_impl: bool },
     Trait,
-    Fn { fn_idx: usize },
+    Fn,
     Block,
 }
 
@@ -366,8 +362,7 @@ impl<'a> Parser<'a> {
             Tok::P('[') => brackets += 1,
             Tok::P(']') => brackets -= 1,
             Tok::P('{') if parens == 0 && brackets == 0 => {
-                self.out.fns[fn_idx].body = Some((*line, *line));
-                self.stack.push(Ctx::Fn { fn_idx });
+                self.stack.push(Ctx::Fn);
                 self.fn_stack.push(fn_idx);
                 self.mode = Mode::Normal;
                 self.i += 1;
@@ -512,10 +507,7 @@ impl<'a> Parser<'a> {
                 self.i += 1;
             }
             Tok::P('}') => {
-                if let Some(Ctx::Fn { fn_idx }) = self.stack.pop() {
-                    if let Some((start, _)) = self.out.fns[fn_idx].body {
-                        self.out.fns[fn_idx].body = Some((start, line));
-                    }
+                if let Some(Ctx::Fn) = self.stack.pop() {
                     self.fn_stack.pop();
                 }
                 self.i += 1;
@@ -617,14 +609,14 @@ impl<'a> Parser<'a> {
                         f.sources.push(PanicSource { kind, line });
                     }
                 } else if let Some(f) = self.in_fn() {
-                    f.calls.push(Call { name: w.to_owned(), owner: None, method: true, line });
+                    f.calls.push(Call { name: w.to_owned(), owner: None, method: true });
                 }
             } else if !NON_CALL_KEYWORDS.contains(&w) {
                 // Free or qualified call. An uppercase qualifier is a type
                 // (`Mat::zeros`, `Self::helper`); a lowercase one is a
                 // module path.
                 let owner = qualifier.filter(|q| q.chars().next().is_some_and(char::is_uppercase));
-                let call = Call { name: w.to_owned(), owner, method: false, line };
+                let call = Call { name: w.to_owned(), owner, method: false };
                 if let Some(f) = self.in_fn() {
                     f.calls.push(call);
                 }
@@ -651,7 +643,6 @@ impl<'a> Parser<'a> {
             in_trait: self.in_trait_body(),
             vis,
             line,
-            body: None,
             doc_panics: self.doc_has_panics(line),
             top_level: self.stack.is_empty(),
             calls: Vec::new(),
@@ -867,15 +858,17 @@ mod tests {
 
     #[test]
     fn trait_decl_fns_are_marked() {
-        let p = parsed("pub trait Exec {\n    fn run(&self);\n    fn helper(&self) {}\n}\n");
+        let p = parsed(
+            "pub trait Exec {\n    fn run(&self);\n    fn helper(&self) {\n        go();\n    }\n}\n",
+        );
         assert_eq!(p.types.len(), 1);
         assert_eq!(p.types[0].kind, TypeKind::Trait);
         let run = p.fns.iter().find(|f| f.name == "run").unwrap();
         assert!(run.in_trait);
-        assert!(run.body.is_none());
+        assert!(run.calls.is_empty(), "a bodyless decl owns no calls");
         let helper = p.fns.iter().find(|f| f.name == "helper").unwrap();
         assert!(helper.in_trait);
-        assert!(helper.body.is_some());
+        assert!(helper.calls.iter().any(|c| c.name == "go"));
     }
 
     #[test]
@@ -968,7 +961,6 @@ mod tests {
             "pub fn outer() {\n    inner();\n    fn inner() {\n        helper();\n    }\n}\n",
         );
         let outer = p.fns.iter().find(|f| f.name == "outer").unwrap();
-        assert_eq!(outer.body, Some((0, 5)));
         assert!(outer.calls.iter().any(|c| c.name == "inner"));
         let inner = p.fns.iter().find(|f| f.name == "inner").unwrap();
         assert!(inner.calls.iter().any(|c| c.name == "helper"));
@@ -1001,11 +993,11 @@ mod tests {
     fn multiline_signatures_and_where_clauses() {
         let p = parsed(
             "pub fn long<T>(\n    a: usize,\n    b: [u8; 4],\n) -> Option<T>\nwhere\n    \
-             T: Clone,\n{\n    None\n}\n",
+             T: Clone,\n{\n    done()\n}\n",
         );
         assert_eq!(p.fns.len(), 1);
         assert_eq!(p.fns[0].name, "long");
-        assert_eq!(p.fns[0].body, Some((6, 8)));
+        assert!(p.fns[0].calls.iter().any(|c| c.name == "done"), "the body after `where` is read");
         assert!(p.fns[0].sources.is_empty(), "array type in signature is not indexing");
     }
 }

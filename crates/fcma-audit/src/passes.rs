@@ -53,7 +53,7 @@ const DRIVER_FILE: &str = "crates/fcma-cluster/src/driver.rs";
 /// a panic or an unused `pub` item there cannot take down a worker.
 /// Every other library crate — including any future one — is in scope
 /// by default.
-const EXEMPT_CRATES: &[&str] = &["fcma-audit", "fcma-bench", "fcma-mc", "fcma-mut"];
+const EXEMPT_CRATES: &[&str] = &["fcma-audit", "fcma-bench", "fcma-mc"];
 
 /// The package name of the workspace root crate.
 const ROOT_CRATE: &str = "fcma";
@@ -71,11 +71,6 @@ const SYNC_EXEMPT_CRATES: &[&str] =
 /// model checker does not need to interpose on them.
 const FORBIDDEN_STD_SYNC: &[&str] =
     &["Mutex", "RwLock", "Condvar", "Barrier", "Once", "OnceLock", "LazyLock", "mpsc", "atomic"];
-
-/// The mutant classes an `// audit: equivalent(<class>)` triage marker
-/// may name (alias of [`crate::mutants::MUTANT_CLASSES`], kept local so
-/// the marker checks read without a module hop).
-const MUTANT_CLASSES_FOR_MARKERS: &[&str] = crate::mutants::MUTANT_CLASSES;
 
 /// Every pass name an allow marker may reference, in `run_all` order.
 pub const PASS_NAMES: &[&str] = &[
@@ -142,29 +137,6 @@ impl Workspace {
         taxonomy: Option<Taxonomy>,
     ) -> Workspace {
         let parsed = files.iter().map(|f| parser::parse(&f.scan)).collect();
-        Workspace {
-            files,
-            parsed,
-            crates,
-            contracts,
-            taxonomy,
-            used_markers: RefCell::new(BTreeSet::new()),
-        }
-    }
-
-    /// Parse-free constructor for callers that already hold the parsed
-    /// views (the mutation engine's per-mutant overlay re-parses one
-    /// file and clones the rest — re-parsing the whole workspace for
-    /// every mutant would dominate its runtime). `parsed` must be
-    /// index-parallel with `files`.
-    pub fn with_parsed(
-        files: Vec<SourceFile>,
-        parsed: Vec<ParsedFile>,
-        crates: CrateGraph,
-        contracts: Contracts,
-        taxonomy: Option<Taxonomy>,
-    ) -> Workspace {
-        debug_assert_eq!(files.len(), parsed.len());
         Workspace {
             files,
             parsed,
@@ -989,7 +961,7 @@ const MEM_ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "Seq
 
 /// Whether an atomic method reads, writes, or does both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum OpClass {
+enum OpClass {
     Load,
     Store,
     Rmw,
@@ -1015,7 +987,7 @@ const ATOMIC_OPS: &[(&str, OpClass)] = &[
 /// `Ordering::<variant>` tokens on one scrubbed code line, as
 /// (char position of `Ordering`, variant) pairs. Only the five memory
 /// orderings count — `cmp::Ordering::Less` never matches.
-pub(crate) fn ordering_tokens(code: &str) -> Vec<(usize, &'static str)> {
+fn ordering_tokens(code: &str) -> Vec<(usize, &'static str)> {
     let mut out = Vec::new();
     for col in site_starts(code, "Ordering::") {
         let variant: String = code
@@ -1068,7 +1040,7 @@ fn last_atomic_call(code: &str, limit: usize) -> Option<(String, &'static str, O
 /// to: the nearest atomic-method call left of the token on its own
 /// line, or on one of the three lines above (rustfmt may wrap a
 /// `compare_exchange` argument list).
-pub(crate) fn atomic_op_at(
+fn atomic_op_at(
     f: &SourceFile,
     lineno: usize,
     col: usize,
@@ -1219,58 +1191,24 @@ pub fn check_atomicorder(ws: &Workspace) -> Vec<Violation> {
 /// Mirrors `#[warn(unused_allow)]`: a marker naming an unknown pass, a
 /// marker missing its mandatory reason, a marker for a pass with no
 /// escape hatch, and a well-formed marker no pass consumed are all
-/// violations. `// audit: equivalent(<class>)` mutation-triage markers
-/// are checked the same way — the class must be one the mutation engine
-/// implements and an enumerated mutant of that class must sit under
-/// the marker, so a triage comment cannot outlive the code it excuses.
-/// Must run after every other pass (consumption is recorded as they
-/// go).
+/// violations. So is any other `// audit:` line comment: the tool reads
+/// no other directive, and a misspelt marker or a retired directive
+/// would otherwise read as enforced. Must run after every other pass
+/// (consumption is recorded as they go).
 pub fn check_unused_allow(ws: &Workspace) -> Vec<Violation> {
     let used = ws.used_markers.borrow();
     let mut out = Vec::new();
-    // Mutant sites only matter when a triage marker exists somewhere;
-    // the enumeration is one extra linear scan in that case.
-    let mutant_sites: Option<BTreeSet<(usize, &'static str, usize)>> =
-        ws.files.iter().any(|f| !f.equivalent_markers().is_empty()).then(|| {
-            crate::mutants::enumerate(ws).into_iter().map(|m| (m.file, m.class, m.line)).collect()
-        });
     for (fi, f) in ws.files.iter().enumerate() {
-        for m in f.equivalent_markers() {
-            let covers_site = |sites: &BTreeSet<(usize, &'static str, usize)>| {
-                MUTANT_CLASSES_FOR_MARKERS.iter().any(|&c| {
-                    c == m.class
-                        && (sites.contains(&(fi, c, m.line))
-                            || sites.contains(&(fi, c, m.line + 1)))
-                })
-            };
-            let violation = if !MUTANT_CLASSES_FOR_MARKERS.contains(&m.class.as_str()) {
-                Some(format!(
-                    "equivalent marker names unknown mutant class `{}` (known: {})",
-                    m.class,
-                    MUTANT_CLASSES_FOR_MARKERS.join(", ")
-                ))
-            } else if !m.has_reason {
-                Some(format!(
-                    "equivalent marker for `{}` is missing its mandatory reason \
-                     (`// audit: equivalent({}) — <reason>`)",
-                    m.class, m.class
-                ))
-            } else if !mutant_sites.as_ref().is_some_and(covers_site) {
-                Some(format!(
-                    "stale equivalent marker: no `{}` mutant is enumerated under it; remove it",
-                    m.class
-                ))
-            } else {
-                None
-            };
-            if let Some(message) = violation {
-                out.push(Violation {
-                    file: f.rel_path.clone(),
-                    line: m.line + 1,
-                    pass: "unusedallow",
-                    message,
-                });
-            }
+        for (line, directive) in f.stray_directives() {
+            out.push(Violation {
+                file: f.rel_path.clone(),
+                line: line + 1,
+                pass: "unusedallow",
+                message: format!(
+                    "`// audit: {directive}` is not an allow marker; the only audit directive \
+                     is `// audit: allow(<pass>) — <reason>`"
+                ),
+            });
         }
         for m in f.markers() {
             let violation = if !PASS_NAMES.contains(&m.pass.as_str()) {
@@ -1327,7 +1265,7 @@ fn is_snake_dotted(name: &str) -> bool {
 
 /// Char positions where `pat` occurs in `line` with a non-identifier
 /// character (or line start) on its left.
-pub(crate) fn site_starts(line: &str, pat: &str) -> Vec<usize> {
+fn site_starts(line: &str, pat: &str) -> Vec<usize> {
     let chars: Vec<char> = line.chars().collect();
     let pat_chars: Vec<char> = pat.chars().collect();
     let mut out = Vec::new();
@@ -1387,7 +1325,7 @@ fn extract_name(raw_lines: &[String], lno: usize, from: usize) -> Option<(usize,
 }
 
 /// Word-boundary containment: `name` in `line` not flanked by ident chars.
-pub(crate) fn contains_word(line: &str, name: &str) -> bool {
+fn contains_word(line: &str, name: &str) -> bool {
     let bytes = line.as_bytes();
     let is_ident = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
     let mut from = 0;
@@ -1926,31 +1864,18 @@ mod tests {
     }
 
     #[test]
-    fn unusedallow_validates_equivalent_markers() {
-        // A live triage marker: an arith-swap mutant is enumerated on
-        // the line below it. A stale one: the marked line has no mutant
-        // of that class. And an unknown class is always flagged.
+    fn unusedallow_flags_audit_comments_that_are_not_allow_markers() {
         let f = lib_file(
             "fcma-core",
-            "//! m\npub fn f(a: usize, b: usize) -> usize {\n    \
-             // audit: equivalent(arith-swap) — a and b are both zero here\n    a + b\n}\n\
-             // audit: equivalent(arith-swap) — nothing below\nfn g() {}\n\
-             // audit: equivalent(no-such-class) — bad\nfn h() {}\n\
-             // audit: equivalent(cmp-flip)\nfn i(x: usize) -> bool {\n    x < 1\n}\n",
+            "//! m\n// audit: equivalent(cmp-flip) — retired triage marker\nfn f() {}\n\
+             // audit: hot\nfn g() {}\n\
+             fn h() {} // audit: alow(cast) — typo\n\
+             /// Mention `// audit: pure` in docs.\nfn i() {}\n",
         );
-        let ws = ws_of(vec![f]);
-        let v = check_unused_allow(&ws);
-        assert_eq!(v.len(), 3, "{v:?}");
-        assert!(v.iter().any(|x| x.message.contains("no `arith-swap` mutant is enumerated")));
-        assert!(v.iter().any(|x| x.message.contains("unknown mutant class `no-such-class`")));
-        assert!(
-            v.iter().any(|x| x.message.contains("equivalent marker for `cmp-flip` is missing")),
-            "{v:?}"
-        );
-        assert!(
-            !v.iter().any(|x| x.line == 3),
-            "the live marker on line 3 must not be flagged: {v:?}"
-        );
+        let v = check_unused_allow(&ws_of(vec![f]));
+        let lines: Vec<usize> = v.iter().map(|x| x.line).collect();
+        assert_eq!(lines, vec![2, 4, 6], "{v:?}");
+        assert!(v.iter().all(|x| x.message.contains("is not an allow marker")), "{v:?}");
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Per-file source model: role classification plus a single-pass
-//! structural analysis (test spans, token sites, allow markers) that the
-//! lexical lint passes consume. Item-level structure (functions, types,
+//! structural analysis (test spans, token sites, allow markers and the
+//! `// audit:` comments that are not allow markers) that the lexical
+//! lint passes consume. Item-level structure (functions, types,
 //! calls) lives in [`crate::parser`].
 
 use crate::lexer::{scan, Scanned};
@@ -37,21 +38,6 @@ pub struct Marker {
     pub line: usize,
     /// The pass name inside the parentheses.
     pub pass: String,
-    /// Whether the mandatory reason text is present.
-    pub has_reason: bool,
-}
-
-/// One `// audit: equivalent(<class>)` marker comment: the triage
-/// record that a mutant of the named class at this site is semantically
-/// equivalent to the original code, so no oracle can (or should) kill
-/// it. Consumed by `fcma-mut`; stale or reasonless ones fail
-/// `unusedallow` exactly like allow markers.
-#[derive(Debug, Clone)]
-pub struct EquivalentMarker {
-    /// 0-based line of the marker comment.
-    pub line: usize,
-    /// The mutant-class name inside the parentheses.
-    pub class: String,
     /// Whether the mandatory reason text is present.
     pub has_reason: bool,
 }
@@ -132,25 +118,24 @@ impl SourceFile {
         out
     }
 
-    /// Does a `// audit: equivalent(<class>)` marker with a reason cover
-    /// 0-based `line`? Same two-line window and doc-comment exclusion as
-    /// [`Self::allow_marker`]; a marker without a reason is absent.
-    pub fn equivalent_marker(&self, class: &str, line: usize) -> bool {
-        let hit = |l: usize| {
-            parse_equivalent(&self.scan.comment_lines[l])
-                .is_some_and(|(c, has_reason)| c == class && has_reason)
-        };
-        hit(line) || (line > 0 && hit(line - 1))
-    }
-
-    /// Every `audit: equivalent(...)` marker comment in the file, in
-    /// order. Used by `unusedallow` to flag malformed or stale triage
-    /// markers (a declaration no enumerated mutant site actually hits).
-    pub fn equivalent_markers(&self) -> Vec<EquivalentMarker> {
+    /// Every plain `//` comment that starts with `audit:` but is not an
+    /// `audit: allow(` marker, as (0-based line, the word after
+    /// `audit:`). The tool reads no other directive, so each one is a
+    /// typo or a leftover of a retired one that would read as enforced.
+    pub fn stray_directives(&self) -> Vec<(usize, String)> {
         let mut out = Vec::new();
         for (line, comment) in self.scan.comment_lines.iter().enumerate() {
-            if let Some((class, has_reason)) = parse_equivalent(comment) {
-                out.push(EquivalentMarker { line, class, has_reason });
+            if is_doc_comment(comment) {
+                continue;
+            }
+            let Some(text) = comment.trim_start().strip_prefix("//") else {
+                continue;
+            };
+            let text = text.trim_start();
+            if let Some(rest) = text.strip_prefix("audit:") {
+                if !text.starts_with(MARKER_PREFIX) {
+                    out.push((line, rest.split_whitespace().next().unwrap_or("").to_owned()));
+                }
             }
         }
         out
@@ -227,29 +212,6 @@ impl SourceFile {
 
 /// The comment prefix that introduces an allow marker.
 const MARKER_PREFIX: &str = "audit: allow(";
-
-/// The comment prefix that introduces an equivalent-mutant triage.
-const EQUIVALENT_PREFIX: &str = "audit: equivalent(";
-
-/// Parse a `// audit: equivalent(<class>) — <reason>` marker out of a
-/// collected comment line. Returns the mutant class and whether the
-/// mandatory reason is present; doc comments never carry markers.
-pub fn parse_equivalent(comment: &str) -> Option<(String, bool)> {
-    if is_doc_comment(comment) {
-        return None;
-    }
-    let p = comment.find(EQUIVALENT_PREFIX)?;
-    let rest = &comment[p + EQUIVALENT_PREFIX.len()..];
-    let close = rest.find(')')?;
-    let class = rest[..close].trim().to_owned();
-    let after = rest[close + 1..].trim_start();
-    let reason = after
-        .strip_prefix('\u{2014}')
-        .or_else(|| after.strip_prefix('-'))
-        .or_else(|| after.strip_prefix(':'))
-        .map_or("", str::trim);
-    Some((class, !reason.is_empty()))
-}
 
 /// Is this collected comment a doc comment (`///`, `//!`, `/**`, `/*!`)?
 ///
@@ -397,26 +359,6 @@ mod tests {
         assert_eq!((ms[0].line, ms[0].pass.as_str(), ms[0].has_reason), (0, "cast", true));
         assert_eq!((ms[1].line, ms[1].pass.as_str(), ms[1].has_reason), (2, "deadpub", false));
         assert_eq!((ms[2].line, ms[2].pass.as_str(), ms[2].has_reason), (4, "bogus", true));
-    }
-
-    #[test]
-    fn equivalent_marker_window_class_and_reason() {
-        let f = lib(
-            "// audit: equivalent(arith-swap) — saturating add, swap is identity here\nfn a() {}\n\
-             fn b() {} // audit: equivalent(cmp-flip) — loop is empty either way\n\
-             // audit: equivalent(arith-swap)\nfn c() {}\n\
-             /// audit: equivalent(arith-swap) — doc mention\nfn d() {}\n",
-        );
-        assert!(f.equivalent_marker("arith-swap", 1), "marker on the line above");
-        assert!(f.equivalent_marker("cmp-flip", 2), "marker on the line itself");
-        assert!(!f.equivalent_marker("arith-swap", 4), "reason is mandatory");
-        assert!(!f.equivalent_marker("cmp-flip", 1), "classes must match");
-        assert!(!f.equivalent_marker("arith-swap", 6), "doc comments never carry markers");
-        let ms = f.equivalent_markers();
-        assert_eq!(ms.len(), 3, "{ms:?}");
-        assert_eq!((ms[0].line, ms[0].class.as_str(), ms[0].has_reason), (0, "arith-swap", true));
-        assert_eq!((ms[1].line, ms[1].class.as_str(), ms[1].has_reason), (2, "cmp-flip", true));
-        assert_eq!((ms[2].line, ms[2].class.as_str(), ms[2].has_reason), (3, "arith-swap", false));
     }
 
     #[test]

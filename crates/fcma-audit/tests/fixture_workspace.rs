@@ -6,9 +6,10 @@
 //! one and nothing it shouldn't.
 //!
 //! The in-memory seeds in `self_clean.rs` cover the per-file passes;
-//! this test covers the passes that need manifests and contracts on
-//! disk. CI runs it as its own job so a regression in any one pass is
-//! visible by name.
+//! this test is the only seed for the four that need manifests and
+//! contracts on disk (`layering`, `protocol`, `deadpub`, `atomicorder`
+//! — `self_clean.rs` names the same four). CI runs it as its own job so
+//! a regression in any one pass is visible by name.
 
 use std::fs;
 use std::path::{Path, PathBuf};

@@ -24,7 +24,6 @@
 pub mod cv;
 pub mod kernel;
 pub mod model;
-pub mod persist;
 pub mod phisvm;
 pub mod reference;
 pub mod smo;
@@ -33,8 +32,6 @@ pub use cv::{loso_cross_validate, loso_cross_validate_with, CvResult, SolverKind
 pub use kernel::KernelMatrix;
 pub use model::SvmModel;
 pub use model::WssStats;
-pub use persist::PersistError;
-pub use persist::{load_model, save_model};
 pub use phisvm::train_phisvm;
 pub use reference::LibSvmParams;
 pub use reference::LibSvmResult;

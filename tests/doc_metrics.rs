@@ -2,9 +2,9 @@
 //! EXPERIMENTS.md cites is one `BENCHMARK.json` declares,
 //! `BENCH_history.jsonl` holds a full-length record of every workload in
 //! both modes, and no document points back at the retired criterion
-//! layer or the retired metrics exporter, SLO gate and trace
-//! subcommands. Plain substring checks; the files are the repository's
-//! own.
+//! layer, the retired metrics exporter, SLO gate and trace subcommands,
+//! the retired mutation engine or the retired model save/load. Plain
+//! substring checks; the files are the repository's own.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -19,7 +19,7 @@ const DOCS: [&str; 5] = [
     "results/README.md",
     ".claude/skills/verify/SKILL.md",
 ];
-const RETIRED: [&str; 15] = [
+const RETIRED: [&str; 20] = [
     "criterion",
     "cargo bench",
     "bench_gemm",
@@ -35,6 +35,11 @@ const RETIRED: [&str; 15] = [
     "fcma top",
     "fcma postmortem",
     "Prometheus",
+    "cargo run -p fcma-mut",
+    "mutation-baseline.json",
+    "audit: equivalent(",
+    "fcma-audit -- mutants",
+    "save_model",
 ];
 
 fn read(rel: &str) -> String {

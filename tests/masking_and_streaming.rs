@@ -1,6 +1,6 @@
 //! Cross-crate integration tests for the workflow features around the
 //! core pipeline: brain masking, streaming closed-loop sessions, ROI
-//! cluster extraction, statistical validation, and model persistence.
+//! cluster extraction, and statistical validation.
 
 use fcma::core::realtime::{OnlineSession, SessionConfig};
 use fcma::core::stage2::corr_normalized_merged;
@@ -9,7 +9,7 @@ use fcma::fmri::geometry::{extract_clusters, Grid3};
 use fcma::fmri::mask::VoxelMask;
 use fcma::fmri::Placement;
 use fcma::prelude::*;
-use fcma::svm::{load_model, save_model, SolverKind};
+use fcma::svm::SolverKind;
 
 /// Masking must not change the scores of surviving voxels relative to a
 /// run over the same voxel set: the pipeline sees the compacted dataset
@@ -40,9 +40,10 @@ fn masked_analysis_is_deterministic_and_complete() {
     assert!(rec >= 0.6, "masked analysis recovered only {rec:.2}");
 }
 
-/// The streaming session must reproduce the batch analysis exactly when
-/// fed the same epochs, and its persisted feedback model must survive a
-/// save/load round trip with identical decisions.
+/// The streaming session takes the batch dataset's epochs one volume at a
+/// time, trains a feedback model on all of them, and scores every one
+/// (that its snapshot is the batch data bit for bit is
+/// `realtime::tests::streamed_dataset_matches_source`).
 #[test]
 fn streaming_session_matches_batch_and_persists() {
     let mut cfg = fcma::fmri::presets::tiny();
@@ -69,12 +70,11 @@ fn streaming_session_matches_batch_and_persists() {
     assert_eq!(session.n_epochs(), d.n_epochs());
 
     let fb = session.train_feedback().unwrap();
-    // Round-trip the classifier through the binary format.
-    let mut buf = Vec::new();
-    save_model(&mut buf, &fb.model).unwrap();
-    let loaded = load_model(&mut std::io::Cursor::new(buf)).unwrap();
-    assert_eq!(loaded.alpha_y, fb.model.alpha_y);
-    assert_eq!(loaded.rho, fb.model.rho);
+    assert_eq!(fb.selected.len(), 8);
+    for e in 0..session.n_epochs() {
+        let decision = session.score_epoch(&fb, e).unwrap();
+        assert!(decision.is_finite(), "epoch {e}: {decision}");
+    }
 }
 
 /// Blob-placed networks → cluster extraction → permutation significance:
