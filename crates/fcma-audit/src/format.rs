@@ -178,8 +178,8 @@ mod tests {
             Violation {
                 file: "DESIGN.md".to_owned(),
                 line: 1,
-                pass: "protocol",
-                message: "table lists `FromWorker::Gone\u{2014}with \"quotes\"`".to_owned(),
+                pass: "layering",
+                message: "table lists `fcma-gone\u{2014}with \"quotes\"`".to_owned(),
             },
             Violation {
                 file: "crates/fcma-cluster/src/driver.rs".to_owned(),
@@ -195,7 +195,7 @@ mod tests {
         let got = render(&sample(), Format::Human);
         let want = "crates/fcma-linalg/src/mat.rs:27: panicpath: pub fn `zeros` can panic \
                     (`panic!` at mat.rs:27)\n\
-                    DESIGN.md:1: protocol: table lists `FromWorker::Gone\u{2014}with \"quotes\"`\n\
+                    DESIGN.md:1: layering: table lists `fcma-gone\u{2014}with \"quotes\"`\n\
                     crates/fcma-cluster/src/driver.rs:9: syncfacade: `std::sync::Mutex` \
                     bypasses the fcma-sync facade\n";
         assert_eq!(got, want);
@@ -207,8 +207,8 @@ mod tests {
         let want =
             "{\"file\":\"crates/fcma-linalg/src/mat.rs\",\"line\":27,\"pass\":\"panicpath\",\
                     \"message\":\"pub fn `zeros` can panic (`panic!` at mat.rs:27)\"}\n\
-                    {\"file\":\"DESIGN.md\",\"line\":1,\"pass\":\"protocol\",\
-                    \"message\":\"table lists `FromWorker::Gone\u{2014}with \\\"quotes\\\"`\"}\n\
+                    {\"file\":\"DESIGN.md\",\"line\":1,\"pass\":\"layering\",\
+                    \"message\":\"table lists `fcma-gone\u{2014}with \\\"quotes\\\"`\"}\n\
                     {\"file\":\"crates/fcma-cluster/src/driver.rs\",\"line\":9,\
                     \"pass\":\"syncfacade\",\"message\":\"`std::sync::Mutex` bypasses the \
                     fcma-sync facade\"}\n";

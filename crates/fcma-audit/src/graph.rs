@@ -140,19 +140,6 @@ fn parse_manifest(rel_path: &str, text: &str) -> Option<CrateManifest> {
     Some(CrateManifest { name: name?, rel_path: rel_path.to_owned(), deps })
 }
 
-/// One row of the DESIGN.md protocol table: an enum variant with its
-/// required payload fields.
-#[derive(Debug, Clone)]
-pub struct ProtocolEntry {
-    /// Enum name (`ToWorker` / `FromWorker`).
-    pub enum_name: String,
-    /// Variant name.
-    pub variant: String,
-    /// Field names the variant must carry (empty for unit/tuple rows
-    /// declared `(none)`).
-    pub fields: Vec<String>,
-}
-
 /// One row of the §16 "Atomics contracts" table: the memory orderings
 /// every load/store/RMW site of one atomic in one file may use.
 #[derive(Debug, Clone)]
@@ -229,8 +216,6 @@ pub struct Contracts {
     /// Allowed direct `fcma-*` dependencies per crate; `None` when the
     /// layering table is absent.
     pub layering: Option<BTreeMap<String, BTreeSet<String>>>,
-    /// Protocol table entries; `None` when the table is absent.
-    pub protocol: Option<Vec<ProtocolEntry>>,
     /// The §16 "Atomics contracts" tables; `None` when absent.
     pub atomics: Option<AtomicsContract>,
     /// Named parse defects. Non-empty errors fail the CLI (exit 2): a
@@ -260,10 +245,9 @@ impl Contracts {
     /// Parse the `## 12. Architecture contracts` section of DESIGN.md,
     /// plus the §16 tables.
     ///
-    /// §12 table rows are classified by their first backticked token: a
-    /// token containing `::` is a protocol row (`Enum::Variant`), a
-    /// `fcma-*` token is a layering row. Header and separator rows have
-    /// no backticked first cell and are skipped.
+    /// A §12 table row whose first backticked token is a `fcma-*` crate
+    /// is a layering row; every other §12 row (the message table among
+    /// them) is documentation and skipped.
     ///
     /// §16 "Atomics contracts" rows are `| atomic | file | role | loads |
     /// stores | pairing |` with backticked orderings, plus an optional
@@ -279,7 +263,6 @@ impl Contracts {
         let mut in_section = false;
         let mut in_atomics = false;
         let mut layering: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-        let mut protocol: Vec<ProtocolEntry> = Vec::new();
         let mut atomics = AtomicsContract::default();
         let mut saw_atomics = false;
         let mut errors: Vec<ContractError> = Vec::new();
@@ -350,15 +333,7 @@ impl Contracts {
             let Some(head) = first.first() else {
                 continue;
             };
-            if let Some((enum_name, variant)) = head.split_once("::") {
-                let fields =
-                    backticked(cells[1]).into_iter().filter(|f| !f.contains("::")).collect();
-                protocol.push(ProtocolEntry {
-                    enum_name: enum_name.to_owned(),
-                    variant: variant.to_owned(),
-                    fields,
-                });
-            } else if head.starts_with("fcma") {
+            if head.starts_with("fcma") {
                 let deps: BTreeSet<String> =
                     backticked(cells[1]).into_iter().filter(|d| d.starts_with("fcma-")).collect();
                 layering.insert(head.clone(), deps);
@@ -366,7 +341,6 @@ impl Contracts {
         }
         Contracts {
             layering: (!layering.is_empty()).then_some(layering),
-            protocol: (!protocol.is_empty()).then_some(protocol),
             atomics: saw_atomics.then_some(atomics),
             errors,
         }
@@ -549,27 +523,22 @@ Blah.
 ";
 
     #[test]
-    fn contracts_parse_layering_and_protocol() {
+    fn contracts_parse_layering_and_skip_the_message_table() {
         let c = Contracts::from_design_md(DESIGN);
         let lay = c.layering.unwrap();
+        assert_eq!(lay.len(), 2, "message rows are not layering rows: {lay:?}");
         assert!(lay["fcma-linalg"].is_empty());
         assert_eq!(
             lay["fcma-svm"].iter().cloned().collect::<Vec<_>>(),
             vec!["fcma-linalg", "fcma-trace"]
         );
-        let proto = c.protocol.unwrap();
-        assert_eq!(proto.len(), 3);
-        assert_eq!(proto[0].enum_name, "ToWorker");
-        assert_eq!(proto[0].variant, "Task");
-        assert_eq!(proto[2].fields, vec!["worker", "task", "scores"]);
-        assert!(proto[1].fields.is_empty());
+        assert!(c.errors.is_empty());
     }
 
     #[test]
     fn contracts_absent_section_yields_none() {
         let c = Contracts::from_design_md("## 11. Observability\n\n| `a.b` |\n");
         assert!(c.layering.is_none());
-        assert!(c.protocol.is_none());
     }
 
     #[test]
@@ -593,7 +562,7 @@ Blah.
         // yield no atomics contract at all.
         let both = format!("{DESIGN}\n{md}");
         let c2 = Contracts::from_design_md(&both);
-        assert!(c2.layering.is_some() && c2.protocol.is_some());
+        assert!(c2.layering.is_some());
         assert_eq!(c2.atomics.unwrap().entries.len(), 3);
         assert!(Contracts::from_design_md(DESIGN).atomics.is_none());
     }

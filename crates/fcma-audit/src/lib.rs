@@ -6,10 +6,9 @@
 //! property-test coverage of every public linalg kernel, trace-probe
 //! names that match the DESIGN.md §Observability taxonomy, the crate
 //! layering DAG of DESIGN.md §Architecture contracts, call-graph panic
-//! reachability of library `pub fn`s, master–worker protocol
-//! conformance, workspace-`pub` items nobody references, stale allow
-//! markers and `// audit:` comments that are not allow markers, and the
-//! DESIGN.md §16 atomics memory-ordering contracts
+//! reachability of library `pub fn`s, workspace-`pub` items nobody
+//! references, stale allow markers and `// audit:` comments that are not
+//! allow markers, and the DESIGN.md §16 atomics memory-ordering contracts
 //! ([`passes::check_atomicorder`]).
 //!
 //! Run it with `cargo run -p fcma-audit -- check [--format human|json]
@@ -46,8 +45,8 @@ use graph::{Contracts, CrateGraph};
 /// Analyze the workspace at `root` and return all violations.
 ///
 /// The trace-name taxonomy is parsed from `<root>/DESIGN.md`
-/// §Observability and the layering/protocol contracts from
-/// §Architecture contracts; when a section is absent, the passes that
+/// §Observability and the layering contract from §Architecture
+/// contracts; when a section is absent, the passes that
 /// depend on it skip their contract half (shape checks still run).
 ///
 /// # Errors

@@ -297,8 +297,6 @@ passes:
                DAG in DESIGN.md §Architecture contracts
   panicpath    no library pub fn reaches panic!/unwrap/expect/[idx]
                (call-graph transitive; `# Panics` docs excuse a fn)
-  protocol     ToWorker/FromWorker variants ↔ driver match arms ↔ the
-               DESIGN.md §Architecture contracts protocol table
   deadpub      no workspace-pub item without cross-crate references
   syncfacade   no raw std::sync/std::thread outside the fcma-sync
                facade (Arc/Weak stay allowed)

@@ -1,7 +1,7 @@
 //! Token-tree parser: turns the lexer's scrubbed code view into a
 //! per-file item model — functions (with owner type, visibility,
 //! `# Panics` docs, call sites, and panic sources), type items (structs,
-//! enums with their variants, traits), and cross-crate path references.
+//! enums, traits), and cross-crate path references.
 //!
 //! This is deliberately not a full Rust grammar. It is a single linear
 //! walk over a token stream with a context stack (module / impl / trait
@@ -104,19 +104,6 @@ pub enum TypeKind {
     Trait,
 }
 
-/// One enum variant.
-#[derive(Debug, Clone)]
-pub struct Variant {
-    /// Variant name.
-    pub name: String,
-    /// 0-based declaration line.
-    pub line: usize,
-    /// Field names of a struct variant (`Done { worker, task, … }`).
-    pub field_names: Vec<String>,
-    /// Every identifier in the variant declaration (field names + types).
-    pub idents: Vec<String>,
-}
-
 /// One `struct` / `enum` / `trait` item.
 #[derive(Debug, Clone)]
 pub struct TypeItem {
@@ -128,8 +115,6 @@ pub struct TypeItem {
     pub vis: Vis,
     /// 0-based declaration line.
     pub line: usize,
-    /// Enum variants (empty for structs/traits).
-    pub variants: Vec<Variant>,
 }
 
 /// The parsed view of one source file.
@@ -660,13 +645,7 @@ impl<'a> Parser<'a> {
             return;
         };
         self.i += 1;
-        self.out.types.push(TypeItem {
-            kind: TypeKind::Struct,
-            name,
-            vis,
-            line,
-            variants: Vec::new(),
-        });
+        self.out.types.push(TypeItem { kind: TypeKind::Struct, name, vis, line });
         self.skip_generics();
         // Skip the body: `{…}`, `(…);`, or a bare `;`.
         loop {
@@ -693,13 +672,7 @@ impl<'a> Parser<'a> {
             return;
         };
         self.i += 1;
-        self.out.types.push(TypeItem {
-            kind: TypeKind::Trait,
-            name,
-            vis,
-            line,
-            variants: Vec::new(),
-        });
+        self.out.types.push(TypeItem { kind: TypeKind::Trait, name, vis, line });
         self.mode = Mode::TraitHeader;
     }
 
@@ -715,70 +688,11 @@ impl<'a> Parser<'a> {
         while self.i < self.toks.len() && self.peek(0) != Some(&Tok::P('{')) {
             self.i += 1;
         }
-        let body_start = self.i;
         if self.peek(0) == Some(&Tok::P('{')) {
             self.skip_balanced('{', '}');
         }
-        let variants = parse_variants(&self.toks[body_start..self.i]);
-        self.out.types.push(TypeItem { kind: TypeKind::Enum, name, vis, line, variants });
+        self.out.types.push(TypeItem { kind: TypeKind::Enum, name, vis, line });
     }
-}
-
-/// Parse the variants out of an enum body token slice (`{ … }`
-/// inclusive).
-fn parse_variants(toks: &[(Tok, usize)]) -> Vec<Variant> {
-    let mut variants = Vec::new();
-    let mut depth = 0i32;
-    let mut i = 0usize;
-    while i < toks.len() {
-        match &toks[i].0 {
-            Tok::P('{') | Tok::P('(') | Tok::P('[') => depth += 1,
-            Tok::P('}') | Tok::P(')') | Tok::P(']') => depth -= 1,
-            Tok::Ident(w) if depth == 1 => {
-                // A variant name at body depth. Collect its payload.
-                let mut v = Variant {
-                    name: w.clone(),
-                    line: toks[i].1,
-                    field_names: Vec::new(),
-                    idents: Vec::new(),
-                };
-                let mut j = i + 1;
-                let mut payload_depth = 0i32;
-                while j < toks.len() {
-                    match &toks[j].0 {
-                        Tok::P('{') | Tok::P('(') | Tok::P('[') | Tok::P('<') => {
-                            payload_depth += 1;
-                        }
-                        Tok::P('}') | Tok::P(')') | Tok::P(']') | Tok::P('>') => {
-                            if payload_depth == 0 {
-                                break; // end of enum body
-                            }
-                            payload_depth -= 1;
-                        }
-                        Tok::P(',') if payload_depth == 0 => break,
-                        Tok::Ident(id) => {
-                            v.idents.push(id.clone());
-                            // `name:` at struct-variant field depth.
-                            if payload_depth == 1
-                                && toks.get(j + 1).map(|(t, _)| t) == Some(&Tok::P(':'))
-                                && toks.get(j + 2).map(|(t, _)| t) != Some(&Tok::P(':'))
-                            {
-                                v.field_names.push(id.clone());
-                            }
-                        }
-                        _ => {}
-                    }
-                    j += 1;
-                }
-                variants.push(v);
-                i = j;
-                continue;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    variants
 }
 
 /// Parse one scrubbed file into its item model.
@@ -925,22 +839,16 @@ mod tests {
     }
 
     #[test]
-    fn enum_variants_with_fields() {
+    fn enum_bodies_are_skipped() {
         let p = parsed(
             "pub enum FromWorker {\n    Ready { worker: usize },\n    \
-             Done { worker: usize, task: VoxelTask, scores: Vec<VoxelScore> },\n    \
-             Task(VoxelTask),\n    Shutdown,\n}\n",
+             Done { worker: usize, scores: Vec<VoxelScore> },\n}\n\
+             fn after(o: Option<u8>) -> u8 {\n    o.unwrap()\n}\n",
         );
-        let e = &p.types[0];
-        assert_eq!(e.kind, TypeKind::Enum);
-        let names: Vec<&str> = e.variants.iter().map(|v| v.name.as_str()).collect();
-        assert_eq!(names, vec!["Ready", "Done", "Task", "Shutdown"]);
-        let done = &e.variants[1];
-        assert_eq!(done.field_names, vec!["worker", "task", "scores"]);
-        assert!(done.idents.contains(&"VoxelScore".to_owned()));
-        let task = &e.variants[2];
-        assert!(task.field_names.is_empty());
-        assert!(task.idents.contains(&"VoxelTask".to_owned()));
+        assert_eq!(p.types.len(), 1);
+        assert_eq!((p.types[0].kind, p.types[0].name.as_str()), (TypeKind::Enum, "FromWorker"));
+        assert_eq!(p.fns.len(), 1);
+        assert_eq!(p.fns[0].name, "after");
     }
 
     #[test]

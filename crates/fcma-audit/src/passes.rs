@@ -8,7 +8,6 @@
 //! | `tracename`   | span!/event!/counter!/histogram! sites outside fcma-trace | allow marker |
 //! | `layering`    | Cargo.toml edges + cross-crate paths vs DESIGN.md §12 DAG | none |
 //! | `panicpath`   | call-graph panic reachability of sweep-crate `pub fn`s | `# Panics` docs or allow marker |
-//! | `protocol`    | ToWorker/FromWorker ↔ driver match arms ↔ DESIGN.md §12 table | none |
 //! | `deadpub`     | sweep-crate `pub` items with no cross-crate references | allow marker |
 //! | `syncfacade`  | no raw `std::sync`/`std::thread` primitives outside fcma-sync | allow marker |
 //! | `atomicorder` | every `Ordering::*` site matches a DESIGN.md §16 atomics-contract row | allow marker |
@@ -39,12 +38,6 @@ const TRACE_CRATE: &str = "fcma-trace";
 /// Call-site prefixes whose first string literal is a trace name.
 const TRACE_SITES: &[&str] =
     &["span!(", "event!(", "counter!(", "histogram!(", "record_span_elapsed("];
-
-/// Where the cluster protocol enums live.
-const PROTOCOL_FILE: &str = "crates/fcma-cluster/src/protocol.rs";
-
-/// Where the master/worker loops match on protocol messages.
-const DRIVER_FILE: &str = "crates/fcma-cluster/src/driver.rs";
 
 /// Crates whose code never runs inside a sweep, exempt from the
 /// `panicpath` and `deadpub` passes: `fcma-audit` is this CI tool
@@ -79,7 +72,6 @@ pub const PASS_NAMES: &[&str] = &[
     "tracename",
     "layering",
     "panicpath",
-    "protocol",
     "deadpub",
     "syncfacade",
     "atomicorder",
@@ -191,9 +183,6 @@ impl Workspace {
         }
         if on("panicpath") {
             v.extend(check_panicpath(self));
-        }
-        if on("protocol") {
-            v.extend(check_protocol(self));
         }
         if on("deadpub") {
             v.extend(check_deadpub(self));
@@ -603,162 +592,6 @@ pub fn check_panicpath(ws: &Workspace) -> Vec<Violation> {
                     f.name
                 ),
             });
-        }
-    }
-    out
-}
-
-/// Pass: the master–worker protocol state machine is total and matches
-/// the DESIGN.md §12 protocol table.
-///
-/// Four-way consistency between the `ToWorker`/`FromWorker` enums, the
-/// `match` arms in the driver, the send sites, and the table: every enum
-/// variant appears in the table and vice versa; every variant is handled
-/// by at least one driver match arm (so no send site can target an
-/// ignored variant); table-declared payload fields exist on the variant;
-/// and `FromWorker::Done` always carries task identity (`task`). No
-/// escape hatch — change the protocol and the table together.
-pub fn check_protocol(ws: &Workspace) -> Vec<Violation> {
-    let Some(table) = &ws.contracts.protocol else {
-        return Vec::new();
-    };
-    let Some(pfi) = ws.files.iter().position(|f| f.rel_path == PROTOCOL_FILE) else {
-        return Vec::new();
-    };
-    let proto_file = &ws.files[pfi];
-    let enums: Vec<_> = ws.parsed[pfi]
-        .types
-        .iter()
-        .filter(|t| t.kind == TypeKind::Enum && table.iter().any(|e| e.enum_name == t.name))
-        .collect();
-    let mut out = Vec::new();
-
-    // Table rows referencing unknown enums or variants.
-    for entry in table {
-        let Some(en) = enums.iter().find(|t| t.name == entry.enum_name) else {
-            out.push(Violation {
-                file: "DESIGN.md".to_owned(),
-                line: 1,
-                pass: "protocol",
-                message: format!(
-                    "protocol table references enum `{}` not found in {PROTOCOL_FILE}",
-                    entry.enum_name
-                ),
-            });
-            continue;
-        };
-        let Some(variant) = en.variants.iter().find(|v| v.name == entry.variant) else {
-            out.push(Violation {
-                file: "DESIGN.md".to_owned(),
-                line: 1,
-                pass: "protocol",
-                message: format!(
-                    "protocol table lists `{}::{}` but the enum has no such variant",
-                    entry.enum_name, entry.variant
-                ),
-            });
-            continue;
-        };
-        for field in &entry.fields {
-            if !variant.field_names.contains(field) && !variant.idents.contains(field) {
-                out.push(Violation {
-                    file: proto_file.rel_path.clone(),
-                    line: variant.line + 1,
-                    pass: "protocol",
-                    message: format!(
-                        "variant `{}::{}` must carry field `{field}` per the DESIGN.md §12 \
-                         protocol table",
-                        entry.enum_name, entry.variant
-                    ),
-                });
-            }
-        }
-    }
-
-    // Task identity is structural, not table-editable: `Done` without a
-    // `task` field breaks the scheduler's exactly-once accounting.
-    if let Some(done) = enums
-        .iter()
-        .find(|t| t.name == "FromWorker")
-        .and_then(|t| t.variants.iter().find(|v| v.name == "Done"))
-    {
-        if !done.field_names.iter().any(|f| f == "task") {
-            out.push(Violation {
-                file: proto_file.rel_path.clone(),
-                line: done.line + 1,
-                pass: "protocol",
-                message: "`FromWorker::Done` must carry task identity in a `task` field".to_owned(),
-            });
-        }
-    }
-
-    // Enum variants absent from the table.
-    for en in &enums {
-        for v in &en.variants {
-            if !table.iter().any(|e| e.enum_name == en.name && e.variant == v.name) {
-                out.push(Violation {
-                    file: proto_file.rel_path.clone(),
-                    line: v.line + 1,
-                    pass: "protocol",
-                    message: format!(
-                        "variant `{}::{}` is not documented in the DESIGN.md §12 protocol \
-                         table",
-                        en.name, v.name
-                    ),
-                });
-            }
-        }
-    }
-
-    // Driver totality: every variant must have a match arm; send sites
-    // for unhandled variants are reported with the evidence.
-    if let Some(dfi) = ws.files.iter().position(|f| f.rel_path == DRIVER_FILE) {
-        let driver = &ws.files[dfi];
-        for en in &enums {
-            for v in &en.variants {
-                let needle = format!("{}::{}", en.name, v.name);
-                let mut handled = 0usize;
-                let mut sends = 0usize;
-                for (lno, code) in driver.scan.code_lines.iter().enumerate() {
-                    if driver.in_test_span(lno) {
-                        continue;
-                    }
-                    let mut from = 0usize;
-                    while let Some(p) = code[from..].find(&needle) {
-                        let pos = from + p;
-                        let end = pos + needle.len();
-                        let boundary = code[end..]
-                            .chars()
-                            .next()
-                            .is_none_or(|c| !(c.is_ascii_alphanumeric() || c == '_'));
-                        if boundary {
-                            if code[end..].contains("=>") {
-                                handled += 1;
-                            } else if code[..pos].contains("send(") {
-                                sends += 1;
-                            }
-                        }
-                        from = end;
-                    }
-                }
-                if handled == 0 {
-                    let evidence = if sends > 0 {
-                        format!(" ({sends} send site(s) target it)")
-                    } else {
-                        String::new()
-                    };
-                    out.push(Violation {
-                        file: proto_file.rel_path.clone(),
-                        line: v.line + 1,
-                        pass: "protocol",
-                        message: format!(
-                            "variant `{}::{}` is not handled by any match arm in \
-                             {DRIVER_FILE}{evidence}",
-                            en.name, v.name
-                        ),
-                    });
-                }
-            }
         }
     }
     out
@@ -1671,101 +1504,6 @@ mod tests {
             "//! m\n#[cfg(test)]\nmod tests {\n    pub fn f(o: Option<u8>) -> u8 { o.unwrap() }\n}\n",
         );
         assert!(check_panicpath(&ws_of(vec![t, b, private, cfg])).is_empty());
-    }
-
-    const PROTO_DESIGN: &str = "## 12. Architecture contracts\n\n\
-        | Message | Fields |\n|--|--|\n\
-        | `ToWorker::Task` | `VoxelTask` |\n\
-        | `ToWorker::Shutdown` | (none) |\n\
-        | `FromWorker::Ready` | `worker` |\n\
-        | `FromWorker::Done` | `worker`, `task`, `scores` |\n\
-        | `FromWorker::Failed` | `worker`, `task` |\n";
-
-    const PROTO_SRC: &str = "//! p\n\
-        pub enum ToWorker {\n    Task(VoxelTask),\n    Shutdown,\n}\n\
-        pub enum FromWorker {\n    Ready { worker: usize },\n    Done { worker: usize, task: VoxelTask, scores: Vec<f64> },\n    Failed { worker: usize, task: VoxelTask },\n}\n";
-
-    const DRIVER_SRC: &str = "//! d\nfn master(m: FromWorker, w: ToWorker) {\n\
-        match m {\n        FromWorker::Ready { .. } => {}\n        FromWorker::Done { worker, task, scores } => {}\n        FromWorker::Failed { worker, task } => {}\n    }\n\
-        match w {\n        ToWorker::Task(t) => {}\n        ToWorker::Shutdown => {}\n    }\n}\n\
-        fn sends(tx: Sender<ToWorker>) {\n    tx.send(ToWorker::Task(t));\n    tx.send(ToWorker::Shutdown);\n}\n";
-
-    fn proto_files(proto: &str, driver: &str) -> Vec<SourceFile> {
-        vec![
-            SourceFile::new(PROTOCOL_FILE, Some("fcma-cluster"), Role::Lib, proto),
-            SourceFile::new(DRIVER_FILE, Some("fcma-cluster"), Role::Lib, driver),
-        ]
-    }
-
-    #[test]
-    fn protocol_clean_on_conforming_state_machine() {
-        let ws = ws_with(
-            proto_files(PROTO_SRC, DRIVER_SRC),
-            CrateGraph::default(),
-            Contracts::from_design_md(PROTO_DESIGN),
-        );
-        let v = check_protocol(&ws);
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn protocol_flags_undocumented_variant_and_missing_arm() {
-        let proto = PROTO_SRC.replace("    Shutdown,\n", "    Shutdown,\n    Poison,\n");
-        let ws = ws_with(
-            proto_files(&proto, DRIVER_SRC),
-            CrateGraph::default(),
-            Contracts::from_design_md(PROTO_DESIGN),
-        );
-        let v = check_protocol(&ws);
-        assert_eq!(v.len(), 2, "{v:?}");
-        assert!(v.iter().any(|x| x.message.contains("not documented")));
-        assert!(v.iter().any(|x| x.message.contains("not handled by any match arm")));
-    }
-
-    #[test]
-    fn protocol_flags_done_without_task_identity() {
-        let proto = PROTO_SRC.replace(
-            "    Done { worker: usize, task: VoxelTask, scores: Vec<f64> },\n",
-            "    Done { worker: usize, scores: Vec<f64> },\n",
-        );
-        let driver = DRIVER_SRC.replace(
-            "FromWorker::Done { worker, task, scores }",
-            "FromWorker::Done { worker, scores }",
-        );
-        let ws = ws_with(
-            proto_files(&proto, &driver),
-            CrateGraph::default(),
-            Contracts::from_design_md(PROTO_DESIGN),
-        );
-        let v = check_protocol(&ws);
-        assert!(v.iter().any(|x| x.message.contains("task identity")), "{v:?}");
-        assert!(v.iter().any(|x| x.message.contains("must carry field `task`")), "{v:?}");
-    }
-
-    #[test]
-    fn protocol_flags_stale_table_row() {
-        let design = format!("{PROTO_DESIGN}| `FromWorker::Retired` | (none) |\n");
-        let ws = ws_with(
-            proto_files(PROTO_SRC, DRIVER_SRC),
-            CrateGraph::default(),
-            Contracts::from_design_md(&design),
-        );
-        let v = check_protocol(&ws);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].message.contains("no such variant"));
-    }
-
-    #[test]
-    fn protocol_skips_without_table_or_file() {
-        let ws = ws_with(
-            proto_files(PROTO_SRC, DRIVER_SRC),
-            CrateGraph::default(),
-            Contracts::default(),
-        );
-        assert!(check_protocol(&ws).is_empty());
-        let ws2 =
-            ws_with(Vec::new(), CrateGraph::default(), Contracts::from_design_md(PROTO_DESIGN));
-        assert!(check_protocol(&ws2).is_empty());
     }
 
     #[test]

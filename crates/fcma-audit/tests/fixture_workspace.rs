@@ -1,14 +1,14 @@
 //! On-disk fixture workspace: seed one violation per workspace-level
-//! pass (layering, panicpath, protocol, deadpub, syncfacade,
-//! unusedallow, atomicorder) in a temporary crate tree and assert the
+//! pass (layering, panicpath, deadpub, syncfacade, unusedallow,
+//! atomicorder) in a temporary crate tree and assert the
 //! full [`fcma_audit::audit`] pipeline — discovery, manifest parsing,
 //! DESIGN.md contract parsing, call-graph construction — catches each
 //! one and nothing it shouldn't.
 //!
 //! The in-memory seeds in `self_clean.rs` cover the per-file passes;
-//! this test is the only seed for the four that need manifests and
-//! contracts on disk (`layering`, `protocol`, `deadpub`, `atomicorder`
-//! — `self_clean.rs` names the same four). CI runs it as its own job so
+//! this test is the only seed for the three that need manifests and
+//! contracts on disk (`layering`, `deadpub`, `atomicorder` —
+//! `self_clean.rs` names the same three). CI runs it as its own job so
 //! a regression in any one pass is visible by name.
 
 use std::fs;
@@ -53,15 +53,8 @@ const DESIGN_MD: &str = "\
 |---|---|
 | `fcma-alpha` | (none) |
 | `fcma-beta` | (none) |
-| `fcma-cluster` | (none) |
 | `fcma-gamma` | (none) |
 | `fcma-race` | (none) |
-
-| Message | Payload fields | Meaning |
-|---|---|---|
-| `ToWorker::Task` | `task` | dispatch one task |
-| `ToWorker::Shutdown` | (none) | drain and exit |
-| `FromWorker::Done` | `worker`, `task` | scores for a task |
 
 ## 16. Atomics contracts
 
@@ -121,51 +114,6 @@ fn audited_fixture(tag: &str) -> (Fixture, Vec<Violation>) {
          /// If `v` is empty.\n\
          pub fn documented(v: &[f32]) -> f32 {\n\
              v[0]\n\
-         }\n",
-    );
-
-    // fcma-cluster: protocol enums that violate the table, and a driver
-    // whose match is not total.
-    fx.write(
-        "crates/fcma-cluster/Cargo.toml",
-        "[package]\nname = \"fcma-cluster\"\n\n[dependencies]\n",
-    );
-    fx.write(
-        "crates/fcma-cluster/src/lib.rs",
-        "//! Seeded cluster crate.\npub mod driver;\npub mod protocol;\n",
-    );
-    fx.write(
-        "crates/fcma-cluster/src/protocol.rs",
-        "//! Seeded protocol: Done drops `task`, Rogue is undocumented.\n\
-         \n\
-         /// Master-to-worker messages.\n\
-         pub enum ToWorker {\n\
-             /// One task.\n\
-             Task { task: usize },\n\
-             /// Drain and exit.\n\
-             Shutdown,\n\
-         }\n\
-         \n\
-         /// Worker-to-master messages.\n\
-         pub enum FromWorker {\n\
-             /// Missing the `task` field the table requires.\n\
-             Done { worker: usize },\n\
-             /// Not documented in the table at all.\n\
-             Rogue,\n\
-         }\n",
-    );
-    fx.write(
-        "crates/fcma-cluster/src/driver.rs",
-        "//! Seeded driver: handles Task but never Shutdown.\n\
-         \n\
-         /// Non-total dispatch loop.\n\
-         pub fn serve(msg: crate::protocol::ToWorker) {\n\
-             match msg {\n\
-                 crate::protocol::ToWorker::Task { task } => {\n\
-                     let _ = task;\n\
-                 }\n\
-                 _ => {}\n\
-             }\n\
          }\n",
     );
 
@@ -230,30 +178,6 @@ fn panicpath_pass_fires_on_undocumented_panic_only() {
     assert!(
         !panics.iter().any(|v| v.message.contains("`documented`")),
         "`# Panics` contract must excuse the fn: {panics:?}"
-    );
-}
-
-#[test]
-fn protocol_pass_fires_on_missing_field_variant_and_arm() {
-    let (_fx, violations) = audited_fixture("protocol");
-    let proto = hits(&violations, "protocol");
-    assert!(
-        proto.iter().any(|v| v.message.contains("`FromWorker::Done` must carry")
-            || v.message.contains("must carry field `task`")),
-        "missing `task` field not flagged: {proto:?}"
-    );
-    assert!(
-        proto
-            .iter()
-            .any(|v| v.message.contains("`FromWorker::Rogue`")
-                && v.message.contains("not documented")),
-        "undocumented variant not flagged: {proto:?}"
-    );
-    assert!(
-        proto.iter().any(
-            |v| v.message.contains("`ToWorker::Shutdown`") && v.message.contains("not handled")
-        ),
-        "non-total driver match not flagged: {proto:?}"
     );
 }
 

@@ -21,7 +21,7 @@ fn shipped_tree_is_clean() {
 
 /// The passes `tests/fixture_workspace.rs` seeds on disk, because they
 /// need manifests or DESIGN.md tables; it has one firing test for each.
-const FIXTURE_PASSES: [&str; 4] = ["layering", "protocol", "deadpub", "atomicorder"];
+const FIXTURE_PASSES: [&str; 3] = ["layering", "deadpub", "atomicorder"];
 
 #[test]
 fn seeded_violations_are_caught() {
@@ -96,16 +96,6 @@ fn shipped_design_md_contracts_parse() {
     );
     let cluster = layering.get("fcma-cluster").expect("layering table must cover fcma-cluster");
     assert!(cluster.contains("fcma-core"), "fcma-cluster must be allowed to use fcma-core");
-
-    let protocol = contracts.protocol.expect("DESIGN.md §12 must declare the protocol table");
-    let done = protocol
-        .iter()
-        .find(|e| e.enum_name == "FromWorker" && e.variant == "Done")
-        .expect("protocol table must list FromWorker::Done");
-    assert!(
-        done.fields.iter().any(|f| f == "task"),
-        "FromWorker::Done must carry `task` (exactly-once accounting)"
-    );
 }
 
 #[test]

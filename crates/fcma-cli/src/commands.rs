@@ -165,8 +165,22 @@ fn require_subjects(dataset: &Dataset, min: usize, command: &str) -> Result<()> 
         .into())
 }
 
-/// Build the cluster driver config from the analyze flags.
+/// The `analyze` options only the cluster driver honours.
+const CLUSTER_ONLY: [&str; 6] =
+    ["chaos-panic-task", "checkpoint", "resume", "retries", "task-deadline-ms", "postmortem"];
+
+/// Build the cluster driver config from the analyze flags. Without
+/// `--workers`, an option only the driver honours is an error, not a
+/// silent no-op.
 fn cluster_config_of(args: &Args, task_size: usize) -> Result<ClusterConfig> {
+    let n_workers = args.get_parsed("workers", 0usize, "integer")?;
+    if n_workers == 0 {
+        if let Some(option) =
+            CLUSTER_ONLY.iter().find(|&&o| args.get(o).is_some() || args.has_flag(o))
+        {
+            return Err(format!("--{option} needs --workers N (the cluster driver)").into());
+        }
+    }
     let checkpoint = args.get("checkpoint").map(PathBuf::from);
     let resume_from = if args.has_flag("resume") {
         let path = checkpoint
@@ -186,7 +200,7 @@ fn cluster_config_of(args: &Args, task_size: usize) -> Result<ClusterConfig> {
         None
     };
     Ok(ClusterConfig {
-        n_workers: args.get_parsed("workers", 0usize, "integer")?,
+        n_workers,
         task_size,
         kernel_threads: threads_of(args)?,
         retry_budget: args.get_parsed("retries", 2usize, "integer")?,
@@ -209,13 +223,10 @@ pub(crate) fn analyze(args: &Args) -> Result<()> {
     let pool = Pool::new(threads_of(args)?);
     let mut exec: Arc<dyn TaskExecutor> =
         Arc::new(OptimizedExecutor { pool, ..Default::default() });
-    if args.get("chaos-panic-task").is_some() {
-        // Fault drill: one injected panic exercises the whole recovery
-        // and observability path (requeue, postmortem, causal trace).
-        let start = args.get_parsed("chaos-panic-task", 0usize, "integer")?;
-        exec = Arc::new(ChaosExecutor::panic_once(exec, start));
-        eprintln!("chaos: will panic once on the task starting at voxel {start}");
-    }
+    let chaos_start = args
+        .get("chaos-panic-task")
+        .map(|_| args.get_parsed("chaos-panic-task", 0usize, "integer"))
+        .transpose()?;
     let task_size = task_size_of(args)?;
     let top_k = top_k_of(args)?;
     let trace_out = args.get("trace-out").map(PathBuf::from);
@@ -225,6 +236,12 @@ pub(crate) fn analyze(args: &Args) -> Result<()> {
     let collector = trace_out.is_some().then(Collector::new);
     let scoped = collector.as_ref().map(Collector::install_scoped);
     let cluster_cfg = cluster_config_of(args, task_size)?;
+    if let Some(start) = chaos_start {
+        // Fault drill: one injected panic exercises the whole recovery
+        // and observability path (requeue, postmortem, causal trace).
+        exec = Arc::new(ChaosExecutor::panic_once(exec, start));
+        eprintln!("chaos: will panic once on the task starting at voxel {start}");
+    }
 
     let ctx = TaskContext::full(&dataset);
     // The sweep reads only the normalized epochs; the raw matrix is as
@@ -695,6 +712,26 @@ mod tests {
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.voxel, y.voxel);
             assert_eq!(x.accuracy.to_bits(), y.accuracy.to_bits());
+        }
+    }
+
+    #[test]
+    fn cluster_only_options_need_workers() {
+        for (option, value) in [
+            ("chaos-panic-task", Some("16")),
+            ("checkpoint", Some("sweep.ckpt")),
+            ("resume", None),
+            ("retries", Some("3")),
+            ("task-deadline-ms", Some("500")),
+            ("postmortem", Some("pm")),
+        ] {
+            let flag = format!("--{option}");
+            let mut argv = vec!["analyze", "--data", "ds", flag.as_str()];
+            argv.extend(value);
+            let err = cluster_config_of(&args(&argv), 16).unwrap_err().to_string();
+            assert_eq!(err, format!("--{option} needs --workers N (the cluster driver)"));
+            argv.extend(["--workers", "0"]);
+            assert!(cluster_config_of(&args(&argv), 16).is_err(), "{argv:?}");
         }
     }
 

@@ -18,11 +18,12 @@
 //! * optional per-task **deadlines** detect *hung* (not just panicked)
 //!   workers: an overdue worker is condemned (its [`fcma_core::CancelToken`]
 //!   fires, its late results are discarded) and the task re-dispatched;
-//! * optional **speculative re-execution** launches a duplicate copy of
-//!   a straggling task on an idle worker — first valid result wins;
 //! * optional **checkpointing** appends every completed task to a
 //!   [`crate::checkpoint`] file, and a sweep can resume from one,
 //!   producing byte-identical scores.
+//!
+//! At most one copy of a task runs at a time: a task is re-dispatched only
+//! after its running copy has failed or been condemned.
 //!
 //! Every failure path returns a [`ClusterError`]; the scheduler never
 //! panics on worker misbehavior.
@@ -30,9 +31,7 @@
 use crate::checkpoint::{Checkpoint, CheckpointWriter};
 use crate::error::ClusterError;
 use crate::protocol::{FromWorker, ToWorker};
-use fcma_core::{
-    partition, CancelToken, TaskContext, TaskControls, TaskExecutor, VoxelScore, VoxelTask,
-};
+use fcma_core::{partition, CancelToken, TaskContext, TaskExecutor, VoxelScore, VoxelTask};
 use fcma_sync::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use fcma_sync::time::Instant;
 use fcma_trace::postmortem::PostmortemTrigger;
@@ -42,6 +41,9 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Master wake-up granularity when no hang deadline is pending.
+const HEARTBEAT: Duration = Duration::from_millis(10);
 
 /// Scheduling policy and fault-tolerance knobs for one cluster run.
 #[derive(Debug, Clone)]
@@ -58,12 +60,6 @@ pub struct ClusterConfig {
     /// condemned and the task re-dispatched. `None` disables hang
     /// detection (a truly wedged worker then blocks the run).
     pub task_deadline: Option<Duration>,
-    /// Launch a speculative duplicate of a task still running after this
-    /// long, if an idle worker is available. First valid result wins;
-    /// the loser's result is discarded. `None` disables speculation.
-    pub speculate_after: Option<Duration>,
-    /// Master wake-up granularity when no timer is pending.
-    pub heartbeat: Duration,
     /// Append every completed task to this checkpoint file.
     pub checkpoint: Option<PathBuf>,
     /// Resume from this checkpoint: its tasks are trusted and not
@@ -96,8 +92,6 @@ impl Default for ClusterConfig {
             task_size: 64,
             retry_budget: 2,
             task_deadline: None,
-            speculate_after: None,
-            heartbeat: Duration::from_millis(10),
             checkpoint: None,
             resume_from: None,
             groups: None,
@@ -124,8 +118,8 @@ impl ClusterConfig {
 pub struct TaskStat {
     /// The task.
     pub task: VoxelTask,
-    /// Non-speculative dispatches this task needed (1 = first try
-    /// succeeded; 0 for resumed tasks).
+    /// Dispatches this task needed (1 = first try succeeded; 0 for
+    /// resumed tasks).
     pub attempts: usize,
     /// Wall time from first dispatch to accepted completion
     /// ([`Duration::ZERO`] for resumed tasks).
@@ -152,10 +146,8 @@ pub struct ClusterRun {
     pub failed_workers: Vec<usize>,
     /// Workers condemned as hung by deadline detection.
     pub hung_workers: Vec<usize>,
-    /// Speculative duplicate dispatches launched for stragglers.
-    pub speculative_launches: usize,
-    /// Results discarded as duplicates or as late answers from
-    /// condemned workers.
+    /// Results discarded: late answers from condemned workers, or
+    /// truncated results.
     pub duplicate_results: usize,
     /// Voxels whose scores came from the resume checkpoint.
     pub resumed_voxels: usize,
@@ -188,8 +180,8 @@ pub fn run_cluster(
 /// Returns a [`ClusterError`] on any unrecoverable failure: no workers,
 /// a zero task size, an unreadable or mismatched checkpoint, every
 /// worker lost with work outstanding, or a task failing past its retry
-/// budget. Recoverable failures (individual panics, hangs, stragglers)
-/// are absorbed and reported in the returned [`ClusterRun`] statistics.
+/// budget. Recoverable failures (individual panics and hangs) are
+/// absorbed and reported in the returned [`ClusterRun`] statistics.
 pub fn run_cluster_with(
     ctx: &TaskContext,
     exec: Arc<dyn TaskExecutor>,
@@ -272,7 +264,6 @@ pub fn run_cluster_with(
             Arc::clone(&exec),
             cfg.groups.clone(),
             to_master_tx.clone(),
-            cfg.task_deadline,
             log.clone(),
         ));
     }
@@ -285,19 +276,15 @@ pub fn run_cluster_with(
         scores,
         writer: writer.take(),
         attempts: BTreeMap::new(),
-        in_flight: BTreeMap::new(),
         current: vec![None; cfg.n_workers],
         first_dispatched: BTreeMap::new(),
         finished_stats: BTreeMap::new(),
         retry_budget: cfg.retry_budget,
         task_deadline: cfg.task_deadline,
-        speculate_after: cfg.speculate_after,
-        heartbeat: cfg.heartbeat.max(Duration::from_millis(1)),
         tasks_per_worker: vec![0; cfg.n_workers],
         requeued_tasks: 0,
         failed_workers: Vec::new(),
         hung_workers: Vec::new(),
-        speculative_launches: 0,
         duplicate_results: 0,
         postmortem_dir: cfg.postmortem_dir.clone(),
         log,
@@ -341,7 +328,6 @@ pub fn run_cluster_with(
         requeued_tasks: master.requeued_tasks,
         failed_workers: master.failed_workers,
         hung_workers: master.hung_workers,
-        speculative_launches: master.speculative_launches,
         duplicate_results: master.duplicate_results,
         resumed_voxels,
     })
@@ -359,12 +345,6 @@ struct WorkerState {
     condemned: bool,
 }
 
-/// One copy of a task currently executing on some worker.
-struct FlightCopy {
-    worker: usize,
-    started: Instant,
-}
-
 /// The dispatch a worker is currently executing, from the master's point
 /// of view. Every dispatch is resolved exactly once — completed,
 /// discarded, failed, condemned, or cancelled at shutdown — which is
@@ -374,7 +354,6 @@ struct DispatchInfo {
     task: VoxelTask,
     started: Instant,
     attempt: usize,
-    speculative: bool,
 }
 
 /// How one dispatch ended (the `outcome` attribute of its
@@ -383,7 +362,7 @@ struct DispatchInfo {
 enum DispatchOutcome {
     /// Fresh, accepted result.
     Completed,
-    /// Valid result discarded (speculative loser or truncated).
+    /// Truncated result discarded.
     Discarded,
     /// The worker panicked.
     Failed,
@@ -415,14 +394,6 @@ impl DispatchOutcome {
     }
 }
 
-/// A task with at least one copy in flight.
-struct Flight {
-    task: VoxelTask,
-    copies: Vec<FlightCopy>,
-    first_started: Instant,
-    speculated: bool,
-}
-
 /// All mutable master-loop state, so the event handlers can share it.
 struct Master {
     workers: Vec<WorkerState>,
@@ -430,11 +401,11 @@ struct Master {
     completed: BTreeSet<usize>,
     scores: Vec<VoxelScore>,
     writer: Option<CheckpointWriter>,
-    /// Non-speculative dispatches per task start.
+    /// Dispatches per task start.
     attempts: BTreeMap<usize, usize>,
-    in_flight: BTreeMap<usize, Flight>,
-    /// The dispatch each worker is currently executing (trace + stats
-    /// accounting; resolved exactly once per dispatch).
+    /// The dispatch each worker is currently executing, resolved exactly
+    /// once per dispatch. With at most one copy of a task running, this
+    /// is the set of tasks in flight.
     current: Vec<Option<DispatchInfo>>,
     /// First dispatch time per task start (per-task wall-time stats).
     first_dispatched: BTreeMap<usize, Instant>,
@@ -442,13 +413,10 @@ struct Master {
     finished_stats: BTreeMap<usize, TaskStat>,
     retry_budget: usize,
     task_deadline: Option<Duration>,
-    speculate_after: Option<Duration>,
-    heartbeat: Duration,
     tasks_per_worker: Vec<usize>,
     requeued_tasks: usize,
     failed_workers: Vec<usize>,
     hung_workers: Vec<usize>,
-    speculative_launches: usize,
     duplicate_results: usize,
     /// Directory for flight-recorder postmortem dumps (`None`: off).
     postmortem_dir: Option<PathBuf>,
@@ -456,18 +424,10 @@ struct Master {
     log: FlightLog,
 }
 
-/// The causal identity of one dispatch of `task`: a speculative clone
-/// keeps the straggler's attempt number under origin `speculative`,
-/// while a retry advances the attempt under origin `retry` — so the two
-/// are distinguishable everywhere downstream.
-fn causal_ctx(task: VoxelTask, attempt: usize, speculative: bool) -> TraceCtx {
-    let origin = if speculative {
-        TraceOrigin::Speculative
-    } else if attempt <= 1 {
-        TraceOrigin::Dispatch
-    } else {
-        TraceOrigin::Retry
-    };
+/// The causal identity of one dispatch of `task`: the first attempt has
+/// origin `dispatch`, every later one origin `retry`.
+fn causal_ctx(task: VoxelTask, attempt: usize) -> TraceCtx {
+    let origin = if attempt <= 1 { TraceOrigin::Dispatch } else { TraceOrigin::Retry };
     TraceCtx::new(
         u64::try_from(task.start).unwrap_or(u64::MAX),
         u32::try_from(attempt).unwrap_or(u32::MAX),
@@ -541,7 +501,7 @@ impl Master {
             let Some(task) = self.queue.pop_front() else {
                 return;
             };
-            if !self.dispatch(task, wid, false) {
+            if !self.dispatch(task, wid) {
                 // The worker was found dead at send time; put the task
                 // back and try the next candidate.
                 self.queue.push_front(task);
@@ -554,10 +514,9 @@ impl Master {
     /// The dispatch's causal identity ([`causal_ctx`]) is computed before
     /// the send and rides the message.
     // audit: allow(panicpath) — worker ids are stamped at spawn time and dense in 0..workers.len()
-    fn dispatch(&mut self, task: VoxelTask, wid: usize, speculative: bool) -> bool {
-        let prior = self.attempts.get(&task.start).copied().unwrap_or(0);
-        let attempt = if speculative { prior } else { prior + 1 };
-        let ctx = causal_ctx(task, attempt, speculative);
+    fn dispatch(&mut self, task: VoxelTask, wid: usize) -> bool {
+        let attempt = self.attempts.get(&task.start).copied().unwrap_or(0) + 1;
+        let ctx = causal_ctx(task, attempt);
         if self.workers[wid].tx.send(ToWorker::Task { task, ctx }).is_err() {
             self.workers[wid].alive = false;
             self.workers[wid].idle = false;
@@ -565,28 +524,11 @@ impl Master {
         }
         self.workers[wid].idle = false;
         let now = Instant::now();
-        if speculative {
-            self.speculative_launches += 1;
-            counter!("cluster.tasks.speculative", 1_u64);
-            event!("cluster.speculate", task = task.start, worker = wid);
-            self.log.record(EventKind::Speculate, ctx, wid);
-        } else {
-            *self.attempts.entry(task.start).or_insert(0) += 1;
-            self.log.record(EventKind::Dispatch, ctx, wid);
-        }
+        self.attempts.insert(task.start, attempt);
+        self.log.record(EventKind::Dispatch, ctx, wid);
         counter!("cluster.tasks.dispatched", 1_u64);
-        self.current[wid] = Some(DispatchInfo { task, started: now, attempt, speculative });
+        self.current[wid] = Some(DispatchInfo { task, started: now, attempt });
         self.first_dispatched.entry(task.start).or_insert(now);
-        let flight = self.in_flight.entry(task.start).or_insert_with(|| Flight {
-            task,
-            copies: Vec::new(),
-            first_started: now,
-            speculated: false,
-        });
-        if speculative {
-            flight.speculated = true;
-        }
-        flight.copies.push(FlightCopy { worker: wid, started: now });
         true
     }
 
@@ -605,7 +547,6 @@ impl Master {
                     ("task", AttrValue::from(info.task.start)),
                     ("worker", AttrValue::from(wid)),
                     ("attempt", AttrValue::from(info.attempt)),
-                    ("speculative", AttrValue::from(info.speculative)),
                     ("outcome", AttrValue::from(outcome.label())),
                 ],
                 info.started.elapsed(),
@@ -657,9 +598,6 @@ impl Master {
             return Ok(());
         }
         self.workers[worker].idle = true;
-        if let Some(flight) = self.in_flight.get_mut(&task.start) {
-            flight.copies.retain(|c| c.worker != worker);
-        }
         let fresh = !self.completed.contains(&task.start);
         let accepted = fresh && task_scores.len() == task.count;
         let outcome =
@@ -690,12 +628,9 @@ impl Master {
                 event!("cluster.checkpoint", task = task.start, scores = task_scores.len());
             }
             self.scores.extend(task_scores);
-            self.in_flight.remove(&task.start);
             Ok(())
         } else {
-            // Either a speculative duplicate of an already-completed
-            // task, or a truncated result — discard, and requeue if the
-            // task is somehow left with no running copy.
+            // A truncated result: discard it and requeue the task.
             self.duplicate_results += 1;
             self.requeue_if_abandoned(task)
         }
@@ -725,9 +660,6 @@ impl Master {
                 worker,
             );
         }
-        if let Some(flight) = self.in_flight.get_mut(&task.start) {
-            flight.copies.retain(|c| c.worker != worker);
-        }
         self.requeue_if_abandoned(task)
     }
 
@@ -737,13 +669,12 @@ impl Master {
         if self.completed.contains(&task.start) {
             return Ok(());
         }
-        if self.in_flight.get(&task.start).is_some_and(|f| !f.copies.is_empty()) {
+        if self.current.iter().flatten().any(|d| d.task.start == task.start) {
             return Ok(());
         }
         if self.queue.iter().any(|t| t.start == task.start) {
             return Ok(());
         }
-        self.in_flight.remove(&task.start);
         let attempts = self.attempts.get(&task.start).copied().unwrap_or(0);
         if attempts > self.retry_budget {
             return Err(ClusterError::RetryBudgetExhausted { task, attempts });
@@ -754,103 +685,55 @@ impl Master {
         Ok(())
     }
 
-    /// Wake-up interval: the earliest pending hang/speculation timer, or
-    /// the heartbeat when none is armed.
+    /// Wake-up interval: the earliest pending hang deadline, or the
+    /// heartbeat when none is armed.
     fn next_timeout(&self) -> Duration {
-        let now = Instant::now();
-        let mut earliest: Option<Instant> = None;
-        let mut consider = |t: Instant| {
-            earliest = Some(earliest.map_or(t, |e| e.min(t)));
-        };
-        if let Some(deadline) = self.task_deadline {
-            for flight in self.in_flight.values() {
-                for copy in &flight.copies {
-                    consider(copy.started + deadline);
-                }
-            }
-        }
-        if let Some(spec) = self.speculate_after {
-            for flight in self.in_flight.values() {
-                if !flight.speculated && !flight.copies.is_empty() {
-                    consider(flight.first_started + spec);
-                }
-            }
-        }
+        let earliest = self
+            .task_deadline
+            .and_then(|deadline| self.current.iter().flatten().map(|d| d.started + deadline).min());
         match earliest {
-            Some(t) => t.saturating_duration_since(now).max(Duration::from_millis(1)),
-            None => self.heartbeat,
+            Some(t) => t.saturating_duration_since(Instant::now()).max(Duration::from_millis(1)),
+            None => HEARTBEAT,
         }
     }
 
-    /// Fire expired hang deadlines and due speculation timers.
+    /// Condemn every worker whose dispatch has outlived the hang deadline
+    /// and requeue its task, in task order.
     // audit: allow(panicpath) — worker ids are stamped at spawn time and dense in 0..workers.len()
     fn check_deadlines(&mut self) -> Result<(), ClusterError> {
+        let Some(deadline) = self.task_deadline else {
+            return Ok(());
+        };
         let now = Instant::now();
-        if let Some(deadline) = self.task_deadline {
-            // Collect expirations first; condemning touches worker state.
-            let mut expirations: Vec<(VoxelTask, Vec<usize>)> = Vec::new();
-            for flight in self.in_flight.values_mut() {
-                let mut overdue = Vec::new();
-                flight.copies.retain(|c| {
-                    if now.duration_since(c.started) >= deadline {
-                        overdue.push(c.worker);
-                        false
-                    } else {
-                        true
-                    }
-                });
-                if !overdue.is_empty() {
-                    expirations.push((flight.task, overdue));
-                }
-            }
-            for (task, overdue) in expirations {
-                for wid in overdue {
-                    let state = &mut self.workers[wid];
-                    state.cancel.cancel();
-                    state.alive = false;
-                    state.idle = false;
-                    let newly_condemned = !state.condemned;
-                    if newly_condemned {
-                        state.condemned = true;
-                        self.hung_workers.push(wid);
-                        event!("cluster.condemn", worker = wid, task = task.start);
-                        let info = self.resolve_dispatch(wid, DispatchOutcome::Condemned);
-                        let (attempt, speculative) =
-                            info.map_or((0, false), |i| (i.attempt, i.speculative));
-                        let ctx = causal_ctx(task, attempt, speculative);
-                        self.log.record(EventKind::Condemn, ctx, wid);
-                        self.postmortem("worker.condemned", task.start, attempt, wid);
-                    }
-                }
-                self.requeue_if_abandoned(task)?;
-            }
-        }
-        if let Some(spec) = self.speculate_after {
-            let due: Vec<VoxelTask> = self
-                .in_flight
-                .values()
-                .filter(|f| {
-                    !f.speculated
-                        && !f.copies.is_empty()
-                        && now.duration_since(f.first_started) >= spec
-                })
-                .map(|f| f.task)
-                .collect();
-            for task in due {
-                let Some(wid) = self.workers.iter().position(|w| w.alive && w.idle) else {
-                    break;
-                };
-                let _ = self.dispatch(task, wid, true);
-            }
+        let mut overdue: Vec<(usize, DispatchInfo)> = self
+            .current
+            .iter()
+            .enumerate()
+            .filter_map(|(wid, d)| Some((wid, (*d)?)))
+            .filter(|(_, d)| now.duration_since(d.started) >= deadline)
+            .collect();
+        overdue.sort_unstable_by_key(|&(wid, d)| (d.task.start, wid));
+        for (wid, info) in overdue {
+            let state = &mut self.workers[wid];
+            state.cancel.cancel();
+            state.alive = false;
+            state.idle = false;
+            state.condemned = true;
+            self.hung_workers.push(wid);
+            event!("cluster.condemn", worker = wid, task = info.task.start);
+            let _ = self.resolve_dispatch(wid, DispatchOutcome::Condemned);
+            self.log.record(EventKind::Condemn, causal_ctx(info.task, info.attempt), wid);
+            self.postmortem("worker.condemned", info.task.start, info.attempt, wid);
+            self.requeue_if_abandoned(info.task)?;
         }
         Ok(())
     }
 
     /// Tell every worker to stop: cancellation for the condemned and
     /// in-flight, `Shutdown` for the idle. Workers are detached, so this
-    /// does not block on stragglers. Dispatches still outstanding (e.g.
-    /// a speculative loser that never reported) resolve as cancelled so
-    /// the dispatch accounting balances.
+    /// does not block on stragglers. Dispatches still outstanding (the
+    /// run ended on an error) resolve as cancelled so the dispatch
+    /// accounting balances.
     fn shutdown_workers(&mut self) {
         for wid in 0..self.workers.len() {
             let _ = self.resolve_dispatch(wid, DispatchOutcome::Cancelled);
@@ -871,12 +754,11 @@ fn spawn_worker(
     exec: Arc<dyn TaskExecutor>,
     groups: Option<Arc<Vec<usize>>>,
     to_master: Sender<FromWorker>,
-    task_deadline: Option<Duration>,
     log: FlightLog,
 ) -> WorkerState {
     let (tx, rx): (Sender<ToWorker>, Receiver<ToWorker>) = unbounded();
     let cancel = CancelToken::new();
-    let controls = TaskControls { cancel: cancel.clone(), deadline: task_deadline };
+    let worker_cancel = cancel.clone();
     fcma_sync::thread::spawn(move || {
         if to_master.send(FromWorker::Ready { worker: wid }).is_err() {
             return;
@@ -884,7 +766,7 @@ fn spawn_worker(
         while let Ok(msg) = rx.recv() {
             match msg {
                 ToWorker::Task { task, ctx: trace_ctx } => {
-                    if controls.cancel.is_cancelled() {
+                    if worker_cancel.is_cancelled() {
                         return;
                     }
                     // Install the dispatch's causal identity for the
@@ -901,7 +783,7 @@ fn spawn_worker(
                             &ctx,
                             task,
                             groups.as_deref().map(|g| &g[..]),
-                            &controls,
+                            &worker_cancel,
                         )
                     }));
                     drop(ctx_guard);
@@ -1102,32 +984,12 @@ mod tests {
             n_workers: 2,
             task_size: 32,
             task_deadline: Some(Duration::from_millis(500)),
-            heartbeat: Duration::from_millis(5),
             ..Default::default()
         };
         let run = run_cluster_with(&ctx, Arc::new(exec), &cfg).expect("recovers from hang");
         assert_eq!(run.hung_workers.len(), 1);
         assert!(run.failed_workers.is_empty());
         assert_eq!(run.requeued_tasks, 1);
-        assert_full_coverage(&run, ctx.n_voxels());
-    }
-
-    #[test]
-    fn straggler_triggers_speculative_copy() {
-        let _clock = fcma_sync::clock::VirtualClock::install();
-        let ctx = ctx();
-        let plan = FaultPlan::none().with_fault(0, 0, FaultKind::Delay(Duration::from_millis(400)));
-        let exec = ChaosExecutor::new(Arc::new(OptimizedExecutor::default()), plan);
-        let cfg = ClusterConfig {
-            n_workers: 2,
-            task_size: 32,
-            speculate_after: Some(Duration::from_millis(40)),
-            heartbeat: Duration::from_millis(5),
-            ..Default::default()
-        };
-        let run = run_cluster_with(&ctx, Arc::new(exec), &cfg).expect("speculation covers");
-        assert!(run.speculative_launches >= 1, "no speculation launched");
-        assert!(run.failed_workers.is_empty() && run.hung_workers.is_empty());
         assert_full_coverage(&run, ctx.n_voxels());
     }
 }

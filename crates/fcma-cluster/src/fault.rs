@@ -10,7 +10,7 @@
 //! or derived from a seed ([`FaultPlan::seeded`]), so a failing chaos
 //! test reproduces from its seed alone.
 
-use fcma_core::{TaskContext, TaskControls, TaskExecutor, VoxelScore, VoxelTask};
+use fcma_core::{CancelToken, TaskContext, TaskExecutor, VoxelScore, VoxelTask};
 use fcma_sync::time::Instant;
 use fcma_sync::Mutex;
 use std::collections::BTreeMap;
@@ -185,10 +185,10 @@ impl ChaosExecutor {
 /// time under a [`fcma_sync::clock::VirtualClock`] or a model checker —
 /// injected stalls then cost no wall time). Returns `false` if
 /// cancellation fired before the sleep finished.
-fn sleep_unless_cancelled(total: Duration, controls: &TaskControls) -> bool {
+fn sleep_unless_cancelled(total: Duration, cancel: &CancelToken) -> bool {
     let deadline = Instant::now() + total;
     loop {
-        if controls.cancel.is_cancelled() {
+        if cancel.is_cancelled() {
             return false;
         }
         let now = Instant::now();
@@ -210,7 +210,7 @@ impl TaskExecutor for ChaosExecutor {
         task: VoxelTask,
         groups: Option<&[usize]>,
     ) -> Vec<VoxelScore> {
-        self.process_with_controls(ctx, task, groups, &TaskControls::unbounded())
+        self.process_with_controls(ctx, task, groups, &CancelToken::new())
     }
 
     fn process_with_controls(
@@ -218,27 +218,27 @@ impl TaskExecutor for ChaosExecutor {
         ctx: &TaskContext,
         task: VoxelTask,
         groups: Option<&[usize]>,
-        controls: &TaskControls,
+        cancel: &CancelToken,
     ) -> Vec<VoxelScore> {
         let attempt = self.next_attempt(task.start);
         match self.plan.fault_for(task.start, attempt) {
             Some(FaultKind::Panic { after }) => {
                 if !after.is_zero() {
-                    let _ = sleep_unless_cancelled(after, controls);
+                    let _ = sleep_unless_cancelled(after, cancel);
                 }
                 panic!("chaos: injected panic (task start {}, attempt {attempt})", task.start);
             }
             Some(FaultKind::Delay(d)) => {
-                if !sleep_unless_cancelled(d, controls) {
+                if !sleep_unless_cancelled(d, cancel) {
                     return Vec::new();
                 }
-                self.inner.process_with_controls(ctx, task, groups, controls)
+                self.inner.process_with_controls(ctx, task, groups, cancel)
             }
             Some(FaultKind::Stall) => {
-                let _ = sleep_unless_cancelled(STALL_CAP, controls);
+                let _ = sleep_unless_cancelled(STALL_CAP, cancel);
                 Vec::new()
             }
-            None => self.inner.process_with_controls(ctx, task, groups, controls),
+            None => self.inner.process_with_controls(ctx, task, groups, cancel),
         }
     }
 }
@@ -246,7 +246,6 @@ impl TaskExecutor for ChaosExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fcma_core::CancelToken;
 
     #[test]
     fn plan_lookup_matches_task_and_attempt() {
@@ -283,10 +282,10 @@ mod tests {
 
     #[test]
     fn cancellation_aborts_injected_sleep() {
-        let controls = TaskControls { cancel: CancelToken::new(), deadline: None };
-        controls.cancel.cancel();
+        let cancel = CancelToken::new();
+        cancel.cancel();
         let t0 = Instant::now();
-        assert!(!sleep_unless_cancelled(Duration::from_secs(5), &controls));
+        assert!(!sleep_unless_cancelled(Duration::from_secs(5), &cancel));
         assert!(t0.elapsed() < Duration::from_secs(1));
     }
 }

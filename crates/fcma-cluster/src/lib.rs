@@ -7,9 +7,9 @@
 //!   (crossbeam channels standing in for MPI messages) running the actual
 //!   FCMA pipeline with the paper's dynamic load-balancing protocol,
 //!   hardened for routine node failure: panic requeue, deadline-based
-//!   hang detection, per-task retry budgets, speculative re-execution of
-//!   stragglers, and checkpoint/resume of partial sweeps — all surfaced
-//!   through a `Result<ClusterRun, ClusterError>` API;
+//!   hang detection, per-task retry budgets, and checkpoint/resume of
+//!   partial sweeps — all surfaced through a
+//!   `Result<ClusterRun, ClusterError>` API;
 //! * [`fault`] — deterministic fault injection ([`FaultPlan`] +
 //!   [`ChaosExecutor`]) so every recovery path above is a reproducibly
 //!   tested path;

@@ -35,8 +35,8 @@ pub enum FromWorker {
         worker: usize,
     },
     /// A completed task's scores. Carries the task identity so the
-    /// master can discard duplicate results (speculative copies, late
-    /// answers from workers already declared hung).
+    /// master can discard late answers from workers already declared
+    /// hung.
     Done {
         /// Sender's worker id.
         worker: usize,

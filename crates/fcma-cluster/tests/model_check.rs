@@ -13,15 +13,17 @@
 //! 2. **Clean exploration of the shipped driver.** The real
 //!    `run_cluster_with` master loop, two workers, four tasks, every
 //!    interleaving within the preemption bound: no deadlock, no lost
-//!    wakeup, no double completion.
+//!    wakeup, no double completion — on healthy runs, and on runs where
+//!    one dispatch hangs until its deadline condemns the worker.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use fcma_cluster::{run_cluster_with, ClusterConfig};
-use fcma_core::{TaskContext, TaskControls, TaskExecutor, VoxelScore, VoxelTask};
+use fcma_core::{CancelToken, TaskContext, TaskExecutor, VoxelScore, VoxelTask};
 use fcma_mc::{check, check_random, replay, Config, FailureKind, Outcome};
 use fcma_sync::channel::{unbounded, Sender};
-use fcma_sync::thread;
+use fcma_sync::{thread, Mutex};
 
 // ---------------------------------------------------------------------------
 // Part 1: the known-bad fixture driver (deliberately reverted logic).
@@ -202,14 +204,42 @@ impl TaskExecutor for StubExecutor {
             .map(|voxel| VoxelScore { voxel, accuracy: 0.5 })
             .collect()
     }
+}
+
+/// [`StubExecutor`], except that the first dispatch of task 0 hangs: it
+/// sleeps on the facade clock until its worker's token is cancelled,
+/// then returns no scores.
+struct HangOnceExecutor {
+    hung: Mutex<bool>,
+}
+
+impl TaskExecutor for HangOnceExecutor {
+    fn name(&self) -> &'static str {
+        "hang-once"
+    }
+
+    fn process_grouped(
+        &self,
+        ctx: &TaskContext,
+        task: VoxelTask,
+        groups: Option<&[usize]>,
+    ) -> Vec<VoxelScore> {
+        StubExecutor.process_grouped(ctx, task, groups)
+    }
 
     fn process_with_controls(
         &self,
         ctx: &TaskContext,
         task: VoxelTask,
         groups: Option<&[usize]>,
-        _controls: &TaskControls,
+        cancel: &CancelToken,
     ) -> Vec<VoxelScore> {
+        if task.start == 0 && !std::mem::replace(&mut *self.hung.lock(), true) {
+            while !cancel.is_cancelled() {
+                thread::sleep(Duration::from_millis(1));
+            }
+            return Vec::new();
+        }
         self.process_grouped(ctx, task, groups)
     }
 }
@@ -260,6 +290,30 @@ fn shipped_driver_survives_seeded_random_walks() {
     assert!(
         outcome.failure().is_none(),
         "random walks over 3 workers must stay clean: {:?}",
+        outcome.failure().map(ToString::to_string)
+    );
+}
+
+#[test]
+fn shipped_driver_condemns_a_hung_worker_under_seeded_random_walks() {
+    let ctx = tiny_ctx();
+    let cfg = Config { max_executions: 200, max_preemptions: 4, ..Config::default() };
+    let outcome = check_random(&cfg, 0xfc3a_0002, move || {
+        let mut cluster = ClusterConfig::new(3, 4);
+        cluster.task_deadline = Some(Duration::from_millis(20));
+        let exec = HangOnceExecutor { hung: Mutex::new(false) };
+        let run = run_cluster_with(&ctx, Arc::new(exec), &cluster)
+            .expect("a run with one hung dispatch must complete under every schedule");
+        let voxels: Vec<usize> = run.scores.iter().map(|s| s.voxel).collect();
+        assert_eq!(voxels, (0..16).collect::<Vec<_>>(), "every voxel scored once");
+        assert_eq!(run.hung_workers.len(), 1);
+        assert_eq!(run.requeued_tasks, 1);
+    });
+    // The double-completion detector is on by default: a condemned
+    // worker's late answer accepted beside its retry would fail here.
+    assert!(
+        outcome.failure().is_none(),
+        "the condemn, requeue and fence path must stay clean: {:?}",
         outcome.failure().map(ToString::to_string)
     );
 }

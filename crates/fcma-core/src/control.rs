@@ -1,8 +1,8 @@
-//! Cooperative task controls: cancellation tokens and soft deadlines.
+//! Cooperative task cancellation.
 //!
 //! The cluster master cannot forcibly kill a worker thread the way an MPI
 //! runtime can fence a node, so hang recovery is cooperative: every task
-//! dispatch carries a [`TaskControls`] handle and well-behaved executors
+//! dispatch carries its worker's [`CancelToken`] and well-behaved executors
 //! poll [`CancelToken::is_cancelled`] at convenient points (between
 //! voxels, inside injected delays). When the master condemns a worker as
 //! hung it flips the token; the worker unwinds on its own schedule while
@@ -11,7 +11,6 @@
 
 use fcma_sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A cheaply cloneable cancellation flag shared between the cluster
 /// master and one worker.
@@ -37,26 +36,6 @@ impl CancelToken {
     }
 }
 
-/// Per-dispatch execution controls handed to
-/// [`crate::TaskExecutor::process_with_controls`].
-#[derive(Debug, Clone, Default)]
-pub struct TaskControls {
-    /// Cooperative cancellation flag; executors should return early
-    /// (with a partial or empty score vector) once it is set.
-    pub cancel: CancelToken,
-    /// Advisory per-task deadline. The scheduler enforces it on its own
-    /// clock; executors may additionally use it to bound internal waits.
-    pub deadline: Option<Duration>,
-}
-
-impl TaskControls {
-    /// Controls with no deadline and a token nobody will cancel — the
-    /// right default for sequential (non-cluster) execution.
-    pub fn unbounded() -> Self {
-        Self::default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,12 +56,5 @@ mod tests {
         let u = t.clone();
         t.cancel();
         assert!(u.is_cancelled());
-    }
-
-    #[test]
-    fn controls_defaults() {
-        let c = TaskControls::unbounded();
-        assert!(c.deadline.is_none());
-        assert!(!c.cancel.is_cancelled());
     }
 }

@@ -2,7 +2,7 @@
 //! implementations of the three-stage pipeline.
 
 use crate::context::TaskContext;
-use crate::control::TaskControls;
+use crate::control::CancelToken;
 use crate::stage1::corr_baseline;
 use crate::stage2::{fused_kernels, normalize_baseline};
 use crate::stage3::{score_kernels, score_task, KernelPrecompute};
@@ -31,21 +31,20 @@ pub trait TaskExecutor: Send + Sync {
     }
 
     /// Like [`Self::process_grouped`], but with cooperative cancellation
-    /// and deadline controls (see [`TaskControls`]). The default
-    /// implementation ignores the controls — the three-stage pipeline is
-    /// short per task, so the cluster scheduler's own deadline clock is
-    /// the enforcement point. Executors that can block for long periods
-    /// (fault injectors, remote backends) should poll
-    /// `controls.cancel` and return early when it fires; the scheduler
+    /// (see [`CancelToken`]). The default implementation ignores the
+    /// token — the three-stage pipeline is short per task, so the cluster
+    /// scheduler's own deadline clock is the enforcement point. Executors
+    /// that can block for long periods (fault injectors, remote backends)
+    /// should poll `cancel` and return early when it fires; the scheduler
     /// discards results from cancelled dispatches.
     fn process_with_controls(
         &self,
         ctx: &TaskContext,
         task: VoxelTask,
         groups: Option<&[usize]>,
-        controls: &TaskControls,
+        cancel: &CancelToken,
     ) -> Vec<VoxelScore> {
-        let _ = controls;
+        let _ = cancel;
         self.process_grouped(ctx, task, groups)
     }
 }

@@ -32,7 +32,7 @@ pub mod task;
 pub use analysis::{offline_analysis, online_voxel_selection, score_all_voxels, AnalysisConfig};
 pub use analysis::{FoldOutcome, OfflineResult, OnlineResult};
 pub use context::TaskContext;
-pub use control::{CancelToken, TaskControls};
+pub use control::CancelToken;
 pub use executor::{BaselineExecutor, OptimizedExecutor, TaskExecutor};
 pub use realtime::{FeedbackModel, SessionError};
 pub use realtime::{OnlineSession, SessionConfig};

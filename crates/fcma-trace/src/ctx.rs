@@ -14,18 +14,14 @@
 
 use std::cell::Cell;
 
-/// Where an attempt came from: the first dispatch of a task, a retry
-/// after a failure, or a speculative clone of a straggler. Retries and
-/// speculation clones share a task id; the origin is what tells them
-/// apart in a trace.
+/// Where an attempt came from: the first dispatch of a task, or a retry
+/// after a failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceOrigin {
     /// First dispatch of the task.
     Dispatch,
     /// Re-dispatch after a failed or condemned attempt.
     Retry,
-    /// Speculative duplicate of a still-running straggler attempt.
-    Speculative,
 }
 
 impl TraceOrigin {
@@ -35,7 +31,6 @@ impl TraceOrigin {
         match self {
             TraceOrigin::Dispatch => "dispatch",
             TraceOrigin::Retry => "retry",
-            TraceOrigin::Speculative => "speculative",
         }
     }
 }
@@ -120,7 +115,7 @@ mod tests {
 
     #[test]
     fn context_rides_pool_regions_onto_worker_threads() {
-        let ctx = TraceCtx::new(16, 1, TraceOrigin::Speculative);
+        let ctx = TraceCtx::new(16, 2, TraceOrigin::Retry);
         let guard = ctx.install();
         let seen = fcma_sync::Pool::new(4).run(vec![(); 12], |_i, ()| TraceCtx::current());
         drop(guard);

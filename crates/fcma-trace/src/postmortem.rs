@@ -103,17 +103,16 @@ mod tests {
     use crate::recorder::EventKind;
 
     /// One event of every kind: the golden test below is what pins the
-    /// eight `recorder.*` wire names.
+    /// seven `recorder.*` wire names.
     fn sample_events() -> Vec<RecorderEvent> {
         let rows = [
             (100, EventKind::Dispatch, 64, 1, TraceOrigin::Dispatch, 1),
             (150, EventKind::TaskStart, 64, 1, TraceOrigin::Dispatch, 1),
             (200, EventKind::Dispatch, 128, 1, TraceOrigin::Dispatch, 2),
             (250, EventKind::TaskEnd, 128, 1, TraceOrigin::Dispatch, 2),
-            (600, EventKind::Speculate, 64, 1, TraceOrigin::Speculative, 2),
-            (900, EventKind::TaskPanic, 64, 1, TraceOrigin::Speculative, 2),
-            (950, EventKind::Condemn, 64, 1, TraceOrigin::Dispatch, 1),
-            (980, EventKind::Dispatch, 64, 2, TraceOrigin::Retry, 3),
+            (600, EventKind::Condemn, 64, 1, TraceOrigin::Dispatch, 1),
+            (650, EventKind::Dispatch, 64, 2, TraceOrigin::Retry, 2),
+            (900, EventKind::TaskPanic, 64, 2, TraceOrigin::Retry, 2),
             (990, EventKind::Fence, 64, 1, TraceOrigin::Dispatch, 1),
             (999, EventKind::ResumeMismatch, 0, 0, TraceOrigin::Dispatch, 96),
         ];
@@ -131,31 +130,29 @@ mod tests {
 
     #[test]
     fn render_matches_golden() {
-        let trigger = PostmortemTrigger { kind: "task.panic", task: 64, attempt: 1, worker: 2 };
+        let trigger = PostmortemTrigger { kind: "task.panic", task: 64, attempt: 2, worker: 2 };
         let got = render(&sample_events(), &trigger);
         let want = "\
 fcma-postmortem v2
-trigger: task.panic task=64 attempt=1 worker=2
-events: 10
+trigger: task.panic task=64 attempt=2 worker=2
+events: 9
 -- timeline --
 ts=100 seq=0 recorder.dispatch task=64 attempt=1 origin=dispatch arg=1
 ts=150 seq=1 recorder.task.start task=64 attempt=1 origin=dispatch arg=1
 ts=200 seq=2 recorder.dispatch task=128 attempt=1 origin=dispatch arg=2
 ts=250 seq=3 recorder.task.end task=128 attempt=1 origin=dispatch arg=2
-ts=600 seq=4 recorder.speculate task=64 attempt=1 origin=speculative arg=2
-ts=900 seq=5 recorder.task.panic task=64 attempt=1 origin=speculative arg=2
-ts=950 seq=6 recorder.condemn task=64 attempt=1 origin=dispatch arg=1
-ts=980 seq=7 recorder.dispatch task=64 attempt=2 origin=retry arg=3
-ts=990 seq=8 recorder.fence task=64 attempt=1 origin=dispatch arg=1
-ts=999 seq=9 recorder.resume.mismatch task=0 attempt=0 origin=dispatch arg=96
+ts=600 seq=4 recorder.condemn task=64 attempt=1 origin=dispatch arg=1
+ts=650 seq=5 recorder.dispatch task=64 attempt=2 origin=retry arg=2
+ts=900 seq=6 recorder.task.panic task=64 attempt=2 origin=retry arg=2
+ts=990 seq=7 recorder.fence task=64 attempt=1 origin=dispatch arg=1
+ts=999 seq=8 recorder.resume.mismatch task=0 attempt=0 origin=dispatch arg=96
 -- causal chain: task 64 --
 ts=100 seq=0 recorder.dispatch attempt=1 origin=dispatch arg=1
 ts=150 seq=1 recorder.task.start attempt=1 origin=dispatch arg=1
-ts=600 seq=4 recorder.speculate attempt=1 origin=speculative arg=2
-ts=900 seq=5 recorder.task.panic attempt=1 origin=speculative arg=2
-ts=950 seq=6 recorder.condemn attempt=1 origin=dispatch arg=1
-ts=980 seq=7 recorder.dispatch attempt=2 origin=retry arg=3
-ts=990 seq=8 recorder.fence attempt=1 origin=dispatch arg=1
+ts=600 seq=4 recorder.condemn attempt=1 origin=dispatch arg=1
+ts=650 seq=5 recorder.dispatch attempt=2 origin=retry arg=2
+ts=900 seq=6 recorder.task.panic attempt=2 origin=retry arg=2
+ts=990 seq=7 recorder.fence attempt=1 origin=dispatch arg=1
 ";
         assert_eq!(got, want);
     }

@@ -5,7 +5,7 @@
 //! planned to trace, the flight log is the black box for the runs
 //! nobody did: `run_cluster_with` creates a [`FlightLog`], hands a clone
 //! to each of its workers, and every scheduling decision (dispatch,
-//! task start/end/panic, speculation, condemnation, fence) appends one
+//! task start/end/panic, condemnation, fence) appends one
 //! [`RecorderEvent`]. The log keeps the newest [`CAPACITY`] events and
 //! is freed with the run. On a fault the master snapshots it and
 //! renders a postmortem (see [`crate::postmortem`]) — so a dump holds
@@ -43,8 +43,6 @@ pub enum EventKind {
     Fence,
     /// The master condemned a worker past its deadline (arg: worker id).
     Condemn,
-    /// The master dispatched a speculative clone (arg: worker id).
-    Speculate,
     /// Checkpoint resume rejected a mismatched file.
     ResumeMismatch,
 }
@@ -60,7 +58,6 @@ impl EventKind {
             EventKind::Dispatch => "recorder.dispatch",
             EventKind::Fence => "recorder.fence",
             EventKind::Condemn => "recorder.condemn",
-            EventKind::Speculate => "recorder.speculate",
             EventKind::ResumeMismatch => "recorder.resume.mismatch",
         }
     }

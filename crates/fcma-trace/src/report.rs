@@ -341,14 +341,6 @@ impl TraceReport {
                      cluster.tasks.condemned ({condemned})"
                 ));
             }
-            let speculate_events = self.event_count("cluster.speculate");
-            let speculative = c("cluster.tasks.speculative");
-            if speculate_events != speculative {
-                violations.push(format!(
-                    "cluster.speculate event count ({speculate_events}) != \
-                     cluster.tasks.speculative ({speculative})"
-                ));
-            }
         }
         if let Some(h) = self.histograms.get("svm.smo.iterations_per_solve") {
             let solves = c("svm.smo.solves");

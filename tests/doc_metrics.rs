@@ -3,7 +3,8 @@
 //! `BENCH_history.jsonl` holds a full-length record of every workload in
 //! both modes, and no document points back at the retired criterion
 //! layer, the retired metrics exporter, SLO gate and trace subcommands,
-//! the retired mutation engine or the retired model save/load. Plain
+//! the retired mutation engine, the retired model save/load or the
+//! cluster driver's retired backup copies of running tasks. Plain
 //! substring checks; the files are the repository's own.
 
 use std::collections::BTreeSet;
@@ -19,7 +20,7 @@ const DOCS: [&str; 5] = [
     "results/README.md",
     ".claude/skills/verify/SKILL.md",
 ];
-const RETIRED: [&str; 20] = [
+const RETIRED: [&str; 24] = [
     "criterion",
     "cargo bench",
     "bench_gemm",
@@ -40,6 +41,10 @@ const RETIRED: [&str; 20] = [
     "audit: equivalent(",
     "fcma-audit -- mutants",
     "save_model",
+    "speculate_after",
+    "cluster.speculate",
+    "recorder.speculate",
+    "TaskControls",
 ];
 
 fn read(rel: &str) -> String {

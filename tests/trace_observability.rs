@@ -60,10 +60,8 @@ fn chaos_counters_match_an_explicit_fault_plan() {
     assert_eq!(report.counter("cluster.tasks.failed"), 1);
     assert_eq!(report.counter("cluster.tasks.condemned"), 1);
     assert_eq!(report.counter("cluster.tasks.requeued"), 2);
-    assert_eq!(report.counter("cluster.tasks.speculative"), 0);
     assert_eq!(report.counter("cluster.tasks.resumed"), 0);
     assert_eq!(report.event_count("cluster.condemn"), 1);
-    assert_eq!(report.event_count("cluster.speculate"), 0);
     assert_eq!(report.span_count("cluster.run"), 1);
     assert_eq!(report.span_count("cluster.dispatch"), 8);
     assert!(
@@ -150,53 +148,9 @@ fn chaos_counters_match_a_seeded_fault_plan() {
     assert_eq!(report.counter("cluster.tasks.failed"), expected_panics);
     assert_eq!(report.counter("cluster.tasks.dispatched"), expected_dispatches);
     assert_eq!(report.counter("cluster.tasks.condemned"), 0);
-    assert_eq!(report.counter("cluster.tasks.speculative"), 0);
     assert_eq!(report.span_count("cluster.dispatch"), expected_dispatches);
     assert_eq!(run.failed_workers.len() as u64, expected_panics);
     assert!(report.check_consistency().is_empty(), "{:?}", report.check_consistency());
-}
-
-/// Speculation: a delayed straggler gets a traced duplicate; exactly one
-/// of the two copies is accepted and the other is discarded (if its
-/// result arrives) or cancelled at shutdown (if it does not).
-#[test]
-fn speculative_duplicate_is_traced_and_accounted() {
-    // Virtual clock: the 800 ms straggler sleep and the 80 ms
-    // speculation trigger both elapse instantly and in a fixed order
-    // (the duplicate always launches while the straggler still sleeps).
-    let _clock = VirtualClock::install();
-    let ctx = planted(64); // 4 tasks of 16 voxels
-    let plan = FaultPlan::none().with_fault(16, 0, FaultKind::Delay(Duration::from_millis(800)));
-    let cfg = ClusterConfig {
-        n_workers: 2,
-        task_size: 16,
-        speculate_after: Some(Duration::from_millis(80)),
-        ..Default::default()
-    };
-
-    let collector = Collector::new();
-    let scoped = collector.install_scoped();
-    let run = run_cluster_with(&ctx, chaos_exec(plan), &cfg).expect("speculative run");
-    let report = scoped.drain();
-    drop(scoped);
-
-    assert_eq!(run.speculative_launches, 1);
-    assert_eq!(report.counter("cluster.tasks.speculative"), 1);
-    assert_eq!(report.event_count("cluster.speculate"), 1);
-    assert_eq!(report.counter("cluster.tasks.dispatched"), 5);
-    assert_eq!(report.counter("cluster.tasks.completed"), 4);
-    // The losing copy either reported late (discarded) or was still
-    // sleeping at shutdown (cancelled) — never both, never neither.
-    let loser =
-        report.counter("cluster.tasks.discarded") + report.counter("cluster.tasks.cancelled");
-    assert_eq!(loser, 1);
-    assert!(report.check_consistency().is_empty(), "{:?}", report.check_consistency());
-
-    // The straggler's stat reflects one non-speculative attempt but a
-    // wall time at least as long as the speculation trigger.
-    let straggler = run.task_stats.iter().find(|s| s.task.start == 16).unwrap();
-    assert_eq!(straggler.attempts, 1);
-    assert!(straggler.wall >= Duration::from_millis(80), "wall {:?}", straggler.wall);
 }
 
 /// Check a postmortem dump's format header and that its `trigger:` line
