@@ -13,11 +13,42 @@ use fcma_sync::pool::Pool;
 use fcma_trace::export::{from_chrome_json, to_chrome_json};
 use fcma_trace::{event, Collector};
 use std::error::Error;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 type Result<T> = std::result::Result<T, Box<dyn Error>>;
+
+/// A command's report could not be written because the reader of
+/// standard output has closed it (`fcma info | head -1`). The reader has
+/// read all it wants: the command stops writing, and `main` exits 0
+/// without a message.
+#[derive(Debug)]
+pub(crate) struct StdoutClosed;
+
+impl std::fmt::Display for StdoutClosed {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("standard output was closed")
+    }
+}
+
+impl Error for StdoutClosed {}
+
+/// Write `text` to standard output; a closed pipe is [`StdoutClosed`],
+/// not the panic of `print!`.
+fn to_stdout(text: std::fmt::Arguments<'_>) -> Result<()> {
+    match std::io::stdout().lock().write_fmt(text) {
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => Err(Box::new(StdoutClosed)),
+        written => Ok(written?),
+    }
+}
+
+/// `println!` through [`to_stdout`]: evaluates to its `Result`.
+macro_rules! say {
+    ($($arg:tt)*) => {
+        to_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 /// The command reference.
 const HELP: &str = "fcma — full correlation matrix analysis\n\n\
@@ -47,8 +78,8 @@ const HELP: &str = "fcma — full correlation matrix analysis\n\n\
          \u{20} help      this text";
 
 /// Print the command reference.
-pub(crate) fn print_help() {
-    println!("{HELP}");
+pub(crate) fn print_help() -> Result<()> {
+    say!("{HELP}")
 }
 
 fn stem(args: &Args, key: &str) -> Result<PathBuf> {
@@ -96,14 +127,14 @@ pub(crate) fn generate(args: &Args) -> Result<()> {
     for v in &truth.informative {
         writeln!(f, "{v}")?;
     }
-    println!(
+    say!(
         "wrote {} ({} voxels, {} subjects, {} epochs) + .epochs + .truth ({} planted voxels)",
         out.with_extension("fcma").display(),
         dataset.n_voxels(),
         dataset.n_subjects(),
         dataset.n_epochs(),
         truth.informative.len()
-    );
+    )?;
     Ok(())
 }
 
@@ -111,15 +142,15 @@ pub(crate) fn generate(args: &Args) -> Result<()> {
 pub(crate) fn info(args: &Args) -> Result<()> {
     let data = stem(args, "data")?;
     let dataset = fio::load_dataset(&data)?;
-    println!("dataset    {}", data.display());
-    println!("voxels     {}", dataset.n_voxels());
-    println!("timepoints {}", dataset.n_timepoints());
-    println!("subjects   {}", dataset.n_subjects());
-    println!("epochs     {}", dataset.n_epochs());
+    say!("dataset    {}", data.display())?;
+    say!("voxels     {}", dataset.n_voxels())?;
+    say!("timepoints {}", dataset.n_timepoints())?;
+    say!("subjects   {}", dataset.n_subjects())?;
+    say!("epochs     {}", dataset.n_epochs())?;
     let a = dataset.epochs().iter().filter(|e| e.label == fcma_fmri::Condition::A).count();
-    println!("labels     {a} A / {} B", dataset.n_epochs() - a);
+    say!("labels     {a} A / {} B", dataset.n_epochs() - a)?;
     let lens: Vec<usize> = dataset.epochs().iter().map(|e| e.len).collect();
-    println!("epoch len  {}..{}", lens.iter().min().unwrap(), lens.iter().max().unwrap());
+    say!("epoch len  {}..{}", lens.iter().min().unwrap(), lens.iter().max().unwrap())?;
     Ok(())
 }
 
@@ -281,9 +312,9 @@ pub(crate) fn analyze(args: &Args) -> Result<()> {
         eprintln!("wrote {out}");
     }
     let selected = select_top_k(&scores, top_k);
-    println!("voxel\taccuracy");
+    say!("voxel\taccuracy")?;
     for &v in &selected {
-        println!("{v}\t{:.4}", scores[v].accuracy);
+        say!("{v}\t{:.4}", scores[v].accuracy)?;
     }
     if let Some(truth_path) = args.get("truth") {
         let truth = read_index_list(Path::new(truth_path))?;
@@ -298,7 +329,8 @@ pub(crate) fn report(args: &Args) -> Result<()> {
     let path = args.positional(0).ok_or("report needs a trace file: `fcma report trace.json`")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let report = from_chrome_json(&text).map_err(|e| format!("{path}: {e}"))?;
-    print!("{}", report.summary_table());
+    // A reader that stops early does not cancel the `--check` verdict.
+    let printed = to_stdout(format_args!("{}", report.summary_table()));
     let violations = report.check_consistency();
     if violations.is_empty() {
         if args.has_flag("check") {
@@ -312,7 +344,7 @@ pub(crate) fn report(args: &Args) -> Result<()> {
             return Err(format!("{} consistency violation(s)", violations.len()).into());
         }
     }
-    Ok(())
+    printed
 }
 
 /// `fcma offline`
@@ -324,12 +356,12 @@ pub(crate) fn offline(args: &Args) -> Result<()> {
     let cfg = AnalysisConfig { task_size: task_size_of(args)?, top_k: top_k_of(args)? };
     let t0 = std::time::Instant::now();
     let r = offline_analysis(&dataset, &exec, &cfg);
-    println!("fold\theld-out\ttest-accuracy");
+    say!("fold\theld-out\ttest-accuracy")?;
     for f in &r.folds {
-        println!("{}\t{}\t{:.4}", f.held_out, f.held_out, f.test_accuracy);
+        say!("{}\t{}\t{:.4}", f.held_out, f.held_out, f.test_accuracy)?;
     }
-    println!("mean test accuracy\t{:.4}", r.mean_test_accuracy);
-    println!("stable ROI ({} voxels)\t{:?}", r.stable.len(), r.stable);
+    say!("mean test accuracy\t{:.4}", r.mean_test_accuracy)?;
+    say!("stable ROI ({} voxels)\t{:?}", r.stable.len(), r.stable)?;
     eprintln!("nested LOSO finished in {:.2?}", t0.elapsed());
     Ok(())
 }
@@ -364,10 +396,10 @@ pub(crate) fn clusters(args: &Args) -> Result<()> {
         .into());
     }
     let clusters = extract_clusters(&grid, &selected);
-    println!("cluster\tsize\tcentroid\tvoxels");
+    say!("cluster\tsize\tcentroid\tvoxels")?;
     for (i, c) in clusters.iter().enumerate() {
         let (x, y, z) = c.centroid(&grid);
-        println!("{i}\t{}\t({x:.1},{y:.1},{z:.1})\t{:?}", c.len(), c.voxels);
+        say!("{i}\t{}\t({x:.1},{y:.1},{z:.1})\t{:?}", c.len(), c.voxels)?;
     }
     Ok(())
 }
@@ -388,12 +420,12 @@ pub(crate) fn mask(args: &Args) -> Result<()> {
     for &orig in &map {
         writeln!(f, "{orig}")?;
     }
-    println!(
+    say!(
         "kept {} / {} voxels; wrote {} + .epochs + .map",
         mask.n_kept(),
         dataset.n_voxels(),
         out.with_extension("fcma").display()
-    );
+    )?;
     Ok(())
 }
 

@@ -30,15 +30,12 @@ fn main() {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}");
-            commands::print_help();
+            let _ = commands::print_help();
             std::process::exit(2);
         }
     };
-    if args.has_flag("help") || args.command == "help" {
-        commands::print_help();
-        return;
-    }
     let result = match args.command.as_str() {
+        _ if args.has_flag("help") || args.command == "help" => commands::print_help(),
         "generate" => commands::generate(&args),
         "info" => commands::info(&args),
         "analyze" => commands::analyze(&args),
@@ -48,11 +45,15 @@ fn main() {
         "mask" => commands::mask(&args),
         other => {
             eprintln!("error: unknown command {other:?}");
-            commands::print_help();
+            let _ = commands::print_help();
             std::process::exit(2);
         }
     };
     if let Err(e) = result {
+        // The reader of standard output is done (`fcma info | head -1`).
+        if e.is::<commands::StdoutClosed>() {
+            return;
+        }
         eprintln!("error: {e}");
         std::process::exit(1);
     }

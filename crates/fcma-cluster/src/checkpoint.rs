@@ -23,7 +23,7 @@
 
 use crate::error::CheckpointError;
 use fcma_core::{VoxelScore, VoxelTask};
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 const MAGIC: &str = "fcma-checkpoint v1";
@@ -53,23 +53,27 @@ pub struct Checkpoint {
 
 impl Checkpoint {
     /// Parse and verify `path`.
+    ///
+    /// A file that ends inside its header line (no newline after it) is
+    /// [`CheckpointError::BadHeader`] with `truncated` set: a cut header
+    /// can read as a whole one for another sweep (`task_size=16` cut to
+    /// `task_size=1`).
     pub fn load(path: &Path) -> Result<Checkpoint, CheckpointError> {
-        let file = std::fs::File::open(path)
+        let text = std::fs::read_to_string(path)
             .map_err(|error| CheckpointError::Io { path: path.to_path_buf(), error })?;
-        let mut lines = Vec::new();
-        for line in BufReader::new(file).lines() {
-            let line =
-                line.map_err(|error| CheckpointError::Io { path: path.to_path_buf(), error })?;
-            lines.push(line);
+        if !text.contains('\n') {
+            return Err(CheckpointError::BadHeader { line: text, truncated: true });
         }
+        let lines: Vec<String> = text.lines().map(str::to_owned).collect();
         Self::parse(&lines)
     }
 
     /// Parse already-read lines (separated out for testability).
     // audit: allow(panicpath) — every line index is bounded by `i < lines.len()` in the loop
     fn parse(lines: &[String]) -> Result<Checkpoint, CheckpointError> {
-        let header =
-            lines.first().ok_or_else(|| CheckpointError::BadHeader { line: String::new() })?;
+        let header = lines
+            .first()
+            .ok_or_else(|| CheckpointError::BadHeader { line: String::new(), truncated: false })?;
         let (n_voxels, task_size) = parse_header(header)?;
         let mut tasks: Vec<TaskRecord> = Vec::new();
         let mut truncated_tail = false;
@@ -103,7 +107,7 @@ impl Checkpoint {
 }
 
 fn parse_header(line: &str) -> Result<(usize, usize), CheckpointError> {
-    let bad = || CheckpointError::BadHeader { line: line.to_owned() };
+    let bad = || CheckpointError::BadHeader { line: line.to_owned(), truncated: false };
     let rest = line.strip_prefix(MAGIC).ok_or_else(bad)?;
     let mut n_voxels = None;
     let mut task_size = None;
@@ -376,6 +380,32 @@ mod tests {
         w.record(t0, &sample_scores(t0)).expect("record");
         drop(w);
         assert!(matches!(Checkpoint::load(&path), Err(CheckpointError::Corrupt { .. })));
+    }
+
+    #[test]
+    fn header_cut_at_any_point_is_a_truncated_header() {
+        let path = tmp("cutheader.ckpt");
+        let t0 = VoxelTask { start: 0, count: 16 };
+        let mut w = CheckpointWriter::create(&path, 48, 16).expect("create");
+        w.record(t0, &sample_scores(t0)).expect("record");
+        drop(w);
+        let whole = std::fs::read(&path).expect("read");
+        let header_len = whole.iter().position(|&b| b == b'\n').expect("header line");
+        // Every cut from the empty file to the header without its newline;
+        // `...task_size=1` among them parses as a header of another sweep.
+        for cut in 0..=header_len {
+            std::fs::write(&path, &whole[..cut]).expect("write");
+            match Checkpoint::load(&path) {
+                Err(e @ CheckpointError::BadHeader { truncated: true, .. }) => {
+                    assert!(e.to_string().contains("truncated"), "cut {cut}: {e}");
+                }
+                other => panic!("cut {cut}: expected a truncated header, got {other:?}"),
+            }
+        }
+        // With its newline the header is whole: a sweep with no tasks yet.
+        std::fs::write(&path, &whole[..=header_len]).expect("write");
+        let ck = Checkpoint::load(&path).expect("whole header");
+        assert_eq!((ck.n_voxels, ck.task_size, ck.tasks.len()), (48, 16, 0));
     }
 
     #[test]

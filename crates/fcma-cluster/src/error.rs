@@ -105,6 +105,8 @@ pub enum CheckpointError {
     BadHeader {
         /// What the first line actually said.
         line: String,
+        /// The file ends inside that line: it was cut short.
+        truncated: bool,
     },
     /// A record is structurally invalid or fails its checksum.
     Corrupt {
@@ -121,7 +123,10 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::Io { path, error } => {
                 write!(f, "{}: {error}", path.display())
             }
-            CheckpointError::BadHeader { line } => {
+            CheckpointError::BadHeader { line, truncated: true } => {
+                write!(f, "checkpoint header {line:?} has no line end: the file is truncated")
+            }
+            CheckpointError::BadHeader { line, truncated: false } => {
                 write!(f, "unrecognized checkpoint header {line:?}")
             }
             CheckpointError::Corrupt { line, reason } => {

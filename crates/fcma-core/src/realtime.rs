@@ -378,8 +378,7 @@ impl OnlineSession {
                 session_voxels: n,
             });
         }
-        let raw = voxel_major(&self.volumes[ep.start..ep.start + ep.len], n);
-        let norm = NormalizedEpochs::from_windows(&raw, std::slice::from_ref(&(0..ep.len)));
+        let norm = NormalizedEpochs::from_volumes(&self.volumes[ep.start..ep.start + ep.len], n);
         Ok(fb.primal_decision(&fb.features(norm.brain(0))))
     }
 }
@@ -578,6 +577,31 @@ mod tests {
             assert_eq!(primal.signum(), dual.signum(), "epoch {e}: {primal} vs {dual}");
             let tol = 1e-4 * dual.abs().max(1.0);
             assert!((primal - dual).abs() <= tol, "epoch {e}: {primal} vs {dual}");
+        }
+    }
+
+    /// `score_epoch` as it was before it normalised the time-major
+    /// volumes directly: the window transposed voxel-major, then
+    /// normalised as one window of that matrix.
+    fn score_through_voxel_major(s: &OnlineSession, fb: &FeedbackModel, e: usize) -> f32 {
+        let ep = s.epochs[e];
+        let raw = voxel_major(&s.volumes[ep.start..ep.start + ep.len], s.cfg.n_voxels);
+        let norm = NormalizedEpochs::from_windows(&raw, std::slice::from_ref(&(0..ep.len)));
+        fb.primal_decision(&fb.features(norm.brain(0)))
+    }
+
+    #[test]
+    fn scoring_from_volumes_is_the_voxel_major_bits() {
+        // Every epoch of the session, training and newer, through both
+        // normalisations: 96 voxels is one full block and one part block.
+        let (d, _, scfg) = single_subject();
+        let mut s = stream(&d, scfg, 14);
+        let fb = s.train_feedback().unwrap();
+        feed(&mut s, &d, 14..20);
+        for e in 0..s.n_epochs() {
+            let got = s.score_epoch(&fb, e).unwrap();
+            let want = score_through_voxel_major(&s, &fb, e);
+            assert_eq!(got.to_bits(), want.to_bits(), "epoch {e}: {got} vs {want}");
         }
     }
 

@@ -21,6 +21,49 @@ use std::ops::Range;
 /// (DESIGN.md §8 has the widths and loop orders measured).
 const VOXEL_BLOCK: usize = 64;
 
+/// Normalize the block of voxels `v0..v0 + width` of epoch matrix `out`
+/// (`k × N`) from `rows`, its `k` raw time points in order, one voxel per
+/// column from column 0 (a row may run past `width`; the extra columns
+/// are never stored). Each column's `f64` sums are accumulated in time
+/// order, all columns side by side, and each row is normalized straight
+/// into a contiguous run of `out`.
+fn normalize_block<'a>(
+    rows: impl Iterator<Item = &'a [f32]> + Clone,
+    out: &mut Mat,
+    v0: usize,
+    width: usize,
+) {
+    let mut sum = [0.0f64; VOXEL_BLOCK];
+    let mut sum_sq = [0.0f64; VOXEL_BLOCK];
+    for row in rows.clone() {
+        for ((s, s2), &raw) in sum.iter_mut().zip(&mut sum_sq).zip(row) {
+            let raw = f64::from(raw);
+            *s += raw;
+            *s2 += raw * raw;
+        }
+    }
+    // Per column: Eq. 2's (mean, 1/rss), and whether it has one (a
+    // constant voxel does not). Three flat arrays, not one of `Option`s,
+    // so the store loop below vectorises.
+    let mut mean = [0.0f32; VOXEL_BLOCK];
+    let mut inv = [0.0f32; VOXEL_BLOCK];
+    let mut live = [false; VOXEL_BLOCK];
+    let k = out.rows();
+    for j in 0..width {
+        let scale = epoch_scale(sum[j], sum_sq[j], k);
+        live[j] = scale.is_some();
+        (mean[j], inv[j]) = scale.unwrap_or_default();
+    }
+    for (t, row) in rows.enumerate() {
+        let out = &mut out.row_mut(t)[v0..v0 + width];
+        for ((((out, &raw), &mean), &inv), &live) in
+            out.iter_mut().zip(row).zip(&mean).zip(&inv).zip(&live)
+        {
+            *out = if live { (raw - mean) * inv } else { 0.0 };
+        }
+    }
+}
+
 /// All epochs of a dataset, normalized per Eq. 2 and laid out for the
 /// correlation kernels.
 #[derive(Debug, Clone)]
@@ -60,17 +103,14 @@ impl NormalizedEpochs {
     }
 
     /// Normalize the time windows `windows` of a raw `voxels × time`
-    /// activity matrix, one epoch per window (in `windows` order). A
-    /// caller holding one epoch's volumes, and no epoch table, normalizes
-    /// them as a single window.
+    /// activity matrix, one epoch per window (in `windows` order).
     ///
     /// Walks the voxels in blocks of [`VOXEL_BLOCK`]. For each block and
     /// each window, the voxels' raw windows are copied into a
-    /// `k × block` tile (one voxel per column), every column's `f64` sums
-    /// are accumulated in time order side by side, and each tile row is
-    /// normalized straight into a contiguous run of the epoch's matrix.
-    /// Per voxel the arithmetic is [`fcma_linalg::normalize_epoch`]'s, bit
-    /// for bit, and every raw row is read once, front to back.
+    /// `k × block` tile (one voxel per column) and the tile is normalized
+    /// by [`normalize_block`]. Per voxel the arithmetic is
+    /// [`fcma_linalg::normalize_epoch`]'s, bit for bit, and every raw row
+    /// is read once, front to back.
     ///
     /// # Panics
     /// Panics if a window reaches past the matrix's time points.
@@ -79,14 +119,6 @@ impl NormalizedEpochs {
         let mut brain: Vec<Mat> = windows.iter().map(|w| Mat::zeros(w.len(), n)).collect();
         let k_max = brain.iter().map(Mat::rows).max().unwrap_or(0);
         let mut tile = vec![0.0f32; k_max * VOXEL_BLOCK];
-        let mut sum = [0.0f64; VOXEL_BLOCK];
-        let mut sum_sq = [0.0f64; VOXEL_BLOCK];
-        // Per column: Eq. 2's (mean, 1/rss), and whether it has one (a
-        // constant voxel does not). Three flat arrays, not one of
-        // `Option`s, so the store loop below vectorises.
-        let mut mean = [0.0f32; VOXEL_BLOCK];
-        let mut inv = [0.0f32; VOXEL_BLOCK];
-        let mut live = [false; VOXEL_BLOCK];
         for v0 in (0..n).step_by(VOXEL_BLOCK) {
             let width = VOXEL_BLOCK.min(n - v0);
             for (window, m) in windows.iter().zip(&mut brain) {
@@ -98,32 +130,28 @@ impl NormalizedEpochs {
                         row[j] = raw;
                     }
                 }
-                // Each column's sums in time order, all columns at once.
-                sum.fill(0.0);
-                sum_sq.fill(0.0);
-                for row in tile.chunks_exact(VOXEL_BLOCK).take(k) {
-                    for ((s, s2), &raw) in sum.iter_mut().zip(&mut sum_sq).zip(row) {
-                        let raw = f64::from(raw);
-                        *s += raw;
-                        *s2 += raw * raw;
-                    }
-                }
-                for j in 0..width {
-                    let scale = epoch_scale(sum[j], sum_sq[j], k);
-                    live[j] = scale.is_some();
-                    (mean[j], inv[j]) = scale.unwrap_or_default();
-                }
-                for (t, row) in tile.chunks_exact(VOXEL_BLOCK).take(k).enumerate() {
-                    let out = &mut m.row_mut(t)[v0..v0 + width];
-                    for ((((out, &raw), &mean), &inv), &live) in
-                        out.iter_mut().zip(row).zip(&mean).zip(&inv).zip(&live)
-                    {
-                        *out = if live { (raw - mean) * inv } else { 0.0 };
-                    }
-                }
+                normalize_block(tile.chunks_exact(VOXEL_BLOCK).take(k), m, v0, width);
             }
         }
         NormalizedEpochs { brain, n_voxels: n }
+    }
+
+    /// Normalize one epoch held as time-major volumes of `n` voxels each,
+    /// volume `t` being the epoch's time point `t`: the bits of
+    /// [`Self::from_windows`] over the same window laid out voxel-major.
+    /// A volume is already a row of the `k × N` epoch matrix, so each
+    /// block of [`VOXEL_BLOCK`] voxels is normalized straight from the
+    /// volumes' runs, with no tile and no transposition.
+    ///
+    /// # Panics
+    /// Panics if a volume holds fewer than `n` values.
+    pub fn from_volumes(volumes: &[Vec<f32>], n: usize) -> Self {
+        let mut m = Mat::zeros(volumes.len(), n);
+        for v0 in (0..n).step_by(VOXEL_BLOCK) {
+            let width = VOXEL_BLOCK.min(n - v0);
+            normalize_block(volumes.iter().map(|v| &v[v0..v0 + width]), &mut m, v0, width);
+        }
+        NormalizedEpochs { brain: vec![m], n_voxels: n }
     }
 
     /// Number of epochs.
@@ -210,15 +238,21 @@ mod tests {
 
     #[test]
     fn a_lone_window_normalizes_as_its_epoch() {
-        // Epoch 1's volumes alone, with no epoch table, give the bits of
-        // epoch 1 normalized inside the dataset.
+        // Epoch 1's volumes alone, with no epoch table, as a voxel-major
+        // window or as time-major volumes, give the bits of epoch 1
+        // normalized inside the dataset.
         let d = dataset();
         let ne = NormalizedEpochs::from_dataset(&d);
         let window = Mat::from_fn(3, 12, |r, c| d.data().get(r, 12 + c));
         let lone = NormalizedEpochs::from_windows(&window, std::slice::from_ref(&(0..12)));
-        assert_eq!(lone.n_epochs(), 1);
-        for (a, b) in lone.brain(0).as_slice().iter().zip(ne.brain(1).as_slice()) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        let volumes: Vec<Vec<f32>> =
+            (12..24).map(|t| (0..3).map(|v| d.data().get(v, t)).collect()).collect();
+        let streamed = NormalizedEpochs::from_volumes(&volumes, 3);
+        for lone in [lone, streamed] {
+            assert_eq!(lone.n_epochs(), 1);
+            for (a, b) in lone.brain(0).as_slice().iter().zip(ne.brain(1).as_slice()) {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
         }
     }
 

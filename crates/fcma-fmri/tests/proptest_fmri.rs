@@ -213,6 +213,47 @@ proptest! {
         }
     }
 
+    /// One epoch's time-major volumes normalize to the bits of
+    /// `from_windows` over the same window laid out voxel-major: voxel
+    /// counts that are no multiple of the vector or block width, epochs
+    /// of one time point and more, a constant voxel, series near 1e4
+    /// (where the one-pass variance cancels) and values up to ±1e4.
+    #[test]
+    fn time_major_normalisation_is_bit_identical_to_voxel_major(
+        n in prop_oneof![Just(1usize), Just(7), Just(65), Just(2049)],
+        k in prop_oneof![Just(1usize), Just(2), Just(12), Just(15)],
+        dead in any::<u64>(),
+        seed in any::<u64>(),
+    ) {
+        let dead = (dead % n as u64) as usize;
+        let mut state = seed | 1;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 40) as f32 / (1u64 << 24) as f32
+        };
+        let volumes: Vec<Vec<f32>> = (0..k)
+            .map(|_| {
+                (0..n)
+                    .map(|v| match v % 4 {
+                        _ if v == dead => -1234.5,
+                        1 => 9990.0 + 10.0 * next(),
+                        _ => 1e4 * (2.0 * next() - 1.0),
+                    })
+                    .collect()
+            })
+            .collect();
+        let got = NormalizedEpochs::from_volumes(&volumes, n);
+        let voxel_major = Mat::from_fn(n, k, |v, t| volumes[t][v]);
+        let want = NormalizedEpochs::from_windows(&voxel_major, std::slice::from_ref(&(0..k)));
+        prop_assert_eq!((got.n_epochs(), got.n_voxels()), (1, n));
+        let (got, want) = (got.brain(0), want.brain(0));
+        prop_assert_eq!((got.rows(), got.cols()), (want.rows(), want.cols()));
+        for (i, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            prop_assert!(g.to_bits() == w.to_bits(), "t {} voxel {}: {} vs {}", i / n, i % n, g, w);
+        }
+        prop_assert!((0..k).all(|t| got.get(t, dead) == 0.0));
+    }
+
     /// Normalized epochs have unit self-correlation for non-constant
     /// voxels regardless of config.
     #[test]
