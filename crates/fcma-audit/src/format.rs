@@ -184,8 +184,8 @@ mod tests {
             Violation {
                 file: "crates/fcma-cluster/src/driver.rs".to_owned(),
                 line: 9,
-                pass: "syncfacade",
-                message: "`std::sync::Mutex` bypasses the fcma-sync facade".to_owned(),
+                pass: "tracename",
+                message: "trace name `cluster.rogue` is not documented".to_owned(),
             },
         ]
     }
@@ -196,8 +196,8 @@ mod tests {
         let want = "crates/fcma-linalg/src/mat.rs:27: panicpath: pub fn `zeros` can panic \
                     (`panic!` at mat.rs:27)\n\
                     DESIGN.md:1: layering: table lists `fcma-gone\u{2014}with \"quotes\"`\n\
-                    crates/fcma-cluster/src/driver.rs:9: syncfacade: `std::sync::Mutex` \
-                    bypasses the fcma-sync facade\n";
+                    crates/fcma-cluster/src/driver.rs:9: tracename: trace name `cluster.rogue` \
+                    is not documented\n";
         assert_eq!(got, want);
     }
 
@@ -210,8 +210,8 @@ mod tests {
                     {\"file\":\"DESIGN.md\",\"line\":1,\"pass\":\"layering\",\
                     \"message\":\"table lists `fcma-gone\u{2014}with \\\"quotes\\\"`\"}\n\
                     {\"file\":\"crates/fcma-cluster/src/driver.rs\",\"line\":9,\
-                    \"pass\":\"syncfacade\",\"message\":\"`std::sync::Mutex` bypasses the \
-                    fcma-sync facade\"}\n";
+                    \"pass\":\"tracename\",\"message\":\"trace name `cluster.rogue` is not \
+                    documented\"}\n";
         assert_eq!(got, want);
     }
 

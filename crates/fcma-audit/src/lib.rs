@@ -1,19 +1,20 @@
 //! fcma-audit: workspace-wide static analysis for the FCMA codebase.
 //!
 //! A zero-dependency (std-only) lint tool that walks the workspace
-//! source tree and enforces project-specific invariants that `clippy`
-//! cannot express: no lossy `as` casts in the numeric kernel crates,
-//! property-test coverage of every public linalg kernel, trace-probe
-//! names that match the DESIGN.md §Observability taxonomy, the crate
+//! source tree and enforces project-specific invariants that rustc and
+//! `clippy` cannot express: property-test coverage of every public
+//! linalg kernel, trace-probe names that match the DESIGN.md
+//! §Observability taxonomy, manifest edges that follow the crate
 //! layering DAG of DESIGN.md §Architecture contracts, call-graph panic
-//! reachability of library `pub fn`s, workspace-`pub` items nobody
-//! references, stale allow markers and `// audit:` comments that are not
-//! allow markers, and the DESIGN.md §16 atomics memory-ordering contracts
-//! ([`passes::check_atomicorder`]).
+//! reachability of library `pub fn`s, the DESIGN.md §16 atomics
+//! memory-ordering contracts ([`passes::check_atomicorder`]), and stale
+//! allow markers and `// audit:` comments that are not allow markers.
+//! Casts, raw `std::sync`/`std::thread` and stale lint attributes are
+//! left to clippy (`clippy::as_conversions`, the workspace
+//! `clippy.toml`, `#[expect]`).
 //!
-//! Run it with `cargo run -p fcma-audit -- check [--format human|json]
-//! [--passes a,b,c]`, or `-- stats [--check FILE]` for the per-pass
-//! counts. Exit code 0 means clean, 1 means violations were printed, 2
+//! Run it with `cargo run -p fcma-audit -- check [--format human|json]`,
+//! or `-- stats [--check FILE]` for the per-pass counts. Exit code 0 means clean, 1 means violations were printed, 2
 //! means the tool itself could not run (bad usage or I/O failure). Every
 //! pass has a seeded violation in the crate's tests, so none is green
 //! only because it checks nothing.

@@ -1,7 +1,6 @@
 //! Command-line driver for the FCMA static-analysis audit.
 //!
-//! Usage: `fcma-audit check [--root DIR] [--format human|json]
-//! [--passes a,b,c] [--changed [--since REF]]`,
+//! Usage: `fcma-audit check [--root DIR] [--format human|json]`,
 //! or `fcma-audit stats [--root DIR] [--check FILE]`.
 //!
 //! With no `--root`, the workspace root is resolved from the location
@@ -9,10 +8,9 @@
 //! `cargo run -p fcma-audit -- check` works from any directory inside
 //! the workspace.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
-use fcma_audit::passes::{ESCAPABLE_PASSES, PASS_NAMES};
 use fcma_audit::Format;
 
 fn main() -> ExitCode {
@@ -20,10 +18,7 @@ fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut format = Format::Human;
     let mut command: Option<String> = None;
-    let mut passes: Option<Vec<String>> = None;
     let mut baseline: Option<PathBuf> = None;
-    let mut changed = false;
-    let mut since: Option<String> = None;
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -35,27 +30,10 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--changed" => changed = true,
-            "--since" => match it.next() {
-                Some(r) => since = Some(r.clone()),
-                None => {
-                    eprintln!("fcma-audit: --since requires a git ref argument");
-                    return ExitCode::from(2);
-                }
-            },
             "--format" => match it.next().and_then(|v| Format::parse(v)) {
                 Some(f) => format = f,
                 None => {
                     eprintln!("fcma-audit: --format requires `human` or `json`");
-                    return ExitCode::from(2);
-                }
-            },
-            "--passes" => match it.next() {
-                Some(list) => {
-                    passes = Some(list.split(',').map(str::to_owned).collect());
-                }
-                None => {
-                    eprintln!("fcma-audit: --passes requires a comma-separated pass list");
                     return ExitCode::from(2);
                 }
             },
@@ -78,26 +56,6 @@ fn main() -> ExitCode {
         }
     }
 
-    let selected: Vec<&str> = match &passes {
-        None => PASS_NAMES.to_vec(),
-        Some(list) => {
-            let mut sel = Vec::new();
-            for p in list {
-                match PASS_NAMES.iter().find(|known| **known == p.as_str()) {
-                    Some(known) => sel.push(*known),
-                    None => {
-                        eprintln!(
-                            "fcma-audit: unknown pass `{p}` (known: {})",
-                            PASS_NAMES.join(", ")
-                        );
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            sel
-        }
-    };
-
     match command.as_deref() {
         Some("check") => {
             if baseline.is_some() {
@@ -105,12 +63,7 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         }
-        Some("stats") => {
-            if passes.is_some() {
-                eprintln!("fcma-audit: `stats` always covers every pass; drop --passes");
-                return ExitCode::from(2);
-            }
-        }
+        Some("stats") => {}
         Some(other) => {
             eprintln!("fcma-audit: unknown command `{other}`\n{USAGE}");
             return ExitCode::from(2);
@@ -120,20 +73,10 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     }
-    if (changed || since.is_some()) && command.as_deref() != Some("check") {
-        eprintln!("fcma-audit: --changed/--since belong to the `check` command");
-        return ExitCode::from(2);
-    }
-    if since.is_some() && !changed {
-        eprintln!("fcma-audit: --since requires --changed");
-        return ExitCode::from(2);
-    }
 
     let root =
         root.unwrap_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("..").join(".."));
 
-    // Analysis first: selection validation below is data-driven (it
-    // needs the workspace's actual markers, not just the pass list).
     let ws = match fcma_audit::analyze(&root) {
         Ok(ws) => ws,
         Err(e) => {
@@ -189,46 +132,7 @@ fn main() -> ExitCode {
         };
     }
 
-    // `unusedallow` decides staleness from which markers the other
-    // passes consumed; excluding a pass whose markers exist in the tree
-    // would flag those markers as stale only because their pass did not
-    // run. Reject exactly those selections, naming the stranded markers.
-    if passes.is_some() && selected.contains(&"unusedallow") {
-        let mut stranded = Vec::new();
-        for f in &ws.files {
-            for m in f.markers() {
-                if ESCAPABLE_PASSES.contains(&m.pass.as_str())
-                    && !selected.contains(&m.pass.as_str())
-                {
-                    stranded.push(format!("{}:{}: allow({})", f.rel_path, m.line + 1, m.pass));
-                }
-            }
-        }
-        if !stranded.is_empty() {
-            eprintln!(
-                "fcma-audit: `unusedallow` is selected but --passes excludes passes whose \
-                 markers exist in the tree (they would be reported stale only because their \
-                 pass did not run); select those passes too, or drop `unusedallow`:"
-            );
-            for s in stranded {
-                eprintln!("  {s}");
-            }
-            return ExitCode::from(2);
-        }
-    }
-
-    let mut violations = ws.run_selected(&selected);
-    if changed {
-        match changed_files(&root, since.as_deref().unwrap_or("HEAD")) {
-            Some(files) => {
-                violations.retain(|v| files.contains(&v.file));
-            }
-            None => eprintln!(
-                "fcma-audit: --changed: git unavailable or not a repository; \
-                 reporting the full run"
-            ),
-        }
-    }
+    let violations = ws.run_all();
     print!("{}", fcma_audit::render(&violations, format));
     if violations.is_empty() {
         // JSON consumers get a silent empty stream; humans get a
@@ -245,23 +149,7 @@ fn main() -> ExitCode {
     }
 }
 
-/// Workspace-relative paths changed against `reference`, per
-/// `git diff --name-only` plus untracked files; `None` when git is
-/// unavailable or the root is not a repository, in which case the
-/// caller falls back to the full run (a scoping aid must never hide
-/// violations just because git is missing).
-fn changed_files(root: &Path, reference: &str) -> Option<std::collections::BTreeSet<String>> {
-    let run = |args: &[&str]| {
-        let out = std::process::Command::new("git").arg("-C").arg(root).args(args).output().ok()?;
-        out.status.success().then(|| String::from_utf8_lossy(&out.stdout).into_owned())
-    };
-    let diff = run(&["diff", "--name-only", reference])?;
-    let untracked = run(&["ls-files", "--others", "--exclude-standard"]).unwrap_or_default();
-    Some(diff.lines().chain(untracked.lines()).map(str::to_owned).collect())
-}
-
-const USAGE: &str = "usage: fcma-audit check [--root DIR] [--format human|json] [--passes a,b,c]
-                        [--changed [--since REF]]
+const USAGE: &str = "usage: fcma-audit check [--root DIR] [--format human|json]
        fcma-audit stats [--root DIR] [--check FILE]
 
 commands:
@@ -277,39 +165,26 @@ output:
   --format human  file:line: pass: message (default)
   --format json   one JSON object per violation:
                   {\"file\":…,\"line\":…,\"pass\":…,\"message\":…}
-  --passes a,b,c  run only the named passes; selecting `unusedallow`
-                  while excluding a pass whose allow markers exist in
-                  the tree is rejected (stranded markers would read as
-                  stale)
   --check FILE    (stats) compare against FILE instead of printing
-  --changed       (check) report only violations in files changed per
-                  `git diff --name-only` against --since REF (default
-                  HEAD) plus untracked files; every pass still runs over
-                  the whole tree, so cross-file analyses stay sound.
-                  Falls back to the full report when git is unavailable
 
-passes:
-  cast         no `as` numeric casts in kernel crates (fcma-linalg, fcma-core)
+passes (in run order):
   proptest     every pub fn kernel in fcma-linalg has a property test
   tracename    every span!/event!/counter!/histogram! name is snake.dotted
                and documented in DESIGN.md §Observability
-  layering     Cargo.toml edges and fcma_*:: references obey the crate
-               DAG in DESIGN.md §Architecture contracts
+  layering     Cargo.toml edges obey the crate DAG in DESIGN.md
+               §Architecture contracts, and the table lists every crate
   panicpath    no library pub fn reaches panic!/unwrap/expect/[idx]
                (call-graph transitive; `# Panics` docs excuse a fn)
-  deadpub      no workspace-pub item without cross-crate references
-  syncfacade   no raw std::sync/std::thread outside the fcma-sync
-               facade (Arc/Weak stay allowed)
   atomicorder  every Ordering::* site matches a DESIGN.md §16 atomics
                contract row (orderings allowed, site count)
   unusedallow  every allow marker must suppress something, and every
                `// audit:` comment must be an allow marker
 
 escape markers (same line or the line above; reason mandatory):
-  // audit: allow(cast) — <reason>
   // audit: allow(proptest) — <reason>
   // audit: allow(tracename) — <reason>
   // audit: allow(panicpath) — <reason>
-  // audit: allow(deadpub) — <reason>
-  // audit: allow(syncfacade) — <reason>
-  // audit: allow(atomicorder) — <reason>";
+  // audit: allow(atomicorder) — <reason>
+
+casts, raw std::sync/std::thread and stale lint attributes are clippy's
+(clippy::as_conversions, clippy.toml, #[expect]); see DESIGN.md §10";

@@ -1,7 +1,6 @@
 //! Token-tree parser: turns the lexer's scrubbed code view into a
-//! per-file item model — functions (with owner type, visibility,
-//! `# Panics` docs, call sites, and panic sources), type items (structs,
-//! enums, traits), and cross-crate path references.
+//! per-file item model: functions with their owner type, visibility,
+//! `# Panics` docs, call sites and panic sources.
 //!
 //! This is deliberately not a full Rust grammar. It is a single linear
 //! walk over a token stream with a context stack (module / impl / trait
@@ -75,10 +74,6 @@ pub struct FnItem {
     pub name: String,
     /// Enclosing `impl` block's type name, if any.
     pub owner: Option<String>,
-    /// Whether the enclosing impl is `impl Trait for Type`.
-    pub trait_impl: bool,
-    /// Declared inside a `trait { … }` body.
-    pub in_trait: bool,
     /// Visibility.
     pub vis: Vis,
     /// 0-based line of the `fn` keyword.
@@ -93,39 +88,11 @@ pub struct FnItem {
     pub sources: Vec<PanicSource>,
 }
 
-/// Kinds of type items tracked.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TypeKind {
-    /// `struct`.
-    Struct,
-    /// `enum`.
-    Enum,
-    /// `trait`.
-    Trait,
-}
-
-/// One `struct` / `enum` / `trait` item.
-#[derive(Debug, Clone)]
-pub struct TypeItem {
-    /// Which kind of item.
-    pub kind: TypeKind,
-    /// Type name.
-    pub name: String,
-    /// Visibility.
-    pub vis: Vis,
-    /// 0-based declaration line.
-    pub line: usize,
-}
-
 /// The parsed view of one source file.
 #[derive(Debug, Clone, Default)]
 pub struct ParsedFile {
     /// Every `fn` item, in declaration order.
     pub fns: Vec<FnItem>,
-    /// Every `struct`/`enum`/`trait` item.
-    pub types: Vec<TypeItem>,
-    /// `fcma_*` crate path references: (crate ident, 0-based line).
-    pub crate_refs: Vec<(String, usize)>,
 }
 
 /// Macros whose invocation is a panic source.
@@ -182,10 +149,11 @@ fn tokenize(scan: &Scanned) -> Vec<(Tok, usize)> {
 /// What an opening `{` is about to introduce.
 #[derive(Debug, Clone)]
 enum Ctx {
-    Mod,
-    Impl { type_name: Option<String>, trait_impl: bool },
-    Trait,
+    Impl {
+        type_name: Option<String>,
+    },
     Fn,
+    /// A module, trait or any other brace.
     Block,
 }
 
@@ -203,7 +171,6 @@ enum Mode {
     ImplHeader {
         angle: i32,
         type_name: Option<String>,
-        trait_impl: bool,
     },
     /// Between `trait Name` and its `{`.
     TraitHeader,
@@ -227,20 +194,12 @@ impl<'a> Parser<'a> {
         self.toks.get(self.i + off).map(|(t, _)| t)
     }
 
-    fn peek_line(&self, off: usize) -> usize {
-        self.toks.get(self.i + off).map_or(0, |&(_, l)| l)
-    }
-
-    /// Innermost enclosing impl context, if the direct item parent is one.
-    fn impl_ctx(&self) -> Option<(Option<String>, bool)> {
+    /// The type of the enclosing impl, if the direct item parent is one.
+    fn impl_type(&self) -> Option<String> {
         match self.stack.last() {
-            Some(Ctx::Impl { type_name, trait_impl }) => Some((type_name.clone(), *trait_impl)),
+            Some(Ctx::Impl { type_name }) => type_name.clone(),
             _ => None,
         }
-    }
-
-    fn in_trait_body(&self) -> bool {
-        matches!(self.stack.last(), Some(Ctx::Trait))
     }
 
     /// Does the doc comment block directly above 0-based `line` contain a
@@ -340,8 +299,7 @@ impl<'a> Parser<'a> {
         let Mode::FnHeader { fn_idx, mut parens, mut brackets } = self.mode.clone() else {
             return;
         };
-        let (tok, line) = &self.toks[self.i];
-        match tok {
+        match &self.toks[self.i].0 {
             Tok::P('(') => parens += 1,
             Tok::P(')') => parens -= 1,
             Tok::P('[') => brackets += 1,
@@ -358,7 +316,6 @@ impl<'a> Parser<'a> {
                 self.i += 1;
                 return;
             }
-            Tok::Ident(w) => self.note_crate_ref(w, *line),
             _ => {}
         }
         self.mode = Mode::FnHeader { fn_idx, parens, brackets };
@@ -366,40 +323,33 @@ impl<'a> Parser<'a> {
     }
 
     fn step_impl_header(&mut self) {
-        let Mode::ImplHeader { mut angle, mut type_name, mut trait_impl } = self.mode.clone()
-        else {
+        let Mode::ImplHeader { mut angle, mut type_name } = self.mode.clone() else {
             return;
         };
-        let (tok, line) = &self.toks[self.i];
-        match tok {
+        match &self.toks[self.i].0 {
             Tok::P('<') => angle += 1,
             Tok::P('>') => angle = (angle - 1).max(0), // `->` in `impl Fn() -> T`
             Tok::P('{') => {
-                self.stack.push(Ctx::Impl { type_name, trait_impl });
+                self.stack.push(Ctx::Impl { type_name });
                 self.mode = Mode::Normal;
                 self.i += 1;
                 return;
             }
-            Tok::Ident(w) if angle == 0 => {
-                self.note_crate_ref(w, *line);
-                if w == "for" {
-                    trait_impl = true;
-                    type_name = None;
-                } else if type_name.is_none() && w != "dyn" {
-                    type_name = Some(w.clone());
-                }
+            // `impl Trait for Type`: the type is the name after `for`.
+            Tok::Ident(w) if angle == 0 && w == "for" => type_name = None,
+            Tok::Ident(w) if angle == 0 && type_name.is_none() && w != "dyn" => {
+                type_name = Some(w.clone());
             }
-            Tok::Ident(w) => self.note_crate_ref(w, *line),
             _ => {}
         }
-        self.mode = Mode::ImplHeader { angle, type_name, trait_impl };
+        self.mode = Mode::ImplHeader { angle, type_name };
         self.i += 1;
     }
 
     fn step_trait_header(&mut self) {
         match &self.toks[self.i].0 {
             Tok::P('{') => {
-                self.stack.push(Ctx::Trait);
+                self.stack.push(Ctx::Block);
                 self.mode = Mode::Normal;
             }
             Tok::P(';') => self.mode = Mode::Normal, // `trait Alias = …;`
@@ -408,19 +358,10 @@ impl<'a> Parser<'a> {
         self.i += 1;
     }
 
-    /// Record `fcma_*` crate references (`fcma_x::…` paths and
-    /// `use fcma_x…`).
-    fn note_crate_ref(&mut self, w: &str, line: usize) {
-        if w.starts_with("fcma_") && self.peek(1) == Some(&Tok::P(':')) {
-            self.out.crate_refs.push((w.to_owned(), line));
-        }
-    }
-
     fn step_normal(&mut self) {
         let (tok, line) = self.toks[self.i].clone();
         match tok {
             Tok::Ident(w) => {
-                self.note_crate_ref(&w, line);
                 match w.as_str() {
                     "pub" => {
                         self.i += 1;
@@ -433,21 +374,19 @@ impl<'a> Parser<'a> {
                     }
                     "use" => {
                         self.pending_vis = Vis::Private;
-                        // `use fcma_x;` has no `::`, so catch it here.
-                        if let Some(Tok::Ident(n)) = self.peek(1) {
-                            if n.starts_with("fcma_") {
-                                self.out.crate_refs.push((n.clone(), self.peek_line(1)));
-                            }
-                        }
                         while self.i < self.toks.len() && self.toks[self.i].0 != Tok::P(';') {
                             self.i += 1;
                         }
                         self.i += 1;
                     }
                     "fn" => self.start_fn(line),
-                    "struct" => self.start_struct(line),
-                    "enum" => self.start_enum(line),
-                    "trait" => self.start_trait(line),
+                    "struct" => self.skip_struct(),
+                    "enum" => self.skip_enum(),
+                    "trait" => {
+                        self.pending_vis = Vis::Private;
+                        self.mode = Mode::TraitHeader;
+                        self.i += 1;
+                    }
                     "mod" => {
                         self.pending_vis = Vis::Private;
                         self.i += 1; // name, then `{` pushes Mod or `;` ends
@@ -455,14 +394,13 @@ impl<'a> Parser<'a> {
                             self.i += 1;
                         }
                         if self.peek(0) == Some(&Tok::P('{')) {
-                            self.stack.push(Ctx::Mod);
+                            self.stack.push(Ctx::Block);
                             self.i += 1;
                         }
                     }
                     "impl" => {
                         self.pending_vis = Vis::Private;
-                        self.mode =
-                            Mode::ImplHeader { angle: 0, type_name: None, trait_impl: false };
+                        self.mode = Mode::ImplHeader { angle: 0, type_name: None };
                         self.i += 1;
                         self.skip_generics();
                     }
@@ -620,12 +558,9 @@ impl<'a> Parser<'a> {
             }
         };
         self.i += 1;
-        let (owner, trait_impl) = self.impl_ctx().unwrap_or((None, false));
         let item = FnItem {
             name,
-            owner,
-            trait_impl,
-            in_trait: self.in_trait_body(),
+            owner: self.impl_type(),
             vis,
             line,
             doc_panics: self.doc_has_panics(line),
@@ -638,14 +573,14 @@ impl<'a> Parser<'a> {
         self.mode = Mode::FnHeader { fn_idx, parens: 0, brackets: 0 };
     }
 
-    fn start_struct(&mut self, line: usize) {
-        let vis = self.take_vis();
+    /// Skip a `struct` item, so its field types never read as code.
+    fn skip_struct(&mut self) {
+        self.pending_vis = Vis::Private;
         self.i += 1;
-        let Some(Tok::Ident(name)) = self.peek(0).cloned() else {
+        if !matches!(self.peek(0), Some(Tok::Ident(_))) {
             return;
-        };
+        }
         self.i += 1;
-        self.out.types.push(TypeItem { kind: TypeKind::Struct, name, vis, line });
         self.skip_generics();
         // Skip the body: `{…}`, `(…);`, or a bare `;`.
         loop {
@@ -665,23 +600,13 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn start_trait(&mut self, line: usize) {
-        let vis = self.take_vis();
+    /// Skip an `enum` item: its variants are neither calls nor items.
+    fn skip_enum(&mut self) {
+        self.pending_vis = Vis::Private;
         self.i += 1;
-        let Some(Tok::Ident(name)) = self.peek(0).cloned() else {
+        if !matches!(self.peek(0), Some(Tok::Ident(_))) {
             return;
-        };
-        self.i += 1;
-        self.out.types.push(TypeItem { kind: TypeKind::Trait, name, vis, line });
-        self.mode = Mode::TraitHeader;
-    }
-
-    fn start_enum(&mut self, line: usize) {
-        let vis = self.take_vis();
-        self.i += 1;
-        let Some(Tok::Ident(name)) = self.peek(0).cloned() else {
-            return;
-        };
+        }
         self.i += 1;
         self.skip_generics();
         // Skip `where` clauses up to the body.
@@ -691,7 +616,6 @@ impl<'a> Parser<'a> {
         if self.peek(0) == Some(&Tok::P('{')) {
             self.skip_balanced('{', '}');
         }
-        self.out.types.push(TypeItem { kind: TypeKind::Enum, name, vis, line });
     }
 }
 
@@ -743,7 +667,7 @@ mod tests {
         // between the docs and the decl must not sever the `# Panics`
         // contract.
         let p = parsed(
-            "/// # Panics\n/// Always.\n#[inline]\n// audit: allow(deadpub) — kept\npub fn a() {}\n",
+            "/// # Panics\n/// Always.\n#[inline]\n// audit: allow(proptest) — kept\npub fn a() {}\n",
         );
         assert!(p.fns[0].doc_panics, "attrs + plain comment must not sever the doc");
 
@@ -752,7 +676,7 @@ mod tests {
     }
 
     #[test]
-    fn impl_methods_carry_owner_and_trait_flag() {
+    fn impl_methods_carry_their_owner() {
         let p = parsed(
             "struct Mat;\nimpl Mat {\n    pub fn zeros() {}\n}\n\
              impl std::fmt::Display for Mat {\n    fn fmt(&self) {}\n}\n\
@@ -760,28 +684,22 @@ mod tests {
         );
         let zeros = p.fns.iter().find(|f| f.name == "zeros").unwrap();
         assert_eq!(zeros.owner.as_deref(), Some("Mat"));
-        assert!(!zeros.trait_impl);
         assert!(!zeros.top_level);
         let fmt = p.fns.iter().find(|f| f.name == "fmt").unwrap();
         assert_eq!(fmt.owner.as_deref(), Some("Mat"));
-        assert!(fmt.trait_impl);
         let tick = p.fns.iter().find(|f| f.name == "tick").unwrap();
         assert_eq!(tick.owner.as_deref(), Some("Wrapper"));
-        assert!(!tick.trait_impl);
     }
 
     #[test]
-    fn trait_decl_fns_are_marked() {
+    fn trait_decl_fns_are_read() {
         let p = parsed(
             "pub trait Exec {\n    fn run(&self);\n    fn helper(&self) {\n        go();\n    }\n}\n",
         );
-        assert_eq!(p.types.len(), 1);
-        assert_eq!(p.types[0].kind, TypeKind::Trait);
         let run = p.fns.iter().find(|f| f.name == "run").unwrap();
-        assert!(run.in_trait);
         assert!(run.calls.is_empty(), "a bodyless decl owns no calls");
         let helper = p.fns.iter().find(|f| f.name == "helper").unwrap();
-        assert!(helper.in_trait);
+        assert!(!helper.top_level);
         assert!(helper.calls.iter().any(|c| c.name == "go"));
     }
 
@@ -845,22 +763,8 @@ mod tests {
              Done { worker: usize, scores: Vec<VoxelScore> },\n}\n\
              fn after(o: Option<u8>) -> u8 {\n    o.unwrap()\n}\n",
         );
-        assert_eq!(p.types.len(), 1);
-        assert_eq!((p.types[0].kind, p.types[0].name.as_str()), (TypeKind::Enum, "FromWorker"));
         assert_eq!(p.fns.len(), 1);
         assert_eq!(p.fns[0].name, "after");
-    }
-
-    #[test]
-    fn crate_refs_found_in_use_and_inline_paths() {
-        let p = parsed(
-            "use fcma_core::TaskContext;\nuse fcma_trace;\n\
-             fn f() {\n    let _ = fcma_linalg::Mat::zeros(1, 1);\n}\n",
-        );
-        let crates: Vec<&str> = p.crate_refs.iter().map(|(c, _)| c.as_str()).collect();
-        assert!(crates.contains(&"fcma_core"));
-        assert!(crates.contains(&"fcma_trace"));
-        assert!(crates.contains(&"fcma_linalg"));
     }
 
     #[test]
@@ -891,7 +795,6 @@ mod tests {
             "pub struct Config {\n    pub retry: usize,\n    pub deadline: Option<Duration>,\n}\n\
              pub struct Tuple(pub usize);\nfn after() {}\n",
         );
-        assert_eq!(p.types.len(), 2);
         assert_eq!(p.fns.len(), 1);
         assert_eq!(p.fns[0].name, "after");
         assert!(p.fns[0].top_level);

@@ -1,5 +1,5 @@
 //! Per-file source model: role classification plus a single-pass
-//! structural analysis (test spans, token sites, allow markers and the
+//! structural analysis (test spans, allow markers and the
 //! `// audit:` comments that are not allow markers) that the lexical
 //! lint passes consume. Item-level structure (functions, types,
 //! calls) lives in [`crate::parser`].
@@ -20,15 +20,6 @@ pub enum Role {
     Bench,
     /// An example (`examples/`).
     Example,
-}
-
-/// A numeric-cast site: `<expr> as <ty>` in scrubbed code.
-#[derive(Debug, Clone)]
-pub struct CastSite {
-    /// 0-based line.
-    pub line: usize,
-    /// The target type token (`usize`, `f32`, ...).
-    pub target: String,
 }
 
 /// One `// audit: allow(<pass>)` marker comment.
@@ -55,14 +46,7 @@ pub struct SourceFile {
     pub scan: Scanned,
     /// 0-based inclusive line spans of `#[cfg(test)]` items.
     pub test_spans: Vec<(usize, usize)>,
-    /// Numeric `as` casts.
-    pub casts: Vec<CastSite>,
 }
-
-const NUMERIC_TYPES: &[&str] = &[
-    "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize", "f32",
-    "f64",
-];
 
 impl SourceFile {
     /// Lex and analyze `source` under the given path and role.
@@ -74,7 +58,6 @@ impl SourceFile {
             role,
             scan,
             test_spans: Vec::new(),
-            casts: Vec::new(),
         };
         file.analyze();
         file
@@ -141,8 +124,8 @@ impl SourceFile {
         out
     }
 
-    /// One sequential pass over the scrubbed code computing spans and
-    /// token sites. Brace depth is tracked exactly (literals are already
+    /// One sequential pass over the scrubbed code computing the
+    /// `#[cfg(test)]` spans. Brace depth is tracked exactly (literals are already
     /// blanked); item starts are recognized from keyword tokens.
     fn analyze(&mut self) {
         // Pending state fed by raw lines.
@@ -162,27 +145,19 @@ impl SourceFile {
                 pending_cfg_test = true;
             }
 
-            // Token walk for keywords, casts, braces.
+            // Token walk for item keywords and braces.
             let mut tokens = Tokenizer::new(code);
-            let mut saw_as = false;
             while let Some(tok) = tokens.next_token() {
                 match tok {
                     Token::Ident(w) => {
-                        if saw_as {
-                            if NUMERIC_TYPES.contains(&w.as_str()) {
-                                self.casts.push(CastSite { line: lineno, target: w.clone() });
-                            }
-                            saw_as = false;
-                        }
-                        match w.as_str() {
-                            "as" => saw_as = true,
-                            "fn" | "mod" | "struct" | "enum" | "impl" | "trait" | "union"
-                                if pending_cfg_test =>
-                            {
-                                awaiting_cfg_item = true;
-                                pending_cfg_test = false;
-                            }
-                            _ => {}
+                        if pending_cfg_test
+                            && matches!(
+                                w.as_str(),
+                                "fn" | "mod" | "struct" | "enum" | "impl" | "trait" | "union"
+                            )
+                        {
+                            awaiting_cfg_item = true;
+                            pending_cfg_test = false;
                         }
                     }
                     Token::Open => {
@@ -330,46 +305,40 @@ mod tests {
     }
 
     #[test]
-    fn numeric_casts_found_with_targets() {
-        let f = lib("fn a(n: usize) -> f32 {\n    let b = n as f32;\n    let c = b as f64 as usize;\n    use std::fmt as xfmt;\n    b\n}\n");
-        let targets: Vec<&str> = f.casts.iter().map(|c| c.target.as_str()).collect();
-        assert_eq!(targets, vec!["f32", "f64", "usize"]);
-    }
-
-    #[test]
     fn allow_marker_requires_reason() {
         let with = lib("fn a(x: Option<u8>) {\n    // audit: allow(panicpath) — checked above\n    x.unwrap();\n}\n");
         assert!(with.allow_marker("panicpath", 2));
         let without =
             lib("fn a(x: Option<u8>) {\n    // audit: allow(panicpath)\n    x.unwrap();\n}\n");
         assert!(!without.allow_marker("panicpath", 2));
-        let wrong_pass =
-            lib("fn a(x: Option<u8>) {\n    // audit: allow(cast) — nope\n    x.unwrap();\n}\n");
+        let wrong_pass = lib(
+            "fn a(x: Option<u8>) {\n    // audit: allow(proptest) — nope\n    x.unwrap();\n}\n",
+        );
         assert!(!wrong_pass.allow_marker("panicpath", 2));
     }
 
     #[test]
     fn markers_inventory_reports_pass_and_reason() {
-        let f = lib("// audit: allow(cast) — exact below 2^24\nfn a() {}\n\
-             // audit: allow(deadpub)\nfn b() {}\n\
+        let f = lib("// audit: allow(panicpath) — checked above\nfn a() {}\n\
+             // audit: allow(proptest)\nfn b() {}\n\
              // audit: allow(bogus) — whatever\nfn c() {}\n\
-             fn d() { let s = \"audit: allow(cast) — in a string\"; }\n");
+             fn d() { let s = \"audit: allow(panicpath) — in a string\"; }\n");
         let ms = f.markers();
         assert_eq!(ms.len(), 3, "{ms:?}");
-        assert_eq!((ms[0].line, ms[0].pass.as_str(), ms[0].has_reason), (0, "cast", true));
-        assert_eq!((ms[1].line, ms[1].pass.as_str(), ms[1].has_reason), (2, "deadpub", false));
+        assert_eq!((ms[0].line, ms[0].pass.as_str(), ms[0].has_reason), (0, "panicpath", true));
+        assert_eq!((ms[1].line, ms[1].pass.as_str(), ms[1].has_reason), (2, "proptest", false));
         assert_eq!((ms[2].line, ms[2].pass.as_str(), ms[2].has_reason), (4, "bogus", true));
     }
 
     #[test]
     fn doc_comment_mentions_are_not_markers() {
-        let f = lib("/// Suppress with `// audit: allow(cast) — why`.\nfn a() {}\n\
+        let f = lib("/// Suppress with `// audit: allow(proptest) — why`.\nfn a() {}\n\
              //! `// audit: allow(panicpath) — why` is the marker form.\n\
-             // audit: allow(cast) — a real one\nfn b() {}\n");
+             // audit: allow(proptest) — a real one\nfn b() {}\n");
         let ms = f.markers();
         assert_eq!(ms.len(), 1, "{ms:?}");
         assert_eq!(ms[0].line, 3);
-        assert!(!f.allow_marker("cast", 0), "doc mention must not suppress");
-        assert!(f.allow_marker("cast", 4));
+        assert!(!f.allow_marker("proptest", 0), "doc mention must not suppress");
+        assert!(f.allow_marker("proptest", 4));
     }
 }

@@ -251,6 +251,7 @@ pub(crate) fn analyze(args: &Args) -> Result<()> {
     let data = stem(args, "data")?;
     let dataset = fio::load_dataset(&data)?;
     require_subjects(&dataset, 2, "analyze")?;
+    let truth = args.get("truth").map(|path| read_truth(path, dataset.n_voxels())).transpose()?;
     let pool = Pool::new(threads_of(args)?);
     let mut exec: Arc<dyn TaskExecutor> =
         Arc::new(OptimizedExecutor { pool, ..Default::default() });
@@ -316,8 +317,7 @@ pub(crate) fn analyze(args: &Args) -> Result<()> {
     for &v in &selected {
         say!("{v}\t{:.4}", scores[v].accuracy)?;
     }
-    if let Some(truth_path) = args.get("truth") {
-        let truth = read_index_list(Path::new(truth_path))?;
+    if let Some(truth) = truth {
         let rec = recovery_rate(&selected, &truth);
         eprintln!("recovery of planted network: {:.0}%", rec * 100.0);
     }
@@ -440,9 +440,12 @@ fn write_scores(path: &Path, scores: &[VoxelScore]) -> Result<()> {
     Ok(())
 }
 
+/// Read a scores file. An accuracy that is not a number in [0, 1] or a
+/// voxel listed twice is refused: either would be ranked as if real.
 fn read_scores(path: &Path) -> Result<Vec<VoxelScore>> {
     let f = BufReader::new(std::fs::File::open(path)?);
     let mut out = Vec::new();
+    let mut seen = std::collections::HashSet::new();
     for (ln, line) in f.lines().enumerate() {
         let line = line?;
         if ln == 0 && line.starts_with("voxel") {
@@ -456,20 +459,45 @@ fn read_scores(path: &Path) -> Result<Vec<VoxelScore>> {
             parts.next().ok_or(format!("line {}: missing voxel", ln + 1))?.parse()?;
         let accuracy: f64 =
             parts.next().ok_or(format!("line {}: missing accuracy", ln + 1))?.parse()?;
+        if !(0.0..=1.0).contains(&accuracy) {
+            return Err(format!("line {}: accuracy {accuracy} is not in [0, 1]", ln + 1).into());
+        }
+        if !seen.insert(voxel) {
+            return Err(format!("line {}: voxel {voxel} is listed twice", ln + 1).into());
+        }
         out.push(VoxelScore { voxel, accuracy });
     }
     Ok(out)
 }
 
-fn read_index_list(path: &Path) -> Result<Vec<usize>> {
-    let f = BufReader::new(std::fs::File::open(path)?);
+/// Read a `--truth` file, one planted voxel per line. An empty list, a
+/// voxel outside the dataset or a repeated one is refused: each would
+/// print a recovery rate that measures nothing.
+fn read_truth(path: &str, n_voxels: usize) -> Result<Vec<usize>> {
+    let f = BufReader::new(std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?);
     let mut out = Vec::new();
-    for line in f.lines() {
+    let mut listed = vec![false; n_voxels];
+    for (ln, line) in f.lines().enumerate() {
         let line = line?;
         let t = line.trim();
-        if !t.is_empty() {
-            out.push(t.parse()?);
+        if t.is_empty() {
+            continue;
         }
+        let voxel: usize = t.parse().map_err(|e| format!("{path}: line {}: {e}", ln + 1))?;
+        let Some(seen) = listed.get_mut(voxel) else {
+            return Err(format!(
+                "{path}: line {}: voxel {voxel} is not in the {n_voxels}-voxel dataset",
+                ln + 1
+            )
+            .into());
+        };
+        if std::mem::replace(seen, true) {
+            return Err(format!("{path}: line {}: voxel {voxel} is listed twice", ln + 1).into());
+        }
+        out.push(voxel);
+    }
+    if out.is_empty() {
+        return Err(format!("{path}: lists no voxels").into());
     }
     Ok(out)
 }
@@ -660,6 +688,39 @@ mod tests {
             (report, &["report", &bad_trace], &trace_err),
         ] {
             assert_eq!(command(&args(argv)).unwrap_err().to_string(), message, "{argv:?}");
+        }
+    }
+
+    #[test]
+    fn scores_and_truth_files_that_would_mislead_are_typed_errors() {
+        // Each of these exited 0: a NaN accuracy ranked above every real
+        // one, a repeated voxel filled two of the top-k places, and a
+        // truth list that was empty, out of range or repeated printed a
+        // recovery rate of 100%, 0% or half the real one.
+        let [ds, scores, truth] = ["cli_truth_ds", "cli_bad_scores.tsv", "cli_bad.truth"]
+            .map(|name| tmp(name).to_str().unwrap().to_owned());
+        generate(&args(&["generate", "--voxels", "48", "--subjects", "2", "--out", &ds])).unwrap();
+        for (contents, message) in [
+            ("voxel\taccuracy\n0\tNaN\n1\t0.5\n2\t0.9\n", "line 2: accuracy NaN is not in [0, 1]"),
+            ("0 0.5\n1 1.5\n", "line 2: accuracy 1.5 is not in [0, 1]"),
+            ("0 0.5\n3 0.7\n3 0.9\n", "line 3: voxel 3 is listed twice"),
+        ] {
+            std::fs::write(&scores, contents).unwrap();
+            let argv = ["clusters", "--scores", &scores, "--top-k", "3"];
+            assert_eq!(clusters(&args(&argv)).unwrap_err().to_string(), message, "{contents:?}");
+        }
+        for (contents, message) in [
+            ("", format!("{truth}: lists no voxels")),
+            ("\n\n", format!("{truth}: lists no voxels")),
+            (
+                "3\n999999\n",
+                format!("{truth}: line 2: voxel 999999 is not in the 48-voxel dataset"),
+            ),
+            ("3\n7\n3\n", format!("{truth}: line 3: voxel 3 is listed twice")),
+        ] {
+            std::fs::write(&truth, contents).unwrap();
+            let argv = ["analyze", "--data", &ds, "--truth", &truth];
+            assert_eq!(analyze(&args(&argv)).unwrap_err().to_string(), message, "{contents:?}");
         }
     }
 

@@ -30,7 +30,6 @@ const MAGIC: &str = "fcma-checkpoint v1";
 
 /// One completed task and its scores, as recorded on disk.
 #[derive(Debug, Clone)]
-// audit: allow(deadpub) — part of a referenced public signature; demotion trips private_interfaces
 pub struct TaskRecord {
     /// The task this record covers.
     pub task: VoxelTask,

@@ -114,7 +114,6 @@ impl ClusterConfig {
 /// tests can assert on scheduler behavior without reaching into driver
 /// internals.
 #[derive(Debug, Clone, PartialEq, Eq)]
-// audit: allow(deadpub) — embedded in the public ClusterRun returned by run_cluster; demotion trips private_interfaces
 pub struct TaskStat {
     /// The task.
     pub task: VoxelTask,

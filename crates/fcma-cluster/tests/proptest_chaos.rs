@@ -8,6 +8,8 @@
 //! seed so each CI leg explores a distinct, reproducible slice of the
 //! fault space.
 
+#![expect(clippy::disallowed_types, reason = "a test-wide cache of the shared task context")]
+
 use fcma_cluster::{run_cluster_with, ChaosExecutor, ClusterConfig, ClusterError, FaultPlan};
 use fcma_core::{OptimizedExecutor, TaskContext};
 use fcma_fmri::presets;

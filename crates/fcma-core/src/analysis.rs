@@ -49,7 +49,6 @@ pub fn score_all_voxels(
 
 /// One outer cross-validation fold of the offline analysis.
 #[derive(Debug, Clone)]
-// audit: allow(deadpub) — part of a referenced public signature; demotion trips private_interfaces
 pub struct FoldOutcome {
     /// Held-out subject.
     pub held_out: usize,
@@ -61,7 +60,6 @@ pub struct FoldOutcome {
 
 /// Result of the full offline analysis.
 #[derive(Debug, Clone)]
-// audit: allow(deadpub) — part of a referenced public signature; demotion trips private_interfaces
 pub struct OfflineResult {
     /// Per-fold outcomes.
     pub folds: Vec<FoldOutcome>,
@@ -147,7 +145,6 @@ fn final_classifier_accuracy(
 
 /// Result of the online (single-session) voxel selection.
 #[derive(Debug, Clone)]
-// audit: allow(deadpub) — part of a referenced public signature; demotion trips private_interfaces
 pub struct OnlineResult {
     /// Selected voxels for the neurofeedback classifier.
     pub selected: Vec<usize>,
@@ -178,7 +175,6 @@ pub fn online_voxel_selection(
 ///
 /// # Panics
 /// If `n_folds == 0`.
-// audit: allow(deadpub) — called by the stand-alone benchmark package (online-session workload), which the audit does not scan
 pub fn stratified_folds(y: &[f32], n_folds: usize) -> Vec<usize> {
     let mut groups = vec![0usize; y.len()];
     let mut pos = 0usize;

@@ -17,6 +17,10 @@
 //! * [`selection`] — ROI ranking and cross-fold stability;
 //! * [`analysis`] — offline nested LOSO and online voxel selection.
 
+// Bare `as` casts truncate and saturate silently; kernels convert
+// through `fcma_linalg::cast` or `From`/`TryFrom`. Test code may cast.
+#![cfg_attr(not(test), warn(clippy::as_conversions))]
+
 pub mod analysis;
 pub mod context;
 pub mod control;

@@ -82,7 +82,6 @@ impl Default for SessionConfig {
 /// asked for. Epoch indices name epochs of the session being scored; a
 /// model carries no epoch of the session it was trained in.
 #[derive(Debug, Clone)]
-// audit: allow(deadpub) — part of a referenced public signature; demotion trips private_interfaces
 pub struct FeedbackModel {
     /// Selected voxel indices.
     pub selected: Vec<usize>,
@@ -198,7 +197,6 @@ pub struct OnlineSession {
 
 /// Errors from session misuse.
 #[derive(Debug, PartialEq, Eq)]
-// audit: allow(deadpub) — part of a referenced public signature; demotion trips private_interfaces
 pub enum SessionError {
     /// `begin_epoch` while another epoch is open.
     EpochAlreadyOpen,

@@ -100,7 +100,6 @@ fn stage1_mem_refs(assigned: &[Mat], v: usize, n: usize) -> u64 {
 /// floats, row `v·M + e` holding voxel `v`'s correlation vector for
 /// epoch `e`.
 #[derive(Debug, Clone)]
-// audit: allow(deadpub) — part of a referenced public signature; demotion trips private_interfaces
 pub struct CorrData {
     /// Backing buffer.
     pub buf: Vec<f32>,

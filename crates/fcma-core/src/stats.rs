@@ -67,7 +67,6 @@ pub(crate) fn permutation_p_value(observed: f64, null: &[f64]) -> f64 {
 }
 
 /// Full permutation test for one voxel of a task's correlation data.
-#[allow(clippy::too_many_arguments)]
 pub fn voxel_permutation_test(
     corr: &CorrData,
     vi: usize,

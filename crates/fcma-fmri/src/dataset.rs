@@ -92,10 +92,13 @@ pub enum DatasetError {
         /// Length of the dataset's time axis.
         n_timepoints: usize,
     },
-    /// An epoch has zero length.
-    EmptyEpoch {
+    /// An epoch is shorter than 2 time points, over which a correlation
+    /// is undefined.
+    ShortEpoch {
         /// Index of the offending epoch.
         epoch: usize,
+        /// Its length in time points (0 or 1).
+        len: usize,
     },
     /// Subject ids are not 0-based contiguous or epochs are not grouped by
     /// subject in nondecreasing order.
@@ -120,7 +123,9 @@ impl fmt::Display for DatasetError {
                 "epoch {epoch} window of {len} time points from {start} exceeds \
                  {n_timepoints} time points"
             ),
-            DatasetError::EmptyEpoch { epoch } => write!(f, "epoch {epoch} has zero length"),
+            DatasetError::ShortEpoch { epoch, len } => {
+                write!(f, "epoch {epoch} has {len} time point(s); a correlation needs at least 2")
+            }
             DatasetError::BadSubjectOrder { epoch } => {
                 write!(f, "epoch {epoch} breaks contiguous subject grouping")
             }
@@ -149,8 +154,8 @@ impl Dataset {
         let mut has_a = false;
         let mut has_b = false;
         for (i, ep) in epochs.iter().enumerate() {
-            if ep.len == 0 {
-                return Err(DatasetError::EmptyEpoch { epoch: i });
+            if ep.len < 2 {
+                return Err(DatasetError::ShortEpoch { epoch: i, len: ep.len });
             }
             if ep.start.checked_add(ep.len).is_none_or(|end| end > nt) {
                 return Err(DatasetError::EpochOutOfRange {
@@ -286,8 +291,12 @@ mod tests {
 
     #[test]
     fn rejects_zero_length_epoch() {
-        let err = tiny(2, 10, vec![ep(0, Condition::A, 0, 0)]).unwrap_err();
-        assert!(matches!(err, DatasetError::EmptyEpoch { epoch: 0 }));
+        for len in [0, 1] {
+            let err = tiny(2, 10, vec![ep(0, Condition::A, 0, len)]).unwrap_err();
+            assert_eq!(err, DatasetError::ShortEpoch { epoch: 0, len });
+        }
+        let ok = tiny(2, 10, vec![ep(0, Condition::A, 0, 2), ep(0, Condition::B, 2, 2)]);
+        assert!(ok.is_ok(), "two time points are enough: {ok:?}");
     }
 
     #[test]

@@ -104,7 +104,6 @@ impl Grid3 {
 
 /// A connected cluster of selected voxels.
 #[derive(Debug, Clone, PartialEq, Eq)]
-// audit: allow(deadpub) — part of a referenced public signature; demotion trips private_interfaces
 pub struct Cluster {
     /// Member voxels, sorted.
     pub voxels: Vec<usize>,

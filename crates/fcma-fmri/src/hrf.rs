@@ -9,7 +9,6 @@
 
 /// The canonical double-gamma HRF (SPM-style parameters).
 #[derive(Debug, Clone, Copy, PartialEq)]
-// audit: allow(deadpub) — part of a referenced public signature; demotion trips private_interfaces
 pub struct Hrf {
     /// Time-to-peak of the positive lobe, seconds (canonical 6).
     pub peak_delay_s: f64,

@@ -1,6 +1,6 @@
 //! Checked numeric conversions for kernel code.
 //!
-//! The fcma-audit `cast` pass bans bare `as` casts in the kernel crates
+//! `clippy::as_conversions` bans bare `as` casts in the kernel crates
 //! because `as` silently truncates and saturates. These helpers are the
 //! sanctioned funnel: each contains exactly one documented, debug-asserted
 //! `as` site, so every count-to-float conversion in the kernels states
@@ -18,9 +18,9 @@ pub const F32_EXACT_MAX: usize = 1 << 24;
 /// # Panics
 /// Debug builds panic if `n` exceeds [`F32_EXACT_MAX`].
 #[inline]
+#[expect(clippy::as_conversions, reason = "the sanctioned cast site; exactness debug-asserted")]
 pub fn f32_from_usize(n: usize) -> f32 {
     debug_assert!(n <= F32_EXACT_MAX, "f32_from_usize: {n} is not exactly representable");
-    // audit: allow(cast) — the sanctioned lossy-cast site; exactness debug-asserted above
     n as f32
 }
 
@@ -29,9 +29,9 @@ pub fn f32_from_usize(n: usize) -> f32 {
 /// # Panics
 /// Debug builds panic if `n` exceeds 2^53 (exact `f64` integer range).
 #[inline]
+#[expect(clippy::as_conversions, reason = "the sanctioned cast site; exactness debug-asserted")]
 pub fn f64_from_usize(n: usize) -> f64 {
     debug_assert!(n <= (1 << 53), "f64_from_usize: {n} is not exactly representable");
-    // audit: allow(cast) — the sanctioned lossy-cast site; exactness debug-asserted above
     n as f64
 }
 
@@ -41,8 +41,8 @@ pub fn f64_from_usize(n: usize) -> f64 {
 /// rounded `f32` back to the single-precision pipeline; the rounding is
 /// the whole point, so this is a rename of `as f32` that marks intent.
 #[inline]
+#[expect(clippy::as_conversions, reason = "intentional rounding from a widened accumulator")]
 pub fn f32_from_f64(x: f64) -> f32 {
-    // audit: allow(cast) — intentional rounding from a widened accumulator
     x as f32
 }
 

@@ -35,7 +35,7 @@ impl Default for BlockSizes {
 
 /// `C = A · B` with default blocking and freshly allocated packing
 /// buffers. See [`gemm_blocked_scratch`].
-#[allow(clippy::too_many_arguments)] // BLAS-style signature
+#[expect(clippy::too_many_arguments, reason = "BLAS-style signature")]
 pub fn gemm_blocked(
     m: usize,
     n: usize,
@@ -107,7 +107,7 @@ impl GemmScratch {
 ///
 /// # Panics
 /// Panics on inconsistent leading dimensions or undersized buffers.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "BLAS-style signature plus its scratch")]
 pub fn gemm_blocked_scratch(
     m: usize,
     n: usize,

@@ -15,7 +15,7 @@
 /// # Panics
 /// Panics if any leading dimension is smaller than the logical row width
 /// or any buffer is too short for the access pattern.
-#[allow(clippy::too_many_arguments)] // BLAS-style signature
+#[expect(clippy::too_many_arguments, reason = "BLAS-style signature")]
 pub fn gemm_ref(
     m: usize,
     n: usize,
@@ -43,7 +43,7 @@ pub fn gemm_ref(
 
 /// Validate GEMM buffer shapes; shared by every kernel in this crate.
 #[inline]
-#[allow(clippy::too_many_arguments)] // mirrors the BLAS call it validates
+#[expect(clippy::too_many_arguments, reason = "mirrors the BLAS call it validates")]
 pub(crate) fn check_gemm_dims(
     m: usize,
     n: usize,

@@ -21,6 +21,10 @@
 //! Every optimized kernel is property-tested against the reference
 //! implementations.
 
+// Bare `as` casts truncate and saturate silently; kernels convert
+// through `fcma_linalg::cast` or `From`/`TryFrom`. Test code may cast.
+#![cfg_attr(not(test), warn(clippy::as_conversions))]
+
 pub mod cast;
 pub mod gemm_blocked;
 pub mod gemm_ref;

@@ -77,7 +77,7 @@ fn tile_acc<const M: usize, const I0: usize, const R: usize, const N: usize>(
 /// and any extra live value of an inlining caller spills the
 /// accumulators (DESIGN.md §8).
 #[inline(never)]
-#[allow(clippy::too_many_arguments)] // kernel-call ABI
+#[expect(clippy::too_many_arguments, reason = "kernel-call ABI")]
 fn tile<const M: usize, const I0: usize, const R: usize, const N: usize>(
     k: usize,
     nr: usize,
@@ -181,7 +181,7 @@ pub fn microkernel<const M: usize, const N: usize>(
 /// `b` or `c` is shorter than the `k`/`mr`/`nr`/`ldb`/`ldc` layout
 /// requires.
 #[inline]
-#[allow(clippy::too_many_arguments)] // kernel-call ABI
+#[expect(clippy::too_many_arguments, reason = "kernel-call ABI")]
 pub fn microkernel_clipped(
     k: usize,
     mr: usize,

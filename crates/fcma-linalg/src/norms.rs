@@ -104,13 +104,13 @@ pub fn fast_ln(x: f32) -> f32 {
     // mantissa's top bit pattern puts m >= 4/3, halve it and bump e.
     // Branch-free (a data-dependent branch here would block
     // autovectorization of the Fisher pass).
-    // audit: allow(cast) — masked to 8 bits, always fits i32 exactly
+    #[expect(clippy::as_conversions, reason = "masked to 8 bits, always fits i32 exactly")]
     let e_raw = ((bits >> 23) & 0xff) as i32 - 127;
     let m_raw = f32::from_bits((bits & 0x007f_ffff) | 0x3f80_0000); // [1, 2)
     let big = i32::from(m_raw >= 4.0 / 3.0);
-    // audit: allow(cast) — big is 0 or 1, exact in f32
+    #[expect(clippy::as_conversions, reason = "big is 0 or 1, exact in f32")]
     let m = m_raw * (1.0 - 0.5 * big as f32);
-    // audit: allow(cast) — e_raw+big is in [-127, 129], exact in f32
+    #[expect(clippy::as_conversions, reason = "e_raw + big is in [-127, 129], exact in f32")]
     let e = (e_raw + big) as f32;
     // ln(m) = 2·atanh(t) with t = (m−1)/(m+1), |t| ≤ 0.2.
     let t = (m - 1.0) / (m + 1.0);

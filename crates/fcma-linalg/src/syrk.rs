@@ -190,7 +190,7 @@ impl SyrkScratch {
 }
 
 /// Add one `kp`-deep panel's contribution to the lower triangle of `C`.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "BLAS-style panel call")]
 fn accumulate_panel(
     m: usize,
     a: &[f32],

@@ -233,7 +233,7 @@ pub fn corr_tile_block_rows(
 /// (`base = ei·W`, `ldc = E·W`). Voxels are grouped by [`MR`] from
 /// `voxel_range.start` and columns by [`NR`] from `col0`; every full
 /// column tile reads `brain` in place.
-#[allow(clippy::too_many_arguments)] // kernel-call ABI
+#[expect(clippy::too_many_arguments, reason = "kernel-call ABI")]
 fn epoch_strip(
     ep: &EpochPair<'_>,
     voxel_range: Range<usize>,

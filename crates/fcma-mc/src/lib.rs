@@ -30,6 +30,12 @@
 //! the checked closure). A failure aborts and drains the execution and
 //! carries the full decision trace.
 
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the checker drives the facade from real threads and locks of its own"
+)]
+
 mod sched;
 
 #[cfg(test)]

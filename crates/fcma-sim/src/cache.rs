@@ -40,7 +40,6 @@ impl CacheConfig {
 
 /// Access statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-// audit: allow(deadpub) — part of a referenced public signature; demotion trips private_interfaces
 pub struct CacheStats {
     /// Line accesses that hit.
     pub hits: u64,

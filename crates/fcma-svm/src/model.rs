@@ -5,7 +5,6 @@ use crate::kernel::KernelMatrix;
 /// Which working-set-selection heuristic trained the model (PhiSVM's
 /// adaptive mode records how many iterations each heuristic ran).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-// audit: allow(deadpub) — part of a referenced public signature; demotion trips private_interfaces
 pub struct WssStats {
     /// Iterations using the first-order (maximal-violating-pair) rule.
     pub first_order_iters: usize,

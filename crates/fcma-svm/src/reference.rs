@@ -51,7 +51,6 @@ impl Default for LibSvmParams {
 
 /// Result of a replica solve.
 #[derive(Debug, Clone)]
-// audit: allow(deadpub) — part of a referenced public signature; demotion trips private_interfaces
 pub struct LibSvmResult {
     /// Dual variables (double precision, as in LibSVM).
     pub alpha: Vec<f64>,

@@ -151,7 +151,6 @@ impl<T> Drop for Receiver<T> {
 /// The channel is closed: every [`Receiver`] was dropped. Hands the
 /// unsent value back.
 #[derive(Clone, Copy, PartialEq, Eq)]
-// audit: allow(deadpub) — the error type of Sender::send's public signature; named cross-crate only via `.is_err()` today
 pub struct SendError<T>(pub T);
 
 impl<T> fmt::Debug for SendError<T> {
@@ -170,7 +169,6 @@ impl<T> std::error::Error for SendError<T> {}
 
 /// The channel is empty and every [`Sender`] was dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-// audit: allow(deadpub) — the error type of Receiver::recv's public signature; named cross-crate only via `while let Ok(..)` today
 pub struct RecvError;
 
 impl fmt::Display for RecvError {

@@ -193,7 +193,6 @@ impl VirtualClock {
 
 /// Keeps the calling thread on a virtual clock; dropping it restores
 /// the previous mode, marks the clock dead, and drains stragglers.
-// audit: allow(deadpub) — RAII guard returned by `VirtualClock::install`; held as `let _clock`, so its name never appears cross-crate
 pub struct ClockGuard {
     clock: Arc<VirtualClock>,
     _mode: ModeGuard,

@@ -23,9 +23,16 @@
 //! mode without any global state. Primitives must not be shared between
 //! threads running in different modes.
 //!
-//! The `syncfacade` audit pass keeps this facade *total*: outside this
-//! crate (and the vendor tree) no workspace crate may reach for
-//! `std::sync` primitives or `std::thread::{spawn, sleep}` directly.
+//! The workspace `clippy.toml` keeps this facade *total*: outside this
+//! crate, the model checker and the trace registry, no workspace crate
+//! may reach for `std::sync` primitives or `std::thread` directly
+//! (`disallowed_types` / `disallowed_methods`).
+
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "this crate is the facade over std::sync and std::thread"
+)]
 
 pub mod atomic;
 pub mod channel;

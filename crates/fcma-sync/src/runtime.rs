@@ -121,7 +121,6 @@ pub(crate) fn set_mode(new: Mode) -> Mode {
 }
 
 /// Restores the previous mode when dropped.
-// audit: allow(deadpub) — RAII guard returned by `enter_model`; held as `let _guard`, so its name never appears cross-crate
 pub struct ModeGuard {
     prev: Option<Mode>,
 }

@@ -178,7 +178,6 @@ fn ns_since(epoch: Instant, t: Instant) -> u64 {
 /// An open span; completing (dropping) it records the span. Produced by
 /// [`crate::span!`] / [`start_span`].
 #[must_use = "a span records its duration when dropped; binding it to `_` drops it immediately"]
-// audit: allow(deadpub) — reached via $crate:: paths from #[macro_export] macros; demotion breaks cross-crate expansion
 pub struct SpanGuard(Option<ActiveSpan>);
 
 struct ActiveSpan {
@@ -192,7 +191,6 @@ struct ActiveSpan {
 
 impl SpanGuard {
     /// The guard produced when no collector is installed: does nothing.
-    // audit: allow(deadpub) — reached via $crate:: paths from #[macro_export] macros; demotion breaks cross-crate expansion
     pub fn disabled() -> Self {
         SpanGuard(None)
     }
@@ -235,7 +233,6 @@ impl Drop for SpanGuard {
 
 /// Open a span. Prefer the [`crate::span!`] macro, which skips attribute
 /// construction entirely when no collector is installed.
-// audit: allow(deadpub) — reached via $crate:: paths from #[macro_export] macros; demotion breaks cross-crate expansion
 pub fn start_span(name: &'static str, mut attrs: Vec<(&'static str, AttrValue)>) -> SpanGuard {
     stamp_ctx(&mut attrs);
     let active = with_tls(|_, buf, stack| {
@@ -249,7 +246,6 @@ pub fn start_span(name: &'static str, mut attrs: Vec<(&'static str, AttrValue)>)
 
 /// Record an instant event (zero duration, `ph:"i"` in Chrome traces).
 /// Prefer the [`crate::event!`] macro.
-// audit: allow(deadpub) — reached via $crate:: paths from #[macro_export] macros; demotion breaks cross-crate expansion
 pub fn instant(name: &'static str, mut attrs: Vec<(&'static str, AttrValue)>) {
     stamp_ctx(&mut attrs);
     with_tls(|_, buf, stack| {
@@ -296,7 +292,6 @@ pub fn record_span_elapsed(
 /// Trait bound for [`add_counter`] deltas, so call sites can pass the
 /// `usize` quantities the pipeline naturally produces without lossy
 /// casts in kernel crates.
-// audit: allow(deadpub) — part of a referenced public signature; demotion trips private_interfaces
 pub trait IntoCount {
     /// Convert to the counter delta.
     fn into_count(self) -> u64;
@@ -330,7 +325,6 @@ pub fn add_counter(name: &'static str, delta: impl IntoCount) {
 
 /// Record `value` into the named histogram. Prefer the
 /// [`crate::histogram!`] macro.
-// audit: allow(deadpub) — reached via $crate:: paths from #[macro_export] macros; demotion breaks cross-crate expansion
 pub fn record_value(name: &'static str, value: f64) {
     with_tls(|inner, _, _| {
         lock(&inner.histograms).entry(name).or_default().record(value);
@@ -400,7 +394,6 @@ impl Collector {
 /// RAII guard from [`Collector::install_scoped`]; restores the
 /// thread's previous trace state on drop. Not `Send`: it must drop on
 /// the thread that installed it.
-// audit: allow(deadpub) — part of a referenced public signature; demotion trips private_interfaces
 pub struct ScopedCollector<'a> {
     collector: &'a Collector,
     prev: Tls,

@@ -65,7 +65,6 @@ impl EventKind {
 
 /// One flight-log entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-// audit: allow(deadpub) — part of a referenced public signature; demotion trips private_interfaces
 pub struct RecorderEvent {
     /// Index of this event since the run began. A snapshot whose first
     /// `seq` is above zero has had older events evicted.

@@ -76,7 +76,6 @@ impl From<&str> for AttrValue {
 
 /// One completed span or instant event.
 #[derive(Debug, Clone, PartialEq)]
-// audit: allow(deadpub) — part of a referenced public signature; demotion trips private_interfaces
 pub struct SpanRecord {
     /// Dotted snake-case name from the documented taxonomy
     /// (e.g. `stage1.corr`).
@@ -109,7 +108,6 @@ impl SpanRecord {
 
 /// A fixed-footprint distribution: count, sum, min and max.
 #[derive(Debug, Clone, PartialEq)]
-// audit: allow(deadpub) — part of a referenced public signature; demotion trips private_interfaces
 pub struct Histogram {
     /// Number of recorded values.
     pub count: u64,

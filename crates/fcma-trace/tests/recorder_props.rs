@@ -4,6 +4,8 @@
 //! events, oldest first, with contiguous sequence numbers and
 //! non-decreasing timestamps.
 
+#![expect(clippy::disallowed_methods, reason = "the writers are raw threads sharing one log")]
+
 use fcma_trace::recorder::{EventKind, FlightLog, CAPACITY};
 use fcma_trace::{TraceCtx, TraceOrigin};
 use proptest::prelude::*;

@@ -4,6 +4,12 @@
 //! runs beside its siblings at libtest's default parallelism; none of
 //! them needs a lock to keep its trace to itself.
 
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the sweeps under test run on raw threads, as a caller's would"
+)]
+
 use fcma::prelude::*;
 use fcma::trace::{Collector, TraceReport};
 use fcma_sync::Pool;
