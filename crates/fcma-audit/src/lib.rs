@@ -2,16 +2,15 @@
 //!
 //! A zero-dependency (std-only) lint tool that walks the workspace
 //! source tree and enforces project-specific invariants that rustc and
-//! `clippy` cannot express: property-test coverage of every public
-//! linalg kernel, trace-probe names that match the DESIGN.md
-//! §Observability taxonomy, manifest edges that follow the crate
-//! layering DAG of DESIGN.md §Architecture contracts, call-graph panic
-//! reachability of library `pub fn`s, the DESIGN.md §16 atomics
-//! memory-ordering contracts ([`passes::check_atomicorder`]), and stale
-//! allow markers and `// audit:` comments that are not allow markers.
-//! Casts, raw `std::sync`/`std::thread` and stale lint attributes are
-//! left to clippy (`clippy::as_conversions`, the workspace
-//! `clippy.toml`, `#[expect]`).
+//! `clippy` cannot express, in four passes: property-test coverage of
+//! every public linalg kernel, trace-probe names that match the
+//! DESIGN.md §Observability taxonomy, call-graph panic reachability of
+//! library `pub fn`s, and stale allow markers and `// audit:` comments
+//! that are not allow markers. Casts, raw `std::sync`/`std::thread`,
+//! hand-placed memory orderings and stale lint attributes are left to
+//! clippy (`clippy::as_conversions`, the workspace `clippy.toml`,
+//! `#[expect]`); the manifests' crate layering against the DESIGN.md
+//! §12 table is the crate's `tests/layering.rs`.
 //!
 //! Run it with `cargo run -p fcma-audit -- check [--format human|json]`,
 //! or `-- stats [--check FILE]` for the per-pass counts. Exit code 0 means clean, 1 means violations were printed, 2
@@ -41,14 +40,13 @@ use std::path::Path;
 pub use format::{parse_stats, render, render_stats, render_stats_delta, Format};
 pub use passes::{Taxonomy, Violation, Workspace};
 
-use graph::{Contracts, CrateGraph};
+use graph::CrateGraph;
 
 /// Analyze the workspace at `root` and return all violations.
 ///
 /// The trace-name taxonomy is parsed from `<root>/DESIGN.md`
-/// §Observability and the layering contract from §Architecture
-/// contracts; when a section is absent, the passes that
-/// depend on it skip their contract half (shape checks still run).
+/// §Observability; when it is absent, `tracename` checks only the
+/// shape of each name.
 ///
 /// # Errors
 ///
@@ -57,7 +55,7 @@ pub fn audit(root: &Path) -> io::Result<Vec<Violation>> {
     Ok(analyze(root)?.run_all())
 }
 
-/// Build the full workspace model (files, crate graph, contracts)
+/// Build the full workspace model (files, crate graph, taxonomy)
 /// without running the passes — for callers that want the model itself.
 ///
 /// # Errors
@@ -68,6 +66,5 @@ pub fn analyze(root: &Path) -> io::Result<Workspace> {
     let crates = CrateGraph::discover(root)?;
     let design = std::fs::read_to_string(root.join("DESIGN.md")).ok();
     let taxonomy = design.as_deref().and_then(Taxonomy::from_design_md);
-    let contracts = design.as_deref().map(Contracts::from_design_md).unwrap_or_default();
-    Ok(Workspace::new(files, crates, contracts, taxonomy))
+    Ok(Workspace::new(files, crates, taxonomy))
 }

@@ -146,6 +146,48 @@ fn tokenize(scan: &Scanned) -> Vec<(Tok, usize)> {
     out
 }
 
+/// Item keywords a `#[cfg(test)]` attribute can gate with a braced body.
+const CFG_ITEM_KEYWORDS: &[&str] = &["fn", "mod", "struct", "enum", "impl", "trait", "union"];
+
+/// 0-based inclusive line spans of the braced items under a
+/// `#[cfg(test)]` attribute, from the same token stream [`parse`] reads.
+pub fn cfg_test_spans(scan: &Scanned) -> Vec<(usize, usize)> {
+    let toks = tokenize(scan);
+    let is_ident = |i: usize, w: &str| matches!(toks.get(i), Some((Tok::Ident(x), _)) if x == w);
+    let is_p = |i: usize, c: char| matches!(toks.get(i), Some((Tok::P(x), _)) if *x == c);
+    let mut spans = Vec::new();
+    // A `#[cfg(test)]` awaits its item keyword; that item awaits its `{`.
+    let (mut pending, mut awaiting) = (false, false);
+    // Start line of every open brace, and whether it opens a gated item.
+    let mut open: Vec<(usize, bool)> = Vec::new();
+    for (i, (tok, line)) in toks.iter().enumerate() {
+        match tok {
+            Tok::P('#')
+                if is_p(i + 1, '[')
+                    && is_ident(i + 2, "cfg")
+                    && is_p(i + 3, '(')
+                    && is_ident(i + 4, "test")
+                    && is_p(i + 5, ')')
+                    && is_p(i + 6, ']') =>
+            {
+                pending = true;
+            }
+            Tok::Ident(w) if pending && CFG_ITEM_KEYWORDS.contains(&w.as_str()) => {
+                (pending, awaiting) = (false, true);
+            }
+            Tok::P('{') => open.push((*line, std::mem::take(&mut awaiting))),
+            Tok::P('}') => {
+                if let Some((start, true)) = open.pop() {
+                    spans.push((start, *line));
+                }
+            }
+            Tok::P(';') => awaiting = false,
+            _ => {}
+        }
+    }
+    spans
+}
+
 /// What an opening `{` is about to introduce.
 #[derive(Debug, Clone)]
 enum Ctx {

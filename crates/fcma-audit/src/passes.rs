@@ -4,10 +4,8 @@
 //! | pass          | scope                               | escape hatch |
 //! |---------------|-------------------------------------|--------------|
 //! | `proptest`    | top-level `pub fn`s of fcma-linalg  | allow marker |
-//! | `tracename`   | span!/event!/counter!/histogram! sites outside fcma-trace | allow marker |
-//! | `layering`    | Cargo.toml edges vs the DESIGN.md §12 DAG | none |
+//! | `tracename`   | trace-name sites (the four macros and the functions behind them) outside fcma-trace | allow marker |
 //! | `panicpath`   | call-graph panic reachability of sweep-crate `pub fn`s | `# Panics` docs or allow marker |
-//! | `atomicorder` | every `Ordering::*` site matches a DESIGN.md §16 atomics-contract row | allow marker |
 //! | `unusedallow` | every allow marker must suppress something | none |
 //!
 //! Allow markers are comments of the form
@@ -18,13 +16,15 @@
 //! What rustc and clippy check with type resolution is theirs: bare `as`
 //! casts in the kernel crates (`clippy::as_conversions`), raw
 //! `std::sync`/`std::thread` outside fcma-sync (`clippy.toml`'s
-//! disallowed types and methods), names a crate may use (its
-//! `[dependencies]`), and stale lint attributes (`#[expect]`).
+//! disallowed types and methods, `atomic::Ordering` among them), names
+//! a crate may use (its `[dependencies]`), and stale lint attributes
+//! (`#[expect]`). The manifests' crate layering is a test
+//! (`tests/layering.rs`), not a pass.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::graph::{CallGraph, Contracts, CrateGraph};
+use crate::graph::{CallGraph, CrateGraph};
 use crate::parser::{self, ParsedFile, Vis};
 use crate::source::{marker_allows, Role, SourceFile};
 
@@ -35,15 +35,25 @@ const PROPTEST_CRATE: &str = "fcma-linalg";
 /// defines the probes; instrumentation lives in the other crates).
 const TRACE_CRATE: &str = "fcma-trace";
 
-/// Call-site prefixes whose first string literal is a trace name.
-const TRACE_SITES: &[&str] =
-    &["span!(", "event!(", "counter!(", "histogram!(", "record_span_elapsed("];
+/// Call-site prefixes whose first argument is a trace name: the four
+/// macros and the `fcma_trace` functions that take a name.
+const TRACE_SITES: &[&str] = &[
+    "span!(",
+    "event!(",
+    "counter!(",
+    "histogram!(",
+    "record_span_elapsed(",
+    "add_counter(",
+    "start_span(",
+    "instant(",
+    "record_value(",
+];
 
 /// Crates whose code never runs inside a sweep, exempt from the
-/// `panicpath` and `atomicorder` passes: `fcma-audit` is this CI tool
-/// itself, `fcma-bench` is a measurement harness, and `fcma-mc` is the
-/// model-checking harness (its asserts *should* abort the checker), so
-/// a panic there cannot take down a worker.
+/// `panicpath` pass: `fcma-audit` is this CI tool itself, `fcma-bench`
+/// is a measurement harness, and `fcma-mc` is the model-checking
+/// harness (its asserts *should* abort the checker), so a panic there
+/// cannot take down a worker.
 /// Every other library crate — including any future one — is in scope
 /// by default.
 const EXEMPT_CRATES: &[&str] = &["fcma-audit", "fcma-bench", "fcma-mc"];
@@ -52,11 +62,10 @@ const EXEMPT_CRATES: &[&str] = &["fcma-audit", "fcma-bench", "fcma-mc"];
 const ROOT_CRATE: &str = "fcma";
 
 /// Every pass name an allow marker may reference, in `run_all` order.
-pub const PASS_NAMES: &[&str] =
-    &["proptest", "tracename", "layering", "panicpath", "atomicorder", "unusedallow"];
+pub const PASS_NAMES: &[&str] = &["proptest", "tracename", "panicpath", "unusedallow"];
 
 /// Passes that honor allow markers at all.
-pub const ESCAPABLE_PASSES: &[&str] = &["proptest", "tracename", "panicpath", "atomicorder"];
+pub const ESCAPABLE_PASSES: &[&str] = &["proptest", "tracename", "panicpath"];
 
 /// One diagnostic. Lines are 1-based for display.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,8 +87,8 @@ impl std::fmt::Display for Violation {
 }
 
 /// The fully analyzed workspace every pass runs over: lexed + parsed
-/// sources, the crate-dependency graph, the DESIGN.md contracts, and a
-/// shared record of which allow markers were actually consulted (fed to
+/// sources, the crate-dependency graph, the DESIGN.md §11 taxonomy, and
+/// a shared record of which allow markers were actually consulted (fed to
 /// the `unusedallow` pass).
 pub struct Workspace {
     /// Lexed and scope-analyzed files.
@@ -88,8 +97,6 @@ pub struct Workspace {
     pub parsed: Vec<ParsedFile>,
     /// Crate-dependency graph from the manifests.
     pub crates: CrateGraph,
-    /// Machine-readable DESIGN.md §12 contracts.
-    pub contracts: Contracts,
     /// Trace-name taxonomy from DESIGN.md §Observability.
     pub taxonomy: Option<Taxonomy>,
     /// `(file index, marker line)` of every consumed allow marker.
@@ -101,18 +108,10 @@ impl Workspace {
     pub fn new(
         files: Vec<SourceFile>,
         crates: CrateGraph,
-        contracts: Contracts,
         taxonomy: Option<Taxonomy>,
     ) -> Workspace {
         let parsed = files.iter().map(|f| parser::parse(&f.scan)).collect();
-        Workspace {
-            files,
-            parsed,
-            crates,
-            contracts,
-            taxonomy,
-            used_markers: RefCell::new(BTreeSet::new()),
-        }
+        Workspace { files, parsed, crates, taxonomy, used_markers: RefCell::new(BTreeSet::new()) }
     }
 
     /// The crate key of a file (the root package's files key as `fcma`).
@@ -139,9 +138,7 @@ impl Workspace {
     pub fn run_all(&self) -> Vec<Violation> {
         let mut v = check_proptest_coverage(self);
         v.extend(check_trace_names(self));
-        v.extend(check_layering(self));
         v.extend(check_panicpath(self));
-        v.extend(check_atomicorder(self));
         v.extend(check_unused_allow(self));
         v.sort_by(|a, b| (&a.file, a.line, a.pass).cmp(&(&b.file, b.line, b.pass)));
         v
@@ -329,64 +326,6 @@ pub fn check_trace_names(ws: &Workspace) -> Vec<Violation> {
     out
 }
 
-/// Pass: the crate-dependency DAG matches DESIGN.md §12.
-///
-/// Two checks, neither escapable (edit the table, not the code): every
-/// manifest `[dependencies]` edge on a `fcma-*` crate must be allowed by
-/// the layering table, and the table itself must stay in sync with the
-/// set of workspace crates. Source paths need no check of their own:
-/// rustc refuses a crate name that is not in `[dependencies]`.
-pub fn check_layering(ws: &Workspace) -> Vec<Violation> {
-    let Some(table) = &ws.contracts.layering else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-
-    // Manifest edges.
-    for m in &ws.crates.crates {
-        let Some(allowed) = table.get(&m.name) else {
-            out.push(Violation {
-                file: m.rel_path.clone(),
-                line: 1,
-                pass: "layering",
-                message: format!(
-                    "crate `{}` is missing from the DESIGN.md §12 layering table",
-                    m.name
-                ),
-            });
-            continue;
-        };
-        for dep in &m.deps {
-            if !allowed.contains(&dep.name) {
-                out.push(Violation {
-                    file: m.rel_path.clone(),
-                    line: dep.line + 1,
-                    pass: "layering",
-                    message: format!(
-                        "dependency `{}` → `{}` violates the DESIGN.md §12 layering DAG",
-                        m.name, dep.name
-                    ),
-                });
-            }
-        }
-    }
-
-    // Table staleness: rows for crates that no longer exist.
-    for name in table.keys() {
-        if ws.crates.get(name).is_none() {
-            out.push(Violation {
-                file: "DESIGN.md".to_owned(),
-                line: 1,
-                pass: "layering",
-                message: format!(
-                    "layering table lists crate `{name}` which is not in the workspace"
-                ),
-            });
-        }
-    }
-    out
-}
-
 /// Pass: no library `pub fn` reaches a panic, transitively.
 ///
 /// Builds the workspace call graph over non-test library functions of
@@ -472,236 +411,6 @@ pub fn check_panicpath(ws: &Workspace) -> Vec<Violation> {
                 ),
             });
         }
-    }
-    out
-}
-
-/// The memory orderings the `atomicorder` pass tracks.
-const MEM_ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
-
-/// Whether an atomic method reads, writes, or does both.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum OpClass {
-    Load,
-    Store,
-    Rmw,
-}
-
-/// Atomic method names an `Ordering::` argument can belong to.
-const ATOMIC_OPS: &[(&str, OpClass)] = &[
-    ("load", OpClass::Load),
-    ("store", OpClass::Store),
-    ("swap", OpClass::Rmw),
-    ("fetch_add", OpClass::Rmw),
-    ("fetch_sub", OpClass::Rmw),
-    ("fetch_and", OpClass::Rmw),
-    ("fetch_or", OpClass::Rmw),
-    ("fetch_xor", OpClass::Rmw),
-    ("fetch_update", OpClass::Rmw),
-    ("fetch_max", OpClass::Rmw),
-    ("fetch_min", OpClass::Rmw),
-    ("compare_exchange", OpClass::Rmw),
-    ("compare_exchange_weak", OpClass::Rmw),
-];
-
-/// `Ordering::<variant>` tokens on one scrubbed code line, as
-/// (char position of `Ordering`, variant) pairs. Only the five memory
-/// orderings count — `cmp::Ordering::Less` never matches.
-fn ordering_tokens(code: &str) -> Vec<(usize, &'static str)> {
-    let mut out = Vec::new();
-    for col in site_starts(code, "Ordering::") {
-        let variant: String = code
-            .chars()
-            .skip(col + "Ordering::".len())
-            .take_while(char::is_ascii_alphanumeric)
-            .collect();
-        if let Some(&ord) = MEM_ORDERINGS.iter().find(|&&o| o == variant) {
-            out.push((col, ord));
-        }
-    }
-    out
-}
-
-/// The rightmost `recv.op(` atomic call starting before char `limit`;
-/// returns (receiver ident, op, class).
-fn last_atomic_call(code: &str, limit: usize) -> Option<(String, &'static str, OpClass)> {
-    let chars: Vec<char> = code.chars().collect();
-    let mut best: Option<(usize, String, &'static str, OpClass)> = None;
-    for &(op, class) in ATOMIC_OPS {
-        for s in site_starts_word(code, op) {
-            if s >= limit || s == 0 || chars[s - 1] != '.' {
-                continue;
-            }
-            let mut j = s + op.chars().count();
-            while j < chars.len() && chars[j].is_whitespace() {
-                j += 1;
-            }
-            if chars.get(j) != Some(&'(') {
-                continue;
-            }
-            let e = s - 1;
-            let mut b = e;
-            while b > 0 && (chars[b - 1].is_ascii_alphanumeric() || chars[b - 1] == '_') {
-                b -= 1;
-            }
-            if b == e {
-                continue;
-            }
-            let recv: String = chars[b..e].iter().collect();
-            if best.as_ref().is_none_or(|&(p, ..)| s > p) {
-                best = Some((s, recv, op, class));
-            }
-        }
-    }
-    best.map(|(_, r, o, c)| (r, o, c))
-}
-
-/// The atomic call an `Ordering::` token at (`lineno`, `col`) belongs
-/// to: the nearest atomic-method call left of the token on its own
-/// line, or on one of the three lines above (rustfmt may wrap a
-/// `compare_exchange` argument list).
-fn atomic_op_at(
-    f: &SourceFile,
-    lineno: usize,
-    col: usize,
-) -> Option<(String, &'static str, OpClass)> {
-    for back in 0..4 {
-        let Some(l) = lineno.checked_sub(back) else {
-            break;
-        };
-        let code = &f.scan.code_lines[l];
-        let limit = if back == 0 { col } else { code.chars().count() };
-        if let Some(hit) = last_atomic_call(code, limit) {
-            return Some(hit);
-        }
-    }
-    None
-}
-
-/// Pass: every explicit memory-ordering site is covered by a DESIGN.md
-/// §16 "Atomics contracts" row, with the ordering it uses among the
-/// row's allowed load/store orderings.
-///
-/// The §16 table is the review record for every hand-placed fence in
-/// the workspace: which atomic, where it lives, which orderings its
-/// loads and stores may use, and which release→acquire pairing makes it
-/// sound. This pass closes the loop in both directions — an `Ordering::*`
-/// site without a row is a violation, and a row without a site is stale.
-/// The declared `sites:` count must match the scan exactly, so a new
-/// fence cannot land without a contract review.
-/// Escapable per site with `// audit: allow(atomicorder) — <reason>`.
-pub fn check_atomicorder(ws: &Workspace) -> Vec<Violation> {
-    let contract = ws.contracts.atomics.as_ref();
-    let mut out = Vec::new();
-    let mut actual_sites = 0usize;
-    let mut matched: BTreeSet<(String, String)> = BTreeSet::new();
-    let mut first_site: Option<(String, usize)> = None;
-    for (fi, f) in ws.files.iter().enumerate() {
-        if f.role != Role::Lib || EXEMPT_CRATES.contains(&ws.crate_key(fi)) {
-            continue;
-        }
-        for (lineno, code) in f.scan.code_lines.iter().enumerate() {
-            if f.in_test_span(lineno) {
-                continue;
-            }
-            for (col, ord) in ordering_tokens(code) {
-                actual_sites += 1;
-                if first_site.is_none() {
-                    first_site = Some((f.rel_path.clone(), lineno));
-                }
-                let Some(c) = contract else {
-                    continue;
-                };
-                if ws.allowed(fi, "atomicorder", lineno) {
-                    continue;
-                }
-                let Some((recv, op, class)) = atomic_op_at(f, lineno, col) else {
-                    out.push(Violation {
-                        file: f.rel_path.clone(),
-                        line: lineno + 1,
-                        pass: "atomicorder",
-                        message: format!(
-                            "cannot associate `Ordering::{ord}` with an atomic operation; \
-                             call the atomic through a named binding"
-                        ),
-                    });
-                    continue;
-                };
-                let Some(e) = c.entry(&recv, &f.rel_path) else {
-                    out.push(Violation {
-                        file: f.rel_path.clone(),
-                        line: lineno + 1,
-                        pass: "atomicorder",
-                        message: format!(
-                            "atomic site `{recv}.{op}` (`Ordering::{ord}`) has no DESIGN.md \
-                             §16 row for `{recv}` in this file; add one (or \
-                             `// audit: allow(atomicorder) — <reason>`)"
-                        ),
-                    });
-                    continue;
-                };
-                matched.insert((e.name.clone(), e.file.clone()));
-                let ok = match class {
-                    OpClass::Load => e.loads.iter().any(|o| o == ord),
-                    OpClass::Store => e.stores.iter().any(|o| o == ord),
-                    OpClass::Rmw => e.loads.iter().chain(&e.stores).any(|o| o == ord),
-                };
-                if !ok {
-                    out.push(Violation {
-                        file: f.rel_path.clone(),
-                        line: lineno + 1,
-                        pass: "atomicorder",
-                        message: format!(
-                            "`{recv}.{op}` uses `Ordering::{ord}` but its DESIGN.md §16 row \
-                             allows loads [{}] and stores [{}]",
-                            e.loads.join(", "),
-                            e.stores.join(", "),
-                        ),
-                    });
-                }
-            }
-        }
-    }
-    match (contract, first_site) {
-        (None, Some((file, line))) => out.push(Violation {
-            file,
-            line: line + 1,
-            pass: "atomicorder",
-            message: format!(
-                "workspace has {actual_sites} `Ordering::*` site(s) but DESIGN.md has no \
-                 §16 \"Atomics contracts\" table"
-            ),
-        }),
-        (Some(c), _) => {
-            if let Some(declared) = c.declared_sites {
-                if declared != actual_sites {
-                    out.push(Violation {
-                        file: "DESIGN.md".to_owned(),
-                        line: 1,
-                        pass: "atomicorder",
-                        message: format!(
-                            "DESIGN.md §16 declares {declared} `Ordering::*` site(s) but the \
-                             workspace has {actual_sites}; update the `sites:` count"
-                        ),
-                    });
-                }
-            }
-            for e in &c.entries {
-                if !matched.contains(&(e.name.clone(), e.file.clone())) {
-                    out.push(Violation {
-                        file: "DESIGN.md".to_owned(),
-                        line: 1,
-                        pass: "atomicorder",
-                        message: format!(
-                            "stale DESIGN.md §16 row: atomic `{}` in `{}` matched no \
-                             `Ordering::*` site",
-                            e.name, e.file
-                        ),
-                    });
-                }
-            }
-        }
-        (None, None) => {}
     }
     out
 }
@@ -806,39 +515,19 @@ fn site_starts(line: &str, pat: &str) -> Vec<usize> {
     out
 }
 
-/// [`site_starts`] filtered to occurrences that also end at a word
-/// boundary, so `std::thread` matches `std::thread::spawn` but not a
-/// hypothetical `std::thread_pool`.
-fn site_starts_word(line: &str, pat: &str) -> Vec<usize> {
-    let chars: Vec<char> = line.chars().collect();
-    let plen = pat.chars().count();
-    site_starts(line, pat)
-        .into_iter()
-        .filter(|&s| match chars.get(s + plen) {
-            Some(&c) => !(c.is_ascii_alphanumeric() || c == '_'),
-            None => true,
-        })
-        .collect()
-}
-
-/// First `"…"` literal at or after char `from` on line `lno`, searching
-/// up to two continuation lines (rustfmt may wrap the name onto the line
-/// after the macro's opening paren). Returns (0-based line, contents).
+/// The string literal that opens the argument list at char `from` of
+/// line `lno`: the first non-blank character after it, on that line or
+/// one of the two after it (rustfmt may wrap the name onto the line
+/// after the opening paren), must be a `"`. Returns (0-based line,
+/// contents); `None` when the first argument is not a literal.
 fn extract_name(raw_lines: &[String], lno: usize, from: usize) -> Option<(usize, String)> {
     for (idx, raw) in raw_lines.iter().enumerate().skip(lno).take(3) {
-        let chars: Vec<char> = raw.chars().collect();
-        let mut i = if idx == lno { from } else { 0 };
-        while i < chars.len() && chars[i] != '"' {
-            i += 1;
-        }
-        if i < chars.len() {
-            let mut name = String::new();
-            i += 1;
-            while i < chars.len() && chars[i] != '"' {
-                name.push(chars[i]);
-                i += 1;
-            }
-            return Some((idx, name));
+        let skip = if idx == lno { from } else { 0 };
+        let mut rest = raw.chars().skip(skip).skip_while(|c| c.is_whitespace());
+        match rest.next() {
+            None => {}
+            Some('"') => return Some((idx, rest.take_while(|&c| c != '"').collect())),
+            Some(_) => return None,
         }
     }
     None
@@ -865,7 +554,6 @@ fn contains_word(line: &str, name: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{CrateGraph, CrateManifest, ManifestDep};
     use crate::source::SourceFile;
 
     fn lib_file(crate_name: &str, src: &str) -> SourceFile {
@@ -882,23 +570,7 @@ mod tests {
     }
 
     fn ws_of(files: Vec<SourceFile>) -> Workspace {
-        Workspace::new(files, CrateGraph::default(), Contracts::default(), None)
-    }
-
-    fn ws_with(files: Vec<SourceFile>, crates: CrateGraph, contracts: Contracts) -> Workspace {
-        Workspace::new(files, crates, contracts, None)
-    }
-
-    fn manifest(name: &str, deps: &[&str]) -> CrateManifest {
-        CrateManifest {
-            name: name.to_owned(),
-            rel_path: format!("crates/{name}/Cargo.toml"),
-            deps: deps
-                .iter()
-                .enumerate()
-                .map(|(i, d)| ManifestDep { name: (*d).to_owned(), line: i + 3 })
-                .collect(),
-        }
+        Workspace::new(files, CrateGraph::default(), None)
     }
 
     #[test]
@@ -951,12 +623,7 @@ mod tests {
         Counters: `svm.smo.solves`.\n\n## 12. After\n`not.that`\n";
 
     fn ws_tax(files: Vec<SourceFile>) -> Workspace {
-        Workspace::new(
-            files,
-            CrateGraph::default(),
-            Contracts::default(),
-            Taxonomy::from_design_md(DESIGN_FIXTURE),
-        )
+        Workspace::new(files, CrateGraph::default(), Taxonomy::from_design_md(DESIGN_FIXTURE))
     }
 
     #[test]
@@ -1033,57 +700,17 @@ mod tests {
 
     #[test]
     fn tracename_requires_inline_literal() {
-        let f = lib_file("fcma-core", "//! m\nfn f(n: u64) {\n    counter!(NAME, n);\n}\n");
-        let v = check_trace_names(&ws_of(vec![f]));
-        assert_eq!(v.len(), 1);
-        assert!(v[0].message.contains("inline string literal"));
-    }
-
-    fn layer_contracts(rows: &[(&str, &[&str])]) -> Contracts {
-        let mut md = String::from("## 12. Architecture contracts\n\n| Crate | Deps |\n|--|--|\n");
-        for (c, deps) in rows {
-            let cell = if deps.is_empty() {
-                "(none)".to_owned()
-            } else {
-                deps.iter().map(|d| format!("`{d}`")).collect::<Vec<_>>().join(", ")
-            };
-            md.push_str(&format!("| `{c}` | {cell} |\n"));
+        // A literal on a later line is another call's, not this one's.
+        for call in [
+            "counter!(NAME, n);",
+            "fcma_trace::add_counter(NAME, 1);",
+            "add_counter(name(), 1);\n    histogram!(\"stage1.corr\", 1.0);",
+        ] {
+            let f = lib_file("fcma-core", &format!("//! m\nfn f(n: u64) {{\n    {call}\n}}\n"));
+            let v = check_trace_names(&ws_tax(vec![f]));
+            assert_eq!(v.len(), 1, "{call}");
+            assert!(v[0].message.contains("inline string literal"), "{call}");
         }
-        Contracts::from_design_md(&md)
-    }
-
-    #[test]
-    fn layering_rejects_undeclared_manifest_edge() {
-        let crates = CrateGraph { crates: vec![manifest("fcma-linalg", &["fcma-cluster"])] };
-        let contracts =
-            layer_contracts(&[("fcma-linalg", &[]), ("fcma-cluster", &["fcma-linalg"])]);
-        let ws = ws_with(Vec::new(), crates, contracts);
-        let v = check_layering(&ws);
-        assert_eq!(v.len(), 2, "{v:?}"); // bad edge + stale table row for fcma-cluster
-        assert!(v.iter().any(|x| x.message.contains("`fcma-linalg` → `fcma-cluster`")));
-    }
-
-    #[test]
-    fn layering_allows_declared_edges_and_flags_missing_crates() {
-        let crates = CrateGraph {
-            crates: vec![manifest("fcma-cluster", &["fcma-linalg"]), manifest("fcma-new", &[])],
-        };
-        let contracts =
-            layer_contracts(&[("fcma-linalg", &[]), ("fcma-cluster", &["fcma-linalg"])]);
-        let ws = ws_with(Vec::new(), crates, contracts);
-        let v = check_layering(&ws);
-        // fcma-new missing from table; fcma-linalg in table but not in
-        // the workspace manifest set.
-        assert_eq!(v.len(), 2, "{v:?}");
-        assert!(v.iter().any(|x| x.message.contains("`fcma-new` is missing")));
-        assert!(v.iter().any(|x| x.message.contains("not in the workspace")));
-    }
-
-    #[test]
-    fn layering_skips_without_table() {
-        let crates = CrateGraph { crates: vec![manifest("fcma-linalg", &["fcma-cluster"])] };
-        let ws = ws_with(Vec::new(), crates, Contracts::default());
-        assert!(check_layering(&ws).is_empty());
     }
 
     #[test]
@@ -1203,7 +830,8 @@ mod tests {
 
     #[test]
     fn unusedallow_flags_marker_for_unescapable_pass() {
-        let f = lib_file("fcma-core", "//! m\n// audit: allow(layering) — nice try\nfn f() {}\n");
+        let f =
+            lib_file("fcma-core", "//! m\n// audit: allow(unusedallow) — nice try\nfn f() {}\n");
         let ws = ws_of(vec![f]);
         let v = check_unused_allow(&ws);
         assert_eq!(v.len(), 1);
@@ -1218,96 +846,6 @@ mod tests {
         );
         let b = lib_file("fcma-core", "//! m\nfn f() {\n    bench_hook();\n}\n");
         let v = ws_of(vec![f, b]).run_all();
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    fn atomics_contracts(md: &str) -> Contracts {
-        Contracts::from_design_md(&format!("## 16. Atomics contracts\n\n{md}"))
-    }
-
-    const FLAG_ROW: &str = "sites: 2\n\n\
-        | Atomic | File | Role | Loads | Stores | Pairing |\n|---|---|---|---|---|---|\n\
-        | `flag` | `fcma-core/src/a.rs` | cancel | `Acquire` | `Release` | `flag` |\n";
-
-    #[test]
-    fn atomicorder_sites_without_section_fire_once() {
-        let f = lib_file(
-            "fcma-core",
-            "//! m\nfn f(flag: &AtomicBool) {\n    flag.store(true, Ordering::Release);\n}\n",
-        );
-        let v = check_atomicorder(&ws_of(vec![f]));
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].message.contains("no \u{a7}16"), "{v:?}");
-    }
-
-    #[test]
-    fn atomicorder_row_covers_matching_sites() {
-        let f = lib_file(
-            "fcma-core",
-            "//! m\nfn f(flag: &AtomicBool) -> bool {\n    flag.store(true, Ordering::Release);\n    flag.load(Ordering::Acquire)\n}\n",
-        );
-        let v = check_atomicorder(&ws_with(
-            vec![f],
-            CrateGraph::default(),
-            atomics_contracts(FLAG_ROW),
-        ));
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn atomicorder_flags_disallowed_ordering_and_missing_row() {
-        let f = lib_file(
-            "fcma-core",
-            "//! m\nfn f(flag: &AtomicBool, other: &AtomicUsize) -> bool {\n    other.store(1, Ordering::SeqCst);\n    flag.store(true, Ordering::Relaxed);\n    flag.load(Ordering::Acquire)\n}\n",
-        );
-        let v = check_atomicorder(&ws_with(
-            vec![f],
-            CrateGraph::default(),
-            atomics_contracts(&FLAG_ROW.replace("sites: 2", "sites: 3")),
-        ));
-        assert_eq!(v.len(), 2, "{v:?}");
-        assert!(v.iter().any(|x| x.message.contains("no DESIGN.md \u{a7}16 row")), "{v:?}");
-        assert!(v.iter().any(|x| x.message.contains("allows loads [Acquire]")), "{v:?}");
-    }
-
-    #[test]
-    fn atomicorder_checks_site_count_and_stale_rows() {
-        let f = lib_file(
-            "fcma-core",
-            "//! m\nfn f(flag: &AtomicBool) {\n    flag.store(true, Ordering::Release);\n}\n",
-        );
-        let v = check_atomicorder(&ws_with(
-            vec![f],
-            CrateGraph::default(),
-            atomics_contracts(FLAG_ROW),
-        ));
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].message.contains("declares 2"), "{v:?}");
-
-        let stale = "sites: 0\n\n\
-            | Atomic | File | Role | Loads | Stores | Pairing |\n|---|---|---|---|---|---|\n\
-            | `gone` | `fcma-core/src/a.rs` | nothing | `Relaxed` | `Relaxed` | none |\n";
-        let empty = lib_file("fcma-core", "//! m\nfn f() {}\n");
-        let v = check_atomicorder(&ws_with(
-            vec![empty],
-            CrateGraph::default(),
-            atomics_contracts(stale),
-        ));
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].message.contains("stale"), "{v:?}");
-    }
-
-    #[test]
-    fn atomicorder_allow_marker_escapes_a_site() {
-        let f = lib_file(
-            "fcma-core",
-            "//! m\nfn f(x: &AtomicUsize) {\n    // audit: allow(atomicorder) — bench-only knob\n    x.store(1, Ordering::SeqCst);\n}\n",
-        );
-        let v = check_atomicorder(&ws_with(
-            vec![f],
-            CrateGraph::default(),
-            atomics_contracts("sites: 1\n"),
-        ));
         assert!(v.is_empty(), "{v:?}");
     }
 }

@@ -1,10 +1,10 @@
-//! Per-file source model: role classification plus a single-pass
-//! structural analysis (test spans, allow markers and the
-//! `// audit:` comments that are not allow markers) that the lexical
-//! lint passes consume. Item-level structure (functions, types,
-//! calls) lives in [`crate::parser`].
+//! Per-file source model: role classification, `#[cfg(test)]` spans,
+//! allow markers and the `// audit:` comments that are not allow
+//! markers, which the lexical lint passes consume. Item-level structure
+//! (functions, types, calls) lives in [`crate::parser`].
 
 use crate::lexer::{scan, Scanned};
+use crate::parser::cfg_test_spans;
 
 /// What kind of target a file belongs to, which decides which passes
 /// apply: library passes skip bins, tests, benches, and examples.
@@ -52,15 +52,13 @@ impl SourceFile {
     /// Lex and analyze `source` under the given path and role.
     pub fn new(rel_path: &str, crate_name: Option<&str>, role: Role, source: &str) -> Self {
         let scan = scan(source);
-        let mut file = SourceFile {
+        SourceFile {
             rel_path: rel_path.to_owned(),
             crate_name: crate_name.map(str::to_owned),
             role,
+            test_spans: cfg_test_spans(&scan),
             scan,
-            test_spans: Vec::new(),
-        };
-        file.analyze();
-        file
+        }
     }
 
     /// Does an allow marker for `pass` cover 0-based line `line`?
@@ -123,66 +121,6 @@ impl SourceFile {
         }
         out
     }
-
-    /// One sequential pass over the scrubbed code computing the
-    /// `#[cfg(test)]` spans. Brace depth is tracked exactly (literals are already
-    /// blanked); item starts are recognized from keyword tokens.
-    fn analyze(&mut self) {
-        // Pending state fed by raw lines.
-        let mut pending_cfg_test = false;
-
-        // Brace tracking.
-        let mut depth: i64 = 0;
-        // Item awaiting its brace while a cfg(test) attr is pending.
-        let mut awaiting_cfg_item = false;
-        // Stack entries: (depth_after_open, start_line, is_cfg_test).
-        let mut stack: Vec<(i64, usize, bool)> = Vec::new();
-
-        let code_lines = self.scan.code_lines.clone();
-        for (lineno, code) in code_lines.iter().enumerate() {
-            let raw_trim = self.scan.raw_lines[lineno].trim_start();
-            if raw_trim.starts_with("#[cfg(test)]") {
-                pending_cfg_test = true;
-            }
-
-            // Token walk for item keywords and braces.
-            let mut tokens = Tokenizer::new(code);
-            while let Some(tok) = tokens.next_token() {
-                match tok {
-                    Token::Ident(w) => {
-                        if pending_cfg_test
-                            && matches!(
-                                w.as_str(),
-                                "fn" | "mod" | "struct" | "enum" | "impl" | "trait" | "union"
-                            )
-                        {
-                            awaiting_cfg_item = true;
-                            pending_cfg_test = false;
-                        }
-                    }
-                    Token::Open => {
-                        depth += 1;
-                        let is_cfg = awaiting_cfg_item;
-                        awaiting_cfg_item = false;
-                        stack.push((depth, lineno, is_cfg));
-                    }
-                    Token::Close => {
-                        if stack.last().is_some_and(|&(d, _, _)| d == depth) {
-                            if let Some((_, start, is_cfg)) = stack.pop() {
-                                if is_cfg {
-                                    self.test_spans.push((start, lineno));
-                                }
-                            }
-                        }
-                        depth -= 1;
-                    }
-                    Token::Semi => {
-                        awaiting_cfg_item = false;
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// The comment prefix that introduces an allow marker.
@@ -219,71 +157,6 @@ pub fn marker_allows(comment: &str, pass: &str) -> bool {
         .or_else(|| rest.strip_prefix(':'))
         .map_or("", str::trim);
     !reason.is_empty()
-}
-
-/// Events from the per-line token walk.
-enum Token {
-    Ident(String),
-    Open,
-    Close,
-    Semi,
-}
-
-struct Tokenizer<'a> {
-    chars: std::str::Chars<'a>,
-    peeked: Option<char>,
-}
-
-impl<'a> Tokenizer<'a> {
-    fn new(line: &'a str) -> Self {
-        Tokenizer { chars: line.chars(), peeked: None }
-    }
-
-    fn bump(&mut self) -> Option<char> {
-        self.peeked.take().or_else(|| self.chars.next())
-    }
-
-    fn peek(&mut self) -> Option<char> {
-        if self.peeked.is_none() {
-            self.peeked = self.chars.next();
-        }
-        self.peeked
-    }
-
-    fn next_token(&mut self) -> Option<Token> {
-        loop {
-            let c = self.bump()?;
-            match c {
-                '{' => return Some(Token::Open),
-                '}' => return Some(Token::Close),
-                ';' => return Some(Token::Semi),
-                c if c.is_alphabetic() || c == '_' => {
-                    let mut w = String::new();
-                    w.push(c);
-                    while let Some(n) = self.peek() {
-                        if n.is_alphanumeric() || n == '_' {
-                            w.push(n);
-                            self.bump();
-                        } else {
-                            break;
-                        }
-                    }
-                    return Some(Token::Ident(w));
-                }
-                c if c.is_ascii_digit() => {
-                    // Consume the number (so `1f32` is not an ident `f32`).
-                    while let Some(n) = self.peek() {
-                        if n.is_alphanumeric() || n == '_' || n == '.' {
-                            self.bump();
-                        } else {
-                            break;
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
 }
 
 #[cfg(test)]

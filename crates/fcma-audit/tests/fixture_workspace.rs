@@ -1,14 +1,10 @@
-//! On-disk fixture workspace: seed one violation per workspace-level
-//! pass (layering, panicpath, unusedallow, atomicorder) in a temporary
-//! crate tree and assert the full [`fcma_audit::audit`] pipeline —
-//! discovery, manifest parsing, DESIGN.md contract parsing, call-graph
-//! construction — catches each one and nothing it shouldn't.
+//! On-disk fixture workspace: seed a `panicpath` and an `unusedallow`
+//! violation in a temporary two-crate tree and assert the full
+//! [`fcma_audit::audit`] pipeline — discovery, manifest parsing and
+//! call-graph construction — catches each one and nothing it shouldn't.
 //!
-//! The in-memory seeds in `self_clean.rs` cover the per-file passes;
-//! this test is the only seed for the two that need manifests and
-//! contracts on disk (`layering`, `atomicorder` — `self_clean.rs` names
-//! the same two). CI runs it as its own job so
-//! a regression in any one pass is visible by name.
+//! `self_clean.rs` seeds every pass in memory; this test pins the same
+//! passes end to end from the files on disk.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -43,30 +39,10 @@ impl Drop for Fixture {
     }
 }
 
-const DESIGN_MD: &str = "\
-# Fixture design
-
-## 12. Architecture contracts
-
-| Crate | Allowed direct deps |
-|---|---|
-| `fcma-alpha` | (none) |
-| `fcma-beta` | (none) |
-| `fcma-race` | (none) |
-
-## 16. Atomics contracts
-
-sites: 1
-
-| Atomic | File | Role | Loads | Stores | Pairing |
-|---|---|---|---|---|---|
-";
-
 /// Build the seeded workspace and run the audit once.
 fn audited_fixture(tag: &str) -> (Fixture, Vec<Violation>) {
     let fx = Fixture::new(tag);
     fx.write("Cargo.toml", "[workspace]\nmembers = [\"crates/*\"]\n");
-    fx.write("DESIGN.md", DESIGN_MD);
 
     // fcma-alpha: a fn fcma-beta calls, and a stale marker.
     fx.write(
@@ -83,17 +59,17 @@ fn audited_fixture(tag: &str) -> (Fixture, Vec<Violation>) {
          // audit: allow(panicpath) — seeded stale marker: nothing nearby panics\n",
     );
 
-    // fcma-beta: an undeclared dependency on fcma-alpha, an
-    // undocumented panicking pub fn, and a documented one.
+    // fcma-beta: a dependency on fcma-alpha, an undocumented panicking
+    // pub fn, and a documented one.
     fx.write(
         "crates/fcma-beta/Cargo.toml",
         "[package]\nname = \"fcma-beta\"\n\n[dependencies]\nfcma-alpha = { path = \"../fcma-alpha\" }\n",
     );
     fx.write(
         "crates/fcma-beta/src/lib.rs",
-        "//! Seeded: layering breach and panic reachability.\n\
+        "//! Seeded: panic reachability.\n\
          \n\
-         /// Calls across the forbidden edge.\n\
+         /// Calls across the manifest edge.\n\
          pub fn call_alpha() {\n\
              fcma_alpha::used();\n\
          }\n\
@@ -112,37 +88,12 @@ fn audited_fixture(tag: &str) -> (Fixture, Vec<Violation>) {
          }\n",
     );
 
-    // fcma-race: an `Ordering::SeqCst` site with no §16 contract row
-    // (the fixture table above is deliberately empty but declares the
-    // matching `sites: 1` count).
-    fx.write("crates/fcma-race/Cargo.toml", "[package]\nname = \"fcma-race\"\n\n[dependencies]\n");
-    fx.write(
-        "crates/fcma-race/src/lib.rs",
-        "//! Seeded: an uncontracted atomics site.\n\
-         \n\
-         /// An ordering site the (empty) §16 table does not cover.\n\
-         fn arm(flag: &AtomicBool) {\n\
-             flag.store(true, Ordering::SeqCst);\n\
-         }\n",
-    );
-
     let violations = fcma_audit::audit(&fx.root).expect("fixture audit must run");
     (fx, violations)
 }
 
 fn hits<'a>(violations: &'a [Violation], pass: &str) -> Vec<&'a Violation> {
     violations.iter().filter(|v| v.pass == pass).collect()
-}
-
-#[test]
-fn layering_pass_fires_on_undeclared_dependency() {
-    let (_fx, violations) = audited_fixture("layering");
-    let lay = hits(&violations, "layering");
-    assert!(
-        lay.iter().any(|v| v.file == "crates/fcma-beta/Cargo.toml"
-            && v.message.contains("`fcma-beta` → `fcma-alpha`")),
-        "manifest edge not flagged: {lay:?}"
-    );
 }
 
 #[test]
@@ -170,18 +121,6 @@ fn unusedallow_pass_fires_on_stale_marker() {
             .iter()
             .any(|v| v.file == "crates/fcma-alpha/src/lib.rs" && v.message.contains("stale")),
         "stale marker not flagged: {stale:?}"
-    );
-}
-
-#[test]
-fn atomicorder_pass_fires_exactly_once_on_undeclared_site() {
-    let (_fx, violations) = audited_fixture("atomicorder");
-    let ao = hits(&violations, "atomicorder");
-    assert_eq!(ao.len(), 1, "exactly one seeded undeclared site: {ao:?}");
-    assert!(
-        ao[0].file == "crates/fcma-race/src/lib.rs"
-            && ao[0].message.contains("no DESIGN.md \u{a7}16 row"),
-        "undeclared `Ordering::SeqCst` site not flagged: {ao:?}"
     );
 }
 

@@ -1,6 +1,6 @@
 //! The audit tool's acceptance gate: the shipped tree must be clean,
-//! seeded violations must be caught, and the DESIGN.md contracts the
-//! passes depend on must parse from the shipped document.
+//! seeded violations must be caught, and the DESIGN.md taxonomy the
+//! `tracename` pass depends on must parse from the shipped document.
 
 use std::path::Path;
 
@@ -19,18 +19,14 @@ fn shipped_tree_is_clean() {
     );
 }
 
-/// The passes `tests/fixture_workspace.rs` seeds on disk, because they
-/// need manifests or DESIGN.md tables; it has one firing test for each.
-const FIXTURE_PASSES: [&str; 2] = ["layering", "atomicorder"];
-
 #[test]
 fn seeded_violations_are_caught() {
-    use fcma_audit::graph::{Contracts, CrateGraph};
+    use fcma_audit::graph::CrateGraph;
     use fcma_audit::passes::{Taxonomy, Workspace, PASS_NAMES};
     use fcma_audit::source::{Role, SourceFile};
 
-    // In-memory seeds for every pass the on-disk fixture does not own,
-    // so a pass cannot join `PASS_NAMES` without a seeded violation.
+    // In-memory seeds for every pass, so a pass cannot join
+    // `PASS_NAMES` without a seeded violation.
     let seeded = vec![
         SourceFile::new(
             "crates/fcma-linalg/src/bad.rs",
@@ -48,10 +44,10 @@ fn seeded_violations_are_caught() {
     ];
     let taxonomy = Taxonomy::from_design_md("## Observability\n`stage1.corr`\n")
         .expect("fixture taxonomy parses");
-    let ws = Workspace::new(seeded, CrateGraph::default(), Contracts::default(), Some(taxonomy));
+    let ws = Workspace::new(seeded, CrateGraph::default(), Some(taxonomy));
     let violations = ws.run_all();
     let passes_hit: std::collections::BTreeSet<&str> = violations.iter().map(|v| v.pass).collect();
-    for expected in PASS_NAMES.iter().filter(|p| !FIXTURE_PASSES.contains(p)) {
+    for expected in PASS_NAMES {
         assert!(passes_hit.contains(expected), "pass `{expected}` did not fire: {violations:?}");
     }
 }
@@ -72,23 +68,6 @@ fn shipped_design_md_taxonomy_parses() {
     ] {
         assert!(taxonomy.contains(name), "DESIGN.md taxonomy is missing `{name}`");
     }
-}
-
-#[test]
-fn shipped_design_md_contracts_parse() {
-    let design = std::fs::read_to_string(workspace_root().join("DESIGN.md"))
-        .expect("DESIGN.md must be readable");
-    let contracts = fcma_audit::graph::Contracts::from_design_md(&design);
-
-    let layering = contracts.layering.expect("DESIGN.md §12 must declare the layering table");
-    let kernels = layering.get("fcma-linalg").expect("layering table must cover fcma-linalg");
-    assert_eq!(
-        kernels.iter().collect::<Vec<_>>(),
-        vec!["fcma-sync"],
-        "fcma-linalg may depend on the concurrency facade (the §15 pool) and nothing else"
-    );
-    let cluster = layering.get("fcma-cluster").expect("layering table must cover fcma-cluster");
-    assert!(cluster.contains("fcma-core"), "fcma-cluster must be allowed to use fcma-core");
 }
 
 #[test]

@@ -142,6 +142,17 @@ impl Args {
         }
     }
 
+    /// Finite `f32` option with default: `NaN` and `inf` parse as `f32`,
+    /// but no option takes either.
+    pub(crate) fn get_finite(&self, key: &str, default: f32) -> Result<f32, ArgError> {
+        match self.get(key) {
+            None => Ok(default),
+            Some(v) => v.parse().ok().filter(|x: &f32| x.is_finite()).ok_or_else(|| {
+                ArgError::BadValue { key: key.into(), value: v.into(), want: "finite number" }
+            }),
+        }
+    }
+
     /// Whether a bare switch was given.
     pub(crate) fn has_flag(&self, flag: &str) -> bool {
         self.flags.iter().any(|f| f == flag)

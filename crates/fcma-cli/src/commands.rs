@@ -108,9 +108,7 @@ pub(crate) fn generate(args: &Args) -> Result<()> {
             return Err("--subjects must be at least 1".into());
         }
     }
-    if let Some(v) = args.get("coupling") {
-        cfg.coupling = v.parse()?;
-    }
+    cfg.coupling = args.get_finite("coupling", cfg.coupling)?;
     if let Some(v) = args.get("seed") {
         cfg.seed = v.parse()?;
     }
@@ -408,7 +406,7 @@ pub(crate) fn clusters(args: &Args) -> Result<()> {
 pub(crate) fn mask(args: &Args) -> Result<()> {
     let data = stem(args, "data")?;
     let out = stem(args, "out")?;
-    let threshold: f32 = args.get_parsed("threshold", 0.0f32, "number")?;
+    let threshold = args.get_finite("threshold", 0.0)?;
     let dataset = fio::load_dataset(&data)?;
     let mask = VoxelMask::threshold_mean_abs(&dataset, threshold);
     if mask.n_kept() == 0 {
@@ -682,6 +680,23 @@ mod tests {
                 analyze,
                 &["analyze", "--data", &two, "--chaos-panic-task", "x"],
                 "option --chaos-panic-task: \"x\" is not a valid integer",
+            ),
+            // Non-finite numbers used to write a dataset every reader
+            // refuses, or blame the threshold for keeping no voxel.
+            (
+                generate,
+                &["generate", "--coupling", "NaN", "--out", &out],
+                "option --coupling: \"NaN\" is not a valid finite number",
+            ),
+            (
+                generate,
+                &["generate", "--coupling", "inf", "--out", &out],
+                "option --coupling: \"inf\" is not a valid finite number",
+            ),
+            (
+                mask,
+                &["mask", "--data", &two, "--threshold", "NaN", "--out", &out],
+                "option --threshold: \"NaN\" is not a valid finite number",
             ),
             (analyze, &["analyze", "--data", &two, "--out", &bad_out], out_err.as_str()),
             (analyze, &["analyze", "--data", &two, "--trace-out", &bad_trace], &trace_err),

@@ -372,13 +372,14 @@ enum DispatchOutcome {
 }
 
 impl DispatchOutcome {
-    fn counter_name(self) -> &'static str {
+    /// Add one to this outcome's `cluster.tasks.*` counter.
+    fn count(self) {
         match self {
-            DispatchOutcome::Completed => "cluster.tasks.completed",
-            DispatchOutcome::Discarded => "cluster.tasks.discarded",
-            DispatchOutcome::Failed => "cluster.tasks.failed",
-            DispatchOutcome::Condemned => "cluster.tasks.condemned",
-            DispatchOutcome::Cancelled => "cluster.tasks.cancelled",
+            DispatchOutcome::Completed => counter!("cluster.tasks.completed", 1_u64),
+            DispatchOutcome::Discarded => counter!("cluster.tasks.discarded", 1_u64),
+            DispatchOutcome::Failed => counter!("cluster.tasks.failed", 1_u64),
+            DispatchOutcome::Condemned => counter!("cluster.tasks.condemned", 1_u64),
+            DispatchOutcome::Cancelled => counter!("cluster.tasks.cancelled", 1_u64),
         }
     }
 
@@ -538,7 +539,7 @@ impl Master {
     fn resolve_dispatch(&mut self, wid: usize, outcome: DispatchOutcome) -> Option<DispatchInfo> {
         let info = self.current[wid].take()?;
         if fcma_trace::is_enabled() {
-            fcma_trace::add_counter(outcome.counter_name(), 1_u64);
+            outcome.count();
             histogram!("cluster.dispatch.wall_ms", info.started.elapsed().as_secs_f64() * 1e3);
             fcma_trace::record_span_elapsed(
                 "cluster.dispatch",

@@ -9,7 +9,7 @@
 //! the master has already re-dispatched the task elsewhere and will
 //! ignore the condemned worker's late results.
 
-use fcma_sync::atomic::{AtomicBool, Ordering};
+use fcma_sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 /// A cheaply cloneable cancellation flag shared between the cluster
@@ -27,12 +27,12 @@ impl CancelToken {
 
     /// Request cancellation. Idempotent; never blocks.
     pub fn cancel(&self) {
-        self.flag.store(true, Ordering::Release);
+        self.flag.store(true);
     }
 
     /// Whether cancellation has been requested.
     pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Acquire)
+        self.flag.load()
     }
 }
 

@@ -3,11 +3,13 @@
 //! [`AtomicBool`] wraps its `std::sync::atomic` counterpart; under a
 //! model checker each access is preceded by a scheduling point, so
 //! races on flags (cancellation, shutdown) are part of the explored
-//! interleavings. Orderings are passed straight through — under the
-//! model threads are serialized, so every execution is sequentially
-//! consistent anyway.
+//! interleavings. The flag fixes its own memory orderings — every store
+//! is `Release` and every load `Acquire`, so a store publishes what the
+//! storing thread wrote before it to the thread that loads the value.
+//! The root `clippy.toml` forbids naming `Ordering` outside this module
+//! and the trace collector's id counters (DESIGN.md §16).
 
-pub use std::sync::atomic::Ordering;
+use std::sync::atomic::Ordering;
 
 use crate::runtime::{mode, Mode};
 
@@ -23,16 +25,16 @@ impl AtomicBool {
         AtomicBool { inner: std::sync::atomic::AtomicBool::new(value) }
     }
 
-    /// Read the flag.
-    pub fn load(&self, order: Ordering) -> bool {
+    /// Read the flag (`Acquire`).
+    pub fn load(&self) -> bool {
         interleave();
-        self.inner.load(order)
+        self.inner.load(Ordering::Acquire)
     }
 
-    /// Write the flag.
-    pub fn store(&self, value: bool, order: Ordering) {
+    /// Write the flag (`Release`).
+    pub fn store(&self, value: bool) {
         interleave();
-        self.inner.store(value, order);
+        self.inner.store(value, Ordering::Release);
     }
 }
 

@@ -26,6 +26,12 @@
 //!    timestamp relative to the collector's epoch, so exporters can
 //!    reconstruct the hierarchy without global ordering guarantees.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the registry lock must keep working while the fcma-sync facade is in model mode; \
+              the two id counters are `Relaxed` because ids need only be unique"
+)]
+
 use crate::ctx::TraceCtx;
 use crate::report::{AttrValue, Histogram, SpanRecord, TraceReport};
 use fcma_sync::thread::{set_ctx_hooks, CtxHandle, CtxHooks};

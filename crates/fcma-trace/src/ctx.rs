@@ -12,6 +12,11 @@
 //! pool task still names its dispatch. `fcma report --check` closes the
 //! loop with cross-thread causality invariants over these attributes.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "`thread_local!` names `std::thread::LocalKey`; the context is per thread by design"
+)]
+
 use std::cell::Cell;
 
 /// Where an attempt came from: the first dispatch of a task, or a retry

@@ -117,16 +117,13 @@ fn attr_from_value(v: &Value) -> AttrValue {
     }
 }
 
-fn ns_of(v: Option<&Value>) -> u64 {
-    // Timestamps are decimal microseconds; convert back to integer ns.
-    let us = v.and_then(Value::as_f64).unwrap_or(0.0);
-    // cast is exact here: guarded below by max(0) semantics
-    let ns = (us * 1_000.0).round();
-    if ns <= 0.0 {
-        0
-    } else {
-        // cast is exact here: non-negative after the guard above
-        ns as u64
+/// Event `i`'s `key` member, decimal microseconds, as integer ns; an
+/// error when it is missing, not a number, negative or past `u64`.
+fn ns_of(ev: &Value, key: &str, i: usize) -> Result<u64, String> {
+    match ev.get(key).and_then(Value::as_f64).map(|us| (us * 1_000.0).round()) {
+        // cast is exact here: an integral value in [0, 2^64)
+        Some(ns) if (0.0..2f64.powi(64)).contains(&ns) => Ok(ns as u64),
+        _ => Err(format!("traceEvents[{i}]: {key} is not a finite, non-negative number")),
     }
 }
 
@@ -150,9 +147,10 @@ pub fn from_chrome_json(input: &str) -> Result<TraceReport, String> {
             .and_then(Value::as_str)
             .ok_or_else(|| format!("traceEvents[{i}] has no name"))?
             .to_owned();
+        let start_ns = ns_of(ev, "ts", i)?;
         let ph = obj.get("ph").and_then(Value::as_str).unwrap_or("X");
         let dur_ns = match ph {
-            "X" => Some(ns_of(obj.get("dur"))),
+            "X" => Some(ns_of(ev, "dur", i)?),
             "i" | "I" => None,
             other => return Err(format!("traceEvents[{i}]: unsupported phase {other:?}")),
         };
@@ -172,7 +170,7 @@ pub fn from_chrome_json(input: &str) -> Result<TraceReport, String> {
             tid: obj.get("tid").and_then(Value::as_u64).unwrap_or(0),
             id: obj.get("id").and_then(Value::as_u64).unwrap_or(0),
             parent,
-            start_ns: ns_of(obj.get("ts")),
+            start_ns,
             dur_ns,
             attrs,
         });
@@ -342,6 +340,24 @@ mod tests {
             from_chrome_json("{\"traceEvents\":[{\"ph\":\"X\"}]}").is_err(),
             "event without a name must be rejected"
         );
+        // Timing that used to read as 0 ns: missing, not a number,
+        // negative, or infinite.
+        let ok = "{\"name\":\"x\",\"ph\":\"X\",\"ts\":1,\"dur\":2}";
+        for (bad, key) in [
+            ("{\"name\":\"x\",\"ph\":\"X\",\"ts\":-5,\"dur\":\"abc\"}", "ts"),
+            ("{\"name\":\"x\",\"ph\":\"X\",\"ts\":5,\"dur\":\"abc\"}", "dur"),
+            ("{\"name\":\"x\",\"ph\":\"X\",\"ts\":5}", "dur"),
+            ("{\"name\":\"x\",\"ph\":\"X\",\"ts\":5,\"dur\":-1}", "dur"),
+            ("{\"name\":\"x\",\"ph\":\"i\"}", "ts"),
+            ("{\"name\":\"x\",\"ph\":\"i\",\"ts\":1e400}", "ts"),
+            ("{\"name\":\"x\",\"ph\":\"i\",\"ts\":null}", "ts"),
+        ] {
+            assert_eq!(
+                from_chrome_json(&format!("{{\"traceEvents\":[{ok},{bad}]}}")).unwrap_err(),
+                format!("traceEvents[1]: {key} is not a finite, non-negative number"),
+                "{bad}"
+            );
+        }
         assert_eq!(
             from_chrome_json("{\"traceEvents\":[],\"fcmaCounters\":{\"x\":1e20}}").unwrap_err(),
             "counter x is not a non-negative integer",

@@ -55,10 +55,6 @@
 //! assert_eq!(report.counter("stage1.flops"), 1_234);
 //! ```
 
-#![expect(
-    clippy::disallowed_types,
-    reason = "the registry lock must keep working while the fcma-sync facade is in model mode"
-)]
 #![cfg_attr(test, expect(clippy::disallowed_methods, reason = "tests sleep on real threads"))]
 
 mod collector;
