@@ -1,6 +1,9 @@
 //! Plain-text table rendering for the reproduction harness.
 
 /// Render an aligned table with a title, header row, and data rows.
+///
+/// # Panics
+/// If a row has a different number of cells than `headers`.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     println!("\n== {title} ==");
     let ncols = headers.len();

@@ -1,5 +1,14 @@
 //! Minimal flag parsing for the `fcma` CLI (no external dependencies).
 
+// An input boundary: product code here returns typed errors (DESIGN.md §10).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable
+)]
+
 use std::collections::HashMap;
 
 /// Parsed command line: a subcommand plus `--key value` / `--flag` pairs.

@@ -1,5 +1,14 @@
 //! CLI subcommand implementations.
 
+// An input boundary: product code here returns typed errors (DESIGN.md §10).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable
+)]
+
 use crate::args::Args;
 use fcma_cluster::{run_cluster_with, ChaosExecutor, ClusterConfig};
 use fcma_core::{
@@ -147,8 +156,11 @@ pub(crate) fn info(args: &Args) -> Result<()> {
     say!("epochs     {}", dataset.n_epochs())?;
     let a = dataset.epochs().iter().filter(|e| e.label == fcma_fmri::Condition::A).count();
     say!("labels     {a} A / {} B", dataset.n_epochs() - a)?;
-    let lens: Vec<usize> = dataset.epochs().iter().map(|e| e.len).collect();
-    say!("epoch len  {}..{}", lens.iter().min().unwrap(), lens.iter().max().unwrap())?;
+    let lens = dataset.epochs().iter().map(|e| e.len);
+    let (Some(min), Some(max)) = (lens.clone().min(), lens.max()) else {
+        return Err(format!("{}: the dataset has no epochs", data.display()).into());
+    };
+    say!("epoch len  {min}..{max}")?;
     Ok(())
 }
 
@@ -313,7 +325,8 @@ pub(crate) fn analyze(args: &Args) -> Result<()> {
     let selected = select_top_k(&scores, top_k);
     say!("voxel\taccuracy")?;
     for &v in &selected {
-        say!("{v}\t{:.4}", scores[v].accuracy)?;
+        let score = scores.get(v).ok_or_else(|| format!("no score for voxel {v}"))?;
+        say!("{v}\t{:.4}", score.accuracy)?;
     }
     if let Some(truth) = truth {
         let rec = recovery_rate(&selected, &truth);

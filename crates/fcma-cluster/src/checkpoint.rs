@@ -21,6 +21,15 @@
 //! writer died mid-append) is *dropped*, not rejected — that is the
 //! normal shape of a killed sweep.
 
+// An input boundary: product code here returns typed errors (DESIGN.md §10).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable
+)]
+
 use crate::error::CheckpointError;
 use fcma_core::{VoxelScore, VoxelTask};
 use std::io::{BufWriter, Write};
@@ -68,7 +77,6 @@ impl Checkpoint {
     }
 
     /// Parse already-read lines (separated out for testability).
-    // audit: allow(panicpath) — every line index is bounded by `i < lines.len()` in the loop
     fn parse(lines: &[String]) -> Result<Checkpoint, CheckpointError> {
         let header = lines
             .first()
@@ -133,7 +141,9 @@ fn parse_record(
     i: usize,
 ) -> Result<Option<(TaskRecord, usize)>, CheckpointError> {
     let corrupt = |line: usize, reason: String| CheckpointError::Corrupt { line: line + 1, reason };
-    let head = &lines[i];
+    let Some(head) = lines.get(i) else {
+        return Ok(None);
+    };
     let mut parts = head.split_whitespace();
     if parts.next() != Some("task") {
         return Err(corrupt(i, format!("expected `task <start> <count>`, got {head:?}")));
@@ -148,13 +158,14 @@ fn parse_record(
         return Err(corrupt(i, format!("malformed task line {head:?}")));
     }
     // A record needs `count` voxel lines plus the `end` line.
-    if i + count + 1 >= lines.len() {
+    let end = i.saturating_add(count).saturating_add(1);
+    let (Some(body), Some(end_line)) = (lines.get(i + 1..end), lines.get(end)) else {
         return Ok(None);
-    }
+    };
     let mut scores = Vec::with_capacity(count);
     let mut hasher = Fnv1a64::new();
     hasher.update(head.as_bytes());
-    for (offset, line) in lines[i + 1..=i + count].iter().enumerate() {
+    for (offset, line) in body.iter().enumerate() {
         let ln = i + 1 + offset;
         let mut parts = line.split_whitespace();
         let (Some(voxel), Some(bits)) = (
@@ -166,7 +177,7 @@ fn parse_record(
         if parts.next().is_some() {
             return Err(corrupt(ln, format!("malformed score line {line:?}")));
         }
-        let expected_voxel = start + offset;
+        let expected_voxel = start.saturating_add(offset);
         if voxel != expected_voxel {
             return Err(corrupt(
                 ln,
@@ -176,20 +187,19 @@ fn parse_record(
         hasher.update(line.as_bytes());
         scores.push(VoxelScore { voxel, accuracy: f64::from_bits(bits) });
     }
-    let end_line = &lines[i + count + 1];
     let Some(stored) = end_line.strip_prefix("end ") else {
-        return Err(corrupt(i + count + 1, format!("expected `end <checksum>`, got {end_line:?}")));
+        return Err(corrupt(end, format!("expected `end <checksum>`, got {end_line:?}")));
     };
     let Ok(stored) = u64::from_str_radix(stored.trim(), 16) else {
-        return Err(corrupt(i + count + 1, format!("unparseable checksum {end_line:?}")));
+        return Err(corrupt(end, format!("unparseable checksum {end_line:?}")));
     };
     if stored != hasher.finish() {
         return Err(corrupt(
-            i + count + 1,
+            end,
             format!("checksum mismatch (stored {stored:016x}, computed {:016x})", hasher.finish()),
         ));
     }
-    Ok(Some((TaskRecord { task: VoxelTask { start, count }, scores }, i + count + 2)))
+    Ok(Some((TaskRecord { task: VoxelTask { start, count }, scores }, end + 1)))
 }
 
 /// Incremental checkpoint writer: one flushed record per completed task.
@@ -352,13 +362,15 @@ mod tests {
         w.record(t0, &sample_scores(t0)).expect("record");
         drop(w);
         // Simulate a kill mid-append: a task header with only one of two
-        // score lines and no end marker.
-        let mut text = std::fs::read_to_string(&path).expect("read");
-        text.push_str("task 2 2\n2 3fe0000000000000\n");
-        std::fs::write(&path, text).expect("write");
-        let ck = Checkpoint::load(&path).expect("load");
-        assert_eq!(completed_starts(&ck), vec![0]);
-        assert!(ck.truncated_tail);
+        // score lines and no end marker. A count running past the end of
+        // the file, `usize::MAX` included, reads the same way.
+        let text = std::fs::read_to_string(&path).expect("read");
+        for tail in ["task 2 2\n2 3fe0000000000000\n", "task 2 18446744073709551615\n"] {
+            std::fs::write(&path, format!("{text}{tail}")).expect("write");
+            let ck = Checkpoint::load(&path).expect("load");
+            assert_eq!(completed_starts(&ck), vec![0]);
+            assert!(ck.truncated_tail);
+        }
     }
 
     #[test]

@@ -513,7 +513,7 @@ impl Master {
     ///
     /// The dispatch's causal identity ([`causal_ctx`]) is computed before
     /// the send and rides the message.
-    // audit: allow(panicpath) — worker ids are stamped at spawn time and dense in 0..workers.len()
+    // Cannot panic: worker ids are stamped at spawn time and dense in 0..workers.len()
     fn dispatch(&mut self, task: VoxelTask, wid: usize) -> bool {
         let attempt = self.attempts.get(&task.start).copied().unwrap_or(0) + 1;
         let ctx = causal_ctx(task, attempt);
@@ -535,14 +535,18 @@ impl Master {
     /// Resolve worker `wid`'s outstanding dispatch with `outcome`:
     /// record its `cluster.dispatch` span, wall-time histogram sample,
     /// and outcome counter. Every dispatch reaches this exactly once.
-    // audit: allow(panicpath) — worker ids are stamped at spawn time and dense in 0..workers.len()
+    // Cannot panic: worker ids are stamped at spawn time and dense in 0..workers.len()
     fn resolve_dispatch(&mut self, wid: usize, outcome: DispatchOutcome) -> Option<DispatchInfo> {
         let info = self.current[wid].take()?;
         if fcma_trace::is_enabled() {
             outcome.count();
             histogram!("cluster.dispatch.wall_ms", info.started.elapsed().as_secs_f64() * 1e3);
+            const DISPATCH: &str = "cluster.dispatch";
+            const _: () =
+                assert!(fcma_trace::names::known(DISPATCH, fcma_trace::names::Kind::Span));
+            #[expect(clippy::disallowed_methods, reason = "name checked above")]
             fcma_trace::record_span_elapsed(
-                "cluster.dispatch",
+                DISPATCH,
                 vec![
                     ("task", AttrValue::from(info.task.start)),
                     ("worker", AttrValue::from(wid)),
@@ -580,7 +584,7 @@ impl Master {
         );
     }
 
-    // audit: allow(panicpath) — worker ids are stamped at spawn time and dense in 0..workers.len()
+    // Cannot panic: worker ids are stamped at spawn time and dense in 0..workers.len()
     fn on_done(
         &mut self,
         worker: usize,
@@ -636,7 +640,7 @@ impl Master {
         }
     }
 
-    // audit: allow(panicpath) — worker ids are stamped at spawn time and dense in 0..workers.len()
+    // Cannot panic: worker ids are stamped at spawn time and dense in 0..workers.len()
     fn on_failed(
         &mut self,
         worker: usize,
@@ -699,7 +703,7 @@ impl Master {
 
     /// Condemn every worker whose dispatch has outlived the hang deadline
     /// and requeue its task, in task order.
-    // audit: allow(panicpath) — worker ids are stamped at spawn time and dense in 0..workers.len()
+    // Cannot panic: worker ids are stamped at spawn time and dense in 0..workers.len()
     fn check_deadlines(&mut self) -> Result<(), ClusterError> {
         let Some(deadline) = self.task_deadline else {
             return Ok(());
@@ -747,7 +751,7 @@ impl Master {
 
 /// Spawn one detached worker thread serving tasks until shutdown,
 /// disconnect, or its own death, and return the master's handle on it.
-// audit: allow(panicpath) — executor panics are contained by catch_unwind and reported as FromWorker::Failed
+// Executor panics are contained by catch_unwind and reported as FromWorker::Failed
 fn spawn_worker(
     wid: usize,
     ctx: TaskContext,

@@ -107,7 +107,7 @@ pub fn offline_analysis(
 
 /// Sample matrix of the selected voxels: one row per epoch, holding the
 /// selected voxels' normalized correlation vectors concatenated.
-// audit: allow(panicpath) — row slices are sized by the same m/n/selected that sized the samples matrix
+// Cannot panic: row slices are sized by the same m/n/selected that sized the samples matrix
 pub(crate) fn selected_samples(ctx: &TaskContext, selected: &[usize]) -> Mat {
     let m = ctx.n_epochs();
     let n = ctx.n_voxels();
@@ -156,6 +156,9 @@ pub struct OnlineResult {
 /// cross validation over epochs (no nested CV — §5.2.2).
 ///
 /// Folds are stratified by condition so every fold sees both classes.
+///
+/// # Panics
+/// If `n_folds < 2`.
 pub fn online_voxel_selection(
     dataset: &Dataset,
     exec: &dyn TaskExecutor,

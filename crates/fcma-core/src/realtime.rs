@@ -131,7 +131,7 @@ fn fisher_rows(brain: &Mat, selected: &[usize], out: &mut [f32]) {
 /// 2's arithmetic over the session's one subject: each column's
 /// statistics over every epoch, then the z-apply. Returns the samples
 /// and the statistics, `(mean, 1/std)`.
-// audit: allow(panicpath) — every row and statistics buffer is sized selected × N of the context's own brain matrices
+// Cannot panic: every row and statistics buffer is sized selected × N of the context's own brain matrices
 fn training_samples(ctx: &TaskContext, selected: &[usize]) -> (Mat, Vec<f32>, Vec<f32>) {
     let m = ctx.n_epochs();
     let mut samples = Mat::zeros(m, selected.len() * ctx.n_voxels());
@@ -334,6 +334,9 @@ impl OnlineSession {
     /// so far (paper §5.2.2: k-fold over epochs, no nested CV), then
     /// freeze what [`Self::score_epoch`] needs for newer epochs (see
     /// [`FeedbackModel`]).
+    ///
+    /// # Panics
+    /// If the session's `n_folds` is 0.
     pub fn train_feedback(&self) -> Result<FeedbackModel, SessionError> {
         let dataset = self.dataset()?;
         let ctx = TaskContext::full(&dataset);
@@ -364,7 +367,7 @@ impl OnlineSession {
     /// at every epoch index, and the result does not depend on the epochs
     /// that came after `e`. On a training epoch it agrees with the dual
     /// decision over the training kernel to float rounding.
-    // audit: allow(panicpath) — `end_epoch` closes an epoch only once its window lies inside the volumes pushed
+    // Cannot panic: `end_epoch` closes an epoch only once its window lies inside the volumes pushed
     pub fn score_epoch(&self, fb: &FeedbackModel, e: usize) -> Result<f32, SessionError> {
         let Some(ep) = self.epochs.get(e) else {
             return Err(SessionError::UnknownEpoch { epoch: e, completed: self.epochs.len() });

@@ -210,6 +210,9 @@ pub fn corr_baseline(ctx: &TaskContext, task: VoxelTask, pool: &Pool) -> CorrDat
 }
 
 /// Optimized stage 1: the tall-skinny strip-blocked kernel.
+///
+/// # Panics
+/// If `task` reaches past the context's voxels.
 pub fn corr_optimized(ctx: &TaskContext, task: VoxelTask, opts: TallSkinnyOpts) -> CorrData {
     let v = task.count;
     let n = ctx.n_voxels();

@@ -121,6 +121,9 @@ pub fn normalize_separated(corr: &mut CorrData, ctx: &TaskContext) {
 
 /// Merged schedule on the calling thread: [`corr_normalized_merged_parallel`]
 /// with the one-thread pool.
+///
+/// # Panics
+/// If `task` is out of range for `ctx`.
 pub fn corr_normalized_merged(
     ctx: &TaskContext,
     task: VoxelTask,

@@ -67,6 +67,10 @@ pub(crate) fn permutation_p_value(observed: f64, null: &[f64]) -> f64 {
 }
 
 /// Full permutation test for one voxel of a task's correlation data.
+///
+/// # Panics
+/// If `vi` is not a voxel of `corr`, or as
+/// [`fcma_svm::loso_cross_validate`].
 pub fn voxel_permutation_test(
     corr: &CorrData,
     vi: usize,

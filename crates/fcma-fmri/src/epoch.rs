@@ -189,6 +189,9 @@ impl NormalizedEpochs {
     }
 
     /// Extract assigned blocks for every epoch at once.
+    ///
+    /// # Panics
+    /// Panics if the range exceeds the voxel count.
     pub fn assigned_blocks(&self, voxels: Range<usize>) -> Vec<Mat> {
         (0..self.n_epochs()).map(|e| self.assigned_block(e, voxels.clone())).collect()
     }

@@ -104,7 +104,7 @@ impl Hrf {
 
     /// Convolve a neural time series with the HRF (causal, same length:
     /// output `t` depends on inputs `≤ t`).
-    // audit: allow(panicpath) — j ranges over take(t + 1), so x[t - j] is in bounds
+    // Cannot panic: j ranges over take(t + 1), so x[t - j] is in bounds
     pub(crate) fn convolve(&self, x: &[f32]) -> Vec<f32> {
         let k = self.kernel();
         let mut out = vec![0.0f32; x.len()];

@@ -9,6 +9,15 @@
 //! * the human-editable text epoch table (`.epochs` — one epoch per line:
 //!   `subject label start len`, `#` comments allowed).
 
+// An input boundary: product code here returns typed errors (DESIGN.md §10).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable
+)]
+
 use crate::dataset::{Condition, Dataset, EpochSpec};
 use fcma_linalg::Mat;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
@@ -163,7 +172,6 @@ pub fn write_epoch_table<W: Write>(w: &mut W, epochs: &[EpochSpec]) -> Result<()
 }
 
 /// Parse an epoch table from `r`.
-// audit: allow(panicpath) — toks[0..=3] guarded by the len == 4 check above each use
 pub fn read_epoch_table<R: Read>(r: &mut R) -> Result<Vec<EpochSpec>, IoError> {
     let r = BufReader::new(r);
     let mut epochs = Vec::new();
@@ -174,21 +182,21 @@ pub fn read_epoch_table<R: Read>(r: &mut R) -> Result<Vec<EpochSpec>, IoError> {
             continue;
         }
         let toks: Vec<&str> = body.split_whitespace().collect();
-        if toks.len() != 4 {
+        let &[subject, label, start, len] = toks.as_slice() else {
             return Err(IoError::Parse {
                 line: lineno + 1,
                 msg: format!("expected 4 fields, got {}", toks.len()),
             });
-        }
-        let subject = toks[0]
+        };
+        let subject = subject
             .parse::<usize>()
             .map_err(|e| IoError::Parse { line: lineno + 1, msg: format!("bad subject: {e}") })?;
         let label =
-            Condition::parse(toks[1]).map_err(|msg| IoError::Parse { line: lineno + 1, msg })?;
-        let start = toks[2]
+            Condition::parse(label).map_err(|msg| IoError::Parse { line: lineno + 1, msg })?;
+        let start = start
             .parse::<usize>()
             .map_err(|e| IoError::Parse { line: lineno + 1, msg: format!("bad start: {e}") })?;
-        let len = toks[3]
+        let len = len
             .parse::<usize>()
             .map_err(|e| IoError::Parse { line: lineno + 1, msg: format!("bad len: {e}") })?;
         epochs.push(EpochSpec { subject, label, start, len });

@@ -7,6 +7,15 @@
 //! compacted [`Dataset`] plus the mapping back to original indices so
 //! selected voxels can be reported in acquisition space.
 
+// An input boundary: product code here returns typed errors (DESIGN.md §10).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable
+)]
+
 use crate::dataset::Dataset;
 use fcma_linalg::Mat;
 
@@ -30,7 +39,9 @@ impl VoxelMask {
         let mut keep = vec![false; n_voxels];
         for &i in indices {
             assert!(i < n_voxels, "VoxelMask: index {i} out of range ({n_voxels})");
-            keep[i] = true;
+            if let Some(slot) = keep.get_mut(i) {
+                *slot = true;
+            }
         }
         VoxelMask { keep }
     }
@@ -110,6 +121,10 @@ impl VoxelMask {
         for (ci, &oi) in kept.iter().enumerate() {
             data.row_mut(ci).copy_from_slice(dataset.data().row(oi));
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "masking keeps the time axis, so every epoch stays valid"
+        )]
         let masked = Dataset::new(data, dataset.epochs().to_vec())
             .expect("masking preserves epoch validity");
         (masked, kept)

@@ -20,6 +20,9 @@ pub struct Ar1 {
 
 impl Ar1 {
     /// Generate `n` samples, starting from the stationary distribution.
+    ///
+    /// # Panics
+    /// If `|phi| >= 1` (the process has no stationary distribution).
     pub fn generate<R: Rng + ?Sized>(&self, rng: &mut R, n: usize) -> Vec<f32> {
         assert!(self.phi.abs() < 1.0, "Ar1: |phi| must be < 1, got {}", self.phi);
         let mut out = Vec::with_capacity(n);

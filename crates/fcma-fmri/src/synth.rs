@@ -170,7 +170,7 @@ impl SynthConfig {
                     .max_by(|&a, &b| {
                         grid.distance(c1, a).total_cmp(&grid.distance(c1, b)).then(a.cmp(&b))
                     })
-                    // audit: allow(panicpath) — range is non-empty: random_range above panics first on n_voxels == 0
+                    // Cannot panic: the range is non-empty (random_range above panics first on n_voxels == 0)
                     .expect("n_voxels > 0");
                 let blob = |center: usize, exclude: &[usize]| -> Vec<usize> {
                     let mut all: Vec<usize> =
@@ -264,7 +264,7 @@ impl SynthConfig {
             }
         }
 
-        // audit: allow(panicpath) — epochs were generated within the bounds of the data just built
+        // Cannot panic: epochs were generated within the bounds of the data just built
         let dataset = Dataset::new(data, epochs).expect("synthetic dataset must validate");
         (dataset, GroundTruth { informative })
     }

@@ -35,6 +35,9 @@ impl Default for BlockSizes {
 
 /// `C = A · B` with default blocking and freshly allocated packing
 /// buffers. See [`gemm_blocked_scratch`].
+///
+/// # Panics
+/// Panics on inconsistent leading dimensions or undersized buffers.
 #[expect(clippy::too_many_arguments, reason = "BLAS-style signature")]
 pub fn gemm_blocked(
     m: usize,

@@ -144,7 +144,7 @@ impl Mat {
     }
 
     /// A newly allocated transpose.
-    // audit: allow(panicpath) — indices range over self's own dims, in-bounds by construction
+    // Cannot panic: indices range over self's own dims, in-bounds by construction
     pub fn transposed(&self) -> Mat {
         let mut t = Mat::zeros(self.cols, self.rows);
         for r in 0..self.rows {

@@ -279,9 +279,9 @@ proptest! {
     }
 }
 
-// Coverage for the remaining public kernels (the fcma-audit `proptest`
-// pass requires every top-level `pub fn` of this crate to be exercised
-// here): microkernels and panel packing, BLAS-1/2 helpers, the SYRK
+// Coverage for the remaining public kernels (`pub_fn_coverage.rs`
+// requires every top-level `pub fn` of this crate to be named under
+// tests/): microkernels and panel packing, BLAS-1/2 helpers, the SYRK
 // panel-depth knob, the merged-pipeline tile primitive, and the checked
 // cast helpers.
 

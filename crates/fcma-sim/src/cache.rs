@@ -86,7 +86,7 @@ impl CacheSim {
     }
 
     /// Touch the line containing byte address `addr`; returns `true` on hit.
-    // audit: allow(panicpath) — set_idx is line % n_sets, always < n_sets
+    // Cannot panic: set_idx is line % n_sets, always < n_sets
     pub fn access(&mut self, addr: u64) -> bool {
         let line = addr / self.config.line_bytes as u64;
         let set_idx = (line % self.n_sets as u64) as usize;

@@ -152,6 +152,9 @@ impl ClusterModel {
     /// Elapsed healthy-vs-degraded times for a sweep of node counts:
     /// `(nodes, healthy_sec, degraded_sec)` where the degraded column
     /// loses the first `failed_fraction` of nodes at `fail_at_sec`.
+    ///
+    /// # Panics
+    /// If a node count is zero.
     pub fn degraded_sweep(
         &self,
         task_secs: &[f64],
@@ -171,11 +174,17 @@ impl ClusterModel {
     }
 
     /// Elapsed times for a sweep of node counts.
+    ///
+    /// # Panics
+    /// If a node count is zero.
     pub fn sweep(&self, task_secs: &[f64], node_counts: &[usize]) -> Vec<(usize, f64)> {
         node_counts.iter().map(|&n| (n, self.simulate(task_secs, n))).collect()
     }
 
     /// Speedups relative to one node (Fig. 8's y-axis).
+    ///
+    /// # Panics
+    /// If a node count is zero.
     pub fn speedups(&self, task_secs: &[f64], node_counts: &[usize]) -> Vec<(usize, f64)> {
         let t1 = self.simulate(task_secs, 1);
         node_counts.iter().map(|&n| (n, t1 / self.simulate(task_secs, n))).collect()

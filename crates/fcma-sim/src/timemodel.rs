@@ -47,6 +47,9 @@ impl TimeModel {
 
     /// Estimated milliseconds when only `active_threads` of the machine's
     /// hardware threads have work (≥ total threads means fully parallel).
+    ///
+    /// # Panics
+    /// If `active_threads == 0`.
     pub fn limited_ms(&self, c: &KernelCounters, m: &MachineConfig, active_threads: usize) -> f64 {
         assert!(active_threads > 0, "limited_ms: no active threads");
         let util = (active_threads.min(m.total_threads()) as f64) / m.total_threads() as f64;

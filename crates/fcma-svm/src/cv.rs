@@ -52,6 +52,9 @@ pub struct CvResult {
 /// Leave-one-subject-out cross validation on the calling thread:
 /// [`loso_cross_validate_with`] on the one-thread pool, through a fresh
 /// solver scratch.
+///
+/// # Panics
+/// As [`loso_cross_validate_with`].
 pub fn loso_cross_validate(
     kernel: &KernelMatrix,
     y: &[f32],

@@ -46,6 +46,9 @@ impl KernelMatrix {
     /// [`Self::precompute`] over a raw row-major `m × n` slice (avoids a
     /// copy when the data lives inside a larger buffer, as FCMA's
     /// per-voxel correlation matrices do), through a fresh SYRK scratch.
+    ///
+    /// # Panics
+    /// If `data` holds fewer than `m × n` values.
     pub fn precompute_raw(m: usize, n: usize, data: &[f32]) -> Self {
         Self::precompute_raw_with(m, n, data, &mut SyrkScratch::new(m, PANEL_K))
     }
@@ -72,6 +75,9 @@ impl KernelMatrix {
 
     /// Precompute via the generic library-style dot-product SYRK (the
     /// baseline path) over a raw row-major `m × n` slice.
+    ///
+    /// # Panics
+    /// If `data` holds fewer than `m × n` values.
     pub fn precompute_baseline_raw(m: usize, n: usize, data: &[f32]) -> Self {
         let _span = span!("svm.kernel.precompute", samples = m, features = n, kernel = "dot");
         let mut k = Mat::zeros(m, m);
@@ -108,6 +114,9 @@ impl KernelMatrix {
     }
 
     /// Full kernel row for sample `i`.
+    ///
+    /// # Panics
+    /// If `i` is not a sample index.
     #[inline]
     pub fn row(&self, i: usize) -> &[f32] {
         self.k.row(i)

@@ -63,6 +63,9 @@ impl SvmModel {
     }
 
     /// Fraction of `(sample, target)` pairs predicted correctly.
+    ///
+    /// # Panics
+    /// If `samples` and `targets` differ in length.
     pub fn accuracy(&self, kernel: &KernelMatrix, samples: &[usize], targets: &[f32]) -> f64 {
         assert_eq!(samples.len(), targets.len(), "accuracy: length mismatch");
         if samples.is_empty() {

@@ -177,7 +177,7 @@ impl VirtualClock {
             let n = st.registered;
             st.dead = true;
             self.cv.notify_all();
-            // audit: allow(panicpath) — deadlock diagnostic: every registered thread is parked with no pending timer, so no wake-up can ever arrive
+            // A deliberate deadlock diagnostic: every registered thread is parked with no pending timer, so no wake-up can ever arrive
             panic!("fcma-sync virtual clock: all {n} registered threads are blocked with no pending timer (deadlock)");
         };
         if next > st.now {

@@ -78,14 +78,14 @@ impl<T> MutexGuard<'_, T> {
 impl<T> Deref for MutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        // audit: allow(panicpath) — the slot is only empty mid-wait, and Condvar::wait refills it before returning control
+        // Cannot panic: the slot is only empty mid-wait, and Condvar::wait refills it before returning control
         self.inner.as_ref().expect("mutex guard is held")
     }
 }
 
 impl<T> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        // audit: allow(panicpath) — the slot is only empty mid-wait, and Condvar::wait refills it before returning control
+        // Cannot panic: the slot is only empty mid-wait, and Condvar::wait refills it before returning control
         self.inner.as_mut().expect("mutex guard is held")
     }
 }
@@ -131,7 +131,7 @@ impl Condvar {
     }
 
     fn wait_impl<T>(&self, guard: &mut MutexGuard<'_, T>, dur: Option<Duration>) -> bool {
-        // audit: allow(panicpath) — wait is only reachable through a live guard, whose slot is full outside wait itself
+        // Cannot panic: wait is only reachable through a live guard, whose slot is full outside wait itself
         let held = guard.inner.take().expect("mutex guard is held");
         match mode() {
             Mode::Real => {
@@ -162,7 +162,7 @@ impl Condvar {
                 let (_, mutex_id) = guard
                     .model
                     .clone()
-                    // audit: allow(panicpath) — a guard acquired under the model always carries its grant; modes cannot change mid-thread
+                    // Cannot panic: a guard acquired under the model always carries its grant; modes cannot change mid-thread
                     .expect("a wait under the model requires a model-acquired guard");
                 let cv_id = model_object_id(&self.id, &rt);
                 drop(held);

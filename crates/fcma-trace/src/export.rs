@@ -13,6 +13,15 @@
 //! read, so older files with `fcmaLabeledCounters` or per-histogram
 //! `buckets` still load.
 
+// An input boundary: product code here returns typed errors (DESIGN.md §10).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable
+)]
+
 use crate::json::{self, Value};
 use crate::report::{AttrValue, Histogram, SpanRecord, TraceReport};
 use std::fmt::Write as _;
@@ -186,12 +195,15 @@ pub fn from_chrome_json(input: &str) -> Result<TraceReport, String> {
     }
     if let Some(histograms) = doc.get("fcmaHistograms").and_then(Value::as_object) {
         for (name, value) in histograms {
-            let mut h = Histogram {
-                count: value.get("count").and_then(Value::as_u64).unwrap_or(0),
-                sum: value.get("sum").and_then(Value::as_f64).unwrap_or(0.0),
-                min: value.get("min").and_then(Value::as_f64).unwrap_or(0.0),
-                max: value.get("max").and_then(Value::as_f64).unwrap_or(0.0),
+            let Some(count) = value.get("count").and_then(Value::as_u64) else {
+                return Err(format!("fcmaHistograms.{name}: count is not a non-negative integer"));
             };
+            let finite = |key: &str| match value.get(key).and_then(Value::as_f64) {
+                Some(v) if v.is_finite() => Ok(v),
+                _ => Err(format!("fcmaHistograms.{name}: {key} is not a finite number")),
+            };
+            let mut h =
+                Histogram { count, sum: finite("sum")?, min: finite("min")?, max: finite("max")? };
             if h.count == 0 {
                 h.min = f64::INFINITY;
                 h.max = f64::NEG_INFINITY;
@@ -363,5 +375,51 @@ mod tests {
             "counter x is not a non-negative integer",
             "a counter past u64 must not saturate"
         );
+        // Histogram members that used to read as 0.
+        let full = "\"count\":5,\"sum\":10,\"min\":1,\"max\":3";
+        for (bad, want) in [
+            (full.replace("5", "\"five\""), "count is not a non-negative integer"),
+            (full.replace("5", "-5"), "count is not a non-negative integer"),
+            (full.replace("\"count\":5,", ""), "count is not a non-negative integer"),
+            (full.replace("10", "\"ten\""), "sum is not a finite number"),
+            (full.replace("1,", "1e999,"), "min is not a finite number"),
+            (full.replace(",\"max\":3", ""), "max is not a finite number"),
+        ] {
+            let trace = format!("{{\"traceEvents\":[],\"fcmaHistograms\":{{\"h.x\":{{{bad}}}}}}}");
+            assert_eq!(
+                from_chrome_json(&trace).unwrap_err(),
+                format!("fcmaHistograms.h.x: {want}")
+            );
+        }
+    }
+
+    /// `fcma report --check` inputs that used to pass: an SMO histogram
+    /// with no solves counter, and causal contexts or dispatch
+    /// identities that are missing or not integers.
+    #[test]
+    fn check_refuses_incomplete_accounting_and_malformed_contexts() {
+        let check = |trace: &str| from_chrome_json(trace).unwrap().check_consistency();
+        let smo = "{\"traceEvents\":[],\"fcmaHistograms\":{\"svm.smo.iterations_per_solve\":\
+                   {\"count\":5,\"sum\":10,\"min\":1,\"max\":3}}}";
+        assert_eq!(check(smo), ["svm.smo.iterations_per_solve count (5) != svm.smo.solves (0)"]);
+        let record = |name: &str, ph: &str, args: &str| {
+            format!("{{\"traceEvents\":[{{\"name\":\"{name}\",\"ph\":\"{ph}\",\"ts\":1,\"dur\":1,\"args\":{{{args}}}}}]}}")
+        };
+        for (trace, want) in [
+            (record("x", "X", "\"ctx_task\":5"), "malformed causal context"),
+            (
+                record("x", "X", "\"ctx_task\":\"5\",\"ctx_attempt\":\"1\""),
+                "malformed causal context",
+            ),
+            (record("x", "X", "\"ctx_task\":5,\"ctx_attempt\":1"), "no matching cluster.dispatch"),
+            (record("cluster.dispatch", "X", "\"task\":5"), "without integer task and attempt"),
+            (record("cluster.fence", "i", "\"task\":5,\"attempt\":\"1\""), "without integer task"),
+        ] {
+            let violations = check(&trace);
+            assert!(
+                violations.len() == 1 && violations[0].contains(want),
+                "{trace}: {violations:?}"
+            );
+        }
     }
 }

@@ -9,6 +9,15 @@
 //! the CI trace-validation step relies on. Nesting is capped at 64
 //! levels, so a hostile file cannot exhaust the stack.
 
+// An input boundary: product code here returns typed errors (DESIGN.md §10).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable
+)]
+
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -102,15 +111,13 @@ pub fn parse(input: &str) -> Result<Value, String> {
     Ok(value)
 }
 
-// audit: allow(panicpath) — `bytes[*pos]` is guarded by `*pos < bytes.len()` in the loop condition
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
+    while let Some(b' ' | b'\t' | b'\n' | b'\r') = bytes.get(*pos) {
         *pos += 1;
     }
 }
 
 /// Parse one value inside `depth` enclosing arrays and objects.
-// audit: allow(panicpath) — descent helpers bounds-guard every byte index; syntax errors are Err, not panics
 fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
@@ -129,7 +136,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Str
 }
 
 fn parse_literal(bytes: &[u8], pos: &mut usize, text: &str, value: Value) -> Result<Value, String> {
-    if bytes[*pos..].starts_with(text.as_bytes()) {
+    if bytes.get(*pos..).is_some_and(|rest| rest.starts_with(text.as_bytes())) {
         *pos += text.len();
         Ok(value)
     } else {
@@ -142,12 +149,11 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
     if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
     }
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-    {
+    while let Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') = bytes.get(*pos) {
         *pos += 1;
     }
-    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|_| "non-utf8 number")?;
+    let text = std::str::from_utf8(bytes.get(start..*pos).unwrap_or_default())
+        .map_err(|_| "non-utf8 number")?;
     text.parse::<f64>().map(Value::Number).map_err(|_| format!("invalid number at byte {start}"))
 }
 
@@ -187,10 +193,9 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
                 *pos += 1;
             }
-            Some(_) => {
+            Some(&b) => {
                 // Copy one UTF-8 scalar. Find its byte length from the
                 // leading byte so multibyte characters pass through.
-                let b = bytes[*pos];
                 let len = match b {
                     0x00..=0x7f => 1,
                     0xc0..=0xdf => 2,
@@ -198,7 +203,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     _ => 4,
                 };
                 let end = (*pos + len).min(bytes.len());
-                let chunk = std::str::from_utf8(&bytes[*pos..end])
+                let chunk = std::str::from_utf8(bytes.get(*pos..end).unwrap_or_default())
                     .map_err(|_| format!("non-utf8 string at byte {pos}"))?;
                 out.push_str(chunk);
                 *pos = end;

@@ -38,8 +38,9 @@
 //! # Span taxonomy
 //!
 //! Span, event, counter, and histogram names form a stable dotted
-//! snake-case contract documented in DESIGN.md §Observability and
-//! enforced by `fcma-audit`'s `tracename` pass.
+//! snake-case contract: the [`names`] table, documented in DESIGN.md
+//! §11. Each macro checks its name and kind against the table at
+//! compile time, so an unknown name fails the build.
 //!
 //! ```
 //! use fcma_trace::{span, counter, Collector};
@@ -61,6 +62,7 @@ mod collector;
 pub mod ctx;
 pub mod export;
 pub mod json;
+pub mod names;
 pub mod postmortem;
 pub mod recorder;
 mod report;
@@ -72,6 +74,19 @@ pub use collector::{
 pub use collector::{IntoCount, ScopedCollector};
 pub use ctx::{CtxGuard, TraceCtx, TraceOrigin};
 pub use report::{AttrValue, Histogram, SpanRecord, TraceReport};
+
+/// Fail the build unless `$name` is a `$kind` row of [`names::NAMES`]: a
+/// `const` item, which rustc evaluates under `cargo check` and clippy too.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __known_name {
+    ($name:literal, $kind:ident) => {
+        const _: () = assert!(
+            $crate::names::known($name, $crate::names::Kind::$kind),
+            concat!("trace name not in the taxonomy: ", $name)
+        );
+    };
+}
 
 /// Open a hierarchical span; it records its wall time when the returned
 /// guard drops. Attributes are `key = value` pairs, where values are
@@ -85,13 +100,19 @@ pub use report::{AttrValue, Histogram, SpanRecord, TraceReport};
 /// ```
 #[macro_export]
 macro_rules! span {
-    ($name:literal $(, $key:ident = $value:expr)* $(,)?) => {
+    ($name:literal $(, $key:ident = $value:expr)* $(,)?) => {{
+        $crate::__known_name!($name, Span);
         if $crate::is_enabled() {
-            $crate::start_span($name, vec![$((stringify!($key), $crate::AttrValue::from($value))),*])
+            #[expect(clippy::disallowed_methods, reason = "name checked above")]
+            let guard = $crate::start_span(
+                $name,
+                vec![$((stringify!($key), $crate::AttrValue::from($value))),*],
+            );
+            guard
         } else {
             $crate::SpanGuard::disabled()
         }
-    };
+    }};
 }
 
 /// Record an instant event (a point in time, not a duration), attached
@@ -103,11 +124,16 @@ macro_rules! span {
 /// ```
 #[macro_export]
 macro_rules! event {
-    ($name:literal $(, $key:ident = $value:expr)* $(,)?) => {
+    ($name:literal $(, $key:ident = $value:expr)* $(,)?) => {{
+        $crate::__known_name!($name, Event);
         if $crate::is_enabled() {
-            $crate::instant($name, vec![$((stringify!($key), $crate::AttrValue::from($value))),*]);
+            #[expect(clippy::disallowed_methods, reason = "name checked above")]
+            let () = $crate::instant(
+                $name,
+                vec![$((stringify!($key), $crate::AttrValue::from($value))),*],
+            );
         }
-    };
+    }};
 }
 
 /// Add a delta to a named monotonic counter. Accepts `u64`, `u32`, or
@@ -119,11 +145,13 @@ macro_rules! event {
 /// ```
 #[macro_export]
 macro_rules! counter {
-    ($name:literal, $delta:expr) => {
+    ($name:literal, $delta:expr) => {{
+        $crate::__known_name!($name, Counter);
         if $crate::is_enabled() {
-            $crate::add_counter($name, $delta);
+            #[expect(clippy::disallowed_methods, reason = "name checked above")]
+            let () = $crate::add_counter($name, $delta);
         }
-    };
+    }};
 }
 
 /// Record a value into a named histogram.
@@ -134,11 +162,13 @@ macro_rules! counter {
 /// ```
 #[macro_export]
 macro_rules! histogram {
-    ($name:literal, $value:expr) => {
+    ($name:literal, $value:expr) => {{
+        $crate::__known_name!($name, Histogram);
         if $crate::is_enabled() {
-            $crate::record_value($name, $value);
+            #[expect(clippy::disallowed_methods, reason = "name checked above")]
+            let () = $crate::record_value($name, $value);
         }
-    };
+    }};
 }
 
 #[cfg(test)]

@@ -341,8 +341,10 @@ impl TraceReport {
             }
         }
         if let Some(h) = self.histograms.get("svm.smo.iterations_per_solve") {
+            // The solver emits the counter and the histogram sample
+            // together, so a histogram without solves is a violation too.
             let solves = c("svm.smo.solves");
-            if solves > 0 && h.count != solves {
+            if h.count != solves {
                 violations.push(format!(
                     "svm.smo.iterations_per_solve count ({}) != svm.smo.solves ({solves})",
                     h.count
@@ -377,16 +379,35 @@ impl TraceReport {
     /// trivially. Folded into [`TraceReport::check_consistency`].
     pub fn check_causality(&self) -> Vec<String> {
         let mut violations = Vec::new();
-        let dispatches: std::collections::BTreeSet<(u64, u64)> = self
-            .spans
-            .iter()
-            .filter(|s| !s.is_event() && s.name == "cluster.dispatch")
-            .filter_map(|s| Some((attr_u64(s, "task")?, attr_u64(s, "attempt")?)))
-            .collect();
-        let mut orphaned: std::collections::BTreeSet<(u64, u64)> =
-            std::collections::BTreeSet::new();
+        let identity = |s: &SpanRecord| Some((attr_u64(s, "task")?, attr_u64(s, "attempt")?));
+        let mut dispatches = std::collections::BTreeSet::new();
+        let mut fences = Vec::new();
+        for s in &self.spans {
+            let is_dispatch = !s.is_event() && s.name == "cluster.dispatch";
+            let is_fence = s.is_event() && s.name == "cluster.fence";
+            if !(is_dispatch || is_fence) {
+                continue;
+            }
+            let Some(pair) = identity(s) else {
+                violations.push(format!("record {:?} without integer task and attempt", s.name));
+                continue;
+            };
+            if is_dispatch {
+                dispatches.insert(pair);
+            } else {
+                fences.push((pair, s.start_ns));
+            }
+        }
+        let mut orphaned = std::collections::BTreeSet::new();
         for s in &self.spans {
             let Some(pair) = ctx_pair(s) else {
+                if s.attrs.iter().any(|(k, _)| k.starts_with("ctx_")) {
+                    violations.push(format!(
+                        "record {:?} carries a malformed causal context (ctx_task and \
+                         ctx_attempt must both be non-negative integers)",
+                        s.name
+                    ));
+                }
                 continue;
             };
             if !dispatches.contains(&pair) && orphaned.insert(pair) {
@@ -397,15 +418,9 @@ impl TraceReport {
                 ));
             }
         }
-        for fence in self.spans.iter().filter(|s| s.is_event() && s.name == "cluster.fence") {
-            let Some(task) = attr_u64(fence, "task") else {
-                continue;
-            };
-            let Some(attempt) = attr_u64(fence, "attempt") else {
-                continue;
-            };
+        for ((task, attempt), fenced_ns) in fences {
             for s in &self.spans {
-                if ctx_pair(s) == Some((task, attempt)) && s.start_ns > fence.start_ns {
+                if ctx_pair(s) == Some((task, attempt)) && s.start_ns > fenced_ns {
                     violations.push(format!(
                         "record {:?} (ctx task={task} attempt={attempt}) starts after its \
                          attempt was fenced",
@@ -523,13 +538,15 @@ mod tests {
 
     #[test]
     fn consistency_passes_balanced_trace() {
-        let mut report = TraceReport {
-            spans: vec![
-                span("cluster.dispatch", 0, Some(10)),
-                span("cluster.dispatch", 5, Some(10)),
+        let dispatch = |task: u64, start: u64| SpanRecord {
+            attrs: vec![
+                ("task".into(), AttrValue::U64(task)),
+                ("attempt".into(), AttrValue::U64(1)),
             ],
-            ..TraceReport::default()
+            ..span("cluster.dispatch", start, Some(10))
         };
+        let mut report =
+            TraceReport { spans: vec![dispatch(0, 0), dispatch(16, 5)], ..TraceReport::default() };
         report.counters.insert("cluster.tasks.total".into(), 2);
         report.counters.insert("cluster.tasks.dispatched".into(), 2);
         report.counters.insert("cluster.tasks.completed".into(), 2);
