@@ -104,23 +104,19 @@ pub(crate) fn generate(args: &Args) -> Result<()> {
         "attention" => presets::attention_scaled(512),
         other => return Err(format!("unknown preset {other:?}").into()),
     };
-    if let Some(v) = args.get("voxels") {
-        cfg.n_voxels = v.parse()?;
+    if args.get("voxels").is_some() {
+        cfg.n_voxels = args.get_parsed("voxels", cfg.n_voxels, "integer")?;
         cfg.n_informative = (cfg.n_voxels / 16).max(4) & !1;
         if cfg.n_voxels < cfg.n_informative {
             return Err(format!("--voxels must be at least {}", cfg.n_informative).into());
         }
     }
-    if let Some(v) = args.get("subjects") {
-        cfg.n_subjects = v.parse()?;
-        if cfg.n_subjects == 0 {
-            return Err("--subjects must be at least 1".into());
-        }
+    cfg.n_subjects = args.get_parsed("subjects", cfg.n_subjects, "integer")?;
+    if cfg.n_subjects == 0 {
+        return Err("--subjects must be at least 1".into());
     }
     cfg.coupling = args.get_finite("coupling", cfg.coupling)?;
-    if let Some(v) = args.get("seed") {
-        cfg.seed = v.parse()?;
-    }
+    cfg.seed = args.get_parsed("seed", cfg.seed, "integer")?;
     match args.get_or("placement", "random").as_str() {
         "random" => cfg.placement = Placement::Random,
         "blobs" => cfg.placement = Placement::SphericalBlobs,
@@ -165,18 +161,26 @@ pub(crate) fn info(args: &Args) -> Result<()> {
 }
 
 /// Kernel threads for the executors' pool: `--threads` if given, else
-/// the `FCMA_THREADS` environment variable, else 1.
+/// the `FCMA_THREADS` environment variable, else 1. The one reader of
+/// that variable.
 fn threads_of(args: &Args) -> Result<usize> {
-    match args.get("threads") {
-        Some(v) => {
-            let n: usize = v.parse()?;
-            if n == 0 {
-                return Err("--threads must be at least 1".into());
-            }
-            Ok(n)
-        }
-        None => Ok(Pool::from_env().threads()),
+    threads_from(args, std::env::var("FCMA_THREADS").ok().as_deref())
+}
+
+/// [`threads_of`] with the variable's value passed in: it obeys the
+/// option's rules, a whole number of at least 1.
+fn threads_from(args: &Args, env: Option<&str>) -> Result<usize> {
+    let (source, n) = match (args.get("threads"), env) {
+        (None, Some(v)) => (
+            "FCMA_THREADS",
+            v.parse().map_err(|_| format!("FCMA_THREADS: {v:?} is not a valid integer"))?,
+        ),
+        _ => ("--threads", args.get_parsed("threads", 1usize, "integer")?),
+    };
+    if n == 0 {
+        return Err(format!("{source} must be at least 1").into());
     }
+    Ok(n)
 }
 
 /// Voxels per task: `--task-size` if given, else 64.
@@ -587,6 +591,25 @@ mod tests {
     }
 
     #[test]
+    fn thread_counts_from_the_environment_obey_the_options_rules() {
+        // `FCMA_THREADS=0`, `abc` and `-3` used to run on one thread,
+        // exit 0. The variable is passed in, never set: tests share it.
+        let plain = args(&["analyze"]);
+        assert_eq!(threads_from(&plain, None).unwrap(), 1);
+        assert_eq!(threads_from(&plain, Some("3")).unwrap(), 3);
+        for (bad, want) in [
+            ("0", "FCMA_THREADS must be at least 1"),
+            ("abc", "FCMA_THREADS: \"abc\" is not a valid integer"),
+            ("-3", "FCMA_THREADS: \"-3\" is not a valid integer"),
+            ("", "FCMA_THREADS: \"\" is not a valid integer"),
+        ] {
+            assert_eq!(threads_from(&plain, Some(bad)).unwrap_err().to_string(), want);
+        }
+        let two = args(&["analyze", "--threads", "2"]);
+        assert_eq!(threads_from(&two, Some("abc")).unwrap(), 2, "the option wins");
+    }
+
+    #[test]
     fn hostile_dataset_files_are_typed_errors() {
         use fcma_fmri::{io::IoError, DatasetError};
         let ds = tmp("cli_hostile_ds");
@@ -693,6 +716,26 @@ mod tests {
                 analyze,
                 &["analyze", "--data", &two, "--chaos-panic-task", "x"],
                 "option --chaos-panic-task: \"x\" is not a valid integer",
+            ),
+            (
+                analyze,
+                &["analyze", "--data", &two, "--threads", "x"],
+                "option --threads: \"x\" is not a valid integer",
+            ),
+            (
+                generate,
+                &["generate", "--voxels", "x", "--out", &out],
+                "option --voxels: \"x\" is not a valid integer",
+            ),
+            (
+                generate,
+                &["generate", "--subjects", "x", "--out", &out],
+                "option --subjects: \"x\" is not a valid integer",
+            ),
+            (
+                generate,
+                &["generate", "--seed", "x", "--out", &out],
+                "option --seed: \"x\" is not a valid integer",
             ),
             // Non-finite numbers used to write a dataset every reader
             // refuses, or blame the threshold for keeping no voxel.

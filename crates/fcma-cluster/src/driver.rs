@@ -36,7 +36,7 @@ use fcma_sync::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use fcma_sync::time::Instant;
 use fcma_trace::postmortem::PostmortemTrigger;
 use fcma_trace::recorder::{EventKind, FlightLog};
-use fcma_trace::{counter, event, histogram, span, AttrValue, TraceCtx, TraceOrigin};
+use fcma_trace::{counter, event, histogram, span, AttrValue, TraceCtx};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -72,8 +72,8 @@ pub struct ClusterConfig {
     /// loops (the pool embedded in the executor; see
     /// [`fcma_sync::pool::Pool`]). Purely informational to the driver —
     /// the executor carries its own pool — but recorded here so one
-    /// config describes the whole run shape, and defaulted from the
-    /// `FCMA_THREADS` environment variable.
+    /// config describes the whole run shape. Defaults to 1, like
+    /// [`fcma_sync::pool::Pool::default`].
     pub kernel_threads: usize,
     /// Write a flight-recorder postmortem dump (`fcma-postmortem v2`,
     /// this run's events only) into this directory whenever the run
@@ -95,7 +95,7 @@ impl Default for ClusterConfig {
             checkpoint: None,
             resume_from: None,
             groups: None,
-            kernel_threads: fcma_sync::pool::Pool::from_env().threads(),
+            kernel_threads: 1,
             postmortem_dir: None,
         }
     }
@@ -214,7 +214,7 @@ pub fn run_cluster_with(
     if let Some(path) = &cfg.resume_from {
         let ck = Checkpoint::load(path)?;
         if (ck.n_voxels, ck.task_size) != (ctx.n_voxels(), cfg.task_size) {
-            let no_attempt = TraceCtx::new(0, 0, TraceOrigin::Dispatch);
+            let no_attempt = TraceCtx::new(0, 0);
             log.record(EventKind::ResumeMismatch, no_attempt, ck.n_voxels);
             emit_postmortem(cfg.postmortem_dir.as_deref(), &log, "resume.mismatch", 0, 0, 0);
             return Err(ClusterError::CheckpointMismatch {
@@ -424,14 +424,11 @@ struct Master {
     log: FlightLog,
 }
 
-/// The causal identity of one dispatch of `task`: the first attempt has
-/// origin `dispatch`, every later one origin `retry`.
+/// The causal identity of one dispatch of `task`.
 fn causal_ctx(task: VoxelTask, attempt: usize) -> TraceCtx {
-    let origin = if attempt <= 1 { TraceOrigin::Dispatch } else { TraceOrigin::Retry };
     TraceCtx::new(
         u64::try_from(task.start).unwrap_or(u64::MAX),
         u32::try_from(attempt).unwrap_or(u32::MAX),
-        origin,
     )
 }
 

@@ -74,10 +74,9 @@ impl FromWorker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fcma_trace::TraceOrigin;
 
     fn ctx_of(task: u64, attempt: u32) -> TraceCtx {
-        TraceCtx::new(task, attempt, TraceOrigin::Dispatch)
+        TraceCtx::new(task, attempt)
     }
 
     #[test]
@@ -104,10 +103,7 @@ mod tests {
         assert_eq!(t, ToWorker::Task { task: VoxelTask { start: 0, count: 8 }, ctx: ctx_of(0, 1) });
         assert_ne!(
             t,
-            ToWorker::Task {
-                task: VoxelTask { start: 0, count: 8 },
-                ctx: TraceCtx::new(0, 2, TraceOrigin::Retry),
-            },
+            ToWorker::Task { task: VoxelTask { start: 0, count: 8 }, ctx: TraceCtx::new(0, 2) },
             "dispatch identity distinguishes retries of the same task"
         );
         assert_ne!(t, ToWorker::Shutdown);

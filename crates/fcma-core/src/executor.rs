@@ -55,8 +55,7 @@ pub trait TaskExecutor: Send + Sync {
 pub struct BaselineExecutor {
     /// LibSVM parameters for stage 3.
     pub svm: LibSvmParams,
-    /// Worker pool for the kernel loops (defaults to single-threaded;
-    /// see [`Pool::from_env`] for the `FCMA_THREADS` plumbing).
+    /// Worker pool for the kernel loops (defaults to single-threaded).
     pub pool: Pool,
 }
 
@@ -97,8 +96,7 @@ impl TaskExecutor for BaselineExecutor {
 pub struct OptimizedExecutor {
     /// PhiSVM parameters for stage 3.
     pub svm: SmoParams,
-    /// Worker pool for the kernel loops (defaults to single-threaded;
-    /// see [`Pool::from_env`] for the `FCMA_THREADS` plumbing).
+    /// Worker pool for the kernel loops (defaults to single-threaded).
     pub pool: Pool,
 }
 

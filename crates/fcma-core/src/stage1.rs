@@ -17,17 +17,8 @@ use fcma_linalg::tall_skinny::{EpochPair, TallSkinnyOpts};
 use fcma_linalg::{
     corr_tall_skinny, gemm_blocked_scratch, BlockSizes, CorrLayout, GemmScratch, Mat,
 };
-use fcma_sync::pool::{Pool, PoolStats};
+use fcma_sync::pool::Pool;
 use fcma_trace::{counter, span};
-
-/// Bridge one parallel region's [`PoolStats`] into the trace counters.
-/// The pool itself is trace-free (fcma-sync stays a leaf crate), so the
-/// kernel call sites own the `pool.*` counter taxonomy (DESIGN.md §11).
-pub(crate) fn bridge_pool_counters(stats: &PoolStats) {
-    counter!("pool.tasks.run", stats.tasks);
-    counter!("pool.steals", stats.steals);
-    counter!("pool.idle.parks", stats.idle_parks);
-}
 
 /// Run `job(state, band, (v0, v1, rows))` once per band of a task's `v`
 /// voxels: one pool region whose bands are contiguous, start on
@@ -59,8 +50,8 @@ pub(crate) fn run_voxel_bands<S>(
         rest = tail;
         v0 = v1;
     }
-    let (_, stats) = pool.run_init_stats(tasks, init, job);
-    bridge_pool_counters(&stats);
+    pool.run_init(tasks, init, job);
+    counter!("pool.tasks.run", bands);
 }
 
 /// Widen a shape dimension for the stage-1 counters.

@@ -12,7 +12,7 @@
 //! where one pool task handles one voxel — the paper's "a thread takes
 //! full responsibility for the cross validation of one voxel".
 
-use crate::stage1::{bridge_pool_counters, CorrData};
+use crate::stage1::CorrData;
 use crate::task::{VoxelScore, VoxelTask};
 use fcma_linalg::{SyrkScratch, PANEL_K};
 use fcma_svm::{loso_cross_validate_with, KernelMatrix, SmoScratch, SolverKind};
@@ -50,7 +50,7 @@ pub fn score_task(
 ) -> Vec<VoxelScore> {
     assert_eq!(corr.layout.n_assigned, task.count, "score_task: task/corr shape mismatch");
     let (m, n) = (corr.layout.n_epochs, corr.layout.n_brain);
-    let (kernels, stats) = pool.run_init_stats(
+    let kernels = pool.run_init(
         (0..task.count).collect(),
         || SyrkScratch::new(m, PANEL_K),
         |syrk, _idx, vi| {
@@ -61,7 +61,7 @@ pub fn score_task(
             }
         },
     );
-    bridge_pool_counters(&stats);
+    counter!("pool.tasks.run", task.count);
     score_kernels(&kernels, task.start, y, groups, solver, pool)
 }
 
@@ -90,15 +90,13 @@ pub(crate) fn score_kernels(
     let _span = span!("stage3.score", voxels = kernels.len(), epochs = y.len());
     counter!("stage3.voxels", kernels.len());
     let fold_pool = if kernels.len() == 1 { *pool } else { Pool::default() };
-    let (scores, stats) =
-        pool.run_init_stats(kernels.iter().collect(), SmoScratch::default, |smo, vi, kernel| {
-            VoxelScore {
-                voxel: start + vi,
-                accuracy: loso_cross_validate_with(kernel, y, groups, solver, &fold_pool, smo)
-                    .accuracy,
-            }
-        });
-    bridge_pool_counters(&stats);
+    let scores = pool.run_init(kernels.iter().collect(), SmoScratch::default, |smo, vi, kernel| {
+        VoxelScore {
+            voxel: start + vi,
+            accuracy: loso_cross_validate_with(kernel, y, groups, solver, &fold_pool, smo).accuracy,
+        }
+    });
+    counter!("pool.tasks.run", kernels.len());
     scores
 }
 

@@ -72,9 +72,9 @@ pub fn loso_cross_validate(
 ///
 /// Each fold (one held-out subject) is one pool task; the fold results
 /// are reduced in held-subject order, so the outcome is bit-identical at
-/// every thread count and steal seed (DESIGN.md §15) — each fold's
-/// training run is a serial solve over its own sub-problem, and the
-/// cross-fold reduction is pure integer accumulation in a fixed order.
+/// every thread count (DESIGN.md §15) — each fold's training run is a
+/// serial solve over its own sub-problem, and the cross-fold reduction
+/// is pure integer accumulation in a fixed order.
 ///
 /// `scratch` is the caller's solver scratch — stage 3 keeps one per
 /// voxel worker — and serves the first pool worker to start, which on

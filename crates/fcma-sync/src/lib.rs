@@ -47,4 +47,4 @@ pub mod time;
 mod tests;
 
 pub use mutex::{Condvar, Mutex, MutexGuard};
-pub use pool::{Pool, PoolStats};
+pub use pool::Pool;

@@ -1,14 +1,13 @@
-//! Work-stealing fork-join pool built on the facade primitives.
+//! Fork-join pool built on the facade primitives.
 //!
 //! [`Pool::run`] executes a vector of independent tasks across a fixed
 //! number of workers and returns the results **in task order** — the
 //! reduction tree is the task index, never arrival order, so a parallel
 //! region's output is bit-identical to the serial loop at every thread
-//! count. Internally each worker owns a deque seeded with a contiguous
-//! block of tasks (locality for the band-partitioned kernels); a worker
-//! that drains its own deque steals from the back of a victim chosen by
-//! a seeded generator, and parks on a region condvar when every deque
-//! is empty but tasks are still in flight.
+//! count. The region keeps its tasks in one shared queue behind the
+//! region lock: a worker stores a task's result and takes the next task
+//! index in one critical section, and parks on the region condvar once
+//! the queue is empty but tasks are still in flight.
 //!
 //! The pool is built from facade [`Mutex`]/[`Condvar`] only, so the
 //! same code runs in all three facade modes:
@@ -27,7 +26,6 @@
 //! region is woken, every worker exits promptly, and the payload is
 //! re-raised on the caller after all workers have been joined.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -35,28 +33,13 @@ use crate::clock;
 use crate::mutex::{Condvar, Mutex};
 use crate::runtime::{enter_model, mode, Mode};
 
-/// Counters describing one parallel region, for the caller to bridge
-/// into trace counters (`pool.*`). The pool itself stays trace-free so
-/// the facade remains a leaf crate.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Tasks executed (the region's task count).
-    pub tasks: u64,
-    /// Tasks a worker took from another worker's deque.
-    pub steals: u64,
-    /// Times a worker parked with empty deques and work still in
-    /// flight.
-    pub idle_parks: u64,
-}
-
-/// A work-stealing thread-pool configuration. Cheap to copy; threads
+/// A fork-join thread-pool configuration. Cheap to copy; threads
 /// are spawned per [`Pool::run`] region (fork-join), not kept alive
 /// between regions, so a `Pool` can be freely embedded in executors and
 /// passed across the cluster scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pool {
     threads: usize,
-    seed: u64,
 }
 
 impl Default for Pool {
@@ -74,26 +57,7 @@ impl Pool {
     #[must_use]
     pub fn new(threads: usize) -> Self {
         assert!(threads >= 1, "Pool: thread count must be at least 1");
-        Pool { threads, seed: 0x5eed_f0c1_a11e_1e0d }
-    }
-
-    /// Same pool with a different steal-victim seed (exploration and
-    /// tests; results never depend on the seed).
-    #[must_use]
-    pub fn with_seed(self, seed: u64) -> Self {
-        Pool { seed, ..self }
-    }
-
-    /// A pool sized from the `FCMA_THREADS` environment variable
-    /// (default 1 — the serial configuration).
-    #[must_use]
-    pub fn from_env() -> Self {
-        let threads = std::env::var("FCMA_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&t| t >= 1)
-            .unwrap_or(1);
-        Pool::new(threads)
+        Pool { threads }
     }
 
     /// Worker count.
@@ -193,100 +157,69 @@ impl Pool {
         T: Send,
         R: Send,
     {
-        self.run_init_stats(tasks, init, job).0
-    }
-
-    /// [`Pool::run_init`] also returning the region's [`PoolStats`].
-    ///
-    /// # Panics
-    /// Re-raises the first panic from a task, after all workers exited.
-    pub fn run_init_stats<T, R, S>(
-        &self,
-        tasks: Vec<T>,
-        init: impl Fn() -> S + Sync,
-        job: impl Fn(&mut S, usize, T) -> R + Sync,
-    ) -> (Vec<R>, PoolStats)
-    where
-        T: Send,
-        R: Send,
-    {
         let n = tasks.len();
-        let n64 = u64::try_from(n).unwrap_or(u64::MAX);
         if self.threads <= 1 || n <= 1 {
             // Inline: one worker state, task order = index order. The
             // caller's context is already on this thread, so the ctx
             // hooks have nothing to do.
             let mut state = init();
-            let results =
-                tasks.into_iter().enumerate().map(|(i, t)| job(&mut state, i, t)).collect();
-            return (results, PoolStats { tasks: n64, ..Default::default() });
+            return tasks.into_iter().enumerate().map(|(i, t)| job(&mut state, i, t)).collect();
         }
         let workers = self.threads.min(n);
-
-        // Seed each deque with a contiguous block of tasks.
-        let mut queues: Vec<VecDeque<(usize, T)>> = Vec::with_capacity(workers);
-        let mut iter = tasks.into_iter().enumerate();
-        for w in 0..workers {
-            let len = n / workers + usize::from(w < n % workers);
-            queues.push(iter.by_ref().take(len).collect());
-        }
         let shared = Region {
-            deque: queues.into_iter().map(Mutex::new).collect(),
             region: Mutex::new(RegionState {
+                queue: tasks.into_iter().enumerate(),
                 results: (0..n).map(|_| None).collect(),
                 remaining: n,
                 panic: None,
-                steals: 0,
-                idle_parks: 0,
             }),
             cv: Condvar::new(),
         };
-        let seed = self.seed;
-        let run_worker = |wid: usize| worker(&shared, wid, workers, seed, &init, &job);
+        let run_worker = || worker(&shared, &init, &job);
         let run_worker = &run_worker;
         // Capture the forking thread's context once; every spawned worker
         // adopts it, so records made on pool threads reach the caller's
-        // collector and keep their causal link to the dispatch. Worker 0
-        // runs on the caller's own thread and already has it.
+        // collector and keep their causal link to the dispatch. The
+        // caller runs one worker on its own thread and already has it.
         let adopt_ctx = crate::thread::fork_ctx();
-        let run_spawned = |wid: usize| {
+        let run_spawned = || {
             adopt_ctx();
-            run_worker(wid);
+            run_worker();
         };
         let run_spawned = &run_spawned;
 
         match mode() {
             Mode::Real => {
                 std::thread::scope(|s| {
-                    for wid in 1..workers {
-                        s.spawn(move || run_spawned(wid));
+                    for _ in 1..workers {
+                        s.spawn(run_spawned);
                     }
-                    run_worker(0);
+                    run_worker();
                 });
             }
             Mode::Virtual(vclock) => {
                 std::thread::scope(|s| {
-                    for wid in 1..workers {
+                    for _ in 1..workers {
                         // Register before the thread exists so the
                         // quiescence check can never miss it.
                         vclock.register();
                         let vclock = Arc::clone(&vclock);
-                        s.spawn(move || clock::run_registered(&vclock, || run_spawned(wid)));
+                        s.spawn(move || clock::run_registered(&vclock, run_spawned));
                     }
-                    run_worker(0);
+                    run_worker();
                 });
             }
             Mode::Model(rt) => {
                 std::thread::scope(|s| {
                     let mut joined = Vec::with_capacity(workers - 1);
-                    for wid in 1..workers {
+                    for _ in 1..workers {
                         let mid = rt.thread_register();
                         joined.push(mid);
                         let rt_child = Arc::clone(&rt);
                         s.spawn(move || {
                             let _mode = enter_model(Arc::clone(&rt_child));
                             if rt_child.thread_enter(mid) {
-                                let out = catch_unwind(AssertUnwindSafe(|| run_spawned(wid)));
+                                let out = catch_unwind(AssertUnwindSafe(run_spawned));
                                 rt_child
                                     .thread_exit(mid, out.err().map(|p| panic_message(p.as_ref())));
                             } else {
@@ -297,7 +230,7 @@ impl Pool {
                         // each worker becomes runnable.
                         rt.interleave();
                     }
-                    let me = catch_unwind(AssertUnwindSafe(|| run_worker(0)));
+                    let me = catch_unwind(AssertUnwindSafe(run_worker));
                     // Model-visible joins first: the OS-level scope join
                     // below is invisible to the checker, so it must
                     // never be the wait that blocks the parent.
@@ -316,7 +249,6 @@ impl Pool {
             drop(reg);
             resume_unwind(p);
         }
-        let stats = PoolStats { tasks: n64, steals: reg.steals, idle_parks: reg.idle_parks };
         let results = reg
             .results
             .iter_mut()
@@ -324,121 +256,72 @@ impl Pool {
             .map(|slot| slot.take().expect("pool: task finished without a result"))
             .collect();
         drop(reg);
-        (results, stats)
+        results
     }
 }
 
 /// Everything a region's workers share.
 struct Region<T, R> {
-    /// One deque per worker (lock rank 1, never held with `region`).
-    deque: Vec<Mutex<VecDeque<(usize, T)>>>,
-    /// Completion state (lock rank 2).
-    region: Mutex<RegionState<R>>,
+    /// The region's one lock: task queue and completion state.
+    region: Mutex<RegionState<T, R>>,
     /// Signaled when the region completes or a task panics.
     cv: Condvar,
 }
 
-struct RegionState<R> {
+struct RegionState<T, R> {
+    /// Tasks not yet taken, in index order.
+    queue: std::iter::Enumerate<std::vec::IntoIter<T>>,
     /// Result slot per task index.
     results: Vec<Option<R>>,
     /// Tasks not yet completed.
     remaining: usize,
     /// First panic payload from a task, re-raised by the caller.
     panic: Option<Box<dyn std::any::Any + Send>>,
-    steals: u64,
-    idle_parks: u64,
 }
 
-/// One worker's loop: pop own deque from the front, steal from the back
-/// of a seeded-random victim, park when everything is drained but tasks
-/// are still in flight. Tasks are only ever seeded up front, so a
-/// worker that finds every deque empty needs no re-check after waking —
-/// the region is either complete or poisoned.
-fn worker<T, R, S, I, F>(
-    shared: &Region<T, R>,
-    wid: usize,
-    workers: usize,
-    seed: u64,
-    init: &I,
-    job: &F,
-) where
+/// One worker's loop: take the next task from the shared queue, run it
+/// unlocked, and store its result in the same critical section that
+/// takes the one after. Tasks are only ever queued up front, so a worker
+/// that finds the queue empty parks until the region is complete or
+/// poisoned and needs no re-check of the queue after waking.
+fn worker<T, R, S, I, F>(shared: &Region<T, R>, init: &I, job: &F)
+where
     T: Send,
     R: Send,
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize, T) -> R + Sync,
 {
     let mut state = init();
-    let mut rng = seed ^ u64::try_from(wid).unwrap_or(u64::MAX).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    loop {
-        let mut stolen = false;
-        let mut grabbed = shared.deque[wid].lock().pop_front();
-        if grabbed.is_none() {
-            let nw = u64::try_from(workers).unwrap_or(u64::MAX);
-            let start = usize::try_from(splitmix(&mut rng) % nw).unwrap_or(0);
-            for k in 0..workers {
-                let victim = (start + k) % workers;
-                if victim == wid {
-                    continue;
-                }
-                if let Some(t) = shared.deque[victim].lock().pop_back() {
-                    grabbed = Some(t);
-                    stolen = true;
-                    break;
+    let mut reg = shared.region.lock();
+    while reg.panic.is_none() {
+        let Some((idx, task)) = reg.queue.next() else {
+            // Idle: park until the region completes or poisons.
+            while reg.remaining != 0 && reg.panic.is_none() {
+                shared.cv.wait(&mut reg);
+            }
+            return;
+        };
+        drop(reg);
+        let out = catch_unwind(AssertUnwindSafe(|| job(&mut state, idx, task)));
+        reg = shared.region.lock();
+        match out {
+            Ok(r) => {
+                reg.results[idx] = Some(r);
+                reg.remaining -= 1;
+                if reg.remaining == 0 {
+                    drop(reg);
+                    shared.cv.notify_all();
+                    return;
                 }
             }
-        }
-        match grabbed {
-            Some((idx, task)) => {
-                let out = catch_unwind(AssertUnwindSafe(|| job(&mut state, idx, task)));
-                let mut reg = shared.region.lock();
-                if stolen {
-                    reg.steals += 1;
-                }
-                match out {
-                    Ok(r) => {
-                        reg.results[idx] = Some(r);
-                        reg.remaining -= 1;
-                        if reg.remaining == 0 {
-                            drop(reg);
-                            shared.cv.notify_all();
-                            return;
-                        }
-                        if reg.panic.is_some() {
-                            return;
-                        }
-                    }
-                    Err(p) => {
-                        if reg.panic.is_none() {
-                            reg.panic = Some(p);
-                        }
-                        drop(reg);
-                        shared.cv.notify_all();
-                        return;
-                    }
-                }
-            }
-            None => {
-                // Idle: park until the region completes or poisons.
-                let mut reg = shared.region.lock();
-                loop {
-                    if reg.remaining == 0 || reg.panic.is_some() {
-                        return;
-                    }
-                    reg.idle_parks += 1;
-                    shared.cv.wait(&mut reg);
-                }
+            Err(p) => {
+                reg.panic.get_or_insert(p);
+                drop(reg);
+                shared.cv.notify_all();
+                return;
             }
         }
     }
-}
-
-/// One splitmix64 step (steal-victim selection only; never results).
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Best-effort extraction of a panic payload's message (for the model
@@ -512,15 +395,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_account_for_every_task() {
-        let pool = Pool::new(3);
-        let (got, stats) = pool.run_init_stats(vec![1u64; 17], || (), |(), _i, v| v);
-        assert_eq!(got.len(), 17);
-        assert_eq!(stats.tasks, 17);
-        assert!(stats.steals <= stats.tasks);
-    }
-
-    #[test]
     fn task_panic_propagates_after_join() {
         let pool = Pool::new(4);
         let hit = std::panic::catch_unwind(|| {
@@ -541,10 +415,23 @@ mod tests {
     }
 
     #[test]
-    fn seed_never_changes_results() {
-        let tasks: Vec<u64> = (0..50).collect();
-        let a = Pool::new(4).with_seed(1).run(tasks.clone(), |_i, t| t * t);
-        let b = Pool::new(4).with_seed(99).run(tasks, |_i, t| t * t);
-        assert_eq!(a, b);
+    fn idle_worker_takes_every_task_behind_a_straggler() {
+        // Task 0 sleeps one virtual second. The clock only advances once
+        // every registered thread blocks, so the other worker drains the
+        // queue and parks before the straggler wakes.
+        let clock = crate::clock::VirtualClock::install();
+        let ran_on = Pool::new(2).run_init(
+            (0..9u64).collect(),
+            || std::thread::current().id(),
+            |me, _i, t| {
+                if t == 0 {
+                    crate::thread::sleep(std::time::Duration::from_secs(1));
+                }
+                *me
+            },
+        );
+        drop(clock);
+        assert!(ran_on[1..].iter().all(|&w| w == ran_on[1]));
+        assert_ne!(ran_on[0], ran_on[1]);
     }
 }

@@ -70,7 +70,7 @@ fn stamp_ctx(attrs: &mut Vec<(&'static str, AttrValue)>) {
     if let Some(ctx) = TraceCtx::current() {
         attrs.push(("ctx_task", AttrValue::U64(ctx.task)));
         attrs.push(("ctx_attempt", AttrValue::U64(u64::from(ctx.attempt))));
-        attrs.push(("ctx_origin", AttrValue::Str(ctx.origin.as_str().to_owned())));
+        attrs.push(("ctx_origin", AttrValue::Str(ctx.origin().to_owned())));
     }
 }
 

@@ -8,8 +8,8 @@
 //! `ctx_origin` attributes). When the executor fans work out through
 //! `fcma-sync::pool`, the facade's fork hooks carry the same context —
 //! together with the collector, see `collector.rs` — onto the region's
-//! worker threads, so a span recorded three layers down on a stolen
-//! pool task still names its dispatch. `fcma report --check` closes the
+//! worker threads, so a span recorded three layers down on any pool
+//! worker still names its dispatch. `fcma report --check` closes the
 //! loop with cross-thread causality invariants over these attributes.
 
 #![expect(
@@ -19,36 +19,14 @@
 
 use std::cell::Cell;
 
-/// Where an attempt came from: the first dispatch of a task, or a retry
-/// after a failure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceOrigin {
-    /// First dispatch of the task.
-    Dispatch,
-    /// Re-dispatch after a failed or condemned attempt.
-    Retry,
-}
-
-impl TraceOrigin {
-    /// Stable string form (used as the `ctx_origin` attribute value).
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            TraceOrigin::Dispatch => "dispatch",
-            TraceOrigin::Retry => "retry",
-        }
-    }
-}
-
 /// The causal identity of one dispatch attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceCtx {
     /// Task identity (the task's start voxel in the cluster scheduler).
     pub task: u64,
-    /// 0-based attempt number for this task.
+    /// Attempt number for this task, counted from 1; 0 marks a record
+    /// that belongs to no attempt (a rejected resume).
     pub attempt: u32,
-    /// How this attempt came to be dispatched.
-    pub origin: TraceOrigin,
 }
 
 thread_local! {
@@ -58,8 +36,20 @@ thread_local! {
 impl TraceCtx {
     /// A context for `task`'s `attempt`-th dispatch.
     #[must_use]
-    pub fn new(task: u64, attempt: u32, origin: TraceOrigin) -> TraceCtx {
-        TraceCtx { task, attempt, origin }
+    pub fn new(task: u64, attempt: u32) -> TraceCtx {
+        TraceCtx { task, attempt }
+    }
+
+    /// How this attempt came to be dispatched (the `ctx_origin`
+    /// attribute value): `dispatch` for the first attempt, `retry` for a
+    /// re-dispatch after a failed or condemned one.
+    #[must_use]
+    pub fn origin(self) -> &'static str {
+        if self.attempt <= 1 {
+            "dispatch"
+        } else {
+            "retry"
+        }
     }
 
     /// The calling thread's current context, if one is installed.
@@ -105,10 +95,10 @@ mod tests {
     #[test]
     fn install_restores_previous_context_on_drop() {
         assert_eq!(TraceCtx::current(), None);
-        let outer = TraceCtx::new(3, 0, TraceOrigin::Dispatch);
+        let outer = TraceCtx::new(3, 0);
         let g1 = outer.install();
         {
-            let inner = TraceCtx::new(9, 2, TraceOrigin::Retry);
+            let inner = TraceCtx::new(9, 2);
             let g2 = inner.install();
             assert_eq!(TraceCtx::current(), Some(inner));
             drop(g2);
@@ -120,7 +110,7 @@ mod tests {
 
     #[test]
     fn context_rides_pool_regions_onto_worker_threads() {
-        let ctx = TraceCtx::new(16, 2, TraceOrigin::Retry);
+        let ctx = TraceCtx::new(16, 2);
         let guard = ctx.install();
         let seen = fcma_sync::Pool::new(4).run(vec![(); 12], |_i, ()| TraceCtx::current());
         drop(guard);

@@ -303,7 +303,7 @@ mod tests {
             "\"ts\":1.500,\"ph\":\"X\",\"dur\":2000.250,\"args\":{\"attempt\":1,\"task\":0}}",
             "],\"fcmaCounters\":{",
             "\"cluster.tasks.completed\":1,\"cluster.tasks.dispatched\":1,",
-            "\"cluster.tasks.total\":1,\"pool.steals\":1,\"pool.tasks.run\":4,\"svm.smo.solves\":2",
+            "\"cluster.tasks.total\":1,\"pool.tasks.run\":4,\"svm.smo.solves\":2",
             "},\"fcmaLabeledCounters\":{",
             "\"pool.worker.tasks\":{\"label\":\"worker\",\"values\":{\"0\":3,\"1\":1}}",
             "},\"fcmaHistograms\":{",
@@ -333,7 +333,6 @@ mod tests {
                 ("cluster.tasks.completed", 1),
                 ("cluster.tasks.dispatched", 1),
                 ("cluster.tasks.total", 1),
-                ("pool.steals", 1),
                 ("pool.tasks.run", 4),
                 ("svm.smo.solves", 2),
             ]

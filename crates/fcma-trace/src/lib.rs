@@ -72,7 +72,7 @@ pub use collector::{
     SpanGuard,
 };
 pub use collector::{IntoCount, ScopedCollector};
-pub use ctx::{CtxGuard, TraceCtx, TraceOrigin};
+pub use ctx::{CtxGuard, TraceCtx};
 pub use report::{AttrValue, Histogram, SpanRecord, TraceReport};
 
 /// Fail the build unless `$name` is a `$kind` row of [`names::NAMES`]: a

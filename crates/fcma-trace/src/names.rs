@@ -57,8 +57,6 @@ pub const NAMES: &[(&str, Kind)] = &[
     ("stage1.mem_refs", Kind::Counter),
     ("stage3.voxels", Kind::Counter),
     ("pool.tasks.run", Kind::Counter),
-    ("pool.steals", Kind::Counter),
-    ("pool.idle.parks", Kind::Counter),
     ("svm.smo.iterations_per_solve", Kind::Histogram),
     ("cluster.dispatch.wall_ms", Kind::Histogram),
 ];

@@ -56,7 +56,7 @@ pub fn render(events: &[RecorderEvent], trigger: &PostmortemTrigger) -> String {
             e.kind.name(),
             e.ctx.task,
             e.ctx.attempt,
-            e.ctx.origin.as_str(),
+            e.ctx.origin(),
             e.arg
         );
     }
@@ -69,7 +69,7 @@ pub fn render(events: &[RecorderEvent], trigger: &PostmortemTrigger) -> String {
             e.seq,
             e.kind.name(),
             e.ctx.attempt,
-            e.ctx.origin.as_str(),
+            e.ctx.origin(),
             e.arg
         );
     }
@@ -99,30 +99,30 @@ pub fn emit_to_dir(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctx::{TraceCtx, TraceOrigin};
+    use crate::ctx::TraceCtx;
     use crate::recorder::EventKind;
 
     /// One event of every kind: the golden test below is what pins the
     /// seven `recorder.*` wire names.
     fn sample_events() -> Vec<RecorderEvent> {
         let rows = [
-            (100, EventKind::Dispatch, 64, 1, TraceOrigin::Dispatch, 1),
-            (150, EventKind::TaskStart, 64, 1, TraceOrigin::Dispatch, 1),
-            (200, EventKind::Dispatch, 128, 1, TraceOrigin::Dispatch, 2),
-            (250, EventKind::TaskEnd, 128, 1, TraceOrigin::Dispatch, 2),
-            (600, EventKind::Condemn, 64, 1, TraceOrigin::Dispatch, 1),
-            (650, EventKind::Dispatch, 64, 2, TraceOrigin::Retry, 2),
-            (900, EventKind::TaskPanic, 64, 2, TraceOrigin::Retry, 2),
-            (990, EventKind::Fence, 64, 1, TraceOrigin::Dispatch, 1),
-            (999, EventKind::ResumeMismatch, 0, 0, TraceOrigin::Dispatch, 96),
+            (100, EventKind::Dispatch, 64, 1, 1),
+            (150, EventKind::TaskStart, 64, 1, 1),
+            (200, EventKind::Dispatch, 128, 1, 2),
+            (250, EventKind::TaskEnd, 128, 1, 2),
+            (600, EventKind::Condemn, 64, 1, 1),
+            (650, EventKind::Dispatch, 64, 2, 2),
+            (900, EventKind::TaskPanic, 64, 2, 2),
+            (990, EventKind::Fence, 64, 1, 1),
+            (999, EventKind::ResumeMismatch, 0, 0, 96),
         ];
         (0u64..)
             .zip(rows)
-            .map(|(seq, (ts_ns, kind, task, attempt, origin, arg))| RecorderEvent {
+            .map(|(seq, (ts_ns, kind, task, attempt, arg))| RecorderEvent {
                 seq,
                 ts_ns,
                 kind,
-                ctx: TraceCtx::new(task, attempt, origin),
+                ctx: TraceCtx::new(task, attempt),
                 arg,
             })
             .collect()

@@ -133,13 +133,12 @@ impl FlightLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctx::TraceOrigin;
 
     #[test]
     fn log_keeps_exactly_the_newest_capacity_events_in_order() {
         let log = FlightLog::with_capacity(16);
         for i in 0..100u64 {
-            log.record(EventKind::Dispatch, TraceCtx::new(i, 0, TraceOrigin::Dispatch), 0);
+            log.record(EventKind::Dispatch, TraceCtx::new(i, 0), 0);
         }
         let events = log.snapshot();
         let tasks: Vec<u64> = events.iter().map(|e| e.ctx.task).collect();

@@ -351,16 +351,6 @@ impl TraceReport {
                 ));
             }
         }
-        // Work-stealing pool accounting (DESIGN.md §11): a task executes
-        // exactly once, so at most every executed task was stolen. Serial
-        // traces carry no pool.* counters and skip the check.
-        if self.counters.contains_key("pool.tasks.run") {
-            let tasks = c("pool.tasks.run");
-            let steals = c("pool.steals");
-            if steals > tasks {
-                violations.push(format!("pool.steals ({steals}) > pool.tasks.run ({tasks})"));
-            }
-        }
         violations.extend(self.check_causality());
         violations
     }
@@ -521,19 +511,6 @@ mod tests {
         // balance and span-count mismatch).
         let violations = report.check_consistency();
         assert!(violations.iter().any(|v| v.contains("dispatched")));
-    }
-
-    #[test]
-    fn consistency_checks_pool_steal_accounting() {
-        let mut report = TraceReport::default();
-        report.counters.insert("pool.tasks.run".into(), 10);
-        report.counters.insert("pool.steals".into(), 4);
-        report.counters.insert("pool.idle.parks".into(), 2);
-        assert!(report.check_consistency().is_empty());
-        // More steals than executed tasks is impossible — flagged.
-        report.counters.insert("pool.steals".into(), 11);
-        let violations = report.check_consistency();
-        assert!(violations.iter().any(|v| v.contains("pool.steals")));
     }
 
     #[test]

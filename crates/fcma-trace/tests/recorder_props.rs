@@ -7,7 +7,7 @@
 #![expect(clippy::disallowed_methods, reason = "the writers are raw threads sharing one log")]
 
 use fcma_trace::recorder::{EventKind, FlightLog, CAPACITY};
-use fcma_trace::{TraceCtx, TraceOrigin};
+use fcma_trace::TraceCtx;
 use proptest::prelude::*;
 
 proptest! {
@@ -25,7 +25,7 @@ proptest! {
                 let log = log.clone();
                 s.spawn(move || {
                     for i in (0u64..).take(per_thread) {
-                        let ctx = TraceCtx::new(i, 0, TraceOrigin::Dispatch);
+                        let ctx = TraceCtx::new(i, 0);
                         log.record(EventKind::Dispatch, ctx, t);
                     }
                 });

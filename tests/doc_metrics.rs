@@ -5,7 +5,8 @@
 //! layer, the retired metrics exporter, SLO gate and trace subcommands,
 //! the retired mutation engine, the retired model save/load, the
 //! cluster driver's retired backup copies of running tasks or the
-//! retired audit tool and its allow markers. Plain
+//! retired audit tool and its allow markers, or the work-stealing
+//! pool's retired seed and statistics. Plain
 //! substring checks; the files are the repository's own.
 
 use std::collections::BTreeSet;
@@ -21,7 +22,7 @@ const DOCS: [&str; 5] = [
     "results/README.md",
     ".claude/skills/verify/SKILL.md",
 ];
-const RETIRED: [&str; 27] = [
+const RETIRED: [&str; 31] = [
     "criterion",
     "cargo bench",
     "bench_gemm",
@@ -48,6 +49,10 @@ const RETIRED: [&str; 27] = [
     "TaskControls",
     "cargo run -p fcma-audit",
     "audit-baseline.json",
+    "with_seed",
+    "PoolStats",
+    "pool.steals",
+    "pool.idle.parks",
     // Split so that this line is not itself a marker.
     concat!("// audit", ": allow("),
 ];
