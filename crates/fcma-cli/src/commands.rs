@@ -68,7 +68,8 @@ const HELP: &str = "fcma — full correlation matrix analysis\n\n\
          \u{20} info      describe a dataset        --data STEM\n\
          \u{20} analyze   score every voxel         --data STEM --task-size N --top-k K\n\
          \u{20}                                     [--out scores.tsv]\n\
-         \u{20}                                     [--threads N] kernel threads per worker\n\
+         \u{20}                                     [--threads N] tasks run at once; on the\n\
+         \u{20}                                     cluster, kernel threads per worker\n\
          \u{20}                                     (default: $FCMA_THREADS or 1)\n\
          \u{20}                                     [--truth STEM.truth]\n\
          \u{20}                                     [--workers N] run on the fault-tolerant\n\
@@ -81,7 +82,7 @@ const HELP: &str = "fcma — full correlation matrix analysis\n\n\
          \u{20}                                     the task starting at voxel N (fault drill)\n\
          \u{20} report    summarize a trace file    fcma report trace.json [--check]\n\
          \u{20} offline   nested LOSO analysis      --data STEM --top-k K [--task-size N]\n\
-         \u{20}                                     [--threads N]\n\
+         \u{20}                                     [--threads N] tasks run at once\n\
          \u{20} clusters  ROI cluster extraction    --scores scores.tsv --top-k K [--grid X,Y,Z]\n\
          \u{20} mask      threshold-mask a dataset  --data STEM --threshold T --out STEM2\n\
          \u{20} help      this text";
@@ -346,7 +347,8 @@ pub(crate) fn report(args: &Args) -> Result<()> {
     let report = from_chrome_json(&text).map_err(|e| format!("{path}: {e}"))?;
     // A reader that stops early does not cancel the `--check` verdict.
     let printed = to_stdout(format_args!("{}", report.summary_table()));
-    let violations = report.check_consistency();
+    let mut violations = report.check_consistency();
+    violations.extend(report.check_names());
     if violations.is_empty() {
         if args.has_flag("check") {
             eprintln!("consistency: ok");
@@ -957,6 +959,21 @@ mod tests {
         assert!(parsed.check_consistency().is_empty(), "{:?}", parsed.check_consistency());
         // `fcma report --check` accepts the file it just wrote.
         report(&args(&["report", trace.to_str().unwrap(), "--check"])).unwrap();
+    }
+
+    #[test]
+    fn report_check_rejects_a_name_outside_the_taxonomy() {
+        let trace = tmp("cli_unknown_name.json");
+        let record = |name: &str| {
+            format!("{{\"name\":\"{name}\",\"ph\":\"X\",\"ts\":1,\"dur\":1,\"args\":{{}}}}")
+        };
+        let events = [record("stage1.cor"), record("bench.core.process")].join(",");
+        std::fs::write(&trace, format!("{{\"traceEvents\":[{events}]}}")).unwrap();
+        let path = trace.to_str().unwrap();
+        let err = report(&args(&["report", path, "--check"])).unwrap_err();
+        assert_eq!(err.to_string(), "1 consistency violation(s)");
+        // Without --check the violation is printed, not an error.
+        report(&args(&["report", path])).unwrap();
     }
 
     #[test]

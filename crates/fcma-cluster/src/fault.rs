@@ -12,7 +12,7 @@
 
 use fcma_core::{CancelToken, TaskContext, TaskExecutor, VoxelScore, VoxelTask};
 use fcma_sync::time::Instant;
-use fcma_sync::Mutex;
+use fcma_sync::{Mutex, Pool};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -199,26 +199,14 @@ fn sleep_unless_cancelled(total: Duration, cancel: &CancelToken) -> bool {
     }
 }
 
-impl TaskExecutor for ChaosExecutor {
-    fn name(&self) -> &'static str {
-        "chaos"
-    }
-
-    fn process_grouped(
+impl ChaosExecutor {
+    /// Fire the planned fault of this attempt at `task`, if any, around
+    /// `run` — the wrapped executor's call.
+    fn inject(
         &self,
-        ctx: &TaskContext,
         task: VoxelTask,
-        groups: Option<&[usize]>,
-    ) -> Vec<VoxelScore> {
-        self.process_with_controls(ctx, task, groups, &CancelToken::new())
-    }
-
-    fn process_with_controls(
-        &self,
-        ctx: &TaskContext,
-        task: VoxelTask,
-        groups: Option<&[usize]>,
         cancel: &CancelToken,
+        run: impl FnOnce() -> Vec<VoxelScore>,
     ) -> Vec<VoxelScore> {
         let attempt = self.next_attempt(task.start);
         match self.plan.fault_for(task.start, attempt) {
@@ -232,14 +220,44 @@ impl TaskExecutor for ChaosExecutor {
                 if !sleep_unless_cancelled(d, cancel) {
                     return Vec::new();
                 }
-                self.inner.process_with_controls(ctx, task, groups, cancel)
+                run()
             }
             Some(FaultKind::Stall) => {
                 let _ = sleep_unless_cancelled(STALL_CAP, cancel);
                 Vec::new()
             }
-            None => self.inner.process_with_controls(ctx, task, groups, cancel),
+            None => run(),
         }
+    }
+}
+
+impl TaskExecutor for ChaosExecutor {
+    fn name(&self) -> &'static str {
+        "chaos"
+    }
+
+    fn pool(&self) -> Pool {
+        self.inner.pool()
+    }
+
+    fn process_on(
+        &self,
+        ctx: &TaskContext,
+        task: VoxelTask,
+        groups: Option<&[usize]>,
+        pool: &Pool,
+    ) -> Vec<VoxelScore> {
+        self.inject(task, &CancelToken::new(), || self.inner.process_on(ctx, task, groups, pool))
+    }
+
+    fn process_with_controls(
+        &self,
+        ctx: &TaskContext,
+        task: VoxelTask,
+        groups: Option<&[usize]>,
+        cancel: &CancelToken,
+    ) -> Vec<VoxelScore> {
+        self.inject(task, cancel, || self.inner.process_with_controls(ctx, task, groups, cancel))
     }
 }
 

@@ -23,7 +23,7 @@ use fcma_cluster::{run_cluster_with, ClusterConfig};
 use fcma_core::{CancelToken, TaskContext, TaskExecutor, VoxelScore, VoxelTask};
 use fcma_mc::{check, check_random, replay, Config, FailureKind, Outcome};
 use fcma_sync::channel::{unbounded, Sender};
-use fcma_sync::{thread, Mutex};
+use fcma_sync::{thread, Mutex, Pool};
 
 // ---------------------------------------------------------------------------
 // Part 1: the known-bad fixture driver (deliberately reverted logic).
@@ -194,11 +194,16 @@ impl TaskExecutor for StubExecutor {
         "stub"
     }
 
-    fn process_grouped(
+    fn pool(&self) -> Pool {
+        Pool::default()
+    }
+
+    fn process_on(
         &self,
         _ctx: &TaskContext,
         task: VoxelTask,
         _groups: Option<&[usize]>,
+        _pool: &Pool,
     ) -> Vec<VoxelScore> {
         (task.start..task.start + task.count)
             .map(|voxel| VoxelScore { voxel, accuracy: 0.5 })
@@ -218,13 +223,18 @@ impl TaskExecutor for HangOnceExecutor {
         "hang-once"
     }
 
-    fn process_grouped(
+    fn pool(&self) -> Pool {
+        StubExecutor.pool()
+    }
+
+    fn process_on(
         &self,
         ctx: &TaskContext,
         task: VoxelTask,
         groups: Option<&[usize]>,
+        pool: &Pool,
     ) -> Vec<VoxelScore> {
-        StubExecutor.process_grouped(ctx, task, groups)
+        StubExecutor.process_on(ctx, task, groups, pool)
     }
 
     fn process_with_controls(

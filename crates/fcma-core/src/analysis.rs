@@ -10,7 +10,8 @@ use fcma_fmri::Dataset;
 use fcma_linalg::tall_skinny::TallSkinnyOpts;
 use fcma_linalg::{f64_from_usize, Mat};
 use fcma_svm::{train_phisvm, KernelMatrix, SmoParams};
-use fcma_trace::span;
+use fcma_sync::pool::Pool;
+use fcma_trace::{counter, span};
 
 /// Parameters shared by the offline and online analyses.
 #[derive(Debug, Clone)]
@@ -28,6 +29,14 @@ impl Default for AnalysisConfig {
 }
 
 /// Score every brain voxel by running the executor over a task partition.
+///
+/// The tasks run across the executor's pool, one whole task per worker
+/// on a one-thread pool — the paper's first level, voxel tasks to
+/// workers (§3.1.1). With fewer tasks than threads, the spare threads go
+/// inside the tasks, the second level (§4.4): task `i` of `T` gets
+/// `threads / T` of them, plus one while `i < threads % T`. Scores are
+/// concatenated in task order, so a sweep gives the serial sweep's bits
+/// at every thread count (DESIGN.md §15).
 pub fn score_all_voxels(
     ctx: &TaskContext,
     exec: &dyn TaskExecutor,
@@ -40,11 +49,15 @@ pub fn score_all_voxels(
         task_size = task_size,
         executor = exec.name()
     );
-    let mut scores = Vec::with_capacity(ctx.n_voxels());
-    for task in partition(ctx.n_voxels(), task_size) {
-        scores.extend(exec.process_grouped(ctx, task, groups));
-    }
-    scores
+    let pool = exec.pool();
+    let (threads, tasks) = (pool.threads(), partition(ctx.n_voxels(), task_size));
+    let n_tasks = tasks.len();
+    let scores = pool.run(tasks, |i, task| {
+        let share = threads / n_tasks + usize::from(i < threads % n_tasks);
+        exec.process_on(ctx, task, groups, &Pool::new(share.max(1)))
+    });
+    counter!("pool.tasks.run", n_tasks);
+    scores.concat()
 }
 
 /// One outer cross-validation fold of the offline analysis.

@@ -12,18 +12,38 @@ use fcma_sync::pool::Pool;
 use fcma_trace::span;
 
 /// A single-node implementation of the three-stage FCMA pipeline.
+///
+/// An executor runs one voxel task on a [`Pool`]: its own
+/// ([`Self::pool`]) when called directly, as the cluster workers and the
+/// task workloads do, or the share of it a sweep hands each task when
+/// [`crate::score_all_voxels`] runs several tasks at once.
 pub trait TaskExecutor: Send + Sync {
     /// Short identifier used in reports.
     fn name(&self) -> &'static str;
 
-    /// Run the full pipeline for one voxel task, optionally overriding the
-    /// cross-validation grouping (defaults to the context's subjects).
+    /// The executor's kernel pool.
+    fn pool(&self) -> Pool;
+
+    /// Run the full pipeline for one voxel task on `pool`, optionally
+    /// overriding the cross-validation grouping (defaults to the
+    /// context's subjects). The scores do not depend on `pool`.
+    fn process_on(
+        &self,
+        ctx: &TaskContext,
+        task: VoxelTask,
+        groups: Option<&[usize]>,
+        pool: &Pool,
+    ) -> Vec<VoxelScore>;
+
+    /// [`Self::process_on`] on the executor's own pool.
     fn process_grouped(
         &self,
         ctx: &TaskContext,
         task: VoxelTask,
         groups: Option<&[usize]>,
-    ) -> Vec<VoxelScore>;
+    ) -> Vec<VoxelScore> {
+        self.process_on(ctx, task, groups, &self.pool())
+    }
 
     /// Run the pipeline with subject-wise (LOSO) cross validation.
     fn process(&self, ctx: &TaskContext, task: VoxelTask) -> Vec<VoxelScore> {
@@ -64,15 +84,20 @@ impl TaskExecutor for BaselineExecutor {
         "baseline"
     }
 
-    fn process_grouped(
+    fn pool(&self) -> Pool {
+        self.pool
+    }
+
+    fn process_on(
         &self,
         ctx: &TaskContext,
         task: VoxelTask,
         groups: Option<&[usize]>,
+        pool: &Pool,
     ) -> Vec<VoxelScore> {
         let _span =
             span!("task.process", start = task.start, count = task.count, executor = "baseline");
-        let mut corr = corr_baseline(ctx, task, &self.pool);
+        let mut corr = corr_baseline(ctx, task, pool);
         normalize_baseline(&mut corr, ctx);
         let groups = groups.unwrap_or(&ctx.subjects);
         score_task(
@@ -82,7 +107,7 @@ impl TaskExecutor for BaselineExecutor {
             groups,
             &SolverKind::LibSvm(self.svm),
             KernelPrecompute::Baseline,
-            &self.pool,
+            pool,
         )
     }
 }
@@ -105,24 +130,22 @@ impl TaskExecutor for OptimizedExecutor {
         "optimized"
     }
 
-    fn process_grouped(
+    fn pool(&self) -> Pool {
+        self.pool
+    }
+
+    fn process_on(
         &self,
         ctx: &TaskContext,
         task: VoxelTask,
         groups: Option<&[usize]>,
+        pool: &Pool,
     ) -> Vec<VoxelScore> {
         let _span =
             span!("task.process", start = task.start, count = task.count, executor = "optimized");
-        let kernels = fused_kernels(ctx, task, &self.pool);
+        let kernels = fused_kernels(ctx, task, pool);
         let groups = groups.unwrap_or(&ctx.subjects);
-        score_kernels(
-            &kernels,
-            task.start,
-            &ctx.y,
-            groups,
-            &SolverKind::PhiSvm(self.svm),
-            &self.pool,
-        )
+        score_kernels(&kernels, task.start, &ctx.y, groups, &SolverKind::PhiSvm(self.svm), pool)
     }
 }
 

@@ -123,7 +123,7 @@ fn fisher_rows(brain: &Mat, selected: &[usize], out: &mut [f32]) {
     let assigned = Mat::from_fn(selected.len(), k, |si, t| brain.get(t, selected[si]));
     let pairs = [EpochPair { assigned: &assigned, brain }];
     let mut scratch = StripScratch::for_epochs(&pairs);
-    corr_tile_block_rows(&pairs, 0..selected.len(), 0..1, 0..n, out, &mut scratch);
+    corr_tile_block_rows(&pairs, 0..selected.len(), 0..1, 0..n, out, n, 1, &mut scratch);
     fisher_z_slice(out);
 }
 

@@ -16,16 +16,16 @@
 //!   Table 7: a fused Fisher+stats pass followed by the apply pass (two
 //!   trips);
 //! * [`corr_normalized_merged`] — optimization idea #2 (§4.3): stage 1
-//!   computes one (voxel-block × subject × column-strip) tile at a time,
-//!   normalizes it *while it is still cache-resident*, and the z-apply is
-//!   fused with the single write to the interleaved output buffer.
+//!   lands one (voxel-block × subject × column-strip) block at a time in
+//!   the interleaved output buffer, and the block is normalized there in
+//!   place *while it is still cache-resident*.
 //!
 //! The optimized executor takes the merged schedule one stage further
-//! ([`fused_kernels`]): the same band body lands each z-scored strip in
-//! a reused per-band buffer instead of the task-wide one, and adds the
+//! ([`fused_kernels`]): the same band body lands each strip in a reused
+//! per-band buffer instead of the task-wide one, and adds the z-scored
 //! strip's panels to every voxel's Gram matrix (the stage-3 SYRK) before
-//! the next strip starts. A task then holds `V·M²` floats, never the
-//! `V·M·N` of the interleaved buffer.
+//! the next strip starts. A task then holds `V·M²` floats and one strip
+//! per band, never the `V·M·N` of the interleaved buffer.
 //!
 //! Statistics accumulate in `f32`: the population is one subject's `E`
 //! (≈12) epochs, far below any f32 summation-accuracy concern, and it
@@ -135,12 +135,12 @@ pub fn corr_normalized_merged(
 /// Merged schedule: stage 1 and stage 2 fused at tile granularity.
 ///
 /// Equivalent to `corr_optimized` followed by `normalize_separated`, but
-/// each tile is normalized immediately after being computed, before it
-/// leaves cache (Fig. 5), and the z-apply doubles as the single write to
-/// the interleaved output. Produces the finished normalized buffer.
+/// each (voxel-block × subject × column-strip) block is normalized in
+/// place right after stage 1 lands it, before it leaves cache (Fig. 5).
+/// Produces the finished normalized buffer.
 ///
 /// The task's voxels are banded across `pool` workers: each worker owns
-/// a disjoint band and runs the full tile loop for it, writing straight
+/// a disjoint band and runs the full strip loop for it, writing straight
 /// into its own contiguous slice of the interleaved output.
 /// Bit-identical at every thread count (DESIGN.md §15): every row of a
 /// register tile is its own in-order sum, so bands may start on any
@@ -271,8 +271,11 @@ enum Landing {
 
 /// One worker's share of the merged pipeline: the voxels of `band`,
 /// strip by strip (`w_max` columns each, the last one ragged), landed
-/// in `out` as `landing` says. Once a strip is finished — every subject
-/// tiled, normalized and landed — `strip_done(out, w)` runs.
+/// in `out` as `landing` says. Stage 1 writes each subject's block
+/// straight into its landed rows, and the Fisher transform, the column
+/// statistics and the z-apply run on those rows in place while they are
+/// in cache. Once a strip is finished — every subject landed and
+/// normalized — `strip_done(out, w)` runs.
 fn merged_band(
     ctx: &TaskContext,
     pairs: &[EpochPair<'_>],
@@ -283,10 +286,8 @@ fn merged_band(
     mut strip_done: impl FnMut(&[f32], usize),
 ) {
     let (m, n) = (ctx.n_epochs(), ctx.n_voxels());
-    let bv = band.len();
-    let mut tile = vec![0.0f32; bv * max_subject_epochs(ctx) * w_max];
     let mut strip_scratch = StripScratch::for_epochs(pairs);
-    // Workhorse stat buffers reused across every tile.
+    // Workhorse stat buffers reused across every strip.
     let mut sum = vec![0.0f32; w_max];
     let mut sumsq = vec![0.0f32; w_max];
     let mut mean = vec![0.0f32; w_max];
@@ -300,40 +301,38 @@ fn merged_band(
             Landing::Strip => (w, 0),
         };
         for sr in ctx.subject_ranges.iter() {
-            let e_cnt = sr.len();
-            // Compute the (band voxels × subject epochs × strip) tile.
+            // Stage 1: the (band voxels × subject epochs × strip) block,
+            // row `vi·M + e` of the landing.
+            let block = &mut out[sr.start * ld + col..];
             corr_tile_block_rows(
                 pairs,
                 band.clone(),
                 sr.clone(),
                 j0..j0 + w,
-                &mut tile,
+                block,
+                ld,
+                m,
                 &mut strip_scratch,
             );
-            for vi in 0..bv {
-                let base = vi * e_cnt * w;
-                let block = &mut tile[base..base + e_cnt * w];
+            for vi in 0..band.len() {
+                let rows = sr.clone().map(|e| (vi * m + e) * ld + col);
                 sum[..w].fill(0.0);
                 sumsq[..w].fill(0.0);
-                for row in block.chunks_mut(w) {
+                for at in rows.clone() {
+                    let row = &mut out[at..at + w];
                     fisher_z_slice(row);
                     accumulate(row, &mut sum[..w], &mut sumsq[..w]);
                 }
                 finish_stats(
                     &sum[..w],
                     &sumsq[..w],
-                    f32_from_usize(e_cnt),
+                    f32_from_usize(sr.len()),
                     &mut mean[..w],
                     &mut inv_std[..w],
                 );
-                // Fused z-apply + landing: the tile is read once (hot in
-                // cache) and every finished value is written once.
-                for (ei, e) in sr.clone().enumerate() {
-                    let src = &block[ei * w..(ei + 1) * w];
-                    let at = (vi * m + e) * ld + col;
-                    let dst = &mut out[at..at + w];
-                    for j in 0..w {
-                        dst[j] = (src[j] - mean[j]) * inv_std[j];
+                for at in rows {
+                    for ((x, &mu), &inv) in out[at..at + w].iter_mut().zip(&mean).zip(&inv_std) {
+                        *x = (*x - mu) * inv;
                     }
                 }
             }
@@ -341,10 +340,6 @@ fn merged_band(
         strip_done(out, w);
         j0 += w;
     }
-}
-
-fn max_subject_epochs(ctx: &TaskContext) -> usize {
-    ctx.subject_ranges.iter().map(std::iter::ExactSizeIterator::len).max().unwrap_or(0)
 }
 
 /// Column-wise accumulation of sums and sums of squares (vectorizes: all

@@ -169,19 +169,22 @@ impl StripScratch {
     }
 }
 
-/// Compute a compact correlation block for a band of assigned voxels, a
-/// contiguous range of epochs and a strip of brain-voxel columns.
+/// Compute the correlations of a band of assigned voxels, a contiguous
+/// range of epochs and a strip of brain-voxel columns.
 ///
 /// This is the primitive behind the *merged* stage-1+2 pipeline
 /// (optimization idea #2): the caller asks for exactly the `(voxel band) ×
 /// (one subject's epochs) × (one column strip)` block that within-subject
-/// normalization needs, normalizes it while it is cache-hot, and only then
-/// lands it — in the big interleaved buffer, or in the strip the fused
-/// executor path adds to its Gram matrices.
+/// normalization needs, lands it where the finished values go — the big
+/// interleaved buffer, or the strip the fused executor path adds to its
+/// Gram matrices — and normalizes it there while it is cache-hot.
 ///
-/// `buf` is written densely with *local* voxel indices:
-/// `buf[((vi − v_start) · E + ei) · W + (j − col0)]` where
-/// `E = epoch_range.len()` and `W = col_range.len()`.
+/// Rows are addressed with *local* indices: the `W = col_range.len()`
+/// values of (voxel `vi − v_start`, epoch `ei`) start at
+/// `buf[((vi − v_start) · voxel_rows + ei) · ld]`. A dense block is
+/// `voxel_rows = E` (`E = epoch_range.len()`), `ld = W`; the merged
+/// pipeline passes its output's `M` and leading dimension, so each row
+/// lands at its voxel-interleaved place.
 ///
 /// It is the unit of work the merged pipeline hands to pool workers:
 /// each worker owns a disjoint band of assigned voxels (one band, `0..V`,
@@ -196,14 +199,18 @@ impl StripScratch {
 /// bits as a fresh one, since every region read is overwritten first.
 ///
 /// # Panics
-/// Panics on inconsistent shapes, out-of-bounds ranges, a short buffer,
-/// or a scratch built for shorter epochs.
+/// Panics on inconsistent shapes, out-of-bounds ranges, rows that
+/// overlap (`ld < W` or `voxel_rows < E`), a short buffer, or a scratch
+/// built for shorter epochs.
+#[expect(clippy::too_many_arguments, reason = "kernel-call ABI")]
 pub fn corr_tile_block_rows(
     epochs: &[EpochPair<'_>],
     voxel_range: Range<usize>,
     epoch_range: Range<usize>,
     col_range: Range<usize>,
     buf: &mut [f32],
+    ld: usize,
+    voxel_rows: usize,
     scratch: &mut StripScratch,
 ) {
     assert!(!epochs.is_empty(), "corr_tile_block_rows: no epochs");
@@ -215,12 +222,26 @@ pub fn corr_tile_block_rows(
     let v_count = voxel_range.len();
     let e_count = epoch_range.len();
     let w = col_range.len();
-    assert!(buf.len() >= v_count * e_count * w, "corr_tile_block_rows: buffer too short");
+    assert!(ld >= w && voxel_rows >= e_count, "corr_tile_block_rows: rows overlap");
+    if v_count == 0 || e_count == 0 {
+        return;
+    }
+    let last_row = (v_count - 1) * voxel_rows + e_count - 1;
+    assert!(buf.len() >= last_row * ld + w, "corr_tile_block_rows: buffer too short");
 
     for (ei, eidx) in epoch_range.clone().enumerate() {
         let ep = &epochs[eidx];
         ep.validate(v, n);
-        epoch_strip(ep, voxel_range.clone(), col_range.start, w, scratch, buf, ei * w, e_count * w);
+        epoch_strip(
+            ep,
+            voxel_range.clone(),
+            col_range.start,
+            w,
+            scratch,
+            buf,
+            ei * ld,
+            voxel_rows * ld,
+        );
     }
 }
 
@@ -229,10 +250,10 @@ pub fn corr_tile_block_rows(
 /// `col0..col0 + w` of `brain`, written to `c[base + vi·ldc + j]` for
 /// local voxel `vi` and local column `j`. [`corr_tall_skinny`] lands the
 /// tile in the voxel-interleaved buffer (`base = e·N + col0`,
-/// `ldc = M·N`), [`corr_tile_block_rows`] in its dense block
-/// (`base = ei·W`, `ldc = E·W`). Voxels are grouped by [`MR`] from
-/// `voxel_range.start` and columns by [`NR`] from `col0`; every full
-/// column tile reads `brain` in place.
+/// `ldc = M·N`), [`corr_tile_block_rows`] at the caller's rows
+/// (`base = ei·ld`, `ldc = voxel_rows·ld`). Voxels are grouped by [`MR`]
+/// from `voxel_range.start` and columns by [`NR`] from `col0`; every
+/// full column tile reads `brain` in place.
 #[expect(clippy::too_many_arguments, reason = "kernel-call ABI")]
 fn epoch_strip(
     ep: &EpochPair<'_>,
@@ -424,6 +445,8 @@ mod tests {
             er.clone(),
             cr.clone(),
             &mut buf,
+            w,
+            ec,
             &mut StripScratch::for_epochs(&eps),
         );
         for vi in 0..v {
@@ -444,21 +467,34 @@ mod tests {
         // gives the matching rows of the full-range call bit for bit,
         // though its register tiles group other voxels (and other
         // fringes) than the full call's. One scratch, dirty from the
-        // call before, serves every range.
+        // call before, serves every range. The rows sit in a wider,
+        // taller buffer, as in the merged pipeline's strips: row
+        // `vi·(E + 1) + ei` at leading dimension `W + 3`, and nothing
+        // between them is written.
         let v = 2 * MR + 3;
         let ks = [12usize, 5];
         let (assigned, brain) = make_epochs(v, 37, &ks);
         let eps = pairs(&assigned, &brain);
         let (er, cr) = (0..ks.len(), 2..35usize);
-        let row = ks.len() * cr.len();
+        let (ld, voxel_rows) = (cr.len() + 3, ks.len() + 1);
+        let per_voxel = voxel_rows * ld;
         let mut scratch = StripScratch::for_epochs(&eps);
-        let mut full = vec![f32::NAN; v * row];
-        corr_tile_block_rows(&eps, 0..v, er.clone(), cr.clone(), &mut full, &mut scratch);
+        let mut full = vec![f32::NAN; v * per_voxel];
+        let call = |range: Range<usize>, buf: &mut [f32], scratch: &mut StripScratch| {
+            corr_tile_block_rows(&eps, range, er.clone(), cr.clone(), buf, ld, voxel_rows, scratch);
+        };
+        call(0..v, &mut full, &mut scratch);
+        for (i, x) in full.iter().enumerate() {
+            let (row, col) = (i / ld, i % ld);
+            let written = row % voxel_rows < ks.len() && col < cr.len();
+            assert_eq!(x.is_nan(), !written, "idx {i}");
+        }
         for v0 in 0..v {
             for v1 in v0 + 1..=v {
-                let mut part = vec![f32::NAN; (v1 - v0) * row];
-                corr_tile_block_rows(&eps, v0..v1, er.clone(), cr.clone(), &mut part, &mut scratch);
-                for (i, (p, f)) in part.iter().zip(&full[v0 * row..v1 * row]).enumerate() {
+                let mut part = vec![f32::NAN; (v1 - v0) * per_voxel];
+                call(v0..v1, &mut part, &mut scratch);
+                let want = &full[v0 * per_voxel..v1 * per_voxel];
+                for (i, (p, f)) in part.iter().zip(want).enumerate() {
                     assert_eq!(p.to_bits(), f.to_bits(), "{v0}..{v1} idx {i}");
                 }
             }

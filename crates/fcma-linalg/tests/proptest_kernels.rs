@@ -486,7 +486,7 @@ proptest! {
         let w = col1 - col0;
         let mut buf = vec![f32::NAN; v * m_epochs * w];
         let mut scratch = StripScratch::for_epochs(&eps);
-        corr_tile_block_rows(&eps, 0..v, 0..m_epochs, col0..col1, &mut buf, &mut scratch);
+        corr_tile_block_rows(&eps, 0..v, 0..m_epochs, col0..col1, &mut buf, w, m_epochs, &mut scratch);
         for vi in 0..v {
             for ei in 0..m_epochs {
                 for j in col0..col1 {
@@ -507,11 +507,16 @@ proptest! {
         k in 1usize..10,
         m_epochs in 1usize..4,
         bands in 1usize..5,
+        pad in 0usize..3,
+        gap in 0usize..3,
         seed in any::<u64>(),
     ) {
         // The merged pipeline's banding unit: computing the block in
         // voxel bands that start anywhere (not only on MR boundaries)
         // must reproduce the full-range call bit for bit (DESIGN.md §15).
+        // The rows sit at a leading dimension `pad` wider than the strip
+        // and `gap` rows apart per voxel, as in the merged pipeline's
+        // landing; what lies between them is never written.
         let assigned: Vec<Mat> = (0..m_epochs)
             .map(|e| Mat::from_vec(v, k, pseudo(v * k, seed ^ e as u64)))
             .collect();
@@ -525,24 +530,32 @@ proptest! {
             .collect();
         let col0 = n / 5;
         let w = n - col0;
-        let mut full = vec![f32::NAN; v * m_epochs * w];
+        let (ld, voxel_rows) = (w + pad, m_epochs + gap);
+        let per_voxel = voxel_rows * ld;
+        let mut full = vec![f32::NAN; v * per_voxel];
         corr_tile_block_rows(
             &eps,
             0..v,
             0..m_epochs,
             col0..n,
             &mut full,
+            ld,
+            voxel_rows,
             &mut StripScratch::for_epochs(&eps),
         );
+        for (i, x) in full.iter().enumerate() {
+            let written = (i / ld) % voxel_rows < m_epochs && i % ld < w;
+            prop_assert_eq!(x.is_nan(), !written, "idx {} (ld={} voxel_rows={})", i, ld, voxel_rows);
+        }
         // One scratch across every band, dirty from the band before.
         let mut scratch = StripScratch::for_epochs(&eps);
-        let mut banded = vec![f32::NAN; v * m_epochs * w];
+        let mut banded = vec![f32::NAN; v * per_voxel];
         let bands = bands.min(v);
         let mut v0 = 0usize;
         for band in 0..bands {
             let v1 = v0 + v / bands + usize::from(band < v % bands);
-            let chunk = &mut banded[v0 * m_epochs * w..v1 * m_epochs * w];
-            corr_tile_block_rows(&eps, v0..v1, 0..m_epochs, col0..n, chunk, &mut scratch);
+            let chunk = &mut banded[v0 * per_voxel..v1 * per_voxel];
+            corr_tile_block_rows(&eps, v0..v1, 0..m_epochs, col0..n, chunk, ld, voxel_rows, &mut scratch);
             v0 = v1;
         }
         prop_assert_eq!(v0, v);

@@ -312,21 +312,27 @@ impl SmoScratch {
             (next_i, gmin) = self.update_gradient_select_i(i, j, dai * yi, daj * yj);
 
             iter += 1;
-            if adaptive.is_adaptive() && iter.is_multiple_of(PHASE) {
+            let phase_end = adaptive.is_adaptive() && iter.is_multiple_of(PHASE);
+            let window_end = iter.is_multiple_of(STALL_WINDOW);
+            if phase_end || window_end {
+                // One objective serves both checks when they coincide
+                // (every window end of an adaptive solve).
                 let obj = self.objective();
-                adaptive.end_phase(phase_start_obj - obj);
-                phase_start_obj = obj;
-            }
-            if iter.is_multiple_of(STALL_WINDOW) {
-                let obj = self.objective();
-                let decrease = stall_obj - obj;
-                // Threshold sits just above the f64-accumulated f32 rounding
-                // noise of the objective: real progress, however slow,
-                // continues; a frozen gradient stops within one window.
-                if decrease <= 1e-9 + 1e-7 * obj.abs() {
-                    break;
+                if phase_end {
+                    adaptive.end_phase(phase_start_obj - obj);
+                    phase_start_obj = obj;
                 }
-                stall_obj = obj;
+                if window_end {
+                    let decrease = stall_obj - obj;
+                    // Threshold sits just above the f64-accumulated f32
+                    // rounding noise of the objective: real progress,
+                    // however slow, continues; a frozen gradient stops
+                    // within one window.
+                    if decrease <= 1e-9 + 1e-7 * obj.abs() {
+                        break;
+                    }
+                    stall_obj = obj;
+                }
             }
         }
 

@@ -8,9 +8,11 @@
 //! a `perf report`-style per-stage summary table ([`TraceReport::summary_table`])
 //! and a pass/fail consistency audit of the scheduler counters
 //! ([`TraceReport::check_consistency`], used by `fcma report --check`
-//! and CI).
+//! and CI), which `fcma report --check` pairs with an audit of the names
+//! against the taxonomy ([`TraceReport::check_names`]).
 
-use std::collections::BTreeMap;
+use crate::names::{known, Kind};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -355,6 +357,31 @@ impl TraceReport {
         violations
     }
 
+    /// Names the taxonomy does not list for their kind: a span, event,
+    /// counter or histogram must be a row of [`crate::names::NAMES`] of
+    /// that kind. The probe macros hold the pipeline to the table at
+    /// compile time; a trace file read back may name anything. Names
+    /// under `bench.` (the benchmark's wrapper spans, ROADMAP item 1)
+    /// pass. Returns one violation per unknown `(kind, name)`.
+    pub fn check_names(&self) -> Vec<String> {
+        let spans = self.spans.iter().map(|s| {
+            let kind = if s.is_event() { Kind::Event } else { Kind::Span };
+            (kind, s.name.as_str())
+        });
+        let counters = self.counters.keys().map(|n| (Kind::Counter, n.as_str()));
+        let histograms = self.histograms.keys().map(|n| (Kind::Histogram, n.as_str()));
+        let unknown: BTreeSet<(String, &str)> = spans
+            .chain(counters)
+            .chain(histograms)
+            .filter(|&(kind, name)| !name.starts_with("bench.") && !known(name, kind))
+            .map(|(kind, name)| (format!("{kind:?}").to_lowercase(), name))
+            .collect();
+        unknown
+            .into_iter()
+            .map(|(kind, name)| format!("{kind} {name:?} is not in the trace taxonomy"))
+            .collect()
+    }
+
     /// Cross-thread causality invariants over the `ctx_*` attributes the
     /// collector stamps from the installed [`crate::TraceCtx`]:
     ///
@@ -528,6 +555,46 @@ mod tests {
         report.counters.insert("cluster.tasks.dispatched".into(), 2);
         report.counters.insert("cluster.tasks.completed".into(), 2);
         assert!(report.check_consistency().is_empty());
+    }
+
+    #[test]
+    fn names_outside_the_taxonomy_are_violations() {
+        let event = |name: &str| span(name, 40, None);
+        let mut report = TraceReport {
+            spans: vec![
+                span("stage1.corr", 0, Some(10)),
+                span("bench.core.process", 0, Some(20)),
+                event("cluster.condemn"),
+            ],
+            ..TraceReport::default()
+        };
+        report.counters.insert("svm.smo.solves".into(), 1);
+        report.histograms.entry("svm.smo.iterations_per_solve".into()).or_default().record(7.0);
+        assert!(report.check_names().is_empty(), "{:?}", report.check_names());
+        // One seeded name per kind: a misspelt span, an event recorded
+        // under a span's name, a counter no probe emits and a histogram
+        // named like a counter. A repeated unknown span is reported once.
+        let seeded = |edit: &dyn Fn(&mut TraceReport), want: &str| {
+            let mut r = report.clone();
+            edit(&mut r);
+            let violations = r.check_names();
+            assert!(violations.len() == 1 && violations[0].starts_with(want), "{violations:?}");
+        };
+        seeded(
+            &|r| r.spans.extend([span("stage1.cor", 1, Some(3)), span("stage1.cor", 5, Some(3))]),
+            "span \"stage1.cor\" is not in the trace taxonomy",
+        );
+        seeded(&|r| r.spans.push(event("stage1.corr")), "event \"stage1.corr\" is not");
+        seeded(
+            &|r| {
+                r.counters.insert("stage1.flop".into(), 2);
+            },
+            "counter \"stage1.flop\" is not",
+        );
+        seeded(
+            &|r| r.histograms.entry("svm.smo.solves".into()).or_default().record(1.0),
+            "histogram \"svm.smo.solves\" is not",
+        );
     }
 
     #[test]
