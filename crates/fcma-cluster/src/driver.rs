@@ -42,9 +42,6 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Master wake-up granularity when no hang deadline is pending.
-const HEARTBEAT: Duration = Duration::from_millis(10);
-
 /// Scheduling policy and fault-tolerance knobs for one cluster run.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
@@ -68,12 +65,11 @@ pub struct ClusterConfig {
     /// Optional cross-validation grouping override (see
     /// [`fcma_core::TaskExecutor::process_grouped`]).
     pub groups: Option<Arc<Vec<usize>>>,
-    /// Kernel threads each worker's executor uses for its parallel
-    /// loops (the pool embedded in the executor; see
-    /// [`fcma_sync::pool::Pool`]). Purely informational to the driver —
-    /// the executor carries its own pool — but recorded here so one
-    /// config describes the whole run shape. Defaults to 1, like
-    /// [`fcma_sync::pool::Pool::default`].
+    /// Kernel threads each worker's executor was built with. The driver
+    /// does not read it: workers run on the executor's own pool, and the
+    /// `cluster.run` span records that pool's size. It stays for the
+    /// callers that set it, and goes with the benchmark change that
+    /// stops setting it (ROADMAP item 1). Defaults to 1.
     pub kernel_threads: usize,
     /// Write a flight-recorder postmortem dump (`fcma-postmortem v2`,
     /// this run's events only) into this directory whenever the run
@@ -199,7 +195,7 @@ pub fn run_cluster_with(
         workers = cfg.n_workers,
         tasks = total_tasks,
         task_size = cfg.task_size,
-        kernel_threads = cfg.kernel_threads
+        kernel_threads = exec.pool().threads()
     );
     counter!("cluster.tasks.total", total_tasks);
     // This run's flight log: shared with its workers, read by its
@@ -474,7 +470,18 @@ impl Master {
                     unfinished_tasks: total_tasks - self.completed.len(),
                 });
             }
-            match rx.recv_timeout(self.next_timeout()) {
+            // Block until a worker speaks; with a hang deadline armed,
+            // wake at the earliest one to condemn whoever outlived it.
+            let earliest = self.task_deadline.and_then(|deadline| {
+                self.current.iter().flatten().map(|d| d.started + deadline).min()
+            });
+            let received = match earliest {
+                Some(t) => rx.recv_timeout(
+                    t.saturating_duration_since(Instant::now()).max(Duration::from_millis(1)),
+                ),
+                None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+            };
+            match received {
                 Ok(msg) => self.handle(msg)?,
                 Err(RecvTimeoutError::Timeout) => self.check_deadlines()?,
                 Err(RecvTimeoutError::Disconnected) => {
@@ -686,18 +693,6 @@ impl Master {
         Ok(())
     }
 
-    /// Wake-up interval: the earliest pending hang deadline, or the
-    /// heartbeat when none is armed.
-    fn next_timeout(&self) -> Duration {
-        let earliest = self
-            .task_deadline
-            .and_then(|deadline| self.current.iter().flatten().map(|d| d.started + deadline).min());
-        match earliest {
-            Some(t) => t.saturating_duration_since(Instant::now()).max(Duration::from_millis(1)),
-            None => HEARTBEAT,
-        }
-    }
-
     /// Condemn every worker whose dispatch has outlived the hang deadline
     /// and requeue its task, in task order.
     // Cannot panic: worker ids are stamped at spawn time and dense in 0..workers.len()
@@ -860,6 +855,23 @@ mod tests {
                 b.accuracy
             );
         }
+    }
+
+    /// The `cluster.run` span records the pool the workers ran on, not
+    /// the config's `kernel_threads`.
+    #[test]
+    fn run_span_traces_the_executors_kernel_threads() {
+        let ctx = ctx();
+        let exec = OptimizedExecutor { pool: fcma_sync::Pool::new(2), ..Default::default() };
+        let cfg =
+            ClusterConfig { n_workers: 1, task_size: 32, kernel_threads: 1, ..Default::default() };
+        let collector = fcma_trace::Collector::new();
+        let scope = collector.install_scoped();
+        run_cluster_with(&ctx, Arc::new(exec), &cfg).expect("healthy run");
+        drop(scope);
+        let report = collector.drain();
+        let run = report.spans.iter().find(|s| s.name == "cluster.run").expect("cluster.run span");
+        assert_eq!(run.attr("kernel_threads"), Some(&AttrValue::U64(2)));
     }
 
     #[test]

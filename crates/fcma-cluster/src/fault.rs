@@ -10,7 +10,7 @@
 //! or derived from a seed ([`FaultPlan::seeded`]), so a failing chaos
 //! test reproduces from its seed alone.
 
-use fcma_core::{CancelToken, TaskContext, TaskExecutor, VoxelScore, VoxelTask};
+use fcma_core::{CancelToken, CvPlan, TaskContext, TaskExecutor, VoxelScore, VoxelTask};
 use fcma_sync::time::Instant;
 use fcma_sync::{Mutex, Pool};
 use std::collections::BTreeMap;
@@ -201,13 +201,14 @@ fn sleep_unless_cancelled(total: Duration, cancel: &CancelToken) -> bool {
 
 impl ChaosExecutor {
     /// Fire the planned fault of this attempt at `task`, if any, around
-    /// `run` — the wrapped executor's call.
-    fn inject(
+    /// `run` — the wrapped executor's call. A cancelled delay or a stall
+    /// returns no scores (`R::default()`).
+    fn inject<R: Default>(
         &self,
         task: VoxelTask,
         cancel: &CancelToken,
-        run: impl FnOnce() -> Vec<VoxelScore>,
-    ) -> Vec<VoxelScore> {
+        run: impl FnOnce() -> R,
+    ) -> R {
         let attempt = self.next_attempt(task.start);
         match self.plan.fault_for(task.start, attempt) {
             Some(FaultKind::Panic { after }) => {
@@ -218,13 +219,13 @@ impl ChaosExecutor {
             }
             Some(FaultKind::Delay(d)) => {
                 if !sleep_unless_cancelled(d, cancel) {
-                    return Vec::new();
+                    return R::default();
                 }
                 run()
             }
             Some(FaultKind::Stall) => {
                 let _ = sleep_unless_cancelled(STALL_CAP, cancel);
-                Vec::new()
+                R::default()
             }
             None => run(),
         }
@@ -244,10 +245,10 @@ impl TaskExecutor for ChaosExecutor {
         &self,
         ctx: &TaskContext,
         task: VoxelTask,
-        groups: Option<&[usize]>,
+        plans: &[CvPlan<'_>],
         pool: &Pool,
-    ) -> Vec<VoxelScore> {
-        self.inject(task, &CancelToken::new(), || self.inner.process_on(ctx, task, groups, pool))
+    ) -> Vec<Vec<VoxelScore>> {
+        self.inject(task, &CancelToken::new(), || self.inner.process_on(ctx, task, plans, pool))
     }
 
     fn process_with_controls(

@@ -20,7 +20,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use fcma_cluster::{run_cluster_with, ClusterConfig};
-use fcma_core::{CancelToken, TaskContext, TaskExecutor, VoxelScore, VoxelTask};
+use fcma_core::{CancelToken, CvPlan, TaskContext, TaskExecutor, VoxelScore, VoxelTask};
 use fcma_mc::{check, check_random, replay, Config, FailureKind, Outcome};
 use fcma_sync::channel::{unbounded, Sender};
 use fcma_sync::{thread, Mutex, Pool};
@@ -202,12 +202,13 @@ impl TaskExecutor for StubExecutor {
         &self,
         _ctx: &TaskContext,
         task: VoxelTask,
-        _groups: Option<&[usize]>,
+        plans: &[CvPlan<'_>],
         _pool: &Pool,
-    ) -> Vec<VoxelScore> {
-        (task.start..task.start + task.count)
+    ) -> Vec<Vec<VoxelScore>> {
+        let scores = (task.start..task.start + task.count)
             .map(|voxel| VoxelScore { voxel, accuracy: 0.5 })
-            .collect()
+            .collect::<Vec<_>>();
+        vec![scores; plans.len()]
     }
 }
 
@@ -231,10 +232,10 @@ impl TaskExecutor for HangOnceExecutor {
         &self,
         ctx: &TaskContext,
         task: VoxelTask,
-        groups: Option<&[usize]>,
+        plans: &[CvPlan<'_>],
         pool: &Pool,
-    ) -> Vec<VoxelScore> {
-        StubExecutor.process_on(ctx, task, groups, pool)
+    ) -> Vec<Vec<VoxelScore>> {
+        StubExecutor.process_on(ctx, task, plans, pool)
     }
 
     fn process_with_controls(

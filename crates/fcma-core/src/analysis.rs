@@ -9,7 +9,7 @@ use crate::task::{partition, VoxelScore, VoxelTask};
 use fcma_fmri::Dataset;
 use fcma_linalg::tall_skinny::TallSkinnyOpts;
 use fcma_linalg::{f64_from_usize, Mat};
-use fcma_svm::{train_phisvm, KernelMatrix, SmoParams};
+use fcma_svm::{train_phisvm, CvPlan, KernelMatrix, SmoParams, LEFT_OUT};
 use fcma_sync::pool::Pool;
 use fcma_trace::{counter, span};
 
@@ -37,12 +37,28 @@ impl Default for AnalysisConfig {
 /// `threads / T` of them, plus one while `i < threads % T`. Scores are
 /// concatenated in task order, so a sweep gives the serial sweep's bits
 /// at every thread count (DESIGN.md §15).
+///
+/// Voxels are cross-validated on the context's labels, grouped by
+/// `groups` (defaults to the context's subjects).
 pub fn score_all_voxels(
     ctx: &TaskContext,
     exec: &dyn TaskExecutor,
     task_size: usize,
     groups: Option<&[usize]>,
 ) -> Vec<VoxelScore> {
+    let plan = CvPlan { y: &ctx.y, groups: groups.unwrap_or(&ctx.subjects) };
+    sweep(ctx, exec, task_size, &[plan]).concat()
+}
+
+/// [`score_all_voxels`] under every plan of `plans`: each task's kernels
+/// are built once and cross-validated under all of them. Returns one
+/// score vector per plan, each in voxel order.
+fn sweep(
+    ctx: &TaskContext,
+    exec: &dyn TaskExecutor,
+    task_size: usize,
+    plans: &[CvPlan<'_>],
+) -> Vec<Vec<VoxelScore>> {
     let _span = span!(
         "analysis.sweep",
         voxels = ctx.n_voxels(),
@@ -52,12 +68,18 @@ pub fn score_all_voxels(
     let pool = exec.pool();
     let (threads, tasks) = (pool.threads(), partition(ctx.n_voxels(), task_size));
     let n_tasks = tasks.len();
-    let scores = pool.run(tasks, |i, task| {
+    let per_task = pool.run(tasks, |i, task| {
         let share = threads / n_tasks + usize::from(i < threads % n_tasks);
-        exec.process_on(ctx, task, groups, &Pool::new(share.max(1)))
+        exec.process_on(ctx, task, plans, &Pool::new(share.max(1)))
     });
     counter!("pool.tasks.run", n_tasks);
-    scores.concat()
+    let mut per_plan = vec![Vec::new(); plans.len()];
+    for task_scores in per_task {
+        for (all, scores) in per_plan.iter_mut().zip(task_scores) {
+            all.extend(scores);
+        }
+    }
+    per_plan
 }
 
 /// One outer cross-validation fold of the offline analysis.
@@ -89,6 +111,12 @@ pub struct OfflineResult {
 /// trained on the training subjects' correlation patterns of the selected
 /// voxels and tested on the held-out subject (§5.2.1).
 ///
+/// All outer folds share one sweep over the full context: stage 2
+/// z-scores within each subject, so a fold's kernel is the full kernel
+/// without the held-out subject's rows and columns, and each voxel's
+/// kernel is built once and cross-validated under one plan per held-out
+/// subject (DESIGN.md §8).
+///
 /// # Panics
 /// If the dataset has fewer than 3 subjects (nested LOSO needs them).
 pub fn offline_analysis(
@@ -99,16 +127,19 @@ pub fn offline_analysis(
     let n_subjects = dataset.n_subjects();
     assert!(n_subjects >= 3, "offline analysis needs >= 3 subjects for nested LOSO");
     let full_ctx = TaskContext::full(dataset);
-    let mut folds = Vec::with_capacity(n_subjects);
-    for held in 0..n_subjects {
-        let keep: Vec<usize> =
-            (0..dataset.n_epochs()).filter(|&e| dataset.epochs()[e].subject != held).collect();
-        let train_ctx = TaskContext::subset(dataset, &keep);
-        let scores = score_all_voxels(&train_ctx, exec, cfg.task_size, None);
-        let selected = select_top_k(&scores, cfg.top_k);
-        let test_accuracy = final_classifier_accuracy(&full_ctx, dataset, &selected, held);
-        folds.push(FoldOutcome { held_out: held, selected, test_accuracy });
-    }
+    let groups: Vec<Vec<usize>> =
+        (0..n_subjects).map(|held| holding_out(&full_ctx.subjects, held)).collect();
+    let plans: Vec<CvPlan<'_>> =
+        groups.iter().map(|g| CvPlan { y: &full_ctx.y, groups: g }).collect();
+    let folds: Vec<FoldOutcome> = sweep(&full_ctx, exec, cfg.task_size, &plans)
+        .iter()
+        .enumerate()
+        .map(|(held, scores)| {
+            let selected = select_top_k(scores, cfg.top_k);
+            let test_accuracy = final_classifier_accuracy(&full_ctx, dataset, &selected, held);
+            FoldOutcome { held_out: held, selected, test_accuracy }
+        })
+        .collect();
     let mean_test_accuracy =
         folds.iter().map(|f| f.test_accuracy).sum::<f64>() / f64_from_usize(folds.len());
     let stable = stable_voxels(
@@ -116,6 +147,13 @@ pub fn offline_analysis(
         folds.len().div_ceil(2),
     );
     OfflineResult { folds, mean_test_accuracy, stable }
+}
+
+/// The inner LOSO groups of the outer fold holding out subject `held`:
+/// its epochs are [`LEFT_OUT`] and later subjects are renumbered down
+/// past the gap, as a context over the training subjects numbers them.
+fn holding_out(subjects: &[usize], held: usize) -> Vec<usize> {
+    subjects.iter().map(|&s| if s == held { LEFT_OUT } else { s - usize::from(s > held) }).collect()
 }
 
 /// Sample matrix of the selected voxels: one row per epoch, holding the

@@ -6,10 +6,11 @@ use std::sync::Arc;
 /// Everything a worker needs besides its voxel range: the normalized
 /// epoch matrices and the label/subject structure of the epochs in play.
 ///
-/// The context is built once per analysis (or per outer cross-validation
-/// fold, where only a subset of epochs participate) and shared across
-/// tasks — it corresponds to the brain data the master distributes to
-/// workers up front (§3.1.1).
+/// The context is built once per analysis and shared across tasks — it
+/// corresponds to the brain data the master distributes to workers up
+/// front (§3.1.1). Outer cross-validation folds do not get their own
+/// context: they are plans over this one, with the held-out subject's
+/// epochs left out (`fcma_svm::CvPlan`).
 #[derive(Clone)]
 pub struct TaskContext {
     /// Normalized epoch matrices (only the epochs in play, in order).

@@ -5,9 +5,9 @@ use crate::context::TaskContext;
 use crate::control::CancelToken;
 use crate::stage1::corr_baseline;
 use crate::stage2::{fused_kernels, normalize_baseline};
-use crate::stage3::{score_kernels, score_task, KernelPrecompute};
+use crate::stage3::{precompute_kernels, score_kernels, KernelPrecompute};
 use crate::task::{VoxelScore, VoxelTask};
-use fcma_svm::{LibSvmParams, SmoParams, SolverKind};
+use fcma_svm::{CvPlan, LibSvmParams, SmoParams, SolverKind};
 use fcma_sync::pool::Pool;
 use fcma_trace::span;
 
@@ -24,25 +24,30 @@ pub trait TaskExecutor: Send + Sync {
     /// The executor's kernel pool.
     fn pool(&self) -> Pool;
 
-    /// Run the full pipeline for one voxel task on `pool`, optionally
-    /// overriding the cross-validation grouping (defaults to the
-    /// context's subjects). The scores do not depend on `pool`.
+    /// Run the full pipeline for one voxel task on `pool`: build each
+    /// voxel's kernel once, then cross-validate it under every plan of
+    /// `plans` (each parallel to the context's epochs). Returns one score
+    /// vector per plan, in plan order. The scores do not depend on
+    /// `pool`.
     fn process_on(
         &self,
         ctx: &TaskContext,
         task: VoxelTask,
-        groups: Option<&[usize]>,
+        plans: &[CvPlan<'_>],
         pool: &Pool,
-    ) -> Vec<VoxelScore>;
+    ) -> Vec<Vec<VoxelScore>>;
 
-    /// [`Self::process_on`] on the executor's own pool.
+    /// [`Self::process_on`] on the executor's own pool under one plan:
+    /// the context's labels, grouped by `groups` (defaults to the
+    /// context's subjects).
     fn process_grouped(
         &self,
         ctx: &TaskContext,
         task: VoxelTask,
         groups: Option<&[usize]>,
     ) -> Vec<VoxelScore> {
-        self.process_on(ctx, task, groups, &self.pool())
+        let plan = CvPlan { y: &ctx.y, groups: groups.unwrap_or(&ctx.subjects) };
+        self.process_on(ctx, task, &[plan], &self.pool()).concat()
     }
 
     /// Run the pipeline with subject-wise (LOSO) cross validation.
@@ -92,23 +97,15 @@ impl TaskExecutor for BaselineExecutor {
         &self,
         ctx: &TaskContext,
         task: VoxelTask,
-        groups: Option<&[usize]>,
+        plans: &[CvPlan<'_>],
         pool: &Pool,
-    ) -> Vec<VoxelScore> {
+    ) -> Vec<Vec<VoxelScore>> {
         let _span =
             span!("task.process", start = task.start, count = task.count, executor = "baseline");
         let mut corr = corr_baseline(ctx, task, pool);
         normalize_baseline(&mut corr, ctx);
-        let groups = groups.unwrap_or(&ctx.subjects);
-        score_task(
-            &corr,
-            task,
-            &ctx.y,
-            groups,
-            &SolverKind::LibSvm(self.svm),
-            KernelPrecompute::Baseline,
-            pool,
-        )
+        let kernels = precompute_kernels(&corr, task, KernelPrecompute::Baseline, pool);
+        score_kernels(&kernels, task.start, plans, &SolverKind::LibSvm(self.svm), pool)
     }
 }
 
@@ -138,14 +135,13 @@ impl TaskExecutor for OptimizedExecutor {
         &self,
         ctx: &TaskContext,
         task: VoxelTask,
-        groups: Option<&[usize]>,
+        plans: &[CvPlan<'_>],
         pool: &Pool,
-    ) -> Vec<VoxelScore> {
+    ) -> Vec<Vec<VoxelScore>> {
         let _span =
             span!("task.process", start = task.start, count = task.count, executor = "optimized");
         let kernels = fused_kernels(ctx, task, pool);
-        let groups = groups.unwrap_or(&ctx.subjects);
-        score_kernels(&kernels, task.start, &ctx.y, groups, &SolverKind::PhiSvm(self.svm), pool)
+        score_kernels(&kernels, task.start, plans, &SolverKind::PhiSvm(self.svm), pool)
     }
 }
 

@@ -13,7 +13,9 @@
 //!   (baseline / separated / merged) that agree bit-for-bit within f32
 //!   tolerance, and the merged one fused with the kernel precompute;
 //! * [`stage3`] — kernel precompute + per-voxel SVM cross validation;
-//! * [`executor`] — the baseline and optimized single-node pipelines;
+//! * [`executor`] — the baseline and optimized single-node pipelines,
+//!   each building a task's kernels once and cross-validating them under
+//!   every [`CvPlan`] it is handed;
 //! * [`selection`] — ROI ranking and cross-fold stability;
 //! * [`analysis`] — offline nested LOSO and online voxel selection.
 
@@ -38,6 +40,7 @@ pub use analysis::{FoldOutcome, OfflineResult, OnlineResult};
 pub use context::TaskContext;
 pub use control::CancelToken;
 pub use executor::{BaselineExecutor, OptimizedExecutor, TaskExecutor};
+pub use fcma_svm::{CvPlan, LEFT_OUT};
 pub use realtime::{FeedbackModel, SessionError};
 pub use realtime::{OnlineSession, SessionConfig};
 pub use selection::{recovery_rate, select_top_k};

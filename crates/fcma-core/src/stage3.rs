@@ -3,8 +3,8 @@
 //! For each assigned voxel, the worker precomputes the linear kernel
 //! matrix over that voxel's correlation vectors (a symmetric rank-k
 //! update, §4.4) and runs leave-one-group-out cross validation with the
-//! configured SVM solver. The resulting accuracy is the voxel's
-//! "informativeness" score.
+//! configured SVM solver under every [`CvPlan`] it is given. The
+//! resulting accuracy is the voxel's "informativeness" score.
 //!
 //! [`score_task`] does both over a task's correlation buffer; the
 //! optimized executor gets its kernels from the fused stage 1+2 pass
@@ -15,7 +15,7 @@
 use crate::stage1::CorrData;
 use crate::task::{VoxelScore, VoxelTask};
 use fcma_linalg::{SyrkScratch, PANEL_K};
-use fcma_svm::{loso_cross_validate_with, KernelMatrix, SmoScratch, SolverKind};
+use fcma_svm::{loso_cross_validate_with, CvPlan, KernelMatrix, SmoScratch, SolverKind};
 use fcma_sync::pool::Pool;
 use fcma_trace::{counter, span};
 
@@ -28,9 +28,8 @@ pub enum KernelPrecompute {
     Optimized,
 }
 
-/// Score every voxel of a task: precompute each voxel's kernel from
-/// `corr` (one [`SyrkScratch`] per pool worker, the paper's per-thread
-/// `A_local`, §4.4), then [`score_kernels`].
+/// Score every voxel of a task: [`precompute_kernels`], then
+/// [`score_kernels`] under the one plan `y`, `groups`.
 ///
 /// `y` and `groups` are parallel to the epochs of `corr` (groups are
 /// subjects for offline analysis, epoch folds for the online case).
@@ -48,6 +47,21 @@ pub fn score_task(
     precompute: KernelPrecompute,
     pool: &Pool,
 ) -> Vec<VoxelScore> {
+    let kernels = precompute_kernels(corr, task, precompute, pool);
+    score_kernels(&kernels, task.start, &[CvPlan { y, groups }], solver, pool).concat()
+}
+
+/// Each voxel's kernel from `corr`, one [`SyrkScratch`] per pool worker
+/// (the paper's per-thread `A_local`, §4.4).
+///
+/// # Panics
+/// If `corr` does not hold `task.count` voxels.
+pub(crate) fn precompute_kernels(
+    corr: &CorrData,
+    task: VoxelTask,
+    precompute: KernelPrecompute,
+    pool: &Pool,
+) -> Vec<KernelMatrix> {
     assert_eq!(corr.layout.n_assigned, task.count, "score_task: task/corr shape mismatch");
     let (m, n) = (corr.layout.n_epochs, corr.layout.n_brain);
     let kernels = pool.run_init(
@@ -62,42 +76,48 @@ pub fn score_task(
         },
     );
     counter!("pool.tasks.run", task.count);
-    score_kernels(&kernels, task.start, y, groups, solver, pool)
+    kernels
 }
 
 /// Leave-one-group-out CV of every voxel of a task from its precomputed
-/// kernel — the one stage-3 loop of both executors. `kernels[vi]` is
-/// voxel `start + vi`'s; `y` and `groups` are parallel to its samples.
+/// kernel under every plan — the one stage-3 loop of both executors.
+/// `kernels[vi]` is voxel `start + vi`'s; each plan is parallel to its
+/// samples. Returns one score vector per plan, in plan order.
 ///
-/// One pool task per voxel, each worker reusing one [`SmoScratch`];
-/// scores come back in voxel order whichever worker ran them. A
-/// one-voxel task (the online shape) has no voxel parallelism, so the
-/// pool goes down one level and runs that voxel's CV folds instead.
-/// Same scores either way: the CV is bit-identical at every thread
-/// count (DESIGN.md §15).
+/// One pool task per voxel, each worker reusing one [`SmoScratch`] for
+/// the voxel's plans in order; scores come back in voxel order whichever
+/// worker ran them. A one-voxel task (the online shape, the permutation
+/// test) has no voxel parallelism, so the pool goes down one level and
+/// runs that voxel's CV folds instead. Same scores either way: the CV is
+/// bit-identical at every thread count (DESIGN.md §15).
 ///
 /// # Panics
-/// If `y` or `groups` does not match a kernel's size, or a fold would
-/// see a single class.
+/// If a plan does not match a kernel's size, has fewer than two groups
+/// in play, or a fold would see a single class.
 pub(crate) fn score_kernels(
     kernels: &[KernelMatrix],
     start: usize,
-    y: &[f32],
-    groups: &[usize],
+    plans: &[CvPlan<'_>],
     solver: &SolverKind,
     pool: &Pool,
-) -> Vec<VoxelScore> {
-    let _span = span!("stage3.score", voxels = kernels.len(), epochs = y.len());
+) -> Vec<Vec<VoxelScore>> {
+    let epochs = kernels.first().map_or(0, KernelMatrix::n);
+    let _span = span!("stage3.score", voxels = kernels.len(), epochs = epochs);
     counter!("stage3.voxels", kernels.len());
     let fold_pool = if kernels.len() == 1 { *pool } else { Pool::default() };
-    let scores = pool.run_init(kernels.iter().collect(), SmoScratch::default, |smo, vi, kernel| {
-        VoxelScore {
-            voxel: start + vi,
-            accuracy: loso_cross_validate_with(kernel, y, groups, solver, &fold_pool, smo).accuracy,
-        }
+    let accuracies = pool.run_init(kernels.iter().collect(), SmoScratch::default, |smo, _, k| {
+        plans
+            .iter()
+            .map(|&plan| loso_cross_validate_with(k, plan, solver, &fold_pool, smo).accuracy)
+            .collect::<Vec<f64>>()
     });
     counter!("pool.tasks.run", kernels.len());
-    scores
+    (0..plans.len())
+        .map(|p| {
+            let voxels = accuracies.iter().enumerate();
+            voxels.map(|(vi, acc)| VoxelScore { voxel: start + vi, accuracy: acc[p] }).collect()
+        })
+        .collect()
 }
 
 #[cfg(test)]

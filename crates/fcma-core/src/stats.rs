@@ -8,9 +8,11 @@
 //! null distribution for a voxel's CV accuracy, permutation p-values, and
 //! Benjamini–Hochberg FDR selection over the whole brain.
 
-use crate::stage1::CorrData;
+use crate::context::TaskContext;
+use crate::executor::TaskExecutor;
+use crate::task::VoxelTask;
 use fcma_linalg::f64_from_usize;
-use fcma_svm::{loso_cross_validate, KernelMatrix, SolverKind};
+use fcma_svm::CvPlan;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -39,26 +41,6 @@ pub(crate) fn permute_labels_within_subject(
     out
 }
 
-/// Null distribution of one voxel's LOSO accuracy under label
-/// permutation: `n_perms` re-runs of the cross validation with labels
-/// shuffled within subject. Deterministic in `seed`.
-pub(crate) fn null_accuracies(
-    kernel: &KernelMatrix,
-    y: &[f32],
-    subjects: &[usize],
-    solver: &SolverKind,
-    n_perms: usize,
-    seed: u64,
-) -> Vec<f64> {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    (0..n_perms)
-        .map(|_| {
-            let y_perm = permute_labels_within_subject(y, subjects, &mut rng);
-            loso_cross_validate(kernel, &y_perm, subjects, solver).accuracy
-        })
-        .collect()
-}
-
 /// Permutation p-value with the standard +1 correction:
 /// `(1 + #{null ≥ observed}) / (1 + n_perms)`.
 pub(crate) fn permutation_p_value(observed: f64, null: &[f64]) -> f64 {
@@ -66,27 +48,42 @@ pub(crate) fn permutation_p_value(observed: f64, null: &[f64]) -> f64 {
     f64_from_usize(1 + ge) / f64_from_usize(1 + null.len())
 }
 
-/// Full permutation test for one voxel of a task's correlation data.
+/// Full permutation test for one voxel: its LOSO accuracy under the
+/// context's labels and subjects, and the permutation p-value of that
+/// accuracy against `n_perms` re-runs with labels shuffled within
+/// subject. Deterministic in `seed`.
+///
+/// One [`TaskExecutor::process_on`] call on the one-voxel task: the
+/// voxel's kernel is built once and cross-validated under the observed
+/// plan and every permuted one.
 ///
 /// # Panics
-/// If `vi` is not a voxel of `corr`, or as
-/// [`fcma_svm::loso_cross_validate`].
+/// If `voxel` is not a voxel of `ctx`, if `exec` returns no scores, or
+/// as [`fcma_svm::loso_cross_validate`].
 pub fn voxel_permutation_test(
-    corr: &CorrData,
-    vi: usize,
-    y: &[f32],
-    subjects: &[usize],
-    solver: &SolverKind,
+    ctx: &TaskContext,
+    exec: &dyn TaskExecutor,
+    voxel: usize,
     n_perms: usize,
     seed: u64,
 ) -> (f64, f64) {
-    let m = corr.layout.n_epochs;
-    let n = corr.layout.n_brain;
-    let kernel = KernelMatrix::precompute_raw(m, n, corr.voxel_matrix(vi));
-    let observed = loso_cross_validate(&kernel, y, subjects, solver).accuracy;
-    let null = null_accuracies(&kernel, y, subjects, solver, n_perms, seed);
-    let p = permutation_p_value(observed, &null);
-    (observed, p)
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let perms: Vec<Vec<f32>> = (0..n_perms)
+        .map(|_| permute_labels_within_subject(&ctx.y, &ctx.subjects, &mut rng))
+        .collect();
+    let plans: Vec<CvPlan<'_>> = std::iter::once(&ctx.y[..])
+        .chain(perms.iter().map(Vec::as_slice))
+        .map(|y| CvPlan { y, groups: &ctx.subjects })
+        .collect();
+    let task = VoxelTask { start: voxel, count: 1 };
+    let accuracies: Vec<f64> = exec
+        .process_on(ctx, task, &plans, &exec.pool())
+        .iter()
+        .flat_map(|scores| scores.iter().map(|s| s.accuracy))
+        .collect();
+    let (&observed, null) =
+        accuracies.split_first().expect("permutation test: the executor returned no scores");
+    (observed, permutation_p_value(observed, null))
 }
 
 /// Benjamini–Hochberg FDR selection: returns the indices of hypotheses
@@ -124,11 +121,8 @@ pub fn benjamini_hochberg(p_values: &[f64], q: f64) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::TaskContext;
-    use crate::stage2::corr_normalized_merged;
-    use crate::task::VoxelTask;
+    use crate::executor::OptimizedExecutor;
     use fcma_fmri::presets;
-    use fcma_svm::SmoParams;
 
     #[test]
     fn permutation_preserves_within_subject_balance() {
@@ -196,26 +190,22 @@ mod tests {
     /// requires removing the planted coupling entirely.)
     #[test]
     fn permutation_test_separates_signal_from_noise() {
-        let solver = SolverKind::PhiSvm(SmoParams::default());
+        let exec = OptimizedExecutor::default();
         let n_perms = 39; // min p = 0.025
 
         let mut cfg = presets::tiny();
         cfg.coupling = 2.0;
         let (d, gt) = cfg.generate();
-        let ctx = TaskContext::full(&d);
-        let task = VoxelTask { start: gt.informative[0], count: 1 };
-        let corr = corr_normalized_merged(&ctx, task, Default::default());
+        let voxel = gt.informative[0];
         let (acc_inf, p_inf) =
-            voxel_permutation_test(&corr, 0, &ctx.y, &ctx.subjects, &solver, n_perms, 42);
+            voxel_permutation_test(&TaskContext::full(&d), &exec, voxel, n_perms, 42);
         assert!(p_inf <= 0.05, "informative voxel p = {p_inf} (acc {acc_inf})");
 
         // Same voxel index, zero coupling: no condition signal anywhere.
         cfg.coupling = 0.0;
         let (d0, _) = cfg.generate();
-        let ctx0 = TaskContext::full(&d0);
-        let corr0 = corr_normalized_merged(&ctx0, task, Default::default());
         let (acc_null, p_null) =
-            voxel_permutation_test(&corr0, 0, &ctx0.y, &ctx0.subjects, &solver, n_perms, 42);
+            voxel_permutation_test(&TaskContext::full(&d0), &exec, voxel, n_perms, 42);
         assert!(
             p_null > 0.05,
             "signal-free voxel p = {p_null} (acc {acc_null}) should be nonsignificant"

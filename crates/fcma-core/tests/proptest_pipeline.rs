@@ -187,6 +187,59 @@ proptest! {
         }
     }
 
+    /// DESIGN.md §8: an outer fold's Gram is a submatrix of the full one.
+    /// Stage 2 z-scores within each subject and the SYRK sums over the
+    /// brain in fixed `PANEL_K` panels, so the fused Gram of a context,
+    /// restricted to the epochs an offline plan keeps (every subject but
+    /// the held-out one), is bit for bit the fused Gram of
+    /// `TaskContext::subset` over those epochs. Every held-out subject,
+    /// ragged subjects, bands on any voxel, 1–3 threads.
+    #[test]
+    fn fold_gram_is_the_full_grams_submatrix(
+        brain in 0usize..5,
+        voxels in 0usize..5,
+        lens in proptest::collection::vec(1usize..7, 3..6),
+        start_frac in 0.0f32..1.0,
+        seed in any::<u64>(),
+    ) {
+        let (n, n_subjects) = (FUSED_BRAINS[brain], lens.len());
+        let (d, _) = synth(n, n_subjects, 6, seed).generate();
+        // Ragged subjects: subject s keeps its first lens[s] epochs.
+        let mut seen = vec![0usize; n_subjects];
+        let keep: Vec<usize> = (0..d.n_epochs())
+            .filter(|&e| {
+                let s = d.epochs()[e].subject;
+                seen[s] += 1;
+                seen[s] <= lens[s]
+            })
+            .collect();
+        let full = TaskContext::subset(&d, &keep);
+        let count = FUSED_VOXELS[voxels].min(n);
+        let task = VoxelTask { start: ((n - count) as f32 * start_frac) as usize, count };
+        let grams: Vec<_> =
+            (1usize..4).map(|threads| fused_kernels(&full, task, &Pool::new(threads))).collect();
+        for held in 0..n_subjects {
+            let rows: Vec<usize> =
+                (0..full.n_epochs()).filter(|&e| full.subjects[e] != held).collect();
+            let fold_keep: Vec<usize> = rows.iter().map(|&e| keep[e]).collect();
+            let fold = fused_kernels(&TaskContext::subset(&d, &fold_keep), task, &Pool::new(1));
+            for (threads, grams) in (1usize..).zip(&grams) {
+                for (vi, (got, want)) in grams.iter().zip(&fold).enumerate() {
+                    for (i, &r) in rows.iter().enumerate() {
+                        for (j, &c) in rows.iter().enumerate() {
+                            prop_assert_eq!(
+                                got.row(r)[c].to_bits(),
+                                want.row(i)[j].to_bits(),
+                                "n={} task={:?} held={} threads={} voxel {} ({},{})",
+                                n, task, held, threads, vi, i, j
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// DESIGN.md §15 for the baseline stage 1, whose bands are mc = 64
     /// voxels: a 150-voxel task is two full bands and a 22-voxel ragged
     /// tail, so threads {2, 3, 8} really split it. Every thread count

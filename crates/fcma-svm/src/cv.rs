@@ -3,7 +3,11 @@
 //! FCMA's stage 3 assigns each voxel a classification accuracy by
 //! cross-validating a linear SVM across subjects: every fold holds out one
 //! subject's epochs, trains on the rest, and tests on the held-out epochs
-//! (paper §3.1). Because the full `M × M` kernel matrix is precomputed,
+//! (paper §3.1). A [`CvPlan`] names the labels and groups of one such
+//! run; samples in group [`LEFT_OUT`] take no part in it, so one kernel
+//! over every epoch serves every outer fold of a nested analysis — the
+//! fold's kernel is the full one minus the left-out rows and columns.
+//! Because the full `M × M` kernel matrix is precomputed,
 //! a fold does no feature-space work at all: the dense solvers gather the
 //! fold's training block from it, run by run, into a per-worker
 //! [`SmoScratch`] (a few percent of the fold; SMO wants its rows
@@ -38,6 +42,21 @@ impl Default for SolverKind {
     }
 }
 
+/// The group of a sample that neither trains nor tests under a
+/// [`CvPlan`].
+pub const LEFT_OUT: usize = usize::MAX;
+
+/// Labels and groups of one leave-one-group-out run over a kernel's
+/// samples: `y[t]` is the ±1 target of sample `t`, `groups[t]` its group
+/// (0-based contiguous over the samples in play) or [`LEFT_OUT`].
+#[derive(Debug, Clone, Copy)]
+pub struct CvPlan<'a> {
+    /// ±1 target per kernel sample.
+    pub y: &'a [f32],
+    /// Group per kernel sample, or [`LEFT_OUT`].
+    pub groups: &'a [usize],
+}
+
 /// Outcome of a full leave-one-subject-out run.
 #[derive(Debug, Clone)]
 pub struct CvResult {
@@ -62,16 +81,18 @@ pub fn loso_cross_validate(
     solver: &SolverKind,
 ) -> CvResult {
     let (pool, mut scratch) = (Pool::default(), SmoScratch::default());
-    loso_cross_validate_with(kernel, y, subjects, solver, &pool, &mut scratch)
+    let plan = CvPlan { y, groups: subjects };
+    loso_cross_validate_with(kernel, plan, solver, &pool, &mut scratch)
 }
 
-/// Run leave-one-subject-out cross validation.
+/// Run leave-one-group-out cross validation under `plan`.
 ///
-/// `y[t]` is the ±1 target of sample `t`; `subjects[t]` its owning subject
-/// (0-based contiguous). Samples are global kernel indices `0..kernel.n()`.
+/// Samples are global kernel indices `0..kernel.n()`; fold `g` tests the
+/// samples of group `g` and trains on those of every other group, and
+/// [`LEFT_OUT`] samples are in neither set.
 ///
-/// Each fold (one held-out subject) is one pool task; the fold results
-/// are reduced in held-subject order, so the outcome is bit-identical at
+/// Each fold (one held-out group) is one pool task; the fold results
+/// are reduced in held-group order, so the outcome is bit-identical at
 /// every thread count (DESIGN.md §15) — each fold's training run is a
 /// serial solve over its own sub-problem, and the cross-fold reduction
 /// is pure integer accumulation in a fixed order.
@@ -82,28 +103,29 @@ pub fn loso_cross_validate(
 /// for the length of the call.
 ///
 /// # Panics
-/// Panics on length mismatches or if any fold would see a single class.
+/// Panics on length mismatches, if fewer than two groups are in play, or
+/// if any fold would see a single class.
 pub fn loso_cross_validate_with(
     kernel: &KernelMatrix,
-    y: &[f32],
-    subjects: &[usize],
+    plan: CvPlan<'_>,
     solver: &SolverKind,
     pool: &Pool,
     scratch: &mut SmoScratch,
 ) -> CvResult {
+    let CvPlan { y, groups } = plan;
     let m = kernel.n();
     assert_eq!(y.len(), m, "cv: targets length != kernel size");
-    assert_eq!(subjects.len(), m, "cv: subjects length != kernel size");
-    let n_subjects = subjects.iter().copied().max().map_or(0, |s| s + 1);
-    assert!(n_subjects >= 2, "cv: need at least two subjects for LOSO");
-    let _span = span!("svm.cv.loso", folds = n_subjects, samples = m);
-    counter!("svm.cv.folds", n_subjects);
+    assert_eq!(groups.len(), m, "cv: subjects length != kernel size");
+    let n_groups = groups.iter().filter(|&&g| g != LEFT_OUT).max().map_or(0, |g| g + 1);
+    assert!(n_groups >= 2, "cv: need at least two subjects for LOSO");
+    let _span = span!("svm.cv.loso", folds = n_groups, samples = m);
+    counter!("svm.cv.folds", n_groups);
 
-    let plan: Vec<Fold> =
-        (0..n_subjects).map(|held| Fold::holding_out(y, subjects, held)).collect();
+    let fold_plan: Vec<Fold> =
+        (0..n_groups).map(|held| Fold::holding_out(y, groups, held)).collect();
     let lent = Mutex::new(Some(scratch));
     let folds = pool.run_init(
-        plan,
+        fold_plan,
         || (lent.lock().take(), SmoScratch::default()),
         |(lent, own), _idx, fold| {
             run_fold(kernel, y, &fold, solver, lent.as_deref_mut().unwrap_or(own))
@@ -112,7 +134,7 @@ pub fn loso_cross_validate_with(
     reduce_folds(&folds)
 }
 
-/// One fold of the plan: subject `held` tests, everyone else trains.
+/// One fold of the plan: group `held` tests, every other group trains.
 struct Fold {
     /// Global kernel index of each training sample, ascending.
     train_idx: Vec<usize>,
@@ -125,9 +147,10 @@ struct Fold {
 }
 
 impl Fold {
-    fn holding_out(y: &[f32], subjects: &[usize], held: usize) -> Self {
-        let (test_idx, train_idx): (Vec<usize>, Vec<usize>) =
-            (0..subjects.len()).partition(|&t| subjects[t] == held);
+    fn holding_out(y: &[f32], groups: &[usize], held: usize) -> Self {
+        let test_idx: Vec<usize> = (0..groups.len()).filter(|&t| groups[t] == held).collect();
+        let train_idx: Vec<usize> =
+            (0..groups.len()).filter(|&t| groups[t] != held && groups[t] != LEFT_OUT).collect();
         assert!(!test_idx.is_empty(), "cv: subject {held} has no samples");
         let train_y = train_idx.iter().map(|&t| y[t]).collect();
         Fold { train_runs: index_runs(&train_idx), train_idx, train_y, test_idx }
@@ -194,7 +217,7 @@ fn run_dense_fold(
     (correct, r.iterations)
 }
 
-/// Fixed-order reduction over fold results (fold index = held subject).
+/// Fixed-order reduction over fold results (fold index = held group).
 fn reduce_folds(folds: &[FoldResult]) -> CvResult {
     let mut fold_accuracies = Vec::with_capacity(folds.len());
     let mut total_iterations = 0usize;
@@ -273,8 +296,7 @@ mod tests {
             for threads in [1usize, 2, 3, 8] {
                 let par = loso_cross_validate_with(
                     &k,
-                    &y,
-                    &subjects,
+                    CvPlan { y: &y, groups: &subjects },
                     &solver,
                     &Pool::new(threads),
                     &mut SmoScratch::default(),
@@ -304,6 +326,43 @@ mod tests {
         }));
         let r = loso_cross_validate(&k, &y, &subjects, &SolverKind::default());
         assert!(r.accuracy < 0.8, "uninformative data scored {}", r.accuracy);
+    }
+
+    /// Leaving subject 1 out of the full kernel gives the bits of the
+    /// two-subject run over the kept rows and columns, even with the
+    /// left-out samples' labels flipped: they neither train nor test.
+    #[test]
+    fn left_out_samples_neither_train_nor_test() {
+        let (k, y, subjects) = separable_problem();
+        let keep: Vec<usize> = (0..y.len()).filter(|&t| subjects[t] != 1).collect();
+        let sub = KernelMatrix::from_mat(k.sub_kernel(&keep));
+        let sub_y: Vec<f32> = keep.iter().map(|&t| y[t]).collect();
+        let sub_groups: Vec<usize> = keep.iter().map(|&t| subjects[t] / 2).collect();
+        let flipped: Vec<f32> =
+            y.iter().zip(&subjects).map(|(&l, &s)| if s == 1 { -l } else { l }).collect();
+        let groups: Vec<usize> = subjects.iter().map(|&s| [0, LEFT_OUT, 1][s]).collect();
+        for solver in [
+            SolverKind::LibSvm(LibSvmParams::default()),
+            SolverKind::OptimizedLibSvm(SmoParams::default()),
+            SolverKind::PhiSvm(SmoParams::default()),
+        ] {
+            let want = loso_cross_validate(&sub, &sub_y, &sub_groups, &solver);
+            let got = loso_cross_validate(&k, &flipped, &groups, &solver);
+            assert_eq!(got.accuracy.to_bits(), want.accuracy.to_bits(), "{solver:?}");
+            assert_eq!(got.total_iterations, want.total_iterations, "{solver:?}");
+            let bits =
+                |r: &CvResult| r.fold_accuracies.iter().map(|a| a.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{solver:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "two subjects")]
+    fn rejects_a_plan_with_one_group_in_play() {
+        let (k, y, subjects) = separable_problem();
+        let groups: Vec<usize> =
+            subjects.iter().map(|&s| if s == 0 { 0 } else { LEFT_OUT }).collect();
+        let _ = loso_cross_validate(&k, &y, &groups, &SolverKind::default());
     }
 
     #[test]

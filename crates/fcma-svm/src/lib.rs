@@ -19,7 +19,7 @@
 //!   panel SYRK (the memory reduction enabling 240-voxel batches);
 //! * [`smo`] — the shared dense SMO core;
 //! * [`model::SvmModel`] — trained models and prediction;
-//! * [`cv`] — leave-one-subject-out cross validation.
+//! * [`cv`] — leave-one-subject-out cross validation under a [`CvPlan`].
 
 pub mod cv;
 pub mod kernel;
@@ -28,7 +28,9 @@ pub mod phisvm;
 pub mod reference;
 pub mod smo;
 
-pub use cv::{loso_cross_validate, loso_cross_validate_with, CvResult, SolverKind};
+pub use cv::{
+    loso_cross_validate, loso_cross_validate_with, CvPlan, CvResult, SolverKind, LEFT_OUT,
+};
 pub use kernel::KernelMatrix;
 pub use model::SvmModel;
 pub use model::WssStats;

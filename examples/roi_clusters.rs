@@ -10,12 +10,10 @@
 //! cargo run --release --example roi_clusters
 //! ```
 
-use fcma::core::stage2::corr_normalized_merged;
 use fcma::core::{benjamini_hochberg, voxel_permutation_test};
 use fcma::fmri::geometry::{extract_clusters, Grid3};
 use fcma::fmri::Placement;
 use fcma::prelude::*;
-use fcma::svm::SolverKind;
 
 fn main() {
     // 512 voxels = an 8x8x8 grid; the informative network is two compact
@@ -69,17 +67,7 @@ fn main() {
         .copied()
         .max_by(|&a, &b| scores[a].accuracy.partial_cmp(&scores[b].accuracy).unwrap())
         .unwrap();
-    let corr =
-        corr_normalized_merged(&ctx, VoxelTask { start: peak, count: 1 }, Default::default());
-    let (acc, p) = voxel_permutation_test(
-        &corr,
-        0,
-        &ctx.y,
-        &ctx.subjects,
-        &SolverKind::PhiSvm(SmoParams::default()),
-        99,
-        7,
-    );
+    let (acc, p) = voxel_permutation_test(&ctx, &exec, peak, 99, 7);
     println!("\npeak voxel {peak}: CV accuracy {acc:.3}, permutation p = {p:.3} (99 perms)");
 
     // FDR across the whole selection (cheap demonstration on the top set).

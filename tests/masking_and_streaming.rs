@@ -3,13 +3,11 @@
 //! cluster extraction, and statistical validation.
 
 use fcma::core::realtime::{OnlineSession, SessionConfig};
-use fcma::core::stage2::corr_normalized_merged;
 use fcma::core::{benjamini_hochberg, voxel_permutation_test};
 use fcma::fmri::geometry::{extract_clusters, Grid3};
 use fcma::fmri::mask::VoxelMask;
 use fcma::fmri::Placement;
 use fcma::prelude::*;
-use fcma::svm::SolverKind;
 
 /// Masking must not change the scores of surviving voxels relative to a
 /// run over the same voxel set: the pipeline sees the compacted dataset
@@ -115,17 +113,7 @@ fn roi_workflow_end_to_end() {
         .iter()
         .max_by(|&&a, &&b| scores[a].accuracy.partial_cmp(&scores[b].accuracy).unwrap())
         .unwrap();
-    let corr =
-        corr_normalized_merged(&ctx, VoxelTask { start: peak, count: 1 }, Default::default());
-    let (_, p) = voxel_permutation_test(
-        &corr,
-        0,
-        &ctx.y,
-        &ctx.subjects,
-        &SolverKind::PhiSvm(SmoParams::default()),
-        19,
-        11,
-    );
+    let (_, p) = voxel_permutation_test(&ctx, &OptimizedExecutor::default(), peak, 19, 11);
     assert!(p <= 0.05, "peak voxel p = {p}");
 }
 
