@@ -20,7 +20,6 @@ use fcma_core::{
 };
 use fcma_linalg::tall_skinny::TallSkinnyOpts;
 use fcma_svm::{loso_cross_validate, KernelMatrix, LibSvmParams, SmoParams, SolverKind, WssMode};
-use fcma_sync::pool::Pool;
 use std::time::Instant;
 
 /// Measured behaviour of one SVM solver on the CV workload.
@@ -121,10 +120,9 @@ pub fn measure_stage12(
     // Phi's 512 KB L2; desktop/server LLCs prefer wider strips (see the
     // `ablate-block` sweep).
     let opts = TallSkinnyOpts { tile_cols: 2048 };
-    let pool = Pool::default();
 
     let corr_baseline_ms = time_ms(reps, || {
-        std::hint::black_box(corr_baseline(&ctx, task, &pool));
+        std::hint::black_box(corr_baseline(&ctx, task));
     });
     let corr_optimized_ms = time_ms(reps, || {
         std::hint::black_box(corr_optimized(&ctx, task, opts));
@@ -138,7 +136,7 @@ pub fn measure_stage12(
         std::hint::black_box(corr_normalized_merged(&ctx, task, opts));
     });
     let baseline_norm_ms = time_ms(reps, || {
-        let mut c = corr_baseline(&ctx, task, &pool);
+        let mut c = corr_baseline(&ctx, task);
         normalize_baseline(&mut c, &ctx);
         std::hint::black_box(&c);
     });

@@ -5,13 +5,12 @@ use crate::context::TaskContext;
 use crate::executor::TaskExecutor;
 use crate::selection::{select_top_k, stable_voxels};
 use crate::stage2::corr_normalized_merged;
-use crate::task::{partition, VoxelScore, VoxelTask};
+use crate::task::{partition, spread, VoxelScore, VoxelTask};
 use fcma_fmri::Dataset;
 use fcma_linalg::tall_skinny::TallSkinnyOpts;
 use fcma_linalg::{f64_from_usize, Mat};
 use fcma_svm::{train_phisvm, CvPlan, KernelMatrix, SmoParams, LEFT_OUT};
-use fcma_sync::pool::Pool;
-use fcma_trace::{counter, span};
+use fcma_trace::span;
 
 /// Parameters shared by the offline and online analyses.
 #[derive(Debug, Clone)]
@@ -30,13 +29,12 @@ impl Default for AnalysisConfig {
 
 /// Score every brain voxel by running the executor over a task partition.
 ///
-/// The tasks run across the executor's pool, one whole task per worker
-/// on a one-thread pool — the paper's first level, voxel tasks to
-/// workers (§3.1.1). With fewer tasks than threads, the spare threads go
-/// inside the tasks, the second level (§4.4): task `i` of `T` gets
-/// `threads / T` of them, plus one while `i < threads % T`. Scores are
-/// concatenated in task order, so a sweep gives the serial sweep's bits
-/// at every thread count (DESIGN.md §15).
+/// The tasks run across the executor's pool under the one spreading
+/// rule (DESIGN.md §15): whole voxel tasks to workers, as the paper
+/// hands them out (§3.1.1), with spare threads going inside a task only
+/// when there are fewer tasks than threads. Scores are concatenated in
+/// task order, so a sweep gives the serial sweep's bits at every thread
+/// count.
 ///
 /// Voxels are cross-validated on the context's labels, grouped by
 /// `groups` (defaults to the context's subjects).
@@ -65,21 +63,8 @@ fn sweep(
         task_size = task_size,
         executor = exec.name()
     );
-    let pool = exec.pool();
-    let (threads, tasks) = (pool.threads(), partition(ctx.n_voxels(), task_size));
-    let n_tasks = tasks.len();
-    let per_task = pool.run(tasks, |i, task| {
-        let share = threads / n_tasks + usize::from(i < threads % n_tasks);
-        exec.process_on(ctx, task, plans, &Pool::new(share.max(1)))
-    });
-    counter!("pool.tasks.run", n_tasks);
-    let mut per_plan = vec![Vec::new(); plans.len()];
-    for task_scores in per_task {
-        for (all, scores) in per_plan.iter_mut().zip(task_scores) {
-            all.extend(scores);
-        }
-    }
-    per_plan
+    let tasks = partition(ctx.n_voxels(), task_size);
+    spread(&exec.pool(), tasks, plans.len(), |task, pool| exec.process_on(ctx, task, plans, pool))
 }
 
 /// One outer cross-validation fold of the offline analysis.

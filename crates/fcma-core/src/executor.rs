@@ -6,7 +6,7 @@ use crate::control::CancelToken;
 use crate::stage1::corr_baseline;
 use crate::stage2::{fused_kernels, normalize_baseline};
 use crate::stage3::{precompute_kernels, score_kernels, KernelPrecompute};
-use crate::task::{VoxelScore, VoxelTask};
+use crate::task::{spread, VoxelScore, VoxelTask};
 use fcma_svm::{CvPlan, LibSvmParams, SmoParams, SolverKind};
 use fcma_sync::pool::Pool;
 use fcma_trace::span;
@@ -16,12 +16,15 @@ use fcma_trace::span;
 /// An executor runs one voxel task on a [`Pool`]: its own
 /// ([`Self::pool`]) when called directly, as the cluster workers and the
 /// task workloads do, or the share of it a sweep hands each task when
-/// [`crate::score_all_voxels`] runs several tasks at once.
+/// [`crate::score_all_voxels`] runs several tasks at once. Either way
+/// the task runs under the one spreading rule (DESIGN.md §15): on `P`
+/// threads it is `min(P, V)` contiguous whole sub-tasks of one region,
+/// each running every stage on its share of the threads.
 pub trait TaskExecutor: Send + Sync {
     /// Short identifier used in reports.
     fn name(&self) -> &'static str;
 
-    /// The executor's kernel pool.
+    /// The pool a direct call runs on.
     fn pool(&self) -> Pool;
 
     /// Run the full pipeline for one voxel task on `pool`: build each
@@ -80,7 +83,7 @@ pub trait TaskExecutor: Send + Sync {
 pub struct BaselineExecutor {
     /// LibSVM parameters for stage 3.
     pub svm: LibSvmParams,
-    /// Worker pool for the kernel loops (defaults to single-threaded).
+    /// Worker pool a direct call runs on (defaults to single-threaded).
     pub pool: Pool,
 }
 
@@ -102,10 +105,12 @@ impl TaskExecutor for BaselineExecutor {
     ) -> Vec<Vec<VoxelScore>> {
         let _span =
             span!("task.process", start = task.start, count = task.count, executor = "baseline");
-        let mut corr = corr_baseline(ctx, task, pool);
-        normalize_baseline(&mut corr, ctx);
-        let kernels = precompute_kernels(&corr, task, KernelPrecompute::Baseline, pool);
-        score_kernels(&kernels, task.start, plans, &SolverKind::LibSvm(self.svm), pool)
+        spread(pool, task.split(pool.threads()), plans.len(), |sub, pool| {
+            let mut corr = corr_baseline(ctx, sub);
+            normalize_baseline(&mut corr, ctx);
+            let kernels = precompute_kernels(&corr, 0..sub.count, KernelPrecompute::Baseline);
+            score_kernels(&kernels, sub.start, plans, &SolverKind::LibSvm(self.svm), pool)
+        })
     }
 }
 
@@ -118,7 +123,7 @@ impl TaskExecutor for BaselineExecutor {
 pub struct OptimizedExecutor {
     /// PhiSVM parameters for stage 3.
     pub svm: SmoParams,
-    /// Worker pool for the kernel loops (defaults to single-threaded).
+    /// Worker pool a direct call runs on (defaults to single-threaded).
     pub pool: Pool,
 }
 
@@ -140,8 +145,10 @@ impl TaskExecutor for OptimizedExecutor {
     ) -> Vec<Vec<VoxelScore>> {
         let _span =
             span!("task.process", start = task.start, count = task.count, executor = "optimized");
-        let kernels = fused_kernels(ctx, task, pool);
-        score_kernels(&kernels, task.start, plans, &SolverKind::PhiSvm(self.svm), pool)
+        spread(pool, task.split(pool.threads()), plans.len(), |sub, pool| {
+            let kernels = fused_kernels(ctx, sub);
+            score_kernels(&kernels, sub.start, plans, &SolverKind::PhiSvm(self.svm), pool)
+        })
     }
 }
 

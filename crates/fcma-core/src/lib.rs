@@ -46,10 +46,7 @@ pub use realtime::{OnlineSession, SessionConfig};
 pub use selection::{recovery_rate, select_top_k};
 pub use stage1::CorrData;
 pub use stage1::{corr_baseline, corr_optimized};
-pub use stage2::{
-    corr_normalized_merged, corr_normalized_merged_parallel, fused_kernels, normalize_baseline,
-    normalize_separated,
-};
+pub use stage2::{corr_normalized_merged, fused_kernels, normalize_baseline, normalize_separated};
 pub use stage3::{score_task, KernelPrecompute};
 pub use stats::{benjamini_hochberg, voxel_permutation_test};
 pub use task::{partition, VoxelScore, VoxelTask};

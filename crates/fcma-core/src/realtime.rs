@@ -116,7 +116,7 @@ impl FeedbackModel {
 /// Stage 1 and the Fisher half of stage 2 for one epoch: each selected
 /// voxel's correlation row against the whole brain, Fisher-transformed,
 /// into `out` (row `si` at `si·N`). The tile kernel and Fisher pass are
-/// the merged band's, and no element depends on which voxels or columns
+/// the merged pass's, and no element depends on which voxels or columns
 /// share its tile (DESIGN.md §15), so every value is the pipeline's bits.
 fn fisher_rows(brain: &Mat, selected: &[usize], out: &mut [f32]) {
     let (k, n) = (brain.rows(), brain.cols());

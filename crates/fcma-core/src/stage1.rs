@@ -6,8 +6,7 @@
 //!
 //! * [`corr_baseline`] — the paper's §3.2 baseline: one generic blocked
 //!   GEMM call per epoch, using the output leading dimension to interleave
-//!   (the `cblas_sgemm`+`ldc` trick), banded over the task's voxels
-//!   across the pool's workers;
+//!   (the `cblas_sgemm`+`ldc` trick);
 //! * [`corr_optimized`] — the paper's §4.2 kernel: tall-skinny-specialized
 //!   blocking via [`fcma_linalg::corr_tall_skinny`].
 
@@ -17,42 +16,7 @@ use fcma_linalg::tall_skinny::{EpochPair, TallSkinnyOpts};
 use fcma_linalg::{
     corr_tall_skinny, gemm_blocked_scratch, BlockSizes, CorrLayout, GemmScratch, Mat,
 };
-use fcma_sync::pool::Pool;
 use fcma_trace::{counter, span};
-
-/// Run `job(state, band, (v0, v1, rows))` once per band of a task's `v`
-/// voxels: one pool region whose bands are contiguous, start on
-/// multiples of `align`, and each own `rows` — the band's `stride`
-/// floats per voxel of the voxel-interleaved `buf` — outright, so there
-/// is no cross-thread reduction and the output is bit-identical at every
-/// thread count provided `job` is insensitive to `align`-aligned banding
-/// (DESIGN.md §15). At one thread this is one band, `0..v`, run inline
-/// on the caller: the serial path is this path.
-pub(crate) fn run_voxel_bands<S>(
-    pool: &Pool,
-    buf: &mut [f32],
-    v: usize,
-    stride: usize,
-    align: usize,
-    init: impl Fn() -> S + Sync,
-    job: impl Fn(&mut S, usize, (usize, usize, &mut [f32])) + Sync,
-) {
-    let n_groups = v.div_ceil(align);
-    let bands = pool.threads().min(n_groups).max(1);
-    let mut tasks: Vec<(usize, usize, &mut [f32])> = Vec::with_capacity(bands);
-    let mut rest: &mut [f32] = buf;
-    let mut v0 = 0usize;
-    for band in 0..bands {
-        let groups = n_groups / bands + usize::from(band < n_groups % bands);
-        let v1 = (v0 + groups * align).min(v);
-        let (head, tail) = rest.split_at_mut((v1 - v0) * stride);
-        tasks.push((v0, v1, head));
-        rest = tail;
-        v0 = v1;
-    }
-    pool.run_init(tasks, init, job);
-    counter!("pool.tasks.run", bands);
-}
 
 /// Widen a shape dimension for the stage-1 counters.
 fn dim(x: usize) -> u64 {
@@ -147,19 +111,12 @@ pub(crate) fn epoch_pairs<'a>(ctx: &'a TaskContext, assigned: &'a [Mat]) -> Vec<
 }
 
 /// Baseline stage 1: per-epoch generic blocked GEMM with interleaved
-/// output via the leading dimension.
-///
-/// One pool region per task: the task's voxels are split into
-/// `mc`-aligned bands, and each worker multiplies every epoch for its
-/// band's rows through one [`GemmScratch`] (DESIGN.md §14: the band
-/// driver owns the scratch, so the epoch loop never allocates). Band boundaries
-/// coincide with the kernel's own `mc` row blocking, so the output is
-/// bit-identical at every thread count (DESIGN.md §15); serial callers
-/// pass `&Pool::default()`.
+/// output via the leading dimension, every epoch through one
+/// [`GemmScratch`] allocated before the loop (DESIGN.md §14).
 ///
 /// # Panics
 /// If `task` is out of range for `ctx`.
-pub fn corr_baseline(ctx: &TaskContext, task: VoxelTask, pool: &Pool) -> CorrData {
+pub fn corr_baseline(ctx: &TaskContext, task: VoxelTask) -> CorrData {
     let v = task.count;
     let n = ctx.n_voxels();
     let m = ctx.n_epochs();
@@ -168,34 +125,13 @@ pub fn corr_baseline(ctx: &TaskContext, task: VoxelTask, pool: &Pool) -> CorrDat
     let assigned = assigned_blocks(ctx, task);
     let _span = span!("stage1.corr", voxels = v, brain = n, epochs = m, kernel = "baseline");
     counter!("stage1.flops", stage1_flops(&assigned, v, n));
-    let bs = BlockSizes::default();
-    run_voxel_bands(
-        pool,
-        &mut buf,
-        v,
-        m * n,
-        bs.mc,
-        || GemmScratch::new(bs),
-        |scratch, _band, (v0, v1, rows)| {
-            for (e, a) in assigned.iter().enumerate() {
-                let b = ctx.norm.brain(e);
-                let k = a.cols();
-                let lda = k.max(1);
-                gemm_blocked_scratch(
-                    v1 - v0,
-                    n,
-                    k,
-                    &a.as_slice()[v0 * lda..],
-                    lda,
-                    b.as_slice(),
-                    n,
-                    &mut rows[e * n..],
-                    m * n,
-                    scratch,
-                );
-            }
-        },
-    );
+    let mut scratch = GemmScratch::new(BlockSizes::default());
+    for (e, a) in assigned.iter().enumerate() {
+        let b = ctx.norm.brain(e);
+        let k = a.cols();
+        let (a, b) = (a.as_slice(), b.as_slice());
+        gemm_blocked_scratch(v, n, k, a, k.max(1), b, n, &mut buf[e * n..], m * n, &mut scratch);
+    }
     fcma_linalg::debug_assert_finite!(&buf, "stage1 baseline correlation output");
     CorrData { buf, layout }
 }
@@ -235,7 +171,7 @@ mod tests {
     fn baseline_and_optimized_agree() {
         let ctx = ctx();
         let task = VoxelTask { start: 8, count: 13 };
-        let a = corr_baseline(&ctx, task, &Pool::default());
+        let a = corr_baseline(&ctx, task);
         let b = corr_optimized(&ctx, task, TallSkinnyOpts::default());
         assert_eq!(a.buf.len(), b.buf.len());
         for (i, (x, y)) in a.buf.iter().zip(&b.buf).enumerate() {
@@ -260,7 +196,7 @@ mod tests {
     fn correlations_match_direct_dot_products() {
         let ctx = ctx();
         let task = VoxelTask { start: 3, count: 2 };
-        let c = corr_baseline(&ctx, task, &Pool::default());
+        let c = corr_baseline(&ctx, task);
         for e in [0usize, 5] {
             let b = ctx.norm.brain(e);
             for vi in 0..2 {
@@ -279,7 +215,7 @@ mod tests {
     fn voxel_matrix_is_contiguous_epoch_rows() {
         let ctx = ctx();
         let task = VoxelTask { start: 0, count: 3 };
-        let c = corr_baseline(&ctx, task, &Pool::default());
+        let c = corr_baseline(&ctx, task);
         let m = ctx.n_epochs();
         let n = ctx.n_voxels();
         let vm = c.voxel_matrix(1);

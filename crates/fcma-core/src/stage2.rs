@@ -21,18 +21,18 @@
 //!   place *while it is still cache-resident*.
 //!
 //! The optimized executor takes the merged schedule one stage further
-//! ([`fused_kernels`]): the same band body lands each strip in a reused
-//! per-band buffer instead of the task-wide one, and adds the z-scored
-//! strip's panels to every voxel's Gram matrix (the stage-3 SYRK) before
-//! the next strip starts. A task then holds `V·M²` floats and one strip
-//! per band, never the `V·M·N` of the interleaved buffer.
+//! ([`fused_kernels`]): the same body lands each strip in a reused strip
+//! buffer instead of the task-wide one, and adds the z-scored strip's
+//! panels to every voxel's Gram matrix (the stage-3 SYRK) before the
+//! next strip starts. A task then holds `V·M²` floats and one strip,
+//! never the `V·M·N` of the interleaved buffer.
 //!
 //! Statistics accumulate in `f32`: the population is one subject's `E`
 //! (≈12) epochs, far below any f32 summation-accuracy concern, and it
 //! keeps the stat loops on the vector units (idea #3).
 
 use crate::context::TaskContext;
-use crate::stage1::{assigned_blocks, epoch_pairs, run_voxel_bands, CorrData};
+use crate::stage1::{assigned_blocks, epoch_pairs, CorrData};
 use crate::task::VoxelTask;
 use fcma_linalg::tall_skinny::{corr_tile_block_rows, EpochPair, StripScratch, TallSkinnyOpts};
 use fcma_linalg::{
@@ -40,11 +40,9 @@ use fcma_linalg::{
     SyrkScratch, PANEL_K,
 };
 use fcma_svm::KernelMatrix;
-use fcma_sync::pool::Pool;
 use fcma_trace::span;
-use std::ops::Range;
 
-/// What one band's z-scored strip may occupy on the fused path: the
+/// What a task's z-scored strip may occupy on the fused path: the
 /// strip stays in a 2 MiB L2 while its panels are added to the Gram
 /// matrices (DESIGN.md §8 has the widths measured around it).
 const STRIP_BYTES: usize = 2 << 20;
@@ -119,19 +117,6 @@ pub fn normalize_separated(corr: &mut CorrData, ctx: &TaskContext) {
     fcma_linalg::debug_assert_finite!(&corr.buf, "stage2 normalization output");
 }
 
-/// Merged schedule on the calling thread: [`corr_normalized_merged_parallel`]
-/// with the one-thread pool.
-///
-/// # Panics
-/// If `task` is out of range for `ctx`.
-pub fn corr_normalized_merged(
-    ctx: &TaskContext,
-    task: VoxelTask,
-    opts: TallSkinnyOpts,
-) -> CorrData {
-    corr_normalized_merged_parallel(ctx, task, opts, &Pool::default())
-}
-
 /// Merged schedule: stage 1 and stage 2 fused at tile granularity.
 ///
 /// Equivalent to `corr_optimized` followed by `normalize_separated`, but
@@ -139,21 +124,12 @@ pub fn corr_normalized_merged(
 /// place right after stage 1 lands it, before it leaves cache (Fig. 5).
 /// Produces the finished normalized buffer.
 ///
-/// The task's voxels are banded across `pool` workers: each worker owns
-/// a disjoint band and runs the full strip loop for it, writing straight
-/// into its own contiguous slice of the interleaved output.
-/// Bit-identical at every thread count (DESIGN.md §15): every row of a
-/// register tile is its own in-order sum, so bands may start on any
-/// voxel, per-voxel statistics never cross bands, and there is no
-/// cross-thread reduction at all.
-///
 /// # Panics
 /// If `task` is out of range for `ctx`.
-pub fn corr_normalized_merged_parallel(
+pub fn corr_normalized_merged(
     ctx: &TaskContext,
     task: VoxelTask,
     opts: TallSkinnyOpts,
-    pool: &Pool,
 ) -> CorrData {
     let v = task.count;
     let n = ctx.n_voxels();
@@ -165,17 +141,7 @@ pub fn corr_normalized_merged_parallel(
     let assigned = assigned_blocks(ctx, task);
     let pairs = epoch_pairs(ctx, &assigned);
     let w_max = opts.tile_cols.max(16);
-    run_voxel_bands(
-        pool,
-        &mut buf,
-        v,
-        m * n,
-        1,
-        || (),
-        |(), _band, (v0, v1, chunk)| {
-            merged_band(ctx, &pairs, v0..v1, w_max, Landing::Task, chunk, |_, _| ());
-        },
-    );
+    merged_pass(ctx, &pairs, v, w_max, Landing::Task, &mut buf, |_, _| ());
     fcma_linalg::debug_assert_finite!(&buf, "stage2 merged pipeline output");
     CorrData { buf, layout }
 }
@@ -185,20 +151,21 @@ pub fn corr_normalized_merged_parallel(
 /// vectors, for every voxel of `task`, without ever holding the task's
 /// `V × M × N` correlations.
 ///
-/// Each band runs the merged body into a reused strip buffer and, once
-/// a strip is finished, adds its panels to the band's Gram matrices
+/// The merged body runs into a reused strip buffer and, once a strip is
+/// finished, adds its panels to the task's Gram matrices
 /// (`syrk_accumulate` at `lda = w`) while it is still in L2. Strips are
 /// a multiple of [`PANEL_K`] wide, so the SYRK sees exactly the panels
 /// of the task-wide buffer in the same order, and the strip width cannot
 /// change a stage 1+2 bit: the result equals
 /// `KernelMatrix::precompute_raw_with` over [`corr_normalized_merged`]'s
-/// buffer bit for bit, at every thread count (bands start on any voxel,
-/// DESIGN.md §15).
+/// buffer bit for bit, whichever voxel the task starts on (DESIGN.md
+/// §15), so the sub-tasks an executor splits a task into give the
+/// whole task's kernels.
 ///
 /// # Panics
 /// If `task` is out of range for `ctx`.
-pub fn fused_kernels(ctx: &TaskContext, task: VoxelTask, pool: &Pool) -> Vec<KernelMatrix> {
-    fused_kernels_within(ctx, task, pool, STRIP_BYTES)
+pub fn fused_kernels(ctx: &TaskContext, task: VoxelTask) -> Vec<KernelMatrix> {
+    fused_kernels_within(ctx, task, STRIP_BYTES)
 }
 
 /// [`fused_kernels`] with strips sized for `strip_bytes` (tests shrink
@@ -206,7 +173,6 @@ pub fn fused_kernels(ctx: &TaskContext, task: VoxelTask, pool: &Pool) -> Vec<Ker
 fn fused_kernels_within(
     ctx: &TaskContext,
     task: VoxelTask,
-    pool: &Pool,
     strip_bytes: usize,
 ) -> Vec<KernelMatrix> {
     let v = task.count;
@@ -217,30 +183,20 @@ fn fused_kernels_within(
 
     let assigned = assigned_blocks(ctx, task);
     let pairs = epoch_pairs(ctx, &assigned);
-    run_voxel_bands(
-        pool,
-        &mut grams,
-        v,
-        m * m,
-        1,
-        || (),
-        |(), _band, (v0, v1, grams)| {
-            let w_max = strip_cols(v1 - v0, m, strip_bytes);
-            let mut strip = vec![0.0f32; (v1 - v0) * m * w_max];
-            let mut syrk = SyrkScratch::new(m, PANEL_K);
-            for gram in grams.chunks_exact_mut(m * m) {
-                syrk_zero(m, gram, m);
-            }
-            merged_band(ctx, &pairs, v0..v1, w_max, Landing::Strip, &mut strip, |strip, w| {
-                for (x, gram) in strip.chunks_exact(m * w).zip(grams.chunks_exact_mut(m * m)) {
-                    syrk_accumulate(m, w, x, w, gram, m, &mut syrk);
-                }
-            });
-            for gram in grams.chunks_exact_mut(m * m) {
-                syrk_mirror(m, gram, m);
-            }
-        },
-    );
+    let w_max = strip_cols(v, m, strip_bytes);
+    let mut strip = vec![0.0f32; v * m * w_max];
+    let mut syrk = SyrkScratch::new(m, PANEL_K);
+    for gram in grams.chunks_exact_mut(m * m) {
+        syrk_zero(m, gram, m);
+    }
+    merged_pass(ctx, &pairs, v, w_max, Landing::Strip, &mut strip, |strip, w| {
+        for (x, gram) in strip.chunks_exact(m * w).zip(grams.chunks_exact_mut(m * m)) {
+            syrk_accumulate(m, w, x, w, gram, m, &mut syrk);
+        }
+    });
+    for gram in grams.chunks_exact_mut(m * m) {
+        syrk_mirror(m, gram, m);
+    }
     fcma_linalg::debug_assert_finite!(&grams, "stage12 fused Gram matrices");
     grams
         .chunks_exact(m * m)
@@ -248,38 +204,37 @@ fn fused_kernels_within(
         .collect()
 }
 
-/// The fused path's strip width for a band of `band_voxels` voxels over
-/// `m` epochs: the widest multiple of [`PANEL_K`] whose
-/// (voxels × `M` × w) strip of `f32` fits in `strip_bytes`, and at least
-/// one panel.
-fn strip_cols(band_voxels: usize, m: usize, strip_bytes: usize) -> usize {
-    let col_bytes = band_voxels * m * std::mem::size_of::<f32>();
+/// The fused path's strip width for a task of `voxels` voxels over `m`
+/// epochs: the widest multiple of [`PANEL_K`] whose (voxels × `M` × w)
+/// strip of `f32` fits in `strip_bytes`, and at least one panel.
+fn strip_cols(voxels: usize, m: usize, strip_bytes: usize) -> usize {
+    let col_bytes = voxels * m * std::mem::size_of::<f32>();
     (strip_bytes / col_bytes.max(1) / PANEL_K).max(1) * PANEL_K
 }
 
-/// Where [`merged_band`] lands the band's z-scored values.
+/// Where [`merged_pass`] lands the task's z-scored values.
 #[derive(Clone, Copy)]
 enum Landing {
-    /// The band's rows of the task-wide interleaved buffer: row
-    /// `vi·M + e` at leading dimension `N`, from column `j0`.
+    /// The task-wide interleaved buffer: row `vi·M + e` at leading
+    /// dimension `N`, from column `j0`.
     Task,
-    /// The band's reused strip buffer: row `vi·M + e` at leading
+    /// The task's reused strip buffer: row `vi·M + e` at leading
     /// dimension `w`, from column 0, so voxel `vi`'s strip is one
     /// contiguous `M × w` matrix.
     Strip,
 }
 
-/// One worker's share of the merged pipeline: the voxels of `band`,
+/// The merged pipeline over every voxel of `pairs`' assigned matrices,
 /// strip by strip (`w_max` columns each, the last one ragged), landed
 /// in `out` as `landing` says. Stage 1 writes each subject's block
 /// straight into its landed rows, and the Fisher transform, the column
 /// statistics and the z-apply run on those rows in place while they are
 /// in cache. Once a strip is finished — every subject landed and
 /// normalized — `strip_done(out, w)` runs.
-fn merged_band(
+fn merged_pass(
     ctx: &TaskContext,
     pairs: &[EpochPair<'_>],
-    band: Range<usize>,
+    voxels: usize,
     w_max: usize,
     landing: Landing,
     out: &mut [f32],
@@ -301,12 +256,12 @@ fn merged_band(
             Landing::Strip => (w, 0),
         };
         for sr in ctx.subject_ranges.iter() {
-            // Stage 1: the (band voxels × subject epochs × strip) block,
-            // row `vi·M + e` of the landing.
+            // Stage 1: the (voxels × subject epochs × strip) block, row
+            // `vi·M + e` of the landing.
             let block = &mut out[sr.start * ld + col..];
             corr_tile_block_rows(
                 pairs,
-                band.clone(),
+                0..voxels,
                 sr.clone(),
                 j0..j0 + w,
                 block,
@@ -314,7 +269,7 @@ fn merged_band(
                 m,
                 &mut strip_scratch,
             );
-            for vi in 0..band.len() {
+            for vi in 0..voxels {
                 let rows = sr.clone().map(|e| (vi * m + e) * ld + col);
                 sum[..w].fill(0.0);
                 sumsq[..w].fill(0.0);
@@ -390,8 +345,8 @@ mod tests {
     fn baseline_and_separated_agree() {
         let ctx = ctx();
         let task = VoxelTask { start: 4, count: 9 };
-        let mut a = corr_baseline(&ctx, task, &Pool::default());
-        let mut b = corr_baseline(&ctx, task, &Pool::default());
+        let mut a = corr_baseline(&ctx, task);
+        let mut b = corr_baseline(&ctx, task);
         normalize_baseline(&mut a, &ctx);
         normalize_separated(&mut b, &ctx);
         assert!(max_diff(&a, &b) < 1e-4);
@@ -439,10 +394,10 @@ mod tests {
     }
 
     #[test]
-    fn strip_width_is_derived_from_the_band() {
-        // The benchmark's shapes: face-scene M = 216 at one band of two
-        // voxels and at two bands of one, attention M = 540; a band too
-        // tall for the budget still gets one panel.
+    fn strip_width_is_derived_from_the_task() {
+        // The benchmark's shapes: face-scene M = 216 at a task of two
+        // voxels and at its one-voxel sub-tasks, attention M = 540; a
+        // task too tall for the budget still gets one panel.
         assert_eq!(strip_cols(2, 216, STRIP_BYTES), 1152);
         assert_eq!(strip_cols(1, 216, STRIP_BYTES), 2400);
         assert_eq!(strip_cols(2, 540, STRIP_BYTES), 480);
@@ -466,8 +421,8 @@ mod tests {
                 KernelMatrix::precompute_raw_with(m, n, merged.voxel_matrix(vi), &mut scratch)
             })
             .collect();
-        for (strip_bytes, threads) in [(0, 1), (0, 2), (0, 4), (STRIP_BYTES, 1), (STRIP_BYTES, 3)] {
-            let got = fused_kernels_within(&ctx, task, &Pool::new(threads), strip_bytes);
+        for strip_bytes in [0, STRIP_BYTES] {
+            let got = fused_kernels_within(&ctx, task, strip_bytes);
             assert_eq!(got.len(), want.len());
             for (vi, (g, w)) in got.iter().zip(&want).enumerate() {
                 for i in 0..m {
@@ -475,7 +430,7 @@ mod tests {
                         assert_eq!(
                             x.to_bits(),
                             y.to_bits(),
-                            "bytes={strip_bytes} threads={threads} voxel {vi} ({i},{j})"
+                            "bytes={strip_bytes} voxel {vi} ({i},{j})"
                         );
                     }
                 }
@@ -484,26 +439,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_merged_bit_identical_at_every_thread_count() {
-        let ctx = ctx();
-        // 19 voxels: at 2, 3 and 8 threads the bands (10 + 9, 7 + 6 + 6,
-        // 3 × 3 + 5 × 2) start off MR boundaries and end in fringes.
-        let task = VoxelTask { start: 2, count: 19 };
-        let opts = TallSkinnyOpts { tile_cols: 48 };
-        let serial = corr_normalized_merged(&ctx, task, opts);
-        for threads in [1usize, 2, 3, 8] {
-            let par = corr_normalized_merged_parallel(&ctx, task, opts, &Pool::new(threads));
-            for (i, (p, s)) in par.buf.iter().zip(&serial.buf).enumerate() {
-                assert_eq!(p.to_bits(), s.to_bits(), "threads={threads} idx={i}");
-            }
-        }
-    }
-
-    #[test]
     fn normalized_columns_have_zero_mean_per_subject() {
         let ctx = ctx();
         let task = VoxelTask { start: 0, count: 3 };
-        let mut c = corr_baseline(&ctx, task, &Pool::default());
+        let mut c = corr_baseline(&ctx, task);
         normalize_baseline(&mut c, &ctx);
         for vi in 0..3 {
             for sr in ctx.subject_ranges.iter() {
@@ -526,7 +465,7 @@ mod tests {
         // epochs) → Fisher clamps it, variance ≈ 0 → z-scored to 0.
         let ctx = ctx();
         let task = VoxelTask { start: 5, count: 2 };
-        let mut c = corr_baseline(&ctx, task, &Pool::default());
+        let mut c = corr_baseline(&ctx, task);
         normalize_baseline(&mut c, &ctx);
         for vi in 0..2 {
             for e in 0..ctx.n_epochs() {

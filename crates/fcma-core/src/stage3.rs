@@ -9,15 +9,17 @@
 //! [`score_task`] does both over a task's correlation buffer; the
 //! optimized executor gets its kernels from the fused stage 1+2 pass
 //! (`stage2::fused_kernels`) instead. Both end in [`score_kernels`],
-//! where one pool task handles one voxel — the paper's "a thread takes
-//! full responsibility for the cross validation of one voxel".
+//! which cross-validates a (sub-)task's voxels one after the other on
+//! the thread that runs it — the paper's "a thread takes full
+//! responsibility for the cross validation of one voxel".
 
 use crate::stage1::CorrData;
-use crate::task::{VoxelScore, VoxelTask};
+use crate::task::{spread, VoxelScore, VoxelTask};
 use fcma_linalg::{SyrkScratch, PANEL_K};
 use fcma_svm::{loso_cross_validate_with, CvPlan, KernelMatrix, SmoScratch, SolverKind};
 use fcma_sync::pool::Pool;
 use fcma_trace::{counter, span};
+use std::ops::Range;
 
 /// Which SYRK implementation precomputes the kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,7 +31,8 @@ pub enum KernelPrecompute {
 }
 
 /// Score every voxel of a task: [`precompute_kernels`], then
-/// [`score_kernels`] under the one plan `y`, `groups`.
+/// [`score_kernels`] under the one plan `y`, `groups`, spread over
+/// `pool` as an executor spreads its task (`task::spread`).
 ///
 /// `y` and `groups` are parallel to the epochs of `corr` (groups are
 /// subjects for offline analysis, epoch folds for the online case).
@@ -47,49 +50,53 @@ pub fn score_task(
     precompute: KernelPrecompute,
     pool: &Pool,
 ) -> Vec<VoxelScore> {
-    let kernels = precompute_kernels(corr, task, precompute, pool);
-    score_kernels(&kernels, task.start, &[CvPlan { y, groups }], solver, pool).concat()
+    assert_eq!(corr.layout.n_assigned, task.count, "score_task: task/corr shape mismatch");
+    let plans = [CvPlan { y, groups }];
+    spread(pool, task.split(pool.threads()), 1, |sub, pool| {
+        let first = sub.start - task.start;
+        let kernels = precompute_kernels(corr, first..first + sub.count, precompute);
+        score_kernels(&kernels, sub.start, &plans, solver, pool)
+    })
+    .concat()
 }
 
-/// Each voxel's kernel from `corr`, one [`SyrkScratch`] per pool worker
-/// (the paper's per-thread `A_local`, §4.4).
+/// The kernels of `corr`'s voxels `voxels` (indices into the buffer),
+/// through one [`SyrkScratch`] (the paper's per-thread `A_local`, §4.4).
 ///
 /// # Panics
-/// If `corr` does not hold `task.count` voxels.
+/// If `voxels` reaches past `corr`'s voxels.
 pub(crate) fn precompute_kernels(
     corr: &CorrData,
-    task: VoxelTask,
+    voxels: Range<usize>,
     precompute: KernelPrecompute,
-    pool: &Pool,
 ) -> Vec<KernelMatrix> {
-    assert_eq!(corr.layout.n_assigned, task.count, "score_task: task/corr shape mismatch");
     let (m, n) = (corr.layout.n_epochs, corr.layout.n_brain);
-    let kernels = pool.run_init(
-        (0..task.count).collect(),
-        || SyrkScratch::new(m, PANEL_K),
-        |syrk, _idx, vi| {
+    let mut syrk = SyrkScratch::new(m, PANEL_K);
+    voxels
+        .map(|vi| {
             let data = corr.voxel_matrix(vi);
             match precompute {
                 KernelPrecompute::Baseline => KernelMatrix::precompute_baseline_raw(m, n, data),
-                KernelPrecompute::Optimized => KernelMatrix::precompute_raw_with(m, n, data, syrk),
+                KernelPrecompute::Optimized => {
+                    KernelMatrix::precompute_raw_with(m, n, data, &mut syrk)
+                }
             }
-        },
-    );
-    counter!("pool.tasks.run", task.count);
-    kernels
+        })
+        .collect()
 }
 
-/// Leave-one-group-out CV of every voxel of a task from its precomputed
-/// kernel under every plan — the one stage-3 loop of both executors.
-/// `kernels[vi]` is voxel `start + vi`'s; each plan is parallel to its
-/// samples. Returns one score vector per plan, in plan order.
+/// Leave-one-group-out CV of every voxel of a (sub-)task from its
+/// precomputed kernel under every plan — the one stage-3 loop of both
+/// executors. `kernels[vi]` is voxel `start + vi`'s; each plan is
+/// parallel to its samples. Returns one score vector per plan, in plan
+/// order.
 ///
-/// One pool task per voxel, each worker reusing one [`SmoScratch`] for
-/// the voxel's plans in order; scores come back in voxel order whichever
-/// worker ran them. A one-voxel task (the online shape, the permutation
-/// test) has no voxel parallelism, so the pool goes down one level and
-/// runs that voxel's CV folds instead. Same scores either way: the CV is
-/// bit-identical at every thread count (DESIGN.md §15).
+/// The voxels run in order through one [`SmoScratch`], each voxel's
+/// plans in order. `pool` runs each CV's folds: under the spreading
+/// rule only a one-voxel sub-task (the online shape, the permutation
+/// test, more threads than voxels) has more than one thread. Same
+/// scores either way: the CV is bit-identical at every thread count
+/// (DESIGN.md §15).
 ///
 /// # Panics
 /// If a plan does not match a kernel's size, has fewer than two groups
@@ -104,14 +111,16 @@ pub(crate) fn score_kernels(
     let epochs = kernels.first().map_or(0, KernelMatrix::n);
     let _span = span!("stage3.score", voxels = kernels.len(), epochs = epochs);
     counter!("stage3.voxels", kernels.len());
-    let fold_pool = if kernels.len() == 1 { *pool } else { Pool::default() };
-    let accuracies = pool.run_init(kernels.iter().collect(), SmoScratch::default, |smo, _, k| {
-        plans
-            .iter()
-            .map(|&plan| loso_cross_validate_with(k, plan, solver, &fold_pool, smo).accuracy)
-            .collect::<Vec<f64>>()
-    });
-    counter!("pool.tasks.run", kernels.len());
+    let mut smo = SmoScratch::default();
+    let accuracies: Vec<Vec<f64>> = kernels
+        .iter()
+        .map(|k| {
+            plans
+                .iter()
+                .map(|&plan| loso_cross_validate_with(k, plan, solver, pool, &mut smo).accuracy)
+                .collect()
+        })
+        .collect();
     (0..plans.len())
         .map(|p| {
             let voxels = accuracies.iter().enumerate();

@@ -3,14 +3,13 @@
 //! dataset configurations.
 
 use fcma_core::{
-    corr_baseline, corr_normalized_merged, corr_normalized_merged_parallel, corr_optimized,
-    fused_kernels, normalize_baseline, normalize_separated, score_task, KernelPrecompute,
-    TaskContext, VoxelTask,
+    corr_baseline, corr_normalized_merged, corr_optimized, fused_kernels, normalize_baseline,
+    normalize_separated, score_task, KernelPrecompute, TaskContext, VoxelTask,
 };
 use fcma_fmri::noise::{Ar1, Drift};
 use fcma_fmri::synth::{Placement, SynthConfig};
 use fcma_linalg::tall_skinny::TallSkinnyOpts;
-use fcma_linalg::{gemm_blocked, SyrkScratch, PANEL_K};
+use fcma_linalg::{SyrkScratch, PANEL_K};
 use fcma_svm::{KernelMatrix, SmoParams, SolverKind};
 use fcma_sync::pool::Pool;
 use proptest::prelude::*;
@@ -59,7 +58,7 @@ proptest! {
         let count = (d.n_voxels() - start).clamp(1, 7);
         let task = VoxelTask { start, count };
 
-        let mut a = corr_baseline(&ctx, task, &Pool::default());
+        let mut a = corr_baseline(&ctx, task);
         normalize_baseline(&mut a, &ctx);
         let mut b = corr_optimized(&ctx, task, TallSkinnyOpts { tile_cols: 16 });
         normalize_separated(&mut b, &ctx);
@@ -108,40 +107,17 @@ proptest! {
         }
     }
 
-    /// DESIGN.md §15: the fused stage-1+2 pipeline is bit-identical to its
-    /// one-thread schedule at every thread count, on arbitrary datasets
-    /// and task offsets (bands are cut at voxel granularity, so most of
-    /// them start off an `MR` boundary).
-    #[test]
-    fn parallel_pipeline_bit_identical(cfg in config_strategy(), start_frac in 0.0f32..0.6) {
-        let (d, _) = cfg.generate();
-        let ctx = TaskContext::full(&d);
-        let start = (start_frac * d.n_voxels() as f32) as usize;
-        let count = d.n_voxels() - start;
-        let task = VoxelTask { start, count };
-
-        let merged = corr_normalized_merged(&ctx, task, TallSkinnyOpts { tile_cols: 32 });
-        for threads in [1usize, 2, 3, 8] {
-            let pool = Pool::new(threads);
-            let pm = corr_normalized_merged_parallel(&ctx, task, TallSkinnyOpts { tile_cols: 32 }, &pool);
-            for (i, (p, s)) in pm.buf.iter().zip(&merged.buf).enumerate() {
-                prop_assert_eq!(p.to_bits(), s.to_bits(), "merged threads={} idx={}", threads, i);
-            }
-        }
-    }
-
     /// The optimized executor's one pass — stage 1+2 and the kernel
     /// precompute over each strip while it is in cache — gives every
     /// voxel's Gram matrix the bits of the unfused sequence:
     /// `corr_normalized_merged`, then `KernelMatrix::precompute_raw_with`.
-    /// Subjects keep a ragged number of epochs, bands start on any voxel
-    /// at 1–3 threads, and a decoy task runs through the same pool (and
-    /// dirties the oracle's SYRK scratch) first.
+    /// Subjects keep a ragged number of epochs, the task starts on any
+    /// voxel (as an executor's sub-tasks do), and a decoy task runs
+    /// first and dirties the oracle's SYRK scratch.
     #[test]
     fn fused_kernels_bit_identical_to_unfused(
         brain in 0usize..5,
         voxels in 0usize..5,
-        threads in 1usize..4,
         lens in proptest::collection::vec(1usize..7, 3),
         start_frac in 0.0f32..1.0,
         seed in any::<u64>(),
@@ -161,16 +137,14 @@ proptest! {
         let m = ctx.n_epochs();
         let count = FUSED_VOXELS[voxels].min(n);
         let task = VoxelTask { start: ((n - count) as f32 * start_frac) as usize, count };
-        let pool = Pool::new(threads);
 
         let decoy = VoxelTask { start: n - 1, count: 1 };
         let mut scratch = SyrkScratch::new(m, PANEL_K);
         let dirt = corr_normalized_merged(&ctx, decoy, TallSkinnyOpts::default());
         KernelMatrix::precompute_raw_with(m, n, dirt.voxel_matrix(0), &mut scratch);
-        drop(fused_kernels(&ctx, decoy, &pool));
 
         let merged = corr_normalized_merged(&ctx, task, TallSkinnyOpts::default());
-        let fused = fused_kernels(&ctx, task, &pool);
+        let fused = fused_kernels(&ctx, task);
         prop_assert_eq!(fused.len(), count);
         for (vi, got) in fused.iter().enumerate() {
             let want = KernelMatrix::precompute_raw_with(m, n, merged.voxel_matrix(vi), &mut scratch);
@@ -179,8 +153,8 @@ proptest! {
                     prop_assert_eq!(
                         g.to_bits(),
                         w.to_bits(),
-                        "n={} task={:?} threads={} voxel {} ({},{})",
-                        n, task, threads, vi, i, j
+                        "n={} task={:?} voxel {} ({},{})",
+                        n, task, vi, i, j
                     );
                 }
             }
@@ -193,7 +167,7 @@ proptest! {
     /// restricted to the epochs an offline plan keeps (every subject but
     /// the held-out one), is bit for bit the fused Gram of
     /// `TaskContext::subset` over those epochs. Every held-out subject,
-    /// ragged subjects, bands on any voxel, 1–3 threads.
+    /// ragged subjects, tasks starting on any voxel.
     #[test]
     fn fold_gram_is_the_full_grams_submatrix(
         brain in 0usize..5,
@@ -216,55 +190,23 @@ proptest! {
         let full = TaskContext::subset(&d, &keep);
         let count = FUSED_VOXELS[voxels].min(n);
         let task = VoxelTask { start: ((n - count) as f32 * start_frac) as usize, count };
-        let grams: Vec<_> =
-            (1usize..4).map(|threads| fused_kernels(&full, task, &Pool::new(threads))).collect();
+        let grams = fused_kernels(&full, task);
         for held in 0..n_subjects {
             let rows: Vec<usize> =
                 (0..full.n_epochs()).filter(|&e| full.subjects[e] != held).collect();
             let fold_keep: Vec<usize> = rows.iter().map(|&e| keep[e]).collect();
-            let fold = fused_kernels(&TaskContext::subset(&d, &fold_keep), task, &Pool::new(1));
-            for (threads, grams) in (1usize..).zip(&grams) {
-                for (vi, (got, want)) in grams.iter().zip(&fold).enumerate() {
-                    for (i, &r) in rows.iter().enumerate() {
-                        for (j, &c) in rows.iter().enumerate() {
-                            prop_assert_eq!(
-                                got.row(r)[c].to_bits(),
-                                want.row(i)[j].to_bits(),
-                                "n={} task={:?} held={} threads={} voxel {} ({},{})",
-                                n, task, held, threads, vi, i, j
-                            );
-                        }
+            let fold = fused_kernels(&TaskContext::subset(&d, &fold_keep), task);
+            for (vi, (got, want)) in grams.iter().zip(&fold).enumerate() {
+                for (i, &r) in rows.iter().enumerate() {
+                    for (j, &c) in rows.iter().enumerate() {
+                        prop_assert_eq!(
+                            got.row(r)[c].to_bits(),
+                            want.row(i)[j].to_bits(),
+                            "n={} task={:?} held={} voxel {} ({},{})",
+                            n, task, held, vi, i, j
+                        );
                     }
                 }
-            }
-        }
-    }
-
-    /// DESIGN.md §15 for the baseline stage 1, whose bands are mc = 64
-    /// voxels: a 150-voxel task is two full bands and a 22-voxel ragged
-    /// tail, so threads {2, 3, 8} really split it. Every thread count
-    /// must reproduce, bit for bit, one full-range `gemm_blocked` per
-    /// epoch on fresh packing buffers — while inside `corr_baseline`
-    /// each worker's scratch is dirty from the previous epoch's product
-    /// (and from a previous band, when it takes more than one).
-    #[test]
-    fn banded_baseline_bit_identical(cfg in config_strategy(), start in 0usize..11) {
-        let (d, _) = SynthConfig { n_voxels: 160, n_informative: 8, ..cfg }.generate();
-        let ctx = TaskContext::full(&d);
-        let task = VoxelTask { start, count: 150 };
-        let (v, n, m) = (task.count, ctx.n_voxels(), ctx.n_epochs());
-
-        let mut fresh = vec![f32::NAN; v * m * n];
-        for (e, a) in ctx.norm.assigned_blocks(task.range()).iter().enumerate() {
-            let k = a.cols();
-            let b = ctx.norm.brain(e);
-            gemm_blocked(v, n, k, a.as_slice(), k, b.as_slice(), n, &mut fresh[e * n..], m * n);
-        }
-        for threads in [1usize, 2, 3, 8] {
-            let got = corr_baseline(&ctx, task, &Pool::new(threads));
-            prop_assert_eq!(got.buf.len(), fresh.len());
-            for (i, (p, s)) in got.buf.iter().zip(&fresh).enumerate() {
-                prop_assert_eq!(p.to_bits(), s.to_bits(), "baseline threads={} idx={}", threads, i);
             }
         }
     }

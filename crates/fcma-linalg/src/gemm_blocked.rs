@@ -94,19 +94,19 @@ impl GemmScratch {
 }
 
 /// `C[0..m, 0..n] = A[0..m, 0..k] · B[0..k, 0..n]` (row-major, overwrite)
-/// with caller-provided packing buffers, allocated once per band worker
-/// (DESIGN.md §14). Semantics are identical to
+/// with caller-provided packing buffers, allocated once per call of the
+/// driver that loops over it (DESIGN.md §14). Semantics are identical to
 /// [`crate::gemm_ref::gemm_ref`]; only the traversal order and packing
 /// differ. The block configuration is carried by the scratch; a dirty
 /// scratch gives bit-identical results to a fresh one because every
 /// packed region read by the microkernels is fully overwritten
 /// (fringe-padded) before use.
 ///
-/// Rows are walked in `mc` blocks, so calling this on an `mc`-aligned
-/// row sub-range (`&a[r0 * lda..]`, `&mut c[r0 * ldc..]`) runs exactly
-/// the full-range instruction sequence for those rows — what lets the
-/// baseline stage 1 band voxels across pool workers and stay
-/// bit-identical at every thread count (DESIGN.md §15).
+/// Each row of `C` is summed in the same FMA sequence whichever row of
+/// its `mc` block and its `MR` tile it lands in, so calling this on any
+/// row sub-range (`&a[r0 * lda..]`, `&mut c[r0 * ldc..]`) gives the
+/// full-range rows bit for bit — what lets the baseline executor's
+/// sub-tasks start on any voxel (DESIGN.md §15).
 ///
 /// # Panics
 /// Panics on inconsistent leading dimensions or undersized buffers.

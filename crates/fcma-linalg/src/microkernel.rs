@@ -16,9 +16,9 @@
 pub const VPU_WIDTH: usize = 16;
 
 /// Register tile height every kernel in this crate instantiates the
-/// microkernels with. Declared once: the §15 bit-identity of banded
-/// output depends on GEMM, SYRK, the correlation tile and the callers
-/// that align bands on it all agreeing.
+/// microkernels with. Declared once: the §15 bit-identity of sub-task
+/// output depends on GEMM, SYRK and the correlation tile all agreeing
+/// on it.
 ///
 /// 4 × 16 f32 is eight `ymm` accumulators at the committed build level
 /// (`x86-64-v3`, `.cargo/config.toml`) and sixteen `xmm` at the

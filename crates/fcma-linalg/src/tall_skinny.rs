@@ -154,7 +154,7 @@ pub fn corr_tall_skinny(
 /// strip of a walk: the `k × MR` slab of the current voxel group and the
 /// zero-padded `k × NR` pack of a strip's ragged last column tile (the
 /// only part of `B` that is ever copied). Built once per
-/// [`corr_tall_skinny`] call or per band worker of the merged pipeline.
+/// [`corr_tall_skinny`] call or per pass of the merged pipeline.
 pub struct StripScratch {
     a_pack: Vec<f32>,
     b_edge: Vec<f32>,
@@ -186,13 +186,11 @@ impl StripScratch {
 /// pipeline passes its output's `M` and leading dimension, so each row
 /// lands at its voxel-interleaved place.
 ///
-/// It is the unit of work the merged pipeline hands to pool workers:
-/// each worker owns a disjoint band of assigned voxels (one band, `0..V`,
-/// at one thread). The band may start anywhere: voxels are grouped by
-/// [`MR`] from `voxel_range.start`, but every row of a register tile is
-/// its own in-order sum whatever the tile's height, so each element is
-/// bit-identical to the full-range call's (DESIGN.md §15 determinism
-/// contract).
+/// The band may start anywhere, as an executor's sub-task of a larger
+/// task does: voxels are grouped by [`MR`] from `voxel_range.start`, but
+/// every row of a register tile is its own in-order sum whatever the
+/// tile's height, so each element is bit-identical to the full-range
+/// call's (DESIGN.md §15 determinism contract).
 ///
 /// `scratch` is the caller's [`StripScratch::for_epochs`] of (a superset
 /// of) these epochs, reused across calls; a dirty one gives the same

@@ -137,7 +137,6 @@ fn stage1_trace_counters_are_the_analytic_model_per_epoch() {
     use fcma::fmri::Dataset;
     use fcma::linalg::tall_skinny::TallSkinnyOpts;
     use fcma::trace::{Collector, TraceReport};
-    use fcma_sync::pool::Pool;
 
     // N = 100 voxels, not a multiple of the tile's 16.
     let mut config = fcma::fmri::presets::tiny();
@@ -168,7 +167,7 @@ fn stage1_trace_counters_are_the_analytic_model_per_epoch() {
         let optimized = traced(&|| drop(corr_optimized(&ctx, task, TallSkinnyOpts::default())));
         let got = (optimized.counter("stage1.flops"), optimized.counter("stage1.mem_refs"));
         assert_eq!(got, model, "corr_optimized at V = {v}: (flops, mem_refs)");
-        let baseline = traced(&|| drop(corr_baseline(&ctx, task, &Pool::default())));
+        let baseline = traced(&|| drop(corr_baseline(&ctx, task)));
         assert_eq!(baseline.counter("stage1.flops"), model.0, "corr_baseline at V = {v}");
         assert!(!baseline.counters.contains_key("stage1.mem_refs"), "corr_baseline at V = {v}");
     }

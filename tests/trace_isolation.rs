@@ -11,7 +11,7 @@
 )]
 
 use fcma::prelude::*;
-use fcma::trace::{Collector, TraceReport};
+use fcma::trace::{AttrValue, Collector, TraceReport};
 use fcma_sync::Pool;
 use std::collections::BTreeSet;
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -100,7 +100,8 @@ fn uninstrumented_sweep_beside_an_instrumented_one_adds_nothing() {
 
 /// (c) A pooled executor call under a collector with no `TraceCtx`
 /// installed records its pool-thread spans in that collector: the
-/// pooled trace has the serial trace's shape.
+/// pooled trace holds the serial trace's work, its stage spans one per
+/// sub-task (two of 16 voxels where the serial call has one of 32).
 #[test]
 fn pooled_executor_without_a_ctx_records_pool_thread_spans() {
     let ctx = planted(32);
@@ -117,9 +118,18 @@ fn pooled_executor_without_a_ctx_records_pool_thread_spans() {
     let (serial_scores, serial) = traced(Pool::new(1));
     let (pooled_scores, pooled) = traced(Pool::new(2));
     assert_eq!(serial_scores, pooled_scores);
-    for name in ["task.process", "stage12.fused", "stage3.score", "svm.cv.loso"] {
+    for name in ["task.process", "svm.cv.loso"] {
         assert!(serial.span_count(name) > 0, "{name} missing from the serial trace");
         assert_eq!(pooled.span_count(name), serial.span_count(name), "{name}");
+    }
+    let voxels = |report: &TraceReport, name: &str| -> Vec<Option<AttrValue>> {
+        let spans = report.spans.iter().filter(|s| s.name == name);
+        spans.map(|s| s.attr("voxels").cloned()).collect()
+    };
+    for name in ["stage12.fused", "stage3.score"] {
+        let of = |n| Some(AttrValue::U64(n));
+        assert_eq!(voxels(&serial, name), [of(32)], "{name}");
+        assert_eq!(voxels(&pooled, name), [of(16), of(16)], "{name}");
     }
     // The executor builds its kernels inside the fused stage 1+2 pass.
     assert_eq!(serial.span_count("svm.kernel.precompute"), 0);
