@@ -511,9 +511,10 @@ proptest! {
         gap in 0usize..3,
         seed in any::<u64>(),
     ) {
-        // The merged pipeline's banding unit: computing the block in
-        // voxel bands that start anywhere (not only on MR boundaries)
-        // must reproduce the full-range call bit for bit (DESIGN.md §15).
+        // What the merged pipeline's sub-tasks rely on: computing the
+        // block in voxel bands that start anywhere (not only on MR
+        // boundaries) must reproduce the full-range call bit for bit
+        // (DESIGN.md §15).
         // The rows sit at a leading dimension `pad` wider than the strip
         // and `gap` rows apart per voxel, as in the merged pipeline's
         // landing; what lies between them is never written.

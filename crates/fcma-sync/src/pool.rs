@@ -134,7 +134,7 @@ impl Pool {
     /// Pool::new(2).run_init(tasks, || 1.0f32, |one, _, band| band.fill(*one));
     /// ```
     ///
-    /// The kernels carve disjoint bands with `split_at_mut` instead:
+    /// Disjoint bands carved with `split_at_mut` compile:
     ///
     /// ```
     /// use fcma_sync::Pool;
@@ -356,7 +356,7 @@ mod tests {
 
     #[test]
     fn borrowed_tasks_and_disjoint_outputs() {
-        // The kernel-band pattern: tasks borrow disjoint &mut slices.
+        // Disjoint outputs: tasks borrow disjoint &mut slices.
         let mut buf = vec![0u32; 24];
         let mut tasks: Vec<(usize, &mut [u32])> = Vec::new();
         let mut rest: &mut [u32] = &mut buf;
