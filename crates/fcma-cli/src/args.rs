@@ -74,7 +74,7 @@ const COMMAND_OPTIONS: &[(&str, &str)] = &[
     (
         "analyze",
         "data task-size top-k out threads truth workers retries task-deadline-ms checkpoint \
-         resume trace-out postmortem chaos-panic-task",
+         resume trace-out chaos-panic-task",
     ),
     ("report", "check"),
     ("offline", "data top-k task-size threads"),
@@ -220,8 +220,8 @@ mod tests {
     #[test]
     fn unknown_and_retired_options_are_rejected() {
         // A typo used to score with the default, and `--executor`,
-        // `--verbose`, `--trace`, `--metrics-out` and `--slo` are options
-        // no command takes any more.
+        // `--verbose`, `--trace`, `--metrics-out`, `--slo` and
+        // `--postmortem` are options no command takes any more.
         for (argv, option) in [
             (&["analyze", "--data", "ds", "--task-sise", "0", "--top-k", "2"][..], "task-sise"),
             (&["info", "--data", "ds", "--bogus", "x"], "bogus"),
@@ -231,6 +231,7 @@ mod tests {
             (&["report", "--trace", "trace.json"], "trace"),
             (&["analyze", "--data", "ds", "--metrics-out", "m.prom"], "metrics-out"),
             (&["report", "trace.json", "--slo", "slo.toml"], "slo"),
+            (&["analyze", "--data", "ds", "--workers", "3", "--postmortem", "pm"], "postmortem"),
         ] {
             let command = argv[0];
             let err = parse(argv).unwrap_err();

@@ -77,7 +77,6 @@ const HELP: &str = "fcma — full correlation matrix analysis\n\n\
          \u{20}                                     [--retries N] [--task-deadline-ms MS]\n\
          \u{20}                                     [--checkpoint FILE] [--resume]\n\
          \u{20}                                     [--trace-out trace.json] Chrome trace\n\
-         \u{20}                                     [--postmortem DIR] flight-recorder dumps\n\
          \u{20}                                     [--chaos-panic-task N] inject one panic on\n\
          \u{20}                                     the task starting at voxel N (fault drill)\n\
          \u{20} report    summarize a trace file    fcma report trace.json [--check]\n\
@@ -212,8 +211,8 @@ fn require_subjects(dataset: &Dataset, min: usize, command: &str) -> Result<()> 
 }
 
 /// The `analyze` options only the cluster driver honours.
-const CLUSTER_ONLY: [&str; 6] =
-    ["chaos-panic-task", "checkpoint", "resume", "retries", "task-deadline-ms", "postmortem"];
+const CLUSTER_ONLY: [&str; 5] =
+    ["chaos-panic-task", "checkpoint", "resume", "retries", "task-deadline-ms"];
 
 /// Build the cluster driver config from the analyze flags. Without
 /// `--workers`, an option only the driver honours is an error, not a
@@ -256,8 +255,6 @@ fn cluster_config_of(args: &Args, task_size: usize) -> Result<ClusterConfig> {
         },
         checkpoint,
         resume_from,
-        postmortem_dir: args.get("postmortem").map(PathBuf::from),
-        ..Default::default()
     })
 }
 
@@ -285,7 +282,7 @@ pub(crate) fn analyze(args: &Args) -> Result<()> {
     let cluster_cfg = cluster_config_of(args, task_size)?;
     if let Some(start) = chaos_start {
         // Fault drill: one injected panic exercises the whole recovery
-        // and observability path (requeue, postmortem, causal trace).
+        // and observability path (requeue, causal trace).
         exec = Arc::new(ChaosExecutor::panic_once(exec, start));
         eprintln!("chaos: will panic once on the task starting at voxel {start}");
     }
@@ -295,33 +292,33 @@ pub(crate) fn analyze(args: &Args) -> Result<()> {
     // large again.
     drop(dataset);
     let t0 = std::time::Instant::now();
-    let scores = if cluster_cfg.n_workers > 0 {
-        let run = run_cluster_with(&ctx, Arc::clone(&exec), &cluster_cfg)?;
-        eprintln!(
-            "cluster run: {} workers, tasks/worker {:?}, {} requeued, {} worker(s) lost, \
-             {} voxels resumed from checkpoint",
-            cluster_cfg.n_workers,
-            run.tasks_per_worker,
-            run.requeued_tasks,
-            run.failed_workers.len() + run.hung_workers.len(),
-            run.resumed_voxels
-        );
-        run.scores
+    let swept = if cluster_cfg.n_workers > 0 {
+        run_cluster_with(&ctx, Arc::clone(&exec), &cluster_cfg).map(|run| {
+            eprintln!(
+                "cluster run: {} workers, tasks/worker {:?}, {} requeued, {} worker(s) lost, \
+                 {} voxels resumed from checkpoint",
+                cluster_cfg.n_workers,
+                run.tasks_per_worker,
+                run.requeued_tasks,
+                run.failed_workers.len() + run.hung_workers.len(),
+                run.resumed_voxels
+            );
+            run.scores
+        })
     } else {
-        score_all_voxels(&ctx, exec.as_ref(), task_size, None)
+        Ok(score_all_voxels(&ctx, exec.as_ref(), task_size, None))
     };
-    eprintln!(
-        "scored {} voxels with the {} executor in {:.2?}",
-        scores.len(),
-        exec.name(),
-        t0.elapsed()
-    );
+    let elapsed = t0.elapsed();
 
+    // Written before a failed run's error returns: the trace is the
+    // run's one record either way.
     if let (Some(scoped), Some(path)) = (&scoped, &trace_out) {
         std::fs::write(path, to_chrome_json(&scoped.drain()))
             .map_err(|e| format!("{}: {e}", path.display()))?;
         eprintln!("wrote trace {}", path.display());
     }
+    let scores = swept?;
+    eprintln!("scored {} voxels with the {} executor in {elapsed:.2?}", scores.len(), exec.name());
 
     if let Some(out) = args.get("out") {
         write_scores(Path::new(out), &scores).map_err(|e| format!("{out}: {e}"))?;
@@ -523,6 +520,7 @@ fn read_truth(path: &str, n_voxels: usize) -> Result<Vec<usize>> {
 mod tests {
     use super::*;
     use crate::args::Args;
+    use fcma_trace::AttrValue;
 
     fn args(v: &[&str]) -> Args {
         Args::parse(v.iter().map(ToString::to_string)).unwrap()
@@ -889,7 +887,6 @@ mod tests {
             ("resume", None),
             ("retries", Some("3")),
             ("task-deadline-ms", Some("500")),
-            ("postmortem", Some("pm")),
         ] {
             let flag = format!("--{option}");
             let mut argv = vec!["analyze", "--data", "ds", flag.as_str()];
@@ -976,52 +973,65 @@ mod tests {
         report(&args(&["report", path])).unwrap();
     }
 
+    /// A chaos run leaves its trace whether it recovers or fails: with
+    /// three workers the panicking task is retried, and with one the run
+    /// fails, but writes a trace that accounts for every task first.
     #[test]
-    fn chaos_run_emits_postmortem() {
+    fn chaos_runs_leave_their_trace() {
         let ds = tmp("cli_chaos_ds");
         let trace = tmp("cli_chaos_trace.json");
-        let pm_dir = tmp("cli_chaos_postmortems");
-        let _ = std::fs::remove_dir_all(&pm_dir);
         generate(&args(&[
             "generate",
             "--preset",
             "tiny",
             "--voxels",
-            "48",
+            "96",
             "--out",
             ds.to_str().unwrap(),
         ]))
         .unwrap();
-        analyze(&args(&[
-            "analyze",
-            "--data",
-            ds.to_str().unwrap(),
-            "--task-size",
-            "16",
-            "--workers",
-            "3",
-            "--chaos-panic-task",
-            "16",
-            "--postmortem",
-            pm_dir.to_str().unwrap(),
-            "--trace-out",
-            trace.to_str().unwrap(),
-        ]))
-        .unwrap();
-        // The injected panic must have produced a dump that names the
-        // panicking task and holds its causal chain.
-        let dump = pm_dir.join("postmortem-task-panic-task16-attempt1.txt");
-        let text = std::fs::read_to_string(&dump)
-            .unwrap_or_else(|e| panic!("missing postmortem artifact in {}: {e}", pm_dir.display()));
-        let mut lines = text.lines();
-        assert_eq!(lines.next(), Some("fcma-postmortem v2"));
-        let trigger = lines.next().unwrap();
-        assert!(trigger.starts_with("trigger: task.panic task=16 "), "{trigger}");
-        let chain =
-            text.split_once("-- causal chain: task 16 --\n").map(|(_, c)| c.lines().count());
-        assert!(chain.unwrap_or(0) > 0, "causal chain for the panicking task is empty");
-        // The trace passes the causality check.
-        report(&args(&["report", trace.to_str().unwrap(), "--check"])).unwrap();
+        let chaos = |workers: &str, panic_task: &str| {
+            let _ = std::fs::remove_file(&trace);
+            let outcome = analyze(&args(&[
+                "analyze",
+                "--data",
+                ds.to_str().unwrap(),
+                "--task-size",
+                "16",
+                "--workers",
+                workers,
+                "--chaos-panic-task",
+                panic_task,
+                "--trace-out",
+                trace.to_str().unwrap(),
+            ]));
+            let parsed = from_chrome_json(&std::fs::read_to_string(&trace).unwrap()).unwrap();
+            report(&args(&["report", trace.to_str().unwrap(), "--check"])).unwrap();
+            (outcome, parsed)
+        };
+
+        let (outcome, parsed) = chaos("3", "16");
+        outcome.unwrap();
+        let attempts: Vec<(String, u64)> = parsed
+            .spans
+            .iter()
+            .filter(|s| s.name == "cluster.dispatch" && s.attr("task") == Some(&AttrValue::U64(16)))
+            .map(|s| match (s.attr("outcome"), s.attr("attempt")) {
+                (Some(AttrValue::Str(outcome)), Some(&AttrValue::U64(attempt))) => {
+                    (outcome.clone(), attempt)
+                }
+                other => panic!("dispatch span without outcome and attempt: {other:?}"),
+            })
+            .collect();
+        assert_eq!(attempts, [("failed".to_owned(), 1), ("completed".to_owned(), 2)]);
+        assert_eq!(parsed.event_count("cluster.abort"), 0);
+
+        let (outcome, parsed) = chaos("1", "0");
+        assert_eq!(outcome.unwrap_err().to_string(), "every worker died with 6 task(s) unfinished");
+        let aborts: Vec<_> = parsed.spans.iter().filter(|s| s.name == "cluster.abort").collect();
+        assert_eq!(aborts.len(), 1);
+        assert_eq!(aborts[0].attr("unfinished"), Some(&AttrValue::U64(6)));
+        assert_eq!(aborts[0].attr("error"), Some(&AttrValue::from("all_workers_failed")));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! fcma analyze  --data ds --top-k 16 --out scores.tsv
 //! fcma analyze  --data ds --workers 4 --retries 3 --checkpoint sweep.ckpt
 //! fcma analyze  --data ds --workers 4 --checkpoint sweep.ckpt --resume
-//! fcma analyze  --data ds --workers 4 --trace-out trace.json --postmortem pm
+//! fcma analyze  --data ds --workers 4 --trace-out trace.json
 //! fcma report   trace.json --check
 //! fcma offline  --data ds --top-k 16
 //! fcma clusters --scores scores.tsv --top-k 16

@@ -34,11 +34,9 @@ use crate::protocol::{FromWorker, ToWorker};
 use fcma_core::{partition, CancelToken, TaskContext, TaskExecutor, VoxelScore, VoxelTask};
 use fcma_sync::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use fcma_sync::time::Instant;
-use fcma_trace::postmortem::PostmortemTrigger;
-use fcma_trace::recorder::{EventKind, FlightLog};
 use fcma_trace::{counter, event, histogram, span, AttrValue, TraceCtx};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -62,23 +60,12 @@ pub struct ClusterConfig {
     /// Resume from this checkpoint: its tasks are trusted and not
     /// re-executed. May equal `checkpoint` to continue the same file.
     pub resume_from: Option<PathBuf>,
-    /// Optional cross-validation grouping override (see
-    /// [`fcma_core::TaskExecutor::process_grouped`]).
-    pub groups: Option<Arc<Vec<usize>>>,
     /// Kernel threads each worker's executor was built with. The driver
     /// does not read it: workers run on the executor's own pool, and the
     /// `cluster.run` span records that pool's size. It stays for the
     /// callers that set it, and goes with the benchmark change that
     /// stops setting it (ROADMAP item 1). Defaults to 1.
     pub kernel_threads: usize,
-    /// Write a flight-recorder postmortem dump (`fcma-postmortem v2`,
-    /// this run's events only) into this directory whenever the run
-    /// hits a fault: a task panic,
-    /// a worker condemnation, a deadline fence discarding a late
-    /// message, or a checkpoint-resume mismatch. `None` disables dumps;
-    /// emission failures are ignored (postmortems must never take down
-    /// the run they describe).
-    pub postmortem_dir: Option<PathBuf>,
 }
 
 impl Default for ClusterConfig {
@@ -90,9 +77,7 @@ impl Default for ClusterConfig {
             task_deadline: None,
             checkpoint: None,
             resume_from: None,
-            groups: None,
             kernel_threads: 1,
-            postmortem_dir: None,
         }
     }
 }
@@ -159,10 +144,8 @@ pub fn run_cluster(
     exec: Arc<dyn TaskExecutor>,
     n_workers: usize,
     task_size: usize,
-    groups: Option<Arc<Vec<usize>>>,
 ) -> Result<ClusterRun, ClusterError> {
-    let cfg = ClusterConfig { n_workers, task_size, groups, ..Default::default() };
-    run_cluster_with(ctx, exec, &cfg)
+    run_cluster_with(ctx, exec, &ClusterConfig::new(n_workers, task_size))
 }
 
 /// Run a full voxel sweep under an explicit [`ClusterConfig`].
@@ -170,6 +153,11 @@ pub fn run_cluster(
 /// Worker threads are detached: a condemned hung worker is abandoned to
 /// its fate (its cancellation token is set, its results are ignored)
 /// rather than joined, mirroring how a real cluster fences a dead node.
+///
+/// Every error returned once the `cluster.run` span is open is first
+/// recorded as one `cluster.abort` event (the error's
+/// [`ClusterError::kind`] and the tasks left unfinished), so the trace
+/// of a failed run accounts for every task as well as a completed one.
 ///
 /// # Errors
 /// Returns a [`ClusterError`] on any unrecoverable failure: no workers,
@@ -189,19 +177,30 @@ pub fn run_cluster_with(
         return Err(ClusterError::ZeroTaskSize);
     }
     let all_tasks = partition(ctx.n_voxels(), cfg.task_size);
-    let total_tasks = all_tasks.len();
-    let run_span = span!(
+    let _run_span = span!(
         "cluster.run",
         workers = cfg.n_workers,
-        tasks = total_tasks,
+        tasks = all_tasks.len(),
         task_size = cfg.task_size,
         kernel_threads = exec.pool().threads()
     );
-    counter!("cluster.tasks.total", total_tasks);
-    // This run's flight log: shared with its workers, read by its
-    // postmortems, freed when the last of them is done with it.
-    let log = FlightLog::new();
+    counter!("cluster.tasks.total", all_tasks.len());
+    let mut finished = 0;
+    sweep(ctx, exec, cfg, &all_tasks, &mut finished).inspect_err(|e| {
+        event!("cluster.abort", error = e.kind(), unfinished = all_tasks.len() - finished);
+    })
+}
 
+/// The body of [`run_cluster_with`] once its span is open. `finished`
+/// tracks the tasks completed or resumed so far, for the caller's
+/// `cluster.abort` event should this return an error.
+fn sweep(
+    ctx: &TaskContext,
+    exec: Arc<dyn TaskExecutor>,
+    cfg: &ClusterConfig,
+    all_tasks: &[VoxelTask],
+    finished: &mut usize,
+) -> Result<ClusterRun, ClusterError> {
     // Seed completed work from the resume checkpoint, if any.
     let mut completed: BTreeSet<usize> = BTreeSet::new();
     let mut scores: Vec<VoxelScore> = Vec::with_capacity(ctx.n_voxels());
@@ -210,9 +209,6 @@ pub fn run_cluster_with(
     if let Some(path) = &cfg.resume_from {
         let ck = Checkpoint::load(path)?;
         if (ck.n_voxels, ck.task_size) != (ctx.n_voxels(), cfg.task_size) {
-            let no_attempt = TraceCtx::new(0, 0);
-            log.record(EventKind::ResumeMismatch, no_attempt, ck.n_voxels);
-            emit_postmortem(cfg.postmortem_dir.as_deref(), &log, "resume.mismatch", 0, 0, 0);
             return Err(ClusterError::CheckpointMismatch {
                 found: (ck.n_voxels, ck.task_size),
                 expected: (ctx.n_voxels(), cfg.task_size),
@@ -225,6 +221,7 @@ pub fn run_cluster_with(
             resumed_records.push(rec);
         }
         counter!("cluster.tasks.resumed", resumed_records.len());
+        *finished = completed.len();
     }
     let mut writer = match &cfg.checkpoint {
         Some(path) => {
@@ -253,14 +250,7 @@ pub fn run_cluster_with(
     let (to_master_tx, to_master_rx): (Sender<FromWorker>, Receiver<FromWorker>) = unbounded();
     let mut workers = Vec::with_capacity(cfg.n_workers);
     for wid in 0..cfg.n_workers {
-        workers.push(spawn_worker(
-            wid,
-            ctx.clone(),
-            Arc::clone(&exec),
-            cfg.groups.clone(),
-            to_master_tx.clone(),
-            log.clone(),
-        ));
+        workers.push(spawn_worker(wid, ctx.clone(), Arc::clone(&exec), to_master_tx.clone()));
     }
     drop(to_master_tx);
 
@@ -281,12 +271,10 @@ pub fn run_cluster_with(
         failed_workers: Vec::new(),
         hung_workers: Vec::new(),
         duplicate_results: 0,
-        postmortem_dir: cfg.postmortem_dir.clone(),
-        log,
     };
-    let outcome = master.run(&to_master_rx, total_tasks);
+    let outcome = master.run(&to_master_rx, all_tasks.len());
     master.shutdown_workers();
-    drop(run_span);
+    *finished = master.completed.len();
     outcome?;
 
     let task_stats: Vec<TaskStat> = all_tasks
@@ -414,10 +402,6 @@ struct Master {
     failed_workers: Vec<usize>,
     hung_workers: Vec<usize>,
     duplicate_results: usize,
-    /// Directory for flight-recorder postmortem dumps (`None`: off).
-    postmortem_dir: Option<PathBuf>,
-    /// This run's flight log (the workers hold the other handles).
-    log: FlightLog,
 }
 
 /// The causal identity of one dispatch of `task`.
@@ -428,35 +412,7 @@ fn causal_ctx(task: VoxelTask, attempt: usize) -> TraceCtx {
     )
 }
 
-/// Dump `log` for a fault into `dir` (`None`: dumps are off).
-/// Best-effort by contract: a postmortem must never take down the run
-/// it describes.
-fn emit_postmortem(
-    dir: Option<&Path>,
-    log: &FlightLog,
-    kind: &'static str,
-    task: usize,
-    attempt: usize,
-    worker: usize,
-) {
-    let Some(dir) = dir else {
-        return;
-    };
-    let trigger = PostmortemTrigger {
-        kind,
-        task: u64::try_from(task).unwrap_or(u64::MAX),
-        attempt: u32::try_from(attempt).unwrap_or(u32::MAX),
-        worker: u64::try_from(worker).unwrap_or(u64::MAX),
-    };
-    let _ = fcma_trace::postmortem::emit_to_dir(dir, &log.snapshot(), &trigger);
-}
-
 impl Master {
-    /// Dump this run's flight log for a fault.
-    fn postmortem(&self, kind: &'static str, task: usize, attempt: usize, worker: usize) {
-        emit_postmortem(self.postmortem_dir.as_deref(), &self.log, kind, task, attempt, worker);
-    }
-
     /// The event loop: dispatch, receive, recover, until every task is
     /// complete or the run is unrecoverable.
     fn run(&mut self, rx: &Receiver<FromWorker>, total_tasks: usize) -> Result<(), ClusterError> {
@@ -529,7 +485,6 @@ impl Master {
         self.workers[wid].idle = false;
         let now = Instant::now();
         self.attempts.insert(task.start, attempt);
-        self.log.record(EventKind::Dispatch, ctx, wid);
         counter!("cluster.tasks.dispatched", 1_u64);
         self.current[wid] = Some(DispatchInfo { task, started: now, attempt });
         self.first_dispatched.entry(task.start).or_insert(now);
@@ -577,15 +532,8 @@ impl Master {
     /// dead to the scheduler, and the fence timestamp is the causality
     /// boundary `fcma report --check` enforces (no record attributed to
     /// the fenced attempt may start after it).
-    fn fence(&mut self, worker: usize, task: VoxelTask, ctx: TraceCtx) {
+    fn fence(&self, worker: usize, task: VoxelTask, ctx: TraceCtx) {
         event!("cluster.fence", worker = worker, task = task.start, attempt = ctx.attempt);
-        self.log.record(EventKind::Fence, ctx, worker);
-        self.postmortem(
-            "deadline.fence",
-            task.start,
-            usize::try_from(ctx.attempt).unwrap_or(usize::MAX),
-            worker,
-        );
     }
 
     // Cannot panic: worker ids are stamped at spawn time and dense in 0..workers.len()
@@ -661,12 +609,6 @@ impl Master {
         } else {
             self.failed_workers.push(worker);
             let _ = self.resolve_dispatch(worker, DispatchOutcome::Failed);
-            self.postmortem(
-                "task.panic",
-                task.start,
-                usize::try_from(ctx.attempt).unwrap_or(usize::MAX),
-                worker,
-            );
         }
         self.requeue_if_abandoned(task)
     }
@@ -718,8 +660,6 @@ impl Master {
             self.hung_workers.push(wid);
             event!("cluster.condemn", worker = wid, task = info.task.start);
             let _ = self.resolve_dispatch(wid, DispatchOutcome::Condemned);
-            self.log.record(EventKind::Condemn, causal_ctx(info.task, info.attempt), wid);
-            self.postmortem("worker.condemned", info.task.start, info.attempt, wid);
             self.requeue_if_abandoned(info.task)?;
         }
         Ok(())
@@ -748,9 +688,7 @@ fn spawn_worker(
     wid: usize,
     ctx: TaskContext,
     exec: Arc<dyn TaskExecutor>,
-    groups: Option<Arc<Vec<usize>>>,
     to_master: Sender<FromWorker>,
-    log: FlightLog,
 ) -> WorkerState {
     let (tx, rx): (Sender<ToWorker>, Receiver<ToWorker>) = unbounded();
     let cancel = CancelToken::new();
@@ -766,26 +704,19 @@ fn spawn_worker(
                         return;
                     }
                     // Install the dispatch's causal identity for the
-                    // duration of the executor call: every span, event,
-                    // and recorder entry below — including on pool
-                    // threads — is stamped with it.
+                    // duration of the executor call: every span and
+                    // event below — including on pool threads — is
+                    // stamped with it.
                     let ctx_guard: fcma_trace::CtxGuard = trace_ctx.install();
-                    log.record(EventKind::TaskStart, trace_ctx, wid);
                     // Contain executor panics: report the failure so the
                     // master can requeue, then die (a crashed node does
                     // not come back).
                     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        exec.process_with_controls(
-                            &ctx,
-                            task,
-                            groups.as_deref().map(|g| &g[..]),
-                            &worker_cancel,
-                        )
+                        exec.process_with_controls(&ctx, task, &worker_cancel)
                     }));
                     drop(ctx_guard);
                     match result {
                         Ok(scores) => {
-                            log.record(EventKind::TaskEnd, trace_ctx, wid);
                             if to_master
                                 .send(FromWorker::Done {
                                     worker: wid,
@@ -799,7 +730,6 @@ fn spawn_worker(
                             }
                         }
                         Err(_) => {
-                            log.record(EventKind::TaskPanic, trace_ctx, wid);
                             let _ = to_master.send(FromWorker::Failed {
                                 worker: wid,
                                 task,
@@ -842,7 +772,7 @@ mod tests {
         let ctx = ctx();
         let exec = OptimizedExecutor::default();
         let sequential = score_all_voxels(&ctx, &exec, 16, None);
-        let run = run_cluster(&ctx, Arc::new(exec), 3, 16, None).expect("healthy run");
+        let run = run_cluster(&ctx, Arc::new(exec), 3, 16).expect("healthy run");
         assert_eq!(run.scores.len(), sequential.len());
         assert!(run.failed_workers.is_empty());
         for (a, b) in run.scores.iter().zip(&sequential) {
@@ -877,16 +807,14 @@ mod tests {
     #[test]
     fn every_voxel_scored_exactly_once() {
         let ctx = ctx();
-        let run =
-            run_cluster(&ctx, Arc::new(OptimizedExecutor::default()), 4, 10, None).expect("run");
+        let run = run_cluster(&ctx, Arc::new(OptimizedExecutor::default()), 4, 10).expect("run");
         assert_full_coverage(&run, ctx.n_voxels());
     }
 
     #[test]
     fn all_tasks_accounted_for() {
         let ctx = ctx();
-        let run =
-            run_cluster(&ctx, Arc::new(OptimizedExecutor::default()), 3, 10, None).expect("run");
+        let run = run_cluster(&ctx, Arc::new(OptimizedExecutor::default()), 3, 10).expect("run");
         let total: usize = run.tasks_per_worker.iter().sum();
         assert_eq!(total, ctx.n_voxels().div_ceil(10));
     }
@@ -894,8 +822,7 @@ mod tests {
     #[test]
     fn single_worker_cluster_works() {
         let ctx = ctx();
-        let run =
-            run_cluster(&ctx, Arc::new(OptimizedExecutor::default()), 1, 16, None).expect("run");
+        let run = run_cluster(&ctx, Arc::new(OptimizedExecutor::default()), 1, 16).expect("run");
         assert_eq!(run.scores.len(), ctx.n_voxels());
         assert_eq!(run.tasks_per_worker, vec![4]);
     }
@@ -903,31 +830,15 @@ mod tests {
     #[test]
     fn more_workers_than_tasks_is_fine() {
         let ctx = ctx();
-        let run =
-            run_cluster(&ctx, Arc::new(OptimizedExecutor::default()), 8, 32, None).expect("run");
+        let run = run_cluster(&ctx, Arc::new(OptimizedExecutor::default()), 8, 32).expect("run");
         assert_eq!(run.scores.len(), ctx.n_voxels());
         assert!(run.tasks_per_worker.iter().filter(|&&t| t > 0).count() <= 2);
     }
 
     #[test]
-    fn custom_groups_flow_through() {
-        let ctx = ctx();
-        let groups: Vec<usize> = (0..ctx.n_epochs()).map(|e| e % 2).collect();
-        let run = run_cluster(
-            &ctx,
-            Arc::new(OptimizedExecutor::default()),
-            2,
-            16,
-            Some(Arc::new(groups)),
-        )
-        .expect("run");
-        assert_eq!(run.scores.len(), ctx.n_voxels());
-    }
-
-    #[test]
     fn zero_workers_is_a_typed_error() {
         let ctx = ctx();
-        let r = run_cluster(&ctx, Arc::new(OptimizedExecutor::default()), 0, 16, None);
+        let r = run_cluster(&ctx, Arc::new(OptimizedExecutor::default()), 0, 16);
         assert!(matches!(r, Err(ClusterError::NoWorkers)));
     }
 
@@ -943,7 +854,7 @@ mod tests {
     fn failed_task_is_requeued_and_run_completes() {
         let ctx = ctx();
         let exec = ChaosExecutor::panic_once(Arc::new(OptimizedExecutor::default()), 16);
-        let run = run_cluster(&ctx, Arc::new(exec), 3, 16, None).expect("recovers");
+        let run = run_cluster(&ctx, Arc::new(exec), 3, 16).expect("recovers");
         assert_eq!(run.requeued_tasks, 1);
         assert_eq!(run.failed_workers.len(), 1);
         assert_full_coverage(&run, ctx.n_voxels());
@@ -953,7 +864,7 @@ mod tests {
     fn survives_failure_with_one_healthy_worker_left() {
         let ctx = ctx();
         let exec = ChaosExecutor::panic_once(Arc::new(OptimizedExecutor::default()), 0);
-        let run = run_cluster(&ctx, Arc::new(exec), 2, 32, None).expect("recovers");
+        let run = run_cluster(&ctx, Arc::new(exec), 2, 32).expect("recovers");
         assert_eq!(run.scores.len(), ctx.n_voxels());
         assert_eq!(run.requeued_tasks, 1);
     }
@@ -962,7 +873,7 @@ mod tests {
     fn losing_every_worker_is_a_typed_error() {
         let ctx = ctx();
         let exec = ChaosExecutor::panic_once(Arc::new(OptimizedExecutor::default()), 0);
-        let r = run_cluster(&ctx, Arc::new(exec), 1, 32, None);
+        let r = run_cluster(&ctx, Arc::new(exec), 1, 32);
         assert!(matches!(r, Err(ClusterError::AllWorkersFailed { .. })), "got {r:?}");
     }
 

@@ -48,6 +48,23 @@ pub enum ClusterError {
     },
 }
 
+impl ClusterError {
+    /// The variant as a stable snake-case name: the `error` attribute of
+    /// a failed run's `cluster.abort` trace event.
+    #[must_use]
+    pub fn kind(&self) -> &'static str {
+        match self {
+            ClusterError::NoWorkers => "no_workers",
+            ClusterError::ZeroTaskSize => "zero_task_size",
+            ClusterError::AllWorkersFailed { .. } => "all_workers_failed",
+            ClusterError::RetryBudgetExhausted { .. } => "retry_budget_exhausted",
+            ClusterError::IncompleteSweep { .. } => "incomplete_sweep",
+            ClusterError::Checkpoint(_) => "checkpoint",
+            ClusterError::CheckpointMismatch { .. } => "checkpoint_mismatch",
+        }
+    }
+}
+
 impl std::fmt::Display for ClusterError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

@@ -255,10 +255,9 @@ impl TaskExecutor for ChaosExecutor {
         &self,
         ctx: &TaskContext,
         task: VoxelTask,
-        groups: Option<&[usize]>,
         cancel: &CancelToken,
     ) -> Vec<VoxelScore> {
-        self.inject(task, cancel, || self.inner.process_with_controls(ctx, task, groups, cancel))
+        self.inject(task, cancel, || self.inner.process_with_controls(ctx, task, cancel))
     }
 }
 

@@ -17,9 +17,9 @@ pub enum ToWorker {
         /// The voxel block to process.
         task: VoxelTask,
         /// Causal identity of this dispatch attempt. The worker installs
-        /// it around the executor call, so every span and recorder event
-        /// produced on its behalf — including on pool threads three
-        /// layers down — names the dispatch that caused it.
+        /// it around the executor call, so every span and event produced
+        /// on its behalf — including on pool threads three layers down —
+        /// names the dispatch that caused it.
         ctx: TraceCtx,
     },
     /// No more work; terminate.

@@ -242,7 +242,6 @@ impl TaskExecutor for HangOnceExecutor {
         &self,
         ctx: &TaskContext,
         task: VoxelTask,
-        groups: Option<&[usize]>,
         cancel: &CancelToken,
     ) -> Vec<VoxelScore> {
         if task.start == 0 && !std::mem::replace(&mut *self.hung.lock(), true) {
@@ -251,7 +250,7 @@ impl TaskExecutor for HangOnceExecutor {
             }
             return Vec::new();
         }
-        self.process_grouped(ctx, task, groups)
+        self.process(ctx, task)
     }
 }
 

@@ -58,7 +58,7 @@ pub trait TaskExecutor: Send + Sync {
         self.process_grouped(ctx, task, None)
     }
 
-    /// Like [`Self::process_grouped`], but with cooperative cancellation
+    /// Like [`Self::process`], but with cooperative cancellation
     /// (see [`CancelToken`]). The default implementation ignores the
     /// token — the three-stage pipeline is short per task, so the cluster
     /// scheduler's own deadline clock is the enforcement point. Executors
@@ -69,11 +69,10 @@ pub trait TaskExecutor: Send + Sync {
         &self,
         ctx: &TaskContext,
         task: VoxelTask,
-        groups: Option<&[usize]>,
         cancel: &CancelToken,
     ) -> Vec<VoxelScore> {
         let _ = cancel;
-        self.process_grouped(ctx, task, groups)
+        self.process(ctx, task)
     }
 }
 

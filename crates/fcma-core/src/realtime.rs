@@ -335,9 +335,25 @@ impl OnlineSession {
     /// freeze what [`Self::score_epoch`] needs for newer epochs (see
     /// [`FeedbackModel`]).
     ///
-    /// # Panics
-    /// If the session's `n_folds` is 0.
+    /// # Errors
+    /// [`SessionError::NotEnoughData`] unless every fold's training set
+    /// holds both conditions: the session's `n_folds` must be at least 2,
+    /// and it must hold at least 2 epochs of each condition.
     pub fn train_feedback(&self) -> Result<FeedbackModel, SessionError> {
+        if self.cfg.n_folds < 2 {
+            return Err(SessionError::NotEnoughData(format!(
+                "training needs at least 2 folds, the session has n_folds {}",
+                self.cfg.n_folds
+            )));
+        }
+        let a = self.epochs.iter().filter(|e| e.label == Condition::A).count();
+        let b = self.epochs.len() - a;
+        if a < 2 || b < 2 {
+            return Err(SessionError::NotEnoughData(format!(
+                "training needs at least 2 epochs of each condition, the session has {a} of A \
+                 and {b} of B"
+            )));
+        }
         let dataset = self.dataset()?;
         let ctx = TaskContext::full(&dataset);
         let groups = stratified_folds(&ctx.y, self.cfg.n_folds.min(ctx.n_epochs()));
@@ -439,6 +455,45 @@ mod tests {
             SessionError::BadVolume { got: 3, .. }
         ));
         assert!(s.dataset().is_err());
+    }
+
+    /// Sessions `dataset` accepts but no fold plan can train on are
+    /// refused up front; they used to panic in the cross validation, the
+    /// SVM or the fold assignment.
+    #[test]
+    fn train_feedback_refuses_what_it_cannot_train_on() {
+        use Condition::{A, B};
+        let n = 4;
+        let session = |labels: &[Condition], n_folds: usize| {
+            let cfg = SessionConfig { epoch_len: 3, n_folds, task_size: n, ..Default::default() };
+            let mut s = OnlineSession::new(cfg, n);
+            for (e, &label) in labels.iter().enumerate() {
+                s.begin_epoch(label).unwrap();
+                for t in 0..3 {
+                    let vol: Vec<f32> =
+                        (0..n).map(|v| ((v * 7 + t * 3 + e * 5) % 11) as f32).collect();
+                    s.push_volume(&vol).unwrap();
+                }
+                s.end_epoch().unwrap();
+            }
+            s
+        };
+        for (labels, n_folds, short) in [
+            (&[A, B][..], 4, "1 of A and 1 of B"),
+            (&[A, B, A], 4, "2 of A and 1 of B"),
+            (&[A, A, A, B], 2, "3 of A and 1 of B"),
+            (&[A, B, A, B], 0, "n_folds 0"),
+            (&[A, B, A, B], 1, "n_folds 1"),
+        ] {
+            let s = session(labels, n_folds);
+            assert!(s.dataset().is_ok(), "{labels:?}: the snapshot itself is fine");
+            match s.train_feedback() {
+                Err(SessionError::NotEnoughData(m)) => assert!(m.ends_with(short), "{m}"),
+                other => panic!("{labels:?} at {n_folds} folds: {:?}", other.map(|_| ())),
+            }
+        }
+        let fb = session(&[A, B, A, B, A, B], 2).train_feedback().unwrap();
+        assert!(!fb.selected.is_empty());
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //!   (96-deep panels, register microkernel, one caller-owned scratch per
 //!   thread; no cross-thread reduction), also callable strip by strip;
 //! * [`microkernel`] — the shared register-tile microkernels;
-//! * [`norms`] — epoch normalization (Eq. 2), Fisher transform (Eq. 4),
-//!   z-scoring (Eq. 5) and vector primitives.
+//! * [`norms`] — epoch normalization (Eq. 2), Fisher transform (Eq. 4)
+//!   and vector primitives.
 //!
 //! Every optimized kernel is property-tested against the reference
 //! implementations.
@@ -32,7 +32,6 @@ pub mod invariant;
 pub mod mat;
 pub mod microkernel;
 pub mod norms;
-pub mod ops;
 pub mod syrk;
 pub mod tall_skinny;
 
@@ -40,11 +39,7 @@ pub use cast::{f32_from_f64, f32_from_usize, f64_from_usize};
 pub use gemm_blocked::{gemm_blocked, gemm_blocked_scratch, BlockSizes, GemmScratch};
 pub use gemm_ref::{gemm_ref, syrk_ref};
 pub use mat::Mat;
-pub use norms::{
-    dot, epoch_scale, fast_ln, fisher_z, fisher_z_slice, mean_var_onepass, normalize_epoch, zscore,
-    zscore_with,
-};
-pub use ops::{add_scaled, col_means, gemv, gemv_t, row_means, scale};
+pub use norms::{dot, epoch_scale, fast_ln, fisher_z, fisher_z_slice, normalize_epoch};
 pub use syrk::{
     syrk_accumulate, syrk_dot, syrk_mirror, syrk_panel_scratch, syrk_zero, SyrkScratch, PANEL_K,
 };

@@ -77,14 +77,6 @@ fn mean_var_of_sums(sum: f64, sum_sq: f64, len: usize) -> (f32, f32) {
     (crate::cast::f32_from_f64(mean), crate::cast::f32_from_f64(var))
 }
 
-/// One-pass mean and (population) variance of `x`; see
-/// [`mean_var_of_sums`] for the formulation. Empty input returns `(0, 0)`.
-#[inline]
-pub fn mean_var_onepass(x: &[f32]) -> (f32, f32) {
-    let (s, s2) = sums(x);
-    mean_var_of_sums(s, s2, x.len())
-}
-
 /// Fast `ln` for strictly positive finite `f32`, accurate to ~2 ulp of
 /// f32 over the FCMA range.
 ///
@@ -142,29 +134,6 @@ pub fn fisher_z_slice(x: &mut [f32]) {
     }
 }
 
-/// Z-score `x` in place using the supplied mean and standard deviation.
-///
-/// A zero (or subnormal) standard deviation maps everything to 0, matching
-/// the convention for constant populations.
-#[inline]
-pub fn zscore_with(x: &mut [f32], mean: f32, std: f32) {
-    if std <= f32::MIN_POSITIVE {
-        x.fill(0.0);
-        return;
-    }
-    let inv = 1.0 / std;
-    for v in x.iter_mut() {
-        *v = (*v - mean) * inv;
-    }
-}
-
-/// Z-score `x` in place against its own mean/std (population std).
-#[inline]
-pub fn zscore(x: &mut [f32]) {
-    let (mean, var) = mean_var_onepass(x);
-    zscore_with(x, mean, var.sqrt());
-}
-
 /// The `(mean, 1 / rss)` pair of paper Eq. 2 for a time epoch of `len`
 /// values, given their `f64` sums `Σx` and `Σx²` accumulated in time
 /// order; `rss` is the root sum of squares of the mean-centered epoch.
@@ -211,6 +180,12 @@ mod tests {
         assert!((a - b).abs() <= tol, "{a} !~ {b} (tol {tol})");
     }
 
+    /// Mean and population variance of `x`, as `epoch_scale` derives them.
+    fn mean_var(x: &[f32]) -> (f32, f32) {
+        let (s, s2) = sums(x);
+        mean_var_of_sums(s, s2, x.len())
+    }
+
     #[test]
     fn dot_matches_naive() {
         let x: Vec<f32> = (0..37).map(|i| i as f32 * 0.25).collect();
@@ -242,21 +217,21 @@ mod tests {
 
     #[test]
     fn mean_var_simple() {
-        let (m, v) = mean_var_onepass(&[1.0, 2.0, 3.0, 4.0]);
+        let (m, v) = mean_var(&[1.0, 2.0, 3.0, 4.0]);
         assert_close(m, 2.5, 1e-6);
         assert_close(v, 1.25, 1e-6);
     }
 
     #[test]
     fn mean_var_constant_input_zero_variance() {
-        let (m, v) = mean_var_onepass(&[5.0; 100]);
+        let (m, v) = mean_var(&[5.0; 100]);
         assert_close(m, 5.0, 1e-6);
         assert_close(v, 0.0, 1e-6);
     }
 
     #[test]
     fn mean_var_empty() {
-        assert_eq!(mean_var_onepass(&[]), (0.0, 0.0));
+        assert_eq!(mean_var(&[]), (0.0, 0.0));
     }
 
     #[test]
@@ -303,27 +278,11 @@ mod tests {
     }
 
     #[test]
-    fn zscore_gives_zero_mean_unit_std() {
-        let mut x: Vec<f32> = (0..64).map(|i| (i as f32) * 0.7 + 3.0).collect();
-        zscore(&mut x);
-        let (m, v) = mean_var_onepass(&x);
-        assert_close(m, 0.0, 1e-5);
-        assert_close(v, 1.0, 1e-4);
-    }
-
-    #[test]
-    fn zscore_constant_population_is_zero() {
-        let mut x = vec![3.5f32; 10];
-        zscore(&mut x);
-        assert!(x.iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
     fn normalize_epoch_makes_self_dot_one() {
         let mut x: Vec<f32> = (0..12).map(|i| (i as f32 * 1.3).cos() + 2.0).collect();
         normalize_epoch(&mut x);
         assert_close(dot(&x, &x), 1.0, 1e-5);
-        let (m, _) = mean_var_onepass(&x);
+        let (m, _) = mean_var(&x);
         assert_close(m, 0.0, 1e-6);
     }
 
@@ -339,8 +298,8 @@ mod tests {
         normalize_epoch(&mut yn);
         let got = dot(&xn, &yn);
 
-        let (mx, vx) = mean_var_onepass(&xv);
-        let (my, vy) = mean_var_onepass(&yv);
+        let (mx, vx) = mean_var(&xv);
+        let (my, vy) = mean_var(&yv);
         let n = xv.len() as f32;
         let cov: f32 = xv.iter().zip(&yv).map(|(a, b)| (a - mx) * (b - my)).sum::<f32>() / n;
         let pearson = cov / (vx.sqrt() * vy.sqrt());

@@ -29,7 +29,7 @@ fn every_top_level_pub_fn_is_named_by_a_test() {
         .flat_map(|src| src.lines().filter_map(|l| l.strip_prefix("pub fn ")))
         .map(|rest| rest.split(|c| !is_ident(c)).next().unwrap_or_default().to_owned())
         .collect();
-    assert!(names.len() >= 30, "found only {} top-level pub fns", names.len());
+    assert!(names.len() >= 20, "found only {} top-level pub fns", names.len());
     let uncovered: Vec<&String> = names
         .iter()
         .filter(|name| !tests.iter().any(|t| t.split(|c| !is_ident(c)).any(|w| w == name.as_str())))

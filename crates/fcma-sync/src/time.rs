@@ -40,14 +40,6 @@ impl Instant {
     pub fn duration_since(&self, earlier: Instant) -> Duration {
         self.saturating_duration_since(earlier)
     }
-
-    /// Raw nanoseconds since the mode's epoch.
-    ///
-    /// Meaningful only relative to other instants from the same mode;
-    /// the flight recorder stores these as event timestamps.
-    pub fn nanos(&self) -> u64 {
-        self.nanos
-    }
 }
 
 impl Add<Duration> for Instant {

@@ -1,5 +1,5 @@
-//! Causal task context: links every span, event, and recorder entry on
-//! any thread back to the cluster dispatch that caused it.
+//! Causal task context: links every span and event on any thread back
+//! to the cluster dispatch that caused it.
 //!
 //! The master stamps a [`TraceCtx`] into each `ToWorker::Task` message;
 //! the worker installs it ([`TraceCtx::install`]) around the executor
@@ -24,8 +24,7 @@ use std::cell::Cell;
 pub struct TraceCtx {
     /// Task identity (the task's start voxel in the cluster scheduler).
     pub task: u64,
-    /// Attempt number for this task, counted from 1; 0 marks a record
-    /// that belongs to no attempt (a rejected resume).
+    /// Attempt number for this task, counted from 1.
     pub attempt: u32,
 }
 
@@ -95,7 +94,7 @@ mod tests {
     #[test]
     fn install_restores_previous_context_on_drop() {
         assert_eq!(TraceCtx::current(), None);
-        let outer = TraceCtx::new(3, 0);
+        let outer = TraceCtx::new(3, 1);
         let g1 = outer.install();
         {
             let inner = TraceCtx::new(9, 2);

@@ -21,11 +21,6 @@
 //! created any other way are uninstrumented. Nothing is process-global,
 //! so two instrumented runs in one process produce two disjoint reports.
 //!
-//! The flight recorder ([`recorder::FlightLog`]) is scoped the same
-//! way by ownership instead of installation: each cluster run creates
-//! its own bounded log, shares it with its workers, and drops it on
-//! return, so a [`postmortem`] dump holds that run's events only.
-//!
 //! # Cost model
 //!
 //! With no collector current on the thread every macro reduces to one
@@ -63,8 +58,6 @@ pub mod ctx;
 pub mod export;
 pub mod json;
 pub mod names;
-pub mod postmortem;
-pub mod recorder;
 mod report;
 
 pub use collector::{

@@ -40,6 +40,7 @@ pub const NAMES: &[(&str, Kind)] = &[
     ("cluster.fence", Kind::Event),
     ("cluster.checkpoint", Kind::Event),
     ("cluster.resume_missing", Kind::Event),
+    ("cluster.abort", Kind::Event),
     ("cluster.tasks.total", Kind::Counter),
     ("cluster.tasks.resumed", Kind::Counter),
     ("cluster.tasks.dispatched", Kind::Counter),

@@ -319,11 +319,20 @@ impl TraceReport {
                      failed + condemned + cancelled ({resolved})"
                 ));
             }
+            // A failed run's `cluster.abort` event names the tasks it
+            // left unfinished.
+            let unfinished: u64 = self
+                .spans
+                .iter()
+                .filter(|s| s.is_event() && s.name == "cluster.abort")
+                .filter_map(|s| attr_u64(s, "unfinished"))
+                .sum();
             let total = c("cluster.tasks.total");
-            let done = c("cluster.tasks.completed") + c("cluster.tasks.resumed");
+            let done = c("cluster.tasks.completed") + c("cluster.tasks.resumed") + unfinished;
             if done != total {
                 violations.push(format!(
-                    "cluster.tasks.completed + resumed ({done}) != cluster.tasks.total ({total})"
+                    "cluster.tasks.completed + resumed + unfinished ({done}) != \
+                     cluster.tasks.total ({total})"
                 ));
             }
             let dispatch_spans = self.span_count("cluster.dispatch");
@@ -555,6 +564,36 @@ mod tests {
         report.counters.insert("cluster.tasks.dispatched".into(), 2);
         report.counters.insert("cluster.tasks.completed".into(), 2);
         assert!(report.check_consistency().is_empty());
+    }
+
+    #[test]
+    fn consistency_counts_an_aborted_runs_unfinished_tasks() {
+        let dispatch = SpanRecord {
+            attrs: vec![("task".into(), AttrValue::U64(0)), ("attempt".into(), AttrValue::U64(1))],
+            ..span("cluster.dispatch", 0, Some(10))
+        };
+        let abort = |unfinished: u64| SpanRecord {
+            attrs: vec![
+                ("error".into(), AttrValue::from("all_workers_failed")),
+                ("unfinished".into(), AttrValue::U64(unfinished)),
+            ],
+            ..span("cluster.abort", 20, None)
+        };
+        let mut report = TraceReport { spans: vec![dispatch], ..TraceReport::default() };
+        report.counters.insert("cluster.tasks.total".into(), 3);
+        report.counters.insert("cluster.tasks.dispatched".into(), 1);
+        report.counters.insert("cluster.tasks.failed".into(), 1);
+        let completion = |r: &TraceReport| {
+            r.check_consistency().iter().filter(|v| v.contains("+ unfinished")).count()
+        };
+        assert_eq!(completion(&report), 1, "three tasks, none accounted for");
+        for (unfinished, violations) in [(3, 0), (2, 1)] {
+            let mut r = report.clone();
+            r.spans.push(abort(unfinished));
+            assert_eq!(completion(&r), violations, "abort with {unfinished} unfinished");
+        }
+        report.spans.push(abort(3));
+        assert!(report.check_consistency().is_empty(), "{:?}", report.check_consistency());
     }
 
     #[test]

@@ -28,8 +28,8 @@ fn main() {
     let exec: Arc<dyn TaskExecutor> = Arc::new(OptimizedExecutor::default());
     for workers in [1usize, 2, 4] {
         let t0 = Instant::now();
-        let run = run_cluster(&ctx, Arc::clone(&exec), workers, task_size, None)
-            .expect("healthy cluster run");
+        let run =
+            run_cluster(&ctx, Arc::clone(&exec), workers, task_size).expect("healthy cluster run");
         println!(
             "{} workers: {:>8.2?}  tasks/worker {:?}",
             workers,

@@ -106,7 +106,7 @@ fn killed_run_resumes_to_byte_identical_scores() {
 
     // Byte-identical to a run that was never interrupted.
     let uninterrupted =
-        run_cluster(&ctx, Arc::new(OptimizedExecutor::default()), 2, 12, None).expect("healthy");
+        run_cluster(&ctx, Arc::new(OptimizedExecutor::default()), 2, 12).expect("healthy");
     assert_eq!(resumed.scores.len(), uninterrupted.scores.len());
     for (a, b) in resumed.scores.iter().zip(&uninterrupted.scores) {
         assert_eq!(a.voxel, b.voxel);

@@ -5,8 +5,9 @@
 //! layer, the retired metrics exporter, SLO gate and trace subcommands,
 //! the retired mutation engine, the retired model save/load, the
 //! cluster driver's retired backup copies of running tasks or the
-//! retired audit tool and its allow markers, or the work-stealing
-//! pool's retired seed and statistics. Plain
+//! retired audit tool and its allow markers, the work-stealing
+//! pool's retired seed and statistics, or the cluster driver's retired
+//! flight log and postmortem dumps. Plain
 //! substring checks; the files are the repository's own.
 
 use std::collections::BTreeSet;
@@ -22,7 +23,7 @@ const DOCS: [&str; 5] = [
     "results/README.md",
     ".claude/skills/verify/SKILL.md",
 ];
-const RETIRED: [&str; 31] = [
+const RETIRED: [&str; 34] = [
     "criterion",
     "cargo bench",
     "bench_gemm",
@@ -37,6 +38,9 @@ const RETIRED: [&str; 31] = [
     "slo.toml",
     "fcma top",
     "fcma postmortem",
+    "--postmortem",
+    "fcma-postmortem",
+    "FlightLog",
     "Prometheus",
     "cargo run -p fcma-mut",
     "mutation-baseline.json",

@@ -51,7 +51,7 @@ fn cluster_run_equals_sequential_run() {
     let (dataset, _) = planted(1.4, 80);
     let ctx = TaskContext::full(&dataset);
     let sequential = score_all_voxels(&ctx, &OptimizedExecutor::default(), 20, None);
-    let cluster = run_cluster(&ctx, Arc::new(OptimizedExecutor::default()), 3, 20, None)
+    let cluster = run_cluster(&ctx, Arc::new(OptimizedExecutor::default()), 3, 20)
         .expect("healthy cluster run");
     assert_eq!(cluster.scores.len(), sequential.len());
     for (a, b) in cluster.scores.iter().zip(&sequential) {

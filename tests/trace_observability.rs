@@ -2,13 +2,17 @@
 //! under an installed trace collector must account for every dispatch
 //! outcome exactly — the trace counters are cross-checked against the
 //! injected `FaultPlan`, the per-task `TaskStat`s, and the exported
-//! Chrome-trace JSON round trip.
+//! Chrome-trace JSON round trip — and a sweep that fails must account
+//! for every task it left unfinished.
 
+use fcma::core::CancelToken;
 use fcma::prelude::*;
+use fcma::svm::CvPlan;
 use fcma::trace::export::{from_chrome_json, to_chrome_json};
-use fcma::trace::Collector;
+use fcma::trace::{AttrValue, Collector, SpanRecord, TraceReport};
 use fcma_sync::clock::VirtualClock;
 use fcma_sync::thread::now_virtual_nanos;
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -153,176 +157,255 @@ fn chaos_counters_match_a_seeded_fault_plan() {
     assert!(report.check_consistency().is_empty(), "{:?}", report.check_consistency());
 }
 
-/// Check a postmortem dump's format header and that its `trigger:` line
-/// starts with `trigger`.
-fn assert_header(dump: &str, trigger: &str) {
-    let mut lines = dump.lines();
-    assert_eq!(lines.next(), Some("fcma-postmortem v2"));
-    let line = lines.next().unwrap_or_default();
-    assert!(line.strip_prefix("trigger: ").is_some_and(|t| t.starts_with(trigger)), "{line}");
-}
-
-/// The lines of a postmortem dump's timeline section.
-fn timeline(dump: &str) -> Vec<&str> {
-    dump.lines()
-        .skip_while(|l| *l != "-- timeline --")
-        .skip(1)
-        .take_while(|l| !l.starts_with("-- causal chain"))
-        .collect()
-}
-
-/// Causal tracing end to end: a chaos run with a panic and a retry must
-/// stamp every worker-side span with the ctx of a live dispatch, mark
-/// the retry's spans with origin `retry`, keep flight-recorder events
-/// out of the collected trace, and drop a postmortem
-/// artifact for the panicking task — all under the causality invariants
-/// of `check_consistency`.
-#[test]
-fn causal_context_and_postmortem() {
-    use fcma::trace::AttrValue;
-
-    let _clock = VirtualClock::install();
-    let ctx = planted(48); // 3 tasks of 16 voxels
-    let plan = FaultPlan::none().with_fault(16, 0, FaultKind::panic_now());
-    let pm_dir = std::env::temp_dir().join("fcma-obs-postmortem");
-    let _ = std::fs::remove_dir_all(&pm_dir);
-    let cfg = ClusterConfig {
-        n_workers: 3,
-        task_size: 16,
-        postmortem_dir: Some(pm_dir.clone()),
-        ..Default::default()
-    };
-
+/// Run `exec` under `cfg` with a fresh collector installed: the run's
+/// outcome and its trace.
+fn traced(
+    ctx: &TaskContext,
+    exec: Arc<dyn TaskExecutor>,
+    cfg: &ClusterConfig,
+) -> (Result<ClusterRun, ClusterError>, TraceReport) {
     let collector = Collector::new();
     let scoped = collector.install_scoped();
-    let run = run_cluster_with(&ctx, chaos_exec(plan), &cfg).expect("chaos run must recover");
-    let report = scoped.drain();
-    drop(scoped);
-    assert_eq!(run.scores.len(), 48);
+    let outcome = run_cluster_with(ctx, exec, cfg);
+    (outcome, scoped.drain())
+}
 
-    // Every ctx-stamped record names a dispatch that really happened.
-    let live: Vec<(u64, u64)> = report
+/// An integer attribute of a record.
+fn attr_u64(s: &SpanRecord, key: &str) -> u64 {
+    match s.attr(key) {
+        Some(&AttrValue::U64(v)) => v,
+        other => panic!("{} has no integer {key}: {other:?}", s.name),
+    }
+}
+
+/// The `(task, attempt)` of every `cluster.dispatch` span.
+fn dispatches(report: &TraceReport) -> Vec<(u64, u64)> {
+    report
         .spans
         .iter()
         .filter(|s| s.name == "cluster.dispatch")
-        .map(|s| {
-            let get = |k: &str| match s.attr(k) {
-                Some(&AttrValue::U64(v)) => v,
-                other => panic!("dispatch span missing {k}: {other:?}"),
-            };
-            (get("task"), get("attempt"))
-        })
-        .collect();
-    assert_eq!(live.len(), 4, "3 first dispatches + 1 retry: {live:?}");
-    assert!(live.contains(&(16, 1)) && live.contains(&(16, 2)), "{live:?}");
+        .map(|s| (attr_u64(s, "task"), attr_u64(s, "attempt")))
+        .collect()
+}
 
+/// Every `task.process` span carries the ctx of a dispatch in the trace,
+/// and origin `retry` exactly when its ctx is one of `retries`, each of
+/// which is seen. Both consistency checks are clean.
+fn assert_stamped(report: &TraceReport, retries: &[(u64, u64)]) {
+    let live = dispatches(report);
     let procs: Vec<_> = report.spans.iter().filter(|s| s.name == "task.process").collect();
     assert!(!procs.is_empty(), "worker spans must be present");
-    let mut saw_retry = false;
-    for s in &procs {
-        let (Some(&AttrValue::U64(t)), Some(&AttrValue::U64(a))) =
-            (s.attr("ctx_task"), s.attr("ctx_attempt"))
-        else {
-            panic!("task.process span missing causal ctx: {:?}", s.attrs);
-        };
-        assert!(live.contains(&(t, a)), "ctx ({t},{a}) has no parent dispatch");
-        if s.attr("ctx_origin") == Some(&AttrValue::Str("retry".to_string())) {
-            assert_eq!((t, a), (16, 2), "only task 16's second attempt is a retry");
-            saw_retry = true;
-        }
+    let mut seen = Vec::new();
+    for s in procs {
+        let pair = (attr_u64(s, "ctx_task"), attr_u64(s, "ctx_attempt"));
+        assert!(live.contains(&pair), "ctx {pair:?} has no parent dispatch in {live:?}");
+        let retry = s.attr("ctx_origin") == Some(&AttrValue::from("retry"));
+        assert_eq!(retry, retries.contains(&pair), "origin of {pair:?}");
+        seen.push(pair);
     }
-    assert!(saw_retry, "the retried attempt's span must carry origin=retry");
+    assert!(retries.iter().all(|r| seen.contains(r)), "no spans of {retries:?} in {seen:?}");
     assert!(report.check_consistency().is_empty(), "{:?}", report.check_consistency());
     assert!(report.check_causality().is_empty(), "{:?}", report.check_causality());
-
-    // The flight log is the run's own: none of it rides the collector.
-    assert!(report.spans.iter().all(|s| !s.name.starts_with("recorder.")));
-
-    // The panic dropped a postmortem whose causal chain is the panicking
-    // attempt and nothing else (the retry is dispatched only after the
-    // dump is taken). The master records a dispatch after sending it, so
-    // the worker's lines may precede it.
-    let dump = pm_dir.join("postmortem-task-panic-task16-attempt1.txt");
-    let text = std::fs::read_to_string(&dump).expect("postmortem artifact must exist");
-    assert_header(&text, "task.panic task=16 attempt=1 ");
-    let chain: Vec<&str> =
-        timeline(&text).into_iter().filter(|l| l.contains(" task=16 ")).collect();
-    let chain_section = text.lines().skip_while(|l| !l.starts_with("-- causal chain")).skip(1);
-    assert_eq!(chain_section.count(), chain.len());
-    assert_eq!(chain.len(), 3, "{chain:?}");
-    for kind in ["dispatch", "task.start", "task.panic"] {
-        let wanted = format!(" recorder.{kind} task=16 attempt=1 origin=dispatch ");
-        assert!(chain.iter().any(|l| l.contains(&wanted)), "no {kind} line in {chain:?}");
-    }
-    let _ = std::fs::remove_dir_all(&pm_dir);
 }
 
-/// A postmortem holds the events of the run that produced it and of no
-/// other: the second of two chaos sweeps run back to back on one thread
-/// dumps only its own panic, and its log starts at `seq` 0.
+/// The trace's one `cluster.abort` event: its `error` kind and its
+/// unfinished-task count.
+fn abort_of(report: &TraceReport) -> (String, u64) {
+    let aborts: Vec<_> = report.spans.iter().filter(|s| s.name == "cluster.abort").collect();
+    assert_eq!(aborts.len(), 1, "one abort per failed run");
+    let Some(AttrValue::Str(error)) = aborts[0].attr("error") else {
+        panic!("abort without an error kind: {:?}", aborts[0].attrs);
+    };
+    (error.clone(), attr_u64(aborts[0], "unfinished"))
+}
+
+/// Causal tracing end to end, in a run that recovers and in one that
+/// fails: every worker-side span is stamped with the ctx of a dispatch
+/// in the trace, and only the retry's spans carry origin `retry`, under
+/// both consistency checks.
 #[test]
-fn second_sweeps_postmortem_holds_only_its_own_events() {
+fn causal_context_in_recovered_and_failed_runs() {
     let _clock = VirtualClock::install();
     let ctx = planted(48); // 3 tasks of 16 voxels
-    let pm_dir = std::env::temp_dir().join("fcma-obs-two-sweeps");
-    let _ = std::fs::remove_dir_all(&pm_dir);
-    let cfg = ClusterConfig {
-        n_workers: 3,
-        task_size: 16,
-        postmortem_dir: Some(pm_dir.clone()),
-        ..Default::default()
-    };
-    for panic_task in [16, 32] {
-        let plan = FaultPlan::none().with_fault(panic_task, 0, FaultKind::panic_now());
-        let run = run_cluster_with(&ctx, chaos_exec(plan), &cfg).expect("chaos run must recover");
-        assert_eq!(run.failed_workers.len(), 1);
-    }
+    let plan = FaultPlan::none().with_fault(16, 0, FaultKind::panic_now());
 
-    let dump = pm_dir.join("postmortem-task-panic-task32-attempt1.txt");
-    let text = std::fs::read_to_string(&dump).expect("second sweep's artifact must exist");
-    assert_header(&text, "task.panic task=32 attempt=1 ");
-    let lines = timeline(&text);
-    let panics: Vec<&&str> = lines.iter().filter(|l| l.contains(" recorder.task.panic ")).collect();
-    assert_eq!(panics.len(), 1, "the first sweep's panic leaked into the dump: {lines:?}");
-    assert!(panics[0].contains(" task=32 "), "{}", panics[0]);
-    let first_seq = lines[0].split(' ').find_map(|tok| tok.strip_prefix("seq="));
-    assert_eq!(first_seq, Some("0"), "the log began with this run: {}", lines[0]);
-    let dispatches = lines.iter().filter(|l| l.contains(" recorder.dispatch ")).count();
-    assert_eq!(dispatches, 3, "three first dispatches, all this sweep's: {lines:?}");
-    let _ = std::fs::remove_dir_all(&pm_dir);
+    let cfg = ClusterConfig::new(3, 16);
+    let (run, report) = traced(&ctx, chaos_exec(plan.clone()), &cfg);
+    assert_eq!(run.expect("chaos run must recover").scores.len(), 48);
+    let live = dispatches(&report);
+    assert_eq!(live.len(), 4, "3 first dispatches + 1 retry: {live:?}");
+    assert!(live.contains(&(16, 1)) && live.contains(&(16, 2)), "{live:?}");
+    assert_stamped(&report, &[(16, 2)]);
+    assert_eq!(report.event_count("cluster.abort"), 0);
+
+    // One worker: it scores task 0, dies on task 16, and the run fails
+    // with tasks 16 and 32 unfinished.
+    let (run, report) = traced(&ctx, chaos_exec(plan), &ClusterConfig::new(1, 16));
+    assert!(matches!(run, Err(ClusterError::AllWorkersFailed { unfinished_tasks: 2 })), "{run:?}");
+    assert_eq!(dispatches(&report), [(0, 1), (16, 1)]);
+    assert_stamped(&report, &[]);
+    assert_eq!(abort_of(&report), ("all_workers_failed".to_owned(), 2));
 }
 
-/// A condemned *retry* says so: task 0 panics on its first attempt and
-/// hangs on its second, and the condemnation recorded for that second
-/// attempt carries origin `retry`, not `dispatch`.
+/// [`OptimizedExecutor`], except that task 0's first call through
+/// [`TaskExecutor::process_with_controls`] scores the task and then
+/// hangs until its worker is cancelled: a condemned attempt that leaves
+/// stamped spans in the trace.
+struct ScoreThenHang {
+    inner: OptimizedExecutor,
+    hung: fcma_sync::Mutex<bool>,
+}
+
+impl TaskExecutor for ScoreThenHang {
+    fn name(&self) -> &'static str {
+        "score-then-hang"
+    }
+
+    fn pool(&self) -> fcma_sync::Pool {
+        self.inner.pool()
+    }
+
+    fn process_on(
+        &self,
+        ctx: &TaskContext,
+        task: VoxelTask,
+        plans: &[CvPlan<'_>],
+        pool: &fcma_sync::Pool,
+    ) -> Vec<Vec<VoxelScore>> {
+        self.inner.process_on(ctx, task, plans, pool)
+    }
+
+    fn process_with_controls(
+        &self,
+        ctx: &TaskContext,
+        task: VoxelTask,
+        cancel: &CancelToken,
+    ) -> Vec<VoxelScore> {
+        let scores = self.process(ctx, task);
+        if task.start == 0 && !std::mem::replace(&mut *self.hung.lock(), true) {
+            while !cancel.is_cancelled() {
+                fcma_sync::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        scores
+    }
+}
+
+/// A condemned *retry* says so in the trace: task 0 panics on its first
+/// attempt and hangs on its second. The second attempt's dispatch span
+/// has outcome `condemned`, and its spans carry origin `retry` — whether
+/// a third attempt then completes the run or the retry budget is spent.
 #[test]
 fn condemned_retry_is_logged_with_origin_retry() {
     let _clock = VirtualClock::install();
     let ctx = planted(48); // 3 tasks of 16 voxels
-    let plan = FaultPlan::none().with_fault(0, 0, FaultKind::panic_now()).with_fault(
-        0,
-        1,
-        FaultKind::Stall,
-    );
-    let pm_dir = std::env::temp_dir().join("fcma-obs-condemned-retry");
-    let _ = std::fs::remove_dir_all(&pm_dir);
-    let cfg = ClusterConfig {
-        n_workers: 3,
-        task_size: 16,
-        task_deadline: Some(Duration::from_millis(500)),
-        postmortem_dir: Some(pm_dir.clone()),
-        ..Default::default()
-    };
-    let run = run_cluster_with(&ctx, chaos_exec(plan), &cfg).expect("chaos run must recover");
-    assert_eq!((run.failed_workers.len(), run.hung_workers.len()), (1, 1));
+    for retry_budget in [2, 1] {
+        let plan = FaultPlan::none().with_fault(0, 0, FaultKind::panic_now());
+        let inner = ScoreThenHang {
+            inner: OptimizedExecutor::default(),
+            hung: fcma_sync::Mutex::new(false),
+        };
+        let exec = ChaosExecutor::new(Arc::new(inner), plan);
+        let cfg = ClusterConfig {
+            n_workers: 3,
+            task_size: 16,
+            retry_budget,
+            task_deadline: Some(Duration::from_millis(500)),
+            ..Default::default()
+        };
+        let (run, report) = traced(&ctx, Arc::new(exec), &cfg);
+        let outcome_of = |attempt: u64| {
+            let span = report
+                .spans
+                .iter()
+                .filter(|s| s.name == "cluster.dispatch")
+                .find(|s| (attr_u64(s, "task"), attr_u64(s, "attempt")) == (0, attempt))
+                .unwrap_or_else(|| panic!("no dispatch span for task 0 attempt {attempt}"));
+            span.attr("outcome").cloned()
+        };
+        assert_eq!(outcome_of(1), Some(AttrValue::from("failed")));
+        assert_eq!(outcome_of(2), Some(AttrValue::from("condemned")));
+        if retry_budget == 2 {
+            let run = run.expect("the third attempt completes the run");
+            assert_eq!((run.failed_workers.len(), run.hung_workers.len()), (1, 1));
+            assert_eq!(outcome_of(3), Some(AttrValue::from("completed")));
+            assert_stamped(&report, &[(0, 2), (0, 3)]);
+        } else {
+            assert!(
+                matches!(run, Err(ClusterError::RetryBudgetExhausted { attempts: 2, .. })),
+                "{run:?}"
+            );
+            assert_stamped(&report, &[(0, 2)]);
+            let (error, unfinished) = abort_of(&report);
+            assert_eq!(error, "retry_budget_exhausted");
+            assert_eq!(unfinished, 3 - report.counter("cluster.tasks.completed"));
+        }
+    }
+}
 
-    let dump = pm_dir.join("postmortem-worker-condemned-task0-attempt2.txt");
-    let text = std::fs::read_to_string(&dump).expect("condemnation artifact must exist");
-    let lines = timeline(&text);
-    let condemns: Vec<&&str> = lines.iter().filter(|l| l.contains(" recorder.condemn ")).collect();
-    assert_eq!(condemns.len(), 1, "{lines:?}");
-    assert!(condemns[0].contains(" task=0 attempt=2 origin=retry "), "{}", condemns[0]);
-    let _ = std::fs::remove_dir_all(&pm_dir);
+/// A run that fails leaves a trace that accounts for every task: one
+/// `cluster.abort` naming the error and the tasks left unfinished, with
+/// `check_consistency` clean. One worker scores task 0 and then panics
+/// on task 16; with a retry budget the run recovers no worker and fails
+/// with every worker dead, without one it fails on the spent budget.
+/// With a second worker the same plan recovers, and aborts nothing.
+#[test]
+fn failed_runs_record_one_abort() {
+    let ctx = planted(48); // 3 tasks of 16 voxels
+    let plan = FaultPlan::none().with_fault(16, 0, FaultKind::panic_now());
+    for (n_workers, retry_budget, want) in
+        [(1, 2, Some("all_workers_failed")), (1, 0, Some("retry_budget_exhausted")), (2, 2, None)]
+    {
+        let cfg = ClusterConfig { n_workers, task_size: 16, retry_budget, ..Default::default() };
+        let (run, report) = traced(&ctx, chaos_exec(plan.clone()), &cfg);
+        assert!(report.check_consistency().is_empty(), "{:?}", report.check_consistency());
+        assert_eq!(report.counter("cluster.tasks.failed"), 1);
+        match want {
+            Some(kind) => {
+                let error = run.expect_err("one worker cannot survive the panic");
+                assert_eq!(error.kind(), kind);
+                assert_eq!(abort_of(&report), (kind.to_owned(), 2));
+                assert_eq!(report.counter("cluster.tasks.completed"), 1);
+            }
+            None => {
+                assert_eq!(run.expect("a second worker recovers the task").scores.len(), 48);
+                assert_eq!(report.event_count("cluster.abort"), 0);
+            }
+        }
+    }
+}
+
+/// The checkpoint errors are aborts too: a resume file that will not
+/// load, one from another sweep, and a checkpoint that cannot be
+/// written each leave one `cluster.abort` with every task unfinished.
+#[test]
+fn checkpoint_errors_record_one_abort() {
+    let ctx = planted(48); // 3 tasks of 16 voxels
+    let dir = std::env::temp_dir().join(format!("fcma-obs-abort-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let written = dir.join("sweep.ckpt");
+    let healthy = ClusterConfig { checkpoint: Some(written.clone()), ..ClusterConfig::new(2, 8) };
+    run_cluster_with(&ctx, Arc::new(OptimizedExecutor::default()), &healthy).expect("healthy");
+
+    let resume =
+        |path: PathBuf| ClusterConfig { resume_from: Some(path), ..ClusterConfig::new(2, 16) };
+    let unwritable = ClusterConfig {
+        checkpoint: Some(dir.join("no-such-dir").join("sweep.ckpt")),
+        ..ClusterConfig::new(2, 16)
+    };
+    for (cfg, kind) in [
+        (resume(dir.join("missing.ckpt")), "checkpoint"),
+        (resume(written), "checkpoint_mismatch"),
+        (unwritable, "checkpoint"),
+    ] {
+        let (run, report) = traced(&ctx, Arc::new(OptimizedExecutor::default()), &cfg);
+        assert_eq!(run.expect_err("the checkpoint is unusable").kind(), kind);
+        assert_eq!(abort_of(&report), (kind.to_owned(), 3));
+        assert_eq!(report.counter("cluster.tasks.dispatched"), 0);
+        assert!(report.check_consistency().is_empty(), "{:?}", report.check_consistency());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// With no collector installed the same chaos run records nothing and
