@@ -389,8 +389,10 @@ pub(crate) fn clusters(args: &Args) -> Result<()> {
     let grid = match args.get("grid") {
         None => Grid3::cube_for(scores.len()),
         Some(spec) => {
-            let dims: Vec<usize> =
-                spec.split(',').map(str::parse).collect::<std::result::Result<_, _>>()?;
+            let dims = spec.split(',').map(|d| {
+                d.parse().map_err(|_| format!("option --grid: {d:?} is not a valid integer"))
+            });
+            let dims: Vec<usize> = dims.collect::<std::result::Result<_, _>>()?;
             let [x, y, z] = dims[..] else {
                 return Err("--grid expects X,Y,Z".into());
             };
@@ -457,11 +459,13 @@ fn write_scores(path: &Path, scores: &[VoxelScore]) -> Result<()> {
 /// Read a scores file. An accuracy that is not a number in [0, 1] or a
 /// voxel listed twice is refused: either would be ranked as if real.
 fn read_scores(path: &Path) -> Result<Vec<VoxelScore>> {
-    let f = BufReader::new(std::fs::File::open(path)?);
+    let f = std::fs::File::open(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    let path = path.display();
     let mut out = Vec::new();
     let mut seen = std::collections::HashSet::new();
-    for (ln, line) in f.lines().enumerate() {
-        let line = line?;
+    for (ln, line) in BufReader::new(f).lines().enumerate() {
+        let at = |what: String| format!("{path}: line {}: {what}", ln + 1);
+        let line = line.map_err(|e| at(e.to_string()))?;
         if ln == 0 && line.starts_with("voxel") {
             continue;
         }
@@ -469,15 +473,16 @@ fn read_scores(path: &Path) -> Result<Vec<VoxelScore>> {
             continue;
         }
         let mut parts = line.split_whitespace();
-        let voxel: usize =
-            parts.next().ok_or(format!("line {}: missing voxel", ln + 1))?.parse()?;
+        let voxel = parts.next().ok_or_else(|| at("missing voxel".into()))?;
+        let voxel: usize = voxel.parse().map_err(|e| at(format!("voxel {voxel:?}: {e}")))?;
+        let accuracy = parts.next().ok_or_else(|| at("missing accuracy".into()))?;
         let accuracy: f64 =
-            parts.next().ok_or(format!("line {}: missing accuracy", ln + 1))?.parse()?;
+            accuracy.parse().map_err(|e| at(format!("accuracy {accuracy:?}: {e}")))?;
         if !(0.0..=1.0).contains(&accuracy) {
-            return Err(format!("line {}: accuracy {accuracy} is not in [0, 1]", ln + 1).into());
+            return Err(at(format!("accuracy {accuracy} is not in [0, 1]")).into());
         }
         if !seen.insert(voxel) {
-            return Err(format!("line {}: voxel {voxel} is listed twice", ln + 1).into());
+            return Err(at(format!("voxel {voxel} is listed twice")).into());
         }
         out.push(VoxelScore { voxel, accuracy });
     }
@@ -775,11 +780,21 @@ mod tests {
             ("voxel\taccuracy\n0\tNaN\n1\t0.5\n2\t0.9\n", "line 2: accuracy NaN is not in [0, 1]"),
             ("0 0.5\n1 1.5\n", "line 2: accuracy 1.5 is not in [0, 1]"),
             ("0 0.5\n3 0.7\n3 0.9\n", "line 3: voxel 3 is listed twice"),
+            // These named neither the file nor the line.
+            ("x\t0.5\n", "line 1: voxel \"x\": invalid digit found in string"),
+            ("0\tabc\n", "line 1: accuracy \"abc\": invalid float literal"),
         ] {
             std::fs::write(&scores, contents).unwrap();
             let argv = ["clusters", "--scores", &scores, "--top-k", "3"];
-            assert_eq!(clusters(&args(&argv)).unwrap_err().to_string(), message, "{contents:?}");
+            let got = clusters(&args(&argv)).unwrap_err().to_string();
+            assert_eq!(got, format!("{scores}: {message}"), "{contents:?}");
         }
+        std::fs::write(&scores, "0 0.5\n1 0.7\n").unwrap();
+        let grid = clusters(&args(&["clusters", "--scores", &scores, "--grid", "a,1,1"]));
+        assert_eq!(grid.unwrap_err().to_string(), "option --grid: \"a\" is not a valid integer");
+        let missing = format!("{scores}.missing");
+        let err = clusters(&args(&["clusters", "--scores", &missing])).unwrap_err();
+        assert_eq!(err.to_string(), format!("{missing}: No such file or directory (os error 2)"));
         for (contents, message) in [
             ("", format!("{truth}: lists no voxels")),
             ("\n\n", format!("{truth}: lists no voxels")),

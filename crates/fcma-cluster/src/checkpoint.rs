@@ -9,11 +9,18 @@
 //! Format (text, line-oriented):
 //!
 //! ```text
-//! fcma-checkpoint v1 voxels=<n> task_size=<s>
+//! fcma-checkpoint v2 voxels=<n> task_size=<s> digest=<16-hex-digits>
 //! task <start> <count>
 //! <voxel> <accuracy-bits-as-16-hex-digits>     (count lines)
 //! end <fnv1a64-of-the-record-body>
 //! ```
+//!
+//! The header names the sweep ([`SweepId`]): its shape, and an FNV-1a
+//! digest of everything the scores depend on — the context's labels,
+//! subjects and normalised epoch bits, and the executor's name — so a
+//! resume over another dataset of the same shape is refused. A `v1`
+//! header (shape only) still loads, with no digest, and so matches no
+//! sweep.
 //!
 //! The loader verifies structure, voxel coverage, and the per-record
 //! checksum; any violation inside a complete record is rejected as
@@ -31,11 +38,67 @@
 )]
 
 use crate::error::CheckpointError;
-use fcma_core::{VoxelScore, VoxelTask};
+use fcma_core::{TaskContext, VoxelScore, VoxelTask};
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-const MAGIC: &str = "fcma-checkpoint v1";
+const MAGIC: &str = "fcma-checkpoint v2";
+/// The shape-only header this format replaced.
+const MAGIC_V1: &str = "fcma-checkpoint v1";
+
+/// The sweep a checkpoint belongs to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SweepId {
+    /// Total voxels of the sweep.
+    pub n_voxels: usize,
+    /// Task size of the sweep.
+    pub task_size: usize,
+    /// Digest of the inputs the scores depend on ([`SweepId::of`]);
+    /// `None` in a `v1` header, which has none.
+    pub digest: Option<u64>,
+}
+
+impl SweepId {
+    /// The id of a sweep of `ctx` in tasks of `task_size` by the executor
+    /// named `executor`: one FNV-1a pass over the executor's name and,
+    /// per epoch, its label, subject, shape and normalised bits.
+    #[must_use]
+    pub fn of(ctx: &TaskContext, task_size: usize, executor: &str) -> SweepId {
+        let mut hasher = Fnv1a64::new();
+        hasher.update(executor.as_bytes());
+        let epochs = ctx.y.iter().zip(ctx.subjects.iter());
+        for (e, (label, &subject)) in epochs.enumerate() {
+            let brain = ctx.norm.brain(e);
+            hasher.update(&label.to_bits().to_le_bytes());
+            for n in [subject, brain.rows(), brain.cols()] {
+                hasher.update(&u64::try_from(n).unwrap_or(u64::MAX).to_le_bytes());
+            }
+            for x in brain.as_slice() {
+                hasher.update(&x.to_bits().to_le_bytes());
+            }
+        }
+        SweepId { n_voxels: ctx.n_voxels(), task_size, digest: Some(hasher.finish()) }
+    }
+
+    /// The header line naming this sweep (`v1` when it has no digest).
+    fn header(&self) -> String {
+        let SweepId { n_voxels, task_size, digest } = self;
+        match digest {
+            Some(d) => format!("{MAGIC} voxels={n_voxels} task_size={task_size} digest={d:016x}"),
+            None => format!("{MAGIC_V1} voxels={n_voxels} task_size={task_size}"),
+        }
+    }
+}
+
+impl std::fmt::Display for SweepId {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} voxels / task size {} / ", self.n_voxels, self.task_size)?;
+        match self.digest {
+            Some(d) => write!(f, "digest {d:016x}"),
+            None => write!(f, "no digest (a v1 checkpoint)"),
+        }
+    }
+}
 
 /// One completed task and its scores, as recorded on disk.
 #[derive(Debug, Clone)]
@@ -49,10 +112,8 @@ pub struct TaskRecord {
 /// A parsed checkpoint file.
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
-    /// Total voxels of the sweep this checkpoint belongs to.
-    pub n_voxels: usize,
-    /// Task size of the sweep this checkpoint belongs to.
-    pub task_size: usize,
+    /// The sweep this checkpoint belongs to, from its header.
+    pub sweep: SweepId,
     /// Completed tasks, in file order.
     pub tasks: Vec<TaskRecord>,
     /// Whether a trailing partial record was dropped during parsing.
@@ -81,7 +142,7 @@ impl Checkpoint {
         let header = lines
             .first()
             .ok_or_else(|| CheckpointError::BadHeader { line: String::new(), truncated: false })?;
-        let (n_voxels, task_size) = parse_header(header)?;
+        let sweep = parse_header(header)?;
         let mut tasks: Vec<TaskRecord> = Vec::new();
         let mut truncated_tail = false;
         let mut i = 1usize;
@@ -109,26 +170,34 @@ impl Checkpoint {
                 Err(e) => return Err(e),
             }
         }
-        Ok(Checkpoint { n_voxels, task_size, tasks, truncated_tail })
+        Ok(Checkpoint { sweep, tasks, truncated_tail })
     }
 }
 
-fn parse_header(line: &str) -> Result<(usize, usize), CheckpointError> {
+fn parse_header(line: &str) -> Result<SweepId, CheckpointError> {
     let bad = || CheckpointError::BadHeader { line: line.to_owned(), truncated: false };
-    let rest = line.strip_prefix(MAGIC).ok_or_else(bad)?;
+    let (rest, v2) = match line.strip_prefix(MAGIC) {
+        Some(rest) => (rest, true),
+        None => (line.strip_prefix(MAGIC_V1).ok_or_else(bad)?, false),
+    };
     let mut n_voxels = None;
     let mut task_size = None;
+    let mut digest = None;
     for field in rest.split_whitespace() {
         if let Some(v) = field.strip_prefix("voxels=") {
             n_voxels = v.parse().ok();
         } else if let Some(v) = field.strip_prefix("task_size=") {
             task_size = v.parse().ok();
+        } else if let Some(v) = field.strip_prefix("digest=").filter(|_| v2) {
+            digest = Some(u64::from_str_radix(v, 16).map_err(|_| bad())?);
         } else {
             return Err(bad());
         }
     }
     match (n_voxels, task_size) {
-        (Some(n), Some(s)) if s > 0 => Ok((n, s)),
+        (Some(n_voxels), Some(task_size)) if task_size > 0 && digest.is_some() == v2 => {
+            Ok(SweepId { n_voxels, task_size, digest })
+        }
         _ => Err(bad()),
     }
 }
@@ -210,17 +279,13 @@ pub(crate) struct CheckpointWriter {
 }
 
 impl CheckpointWriter {
-    /// Create (truncate) `path` and write the sweep header.
-    pub(crate) fn create(
-        path: &Path,
-        n_voxels: usize,
-        task_size: usize,
-    ) -> Result<Self, CheckpointError> {
+    /// Create (truncate) `path` and write the header naming `sweep`.
+    pub(crate) fn create(path: &Path, sweep: &SweepId) -> Result<Self, CheckpointError> {
         let map_io =
             |error: std::io::Error| CheckpointError::Io { path: path.to_path_buf(), error };
         let file = std::fs::File::create(path).map_err(map_io)?;
         let mut w = CheckpointWriter { path: path.to_path_buf(), file: BufWriter::new(file) };
-        writeln!(w.file, "{MAGIC} voxels={n_voxels} task_size={task_size}").map_err(map_io)?;
+        writeln!(w.file, "{}", sweep.header()).map_err(map_io)?;
         w.file.flush().map_err(map_io)?;
         Ok(w)
     }
@@ -296,6 +361,11 @@ mod tests {
         task.range().map(|v| VoxelScore { voxel: v, accuracy: 0.5 + v as f64 * 1e-3 }).collect()
     }
 
+    /// A v2 sweep id with an arbitrary digest.
+    fn id(n_voxels: usize, task_size: usize) -> SweepId {
+        SweepId { n_voxels, task_size, digest: Some(0xfc4a_d16e_57ed_0001) }
+    }
+
     fn completed_starts(ck: &Checkpoint) -> Vec<usize> {
         ck.tasks.iter().map(|t| t.task.start).collect()
     }
@@ -305,12 +375,12 @@ mod tests {
         let path = tmp("roundtrip.ckpt");
         let t0 = VoxelTask { start: 0, count: 4 };
         let t1 = VoxelTask { start: 4, count: 4 };
-        let mut w = CheckpointWriter::create(&path, 8, 4).expect("create");
+        let mut w = CheckpointWriter::create(&path, &id(8, 4)).expect("create");
         w.record(t0, &sample_scores(t0)).expect("record");
         w.record(t1, &sample_scores(t1)).expect("record");
         drop(w);
         let ck = Checkpoint::load(&path).expect("load");
-        assert_eq!((ck.n_voxels, ck.task_size), (8, 4));
+        assert_eq!(ck.sweep, id(8, 4));
         assert_eq!(completed_starts(&ck), vec![0, 4]);
         assert!(!ck.truncated_tail);
         let all = ck.tasks.iter().flat_map(|t| &t.scores);
@@ -325,7 +395,7 @@ mod tests {
         let path = tmp("append.ckpt");
         let t0 = VoxelTask { start: 0, count: 2 };
         let t1 = VoxelTask { start: 2, count: 2 };
-        let mut w = CheckpointWriter::create(&path, 4, 2).expect("create");
+        let mut w = CheckpointWriter::create(&path, &id(4, 2)).expect("create");
         w.record(t0, &sample_scores(t0)).expect("record");
         drop(w);
         let mut w = CheckpointWriter::append(&path).expect("append");
@@ -338,12 +408,13 @@ mod tests {
     fn flipped_bit_is_rejected() {
         let path = tmp("corrupt.ckpt");
         let t0 = VoxelTask { start: 0, count: 3 };
-        let mut w = CheckpointWriter::create(&path, 3, 3).expect("create");
+        let mut w = CheckpointWriter::create(&path, &id(3, 3)).expect("create");
         w.record(t0, &sample_scores(t0)).expect("record");
         drop(w);
         let text = std::fs::read_to_string(&path).expect("read");
-        // Flip one hex digit of the second score line.
-        let corrupted = text.replacen("3f", "3e", 1);
+        // Flip one hex digit of the first score line.
+        let (header, records) = text.split_once('\n').expect("header line");
+        let corrupted = format!("{header}\n{}", records.replacen("3f", "3e", 1));
         assert_ne!(text, corrupted, "expected a 3f hex digit to corrupt");
         std::fs::write(&path, corrupted).expect("write");
         match Checkpoint::load(&path) {
@@ -358,7 +429,7 @@ mod tests {
     fn partial_tail_is_dropped_not_rejected() {
         let path = tmp("tail.ckpt");
         let t0 = VoxelTask { start: 0, count: 2 };
-        let mut w = CheckpointWriter::create(&path, 6, 2).expect("create");
+        let mut w = CheckpointWriter::create(&path, &id(6, 2)).expect("create");
         w.record(t0, &sample_scores(t0)).expect("record");
         drop(w);
         // Simulate a kill mid-append: a task header with only one of two
@@ -380,13 +451,13 @@ mod tests {
         assert!(matches!(Checkpoint::load(&path), Err(CheckpointError::BadHeader { .. })));
 
         let path = tmp("badrecord.ckpt");
-        std::fs::write(&path, format!("{MAGIC} voxels=4 task_size=2\ngarbage line\nmore\nend 0\n"))
+        std::fs::write(&path, format!("{}\ngarbage line\nmore\nend 0\n", id(4, 2).header()))
             .expect("write");
         assert!(matches!(Checkpoint::load(&path), Err(CheckpointError::Corrupt { .. })));
 
         let path = tmp("dup.ckpt");
         let t0 = VoxelTask { start: 0, count: 2 };
-        let mut w = CheckpointWriter::create(&path, 4, 2).expect("create");
+        let mut w = CheckpointWriter::create(&path, &id(4, 2)).expect("create");
         w.record(t0, &sample_scores(t0)).expect("record");
         w.record(t0, &sample_scores(t0)).expect("record");
         drop(w);
@@ -394,10 +465,41 @@ mod tests {
     }
 
     #[test]
+    fn v1_header_loads_without_a_digest() {
+        let path = tmp("v1.ckpt");
+        let v1 = SweepId { digest: None, ..id(4, 2) };
+        std::fs::write(&path, format!("{}\n", v1.header())).expect("write");
+        assert_eq!(Checkpoint::load(&path).expect("v1 loads").sweep, v1);
+        // Each version has exactly its own fields.
+        for header in [
+            "fcma-checkpoint v2 voxels=4 task_size=2",
+            "fcma-checkpoint v1 voxels=4 task_size=2 digest=00000000000000ab",
+            "fcma-checkpoint v2 voxels=4 task_size=2 digest=xyz",
+        ] {
+            std::fs::write(&path, format!("{header}\n")).expect("write");
+            let got = Checkpoint::load(&path);
+            assert!(matches!(got, Err(CheckpointError::BadHeader { .. })), "{header}: {got:?}");
+        }
+    }
+
+    #[test]
+    fn sweep_id_digests_the_inputs_and_the_executor() {
+        let id_of = |seed, exec| {
+            let mut cfg = fcma_fmri::presets::tiny();
+            (cfg.n_voxels, cfg.n_informative, cfg.seed) = (16, 4, seed);
+            SweepId::of(&TaskContext::full(&cfg.generate().0), 8, exec)
+        };
+        let a = id_of(1, "optimized");
+        assert_eq!((a, a.n_voxels, a.task_size), (id_of(1, "optimized"), 16, 8));
+        assert_ne!(a, id_of(2, "optimized"), "same shape, other data");
+        assert_ne!(a, id_of(1, "baseline"), "same data, other executor");
+    }
+
+    #[test]
     fn header_cut_at_any_point_is_a_truncated_header() {
         let path = tmp("cutheader.ckpt");
         let t0 = VoxelTask { start: 0, count: 16 };
-        let mut w = CheckpointWriter::create(&path, 48, 16).expect("create");
+        let mut w = CheckpointWriter::create(&path, &id(48, 16)).expect("create");
         w.record(t0, &sample_scores(t0)).expect("record");
         drop(w);
         let whole = std::fs::read(&path).expect("read");
@@ -416,7 +518,7 @@ mod tests {
         // With its newline the header is whole: a sweep with no tasks yet.
         std::fs::write(&path, &whole[..=header_len]).expect("write");
         let ck = Checkpoint::load(&path).expect("whole header");
-        assert_eq!((ck.n_voxels, ck.task_size, ck.tasks.len()), (48, 16, 0));
+        assert_eq!((ck.sweep, ck.tasks.len()), (id(48, 16), 0));
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! Every failure path returns a [`ClusterError`]; the scheduler never
 //! panics on worker misbehavior.
 
-use crate::checkpoint::{Checkpoint, CheckpointWriter};
+use crate::checkpoint::{Checkpoint, CheckpointWriter, SweepId};
 use crate::error::ClusterError;
 use crate::protocol::{FromWorker, ToWorker};
 use fcma_core::{partition, CancelToken, TaskContext, TaskExecutor, VoxelScore, VoxelTask};
@@ -206,13 +206,14 @@ fn sweep(
     let mut scores: Vec<VoxelScore> = Vec::with_capacity(ctx.n_voxels());
     let mut resumed_records = Vec::new();
     let mut resumed_voxels = 0usize;
-    if let Some(path) = &cfg.resume_from {
+    // Only a checkpointed or resumed sweep names itself: the digest
+    // reads every epoch.
+    let id = (cfg.checkpoint.is_some() || cfg.resume_from.is_some())
+        .then(|| SweepId::of(ctx, cfg.task_size, exec.name()));
+    if let (Some(path), Some(id)) = (&cfg.resume_from, id) {
         let ck = Checkpoint::load(path)?;
-        if (ck.n_voxels, ck.task_size) != (ctx.n_voxels(), cfg.task_size) {
-            return Err(ClusterError::CheckpointMismatch {
-                found: (ck.n_voxels, ck.task_size),
-                expected: (ctx.n_voxels(), cfg.task_size),
-            });
+        if ck.sweep != id {
+            return Err(ClusterError::CheckpointMismatch { found: ck.sweep, expected: id });
         }
         for rec in ck.tasks {
             completed.insert(rec.task.start);
@@ -223,14 +224,14 @@ fn sweep(
         counter!("cluster.tasks.resumed", resumed_records.len());
         *finished = completed.len();
     }
-    let mut writer = match &cfg.checkpoint {
-        Some(path) => {
+    let mut writer = match (&cfg.checkpoint, id) {
+        (Some(path), Some(id)) => {
             if cfg.resume_from.as_deref() == Some(path.as_path()) {
                 Some(CheckpointWriter::append(path)?)
             } else {
                 // Fresh file: replay resumed records so any checkpoint is
                 // self-contained.
-                let mut w = CheckpointWriter::create(path, ctx.n_voxels(), cfg.task_size)?;
+                let mut w = CheckpointWriter::create(path, &id)?;
                 for rec in &resumed_records {
                     w.record(rec.task, &rec.scores)?;
                     counter!("cluster.checkpoint.records", 1_u64);
@@ -238,7 +239,7 @@ fn sweep(
                 Some(w)
             }
         }
-        None => None,
+        _ => None,
     };
     drop(resumed_records);
 
@@ -648,7 +649,7 @@ impl Master {
             .iter()
             .enumerate()
             .filter_map(|(wid, d)| Some((wid, (*d)?)))
-            .filter(|(_, d)| now.duration_since(d.started) >= deadline)
+            .filter(|(_, d)| now.saturating_duration_since(d.started) >= deadline)
             .collect();
         overdue.sort_unstable_by_key(|&(wid, d)| (d.task.start, wid));
         for (wid, info) in overdue {
@@ -899,21 +900,24 @@ mod tests {
 
     #[test]
     fn hung_worker_is_condemned_and_task_redispatched() {
-        // Virtual time: however slow the build, healthy tasks take none.
-        let _clock = fcma_sync::clock::VirtualClock::install();
-        let ctx = ctx();
-        let plan = FaultPlan::none().with_fault(0, 0, FaultKind::Stall);
-        let exec = ChaosExecutor::new(Arc::new(OptimizedExecutor::default()), plan);
-        let cfg = ClusterConfig {
-            n_workers: 2,
-            task_size: 32,
-            task_deadline: Some(Duration::from_millis(500)),
-            ..Default::default()
-        };
-        let run = run_cluster_with(&ctx, Arc::new(exec), &cfg).expect("recovers from hang");
-        assert_eq!(run.hung_workers.len(), 1);
-        assert!(run.failed_workers.is_empty());
-        assert_eq!(run.requeued_tasks, 1);
-        assert_full_coverage(&run, ctx.n_voxels());
+        // One fcma-mc schedule on virtual time: however slow the build,
+        // healthy tasks take none.
+        fcma_mc::replay(&fcma_mc::Config::default(), &[], || {
+            let ctx = ctx();
+            let plan = FaultPlan::none().with_fault(0, 0, FaultKind::Stall);
+            let exec = ChaosExecutor::new(Arc::new(OptimizedExecutor::default()), plan);
+            let cfg = ClusterConfig {
+                n_workers: 2,
+                task_size: 32,
+                task_deadline: Some(Duration::from_millis(500)),
+                ..Default::default()
+            };
+            let run = run_cluster_with(&ctx, Arc::new(exec), &cfg).expect("recovers from hang");
+            assert_eq!(run.hung_workers.len(), 1);
+            assert!(run.failed_workers.is_empty());
+            assert_eq!(run.requeued_tasks, 1);
+            assert_full_coverage(&run, ctx.n_voxels());
+        })
+        .assert_pass();
     }
 }

@@ -5,6 +5,7 @@
 //! routine, so callers get a value they can retry, resume, or report —
 //! never an abort of the whole sweep.
 
+use crate::checkpoint::SweepId;
 use fcma_core::VoxelTask;
 use std::path::PathBuf;
 
@@ -38,13 +39,14 @@ pub enum ClusterError {
     },
     /// Reading or validating a checkpoint failed.
     Checkpoint(CheckpointError),
-    /// A checkpoint belongs to a different sweep (voxel count or task
-    /// size disagree with the current run).
+    /// A checkpoint belongs to a different sweep: its voxel count, task
+    /// size or input digest disagrees with the current run's, or it is
+    /// a `v1` file, which names no digest.
     CheckpointMismatch {
-        /// What the checkpoint header declares: `(n_voxels, task_size)`.
-        found: (usize, usize),
-        /// What the current run requires: `(n_voxels, task_size)`.
-        expected: (usize, usize),
+        /// What the checkpoint header declares.
+        found: SweepId,
+        /// What the current run requires.
+        expected: SweepId,
     },
 }
 
@@ -85,9 +87,7 @@ impl std::fmt::Display for ClusterError {
             ClusterError::Checkpoint(e) => write!(f, "checkpoint: {e}"),
             ClusterError::CheckpointMismatch { found, expected } => write!(
                 f,
-                "checkpoint is for a different sweep: header says {} voxels / task size {}, \
-                 this run has {} voxels / task size {}",
-                found.0, found.1, expected.0, expected.1
+                "checkpoint is for a different sweep: header says {found}, this run has {expected}"
             ),
         }
     }
@@ -185,8 +185,10 @@ mod tests {
 
     #[test]
     fn mismatch_reports_both_sides() {
-        let e = ClusterError::CheckpointMismatch { found: (64, 8), expected: (128, 16) };
-        let s = e.to_string();
+        let found = SweepId { n_voxels: 64, task_size: 8, digest: None };
+        let expected = SweepId { n_voxels: 128, task_size: 16, digest: Some(0xabc) };
+        let s = ClusterError::CheckpointMismatch { found, expected }.to_string();
         assert!(s.contains("64") && s.contains("128"), "{s}");
+        assert!(s.contains("no digest (a v1 checkpoint)") && s.contains("0000000000000abc"), "{s}");
     }
 }

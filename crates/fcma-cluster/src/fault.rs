@@ -182,9 +182,9 @@ impl ChaosExecutor {
 }
 
 /// Sleep `total` in cancellable slices on the facade clock (virtual
-/// time under a [`fcma_sync::clock::VirtualClock`] or a model checker —
-/// injected stalls then cost no wall time). Returns `false` if
-/// cancellation fired before the sleep finished.
+/// time under the `fcma-mc` model checker — injected stalls then cost
+/// no wall time). Returns `false` if cancellation fired before the
+/// sleep finished.
 fn sleep_unless_cancelled(total: Duration, cancel: &CancelToken) -> bool {
     let deadline = Instant::now() + total;
     loop {
@@ -233,8 +233,11 @@ impl ChaosExecutor {
 }
 
 impl TaskExecutor for ChaosExecutor {
+    /// The wrapped executor's name: chaos changes when a task runs,
+    /// never its scores, so a sweep it kills resumes on the healthy
+    /// executor (the name is part of a checkpoint's digest).
     fn name(&self) -> &'static str {
-        "chaos"
+        self.inner.name()
     }
 
     fn pool(&self) -> Pool {

@@ -25,7 +25,7 @@ pub mod error;
 pub mod fault;
 pub mod protocol;
 
-pub use checkpoint::{Checkpoint, TaskRecord};
+pub use checkpoint::{Checkpoint, SweepId, TaskRecord};
 pub use driver::{run_cluster, run_cluster_with, ClusterConfig, ClusterRun, TaskStat};
 pub use error::{CheckpointError, ClusterError};
 pub use fault::{ChaosExecutor, FaultKind, FaultPlan, FaultSpec};

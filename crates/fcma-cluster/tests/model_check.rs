@@ -291,24 +291,22 @@ fn shipped_driver_is_clean_at_two_workers_four_tasks() {
 fn shipped_driver_survives_seeded_random_walks() {
     let ctx = tiny_ctx();
     let cfg = Config { max_executions: 200, max_preemptions: 4, ..Config::default() };
-    let outcome = check_random(&cfg, 0xfc3a_0001, move || {
+    check_random(&cfg, 0xfc3a_0001, move || {
         let cluster = ClusterConfig::new(3, 4);
         let run = run_cluster_with(&ctx, Arc::new(StubExecutor), &cluster)
             .expect("a healthy run must complete under every schedule");
         assert_eq!(run.scores.len(), 16);
-    });
-    assert!(
-        outcome.failure().is_none(),
-        "random walks over 3 workers must stay clean: {:?}",
-        outcome.failure().map(ToString::to_string)
-    );
+    })
+    .assert_pass();
 }
 
 #[test]
 fn shipped_driver_condemns_a_hung_worker_under_seeded_random_walks() {
     let ctx = tiny_ctx();
     let cfg = Config { max_executions: 200, max_preemptions: 4, ..Config::default() };
-    let outcome = check_random(&cfg, 0xfc3a_0002, move || {
+    // The double-completion detector is on by default: a condemned
+    // worker's late answer accepted beside its retry would fail here.
+    check_random(&cfg, 0xfc3a_0002, move || {
         let mut cluster = ClusterConfig::new(3, 4);
         cluster.task_deadline = Some(Duration::from_millis(20));
         let exec = HangOnceExecutor { hung: Mutex::new(false) };
@@ -318,12 +316,6 @@ fn shipped_driver_condemns_a_hung_worker_under_seeded_random_walks() {
         assert_eq!(voxels, (0..16).collect::<Vec<_>>(), "every voxel scored once");
         assert_eq!(run.hung_workers.len(), 1);
         assert_eq!(run.requeued_tasks, 1);
-    });
-    // The double-completion detector is on by default: a condemned
-    // worker's late answer accepted beside its retry would fail here.
-    assert!(
-        outcome.failure().is_none(),
-        "the condemn, requeue and fence path must stay clean: {:?}",
-        outcome.failure().map(ToString::to_string)
-    );
+    })
+    .assert_pass();
 }

@@ -19,7 +19,9 @@
 //!   harness but over schedules instead of fault plans.
 //! - [`replay`]: re-run one exact schedule — the `schedule` vector
 //!   printed in every failure report feeds straight back in, making
-//!   each counterexample reproducible.
+//!   each counterexample reproducible. The empty schedule is the
+//!   non-preempting one: how deadline tests put a whole cluster run
+//!   on virtual time, deterministically.
 //!
 //! Built-in detectors: global deadlock (no thread can run and no timer
 //! is pending, with a lost-wakeup classification when the blocked
@@ -98,6 +100,16 @@ impl Outcome {
         match self {
             Outcome::Pass { .. } => None,
             Outcome::Fail(f) => Some(f),
+        }
+    }
+
+    /// A test's pass assertion.
+    ///
+    /// # Panics
+    /// Panics with the replayable failure report if a schedule failed.
+    pub fn assert_pass(&self) {
+        if let Some(failure) = self.failure() {
+            panic!("{failure}");
         }
     }
 }

@@ -17,10 +17,9 @@
 //! drains cleanly.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once, PoisonError, Weak};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once, PoisonError};
 
-use fcma_sync::runtime::{enter_model, McEvent, McRuntime};
+use fcma_sync::runtime::{run_model_thread, McEvent, McRuntime};
 
 use crate::{Config, FailureKind};
 
@@ -116,9 +115,6 @@ pub(crate) struct Scheduler {
     state: Mutex<SchedState>,
     cv: Condvar,
     cfg: Config,
-    /// Self-reference so `spawn` (a `&self` trait method) can hand an
-    /// owning handle to new OS threads.
-    this: Weak<Scheduler>,
 }
 
 /// Suppress the default panic-hook output for the abort sentinel;
@@ -153,7 +149,7 @@ where
         Chooser::Dfs => 0,
         Chooser::Random(seed) => seed | 1,
     };
-    let sched = Arc::new_cyclic(|this| Scheduler {
+    let sched = Arc::new(Scheduler {
         state: Mutex::new(SchedState {
             threads: vec![ThreadState { status: Status::Runnable, timed_out: false }],
             current: 0,
@@ -174,13 +170,9 @@ where
         }),
         cv: Condvar::new(),
         cfg: cfg.clone(),
-        this: this.clone(),
     });
-    let entry = {
-        let root = Arc::clone(root);
-        Box::new(move || root()) as Box<dyn FnOnce() + Send>
-    };
-    sched.launch(0, entry);
+    let (rt, root) = (Arc::clone(&sched) as Arc<dyn McRuntime>, Arc::clone(root));
+    std::thread::spawn(move || run_model_thread(rt, 0, || root()));
     let mut st = sched.lock_state();
     while !st.done {
         st = sched.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
@@ -195,57 +187,6 @@ where
 impl Scheduler {
     fn lock_state(&self) -> MutexGuard<'_, SchedState> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Start model thread `id` on its own OS thread.
-    fn launch(self: &Arc<Self>, id: usize, f: Box<dyn FnOnce() + Send>) {
-        let sched = Arc::clone(self);
-        std::thread::spawn(move || {
-            let rt: Arc<dyn McRuntime> = Arc::clone(&sched) as Arc<dyn McRuntime>;
-            let _mode = enter_model(rt);
-            if sched.wait_first_turn(id) {
-                let result = catch_unwind(AssertUnwindSafe(f));
-                sched.on_thread_exit(id, result.err().map(|p| panic_message(p.as_ref())));
-            } else {
-                sched.on_thread_exit(id, None);
-            }
-        });
-    }
-
-    /// Wait until thread `id` is scheduled for the first time; `false`
-    /// if the execution failed before that.
-    fn wait_first_turn(&self, id: usize) -> bool {
-        let mut st = self.lock_state();
-        loop {
-            if st.failure.is_some() {
-                return false;
-            }
-            if st.current == id && st.threads[id].status == Status::Runnable {
-                return true;
-            }
-            st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// A model thread's closure returned (or unwound).
-    fn on_thread_exit(&self, id: usize, panic: Option<String>) {
-        let mut st = self.lock_state();
-        if let Some(message) = panic {
-            if !message.contains(ABORT) && st.failure.is_none() {
-                Self::fail(&mut st, FailureKind::Panic { thread: id, message });
-            }
-        }
-        st.threads[id].status = Status::Finished;
-        if st.current == id {
-            st.current = NOBODY;
-        }
-        if st.threads.iter().all(|t| t.status == Status::Finished) {
-            st.done = true;
-        } else if st.failure.is_none() && st.current == NOBODY {
-            self.reschedule(&mut st, id);
-        }
-        drop(st);
-        self.cv.notify_all();
     }
 
     /// Stamp the first failure; callers must wake waiters after
@@ -469,26 +410,6 @@ impl McRuntime for Scheduler {
         st.next_object
     }
 
-    fn spawn(&self, f: Box<dyn FnOnce() + Send>) {
-        let (me, id) = {
-            let mut st = self.lock_state();
-            if st.failure.is_some() {
-                drop(st);
-                Self::abort_thread();
-                return;
-            }
-            let id = st.threads.len();
-            st.threads.push(ThreadState { status: Status::Runnable, timed_out: false });
-            (st.current, id)
-        };
-        let Some(this) = self.this.upgrade() else { return };
-        this.launch(id, f);
-        if std::thread::panicking() {
-            return;
-        }
-        self.schedule_point(me, Status::Runnable);
-    }
-
     fn mutex_lock(&self, id: u64) {
         if std::thread::panicking() {
             return;
@@ -615,12 +536,40 @@ impl McRuntime for Scheduler {
         id
     }
 
+    /// Wait until thread `id` is scheduled for the first time; `false`
+    /// if the execution failed before that.
     fn thread_enter(&self, id: usize) -> bool {
-        self.wait_first_turn(id)
+        let mut st = self.lock_state();
+        loop {
+            if st.failure.is_some() {
+                return false;
+            }
+            if st.current == id && st.threads[id].status == Status::Runnable {
+                return true;
+            }
+            st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
     }
 
+    /// A model thread's closure returned (or unwound).
     fn thread_exit(&self, id: usize, panic: Option<String>) {
-        self.on_thread_exit(id, panic);
+        let mut st = self.lock_state();
+        if let Some(message) = panic {
+            if !message.contains(ABORT) && st.failure.is_none() {
+                Self::fail(&mut st, FailureKind::Panic { thread: id, message });
+            }
+        }
+        st.threads[id].status = Status::Finished;
+        if st.current == id {
+            st.current = NOBODY;
+        }
+        if st.threads.iter().all(|t| t.status == Status::Finished) {
+            st.done = true;
+        } else if st.failure.is_none() && st.current == NOBODY {
+            self.reschedule(&mut st, id);
+        }
+        drop(st);
+        self.cv.notify_all();
     }
 
     fn thread_join(&self, target: usize) {
@@ -672,15 +621,4 @@ fn splitmix(state: &mut u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
-}
-
-/// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
 }

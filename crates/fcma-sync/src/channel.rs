@@ -2,10 +2,9 @@
 //! [`Condvar`].
 //!
 //! Because the only blocking it performs goes through facade
-//! primitives, the channel is automatically deterministic under a
-//! virtual clock (timed receives feed the discrete-event quiescence
-//! check) and fully explorable under a model checker (every send,
-//! receive, and disconnect is a scheduling point). The API mirrors the
+//! primitives, the channel is fully explorable under a model checker
+//! (every send, receive, and disconnect is a scheduling point, and a
+//! timed receive waits on the model's virtual clock). The API mirrors the
 //! `crossbeam-channel` subset the cluster scheduler uses: unbounded,
 //! multi-producer, cloneable receivers, disconnect-aware errors.
 
@@ -64,22 +63,6 @@ impl<T> Sender<T> {
         self.chan.cv.notify_one();
         Ok(())
     }
-
-    /// Give up this handle's claim on the channel: decrement the sender
-    /// count and, when this was the last sender, wake every blocked
-    /// receiver so it observes the disconnect instead of sleeping
-    /// forever. Named (rather than inlined in `Drop::drop`, which no
-    /// call graph can see) so tests exercise the disconnect edge
-    /// directly.
-    fn release(&self) {
-        let mut st = self.chan.state.lock();
-        st.senders -= 1;
-        let disconnected = st.senders == 0;
-        drop(st);
-        if disconnected {
-            self.chan.cv.notify_all();
-        }
-    }
 }
 
 impl<T> Clone for Sender<T> {
@@ -90,8 +73,17 @@ impl<T> Clone for Sender<T> {
 }
 
 impl<T> Drop for Sender<T> {
+    /// Give up this handle's claim on the channel; the last sender wakes
+    /// every blocked receiver, so it observes the disconnect instead of
+    /// sleeping forever.
     fn drop(&mut self) {
-        self.release();
+        let mut st = self.chan.state.lock();
+        st.senders -= 1;
+        let disconnected = st.senders == 0;
+        drop(st);
+        if disconnected {
+            self.chan.cv.notify_all();
+        }
     }
 }
 
@@ -198,20 +190,3 @@ impl fmt::Display for RecvTimeoutError {
 }
 
 impl std::error::Error for RecvTimeoutError {}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn last_sender_release_drains_then_disconnects() {
-        let (tx, rx) = unbounded::<u32>();
-        tx.send(1).unwrap();
-        tx.release();
-        // `release` already gave up the handle's claim; dropping it too
-        // would double-decrement the sender count.
-        std::mem::forget(tx);
-        assert_eq!(rx.recv(), Ok(1));
-        assert_eq!(rx.recv(), Err(RecvError));
-    }
-}

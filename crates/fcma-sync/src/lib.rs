@@ -8,15 +8,14 @@
 //!
 //! - **Real** (the default): delegate straight to `std`. Zero policy,
 //!   near-zero overhead; this is what production runs use.
-//! - **Virtual clock** ([`clock::VirtualClock::install`]): threading is
-//!   still real, but `Instant::now`, `sleep`, and every timed wait read
-//!   a discrete-event clock that only advances when *all* registered
-//!   threads are blocked, jumping straight to the earliest pending
-//!   deadline. Chaos and hang-detection tests become deterministic and
-//!   stop burning wall time.
 //! - **Model-checked** (a [`runtime::McRuntime`] installed by
 //!   `fcma-mc`): every operation is a choice point for a cooperative
-//!   scheduler that explores thread interleavings deterministically.
+//!   scheduler that runs one thread at a time, and `Instant::now`,
+//!   `sleep` and every timed wait read its virtual clock. The checker
+//!   explores thread interleavings; one non-preempting schedule of it
+//!   (`fcma_mc::replay` with an empty schedule) is how chaos and
+//!   hang-detection tests run deadlines deterministically and without
+//!   burning wall time.
 //!
 //! The mode is thread-local and inherited by threads spawned through
 //! [`thread::spawn`], so a whole master/worker cluster run shares one
@@ -36,7 +35,6 @@
 
 pub mod atomic;
 pub mod channel;
-pub mod clock;
 pub mod mutex;
 pub mod pool;
 pub mod runtime;

@@ -1,8 +1,8 @@
 //! Facade [`Mutex`] and [`Condvar`].
 //!
-//! Real and virtual modes delegate storage and exclusion to
-//! `std::sync`; poisoning is swallowed (a panicking holder simply
-//! releases the lock, like `parking_lot`). Under a model checker the
+//! Real mode delegates storage and exclusion to `std::sync`; poisoning
+//! is swallowed (a panicking holder simply releases the lock, like
+//! `parking_lot`). Under a model checker the
 //! lock is granted at the model level first — threads run one at a
 //! time, so the underlying std lock is then taken without contention —
 //! and every acquire/release/wait/notify is a scheduling choice point.
@@ -15,7 +15,6 @@ use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, OnceLock, PoisonError};
 use std::time::Duration;
 
-use crate::clock;
 use crate::runtime::{mode, model_object_id, McRuntime, Mode};
 use crate::time::duration_to_nanos;
 
@@ -34,7 +33,7 @@ impl<T> Mutex<T> {
     /// Acquire the lock, blocking until available. Never poisons.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         match mode() {
-            Mode::Real | Mode::Virtual(_) => {
+            Mode::Real => {
                 let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
                 MutexGuard { lock: self, inner: Some(inner), model: None }
             }
@@ -148,16 +147,6 @@ impl Condvar {
                 guard.inner = Some(inner);
                 timed_out
             }
-            Mode::Virtual(vclock) => {
-                // Read the wake generation before releasing the lock, so
-                // a notification landing in the gap is not lost.
-                let gen = vclock.wake_gen();
-                let deadline = dur.map(|d| vclock.now_nanos() + duration_to_nanos(d));
-                drop(held);
-                let timed_out = vclock.park(Some(gen), deadline) == clock::Park::TimedOut;
-                guard.inner = Some(guard.lock.inner.lock().unwrap_or_else(PoisonError::into_inner));
-                timed_out
-            }
             Mode::Model(rt) => {
                 let (_, mutex_id) = guard
                     .model
@@ -193,13 +182,6 @@ impl Condvar {
                 } else {
                     self.inner.notify_one();
                 }
-            }
-            Mode::Virtual(vclock) => {
-                // Also signal the std condvar so a real-mode observer
-                // (e.g. a test thread after its clock guard dropped)
-                // still sees wake-ups from draining virtual threads.
-                self.inner.notify_all();
-                vclock.wake_all();
             }
             Mode::Model(rt) => {
                 let id = model_object_id(&self.id, &rt);

@@ -10,15 +10,12 @@
 //! the queue is empty but tasks are still in flight.
 //!
 //! The pool is built from facade [`Mutex`]/[`Condvar`] only, so the
-//! same code runs in all three facade modes:
+//! same code runs in both facade modes:
 //!
 //! - **Real**: scoped OS threads (`std::thread::scope` — this crate is
 //!   the facade, so it may touch `std::thread` directly).
-//! - **Virtual clock**: workers are registered with the clock before
-//!   they start and unregistered on exit, so idle parks participate in
-//!   the quiescence check and injected stalls cost virtual time only.
 //! - **Model-checked**: workers become model threads through the
-//!   scoped-thread hooks on [`McRuntime`], and the parent performs a
+//!   thread hooks on [`McRuntime`], and the parent performs a
 //!   *model-visible* join ([`McRuntime::thread_join`]) before the
 //!   OS-level scope join, so the checker can schedule every handoff.
 //!
@@ -29,9 +26,8 @@
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use crate::clock;
 use crate::mutex::{Condvar, Mutex};
-use crate::runtime::{enter_model, mode, Mode};
+use crate::runtime::{mode, run_model_thread, Mode};
 
 /// A fork-join thread-pool configuration. Cheap to copy; threads
 /// are spawned per [`Pool::run`] region (fork-join), not kept alive
@@ -197,18 +193,6 @@ impl Pool {
                     run_worker();
                 });
             }
-            Mode::Virtual(vclock) => {
-                std::thread::scope(|s| {
-                    for _ in 1..workers {
-                        // Register before the thread exists so the
-                        // quiescence check can never miss it.
-                        vclock.register();
-                        let vclock = Arc::clone(&vclock);
-                        s.spawn(move || clock::run_registered(&vclock, run_spawned));
-                    }
-                    run_worker();
-                });
-            }
             Mode::Model(rt) => {
                 std::thread::scope(|s| {
                     let mut joined = Vec::with_capacity(workers - 1);
@@ -216,16 +200,7 @@ impl Pool {
                         let mid = rt.thread_register();
                         joined.push(mid);
                         let rt_child = Arc::clone(&rt);
-                        s.spawn(move || {
-                            let _mode = enter_model(Arc::clone(&rt_child));
-                            if rt_child.thread_enter(mid) {
-                                let out = catch_unwind(AssertUnwindSafe(run_spawned));
-                                rt_child
-                                    .thread_exit(mid, out.err().map(|p| panic_message(p.as_ref())));
-                            } else {
-                                rt_child.thread_exit(mid, None);
-                            }
-                        });
+                        s.spawn(move || run_model_thread(rt_child, mid, run_spawned));
                         // Give the checker a decision point right after
                         // each worker becomes runnable.
                         rt.interleave();
@@ -324,18 +299,6 @@ where
     }
 }
 
-/// Best-effort extraction of a panic payload's message (for the model
-/// checker's panic detector).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -403,35 +366,5 @@ mod tests {
             });
         });
         assert!(hit.is_err());
-    }
-
-    #[test]
-    fn runs_under_the_virtual_clock() {
-        let clock = crate::clock::VirtualClock::install();
-        let pool = Pool::new(3);
-        let got = pool.run((0..9u64).collect(), |_i, t| t + 1);
-        assert_eq!(got, (1..=9).collect::<Vec<_>>());
-        drop(clock);
-    }
-
-    #[test]
-    fn idle_worker_takes_every_task_behind_a_straggler() {
-        // Task 0 sleeps one virtual second. The clock only advances once
-        // every registered thread blocks, so the other worker drains the
-        // queue and parks before the straggler wakes.
-        let clock = crate::clock::VirtualClock::install();
-        let ran_on = Pool::new(2).run_init(
-            (0..9u64).collect(),
-            || std::thread::current().id(),
-            |me, _i, t| {
-                if t == 0 {
-                    crate::thread::sleep(std::time::Duration::from_secs(1));
-                }
-                *me
-            },
-        );
-        drop(clock);
-        assert!(ran_on[1..].iter().all(|&w| w == ran_on[1]));
-        assert_ne!(ran_on[0], ran_on[1]);
     }
 }

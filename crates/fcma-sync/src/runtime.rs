@@ -1,16 +1,14 @@
 //! Per-thread mode dispatch and the model-checker runtime interface.
 //!
 //! The facade primitives consult [`mode`] on every operation. In the
-//! default [`Mode::Real`] they delegate to `std`; under
-//! [`Mode::Virtual`] timed operations read the installed
-//! [`crate::clock::VirtualClock`]; under [`Mode::Model`] every
-//! operation is routed through the installed [`McRuntime`] — the hook
-//! `fcma-mc` implements to serialize threads and explore interleavings.
+//! default [`Mode::Real`] they delegate to `std`; under [`Mode::Model`]
+//! every operation is routed through the installed [`McRuntime`] — the
+//! hook `fcma-mc` implements to serialize threads, keep virtual time
+//! and explore interleavings.
 
 use std::cell::RefCell;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
-
-use crate::clock::VirtualClock;
 
 /// Protocol-level events the facade reports to a model-check runtime.
 ///
@@ -47,8 +45,6 @@ pub trait McRuntime: Send + Sync {
     /// Allocate a deterministic id for a facade object (lock, condvar,
     /// channel) on first use under the model.
     fn next_object_id(&self) -> u64;
-    /// Spawn `f` as a new model thread inheriting this runtime.
-    fn spawn(&self, f: Box<dyn FnOnce() + Send>);
     /// Block until the model grants the calling thread lock `id`.
     fn mutex_lock(&self, id: u64);
     /// Release model ownership of lock `id` (a preemption point).
@@ -67,26 +63,25 @@ pub trait McRuntime: Send + Sync {
     /// Report a protocol-level event to the checker's detectors.
     fn record(&self, event: McEvent);
 
-    // --- scoped-thread hooks (used by `crate::pool`) ---
+    // --- thread hooks ---
     //
-    // `spawn` hands the closure to the runtime, which launches its own
-    // OS thread — that only works for `'static` closures. A scoped pool
-    // keeps the OS threads itself (so they may borrow from the caller's
-    // stack) and instead tells the model about them through these four
-    // hooks: the parent allocates a model-thread slot, each OS worker
-    // enters/exits it, and the parent performs a *model-visible* join
-    // before the OS-level scope join (which the model cannot see and
-    // must therefore never be the operation that blocks first).
+    // Whoever forks a model thread keeps its OS thread (so a pool worker
+    // may borrow from the caller's stack) and tells the model about it
+    // through these four hooks: the parent allocates a model-thread
+    // slot, the OS thread enters and exits it ([`run_model_thread`]),
+    // and a scoped parent performs a *model-visible* join before the
+    // OS-level scope join (which the model cannot see and must
+    // therefore never be the operation that blocks first).
 
-    /// Allocate a new runnable model-thread slot for a scoped worker,
-    /// called by the spawning (parent) thread. Returns the slot id.
+    /// Allocate a new runnable model-thread slot, called by the forking
+    /// (parent) thread. Returns the slot id.
     fn thread_register(&self) -> usize;
-    /// Called by the worker OS thread once it starts: block until the
+    /// Called by the slot's OS thread once it starts: block until the
     /// model schedules slot `id` for the first time. Returns `false`
-    /// when the execution already failed (the worker must exit without
+    /// when the execution already failed (the thread must exit without
     /// running its body).
     fn thread_enter(&self, id: usize) -> bool;
-    /// Called by the worker OS thread when its body returns (or
+    /// Called by the slot's OS thread when its body returns (or
     /// unwinds); `panic` carries the panic message, if any.
     fn thread_exit(&self, id: usize, panic: Option<String>);
     /// Block the calling (parent) model thread until slot `id` has
@@ -100,8 +95,6 @@ pub trait McRuntime: Send + Sync {
 pub(crate) enum Mode {
     /// Delegate to `std`; real time.
     Real,
-    /// Real threading over a shared discrete-event clock.
-    Virtual(Arc<VirtualClock>),
     /// Cooperative scheduling under a model checker.
     Model(Arc<dyn McRuntime>),
 }
@@ -116,7 +109,7 @@ pub(crate) fn mode() -> Mode {
 }
 
 /// Replace the calling thread's mode, returning the previous one.
-pub(crate) fn set_mode(new: Mode) -> Mode {
+fn set_mode(new: Mode) -> Mode {
     MODE.with(|m| std::mem::replace(&mut *m.borrow_mut(), new))
 }
 
@@ -139,9 +132,29 @@ pub fn enter_model(rt: Arc<dyn McRuntime>) -> ModeGuard {
     ModeGuard { prev: Some(set_mode(Mode::Model(rt))) }
 }
 
-/// Put the calling thread on a virtual clock until the guard drops.
-pub(crate) fn enter_virtual(clock: Arc<VirtualClock>) -> ModeGuard {
-    ModeGuard { prev: Some(set_mode(Mode::Virtual(clock))) }
+/// The body of model thread `id`'s OS thread, for every model thread
+/// (the checker's root, spawned threads and pool workers): wait until
+/// the model first schedules the slot, run `f` in model mode, and exit
+/// the slot, handing the model `f`'s panic message if it panicked.
+pub fn run_model_thread(rt: Arc<dyn McRuntime>, id: usize, f: impl FnOnce()) {
+    let _mode = enter_model(Arc::clone(&rt));
+    let panic = if rt.thread_enter(id) {
+        catch_unwind(AssertUnwindSafe(f)).err().map(|p| panic_message(p.as_ref()))
+    } else {
+        None
+    };
+    rt.thread_exit(id, panic);
+}
+
+/// Best-effort extraction of a panic payload's message.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_owned()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_owned()
+    }
 }
 
 /// The model-mode id of a facade object, allocated on first use.

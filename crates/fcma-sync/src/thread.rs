@@ -1,11 +1,10 @@
 //! Facade thread operations: [`spawn`] and [`sleep`].
 //!
 //! `spawn` propagates the parent's facade mode into the child: under a
-//! virtual clock the child is registered with the clock for the
-//! quiescence check (and unregistered when it exits); under a model
-//! checker the child becomes a new model thread whose every facade
-//! operation is a scheduling point. Threads are detached — the cluster
-//! scheduler tracks worker liveness through its protocol, not joins.
+//! model checker the child becomes a new model thread whose every
+//! facade operation is a scheduling point, and `sleep` waits on the
+//! model's virtual clock. Threads are detached — the cluster scheduler
+//! tracks worker liveness through its protocol, not joins.
 //!
 //! Both facade fork points — `spawn` here and the pool's region workers
 //! — also hand the child whatever context the observability layer has
@@ -17,9 +16,8 @@ use std::any::Any;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use crate::clock::{self, Park};
-use crate::runtime::{mode, Mode};
-use crate::time::{duration_to_nanos, now_nanos};
+use crate::runtime::{mode, run_model_thread, Mode};
+use crate::time::duration_to_nanos;
 
 /// An opaque context handed from a forking thread to its children.
 pub type CtxHandle = Arc<dyn Any + Send + Sync>;
@@ -71,11 +69,13 @@ where
         Mode::Real => {
             std::thread::spawn(f);
         }
-        Mode::Virtual(vclock) => {
-            vclock.register();
-            std::thread::spawn(move || clock::run_registered(&vclock, f));
+        Mode::Model(rt) => {
+            let id = rt.thread_register();
+            let child = Arc::clone(&rt);
+            std::thread::spawn(move || run_model_thread(child, id, f));
+            // A decision point right after the child becomes runnable.
+            rt.interleave();
         }
-        Mode::Model(rt) => rt.spawn(Box::new(f)),
     }
 }
 
@@ -83,18 +83,6 @@ where
 pub fn sleep(dur: Duration) {
     match mode() {
         Mode::Real => std::thread::sleep(dur),
-        Mode::Virtual(vclock) => {
-            let deadline = vclock.now_nanos() + duration_to_nanos(dur);
-            while vclock.park(None, Some(deadline)) == Park::Woken {
-                // Spurious wake (another waiter's event); park again.
-            }
-        }
         Mode::Model(rt) => rt.sleep(duration_to_nanos(dur)),
     }
-}
-
-/// Current facade time in nanoseconds — a convenience for tests that
-/// assert on virtual timing without building an `Instant`.
-pub fn now_virtual_nanos() -> u64 {
-    now_nanos()
 }

@@ -1,8 +1,8 @@
 //! Facade time: a mode-aware [`Instant`].
 //!
 //! In real mode, [`Instant::now`] measures nanoseconds from a
-//! process-wide epoch taken on first use. Under a virtual clock or a
-//! model checker it reads virtual nanoseconds instead, so deadline
+//! process-wide epoch taken on first use. Under a model checker it
+//! reads the model's virtual nanoseconds instead, so deadline
 //! arithmetic in the scheduler is deterministic. Instants are plain
 //! nanosecond counts: cheap to copy, totally ordered, and comparable
 //! only within the mode that produced them.
@@ -34,12 +34,6 @@ impl Instant {
     pub fn saturating_duration_since(&self, earlier: Instant) -> Duration {
         Duration::from_nanos(self.nanos.saturating_sub(earlier.nanos))
     }
-
-    /// Time from `earlier` to `self`; zero when `earlier` is later
-    /// (facade instants never panic on reversed arguments).
-    pub fn duration_since(&self, earlier: Instant) -> Duration {
-        self.saturating_duration_since(earlier)
-    }
 }
 
 impl Add<Duration> for Instant {
@@ -53,7 +47,6 @@ impl Add<Duration> for Instant {
 pub(crate) fn now_nanos() -> u64 {
     match mode() {
         Mode::Real => real_nanos(),
-        Mode::Virtual(clock) => clock.now_nanos(),
         Mode::Model(rt) => rt.now_nanos(),
     }
 }

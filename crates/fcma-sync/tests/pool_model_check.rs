@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use fcma_mc::{check, check_random, Config, FailureKind};
+use fcma_mc::{check, check_random, replay, Config, FailureKind};
 use fcma_sync::pool::Pool;
 use fcma_sync::{Condvar, Mutex};
 
@@ -18,33 +18,25 @@ fn cfg(max_executions: usize) -> Config {
 
 #[test]
 fn pool_fork_join_explores_clean() {
-    let outcome = check(&cfg(20_000), || {
+    check(&cfg(20_000), || {
         let got = Pool::new(2).run(vec![1u32, 2, 3], |_idx, v| v * 2);
         assert_eq!(got, vec![2, 4, 6]);
-    });
-    assert!(
-        outcome.failure().is_none(),
-        "pool failed exploration:\n{}",
-        outcome.failure().unwrap()
-    );
+    })
+    .assert_pass();
 }
 
 #[test]
 fn pool_three_workers_random_walks_clean() {
-    let outcome = check_random(&cfg(300), 0xF0CA, || {
+    check_random(&cfg(300), 0xF0CA, || {
         let got = Pool::new(3).run((0..5u64).collect(), |_idx, v| v + 10);
         assert_eq!(got, vec![10, 11, 12, 13, 14]);
-    });
-    assert!(
-        outcome.failure().is_none(),
-        "pool failed random walks:\n{}",
-        outcome.failure().unwrap()
-    );
+    })
+    .assert_pass();
 }
 
 #[test]
 fn pool_per_worker_state_explores_clean() {
-    let outcome = check(&cfg(10_000), || {
+    check(&cfg(10_000), || {
         let got = Pool::new(2).run_init(
             vec![(); 3],
             || 0u32,
@@ -54,12 +46,44 @@ fn pool_per_worker_state_explores_clean() {
             },
         );
         assert_eq!(got.len(), 3);
-    });
-    assert!(
-        outcome.failure().is_none(),
-        "pool failed exploration:\n{}",
-        outcome.failure().unwrap()
-    );
+    })
+    .assert_pass();
+}
+
+#[test]
+fn runs_on_one_model_schedule() {
+    replay(&cfg(1), &[], || {
+        let got = Pool::new(3).run((0..9u64).collect(), |_i, t| t + 1);
+        assert_eq!(got, (1..=9).collect::<Vec<_>>());
+    })
+    .assert_pass();
+}
+
+#[test]
+fn idle_worker_takes_every_task_behind_a_straggler() {
+    // Task 0 sleeps one virtual second. Model time only advances once no
+    // thread can run, so on every schedule the other worker drains the
+    // queue and parks before the straggler wakes.
+    check(&cfg(2_000), || {
+        let workers = Mutex::new(0usize);
+        let ran_on = Pool::new(2).run_init(
+            (0..9u64).collect(),
+            || {
+                let mut n = workers.lock();
+                *n += 1;
+                *n
+            },
+            |me, _i, t| {
+                if t == 0 {
+                    fcma_sync::thread::sleep(std::time::Duration::from_secs(1));
+                }
+                *me
+            },
+        );
+        assert!(ran_on[1..].iter().all(|&w| w == ran_on[1]), "{ran_on:?}");
+        assert_ne!(ran_on[0], ran_on[1]);
+    })
+    .assert_pass();
 }
 
 #[test]
@@ -101,12 +125,7 @@ fn idle_park_fixture(drop_final_notify: bool) {
 
 #[test]
 fn idle_park_protocol_explores_clean() {
-    let outcome = check(&cfg(10_000), || idle_park_fixture(false));
-    assert!(
-        outcome.failure().is_none(),
-        "idle-park protocol failed:\n{}",
-        outcome.failure().unwrap()
-    );
+    check(&cfg(10_000), || idle_park_fixture(false)).assert_pass();
 }
 
 #[test]

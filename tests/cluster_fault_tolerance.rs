@@ -4,7 +4,8 @@
 
 use fcma::cluster::CheckpointError;
 use fcma::prelude::*;
-use fcma_sync::clock::VirtualClock;
+use fcma_mc::{replay, Config};
+use fcma_sync::time::Instant;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
@@ -32,31 +33,37 @@ fn tmp(name: &str) -> PathBuf {
 /// instead hand the requeued task to the idle worker.
 #[test]
 fn requeued_task_reaches_an_idle_worker() {
-    // The whole run sits on the facade's virtual clock: the 300 ms fuse
-    // costs no wall time, and it fires only once every other thread is
-    // parked — i.e. strictly after the healthy worker went idle, which
+    // The whole run is one fcma-mc schedule on virtual time: the 300 ms
+    // fuse costs no wall time, and it fires only once no other thread
+    // can run — i.e. strictly after the healthy worker went idle, which
     // is exactly the ordering this regression needs. No real-time race.
-    let clock = VirtualClock::install();
-    let ctx = planted(64);
-    // Two tasks, two workers. Task 0 panics only after a long fuse, so
-    // the other worker has long since finished task 1 and sits idle when
-    // the failure arrives.
-    let plan =
-        FaultPlan::none().with_fault(0, 0, FaultKind::Panic { after: Duration::from_millis(300) });
-    let exec: Arc<dyn TaskExecutor> =
-        Arc::new(ChaosExecutor::new(Arc::new(OptimizedExecutor::default()), plan));
-    let cfg = ClusterConfig { n_workers: 2, task_size: 32, ..Default::default() };
-    let run = run_cluster_with(&ctx, exec, &cfg)
-        .expect("requeued task must be re-dispatched to the idle worker");
-    assert_eq!(run.failed_workers.len(), 1);
-    assert_eq!(run.requeued_tasks, 1);
-    let voxels: Vec<usize> = run.scores.iter().map(|s| s.voxel).collect();
-    assert_eq!(voxels, (0..64).collect::<Vec<_>>());
-    assert!(
-        clock.now() >= Duration::from_millis(300),
-        "the panic fuse must have elapsed on the virtual clock, got {:?}",
-        clock.now()
-    );
+    replay(&Config::default(), &[], || {
+        let start = Instant::now();
+        let ctx = planted(64);
+        // Two tasks, two workers. Task 0 panics only after a long fuse, so
+        // the other worker has long since finished task 1 and sits idle
+        // when the failure arrives.
+        let plan = FaultPlan::none().with_fault(
+            0,
+            0,
+            FaultKind::Panic { after: Duration::from_millis(300) },
+        );
+        let exec: Arc<dyn TaskExecutor> =
+            Arc::new(ChaosExecutor::new(Arc::new(OptimizedExecutor::default()), plan));
+        let cfg = ClusterConfig { n_workers: 2, task_size: 32, ..Default::default() };
+        let run = run_cluster_with(&ctx, exec, &cfg)
+            .expect("requeued task must be re-dispatched to the idle worker");
+        assert_eq!(run.failed_workers.len(), 1);
+        assert_eq!(run.requeued_tasks, 1);
+        let voxels: Vec<usize> = run.scores.iter().map(|s| s.voxel).collect();
+        assert_eq!(voxels, (0..64).collect::<Vec<_>>());
+        assert!(
+            start.elapsed() >= Duration::from_millis(300),
+            "the panic fuse must have elapsed on virtual time, got {:?}",
+            start.elapsed()
+        );
+    })
+    .assert_pass();
 }
 
 /// Drive a checkpointed run to total failure partway through the sweep.
@@ -121,9 +128,11 @@ fn corrupted_checkpoint_is_rejected() {
     let _ = std::fs::remove_file(&ckpt);
     run_until_cluster_death(&ctx, &ckpt);
 
-    // Flip one hex digit inside a committed score record.
+    // Flip one hex digit inside a committed score record (past the
+    // header, whose digest may hold the same two digits).
     let text = std::fs::read_to_string(&ckpt).unwrap();
-    let tampered = text.replacen("3f", "3e", 1);
+    let (header, records) = text.split_once('\n').unwrap();
+    let tampered = format!("{header}\n{}", records.replacen("3f", "3e", 1));
     assert_ne!(text, tampered, "fixture must contain a mantissa to corrupt");
     let bad = tmp("corrupt_tampered.ckpt");
     std::fs::write(&bad, tampered).unwrap();
@@ -158,8 +167,11 @@ fn checkpoint_from_a_different_sweep_shape_is_rejected() {
     };
     let err = run_cluster_with(&ctx, Arc::new(OptimizedExecutor::default()), &cfg)
         .expect_err("mismatched checkpoint must be rejected");
-    assert!(
-        matches!(err, ClusterError::CheckpointMismatch { found: (48, 12), expected: (48, 16) }),
-        "got {err:?}"
-    );
+    let shapes = match &err {
+        ClusterError::CheckpointMismatch { found, expected } => {
+            ((found.n_voxels, found.task_size), (expected.n_voxels, expected.task_size))
+        }
+        _ => panic!("got {err:?}"),
+    };
+    assert_eq!(shapes, ((48, 12), (48, 16)));
 }

@@ -23,7 +23,7 @@ const DOCS: [&str; 5] = [
     "results/README.md",
     ".claude/skills/verify/SKILL.md",
 ];
-const RETIRED: [&str; 34] = [
+const RETIRED: [&str; 36] = [
     "criterion",
     "cargo bench",
     "bench_gemm",
@@ -57,6 +57,8 @@ const RETIRED: [&str; 34] = [
     "PoolStats",
     "pool.steals",
     "pool.idle.parks",
+    "VirtualClock",
+    "now_virtual_nanos",
     // Split so that this line is not itself a marker.
     concat!("// audit", ": allow("),
 ];

@@ -10,14 +10,19 @@ use fcma::prelude::*;
 use fcma::svm::CvPlan;
 use fcma::trace::export::{from_chrome_json, to_chrome_json};
 use fcma::trace::{AttrValue, Collector, SpanRecord, TraceReport};
-use fcma_sync::clock::VirtualClock;
-use fcma_sync::thread::now_virtual_nanos;
+use fcma_mc::{replay, Config};
+use fcma_sync::time::Instant;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
 fn planted(n_voxels: usize) -> TaskContext {
+    planted_seeded(n_voxels, fcma::fmri::presets::tiny().seed)
+}
+
+fn planted_seeded(n_voxels: usize, seed: u64) -> TaskContext {
     let mut cfg = fcma::fmri::presets::tiny();
+    cfg.seed = seed;
     cfg.n_voxels = n_voxels;
     cfg.n_informative = (n_voxels / 8).max(4) & !1;
     let (dataset, _) = cfg.generate();
@@ -33,79 +38,79 @@ fn chaos_exec(plan: FaultPlan) -> Arc<dyn TaskExecutor> {
 /// stats must attribute exactly two attempts to each faulted task.
 #[test]
 fn chaos_counters_match_an_explicit_fault_plan() {
-    // Virtual clock: the stalled task's 500 ms deadline elapses in zero
-    // wall time, and the condemnation becomes deterministic instead of
-    // racing the real scheduler.
-    let _clock = VirtualClock::install();
-    let ctx = planted(96); // 6 tasks of 16 voxels
-    let plan = FaultPlan::none().with_fault(0, 0, FaultKind::panic_now()).with_fault(
-        48,
-        0,
-        FaultKind::Stall,
-    );
-    let cfg = ClusterConfig {
-        n_workers: 3,
-        task_size: 16,
-        task_deadline: Some(Duration::from_millis(500)),
-        ..Default::default()
-    };
+    // One fcma-mc schedule on virtual time: the stalled task's 500 ms
+    // deadline elapses in zero wall time, and the condemnation becomes
+    // deterministic instead of racing the real scheduler.
+    replay(&Config::default(), &[], || {
+        let start = Instant::now();
+        let ctx = planted(96); // 6 tasks of 16 voxels
+        let plan = FaultPlan::none().with_fault(0, 0, FaultKind::panic_now()).with_fault(
+            48,
+            0,
+            FaultKind::Stall,
+        );
+        let cfg = ClusterConfig {
+            n_workers: 3,
+            task_size: 16,
+            task_deadline: Some(Duration::from_millis(500)),
+            ..Default::default()
+        };
 
-    let collector = Collector::new();
-    let scoped = collector.install_scoped();
-    let run = run_cluster_with(&ctx, chaos_exec(plan), &cfg).expect("chaos run must recover");
-    let report = scoped.drain();
-    drop(scoped);
+        let (run, report) = traced(&ctx, chaos_exec(plan), &cfg);
+        let run = run.expect("chaos run must recover");
 
-    // Exact dispatch arithmetic: tasks 0 and 48 cost two dispatches
-    // (panic + retry, condemn + retry), the other four cost one.
-    assert_eq!(report.counter("cluster.tasks.total"), 6);
-    assert_eq!(report.counter("cluster.tasks.dispatched"), 8);
-    assert_eq!(report.counter("cluster.tasks.completed"), 6);
-    assert_eq!(report.counter("cluster.tasks.failed"), 1);
-    assert_eq!(report.counter("cluster.tasks.condemned"), 1);
-    assert_eq!(report.counter("cluster.tasks.requeued"), 2);
-    assert_eq!(report.counter("cluster.tasks.resumed"), 0);
-    assert_eq!(report.event_count("cluster.condemn"), 1);
-    assert_eq!(report.span_count("cluster.run"), 1);
-    assert_eq!(report.span_count("cluster.dispatch"), 8);
-    assert!(
-        report.check_consistency().is_empty(),
-        "invariants must hold: {:?}",
-        report.check_consistency()
-    );
+        // Exact dispatch arithmetic: tasks 0 and 48 cost two dispatches
+        // (panic + retry, condemn + retry), the other four cost one.
+        assert_eq!(report.counter("cluster.tasks.total"), 6);
+        assert_eq!(report.counter("cluster.tasks.dispatched"), 8);
+        assert_eq!(report.counter("cluster.tasks.completed"), 6);
+        assert_eq!(report.counter("cluster.tasks.failed"), 1);
+        assert_eq!(report.counter("cluster.tasks.condemned"), 1);
+        assert_eq!(report.counter("cluster.tasks.requeued"), 2);
+        assert_eq!(report.counter("cluster.tasks.resumed"), 0);
+        assert_eq!(report.event_count("cluster.condemn"), 1);
+        assert_eq!(report.span_count("cluster.run"), 1);
+        assert_eq!(report.span_count("cluster.dispatch"), 8);
+        assert!(
+            report.check_consistency().is_empty(),
+            "invariants must hold: {:?}",
+            report.check_consistency()
+        );
 
-    // Pipeline spans made it out of the worker threads too (the
-    // optimized executor runs the merged stage-1+2 path).
-    assert!(report.span_count("task.process") >= 6);
-    assert!(report.span_count("stage12.fused") >= 6);
-    assert!(report.counter("svm.smo.solves") > 0);
+        // Pipeline spans made it out of the worker threads too (the
+        // optimized executor runs the merged stage-1+2 path).
+        assert!(report.span_count("task.process") >= 6);
+        assert!(report.span_count("stage12.fused") >= 6);
+        assert!(report.counter("svm.smo.solves") > 0);
 
-    // Satellite: ClusterRun exposes per-task attempt counts and walls.
-    assert_eq!(run.task_stats.len(), 6);
-    for stat in &run.task_stats {
-        assert!(!stat.resumed);
-        assert!(stat.worker.is_some(), "task {} has no accepted worker", stat.task.start);
-        let want_attempts = if stat.task.start == 0 || stat.task.start == 48 { 2 } else { 1 };
-        assert_eq!(stat.attempts, want_attempts, "task {}", stat.task.start);
-        // On the virtual clock a healthy task's wall can be exactly
-        // zero (compute burns no virtual time); only the stalled task
-        // is guaranteed a nonzero — and exact — wall below.
-    }
-    // The condemned task was outstanding at least one full deadline,
-    // measured on the virtual clock the whole run shares.
-    let stalled = run.task_stats.iter().find(|s| s.task.start == 48).unwrap();
-    assert!(stalled.wall >= Duration::from_millis(500), "stalled wall {:?}", stalled.wall);
-    assert!(
-        now_virtual_nanos() >= 500_000_000,
-        "virtual time must have advanced past the deadline"
-    );
+        // ClusterRun exposes per-task attempt counts and walls.
+        assert_eq!(run.task_stats.len(), 6);
+        for stat in &run.task_stats {
+            assert!(!stat.resumed);
+            assert!(stat.worker.is_some(), "task {} has no accepted worker", stat.task.start);
+            let want_attempts = if stat.task.start == 0 || stat.task.start == 48 { 2 } else { 1 };
+            assert_eq!(stat.attempts, want_attempts, "task {}", stat.task.start);
+            // On virtual time a healthy task's wall can be exactly zero
+            // (compute burns no virtual time); only the stalled task is
+            // guaranteed a nonzero — and exact — wall below.
+        }
+        // The condemned task was outstanding at least one full deadline,
+        // measured on the virtual time the whole run shares.
+        let stalled = run.task_stats.iter().find(|s| s.task.start == 48).unwrap();
+        assert!(stalled.wall >= Duration::from_millis(500), "stalled wall {:?}", stalled.wall);
+        assert!(
+            start.elapsed() >= Duration::from_millis(500),
+            "virtual time must have advanced past the deadline"
+        );
 
-    // The exported Chrome JSON carries the same accounting.
-    let json = to_chrome_json(&report);
-    let parsed = from_chrome_json(&json).expect("exported trace must parse back");
-    assert_eq!(parsed.counters, report.counters);
-    assert_eq!(parsed.spans.len(), report.spans.len());
-    assert!(parsed.check_consistency().is_empty());
+        // The exported Chrome JSON carries the same accounting.
+        let json = to_chrome_json(&report);
+        let parsed = from_chrome_json(&json).expect("exported trace must parse back");
+        assert_eq!(parsed.counters, report.counters);
+        assert_eq!(parsed.spans.len(), report.spans.len());
+        assert!(parsed.check_consistency().is_empty());
+    })
+    .assert_pass();
 }
 
 /// A seeded plan: derive the expected dispatch/panic tallies from the
@@ -225,26 +230,38 @@ fn abort_of(report: &TraceReport) -> (String, u64) {
 /// both consistency checks.
 #[test]
 fn causal_context_in_recovered_and_failed_runs() {
-    let _clock = VirtualClock::install();
-    let ctx = planted(48); // 3 tasks of 16 voxels
+    // Each sweep is one fcma-mc schedule: a second sweep in the same
+    // execution would complete its tasks again, which the checker's
+    // double-completion detector reports.
     let plan = FaultPlan::none().with_fault(16, 0, FaultKind::panic_now());
-
-    let cfg = ClusterConfig::new(3, 16);
-    let (run, report) = traced(&ctx, chaos_exec(plan.clone()), &cfg);
-    assert_eq!(run.expect("chaos run must recover").scores.len(), 48);
-    let live = dispatches(&report);
-    assert_eq!(live.len(), 4, "3 first dispatches + 1 retry: {live:?}");
-    assert!(live.contains(&(16, 1)) && live.contains(&(16, 2)), "{live:?}");
-    assert_stamped(&report, &[(16, 2)]);
-    assert_eq!(report.event_count("cluster.abort"), 0);
+    let recovered = plan.clone();
+    replay(&Config::default(), &[], move || {
+        let ctx = planted(48); // 3 tasks of 16 voxels
+        let cfg = ClusterConfig::new(3, 16);
+        let (run, report) = traced(&ctx, chaos_exec(recovered.clone()), &cfg);
+        assert_eq!(run.expect("chaos run must recover").scores.len(), 48);
+        let live = dispatches(&report);
+        assert_eq!(live.len(), 4, "3 first dispatches + 1 retry: {live:?}");
+        assert!(live.contains(&(16, 1)) && live.contains(&(16, 2)), "{live:?}");
+        assert_stamped(&report, &[(16, 2)]);
+        assert_eq!(report.event_count("cluster.abort"), 0);
+    })
+    .assert_pass();
 
     // One worker: it scores task 0, dies on task 16, and the run fails
     // with tasks 16 and 32 unfinished.
-    let (run, report) = traced(&ctx, chaos_exec(plan), &ClusterConfig::new(1, 16));
-    assert!(matches!(run, Err(ClusterError::AllWorkersFailed { unfinished_tasks: 2 })), "{run:?}");
-    assert_eq!(dispatches(&report), [(0, 1), (16, 1)]);
-    assert_stamped(&report, &[]);
-    assert_eq!(abort_of(&report), ("all_workers_failed".to_owned(), 2));
+    replay(&Config::default(), &[], move || {
+        let ctx = planted(48);
+        let (run, report) = traced(&ctx, chaos_exec(plan.clone()), &ClusterConfig::new(1, 16));
+        assert!(
+            matches!(run, Err(ClusterError::AllWorkersFailed { unfinished_tasks: 2 })),
+            "{run:?}"
+        );
+        assert_eq!(dispatches(&report), [(0, 1), (16, 1)]);
+        assert_stamped(&report, &[]);
+        assert_eq!(abort_of(&report), ("all_workers_failed".to_owned(), 2));
+    })
+    .assert_pass();
 }
 
 /// [`OptimizedExecutor`], except that task 0's first call through
@@ -297,49 +314,52 @@ impl TaskExecutor for ScoreThenHang {
 /// a third attempt then completes the run or the retry budget is spent.
 #[test]
 fn condemned_retry_is_logged_with_origin_retry() {
-    let _clock = VirtualClock::install();
-    let ctx = planted(48); // 3 tasks of 16 voxels
+    // One fcma-mc schedule per sweep (see the causal test above).
     for retry_budget in [2, 1] {
-        let plan = FaultPlan::none().with_fault(0, 0, FaultKind::panic_now());
-        let inner = ScoreThenHang {
-            inner: OptimizedExecutor::default(),
-            hung: fcma_sync::Mutex::new(false),
-        };
-        let exec = ChaosExecutor::new(Arc::new(inner), plan);
-        let cfg = ClusterConfig {
-            n_workers: 3,
-            task_size: 16,
-            retry_budget,
-            task_deadline: Some(Duration::from_millis(500)),
-            ..Default::default()
-        };
-        let (run, report) = traced(&ctx, Arc::new(exec), &cfg);
-        let outcome_of = |attempt: u64| {
-            let span = report
-                .spans
-                .iter()
-                .filter(|s| s.name == "cluster.dispatch")
-                .find(|s| (attr_u64(s, "task"), attr_u64(s, "attempt")) == (0, attempt))
-                .unwrap_or_else(|| panic!("no dispatch span for task 0 attempt {attempt}"));
-            span.attr("outcome").cloned()
-        };
-        assert_eq!(outcome_of(1), Some(AttrValue::from("failed")));
-        assert_eq!(outcome_of(2), Some(AttrValue::from("condemned")));
-        if retry_budget == 2 {
-            let run = run.expect("the third attempt completes the run");
-            assert_eq!((run.failed_workers.len(), run.hung_workers.len()), (1, 1));
-            assert_eq!(outcome_of(3), Some(AttrValue::from("completed")));
-            assert_stamped(&report, &[(0, 2), (0, 3)]);
-        } else {
-            assert!(
-                matches!(run, Err(ClusterError::RetryBudgetExhausted { attempts: 2, .. })),
-                "{run:?}"
-            );
-            assert_stamped(&report, &[(0, 2)]);
-            let (error, unfinished) = abort_of(&report);
-            assert_eq!(error, "retry_budget_exhausted");
-            assert_eq!(unfinished, 3 - report.counter("cluster.tasks.completed"));
-        }
+        replay(&Config::default(), &[], move || {
+            let ctx = planted(48); // 3 tasks of 16 voxels
+            let plan = FaultPlan::none().with_fault(0, 0, FaultKind::panic_now());
+            let inner = ScoreThenHang {
+                inner: OptimizedExecutor::default(),
+                hung: fcma_sync::Mutex::new(false),
+            };
+            let exec = ChaosExecutor::new(Arc::new(inner), plan);
+            let cfg = ClusterConfig {
+                n_workers: 3,
+                task_size: 16,
+                retry_budget,
+                task_deadline: Some(Duration::from_millis(500)),
+                ..Default::default()
+            };
+            let (run, report) = traced(&ctx, Arc::new(exec), &cfg);
+            let outcome_of = |attempt: u64| {
+                let span = report
+                    .spans
+                    .iter()
+                    .filter(|s| s.name == "cluster.dispatch")
+                    .find(|s| (attr_u64(s, "task"), attr_u64(s, "attempt")) == (0, attempt))
+                    .unwrap_or_else(|| panic!("no dispatch span for task 0 attempt {attempt}"));
+                span.attr("outcome").cloned()
+            };
+            assert_eq!(outcome_of(1), Some(AttrValue::from("failed")));
+            assert_eq!(outcome_of(2), Some(AttrValue::from("condemned")));
+            if retry_budget == 2 {
+                let run = run.expect("the third attempt completes the run");
+                assert_eq!((run.failed_workers.len(), run.hung_workers.len()), (1, 1));
+                assert_eq!(outcome_of(3), Some(AttrValue::from("completed")));
+                assert_stamped(&report, &[(0, 2), (0, 3)]);
+            } else {
+                assert!(
+                    matches!(run, Err(ClusterError::RetryBudgetExhausted { attempts: 2, .. })),
+                    "{run:?}"
+                );
+                assert_stamped(&report, &[(0, 2)]);
+                let (error, unfinished) = abort_of(&report);
+                assert_eq!(error, "retry_budget_exhausted");
+                assert_eq!(unfinished, 3 - report.counter("cluster.tasks.completed"));
+            }
+        })
+        .assert_pass();
     }
 }
 
@@ -375,6 +395,23 @@ fn failed_runs_record_one_abort() {
     }
 }
 
+/// A sweep of `ctx` (3 tasks) under `cfg` fails before any dispatch with
+/// an error of `kind`, recorded as one `cluster.abort` with every task
+/// unfinished; the error, for further checks.
+fn refused(ctx: &TaskContext, cfg: &ClusterConfig, kind: &str) -> ClusterError {
+    let (run, report) = traced(ctx, Arc::new(OptimizedExecutor::default()), cfg);
+    let error = run.expect_err("the checkpoint is unusable");
+    assert_eq!(error.kind(), kind);
+    assert_eq!(abort_of(&report), (kind.to_owned(), 3));
+    assert_eq!(report.counter("cluster.tasks.dispatched"), 0);
+    assert!(report.check_consistency().is_empty(), "{:?}", report.check_consistency());
+    error
+}
+
+fn resume(path: PathBuf) -> ClusterConfig {
+    ClusterConfig { resume_from: Some(path), ..ClusterConfig::new(2, 16) }
+}
+
 /// The checkpoint errors are aborts too: a resume file that will not
 /// load, one from another sweep, and a checkpoint that cannot be
 /// written each leave one `cluster.abort` with every task unfinished.
@@ -388,8 +425,6 @@ fn checkpoint_errors_record_one_abort() {
     let healthy = ClusterConfig { checkpoint: Some(written.clone()), ..ClusterConfig::new(2, 8) };
     run_cluster_with(&ctx, Arc::new(OptimizedExecutor::default()), &healthy).expect("healthy");
 
-    let resume =
-        |path: PathBuf| ClusterConfig { resume_from: Some(path), ..ClusterConfig::new(2, 16) };
     let unwritable = ClusterConfig {
         checkpoint: Some(dir.join("no-such-dir").join("sweep.ckpt")),
         ..ClusterConfig::new(2, 16)
@@ -399,11 +434,36 @@ fn checkpoint_errors_record_one_abort() {
         (resume(written), "checkpoint_mismatch"),
         (unwritable, "checkpoint"),
     ] {
-        let (run, report) = traced(&ctx, Arc::new(OptimizedExecutor::default()), &cfg);
-        assert_eq!(run.expect_err("the checkpoint is unusable").kind(), kind);
-        assert_eq!(abort_of(&report), (kind.to_owned(), 3));
-        assert_eq!(report.counter("cluster.tasks.dispatched"), 0);
-        assert!(report.check_consistency().is_empty(), "{:?}", report.check_consistency());
+        refused(&ctx, &cfg, kind);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checkpoint of another dataset with the same shape is refused, as
+/// is a `v1` one, which names no dataset: one aborted run each, every
+/// task unfinished.
+#[test]
+fn foreign_checkpoint_resume_records_one_abort() {
+    let dir = std::env::temp_dir().join(format!("fcma-obs-foreign-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let written = dir.join("foreign.ckpt");
+    let cfg = ClusterConfig { checkpoint: Some(written.clone()), ..ClusterConfig::new(2, 16) };
+    let foreign = planted_seeded(48, 9);
+    run_cluster_with(&foreign, Arc::new(OptimizedExecutor::default()), &cfg).expect("healthy");
+    let text = std::fs::read_to_string(&written).expect("written");
+    let (_, records) = text.split_once('\n').expect("header line");
+    let v1 = dir.join("v1.ckpt");
+    std::fs::write(&v1, format!("fcma-checkpoint v1 voxels=48 task_size=16\n{records}"))
+        .expect("v1 copy");
+
+    for path in [written, v1] {
+        let error = refused(&planted(48), &resume(path), "checkpoint_mismatch");
+        let ClusterError::CheckpointMismatch { found, expected } = error else {
+            panic!("expected a mismatch, got {error:?}");
+        };
+        assert_eq!((found.n_voxels, found.task_size), (expected.n_voxels, expected.task_size));
+        assert_ne!(found.digest, expected.digest);
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
