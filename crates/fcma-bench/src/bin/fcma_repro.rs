@@ -3,17 +3,17 @@
 //!
 //! ```sh
 //! fcma-repro all                  # everything
-//! fcma-repro table5               # one experiment
-//! fcma-repro e2e --scaled-voxels 512
+//! fcma-repro table5 fig9          # a subset
 //! ```
 //!
 //! Modeled numbers (Phi/Xeon) use the paper's *full-scale* workload
-//! shapes through the validated analytic counter models; rows labeled
-//! "(host, scaled)" are real wall-clock measurements of the actual Rust
-//! kernels on this machine at `--scaled-voxels` brain voxels. Measured
-//! SMO iteration counts always come from running the real solvers.
+//! shapes through the validated analytic counter models. Measured SMO
+//! iteration counts come from running the real solvers on a dataset
+//! scaled to [`SCALED_VOXELS`] brain voxels. Nothing printed on stdout
+//! depends on the host: `results/repro_all.txt` is the output of `all`,
+//! byte for byte. Host timings are `benchmark/`'s.
 
-use fcma_bench::measure::{measure_stage12, measure_svm_solvers, measure_syrk, time_ms};
+use fcma_bench::measure::measure_svm_solvers;
 use fcma_bench::model::{
     baseline_task, offline_task_list, online_task_list, optimized_task, per_voxel_speedup,
 };
@@ -21,8 +21,8 @@ use fcma_bench::report::{fmt, fmt_ms, print_table};
 use fcma_bench::workloads::DatasetKind;
 use fcma_bench::SvmMeasurement;
 use fcma_core::{
-    corr_normalized_merged, corr_optimized, offline_analysis, recovery_rate, AnalysisConfig,
-    OptimizedExecutor, TaskContext, VoxelTask,
+    corr_normalized_merged, offline_analysis, recovery_rate, AnalysisConfig, OptimizedExecutor,
+    TaskContext, VoxelTask,
 };
 use fcma_linalg::tall_skinny::TallSkinnyOpts;
 use fcma_sim::analytic::{
@@ -32,33 +32,21 @@ use fcma_sim::analytic::{
 use fcma_sim::{phi_5110p, xeon_e5_2670, ClusterModel, KernelCounters, TimeModel};
 use fcma_svm::{loso_cross_validate, KernelMatrix, LibSvmParams, SmoParams, SolverKind, WssMode};
 
-/// Command-line options shared by all subcommands.
-#[derive(Debug, Clone)]
-struct Opts {
-    scaled_voxels: usize,
-    sample_voxels: usize,
-    reps: usize,
-}
+/// Brain voxels of the scaled datasets the SMO iterations are measured on.
+const SCALED_VOXELS: usize = 512;
 
-impl Default for Opts {
-    fn default() -> Self {
-        Opts { scaled_voxels: 512, sample_voxels: 4, reps: 3 }
-    }
-}
+/// Voxels whose kernels each solver cross-validates per dataset.
+const SAMPLE_VOXELS: usize = 4;
 
 /// Lazily-computed measured SMO iterations (expensive; shared by several
 /// experiments).
+#[derive(Default)]
 struct Measured {
-    opts: Opts,
     face: Option<[SvmMeasurement; 3]>,
     attention: Option<[SvmMeasurement; 3]>,
 }
 
 impl Measured {
-    fn new(opts: Opts) -> Self {
-        Measured { opts, face: None, attention: None }
-    }
-
     fn get(&mut self, kind: DatasetKind) -> [SvmMeasurement; 3] {
         let slot = match kind {
             DatasetKind::FaceScene => &mut self.face,
@@ -66,63 +54,40 @@ impl Measured {
         };
         if slot.is_none() {
             eprintln!(
-                "[measuring SMO iterations on {} ({} voxels scaled, {} sampled)...]",
+                "[measuring SMO iterations on {} ({SCALED_VOXELS} voxels scaled, \
+                 {SAMPLE_VOXELS} sampled)...]",
                 kind.name(),
-                self.opts.scaled_voxels,
-                self.opts.sample_voxels
             );
-            *slot =
-                Some(measure_svm_solvers(kind, self.opts.scaled_voxels, self.opts.sample_voxels));
+            *slot = Some(measure_svm_solvers(kind, SCALED_VOXELS, SAMPLE_VOXELS));
         }
         slot.unwrap()
     }
 
     fn libsvm_iters(&mut self, kind: DatasetKind) -> u64 {
-        self.get(kind)[0].iters_per_voxel as u64
+        self.get(kind)[0].iters_per_voxel
     }
 
     fn phisvm_iters(&mut self, kind: DatasetKind) -> u64 {
-        self.get(kind)[2].iters_per_voxel as u64
+        self.get(kind)[2].iters_per_voxel
     }
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut cmds: Vec<String> = Vec::new();
-    let mut opts = Opts::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--scaled-voxels" => {
-                opts.scaled_voxels =
-                    it.next().and_then(|v| v.parse().ok()).expect("--scaled-voxels N");
-            }
-            "--sample-voxels" => {
-                opts.sample_voxels =
-                    it.next().and_then(|v| v.parse().ok()).expect("--sample-voxels N");
-            }
-            "--reps" => opts.reps = it.next().and_then(|v| v.parse().ok()).expect("--reps N"),
-            "--help" | "-h" => {
-                usage();
-                return;
-            }
-            c => cmds.push(c.to_string()),
-        }
-    }
-    if cmds.is_empty() {
+    let cmds: Vec<String> = std::env::args().skip(1).collect();
+    if cmds.is_empty() || cmds.iter().any(|c| c == "--help" || c == "-h") {
         usage();
         return;
     }
-    let mut measured = Measured::new(opts.clone());
+    let mut measured = Measured::default();
     for cmd in &cmds {
-        run(cmd, &opts, &mut measured);
+        run(cmd, &mut measured);
     }
 }
 
 fn usage() {
     println!(
         "fcma-repro — regenerate the SC'15 FCMA paper's tables and figures\n\n\
-         usage: fcma-repro <cmd>... [--scaled-voxels N] [--sample-voxels K] [--reps R]\n\n\
+         usage: fcma-repro <cmd>...\n\n\
          commands:\n\
          \u{20}  table1   baseline instrumentation on the Phi (time/refs/misses/VI)\n\
          \u{20}  table2   dataset descriptions\n\
@@ -137,32 +102,29 @@ fn usage() {
          \u{20}  fig10    optimized vs baseline per-voxel speedup (Xeon)\n\
          \u{20}  fig11    processor vs coprocessor comparison\n\
          \u{20}  e2e      end-to-end scientific validation (planted-network recovery)\n\
-         \u{20}  ablate-block   tall-skinny strip-width sweep (host)\n\
          \u{20}  ablate-wss     working-set-selection heuristic ablation\n\
-         \u{20}  ablate-kernel  LibSVM row-cache size ablation\n\u{20}  ablate-panel   SYRK panel-depth sweep (host)\n\
+         \u{20}  ablate-kernel  LibSVM row-cache size ablation\n\
          \u{20}  all      everything above"
     );
 }
 
-fn run(cmd: &str, opts: &Opts, measured: &mut Measured) {
+fn run(cmd: &str, measured: &mut Measured) {
     match cmd {
         "table1" => table1(measured),
         "table2" => table2(),
         "table3" => table34(measured, false),
         "table4" => table34(measured, true),
-        "table5" => table5(opts),
+        "table5" => table5(),
         "table6" => table6(),
-        "table7" => table7(opts),
+        "table7" => table7(),
         "table8" => table8(measured),
         "fig8" => fig8(measured),
         "fig9" => fig9_10(measured, false),
         "fig10" => fig9_10(measured, true),
         "fig11" => fig11(measured),
-        "e2e" => e2e(opts),
-        "ablate-block" => ablate_block(opts),
-        "ablate-wss" => ablate_wss(opts),
-        "ablate-kernel" => ablate_kernel(opts),
-        "ablate-panel" => ablate_panel(opts),
+        "e2e" => e2e(),
+        "ablate-wss" => ablate_wss(),
+        "ablate-kernel" => ablate_kernel(),
         "all" => {
             for c in [
                 "table2",
@@ -178,12 +140,10 @@ fn run(cmd: &str, opts: &Opts, measured: &mut Measured) {
                 "table4",
                 "fig8",
                 "e2e",
-                "ablate-block",
                 "ablate-wss",
                 "ablate-kernel",
-                "ablate-panel",
             ] {
-                run(c, opts, measured);
+                run(c, measured);
             }
         }
         other => {
@@ -369,7 +329,7 @@ fn fig8(measured: &mut Measured) {
 // Table 5/6 — matmul kernels
 // ------------------------------------------------------------------
 
-fn table5(opts: &Opts) {
+fn table5() {
     let m = phi_5110p();
     let tm = TimeModel::default();
     let kind = DatasetKind::FaceScene;
@@ -387,32 +347,6 @@ fn table5(opts: &Opts) {
         "Table 5: matrix multiplication routines, face-scene task on Phi 5110P",
         &["impl", "function", "time", "GFLOPS", "paper (time/GF)"],
         &rows,
-    );
-
-    // Host ground truth at scaled size: the same relative ordering must
-    // hold in real wall-clock on this machine.
-    let st = measure_stage12(kind, opts.scaled_voxels, 64, opts.reps);
-    let (dot_ms, panel_ms) = measure_syrk(kind, opts.reps);
-    print_table(
-        &format!(
-            "Table 5 (host, scaled to {} brain voxels): real wall-clock of our Rust kernels",
-            opts.scaled_voxels
-        ),
-        &["comparison", "generic", "optimized", "speedup"],
-        &[
-            vec![
-                "stage-1 corr (64-voxel task)".into(),
-                fmt_ms(st.corr_baseline_ms),
-                fmt_ms(st.corr_optimized_ms),
-                format!("{:.2}x", st.corr_baseline_ms / st.corr_optimized_ms),
-            ],
-            vec![
-                "syrk (per voxel)".into(),
-                fmt_ms(dot_ms),
-                fmt_ms(panel_ms),
-                format!("{:.2}x", dot_ms / panel_ms),
-            ],
-        ],
     );
 }
 
@@ -469,7 +403,7 @@ fn table6() {
 // Table 7 — merged vs separated
 // ------------------------------------------------------------------
 
-fn table7(opts: &Opts) {
+fn table7() {
     let m = phi_5110p();
     let tm = TimeModel::default();
     let kind = DatasetKind::FaceScene;
@@ -500,24 +434,6 @@ fn table7(opts: &Opts) {
             ],
         ],
     );
-    let st = measure_stage12(kind, opts.scaled_voxels, 64, opts.reps);
-    print_table(
-        &format!("Table 7 (host, scaled to {}): real wall-clock", opts.scaled_voxels),
-        &["method", "time", "vs merged"],
-        &[
-            vec!["merged".into(), fmt_ms(st.merged_ms), "1.00x".into()],
-            vec![
-                "separated".into(),
-                fmt_ms(st.separated_ms),
-                format!("{:.2}x", st.separated_ms / st.merged_ms),
-            ],
-            vec![
-                "baseline 3-pass".into(),
-                fmt_ms(st.baseline_norm_ms),
-                format!("{:.2}x", st.baseline_norm_ms / st.merged_ms),
-            ],
-        ],
-    );
 }
 
 // ------------------------------------------------------------------
@@ -535,36 +451,21 @@ fn table8(measured: &mut Measured) {
     let v = kind.baseline_task_voxels();
     let mut rows = Vec::new();
     for i in 0..3 {
-        let pv = svm_cv(impls[i], &kind.svm_shape(1, ms[i].iters_per_voxel as u64), &m);
+        let pv = svm_cv(impls[i], &kind.svm_shape(1, ms[i].iters_per_voxel), &m);
         let stage_ms = tm.svm_stage_ms(&pv, v as usize, &m);
-        let us_per_iter = ms[i].host_ms_per_voxel * 1e3 / ms[i].iters_per_voxel.max(1.0);
         rows.push(vec![
             names[i].into(),
             fmt_ms(stage_ms),
             vi(&pv),
             paper[i].into(),
-            format!("{:.0}", ms[i].iters_per_voxel),
-            format!("{:.1} ms", ms[i].host_ms_per_voxel),
-            format!("{us_per_iter:.2}"),
+            ms[i].iters_per_voxel.to_string(),
             format!("{:.2}", ms[i].accuracy),
         ]);
     }
     print_table(
         "Table 8: SVM cross validation, face-scene 120-voxel task",
-        &[
-            "solver",
-            "Phi model time",
-            "VI",
-            "paper (time/VI)",
-            "iters/voxel (meas.)",
-            "host ms/voxel (meas.)",
-            "host us/iter",
-            "CV acc",
-        ],
+        &["solver", "Phi model time", "VI", "paper (time/VI)", "iters/voxel (meas.)", "CV acc"],
         &rows,
-    );
-    println!(
-        "(host us/iter isolates per-iteration data-layout cost from the solvers'          different convergence paths)"
     );
 }
 
@@ -633,30 +534,28 @@ fn fig11(measured: &mut Measured) {
 // End-to-end scientific validation
 // ------------------------------------------------------------------
 
-fn e2e(opts: &Opts) {
+fn e2e() {
     println!(
         "\n== end-to-end validation: planted-network recovery \
          (\"reproduced the results used in [30] and [16]\") =="
     );
     for kind in DatasetKind::both() {
-        let mut cfg = kind.scaled_config((opts.scaled_voxels / 2).max(128));
+        let mut cfg = kind.scaled_config(SCALED_VOXELS / 2);
         cfg.n_subjects = cfg.n_subjects.min(6); // keep nested CV brisk
         cfg.epochs_per_subject = cfg.epochs_per_subject.min(12);
         cfg.coupling = 1.5;
         let (dataset, truth) = cfg.generate();
         let exec = OptimizedExecutor::default();
         let acfg = AnalysisConfig { task_size: 64, top_k: truth.informative.len() };
-        let t0 = std::time::Instant::now();
         let r = offline_analysis(&dataset, &exec, &acfg);
         let rec = recovery_rate(&r.stable, &truth.informative);
         println!(
-            "{:<11} {} voxels, {} subjects: held-out acc {:.3}, stable-ROI recovery {:.0}% ({:.1?})",
+            "{:<11} {} voxels, {} subjects: held-out acc {:.3}, stable-ROI recovery {:.0}%",
             kind.name(),
             dataset.n_voxels(),
             dataset.n_subjects(),
             r.mean_test_accuracy,
             rec * 100.0,
-            t0.elapsed()
         );
     }
 }
@@ -665,69 +564,12 @@ fn e2e(opts: &Opts) {
 // Ablations
 // ------------------------------------------------------------------
 
-fn ablate_block(opts: &Opts) {
+fn ablate_wss() {
     let kind = DatasetKind::FaceScene;
-    let cfg = kind.scaled_config(opts.scaled_voxels);
+    let cfg = kind.scaled_config(SCALED_VOXELS / 2);
     let (dataset, _) = cfg.generate();
     let ctx = TaskContext::full(&dataset);
-    let task = VoxelTask { start: 0, count: 64.min(ctx.n_voxels()) };
-    let mut times = Vec::new();
-    for tile in [64usize, 128, 256, 512, 1024, 2048] {
-        let ms = time_ms(opts.reps, || {
-            std::hint::black_box(corr_optimized(&ctx, task, TallSkinnyOpts { tile_cols: tile }));
-        });
-        times.push((tile, ms));
-    }
-    let best = times.iter().map(|&(_, ms)| ms).fold(f64::INFINITY, f64::min);
-    let rows: Vec<Vec<String>> = times
-        .iter()
-        .map(|&(tile, ms)| vec![tile.to_string(), fmt_ms(ms), format!("{:.2}x", ms / best)])
-        .collect();
-    print_table(
-        &format!(
-            "Ablation: tall-skinny strip width (host, {} brain voxels, 64-voxel task)",
-            opts.scaled_voxels
-        ),
-        &["tile_cols", "time", "vs best"],
-        &rows,
-    );
-}
-
-fn ablate_panel(opts: &Opts) {
-    use fcma_linalg::{syrk_panel_scratch, SyrkScratch};
-    let m = 204usize; // face-scene training epochs
-    let n = 34_470usize; // full brain width (feasible for SYRK)
-    let a: Vec<f32> = (0..m * n)
-        .map(|i| ((i as u32).wrapping_mul(2654435761) >> 16) as f32 / 65536.0 - 0.5)
-        .collect();
-    let mut c = vec![0.0f32; m * m];
-    let mut times = Vec::new();
-    for panel_k in [16usize, 48, 96, 192, 384, 768] {
-        let mut scratch = SyrkScratch::new(m, panel_k);
-        let ms = time_ms(opts.reps, || {
-            syrk_panel_scratch(m, n, &a, n, &mut c, m, &mut scratch);
-            std::hint::black_box(&c);
-        });
-        times.push((panel_k, ms));
-    }
-    let best = times.iter().map(|&(_, ms)| ms).fold(f64::INFINITY, f64::min);
-    let rows: Vec<Vec<String>> = times
-        .iter()
-        .map(|&(k, ms)| vec![k.to_string(), fmt_ms(ms), format!("{:.2}x", ms / best)])
-        .collect();
-    print_table(
-        "Ablation: SYRK panel depth (host, full-scale 204x34470; paper uses 96)",
-        &["panel_k", "time", "vs best"],
-        &rows,
-    );
-}
-
-fn ablate_wss(opts: &Opts) {
-    let kind = DatasetKind::FaceScene;
-    let cfg = kind.scaled_config(opts.scaled_voxels.min(256));
-    let (dataset, _) = cfg.generate();
-    let ctx = TaskContext::full(&dataset);
-    let task = VoxelTask { start: 0, count: opts.sample_voxels.min(ctx.n_voxels()) };
+    let task = VoxelTask { start: 0, count: SAMPLE_VOXELS };
     let corr = corr_normalized_merged(&ctx, task, TallSkinnyOpts::default());
     let kernels: Vec<KernelMatrix> = (0..task.count)
         .map(|vi| {
@@ -741,7 +583,6 @@ fn ablate_wss(opts: &Opts) {
         ("adaptive (PhiSVM)", WssMode::Adaptive),
     ] {
         let params = SmoParams { wss: mode, ..Default::default() };
-        let t0 = std::time::Instant::now();
         let mut iters = 0usize;
         let mut acc = 0.0;
         for k in &kernels {
@@ -752,20 +593,19 @@ fn ablate_wss(opts: &Opts) {
         rows.push(vec![
             name.into(),
             format!("{}", iters / kernels.len()),
-            format!("{:.1} ms", t0.elapsed().as_secs_f64() * 1e3 / kernels.len() as f64),
             format!("{:.2}", acc / kernels.len() as f64),
         ]);
     }
     print_table(
         "Ablation: working-set selection heuristic (per voxel, host)",
-        &["heuristic", "iters/voxel", "ms/voxel", "CV acc"],
+        &["heuristic", "iters/voxel", "CV acc"],
         &rows,
     );
 }
 
-fn ablate_kernel(opts: &Opts) {
+fn ablate_kernel() {
     let kind = DatasetKind::FaceScene;
-    let cfg = kind.scaled_config(opts.scaled_voxels.min(256));
+    let cfg = kind.scaled_config(SCALED_VOXELS / 2);
     let (dataset, _) = cfg.generate();
     let ctx = TaskContext::full(&dataset);
     let task = VoxelTask { start: 0, count: 2 };
@@ -774,16 +614,13 @@ fn ablate_kernel(opts: &Opts) {
     let mut rows = Vec::new();
     for cache_rows in [2usize, 8, 64, 512] {
         let params = LibSvmParams { cache_rows, ..Default::default() };
-        let t0 = std::time::Instant::now();
         let r = loso_cross_validate(&kernel, &ctx.y, &ctx.subjects, &SolverKind::LibSvm(params));
         rows.push(vec![
             format!("LibSVM cache={cache_rows}"),
-            format!("{:.1} ms", t0.elapsed().as_secs_f64() * 1e3),
             format!("{}", r.total_iterations),
             format!("{:.2}", r.accuracy),
         ]);
     }
-    let t0 = std::time::Instant::now();
     let r = loso_cross_validate(
         &kernel,
         &ctx.y,
@@ -792,13 +629,12 @@ fn ablate_kernel(opts: &Opts) {
     );
     rows.push(vec![
         "PhiSVM (dense f32)".into(),
-        format!("{:.1} ms", t0.elapsed().as_secs_f64() * 1e3),
         format!("{}", r.total_iterations),
         format!("{:.2}", r.accuracy),
     ]);
     print_table(
         "Ablation: kernel-row caching vs dense precomputed access (one voxel, host)",
-        &["configuration", "time", "iters", "CV acc"],
+        &["configuration", "iters", "CV acc"],
         &rows,
     );
 }

@@ -1,6 +1,6 @@
 //! Workload definitions for the two evaluation datasets (Table 2) in
 //! both full-scale (for the machine-model reproductions) and scaled
-//! (for real host measurements) forms.
+//! (for the measured SMO iteration counts) forms.
 
 use fcma_fmri::SynthConfig;
 use fcma_sim::{CorrShape, NormShape, SvmShape, SyrkShape};

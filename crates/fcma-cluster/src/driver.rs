@@ -521,7 +521,6 @@ impl Master {
 
     fn handle(&mut self, msg: FromWorker) -> Result<(), ClusterError> {
         match msg {
-            FromWorker::Ready { .. } => Ok(()), // workers start idle; informational
             FromWorker::Done { worker, task, ctx, scores } => {
                 self.on_done(worker, task, ctx, scores)
             }
@@ -695,9 +694,6 @@ fn spawn_worker(
     let cancel = CancelToken::new();
     let worker_cancel = cancel.clone();
     fcma_sync::thread::spawn(move || {
-        if to_master.send(FromWorker::Ready { worker: wid }).is_err() {
-            return;
-        }
         while let Ok(msg) = rx.recv() {
             match msg {
                 ToWorker::Task { task, ctx: trace_ctx } => {

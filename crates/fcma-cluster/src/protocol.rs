@@ -29,11 +29,6 @@ pub enum ToWorker {
 /// Messages from a worker to the master.
 #[derive(Debug, Clone)]
 pub enum FromWorker {
-    /// Initial "ready for work" handshake.
-    Ready {
-        /// Sender's worker id.
-        worker: usize,
-    },
     /// A completed task's scores. Carries the task identity so the
     /// master can discard late answers from workers already declared
     /// hung.
@@ -60,41 +55,12 @@ pub enum FromWorker {
     },
 }
 
-impl FromWorker {
-    /// Sender's worker id.
-    pub fn worker(&self) -> usize {
-        match self {
-            FromWorker::Ready { worker }
-            | FromWorker::Done { worker, .. }
-            | FromWorker::Failed { worker, .. } => *worker,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn ctx_of(task: u64, attempt: u32) -> TraceCtx {
         TraceCtx::new(task, attempt)
-    }
-
-    #[test]
-    fn message_kinds_carry_worker_ids() {
-        assert_eq!(FromWorker::Ready { worker: 3 }.worker(), 3);
-        let done = FromWorker::Done {
-            worker: 1,
-            task: VoxelTask { start: 0, count: 1 },
-            ctx: ctx_of(0, 1),
-            scores: vec![VoxelScore { voxel: 0, accuracy: 0.5 }],
-        };
-        assert_eq!(done.worker(), 1);
-        let failed = FromWorker::Failed {
-            worker: 2,
-            task: VoxelTask { start: 0, count: 4 },
-            ctx: ctx_of(0, 1),
-        };
-        assert_eq!(failed.worker(), 2);
     }
 
     #[test]

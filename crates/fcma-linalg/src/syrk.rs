@@ -69,8 +69,8 @@ pub fn syrk_dot(m: usize, n: usize, a: &[f32], lda: usize, c: &mut [f32], ldc: u
 /// The paper's optimized SYRK — panel-blocked over the long dimension
 /// with a register microkernel — over caller-provided packing buffers,
 /// allocated once per worker (DESIGN.md §14). The panel depth is carried by
-/// the scratch (the paper's 96 is [`PANEL_K`]; other depths are the
-/// `fcma-repro ablate-panel` knob); a [`SyrkScratch`] built once can be
+/// the scratch (the paper's 96 is [`PANEL_K`]; the kernel tests exercise
+/// other depths); a [`SyrkScratch`] built once can be
 /// reused across calls (and across smaller `m`) without touching the
 /// allocator, which is what the paper's per-thread `A_local` buffers
 /// amount to.
