@@ -597,7 +597,7 @@ fn ablate_wss() {
         ]);
     }
     print_table(
-        "Ablation: working-set selection heuristic (per voxel, host)",
+        "Ablation: working-set selection heuristic (per voxel)",
         &["heuristic", "iters/voxel", "CV acc"],
         &rows,
     );
@@ -633,7 +633,7 @@ fn ablate_kernel() {
         format!("{:.2}", r.accuracy),
     ]);
     print_table(
-        "Ablation: kernel-row caching vs dense precomputed access (one voxel, host)",
+        "Ablation: kernel-row caching vs dense precomputed access (one voxel)",
         &["configuration", "iters", "CV acc"],
         &rows,
     );

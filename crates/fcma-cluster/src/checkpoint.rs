@@ -24,9 +24,17 @@
 //!
 //! The loader verifies structure, voxel coverage, and the per-record
 //! checksum; any violation inside a complete record is rejected as
-//! [`CheckpointError::Corrupt`]. A partial record at end-of-file (the
-//! writer died mid-append) is *dropped*, not rejected — that is the
-//! normal shape of a killed sweep.
+//! [`CheckpointError::Corrupt`]. A record is complete once its `end`
+//! line ends in `\n`. Whatever follows the last complete record (the
+//! writer died mid-append, at any byte) is *dropped*, not rejected —
+//! that is the normal shape of a killed sweep — and a resume that
+//! appends to the file first cuts it back to that record's end, so the
+//! file it leaves loads again.
+//!
+//! Records are written in completion order, so two checkpoints of one
+//! sweep run by several workers hold the same records in different
+//! orders: compare checkpoints by their loaded record sets, not byte for
+//! byte.
 
 // An input boundary: product code here returns typed errors (DESIGN.md §10).
 #![deny(
@@ -116,8 +124,13 @@ pub struct Checkpoint {
     pub sweep: SweepId,
     /// Completed tasks, in file order.
     pub tasks: Vec<TaskRecord>,
-    /// Whether a trailing partial record was dropped during parsing.
+    /// Whether anything after the last complete record was dropped
+    /// during parsing.
     pub truncated_tail: bool,
+    /// Byte offset where the last complete record ends (the header's
+    /// end when there is none): what a resume into this file cuts it
+    /// back to before appending.
+    pub complete_len: u64,
 }
 
 impl Checkpoint {
@@ -126,25 +139,34 @@ impl Checkpoint {
     /// A file that ends inside its header line (no newline after it) is
     /// [`CheckpointError::BadHeader`] with `truncated` set: a cut header
     /// can read as a whole one for another sweep (`task_size=16` cut to
-    /// `task_size=1`).
+    /// `task_size=1`). Only lines that end in `\n` are read, for the same
+    /// reason: a cut `task 16 16` line reads as `task 16 1`.
     pub fn load(path: &Path) -> Result<Checkpoint, CheckpointError> {
         let text = std::fs::read_to_string(path)
             .map_err(|error| CheckpointError::Io { path: path.to_path_buf(), error })?;
-        if !text.contains('\n') {
+        let Some(complete) = text.rfind('\n').and_then(|end| text.get(..=end)) else {
             return Err(CheckpointError::BadHeader { line: text, truncated: true });
-        }
-        let lines: Vec<String> = text.lines().map(str::to_owned).collect();
-        Self::parse(&lines)
+        };
+        let mut end = 0;
+        let lines: Vec<Line<'_>> = complete
+            .split_inclusive('\n')
+            .map(|raw| {
+                end += raw.len();
+                Line { text: raw.lines().next().unwrap_or_default(), end }
+            })
+            .collect();
+        Self::parse(&lines, text.len())
     }
 
-    /// Parse already-read lines (separated out for testability).
-    fn parse(lines: &[String]) -> Result<Checkpoint, CheckpointError> {
+    /// Parse the complete lines of a `file_len`-byte file (separated out
+    /// for testability).
+    fn parse(lines: &[Line<'_>], file_len: usize) -> Result<Checkpoint, CheckpointError> {
         let header = lines
             .first()
             .ok_or_else(|| CheckpointError::BadHeader { line: String::new(), truncated: false })?;
-        let sweep = parse_header(header)?;
+        let sweep = parse_header(header.text)?;
         let mut tasks: Vec<TaskRecord> = Vec::new();
-        let mut truncated_tail = false;
+        let mut complete_len = header.end;
         let mut i = 1usize;
         while i < lines.len() {
             match parse_record(lines, i) {
@@ -159,19 +181,30 @@ impl Checkpoint {
                         });
                     }
                     tasks.push(record);
+                    complete_len = lines.get(next - 1).map_or(complete_len, |l| l.end);
                     i = next;
                 }
-                Ok(None) => {
-                    // Partial trailing record: the writer was killed
-                    // mid-append. Drop it and stop.
-                    truncated_tail = true;
-                    break;
-                }
+                // Partial trailing record: the writer was killed
+                // mid-append. Drop it and stop.
+                Ok(None) => break,
                 Err(e) => return Err(e),
             }
         }
-        Ok(Checkpoint { sweep, tasks, truncated_tail })
+        Ok(Checkpoint {
+            sweep,
+            tasks,
+            truncated_tail: complete_len < file_len,
+            complete_len: u64::try_from(complete_len).unwrap_or(u64::MAX),
+        })
     }
+}
+
+/// One line of a checkpoint that ends in `\n`.
+struct Line<'a> {
+    /// The line without its line end.
+    text: &'a str,
+    /// Byte offset just past its line end.
+    end: usize,
 }
 
 fn parse_header(line: &str) -> Result<SweepId, CheckpointError> {
@@ -206,11 +239,11 @@ fn parse_header(line: &str) -> Result<SweepId, CheckpointError> {
 /// the record is incomplete because the file ends early (clean
 /// truncation), `Err` on any structural or checksum violation.
 fn parse_record(
-    lines: &[String],
+    lines: &[Line<'_>],
     i: usize,
 ) -> Result<Option<(TaskRecord, usize)>, CheckpointError> {
     let corrupt = |line: usize, reason: String| CheckpointError::Corrupt { line: line + 1, reason };
-    let Some(head) = lines.get(i) else {
+    let Some(head) = lines.get(i).map(|l| l.text) else {
         return Ok(None);
     };
     let mut parts = head.split_whitespace();
@@ -228,13 +261,14 @@ fn parse_record(
     }
     // A record needs `count` voxel lines plus the `end` line.
     let end = i.saturating_add(count).saturating_add(1);
-    let (Some(body), Some(end_line)) = (lines.get(i + 1..end), lines.get(end)) else {
+    let (Some(body), Some(end_line)) = (lines.get(i + 1..end), lines.get(end).map(|l| l.text))
+    else {
         return Ok(None);
     };
     let mut scores = Vec::with_capacity(count);
     let mut hasher = Fnv1a64::new();
     hasher.update(head.as_bytes());
-    for (offset, line) in body.iter().enumerate() {
+    for (offset, line) in body.iter().map(|l| l.text).enumerate() {
         let ln = i + 1 + offset;
         let mut parts = line.split_whitespace();
         let (Some(voxel), Some(bits)) = (
@@ -291,13 +325,15 @@ impl CheckpointWriter {
     }
 
     /// Open `path` for appending further records (resume into the same
-    /// file). The caller is responsible for having validated the header
-    /// via [`Checkpoint::load`].
-    pub(crate) fn append(path: &Path) -> Result<Self, CheckpointError> {
-        let file = std::fs::OpenOptions::new()
-            .append(true)
-            .open(path)
-            .map_err(|error| CheckpointError::Io { path: path.to_path_buf(), error })?;
+    /// file), first cutting it back to `complete_len` bytes so that no
+    /// dropped tail stays between the old records and the new ones. The
+    /// caller is responsible for having validated the header via
+    /// [`Checkpoint::load`], which gives `complete_len`.
+    pub(crate) fn append(path: &Path, complete_len: u64) -> Result<Self, CheckpointError> {
+        let map_io =
+            |error: std::io::Error| CheckpointError::Io { path: path.to_path_buf(), error };
+        let file = std::fs::OpenOptions::new().append(true).open(path).map_err(map_io)?;
+        file.set_len(complete_len).map_err(map_io)?;
         Ok(CheckpointWriter { path: path.to_path_buf(), file: BufWriter::new(file) })
     }
 
@@ -398,7 +434,8 @@ mod tests {
         let mut w = CheckpointWriter::create(&path, &id(4, 2)).expect("create");
         w.record(t0, &sample_scores(t0)).expect("record");
         drop(w);
-        let mut w = CheckpointWriter::append(&path).expect("append");
+        let complete_len = Checkpoint::load(&path).expect("load").complete_len;
+        let mut w = CheckpointWriter::append(&path, complete_len).expect("append");
         w.record(t1, &sample_scores(t1)).expect("record");
         drop(w);
         assert_eq!(completed_starts(&Checkpoint::load(&path).expect("load")), vec![0, 2]);

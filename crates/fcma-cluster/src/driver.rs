@@ -206,6 +206,7 @@ fn sweep(
     let mut scores: Vec<VoxelScore> = Vec::with_capacity(ctx.n_voxels());
     let mut resumed_records = Vec::new();
     let mut resumed_voxels = 0usize;
+    let mut resumed_len = 0u64;
     // Only a checkpointed or resumed sweep names itself: the digest
     // reads every epoch.
     let id = (cfg.checkpoint.is_some() || cfg.resume_from.is_some())
@@ -215,6 +216,7 @@ fn sweep(
         if ck.sweep != id {
             return Err(ClusterError::CheckpointMismatch { found: ck.sweep, expected: id });
         }
+        resumed_len = ck.complete_len;
         for rec in ck.tasks {
             completed.insert(rec.task.start);
             resumed_voxels += rec.scores.len();
@@ -227,7 +229,7 @@ fn sweep(
     let mut writer = match (&cfg.checkpoint, id) {
         (Some(path), Some(id)) => {
             if cfg.resume_from.as_deref() == Some(path.as_path()) {
-                Some(CheckpointWriter::append(path)?)
+                Some(CheckpointWriter::append(path, resumed_len)?)
             } else {
                 // Fresh file: replay resumed records so any checkpoint is
                 // self-contained.

@@ -4,11 +4,10 @@
 use crate::context::TaskContext;
 use crate::executor::TaskExecutor;
 use crate::selection::{select_top_k, stable_voxels};
-use crate::stage2::corr_normalized_merged;
-use crate::task::{partition, spread, VoxelScore, VoxelTask};
+use crate::stage2::selected_samples;
+use crate::task::{partition, spread, VoxelScore};
 use fcma_fmri::Dataset;
-use fcma_linalg::tall_skinny::TallSkinnyOpts;
-use fcma_linalg::{f64_from_usize, Mat};
+use fcma_linalg::f64_from_usize;
 use fcma_svm::{train_phisvm, CvPlan, KernelMatrix, SmoParams, LEFT_OUT};
 use fcma_trace::span;
 
@@ -141,26 +140,6 @@ fn holding_out(subjects: &[usize], held: usize) -> Vec<usize> {
     subjects.iter().map(|&s| if s == held { LEFT_OUT } else { s - usize::from(s > held) }).collect()
 }
 
-/// Sample matrix of the selected voxels: one row per epoch, holding the
-/// selected voxels' normalized correlation vectors concatenated.
-// Cannot panic: row slices are sized by the same m/n/selected that sized the samples matrix
-pub(crate) fn selected_samples(ctx: &TaskContext, selected: &[usize]) -> Mat {
-    let m = ctx.n_epochs();
-    let n = ctx.n_voxels();
-    let mut samples = Mat::zeros(m, selected.len() * n);
-    for (si, &v) in selected.iter().enumerate() {
-        let corr = corr_normalized_merged(
-            ctx,
-            VoxelTask { start: v, count: 1 },
-            TallSkinnyOpts::default(),
-        );
-        for e in 0..m {
-            samples.row_mut(e)[si * n..(si + 1) * n].copy_from_slice(corr.row(0, e));
-        }
-    }
-    samples
-}
-
 /// Train the final classifier on the selected voxels' correlation
 /// patterns (training subjects) and test on the held-out subject.
 fn final_classifier_accuracy(
@@ -170,7 +149,7 @@ fn final_classifier_accuracy(
     held: usize,
 ) -> f64 {
     let m = full_ctx.n_epochs();
-    let kernel = KernelMatrix::precompute(&selected_samples(full_ctx, selected));
+    let kernel = KernelMatrix::precompute(&selected_samples(full_ctx, selected, |_, _| ()));
     let train_idx: Vec<usize> = (0..m).filter(|&e| dataset.epochs()[e].subject != held).collect();
     let test_idx: Vec<usize> = (0..m).filter(|&e| dataset.epochs()[e].subject == held).collect();
     let train_y: Vec<f32> = train_idx.iter().map(|&e| full_ctx.y[e]).collect();

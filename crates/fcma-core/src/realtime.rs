@@ -25,12 +25,10 @@
 use crate::analysis::stratified_folds;
 use crate::context::TaskContext;
 use crate::selection::select_top_k;
-use crate::stage2::{accumulate, finish_stats};
+use crate::stage2::{fisher_rows, selected_samples, zscore_with};
 use fcma_fmri::{Condition, Dataset, EpochSpec, NormalizedEpochs};
 use fcma_linalg::norms::axpy;
-use fcma_linalg::{
-    corr_tile_block_rows, dot, f32_from_usize, fisher_z_slice, EpochPair, Mat, StripScratch,
-};
+use fcma_linalg::{dot, Mat};
 use fcma_svm::{train_phisvm, KernelMatrix, SmoParams, SvmModel};
 
 /// Side of the square tile [`voxel_major`] transposes through (16 KiB,
@@ -40,8 +38,6 @@ const SNAPSHOT_TILE: usize = 64;
 /// Configuration for the streaming session.
 #[derive(Debug, Clone)]
 pub struct SessionConfig {
-    /// Brain voxels per acquired volume.
-    pub n_voxels: usize,
     /// Time points per epoch.
     pub epoch_len: usize,
     /// Voxels to select for the feedback classifier.
@@ -57,7 +53,6 @@ pub struct SessionConfig {
 impl Default for SessionConfig {
     fn default() -> Self {
         SessionConfig {
-            n_voxels: 0,
             epoch_len: 12,
             top_k: 16,
             n_folds: 4,
@@ -103,58 +98,13 @@ impl FeedbackModel {
     fn features(&self, brain: &Mat) -> Vec<f32> {
         let mut z = vec![0.0f32; self.weights.len()];
         fisher_rows(brain, &self.selected, &mut z);
-        zscore_frozen(&mut z, &self.mean, &self.inv_std);
+        zscore_with(&mut z, &self.mean, &self.inv_std);
         z
     }
 
     /// Decision value of one epoch's features.
     fn primal_decision(&self, z: &[f32]) -> f32 {
         dot(&self.weights, z) - self.model.rho
-    }
-}
-
-/// Stage 1 and the Fisher half of stage 2 for one epoch: each selected
-/// voxel's correlation row against the whole brain, Fisher-transformed,
-/// into `out` (row `si` at `si·N`). The tile kernel and Fisher pass are
-/// the merged pass's, and no element depends on which voxels or columns
-/// share its tile (DESIGN.md §15), so every value is the pipeline's bits.
-fn fisher_rows(brain: &Mat, selected: &[usize], out: &mut [f32]) {
-    let (k, n) = (brain.rows(), brain.cols());
-    let assigned = Mat::from_fn(selected.len(), k, |si, t| brain.get(t, selected[si]));
-    let pairs = [EpochPair { assigned: &assigned, brain }];
-    let mut scratch = StripScratch::for_epochs(&pairs);
-    corr_tile_block_rows(&pairs, 0..selected.len(), 0..1, 0..n, out, n, 1, &mut scratch);
-    fisher_z_slice(out);
-}
-
-/// The training samples, one row of features per epoch of `ctx`, by stage
-/// 2's arithmetic over the session's one subject: each column's
-/// statistics over every epoch, then the z-apply. Returns the samples
-/// and the statistics, `(mean, 1/std)`.
-// Cannot panic: every row and statistics buffer is sized selected × N of the context's own brain matrices
-fn training_samples(ctx: &TaskContext, selected: &[usize]) -> (Mat, Vec<f32>, Vec<f32>) {
-    let m = ctx.n_epochs();
-    let mut samples = Mat::zeros(m, selected.len() * ctx.n_voxels());
-    let mut sum = vec![0.0f32; samples.cols()];
-    let mut sumsq = vec![0.0f32; samples.cols()];
-    for e in 0..m {
-        let row = samples.row_mut(e);
-        fisher_rows(ctx.norm.brain(e), selected, row);
-        accumulate(row, &mut sum, &mut sumsq);
-    }
-    let mut mean = vec![0.0f32; samples.cols()];
-    let mut inv_std = vec![0.0f32; samples.cols()];
-    finish_stats(&sum, &sumsq, f32_from_usize(m), &mut mean, &mut inv_std);
-    for e in 0..m {
-        zscore_frozen(samples.row_mut(e), &mean, &inv_std);
-    }
-    (samples, mean, inv_std)
-}
-
-/// Stage 2's z-apply with given column statistics.
-fn zscore_frozen(z: &mut [f32], mean: &[f32], inv_std: &[f32]) {
-    for ((x, &mean), &inv_std) in z.iter_mut().zip(mean).zip(inv_std) {
-        *x = (*x - mean) * inv_std;
     }
 }
 
@@ -187,6 +137,8 @@ fn voxel_major(volumes: &[Vec<f32>], n: usize) -> Mat {
 /// Streaming session state.
 pub struct OnlineSession {
     cfg: SessionConfig,
+    /// Brain voxels per acquired volume.
+    n_voxels: usize,
     /// Raw activity columns accumulated so far (`n_voxels × t`).
     volumes: Vec<Vec<f32>>,
     /// Completed labeled epochs.
@@ -211,11 +163,11 @@ pub enum SessionError {
     },
     /// Not enough epochs/conditions to train.
     NotEnoughData(String),
-    /// Volume length does not match `n_voxels`.
+    /// Volume length does not match the session's voxel count.
     BadVolume {
         /// Length of the pushed volume.
         got: usize,
-        /// The session's `n_voxels`.
+        /// Voxels per volume of the session.
         want: usize,
     },
     /// The volume holds a NaN or an infinity; it was not stored.
@@ -234,7 +186,7 @@ pub enum SessionError {
     ModelMismatch {
         /// Voxels per volume the model was trained on.
         model_voxels: usize,
-        /// The session's `n_voxels`.
+        /// Voxels per volume of the session.
         session_voxels: usize,
     },
 }
@@ -270,9 +222,8 @@ impl std::error::Error for SessionError {}
 
 impl OnlineSession {
     /// Start an empty session for `n_voxels`-voxel volumes.
-    pub fn new(mut cfg: SessionConfig, n_voxels: usize) -> Self {
-        cfg.n_voxels = n_voxels;
-        OnlineSession { cfg, volumes: Vec::new(), epochs: Vec::new(), open: None }
+    pub fn new(cfg: SessionConfig, n_voxels: usize) -> Self {
+        OnlineSession { cfg, n_voxels, volumes: Vec::new(), epochs: Vec::new(), open: None }
     }
 
     /// Number of completed labeled epochs.
@@ -284,8 +235,8 @@ impl OnlineSession {
     /// A volume of the wrong length or with a NaN or infinite sample is
     /// refused and leaves the session as it was.
     pub fn push_volume(&mut self, volume: &[f32]) -> Result<(), SessionError> {
-        if volume.len() != self.cfg.n_voxels {
-            return Err(SessionError::BadVolume { got: volume.len(), want: self.cfg.n_voxels });
+        if volume.len() != self.n_voxels {
+            return Err(SessionError::BadVolume { got: volume.len(), want: self.n_voxels });
         }
         // Branch-free over the volume so it vectorises; the voxel is
         // looked for only once one is known to be there.
@@ -326,7 +277,7 @@ impl OnlineSession {
         if self.epochs.len() < 2 {
             return Err(SessionError::NotEnoughData("need >= 2 epochs".into()));
         }
-        Dataset::new(voxel_major(&self.volumes, self.cfg.n_voxels), self.epochs.clone())
+        Dataset::new(voxel_major(&self.volumes, self.n_voxels), self.epochs.clone())
             .map_err(|e| SessionError::NotEnoughData(e.to_string()))
     }
 
@@ -362,7 +313,10 @@ impl OnlineSession {
             crate::analysis::score_all_voxels(&ctx, &exec, self.cfg.task_size, Some(&groups));
         let selected = select_top_k(&scores, self.cfg.top_k.min(scores.len()));
 
-        let (samples, mean, inv_std) = training_samples(&ctx, &selected);
+        let (mut mean, mut inv_std) = (Vec::new(), Vec::new());
+        let samples = selected_samples(&ctx, &selected, |m, s| {
+            (mean, inv_std) = (m.to_vec(), s.to_vec());
+        });
         let idx: Vec<usize> = (0..ctx.n_epochs()).collect();
         let model = train_phisvm(&KernelMatrix::precompute(&samples), &idx, &ctx.y, &self.cfg.svm);
         let mut weights = vec![0.0f32; samples.cols()];
@@ -388,7 +342,7 @@ impl OnlineSession {
         let Some(ep) = self.epochs.get(e) else {
             return Err(SessionError::UnknownEpoch { epoch: e, completed: self.epochs.len() });
         };
-        let n = self.cfg.n_voxels;
+        let n = self.n_voxels;
         if fb.weights.len() != fb.selected.len() * n {
             return Err(SessionError::ModelMismatch {
                 model_voxels: fb.weights.len().checked_div(fb.selected.len()).unwrap_or(0),
@@ -403,7 +357,7 @@ impl OnlineSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::selected_samples;
+    use crate::stage2::selected_samples_per_voxel;
     use fcma_fmri::presets;
     use std::ops::Range;
 
@@ -613,14 +567,15 @@ mod tests {
     #[test]
     fn frozen_features_are_stage_2s() {
         // The scoring path's feature step, run on each training epoch,
-        // is that epoch's row of the pipeline's samples matrix bit for
-        // bit; `score_epoch`'s primal decision agrees with the dual one
-        // over the training kernel.
+        // is that epoch's row of the samples matrix one merged stage 1+2
+        // pass per selected voxel builds, bit for bit; `score_epoch`'s
+        // primal decision agrees with the dual one over the training
+        // kernel.
         let (d, _, scfg) = single_subject();
         let s = stream(&d, scfg, 14);
         let fb = s.train_feedback().unwrap();
         let ctx = TaskContext::full(&s.dataset().unwrap());
-        let samples = selected_samples(&ctx, &fb.selected);
+        let samples = selected_samples_per_voxel(&ctx, &fb.selected);
         let kernel = KernelMatrix::precompute(&samples);
         for e in 0..ctx.n_epochs() {
             let z = fb.features(ctx.norm.brain(e));
@@ -641,7 +596,7 @@ mod tests {
     /// normalised as one window of that matrix.
     fn score_through_voxel_major(s: &OnlineSession, fb: &FeedbackModel, e: usize) -> f32 {
         let ep = s.epochs[e];
-        let raw = voxel_major(&s.volumes[ep.start..ep.start + ep.len], s.cfg.n_voxels);
+        let raw = voxel_major(&s.volumes[ep.start..ep.start + ep.len], s.n_voxels);
         let norm = NormalizedEpochs::from_windows(&raw, std::slice::from_ref(&(0..ep.len)));
         fb.primal_decision(&fb.features(norm.brain(0)))
     }

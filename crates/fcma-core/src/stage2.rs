@@ -27,6 +27,10 @@
 //! next strip starts. A task then holds `V·M²` floats and one strip,
 //! never the `V·M·N` of the interleaved buffer.
 //!
+//! The final classifiers' samples (`selected_samples`) take the same
+//! tile kernel and statistics epoch by epoch over the selected voxels
+//! alone, so they stream the brain once, not once per selected voxel.
+//!
 //! Statistics accumulate in `f32`: the population is one subject's `E`
 //! (≈12) epochs, far below any f32 summation-accuracy concern, and it
 //! keeps the stat loops on the vector units (idea #3).
@@ -297,11 +301,85 @@ fn merged_pass(
     }
 }
 
+/// The final classifiers' samples (§5.2.1 and §5.2.2): one row per epoch
+/// of `ctx`, holding the selected voxels' z-scored correlation vectors in
+/// selection order (`selected.len() × N` columns), built epoch by epoch
+/// through [`fisher_rows`]. Each subject's rows are z-scored with that
+/// subject's column statistics, stage 2's arithmetic, and
+/// `subject_stats(mean, inv_std)` receives them in subject order. Neither
+/// the tile shape nor the strip width changes a z-value (DESIGN.md §15),
+/// so every value is the one [`corr_normalized_merged`] gives.
+// Cannot panic: every row and statistics buffer is sized selected × N of the context's own brain matrices
+pub(crate) fn selected_samples(
+    ctx: &TaskContext,
+    selected: &[usize],
+    mut subject_stats: impl FnMut(&[f32], &[f32]),
+) -> Mat {
+    let mut samples = Mat::zeros(ctx.n_epochs(), selected.len() * ctx.n_voxels());
+    let width = samples.cols();
+    let (mut sum, mut sumsq) = (vec![0.0f32; width], vec![0.0f32; width]);
+    let (mut mean, mut inv_std) = (vec![0.0f32; width], vec![0.0f32; width]);
+    for sr in ctx.subject_ranges.iter() {
+        sum.fill(0.0);
+        sumsq.fill(0.0);
+        for e in sr.clone() {
+            let row = samples.row_mut(e);
+            fisher_rows(ctx.norm.brain(e), selected, row);
+            accumulate(row, &mut sum, &mut sumsq);
+        }
+        finish_stats(&sum, &sumsq, f32_from_usize(sr.len()), &mut mean, &mut inv_std);
+        for e in sr.clone() {
+            zscore_with(samples.row_mut(e), &mean, &inv_std);
+        }
+        subject_stats(&mean, &inv_std);
+    }
+    samples
+}
+
+/// Stage 1 and the Fisher half of stage 2 for one epoch's normalised
+/// `k × N` brain matrix: each selected voxel's correlation row against
+/// the whole brain, Fisher-transformed, into `out` (row `si` at `si·N`).
+/// The tile kernel and Fisher pass are the merged pass's.
+pub(crate) fn fisher_rows(brain: &Mat, selected: &[usize], out: &mut [f32]) {
+    let (k, n) = (brain.rows(), brain.cols());
+    let assigned = Mat::from_fn(selected.len(), k, |si, t| brain.get(t, selected[si]));
+    let pairs = [EpochPair { assigned: &assigned, brain }];
+    let mut scratch = StripScratch::for_epochs(&pairs);
+    corr_tile_block_rows(&pairs, 0..selected.len(), 0..1, 0..n, out, n, 1, &mut scratch);
+    fisher_z_slice(out);
+}
+
+/// Stage 2's z-apply with given column statistics.
+pub(crate) fn zscore_with(z: &mut [f32], mean: &[f32], inv_std: &[f32]) {
+    for ((x, &mean), &inv_std) in z.iter_mut().zip(mean).zip(inv_std) {
+        *x = (*x - mean) * inv_std;
+    }
+}
+
+/// [`selected_samples`] by the offline analysis's former route: one
+/// one-voxel [`corr_normalized_merged`] pass per selected voxel, each
+/// streaming the whole brain. Tests hold the builder to it.
+#[cfg(test)]
+pub(crate) fn selected_samples_per_voxel(ctx: &TaskContext, selected: &[usize]) -> Mat {
+    let (m, n) = (ctx.n_epochs(), ctx.n_voxels());
+    let mut samples = Mat::zeros(m, selected.len() * n);
+    for (si, &v) in selected.iter().enumerate() {
+        let corr = corr_normalized_merged(
+            ctx,
+            VoxelTask { start: v, count: 1 },
+            TallSkinnyOpts::default(),
+        );
+        for e in 0..m {
+            samples.row_mut(e)[si * n..(si + 1) * n].copy_from_slice(corr.row(0, e));
+        }
+    }
+    samples
+}
+
 /// Column-wise accumulation of sums and sums of squares (vectorizes: all
-/// three slices are contiguous). The real-time feedback model freezes its
-/// statistics with this and [`finish_stats`] too.
+/// three slices are contiguous).
 #[inline]
-pub(crate) fn accumulate(row: &[f32], sum: &mut [f32], sumsq: &mut [f32]) {
+fn accumulate(row: &[f32], sum: &mut [f32], sumsq: &mut [f32]) {
     for (j, &z) in row.iter().enumerate() {
         sum[j] += z;
         sumsq[j] += z * z;
@@ -311,13 +389,7 @@ pub(crate) fn accumulate(row: &[f32], sum: &mut [f32], sumsq: &mut [f32]) {
 /// Turn accumulated sums into (mean, 1/std) with the zero-variance
 /// convention (constant populations z-score to 0).
 #[inline]
-pub(crate) fn finish_stats(
-    sum: &[f32],
-    sumsq: &[f32],
-    cnt: f32,
-    mean: &mut [f32],
-    inv_std: &mut [f32],
-) {
+fn finish_stats(sum: &[f32], sumsq: &[f32], cnt: f32, mean: &mut [f32], inv_std: &mut [f32]) {
     for j in 0..sum.len() {
         let m = sum[j] / cnt;
         let var = (sumsq[j] / cnt - m * m).max(0.0);
@@ -457,6 +529,50 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The builder against one merged pass per selected voxel, bit for
+    /// bit; and each subject's statistics against that reference: they
+    /// z-score each of the subject's epochs' Fisher rows to its row.
+    fn assert_samples_are_the_per_voxel_bits(ctx: &TaskContext, selected: &[usize]) {
+        let mut stats = Vec::new();
+        let got = selected_samples(ctx, selected, |mean, inv_std| {
+            stats.push((mean.to_vec(), inv_std.to_vec()));
+        });
+        let want = selected_samples_per_voxel(ctx, selected);
+        assert_eq!((got.rows(), got.cols()), (want.rows(), want.cols()));
+        for e in 0..ctx.n_epochs() {
+            for (j, (a, b)) in got.row(e).iter().zip(want.row(e)).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "epoch {e} column {j}: {a} vs {b}");
+            }
+        }
+        assert_eq!(stats.len(), ctx.n_subjects());
+        let mut z = vec![0.0f32; want.cols()];
+        for (sr, (mean, inv_std)) in ctx.subject_ranges.iter().zip(&stats) {
+            for e in sr.clone() {
+                fisher_rows(ctx.norm.brain(e), selected, &mut z);
+                zscore_with(&mut z, mean, inv_std);
+                let same = z.iter().zip(want.row(e)).all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same, "epoch {e}: the handed statistics miss the reference row");
+            }
+        }
+    }
+
+    #[test]
+    fn selected_samples_are_the_per_voxel_passes_bits() {
+        // Four subjects over a brain width that is a multiple of neither
+        // the register tile's NR nor the SYRK panel, selected voxels out
+        // of order.
+        let mut cfg = presets::tiny();
+        cfg.n_voxels = 101;
+        let nr = fcma_linalg::microkernel::NR;
+        assert!(!cfg.n_voxels.is_multiple_of(nr) && !cfg.n_voxels.is_multiple_of(PANEL_K));
+        let (d, _) = cfg.generate();
+        assert_samples_are_the_per_voxel_bits(&TaskContext::full(&d), &[77, 3, 100, 41, 0, 58]);
+        // One subject, as an online session has: its epochs back to back.
+        (cfg.n_subjects, cfg.epochs_per_subject, cfg.gap) = (1, 20, 0);
+        let (d, _) = cfg.generate();
+        assert_samples_are_the_per_voxel_bits(&TaskContext::full(&d), &[12, 90, 5]);
     }
 
     #[test]

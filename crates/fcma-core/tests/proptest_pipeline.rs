@@ -35,7 +35,6 @@ fn synth(n_voxels: usize, n_subjects: usize, epochs_per_subject: usize, seed: u6
         drift: Drift { linear: 0.5, sin_amp: 0.2, sin_cycles: 1.0 },
         seed,
         placement: Placement::Random,
-        hrf: None,
     }
 }
 

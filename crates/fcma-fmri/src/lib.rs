@@ -17,7 +17,6 @@
 pub mod dataset;
 pub mod epoch;
 pub mod geometry;
-pub mod hrf;
 pub mod io;
 pub mod mask;
 pub mod noise;
@@ -28,6 +27,5 @@ pub use dataset::{Condition, Dataset, DatasetError, EpochSpec};
 pub use epoch::NormalizedEpochs;
 pub use geometry::Cluster;
 pub use geometry::{extract_clusters, Grid3};
-pub use hrf::Hrf;
 pub use mask::VoxelMask;
 pub use synth::{GroundTruth, Placement, SynthConfig};

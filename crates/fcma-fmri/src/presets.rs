@@ -24,7 +24,6 @@ pub(crate) fn face_scene_full() -> SynthConfig {
         drift: Drift { linear: 1.0, sin_amp: 0.5, sin_cycles: 2.0 },
         seed: 0xFACE_5CE0,
         placement: Placement::Random,
-        hrf: None,
     }
 }
 
@@ -43,7 +42,6 @@ pub(crate) fn attention_full() -> SynthConfig {
         drift: Drift { linear: 1.0, sin_amp: 0.5, sin_cycles: 2.0 },
         seed: 0xA77E_0710,
         placement: Placement::Random,
-        hrf: None,
     }
 }
 
@@ -81,7 +79,6 @@ pub fn tiny() -> SynthConfig {
         drift: Drift { linear: 0.5, sin_amp: 0.3, sin_cycles: 1.5 },
         seed: 0x7E57_7E57,
         placement: Placement::Random,
-        hrf: None,
     }
 }
 

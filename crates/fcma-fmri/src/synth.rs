@@ -20,7 +20,6 @@
 
 use crate::dataset::{Condition, Dataset, EpochSpec};
 use crate::geometry::Grid3;
-use crate::hrf::Hrf;
 use crate::noise::{gaussian, Ar1, Drift};
 use fcma_linalg::Mat;
 use rand::seq::SliceRandom;
@@ -66,10 +65,6 @@ pub struct SynthConfig {
     pub seed: u64,
     /// Spatial placement of the informative network.
     pub placement: Placement,
-    /// Optional hemodynamic response convolution of the planted latent
-    /// signals (None = instantaneous neural coupling; Some = realistic
-    /// BOLD dynamics that bleed across epoch boundaries).
-    pub hrf: Option<Hrf>,
 }
 
 impl Default for SynthConfig {
@@ -86,7 +81,6 @@ impl Default for SynthConfig {
             drift: Drift { linear: 1.0, sin_amp: 0.5, sin_cycles: 2.0 },
             seed: 0x5EED_FC3A,
             placement: Placement::Random,
-            hrf: None,
         }
     }
 }
@@ -231,9 +225,7 @@ impl SynthConfig {
             }
         }
 
-        // Plant the latent signal into the informative halves. The two
-        // halves' full-timeline latents are built first so an optional
-        // HRF convolution can bleed realistically across epoch windows.
+        // Plant the latent signal into the informative halves.
         let mut latent1 = vec![0.0f32; nt];
         let mut latent2 = vec![0.0f32; nt];
         for ep in &epochs {
@@ -246,10 +238,6 @@ impl SynthConfig {
                 latent1[ep.start + t] += g;
                 latent2[ep.start + t] += sign2 * g;
             }
-        }
-        if let Some(h) = &self.hrf {
-            latent1 = h.convolve(&latent1);
-            latent2 = h.convolve(&latent2);
         }
         for &v in &h1 {
             let row = data.row_mut(v);
@@ -470,43 +458,6 @@ mod tests {
         }
         assert!(sum_a / n_a as f32 > 0.3);
         assert!(sum_b / (n_b as f32) < -0.3);
-    }
-
-    #[test]
-    fn hrf_convolved_data_still_flips_correlations() {
-        // With the HRF the latent bleeds and smooths, but within-epoch
-        // cross-half correlations must still carry the condition sign.
-        let cfg = SynthConfig {
-            coupling: 2.5,
-            epoch_len: 16,
-            gap: 8,
-            hrf: Some(crate::hrf::Hrf::default()),
-            ..small()
-        };
-        let (d, _) = cfg.generate();
-        let (h1, h2) = cfg.network_halves();
-        let mut sum_a = 0.0f32;
-        let mut sum_b = 0.0f32;
-        let (mut n_a, mut n_b) = (0, 0);
-        for e in 0..d.n_epochs() {
-            let mut x = d.epoch_series(h1[0], e).to_vec();
-            let mut y = d.epoch_series(h2[0], e).to_vec();
-            normalize_epoch(&mut x);
-            normalize_epoch(&mut y);
-            let r = dot(&x, &y);
-            match d.epochs()[e].label {
-                Condition::A => {
-                    sum_a += r;
-                    n_a += 1;
-                }
-                Condition::B => {
-                    sum_b += r;
-                    n_b += 1;
-                }
-            }
-        }
-        let (ma, mb) = (sum_a / n_a as f32, sum_b / n_b as f32);
-        assert!(ma > mb + 0.3, "HRF data no longer discriminates: A {ma} vs B {mb}");
     }
 
     #[test]

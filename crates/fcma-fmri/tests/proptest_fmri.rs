@@ -78,7 +78,6 @@ fn config_strategy() -> impl Strategy<Value = SynthConfig> {
             drift: Drift { linear: 0.5, sin_amp: 0.2, sin_cycles: 1.0 },
             seed,
             placement,
-            hrf: None,
         })
 }
 

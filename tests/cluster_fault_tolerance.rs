@@ -2,7 +2,7 @@
 //! stranded-task regression, checkpoint/resume equivalence, and
 //! checkpoint validation.
 
-use fcma::cluster::CheckpointError;
+use fcma::cluster::{CheckpointError, TaskRecord};
 use fcma::prelude::*;
 use fcma_mc::{replay, Config};
 use fcma_sync::time::Instant;
@@ -114,10 +114,105 @@ fn killed_run_resumes_to_byte_identical_scores() {
     // Byte-identical to a run that was never interrupted.
     let uninterrupted =
         run_cluster(&ctx, Arc::new(OptimizedExecutor::default()), 2, 12).expect("healthy");
-    assert_eq!(resumed.scores.len(), uninterrupted.scores.len());
-    for (a, b) in resumed.scores.iter().zip(&uninterrupted.scores) {
-        assert_eq!(a.voxel, b.voxel);
-        assert_eq!(a.accuracy.to_bits(), b.accuracy.to_bits(), "voxel {}", a.voxel);
+    assert_same_scores(&resumed.scores, &uninterrupted.scores, "resumed");
+}
+
+/// An uninterrupted checkpointed sweep of `ctx` in tasks of 12 on two
+/// workers: its scores and the checkpoint's bytes.
+fn whole_checkpoint(ctx: &TaskContext, name: &str) -> (Vec<VoxelScore>, Vec<u8>) {
+    let ckpt = tmp(name);
+    let cfg = ClusterConfig {
+        n_workers: 2,
+        task_size: 12,
+        checkpoint: Some(ckpt.clone()),
+        ..Default::default()
+    };
+    let run = run_cluster_with(ctx, Arc::new(OptimizedExecutor::default()), &cfg).expect("sweep");
+    (run.scores, std::fs::read(&ckpt).unwrap())
+}
+
+fn assert_same_scores(got: &[VoxelScore], want: &[VoxelScore], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}");
+    for (a, b) in got.iter().zip(want) {
+        assert_eq!(a.voxel, b.voxel, "{what}");
+        assert_eq!(a.accuracy.to_bits(), b.accuracy.to_bits(), "{what}: voxel {}", a.voxel);
+    }
+}
+
+#[test]
+fn checkpoint_cut_at_every_byte_loads_a_prefix_of_its_records() {
+    let (_, whole) = whole_checkpoint(&planted(48), "every_byte_whole.ckpt");
+    let header_end = whole.iter().position(|&b| b == b'\n').unwrap() + 1;
+    // The byte offsets where a record ends: after each `end` line.
+    let text = std::str::from_utf8(&whole).unwrap();
+    let mut boundaries = vec![header_end];
+    let mut at = 0;
+    for line in text.split_inclusive('\n') {
+        at += line.len();
+        if line.starts_with("end ") {
+            boundaries.push(at);
+        }
+    }
+    assert_eq!(boundaries.len(), 5, "four records");
+    let records = |ck: &Checkpoint| -> Vec<(usize, Vec<u64>)> {
+        let bits = |r: &TaskRecord| r.scores.iter().map(|s| s.accuracy.to_bits()).collect();
+        ck.tasks.iter().map(|r| (r.task.start, bits(r))).collect()
+    };
+    let path = tmp("every_byte_cut.ckpt");
+    std::fs::write(&path, &whole).unwrap();
+    let all = records(&Checkpoint::load(&path).unwrap());
+    for cut in 0..=whole.len() {
+        std::fs::write(&path, &whole[..cut]).unwrap();
+        let loaded = Checkpoint::load(&path);
+        if cut < header_end {
+            assert!(
+                matches!(loaded, Err(CheckpointError::BadHeader { truncated: true, .. })),
+                "cut {cut} inside the header: {loaded:?}"
+            );
+            continue;
+        }
+        let ck = loaded.unwrap_or_else(|e| panic!("cut {cut}: {e}"));
+        let kept = boundaries.iter().filter(|&&b| b <= cut).count() - 1;
+        assert_eq!(records(&ck), all[..kept], "cut {cut}");
+        assert_eq!(ck.complete_len, boundaries[kept] as u64, "cut {cut}");
+        assert_eq!(ck.truncated_tail, !boundaries.contains(&cut), "cut {cut}");
+    }
+}
+
+/// A sweep killed inside a `task` line, a score line or an `end` line
+/// resumes to the uninterrupted scores, and the file that resume leaves
+/// resumes again with nothing left to compute.
+#[test]
+fn cut_checkpoint_resumes_twice_to_byte_identical_scores() {
+    let ctx = planted(48);
+    let (want, whole) = whole_checkpoint(&ctx, "twice_whole.ckpt");
+    let text = std::str::from_utf8(&whole).unwrap();
+    // Into the second record's `task` line, its fifth score line and its
+    // `end` line: each cut keeps one record and tears the next.
+    let second_task = text.match_indices("\ntask ").nth(1).unwrap().0 + 1;
+    let score = second_task + text[second_task..].match_indices('\n').nth(4).unwrap().0 + 1;
+    let end = second_task + text[second_task..].find("\nend ").unwrap() + 1;
+    let path = tmp("twice.ckpt");
+    for (what, cut) in [("task", second_task + 6), ("score", score + 8), ("end", end + 9)] {
+        std::fs::write(&path, &whole[..cut]).unwrap();
+        let cfg = ClusterConfig {
+            n_workers: 2,
+            task_size: 12,
+            checkpoint: Some(path.clone()),
+            resume_from: Some(path.clone()),
+            ..Default::default()
+        };
+        let first = run_cluster_with(&ctx, Arc::new(OptimizedExecutor::default()), &cfg)
+            .unwrap_or_else(|e| panic!("cut in a {what} line, first resume: {e}"));
+        assert_eq!(first.resumed_voxels, 12, "cut in a {what} line");
+        assert_same_scores(&first.scores, &want, what);
+        let second = run_cluster_with(&ctx, Arc::new(OptimizedExecutor::default()), &cfg)
+            .unwrap_or_else(|e| panic!("cut in a {what} line, second resume: {e}"));
+        assert_eq!(second.resumed_voxels, 48, "cut in a {what} line");
+        assert_eq!(second.tasks_per_worker.iter().sum::<usize>(), 0, "cut in a {what} line");
+        assert_same_scores(&second.scores, &want, what);
+        let ck = Checkpoint::load(&path).unwrap();
+        assert_eq!((ck.tasks.len(), ck.truncated_tail), (4, false), "cut in a {what} line");
     }
 }
 
