@@ -258,6 +258,7 @@ fn sweep(
     drop(to_master_tx);
 
     let mut master = Master {
+        completion_scope: fcma_sync::runtime::completion_scope() << 32,
         workers,
         queue,
         completed,
@@ -383,6 +384,10 @@ impl DispatchOutcome {
 
 /// All mutable master-loop state, so the event handlers can share it.
 struct Master {
+    /// This run's completion keys' high bits: a key names the run and
+    /// the task, so a resume that completes a task again is not a double
+    /// completion.
+    completion_scope: u64,
     workers: Vec<WorkerState>,
     queue: VecDeque<VoxelTask>,
     completed: BTreeSet<usize>,
@@ -563,8 +568,9 @@ impl Master {
         let _ = self.resolve_dispatch(worker, outcome);
         if accepted {
             // Under the model checker this is the at-most-once oracle:
-            // two accepted completions of one task are a defect.
-            fcma_sync::runtime::report_completion(u64::try_from(task.start).unwrap_or(u64::MAX));
+            // two accepted completions of one task in one run are a defect.
+            let key = u64::try_from(task.start).unwrap_or(u64::MAX);
+            fcma_sync::runtime::report_completion(self.completion_scope | key);
             self.completed.insert(task.start);
             self.tasks_per_worker[worker] += 1;
             self.finished_stats.insert(

@@ -13,13 +13,16 @@
 //! 2. **Clean exploration of the shipped driver.** The real
 //!    `run_cluster_with` master loop, two workers, four tasks, every
 //!    interleaving within the preemption bound: no deadlock, no lost
-//!    wakeup, no double completion — on healthy runs, and on runs where
-//!    one dispatch hangs until its deadline condemns the worker.
+//!    wakeup, no double completion — on healthy runs, on runs where one
+//!    dispatch hangs until its deadline condemns the worker, and on a
+//!    killed checkpointed sweep resumed in the same execution.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use fcma_cluster::{run_cluster_with, ClusterConfig};
+use fcma_cluster::{
+    run_cluster_with, ChaosExecutor, ClusterConfig, ClusterError, FaultKind, FaultPlan,
+};
 use fcma_core::{CancelToken, CvPlan, TaskContext, TaskExecutor, VoxelScore, VoxelTask};
 use fcma_mc::{check, check_random, replay, Config, FailureKind, Outcome};
 use fcma_sync::channel::{unbounded, Sender};
@@ -318,4 +321,44 @@ fn shipped_driver_condemns_a_hung_worker_under_seeded_random_walks() {
         assert_eq!(run.requeued_tasks, 1);
     })
     .assert_pass();
+}
+
+#[test]
+fn killed_sweep_resumes_from_a_cut_checkpoint_in_one_schedule() {
+    let ctx = tiny_ctx();
+    let want = run_cluster_with(&ctx, Arc::new(StubExecutor), &ClusterConfig::new(2, 4))
+        .expect("uninterrupted sweep")
+        .scores;
+    let path =
+        std::env::temp_dir().join(format!("fcma_mc_kill_resume_{}.ckpt", std::process::id()));
+    let cfg = Config { max_executions: 300, max_preemptions: 3, ..Config::default() };
+    // The double-completion detector is on: the task whose record is cut
+    // completes in both runs, which is one completion per run.
+    let file = path.clone();
+    check_random(&cfg, 0xfc3a_0003, move || {
+        // Task 12 kills each worker that takes it, so the sweep dies once
+        // tasks 0, 4 and 8 are checkpointed.
+        let die = FaultKind::panic_now;
+        let plan = FaultPlan::none().with_fault(12, 0, die()).with_fault(12, 1, die());
+        let killed = ClusterConfig { checkpoint: Some(path.clone()), ..ClusterConfig::new(2, 4) };
+        let exec = Arc::new(ChaosExecutor::new(Arc::new(StubExecutor), plan));
+        let err = run_cluster_with(&ctx, exec, &killed).expect_err("both workers die");
+        assert!(matches!(err, ClusterError::AllWorkersFailed { unfinished_tasks: 1 }), "{err:?}");
+        // Cut the file inside the last record's `end` line.
+        let bytes = std::fs::read(&path).expect("checkpoint");
+        let text = std::str::from_utf8(&bytes).expect("utf-8");
+        let cut = text.rfind("\nend ").expect("three records") + 4;
+        std::fs::write(&path, &bytes[..cut]).expect("cut");
+
+        let resume = ClusterConfig { resume_from: Some(path.clone()), ..killed };
+        let run = run_cluster_with(&ctx, Arc::new(StubExecutor), &resume).expect("resume");
+        assert_eq!(run.resumed_voxels, 8, "two whole records survive the cut");
+        assert_eq!(run.tasks_per_worker.iter().sum::<usize>(), 2, "the cut task and task 12");
+        assert_eq!(run.scores.len(), want.len());
+        for (got, want) in run.scores.iter().zip(&want) {
+            assert_eq!((got.voxel, got.accuracy.to_bits()), (want.voxel, want.accuracy.to_bits()));
+        }
+    })
+    .assert_pass();
+    let _ = std::fs::remove_file(file);
 }

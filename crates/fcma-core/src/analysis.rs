@@ -181,9 +181,20 @@ pub fn online_voxel_selection(
     n_folds: usize,
 ) -> OnlineResult {
     assert!(n_folds >= 2, "online selection needs >= 2 folds");
-    let ctx = TaskContext::full(dataset);
+    online_selection(&TaskContext::full(dataset), exec, cfg, n_folds)
+}
+
+/// The body of [`online_voxel_selection`] over a built context, which
+/// `OnlineSession::train_feedback` shares: every voxel scored under
+/// `n_folds` folds stratified over the epochs, and the top `cfg.top_k`.
+pub(crate) fn online_selection(
+    ctx: &TaskContext,
+    exec: &dyn TaskExecutor,
+    cfg: &AnalysisConfig,
+    n_folds: usize,
+) -> OnlineResult {
     let groups = stratified_folds(&ctx.y, n_folds);
-    let scores = score_all_voxels(&ctx, exec, cfg.task_size, Some(&groups));
+    let scores = score_all_voxels(ctx, exec, cfg.task_size, Some(&groups));
     let selected = select_top_k(&scores, cfg.top_k);
     OnlineResult { selected, scores }
 }

@@ -40,22 +40,12 @@ pub trait TaskExecutor: Send + Sync {
         pool: &Pool,
     ) -> Vec<Vec<VoxelScore>>;
 
-    /// [`Self::process_on`] on the executor's own pool under one plan:
-    /// the context's labels, grouped by `groups` (defaults to the
-    /// context's subjects).
-    fn process_grouped(
-        &self,
-        ctx: &TaskContext,
-        task: VoxelTask,
-        groups: Option<&[usize]>,
-    ) -> Vec<VoxelScore> {
-        let plan = CvPlan { y: &ctx.y, groups: groups.unwrap_or(&ctx.subjects) };
-        self.process_on(ctx, task, &[plan], &self.pool()).concat()
-    }
-
-    /// Run the pipeline with subject-wise (LOSO) cross validation.
+    /// Run the pipeline with subject-wise (LOSO) cross validation:
+    /// [`Self::process_on`] on the executor's own pool under one plan,
+    /// the context's labels grouped by its subjects.
     fn process(&self, ctx: &TaskContext, task: VoxelTask) -> Vec<VoxelScore> {
-        self.process_grouped(ctx, task, None)
+        let plan = CvPlan { y: &ctx.y, groups: &ctx.subjects };
+        self.process_on(ctx, task, &[plan], &self.pool()).concat()
     }
 
     /// Like [`Self::process`], but with cooperative cancellation
@@ -196,7 +186,9 @@ mod tests {
         let task = VoxelTask { start: 0, count: 4 };
         // 4 groups by epoch index — the online-analysis style grouping.
         let groups: Vec<usize> = (0..ctx.n_epochs()).map(|e| e % 4).collect();
-        let scores = OptimizedExecutor::default().process_grouped(&ctx, task, Some(&groups));
+        let exec = OptimizedExecutor::default();
+        let plan = CvPlan { y: &ctx.y, groups: &groups };
+        let scores = exec.process_on(&ctx, task, &[plan], &exec.pool()).concat();
         assert_eq!(scores.len(), 4);
         assert!(scores.iter().all(|s| (0.0..=1.0).contains(&s.accuracy)));
     }

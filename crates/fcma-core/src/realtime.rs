@@ -22,9 +22,8 @@
 //! with the weight vector — O(top_k × N × epoch_len) whatever the epoch's
 //! index, and the same for a training epoch as for a newer one.
 
-use crate::analysis::stratified_folds;
+use crate::analysis::{online_selection, AnalysisConfig};
 use crate::context::TaskContext;
-use crate::selection::select_top_k;
 use crate::stage2::{fisher_rows, selected_samples, zscore_with};
 use fcma_fmri::{Condition, Dataset, EpochSpec, NormalizedEpochs};
 use fcma_linalg::norms::axpy;
@@ -307,11 +306,9 @@ impl OnlineSession {
         }
         let dataset = self.dataset()?;
         let ctx = TaskContext::full(&dataset);
-        let groups = stratified_folds(&ctx.y, self.cfg.n_folds.min(ctx.n_epochs()));
         let exec = crate::executor::OptimizedExecutor { svm: self.cfg.svm, ..Default::default() };
-        let scores =
-            crate::analysis::score_all_voxels(&ctx, &exec, self.cfg.task_size, Some(&groups));
-        let selected = select_top_k(&scores, self.cfg.top_k.min(scores.len()));
+        let cfg = AnalysisConfig { task_size: self.cfg.task_size, top_k: self.cfg.top_k };
+        let selected = online_selection(&ctx, &exec, &cfg, self.cfg.n_folds).selected;
 
         let (mut mean, mut inv_std) = (Vec::new(), Vec::new());
         let samples = selected_samples(&ctx, &selected, |m, s| {

@@ -6,8 +6,8 @@
 //! across one subject's epochs (the "vertical black line" of Fig. 4 —
 //! `E` values per column per subject).
 //!
-//! Three schedules produce **bit-comparable results** and are tested for
-//! agreement:
+//! Three schedules produce **bit-comparable results**, z-scoring through
+//! one body (`ZScore`) a (voxel, subject) block at a time:
 //!
 //! * [`normalize_baseline`] — the §3.2 baseline: a full Fisher pass over
 //!   the buffer, then a stats pass, then an apply pass (three trips to
@@ -40,8 +40,8 @@ use crate::stage1::{assigned_blocks, epoch_pairs, CorrData};
 use crate::task::VoxelTask;
 use fcma_linalg::tall_skinny::{corr_tile_block_rows, EpochPair, StripScratch, TallSkinnyOpts};
 use fcma_linalg::{
-    f32_from_usize, fisher_z_slice, syrk_accumulate, syrk_mirror, syrk_zero, CorrLayout, Mat,
-    SyrkScratch, PANEL_K,
+    f32_from_usize, fisher_z_slice, syrk_accumulate, syrk_mirror, CorrLayout, Mat, SyrkScratch,
+    PANEL_K,
 };
 use fcma_svm::KernelMatrix;
 use fcma_trace::span;
@@ -56,35 +56,7 @@ const STRIP_BYTES: usize = 2 << 20;
 /// # Panics
 /// If `ctx`'s subject epoch ranges do not match `corr`'s layout.
 pub fn normalize_baseline(corr: &mut CorrData, ctx: &TaskContext) {
-    let n = corr.layout.n_brain;
-    let v = corr.layout.n_assigned;
-    let _span = span!("stage2.normalize", voxels = v, brain = n, schedule = "baseline");
-    // Pass 1: Fisher-transform everything.
-    for row in corr.buf.chunks_mut(n) {
-        fisher_z_slice(row);
-    }
-    // Pass 2 + 3: per (voxel, subject): column stats, then apply.
-    let mut sum = vec![0.0f32; n];
-    let mut sumsq = vec![0.0f32; n];
-    let mut mean = vec![0.0f32; n];
-    let mut inv_std = vec![0.0f32; n];
-    for vi in 0..v {
-        for sr in ctx.subject_ranges.iter() {
-            sum.fill(0.0);
-            sumsq.fill(0.0);
-            for e in sr.clone() {
-                accumulate(corr.row(vi, e), &mut sum, &mut sumsq);
-            }
-            finish_stats(&sum, &sumsq, f32_from_usize(sr.len()), &mut mean, &mut inv_std);
-            for e in sr.clone() {
-                let row = corr.row_mut(vi, e);
-                for (j, x) in row.iter_mut().enumerate() {
-                    *x = (*x - mean[j]) * inv_std[j];
-                }
-            }
-        }
-    }
-    fcma_linalg::debug_assert_finite!(&corr.buf, "stage2 normalization output");
+    normalize(corr, ctx, false);
 }
 
 /// Separated-optimized schedule: fused Fisher+stats pass, then apply.
@@ -92,30 +64,27 @@ pub fn normalize_baseline(corr: &mut CorrData, ctx: &TaskContext) {
 /// # Panics
 /// If `ctx`'s subject epoch ranges do not match `corr`'s layout.
 pub fn normalize_separated(corr: &mut CorrData, ctx: &TaskContext) {
-    let n = corr.layout.n_brain;
-    let v = corr.layout.n_assigned;
-    let _span = span!("stage2.normalize", voxels = v, brain = n, schedule = "separated");
-    let mut sum = vec![0.0f32; n];
-    let mut sumsq = vec![0.0f32; n];
-    let mut mean = vec![0.0f32; n];
-    let mut inv_std = vec![0.0f32; n];
-    for vi in 0..v {
+    normalize(corr, ctx, true);
+}
+
+/// The unmerged schedules: every (voxel, subject) block of `corr`
+/// z-scored in place, each row Fisher-transformed as its block sums it
+/// if `separated`, or all rows in a first trip of their own if not.
+fn normalize(corr: &mut CorrData, ctx: &TaskContext, separated: bool) {
+    let layout = corr.layout;
+    let n = layout.n_brain;
+    let schedule = if separated { "separated" } else { "baseline" };
+    let _span =
+        span!("stage2.normalize", voxels = layout.n_assigned, brain = n, schedule = schedule);
+    if !separated {
+        for row in corr.buf.chunks_mut(n) {
+            fisher_z_slice(row);
+        }
+    }
+    let mut z = ZScore::new(n);
+    for vi in 0..layout.n_assigned {
         for sr in ctx.subject_ranges.iter() {
-            sum.fill(0.0);
-            sumsq.fill(0.0);
-            // Fused pass: Fisher each row while accumulating column sums.
-            for e in sr.clone() {
-                let row = corr.row_mut(vi, e);
-                fisher_z_slice(row);
-                accumulate(row, &mut sum, &mut sumsq);
-            }
-            finish_stats(&sum, &sumsq, f32_from_usize(sr.len()), &mut mean, &mut inv_std);
-            for e in sr.clone() {
-                let row = corr.row_mut(vi, e);
-                for (j, x) in row.iter_mut().enumerate() {
-                    *x = (*x - mean[j]) * inv_std[j];
-                }
-            }
+            z.block(&mut corr.buf, sr.clone().map(|e| layout.row(vi, e) * n), n, separated);
         }
     }
     fcma_linalg::debug_assert_finite!(&corr.buf, "stage2 normalization output");
@@ -135,9 +104,7 @@ pub fn corr_normalized_merged(
     task: VoxelTask,
     opts: TallSkinnyOpts,
 ) -> CorrData {
-    let v = task.count;
-    let n = ctx.n_voxels();
-    let m = ctx.n_epochs();
+    let (v, n, m) = (task.count, ctx.n_voxels(), ctx.n_epochs());
     let layout = CorrLayout { n_assigned: v, n_epochs: m, n_brain: n };
     let mut buf = vec![0.0f32; layout.out_len()];
     let _span = span!("stage12.fused", voxels = v, brain = n, epochs = m);
@@ -156,7 +123,7 @@ pub fn corr_normalized_merged(
 /// `V × M × N` correlations.
 ///
 /// The merged body runs into a reused strip buffer and, once a strip is
-/// finished, adds its panels to the task's Gram matrices
+/// finished, adds its panels to each voxel's Gram matrix
 /// (`syrk_accumulate` at `lda = w`) while it is still in L2. Strips are
 /// a multiple of [`PANEL_K`] wide, so the SYRK sees exactly the panels
 /// of the task-wide buffer in the same order, and the strip width cannot
@@ -179,10 +146,7 @@ fn fused_kernels_within(
     task: VoxelTask,
     strip_bytes: usize,
 ) -> Vec<KernelMatrix> {
-    let v = task.count;
-    let n = ctx.n_voxels();
-    let m = ctx.n_epochs();
-    let mut grams = vec![0.0f32; v * m * m];
+    let (v, n, m) = (task.count, ctx.n_voxels(), ctx.n_epochs());
     let _span = span!("stage12.fused", voxels = v, brain = n, epochs = m);
 
     let assigned = assigned_blocks(ctx, task);
@@ -190,21 +154,19 @@ fn fused_kernels_within(
     let w_max = strip_cols(v, m, strip_bytes);
     let mut strip = vec![0.0f32; v * m * w_max];
     let mut syrk = SyrkScratch::new(m, PANEL_K);
-    for gram in grams.chunks_exact_mut(m * m) {
-        syrk_zero(m, gram, m);
-    }
+    let mut grams: Vec<Mat> = (0..v).map(|_| Mat::zeros(m, m)).collect();
     merged_pass(ctx, &pairs, v, w_max, Landing::Strip, &mut strip, |strip, w| {
-        for (x, gram) in strip.chunks_exact(m * w).zip(grams.chunks_exact_mut(m * m)) {
-            syrk_accumulate(m, w, x, w, gram, m, &mut syrk);
+        for (x, gram) in strip.chunks_exact(m * w).zip(&mut grams) {
+            syrk_accumulate(m, w, x, w, gram.as_mut_slice(), m, &mut syrk);
         }
     });
-    for gram in grams.chunks_exact_mut(m * m) {
-        syrk_mirror(m, gram, m);
-    }
-    fcma_linalg::debug_assert_finite!(&grams, "stage12 fused Gram matrices");
     grams
-        .chunks_exact(m * m)
-        .map(|g| KernelMatrix::from_mat(Mat::from_vec(m, m, g.to_vec())))
+        .into_iter()
+        .map(|mut gram| {
+            syrk_mirror(m, gram.as_mut_slice(), m);
+            fcma_linalg::debug_assert_finite!(gram.as_slice(), "stage12 fused Gram matrix");
+            KernelMatrix::from_mat(gram)
+        })
         .collect()
 }
 
@@ -246,11 +208,7 @@ fn merged_pass(
 ) {
     let (m, n) = (ctx.n_epochs(), ctx.n_voxels());
     let mut strip_scratch = StripScratch::for_epochs(pairs);
-    // Workhorse stat buffers reused across every strip.
-    let mut sum = vec![0.0f32; w_max];
-    let mut sumsq = vec![0.0f32; w_max];
-    let mut mean = vec![0.0f32; w_max];
-    let mut inv_std = vec![0.0f32; w_max];
+    let mut z = ZScore::new(w_max);
 
     let mut j0 = 0;
     while j0 < n {
@@ -274,26 +232,7 @@ fn merged_pass(
                 &mut strip_scratch,
             );
             for vi in 0..voxels {
-                let rows = sr.clone().map(|e| (vi * m + e) * ld + col);
-                sum[..w].fill(0.0);
-                sumsq[..w].fill(0.0);
-                for at in rows.clone() {
-                    let row = &mut out[at..at + w];
-                    fisher_z_slice(row);
-                    accumulate(row, &mut sum[..w], &mut sumsq[..w]);
-                }
-                finish_stats(
-                    &sum[..w],
-                    &sumsq[..w],
-                    f32_from_usize(sr.len()),
-                    &mut mean[..w],
-                    &mut inv_std[..w],
-                );
-                for at in rows {
-                    for ((x, &mu), &inv) in out[at..at + w].iter_mut().zip(&mean).zip(&inv_std) {
-                        *x = (*x - mu) * inv;
-                    }
-                }
+                z.block(out, sr.clone().map(|e| (vi * m + e) * ld + col), w, true);
             }
         }
         strip_done(out, w);
@@ -317,21 +256,14 @@ pub(crate) fn selected_samples(
 ) -> Mat {
     let mut samples = Mat::zeros(ctx.n_epochs(), selected.len() * ctx.n_voxels());
     let width = samples.cols();
-    let (mut sum, mut sumsq) = (vec![0.0f32; width], vec![0.0f32; width]);
-    let (mut mean, mut inv_std) = (vec![0.0f32; width], vec![0.0f32; width]);
+    let mut z = ZScore::new(width);
     for sr in ctx.subject_ranges.iter() {
-        sum.fill(0.0);
-        sumsq.fill(0.0);
         for e in sr.clone() {
-            let row = samples.row_mut(e);
-            fisher_rows(ctx.norm.brain(e), selected, row);
-            accumulate(row, &mut sum, &mut sumsq);
+            fisher_rows(ctx.norm.brain(e), selected, samples.row_mut(e));
         }
-        finish_stats(&sum, &sumsq, f32_from_usize(sr.len()), &mut mean, &mut inv_std);
-        for e in sr.clone() {
-            zscore_with(samples.row_mut(e), &mean, &inv_std);
-        }
-        subject_stats(&mean, &inv_std);
+        let (mean, inv_std) =
+            z.block(samples.as_mut_slice(), sr.clone().map(|e| e * width), width, false);
+        subject_stats(mean, inv_std);
     }
     samples
 }
@@ -356,6 +288,64 @@ pub(crate) fn zscore_with(z: &mut [f32], mean: &[f32], inv_std: &[f32]) {
     }
 }
 
+/// Stage 2 on one (voxel, subject) block (Eqs. 4–5): one subject's
+/// epochs of the same correlation columns, each column z-scored against
+/// that population. Owns the statistics rows (Σz, Σz², mean, 1/std),
+/// reused from block to block.
+struct ZScore {
+    sum: Vec<f32>,
+    sumsq: Vec<f32>,
+    mean: Vec<f32>,
+    inv_std: Vec<f32>,
+}
+
+impl ZScore {
+    /// Statistics rows for blocks up to `width` columns wide.
+    fn new(width: usize) -> Self {
+        let row = || vec![0.0f32; width];
+        ZScore { sum: row(), sumsq: row(), mean: row(), inv_std: row() }
+    }
+
+    /// Z-score in place the block of `w`-wide rows of `buf` that start at
+    /// `rows`: add each row to the column sums in `rows` order,
+    /// Fisher-transforming it first if `fisher`; finish each column's
+    /// `(mean, 1/std)`, a constant column z-scoring to 0; apply them to
+    /// every row. Returns the block's statistics.
+    fn block(
+        &mut self,
+        buf: &mut [f32],
+        rows: impl ExactSizeIterator<Item = usize> + Clone,
+        w: usize,
+        fisher: bool,
+    ) -> (&[f32], &[f32]) {
+        let cnt = f32_from_usize(rows.len());
+        let (sum, sumsq) = (&mut self.sum[..w], &mut self.sumsq[..w]);
+        sum.fill(0.0);
+        sumsq.fill(0.0);
+        for at in rows.clone() {
+            let row = &mut buf[at..at + w];
+            if fisher {
+                fisher_z_slice(row);
+            }
+            for ((s, q), &z) in sum.iter_mut().zip(sumsq.iter_mut()).zip(&*row) {
+                *s += z;
+                *q += z * z;
+            }
+        }
+        let (mean, inv_std) = (&mut self.mean[..w], &mut self.inv_std[..w]);
+        for j in 0..w {
+            let m = sum[j] / cnt;
+            let var = (sumsq[j] / cnt - m * m).max(0.0);
+            mean[j] = m;
+            inv_std[j] = if var <= f32::MIN_POSITIVE { 0.0 } else { 1.0 / var.sqrt() };
+        }
+        for at in rows {
+            zscore_with(&mut buf[at..at + w], mean, inv_std);
+        }
+        (mean, inv_std)
+    }
+}
+
 /// [`selected_samples`] by the offline analysis's former route: one
 /// one-voxel [`corr_normalized_merged`] pass per selected voxel, each
 /// streaming the whole brain. Tests hold the builder to it.
@@ -376,27 +366,8 @@ pub(crate) fn selected_samples_per_voxel(ctx: &TaskContext, selected: &[usize]) 
     samples
 }
 
-/// Column-wise accumulation of sums and sums of squares (vectorizes: all
-/// three slices are contiguous).
-#[inline]
-fn accumulate(row: &[f32], sum: &mut [f32], sumsq: &mut [f32]) {
-    for (j, &z) in row.iter().enumerate() {
-        sum[j] += z;
-        sumsq[j] += z * z;
-    }
-}
-
-/// Turn accumulated sums into (mean, 1/std) with the zero-variance
-/// convention (constant populations z-score to 0).
-#[inline]
-fn finish_stats(sum: &[f32], sumsq: &[f32], cnt: f32, mean: &mut [f32], inv_std: &mut [f32]) {
-    for j in 0..sum.len() {
-        let m = sum[j] / cnt;
-        let var = (sumsq[j] / cnt - m * m).max(0.0);
-        mean[j] = m;
-        inv_std[j] = if var <= f32::MIN_POSITIVE { 0.0 } else { 1.0 / var.sqrt() };
-    }
-}
+#[cfg(test)]
+mod golden;
 
 #[cfg(test)]
 mod tests {

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use fcma_sync::runtime::report_completion;
+use fcma_sync::runtime::{completion_scope, report_completion};
 use fcma_sync::{channel, thread, Condvar, Mutex};
 
 use crate::{check, check_random, replay, Config, FailureKind, Outcome};
@@ -183,6 +183,18 @@ fn double_completion_is_detected() {
     });
     let failure = outcome.failure().expect("double completion must fail");
     assert_eq!(failure.kind, FailureKind::DoubleCompletion { key: 7 });
+}
+
+#[test]
+fn completion_scopes_key_two_runs_apart() {
+    // A key reported once in each of two scopes is no double completion.
+    let outcome = check(&Config::default(), || {
+        let (first, second) = (completion_scope(), completion_scope());
+        assert_ne!(first, second);
+        report_completion(first << 32 | 7);
+        report_completion(second << 32 | 7);
+    });
+    assert!(outcome.failure().is_none(), "{:?}", outcome.failure());
 }
 
 #[test]

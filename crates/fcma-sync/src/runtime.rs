@@ -166,6 +166,18 @@ pub(crate) fn model_object_id(slot: &OnceLock<u64>, rt: &Arc<dyn McRuntime>) -> 
     *slot.get_or_init(|| rt.next_object_id())
 }
 
+/// A scope for [`report_completion`] keys that no earlier call in the
+/// same model execution returned. A protocol run puts it in the high
+/// bits of its keys, so two runs in one checked closure (a sweep and its
+/// resume) key their completions apart. 0 outside model mode, where no
+/// key is recorded.
+pub fn completion_scope() -> u64 {
+    match mode() {
+        Mode::Model(rt) => rt.next_object_id(),
+        Mode::Real => 0,
+    }
+}
+
 /// Report an exactly-once completion key to the model checker's
 /// double-completion detector. A no-op outside model mode.
 pub fn report_completion(key: u64) {

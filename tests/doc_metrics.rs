@@ -2,8 +2,9 @@
 //! EXPERIMENTS.md cites is one `BENCHMARK.json` declares,
 //! `BENCH_history.jsonl` holds a full-length record of every workload in
 //! both modes, every number EXPERIMENTS.md quotes as ours is one the
-//! `fcma-repro` record `results/repro_all.txt` prints, and no document
-//! points back at the retired criterion layer, the retired metrics
+//! `fcma-repro` record `results/repro_all.txt` prints in the table of
+//! the same title, and no document points back at the retired
+//! criterion layer, the retired metrics
 //! exporter, SLO gate and trace subcommands, the retired mutation
 //! engine, the retired model save/load, the cluster driver's retired
 //! backup copies of running tasks or the retired audit tool and its
@@ -116,11 +117,17 @@ fn numbers(text: &str) -> Vec<&str> {
 
 /// The cells of EXPERIMENTS.md's tables that quote our reproduction:
 /// those under a header naming "ours", and those after a row label
-/// naming it (`| | ours (model) | 3457.93 | …`).
-fn ours_cells(prose: &str) -> Vec<&str> {
+/// naming it (`| | ours (model) | 3457.93 | …`). Each comes with the
+/// title of its section, the `## ` heading up to its dash (`Table 3`,
+/// `Fig. 10`).
+fn ours_cells(prose: &str) -> Vec<(&str, &str)> {
     let mut cells = Vec::new();
+    let mut title = "";
     let mut header: Option<Vec<bool>> = None;
     for line in prose.lines() {
+        if let Some(heading) = line.strip_prefix("## ") {
+            title = heading.split(" — ").next().unwrap_or(heading);
+        }
         let Some(row) = line.strip_prefix('|') else {
             header = None;
             continue;
@@ -134,26 +141,40 @@ fn ours_cells(prose: &str) -> Vec<&str> {
         let label = row.iter().position(|c| c.contains("ours"));
         for (i, cell) in row.iter().enumerate() {
             if ours_column.get(i).copied().unwrap_or(false) || label.is_some_and(|l| i > l) {
-                cells.push(*cell);
+                cells.push((title, *cell));
             }
         }
     }
     cells
 }
 
+/// The table `fcma-repro` prints under `title`: from its `== title:`
+/// line to the next `== ` line.
+fn repro_table<'a>(record: &'a str, title: &str) -> Option<&'a str> {
+    let table = &record[record.find(&format!("== {title}:"))?..];
+    Some(&table[..table[1..].find("\n== ").map_or(table.len(), |end| end + 1)])
+}
+
 #[test]
 fn experiments_md_quotes_the_repro_record() {
     let record = read("results/repro_all.txt");
     let prose = read("EXPERIMENTS.md");
-    let printed: BTreeSet<&str> = numbers(&record).into_iter().collect();
-    let quoted: Vec<&str> = ours_cells(&prose).into_iter().flat_map(numbers).collect();
-    for n in &quoted {
-        assert!(
-            printed.contains(n),
-            "EXPERIMENTS.md quotes {n} as ours; results/repro_all.txt does not print it"
-        );
+    let mut quoted = 0;
+    for (title, cell) in ours_cells(&prose) {
+        let table = repro_table(&record, title).unwrap_or_else(|| {
+            panic!("EXPERIMENTS.md quotes ours under `{title}`; results/repro_all.txt has no such table")
+        });
+        let printed: BTreeSet<&str> = numbers(table).into_iter().collect();
+        for n in numbers(cell) {
+            assert!(
+                printed.contains(n),
+                "EXPERIMENTS.md's {title} quotes {n} as ours; results/repro_all.txt's {title} \
+                 does not print it"
+            );
+            quoted += 1;
+        }
     }
-    assert!(quoted.len() >= 60, "EXPERIMENTS.md quotes only {} numbers as ours", quoted.len());
+    assert!(quoted >= 60, "EXPERIMENTS.md quotes only {quoted} numbers as ours");
     // The fenced blocks quote the record's end-to-end lines whole.
     for (i, block) in prose.split("```").enumerate().skip(1).step_by(2) {
         for line in block.lines().filter(|l| !l.trim().is_empty()) {

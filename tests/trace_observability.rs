@@ -230,28 +230,23 @@ fn abort_of(report: &TraceReport) -> (String, u64) {
 /// both consistency checks.
 #[test]
 fn causal_context_in_recovered_and_failed_runs() {
-    // Each sweep is one fcma-mc schedule: a second sweep in the same
-    // execution would complete its tasks again, which the checker's
-    // double-completion detector reports.
+    // Both sweeps run in one fcma-mc schedule: completion keys name
+    // their run, so the second sweep's completions are not the first's
+    // again.
     let plan = FaultPlan::none().with_fault(16, 0, FaultKind::panic_now());
-    let recovered = plan.clone();
     replay(&Config::default(), &[], move || {
         let ctx = planted(48); // 3 tasks of 16 voxels
         let cfg = ClusterConfig::new(3, 16);
-        let (run, report) = traced(&ctx, chaos_exec(recovered.clone()), &cfg);
+        let (run, report) = traced(&ctx, chaos_exec(plan.clone()), &cfg);
         assert_eq!(run.expect("chaos run must recover").scores.len(), 48);
         let live = dispatches(&report);
         assert_eq!(live.len(), 4, "3 first dispatches + 1 retry: {live:?}");
         assert!(live.contains(&(16, 1)) && live.contains(&(16, 2)), "{live:?}");
         assert_stamped(&report, &[(16, 2)]);
         assert_eq!(report.event_count("cluster.abort"), 0);
-    })
-    .assert_pass();
 
-    // One worker: it scores task 0, dies on task 16, and the run fails
-    // with tasks 16 and 32 unfinished.
-    replay(&Config::default(), &[], move || {
-        let ctx = planted(48);
+        // One worker: it scores task 0, dies on task 16, and the run
+        // fails with tasks 16 and 32 unfinished.
         let (run, report) = traced(&ctx, chaos_exec(plan.clone()), &ClusterConfig::new(1, 16));
         assert!(
             matches!(run, Err(ClusterError::AllWorkersFailed { unfinished_tasks: 2 })),
